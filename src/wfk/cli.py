@@ -12,6 +12,7 @@ import argparse
 import datetime
 import hashlib
 import json
+import math
 import sys
 
 import numpy as np
@@ -79,6 +80,21 @@ def _parse_components(raw, dim: int, name: str):
     if not isinstance(raw, list) or len(raw) != dim:
         raise ManifestError(f"{name}: expected {dim} components")
     return [_parse_entry(e, dim, f"{name}[{k + 1}]") for k, e in enumerate(raw)]
+
+
+def _parse_tolerance(key: str, raw, where: str) -> float:
+    """A tolerance override for catalogue id ``key``: finite and > 0."""
+    if key not in CATALOGUE:
+        raise ManifestError(f"{where}: unknown check id {key!r}")
+    try:
+        val = float(raw)
+    except (TypeError, ValueError):
+        val = math.nan
+    if isinstance(raw, bool) or not (math.isfinite(val) and val > 0):
+        raise ManifestError(
+            f"{where}[{key}]: tolerance must be a finite number > 0, got {raw!r}"
+        )
+    return val
 
 
 def load_manifest(path: str) -> dict:
@@ -188,14 +204,9 @@ def manifold_from_manifest(data: dict):
     tols = data.get("tolerances") or {}
     if not isinstance(tols, dict):
         raise ManifestError("tolerances: expected an object of id -> value")
-    overrides = {}
-    for key, val in tols.items():
-        if key not in CATALOGUE:
-            raise ManifestError(f"tolerances: unknown check id {key!r}")
-        try:
-            overrides[key] = float(val)
-        except (TypeError, ValueError) as err:
-            raise ManifestError(f"tolerances[{key}]: {err}") from err
+    overrides = {
+        key: _parse_tolerance(key, val, "tolerances") for key, val in tols.items()
+    }
 
     sample = dict(_DEFAULT_SAMPLE)
     sample.update(data.get("sample") or {})
@@ -287,13 +298,10 @@ def run_check(args) -> int:
     if args.box is not None:
         sample["box"] = list(args.box)
     for item in args.tol or []:
-        try:
-            key, val = item.split("=", 1)
-            if key not in CATALOGUE:
-                raise ValueError(f"unknown check id {key!r}")
-            overrides[key] = float(val)
-        except ValueError as err:
-            raise ManifestError(f"--tol {item}: {err}") from err
+        key, sep, val = item.partition("=")
+        if not sep:
+            raise ManifestError(f"--tol {item}: expected ID=VALUE")
+        overrides[key] = _parse_tolerance(key, val, "--tol")
 
     ctx = CheckContext(m, soliton)
     if args.only:

@@ -1,9 +1,9 @@
 """Riemannian machinery on a single global chart.
 
 All first and second metric derivatives come from analytic jets of the
-metric's expression entries; only the Lie derivative of the curvature
-tensor (which needs third derivatives) falls back to outer central
-differences with Richardson refinement.
+metric's expression entries.  Quantities that need third derivatives (the
+Lie derivative of curvature, nabla Ric# and d(scal)) fall back to outer
+central differences, all of them in this module.
 
 Index conventions used throughout:
 
@@ -19,6 +19,7 @@ are written against.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -164,14 +165,6 @@ class MatrixFieldSpec:
             raise ValueError("matrix field must be dim x dim")
         return cls(dim, out)
 
-    def values(self, p: np.ndarray) -> np.ndarray:
-        n = self.dim
-        a = np.empty((n, n))
-        for i in range(n):
-            for j in range(n):
-                a[i, j] = ex.evaluate_jet(self.entries[i][j], p).value
-        return a
-
     def jets(self, p: np.ndarray):
         """Return (A, dA) with dA[i, j, k] = d_k A_ij."""
         n = self.dim
@@ -188,6 +181,8 @@ class MatrixFieldSpec:
 # ---------------------------------------------------------------------------
 # metric field and per-point geometry cache
 
+_FD_STEP = 1e-4  # central-difference step for d(Ric#) and d(scal)
+
 
 class _PointGeometry:
     """All jet-derived geometric data of a metric at one point."""
@@ -195,6 +190,7 @@ class _PointGeometry:
     def __init__(self, metric: "MetricField", p: np.ndarray):
         n = metric.dim
         self.point = p
+        self._metric = metric
         g = np.empty((n, n))
         dg = np.empty((n, n, n))     # dg[i, j, k] = d_k g_ij
         d2g = np.empty((n, n, n, n))  # d2g[i, j, k, l] = d_k d_l g_ij
@@ -215,62 +211,48 @@ class _PointGeometry:
         self.ginv = inv_l.T @ inv_l
         self.dg = dg
         self.d2g = d2g
-        self._gamma = None
-        self._dgamma = None
-        self._riem = None
-        self._ric = None
 
-    @property
+    @cached_property
     def gamma(self) -> np.ndarray:
-        if self._gamma is None:
-            dg = self.dg
-            # 0.5 g^{kl} (d_i g_jl + d_j g_il - d_l g_ij)
-            core = (
-                np.einsum("jli->lij", dg)
-                + np.einsum("ilj->lij", dg)
-                - np.einsum("ijl->lij", dg)
-            )
-            self._gamma = 0.5 * np.einsum("kl,lij->kij", self.ginv, core)
-        return self._gamma
+        dg = self.dg
+        # 0.5 g^{kl} (d_i g_jl + d_j g_il - d_l g_ij)
+        core = (
+            np.einsum("jli->lij", dg)
+            + np.einsum("ilj->lij", dg)
+            - np.einsum("ijl->lij", dg)
+        )
+        return 0.5 * np.einsum("kl,lij->kij", self.ginv, core)
 
-    @property
+    @cached_property
     def dgamma(self) -> np.ndarray:
         """dgamma[k, i, j, m] = d_m Gamma^k_ij."""
-        if self._dgamma is None:
-            dg, d2g = self.dg, self.d2g
-            dginv = -np.einsum("ka,abm,bl->klm", self.ginv, dg, self.ginv)
-            core = (
-                np.einsum("jli->lij", dg)
-                + np.einsum("ilj->lij", dg)
-                - np.einsum("ijl->lij", dg)
-            )
-            dcore = (
-                np.einsum("jlim->lijm", d2g)
-                + np.einsum("iljm->lijm", d2g)
-                - np.einsum("ijlm->lijm", d2g)
-            )
-            self._dgamma = 0.5 * (
-                np.einsum("klm,lij->kijm", dginv, core)
-                + np.einsum("kl,lijm->kijm", self.ginv, dcore)
-            )
-        return self._dgamma
+        dg, d2g = self.dg, self.d2g
+        dginv = -np.einsum("ka,abm,bl->klm", self.ginv, dg, self.ginv)
+        core = (
+            np.einsum("jli->lij", dg)
+            + np.einsum("ilj->lij", dg)
+            - np.einsum("ijl->lij", dg)
+        )
+        dcore = (
+            np.einsum("jlim->lijm", d2g)
+            + np.einsum("iljm->lijm", d2g)
+            - np.einsum("ijlm->lijm", d2g)
+        )
+        return 0.5 * (
+            np.einsum("klm,lij->kijm", dginv, core)
+            + np.einsum("kl,lijm->kijm", self.ginv, dcore)
+        )
 
-    @property
+    @cached_property
     def riem(self) -> np.ndarray:
         """riem[l, i, j, k] = component of R(e_i, e_j) e_k along e_l."""
-        if self._riem is None:
-            gam, dgam = self.gamma, self.dgamma
-            term = np.einsum("ljki->lijk", dgam) + np.einsum(
-                "lim,mjk->lijk", gam, gam
-            )
-            self._riem = term - np.einsum("lijk->ljik", term)
-        return self._riem
+        gam, dgam = self.gamma, self.dgamma
+        term = np.einsum("ljki->lijk", dgam) + np.einsum("lim,mjk->lijk", gam, gam)
+        return term - np.einsum("lijk->ljik", term)
 
-    @property
+    @cached_property
     def ric(self) -> np.ndarray:
-        if self._ric is None:
-            self._ric = np.einsum("iijk->jk", self.riem)
-        return self._ric
+        return np.einsum("iijk->jk", self.riem)
 
     @property
     def ric_sharp(self) -> np.ndarray:
@@ -279,6 +261,30 @@ class _PointGeometry:
     @property
     def scalar(self) -> float:
         return float(np.einsum("jk,jk->", self.ginv, self.ric))
+
+    @cached_property
+    def nabla_ric_sharp(self) -> np.ndarray:
+        """(nabla_a Ric#)^k_j as [k, j, a]; d_a Ric# by central differences."""
+        n = self.point.shape[0]
+        dric = np.empty((n, n, n))
+        for a in range(n):
+            dp = np.zeros(n)
+            dp[a] = _FD_STEP
+            plus = self._metric.at(self.point + dp).ric_sharp
+            minus = self._metric.at(self.point - dp).ric_sharp
+            dric[:, :, a] = (plus - minus) / (2.0 * _FD_STEP)
+        gam, rs = self.gamma, self.ric_sharp
+        return (
+            dric
+            + np.einsum("kam,mj->kja", gam, rs)
+            - np.einsum("maj,km->kja", gam, rs)
+        )
+
+    def scalar_derivative(self, v: np.ndarray) -> float:
+        """d(scal)(v) by a central difference along v."""
+        plus = self._metric.at(self.point + _FD_STEP * v).scalar
+        minus = self._metric.at(self.point - _FD_STEP * v).scalar
+        return (plus - minus) / (2.0 * _FD_STEP)
 
 
 @dataclass(frozen=True)

@@ -14,10 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import expr as ex
 from .expr import ExprAst
 from .geometry import (
-    MetricField,
     TensorValue,
     VectorFieldSpec,
     gradient_and_hessian,
@@ -26,8 +24,8 @@ from .geometry import (
     lie_derivative_curvature,
     lie_derivative_metric,
 )
-from .kenmotsu import _dric_sharp, _nabla_ric_sharp
-from .weakf import ResidualReport, WeakFManifold, tensor_residual
+from .kenmotsu import EinsteinFit
+from .weakf import TOLERANCES, ResidualReport, WeakFManifold, tensor_residual
 
 __all__ = [
     "SolitonData",
@@ -37,16 +35,19 @@ __all__ = [
     "star_scalar",
     "theorem4_residual",
     "star_eta_einstein_fit",
+    "corollary2_residual",
     "star_symmetry_gate",
     "soliton_residual",
     "gradient_soliton_residual",
     "fit_soliton_constants",
     "prop5_check",
+    "contact_fit",
     "contact_field_check",
     "lemma2_audit",
 ]
 
-_SYMMETRY_TOL = 1e-6
+_SYMMETRY_TOL = 1e-6  # antisymmetry of Ric* beyond which solitons are undefined
+_FIT_GATE = 1e-6  # *-eta-Einstein fit residual beyond which cor2 is vacuous
 
 
 @dataclass(frozen=True)
@@ -136,14 +137,14 @@ def theorem4_residual(m: WeakFManifold, p) -> list[ResidualReport]:
         - s * (2 * n - 1) * np.einsum("ja,jb->ab", eta, eta)
     )
     rep28 = ResidualReport.make(
-        "thm4.28", st.point, tensor_residual(ric_star - rhs, (0, 1)), 1e-6
+        "thm4.28", st.point, tensor_residual(ric_star - rhs, (0, 1))
     )
 
     r_star = star_scalar(m, p)
     rhs_scalar = float(np.trace(Q @ st.geo.ric_sharp)) + beta**2 * (
         4 * s * n**2 + s * (2 * n - 1) * float(np.trace(st.Qtilde))
     )
-    rep29 = ResidualReport.make("thm4.29", st.point, abs(r_star - rhs_scalar), 1e-6)
+    rep29 = ResidualReport.make("thm4.29", st.point, abs(r_star - rhs_scalar))
     return [rep28, rep29]
 
 
@@ -168,8 +169,6 @@ def star_eta_einstein_fit(m: WeakFManifold, p):
     Regrouped, the model is abar (g + sum_{i!=j} eta^i (x) eta^j) plus
     bbar etabar (x) etabar.  The predicted pair is (r*/2n, -r*/2n).
     """
-    from .kenmotsu import EinsteinFit
-
     st = m.at(p)
     ric_star = star_ricci(m, p).components
     cross = np.einsum("ia,jb->ab", st.eta, st.eta) - np.einsum(
@@ -185,6 +184,16 @@ def star_eta_einstein_fit(m: WeakFManifold, p):
     residual = float(np.abs(ric_star.ravel() - model).max())
     pred = star_scalar(m, p) / (2.0 * m.n)
     return EinsteinFit(abar, bbar, residual, (float(pred), float(-pred)))
+
+
+def corollary2_residual(m: WeakFManifold, p) -> ResidualReport:
+    """Corollary 2, abar = -bbar = r*/(2n); vacuous (0) where the fit is poor."""
+    fit = star_eta_einstein_fit(m, p)
+    res = 0.0
+    if fit.residual <= _FIT_GATE:
+        a_pred, b_pred = fit.predicted
+        res = max(fit.residual, abs(fit.a - a_pred), abs(fit.b - b_pred))
+    return ResidualReport.make("cor2", m.at(p).point, res)
 
 
 # ---------------------------------------------------------------------------
@@ -297,7 +306,7 @@ def fit_soliton_constants(m: WeakFManifold, V: VectorFieldSpec, sample):
     return lam, mu, residual
 
 
-def prop5_check(lam: float, mu: float, tol: float = 1e-5) -> Prop5Result:
+def prop5_check(lam: float, mu: float, tol: float = TOLERANCES["prop5"]) -> Prop5Result:
     """Constants of a genuine soliton must satisfy lam + mu = 0."""
     gap = abs(lam + mu)
     cor3 = abs(lam) if mu == 0 else None
@@ -308,8 +317,8 @@ def prop5_check(lam: float, mu: float, tol: float = 1e-5) -> Prop5Result:
 # contact fields
 
 
-def contact_field_check(m: WeakFManifold, V: VectorFieldSpec, p, tol: float = 1e-6):
-    """Decide whether L_V eta^i = sigma eta^i for a single constant sigma."""
+def contact_fit(m: WeakFManifold, V: VectorFieldSpec, p) -> tuple[float, float]:
+    """Least-squares sigma of L_V eta^i = sigma eta^i and the max-abs residual."""
     st = m.at(p)
     lie = np.stack(
         [lie_derivative_1form(m.eta[i], V, p).components for i in range(m.s)]
@@ -317,7 +326,14 @@ def contact_field_check(m: WeakFManifold, V: VectorFieldSpec, p, tol: float = 1e
     num = float(np.einsum("ia,ia->", lie, st.eta))
     den = float(np.einsum("ia,ia->", st.eta, st.eta))
     sigma = num / den if den > 0 else 0.0
-    residual = float(np.abs(lie - sigma * st.eta).max())
+    return sigma, float(np.abs(lie - sigma * st.eta).max())
+
+
+def contact_field_check(
+    m: WeakFManifold, V: VectorFieldSpec, p, tol: float = TOLERANCES["contact.65"]
+):
+    """Decide whether L_V eta^i = sigma eta^i for a single constant sigma."""
+    sigma, residual = contact_fit(m, V, p)
     is_contact = residual <= tol
     is_strict = is_contact and abs(sigma) <= tol
     return is_contact, sigma, is_strict
@@ -363,8 +379,7 @@ def lemma2_audit(m: WeakFManifold, sol: SolitonData, p) -> list[ResidualReport]:
     lie_r = lie_derivative_curvature(m.metric, sol.V, p).components  # [k, a, b, c]
 
     # (34): (L_V R)_{X,Y} xi_i vs the nabla-Ric# expression
-    dric = _dric_sharp(m, st.point)
-    nab_rs = _nabla_ric_sharp(st, dric)  # [k, j, a]
+    nab_rs = st.geo.nabla_ric_sharp  # [k, j, a]
     # (nabla_X Ric#)(QY) at X=a, Y=b is nrq[k, b, a]; antisymmetrize in (a, b)
     nrq = np.einsum("kja,jb->kba", nab_rs, Q)
     t_ab = np.einsum("kba->kab", nrq)
@@ -395,7 +410,7 @@ def lemma2_audit(m: WeakFManifold, sol: SolitonData, p) -> list[ResidualReport]:
     )
 
     return [
-        ResidualReport.make("lemma2.42", st.point, res42, 1e-4),
-        ResidualReport.make("lemma2.34", st.point, res34, 1e-3),
-        ResidualReport.make("lemma2.35", st.point, res35, 1e-3),
+        ResidualReport.make("lemma2.42", st.point, res42),
+        ResidualReport.make("lemma2.34", st.point, res34),
+        ResidualReport.make("lemma2.35", st.point, res35),
     ]

@@ -130,6 +130,38 @@ class TestCheck:
         assert main(["check", manifest_path, "--tol", "nope=1e-6"]) == 2
         assert "nope" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1", "0", "abc"])
+    def test_bad_tolerance_flag(self, manifest_path, capsys, value):
+        assert main(["check", manifest_path, "--tol", f"axiom.5={value}"]) == 2
+        assert "axiom.5" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "value", ["nan", float("nan"), float("inf"), -1, 0, "abc", True]
+    )
+    def test_bad_manifest_tolerance(self, manifest_path, tmp_path, capsys, value):
+        data = _load(manifest_path)
+        data["tolerances"] = {"axiom.5": value}
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))
+        assert main(["check", str(bad)]) == 2
+        assert "axiom.5" in capsys.readouterr().err
+
+    def test_repeated_ids_run_once(self, manifest_path, tmp_path):
+        data = _load(manifest_path)
+        data["checks"] = ["axiom.5", "axiom.6", "axiom.5"]
+        listed = tmp_path / "listed.json"
+        listed.write_text(json.dumps(data))
+        runs = [
+            [manifest_path, "--only", "axiom.5,axiom.5", "--only", "axiom.5"],
+            [str(listed)],
+        ]
+        for args, want in zip(runs, (["axiom.5"], ["axiom.5", "axiom.6"])):
+            report_path = str(tmp_path / "report.json")
+            assert main(["check", *args, "--points", "2", "--out", report_path]) == 0
+            report = _load(report_path)
+            assert [rec["id"] for rec in report["checks"]] == sorted(want * 2)
+            assert report["summary"]["pass"] == 2 * len(want)
+
     def test_unknown_only_id(self, manifest_path, capsys):
         assert main(["check", manifest_path, "--only", "nope"]) == 2
         assert "nope" in capsys.readouterr().err
