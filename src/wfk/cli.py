@@ -46,6 +46,8 @@ class ManifestError(Exception):
 
 def _parse_entry(raw, dim: int, where: str) -> ExprAst:
     if isinstance(raw, (int, float)) and not isinstance(raw, bool):
+        if not math.isfinite(raw):
+            raise ManifestError(f"{where}: number must be finite, got {raw!r}")
         return ex.const(float(raw), dim)
     if isinstance(raw, str):
         try:

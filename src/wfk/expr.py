@@ -1,9 +1,11 @@
 """Closed-form scalar expressions of chart coordinates with exact jets.
 
 Expressions are parsed into an immutable AST over coordinates ``x1..xN``
-and evaluated as second-order jets (value, gradient, Hessian), so every
-consumer that needs first and second metric derivatives gets them
-analytically instead of by finite differences.
+and evaluated as jets: value, gradient and Hessian, plus the third
+derivative on request (Taylor-mode propagation, Griewank & Walther,
+*Evaluating Derivatives*, ch. 13).  Every consumer that needs metric
+derivatives up to third order gets them analytically instead of by
+finite differences.
 
 Grammar (loosest to tightest binding)::
 
@@ -93,16 +95,18 @@ class ExprAst:
 
 @dataclass(frozen=True)
 class ScalarJet:
-    """Value, gradient and Hessian of a scalar at a point.
+    """Value, gradient, Hessian and (on request) third derivative at a point.
 
     The Hessian is exactly symmetric: every propagation rule produces it
     from symmetric ingredients (``outer(a, b) + outer(b, a)`` and scalar
-    multiples of symmetric matrices).
+    multiples of symmetric matrices).  ``third[a, b, c]`` is
+    ``d_a d_b d_c`` of the scalar, or ``None`` when it was not requested.
     """
 
     value: float
     gradient: np.ndarray
     hessian: np.ndarray
+    third: np.ndarray | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -138,11 +142,15 @@ def _tokenize(text: str) -> list[_Token]:
                     k += 1
                 j = k
             try:
-                float(text[i:j])
+                number = float(text[i:j])
             except ValueError:
                 raise ExprSyntaxError(
                     f"malformed number {text[i:j]!r}", (i, j)
                 ) from None
+            if not math.isfinite(number):
+                raise ExprSyntaxError(
+                    f"number out of range {text[i:j]!r}", (i, j)
+                )
             tokens.append(_Token("num", text[i:j], i, j))
             i = j
         elif ch.isalpha() or ch == "_":
@@ -293,31 +301,53 @@ def parse_expression(text: str, dim: int) -> ExprAst:
 # jet evaluation
 
 
-def _jet(node: Node, point: np.ndarray, dim: int) -> tuple[float, np.ndarray, np.ndarray]:
+def _sym3(g: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """(g (x) H)_sym3[a, b, c] = g_a H_bc + g_b H_ac + g_c H_ab."""
+    o = np.multiply.outer(g, h)
+    return o + o.transpose(1, 0, 2) + o.transpose(1, 2, 0)
+
+
+def _chain3(d1: float, d2: float, d3: float, g, h, t) -> np.ndarray:
+    """d^3 phi(u) from phi' (d1), phi'' (d2), phi''' (d3) and the jet of u."""
+    return d1 * t + d2 * _sym3(g, h) + d3 * np.multiply.outer(np.outer(g, g), g)
+
+
+def _jet(node: Node, point: np.ndarray, dim: int, third: bool):
+    """(value, gradient, Hessian, third derivative) of ``node``.
+
+    The third derivative ``T[a, b, c]`` is propagated only when ``third`` is
+    set and is ``None`` otherwise; the first three slots are computed by the
+    same arithmetic either way.
+    """
     k = node.kind
     if k == "const":
-        return node.value, np.zeros(dim), np.zeros((dim, dim))
+        t = np.zeros((dim, dim, dim)) if third else None
+        return node.value, np.zeros(dim), np.zeros((dim, dim)), t
     if k == "var":
         g = np.zeros(dim)
         g[node.index] = 1.0
-        return float(point[node.index]), g, np.zeros((dim, dim))
+        t = np.zeros((dim, dim, dim)) if third else None
+        return float(point[node.index]), g, np.zeros((dim, dim)), t
     if k == "neg":
-        v, g, h = _jet(node.children[0], point, dim)
-        return -v, -g, -h
+        v, g, h, t = _jet(node.children[0], point, dim, third)
+        return -v, -g, -h, -t if third else None
     if k in ("add", "sub"):
-        v1, g1, h1 = _jet(node.children[0], point, dim)
-        v2, g2, h2 = _jet(node.children[1], point, dim)
+        v1, g1, h1, t1 = _jet(node.children[0], point, dim, third)
+        v2, g2, h2, t2 = _jet(node.children[1], point, dim, third)
         if k == "add":
-            return v1 + v2, g1 + g2, h1 + h2
-        return v1 - v2, g1 - g2, h1 - h2
+            return v1 + v2, g1 + g2, h1 + h2, t1 + t2 if third else None
+        return v1 - v2, g1 - g2, h1 - h2, t1 - t2 if third else None
     if k == "mul":
-        v1, g1, h1 = _jet(node.children[0], point, dim)
-        v2, g2, h2 = _jet(node.children[1], point, dim)
+        v1, g1, h1, t1 = _jet(node.children[0], point, dim, third)
+        v2, g2, h2, t2 = _jet(node.children[1], point, dim, third)
         cross = np.outer(g1, g2)
-        return v1 * v2, v1 * g2 + v2 * g1, v1 * h2 + v2 * h1 + cross + cross.T
+        t = None
+        if third:
+            t = v1 * t2 + v2 * t1 + _sym3(g1, h2) + _sym3(g2, h1)
+        return v1 * v2, v1 * g2 + v2 * g1, v1 * h2 + v2 * h1 + cross + cross.T, t
     if k == "div":
-        v1, g1, h1 = _jet(node.children[0], point, dim)
-        v2, g2, h2 = _jet(node.children[1], point, dim)
+        v1, g1, h1, t1 = _jet(node.children[0], point, dim, third)
+        v2, g2, h2, t2 = _jet(node.children[1], point, dim, third)
         if v2 == 0.0:
             raise ExprDomainError("division by zero", node.span)
         # compose with the reciprocal of the denominator
@@ -325,44 +355,77 @@ def _jet(node: Node, point: np.ndarray, dim: int) -> tuple[float, np.ndarray, np
         rg = -g2 * rv * rv
         rh = -h2 * rv * rv + 2.0 * rv**3 * np.outer(g2, g2)
         cross = np.outer(g1, rg)
-        return v1 * rv, v1 * rg + rv * g1, v1 * rh + rv * h1 + cross + cross.T
+        t = None
+        if third:
+            rt = _chain3(-rv * rv, 2.0 * rv**3, -6.0 * rv**4, g2, h2, t2)
+            t = v1 * rt + rv * t1 + _sym3(g1, rh) + _sym3(rg, h1)
+        return v1 * rv, v1 * rg + rv * g1, v1 * rh + rv * h1 + cross + cross.T, t
     if k == "pow":
-        v, g, h = _jet(node.children[0], point, dim)
+        v, g, h, t = _jet(node.children[0], point, dim, third)
         p = node.index
         if p == 0:
-            return 1.0, np.zeros(dim), np.zeros((dim, dim))
+            t = np.zeros((dim, dim, dim)) if third else None
+            return 1.0, np.zeros(dim), np.zeros((dim, dim)), t
         if p == 1:
-            return v, g, h
-        vp1 = v ** (p - 1)
-        vp2 = v ** (p - 2)
-        return v**p, p * vp1 * g, p * vp1 * h + p * (p - 1) * vp2 * np.outer(g, g)
+            return v, g, h, t
+        try:
+            vp, vp1, vp2 = v**p, v ** (p - 1), v ** (p - 2)
+        except OverflowError:
+            raise ExprDomainError("power overflows", node.span) from None
+        if third:
+            # phi''' = 0 for p = 2, where v**(p-3) would divide by zero at v = 0
+            d3 = p * (p - 1) * (p - 2) * v ** (p - 3) if p >= 3 else 0.0
+            t = _chain3(p * vp1, p * (p - 1) * vp2, d3, g, h, t)
+        return vp, p * vp1 * g, p * vp1 * h + p * (p - 1) * vp2 * np.outer(g, g), t
     if k == "exp":
-        v, g, h = _jet(node.children[0], point, dim)
-        e = math.exp(v)
-        return e, e * g, e * (h + np.outer(g, g))
+        v, g, h, t = _jet(node.children[0], point, dim, third)
+        try:
+            e = math.exp(v)
+        except OverflowError:
+            raise ExprDomainError("exp overflows", node.span) from None
+        eg, eh = e * g, e * (h + np.outer(g, g))
+        if third:
+            t = _chain3(e, e, e, g, h, t)
+        if not (
+            np.isfinite(eg).all()
+            and np.isfinite(eh).all()
+            and (t is None or np.isfinite(t).all())
+        ):
+            raise ExprDomainError("exp derivative overflows", node.span)
+        return e, eg, eh, t
     if k == "log":
-        v, g, h = _jet(node.children[0], point, dim)
+        v, g, h, t = _jet(node.children[0], point, dim, third)
         if v <= 0.0:
             raise ExprDomainError("log of non-positive value", node.span)
-        return math.log(v), g / v, h / v - np.outer(g, g) / (v * v)
+        if third:
+            t = _chain3(1.0 / v, -1.0 / (v * v), 2.0 / v**3, g, h, t)
+        return math.log(v), g / v, h / v - np.outer(g, g) / (v * v), t
     if k == "sqrt":
-        v, g, h = _jet(node.children[0], point, dim)
+        v, g, h, t = _jet(node.children[0], point, dim, third)
         if v <= 0.0:
             raise ExprDomainError("sqrt of non-positive value", node.span)
         s = math.sqrt(v)
-        return s, g / (2.0 * s), h / (2.0 * s) - np.outer(g, g) / (4.0 * s * v)
+        if third:
+            t = _chain3(
+                1.0 / (2.0 * s), -1.0 / (4.0 * s * v), 3.0 / (8.0 * s * v * v), g, h, t
+            )
+        return s, g / (2.0 * s), h / (2.0 * s) - np.outer(g, g) / (4.0 * s * v), t
     raise ValueError(f"unknown node kind {k!r}")
 
 
-def evaluate_jet(ast: ExprAst, point) -> ScalarJet:
-    """Evaluate the expression and its exact first/second derivatives."""
+def evaluate_jet(ast: ExprAst, point, third: bool = False) -> ScalarJet:
+    """Evaluate the expression and its exact derivatives.
+
+    Value, gradient and Hessian always; the third derivative only when
+    ``third`` is set (``ScalarJet.third`` is ``None`` otherwise).
+    """
     p = np.asarray(point, dtype=float)
     if p.shape != (ast.dim,):
         raise ValueError(
             f"point has dimension {p.shape}, expression expects ({ast.dim},)"
         )
-    v, g, h = _jet(ast.root, p, ast.dim)
-    return ScalarJet(float(v), g, h)
+    v, g, h, t = _jet(ast.root, p, ast.dim, third)
+    return ScalarJet(float(v), g, h, t)
 
 
 def evaluate_value(ast: ExprAst, point) -> float:

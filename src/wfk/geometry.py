@@ -1,9 +1,9 @@
 """Riemannian machinery on a single global chart.
 
-All first and second metric derivatives come from analytic jets of the
-metric's expression entries.  Quantities that need third derivatives (the
-Lie derivative of curvature, nabla Ric# and d(scal)) fall back to outer
-central differences, all of them in this module.
+All metric derivatives come from analytic jets of the metric's expression
+entries.  Quantities that need third derivatives (the Lie derivative of
+curvature, nabla Ric# and d(scal)) are built from third-order jets at the
+same point, so every quantity at a point needs one ``_PointGeometry``.
 
 Index conventions used throughout:
 
@@ -181,9 +181,6 @@ class MatrixFieldSpec:
 # ---------------------------------------------------------------------------
 # metric field and per-point geometry cache
 
-_FD_STEP = 1e-4  # central-difference step for d(Ric#) and d(scal)
-
-
 class _PointGeometry:
     """All jet-derived geometric data of a metric at one point."""
 
@@ -223,11 +220,15 @@ class _PointGeometry:
         )
         return 0.5 * np.einsum("kl,lij->kij", self.ginv, core)
 
+    @property
+    def dginv(self) -> np.ndarray:
+        """dginv[k, l, m] = d_m g^kl = -g^ka d_m g_ab g^bl (not kept per point)."""
+        return -np.einsum("ka,abm,bl->klm", self.ginv, self.dg, self.ginv)
+
     @cached_property
     def dgamma(self) -> np.ndarray:
         """dgamma[k, i, j, m] = d_m Gamma^k_ij."""
-        dg, d2g = self.dg, self.d2g
-        dginv = -np.einsum("ka,abm,bl->klm", self.ginv, dg, self.ginv)
+        dg, d2g, dginv = self.dg, self.d2g, self.dginv
         core = (
             np.einsum("jli->lij", dg)
             + np.einsum("ilj->lij", dg)
@@ -263,28 +264,74 @@ class _PointGeometry:
         return float(np.einsum("jk,jk->", self.ginv, self.ric))
 
     @cached_property
-    def nabla_ric_sharp(self) -> np.ndarray:
-        """(nabla_a Ric#)^k_j as [k, j, a]; d_a Ric# by central differences."""
+    def d3g(self) -> np.ndarray:
+        """d3g[i, j, k, l, m] = d_k d_l d_m g_ij, from third-order jets."""
         n = self.point.shape[0]
-        dric = np.empty((n, n, n))
-        for a in range(n):
-            dp = np.zeros(n)
-            dp[a] = _FD_STEP
-            plus = self._metric.at(self.point + dp).ric_sharp
-            minus = self._metric.at(self.point - dp).ric_sharp
-            dric[:, :, a] = (plus - minus) / (2.0 * _FD_STEP)
+        entries = self._metric.entries
+        d3g = np.empty((n, n, n, n, n))
+        for i in range(n):
+            for j in range(i, n):
+                third = ex.evaluate_jet(entries[i][j], self.point, third=True).third
+                d3g[i, j] = d3g[j, i] = third
+        return d3g
+
+    @cached_property
+    def d2gamma(self) -> np.ndarray:
+        """d2gamma[k, i, j, m, n] = d_m d_n Gamma^k_ij.
+
+        With Gamma_aij = g_ak Gamma^k_ij, differentiating twice gives
+        d_mn Gamma^k_ij = g^ka (d_mn Gamma_aij - d_mn g_ab Gamma^b_ij
+        - d_m g_ab d_n Gamma^b_ij - d_n g_ab d_m Gamma^b_ij).
+        """
+        d3g = self.d3g
+        d2core = (
+            np.einsum("jlimn->lijmn", d3g)
+            + np.einsum("iljmn->lijmn", d3g)
+            - np.einsum("ijlmn->lijmn", d3g)
+        )
+        # [a, i, j, m, n] = d_m g_ab d_n Gamma^b_ij
+        mixed = np.einsum("abm,bijn->aijmn", self.dg, self.dgamma, optimize=True)
+        inner = (
+            0.5 * d2core
+            - np.einsum("abmn,bij->aijmn", self.d2g, self.gamma, optimize=True)
+            - mixed
+            - mixed.transpose(0, 1, 2, 4, 3)
+        )
+        return np.tensordot(self.ginv, inner, axes=1)
+
+    @cached_property
+    def driem(self) -> np.ndarray:
+        """driem[l, i, j, k, n] = d_n riem[l, i, j, k]."""
+        gam, dgam = self.gamma, self.dgamma
+        # d_n of riem's term[l, i, j, k] = d_i Gamma^l_jk + Gamma^l_im Gamma^m_jk
+        dterm = (
+            np.einsum("ljkin->lijkn", self.d2gamma)
+            + np.einsum("limn,mjk->lijkn", dgam, gam, optimize=True)
+            + np.einsum("lim,mjkn->lijkn", gam, dgam, optimize=True)
+        )
+        return dterm - np.einsum("lijkn->ljikn", dterm)
+
+    @cached_property
+    def dric_sharp(self) -> np.ndarray:
+        """dric_sharp[k, j, n] = d_n (Ric#)^k_j = d_n g^km Ric_mj + g^km d_n Ric_mj."""
+        dric = np.einsum("iijkn->jkn", self.driem)
+        return np.einsum("kmn,mj->kjn", self.dginv, self.ric) + np.einsum(
+            "km,mjn->kjn", self.ginv, dric
+        )
+
+    @cached_property
+    def nabla_ric_sharp(self) -> np.ndarray:
+        """(nabla_a Ric#)^k_j as [k, j, a]."""
         gam, rs = self.gamma, self.ric_sharp
         return (
-            dric
+            self.dric_sharp
             + np.einsum("kam,mj->kja", gam, rs)
             - np.einsum("maj,km->kja", gam, rs)
         )
 
     def scalar_derivative(self, v: np.ndarray) -> float:
-        """d(scal)(v) by a central difference along v."""
-        plus = self._metric.at(self.point + _FD_STEP * v).scalar
-        minus = self._metric.at(self.point - _FD_STEP * v).scalar
-        return (plus - minus) / (2.0 * _FD_STEP)
+        """d(scal)(v), the trace of d(Ric#) along v."""
+        return float(np.einsum("kkn->n", self.dric_sharp) @ v)
 
 
 @dataclass(frozen=True)
@@ -430,7 +477,15 @@ def gradient_and_hessian(g: MetricField, v: ExprAst, p) -> tuple[TensorValue, Te
     )
 
 
-def _lie_connection_components(g: MetricField, V: VectorFieldSpec, p) -> np.ndarray:
+def _lie_connection_components(
+    g: MetricField, V: VectorFieldSpec, p, derivative: bool = False
+):
+    """T[k, i, j] = (L_V nabla)^k_ij; with ``derivative`` also (T, dT).
+
+    dT[k, i, j, n] is d_n T^k_ij by the product rule, less d_n d_i A^k_j
+    (A = nabla V): that term is symmetric in (i, n), so it drops out of
+    every antisymmetrization in (i, n), the only use of dT.
+    """
     geo = g.at(np.asarray(p, dtype=float))
     v, dv, d2v = V.jets(geo.point)
     gam, dgam = geo.gamma, geo.dgamma
@@ -448,7 +503,18 @@ def _lie_connection_components(g: MetricField, V: VectorFieldSpec, p) -> np.ndar
         - np.einsum("mij,km->kij", gam, a)
     )
     curv = np.einsum("kmij,m->kij", geo.riem, v)
-    return nabla_a + curv
+    t = nabla_a + curv
+    if not derivative:
+        return t
+    dt = (
+        np.einsum("kimn,mj->kijn", dgam, a, optimize=True)
+        + np.einsum("kim,mjn->kijn", gam, da, optimize=True)
+        - np.einsum("mijn,km->kijn", dgam, a, optimize=True)
+        - np.einsum("mij,kmn->kijn", gam, da, optimize=True)
+        + np.einsum("kmijn,m->kijn", geo.driem, v, optimize=True)
+        + np.einsum("kmij,mn->kijn", geo.riem, dv, optimize=True)
+    )
+    return t, dt
 
 
 def lie_derivative_connection(g: MetricField, V: VectorFieldSpec, p) -> TensorValue:
@@ -458,43 +524,23 @@ def lie_derivative_connection(g: MetricField, V: VectorFieldSpec, p) -> TensorVa
     return TensorValue(("up", "down", "down"), t, pt)
 
 
-def lie_derivative_curvature(
-    g: MetricField, V: VectorFieldSpec, p, step: float = 1e-3
-) -> TensorValue:
+def lie_derivative_curvature(g: MetricField, V: VectorFieldSpec, p) -> TensorValue:
     """(L_V R)(X, Y) Z via antisymmetrized covariant derivative of L_V nabla.
 
-    The derivative of the connection perturbation needs third metric
-    derivatives, obtained with central differences of step ``step`` plus
-    one Richardson refinement; results carry a correspondingly looser
-    tolerance than the jet-based operations.
+    (L_V R)^k_ijm = nabla_i T^k_jm - nabla_j T^k_im for T = L_V nabla,
+    exact at the point from third-order jets.
     """
-    if step <= 0 or step < 1e-12:
-        raise ValueError("finite-difference step underflow")
     geo = g.at(np.asarray(p, dtype=float))
-    n = g.dim
-    pt = geo.point
-    t = _lie_connection_components(g, V, pt)
-    dt = np.empty((n,) + t.shape)  # dt[m, k, i, j] = d_m T^k_ij
-    for m in range(n):
-        for h, weight in ((step, 4.0 / 3.0), (2.0 * step, -1.0 / 3.0)):
-            dp = np.zeros(n)
-            dp[m] = h
-            diff = (
-                _lie_connection_components(g, V, pt + dp)
-                - _lie_connection_components(g, V, pt - dp)
-            ) / (2.0 * h)
-            if weight > 0:
-                dt[m] = weight * diff
-            else:
-                dt[m] += weight * diff
+    t, dt = _lie_connection_components(g, V, geo.point, derivative=True)
     gam = geo.gamma
-    # nabla_i T^k_jm = d_i T^k_jm + G^k_ia T^a_jm - G^a_ij T^k_am - G^a_im T^k_ja
+    # nabla_i T^k_jm = d_i T^k_jm + G^k_ia T^a_jm - G^a_ij T^k_am - G^a_im T^k_ja,
+    # up to the part of d_i T^k_jm symmetric in (i, j) that dt leaves out
     nabla_t = (
-        dt.transpose(1, 0, 2, 3)
+        np.einsum("kjmi->kijm", dt)
         + np.einsum("kia,ajm->kijm", gam, t)
         - np.einsum("aij,kam->kijm", gam, t)
         - np.einsum("aim,kja->kijm", gam, t)
     )
     # (L_V R)^k_{ij m} = nabla_i T^k_jm - nabla_j T^k_im
     lr = nabla_t - np.einsum("kijm->kjim", nabla_t)
-    return TensorValue(("up", "down", "down", "down"), lr, pt)
+    return TensorValue(("up", "down", "down", "down"), lr, geo.point)

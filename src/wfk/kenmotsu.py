@@ -36,7 +36,6 @@ __all__ = [
     "FiberSpec",
     "EinsteinFit",
     "IDENTITY_IDS",
-    "FD_IDENTITY_IDS",
     "kenmotsu_residual",
     "audit_identities",
     "build_example2",
@@ -44,10 +43,6 @@ __all__ = [
     "twisted_product_audit",
     "eta_einstein_fit",
 ]
-
-# identities (21)-(23) need one outer finite difference of Ric# or of the
-# scalar curvature, so their tolerances are looser than the jet-exact ones
-FD_IDENTITY_IDS = ("21", "22", "23")
 
 
 @dataclass(frozen=True)

@@ -49,15 +49,16 @@ _PROBE_SEED = 7
 _PROBE_COUNT = 8
 
 # Default tolerance of every check id; the only place these values are
-# stated.  Residuals of exact jets carry rounding error only; a finite
-# difference of a jet quantity (id.21-23, lemma2) adds its truncation error.
+# stated.  The identities (id.*, including the third-order 21-23) come from
+# exact jets and carry rounding error only.  The lemma2 values are audit
+# thresholds for report-only comparisons, not error bounds.
 TOLERANCES: dict[str, float] = {
     **dict.fromkeys(
         (
             "axiom.5", "axiom.6", "axiom.fxi", "axiom.etaf", "axiom.etaQ",
             "axiom.Qf", "axiom.Qxi", "axiom.dual", "axiom.f3", "kenmotsu.12",
             "id.13", "id.14", "id.15", "id.16", "id.18", "id.19", "id.20",
-            "id.26", "id.27", "id.44",
+            "id.21", "id.22", "id.23", "id.26", "id.27", "id.44",
         ),
         1e-8,
     ),
@@ -70,7 +71,7 @@ TOLERANCES: dict[str, float] = {
         1e-6,
     ),
     "prop5": 1e-5,
-    **dict.fromkeys(("id.21", "id.22", "id.23", "lemma2.42"), 1e-4),
+    "lemma2.42": 1e-4,
     **dict.fromkeys(("lemma2.34", "lemma2.35"), 1e-3),
 }
 

@@ -204,6 +204,25 @@ class TestManifestValidation:
         assert main(["check", str(bad)]) == 2
         assert "metric" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "entry, message",
+        [
+            ("exp(exp(x3+10))", "exp overflows"),
+            ("1e999", "out of range"),
+            (float("inf"), "finite"),
+        ],
+    )
+    def test_non_finite_metric_entry(
+        self, tmp_path, manifest_path, capsys, entry, message
+    ):
+        data = _load(manifest_path)
+        data["metric"][0][0] = entry
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))
+        assert main(["check", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+
     def test_non_dual_reeb_forms(self, tmp_path, manifest_path, capsys):
         data = _load(manifest_path)
         data["eta"] = [[0, 0, 0, 1], [0, 0, 0, 1]]

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -183,3 +185,113 @@ class TestRoundTrip:
             parse_expression(text, 4)
         except ExprError:
             pass
+
+
+class TestThirdOrder:
+    def test_lower_orders_unchanged(self):
+        rng = np.random.default_rng(11)
+        for _ in range(100):
+            ast = _random_ast(rng, 3, 3)
+            p = rng.uniform(-0.8, 0.8, 3)
+            try:
+                two = evaluate_jet(ast, p)
+            except ExprDomainError:
+                continue
+            three = evaluate_jet(ast, p, third=True)
+            assert two.third is None
+            assert three.value == two.value
+            assert np.array_equal(three.gradient, two.gradient)
+            assert np.array_equal(three.hessian, two.hessian)
+
+    def test_matches_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        dim = 3
+        xs = sympy.symbols(f"x1:{dim + 1}")
+
+        def to_sympy(node):
+            k, ch = node.kind, node.children
+            if k == "const":
+                return sympy.Float(node.value, 30)
+            if k == "var":
+                return xs[node.index]
+            args = [to_sympy(c) for c in ch]
+            ops = {
+                "neg": lambda a: -a,
+                "add": lambda a, b: a + b,
+                "sub": lambda a, b: a - b,
+                "mul": lambda a, b: a * b,
+                "div": lambda a, b: a / b,
+                "pow": lambda a: a**node.index,
+                "exp": sympy.exp,
+                "sqrt": sympy.sqrt,
+                "log": sympy.log,
+            }
+            return ops[k](*args)
+
+        rng = np.random.default_rng(5)
+        cases = [
+            (_random_ast(rng, dim, 3), rng.uniform(-0.8, 0.8, dim)) for _ in range(60)
+        ]
+        zero = np.zeros(dim)
+        half = np.array([0.5, -0.3, 0.2])
+        for src, p in [
+            ("x1^2", zero), ("x1^3", zero), ("x1^2*x2", zero), ("x1^5", half),
+            ("1/x1", half), ("x2/(x1*x3)", half), ("log(x1)", half),
+            ("log(x1*x1+x2)", half), ("sqrt(x1)", half), ("sqrt(x1+x2*x3)", half),
+            ("exp(x1*x2)*x3", half),
+        ]:
+            cases.append((parse_expression(src, dim), p))
+        checked = 0
+        for ast, p in cases:
+            try:
+                jet = evaluate_jet(ast, p, third=True)
+            except ExprDomainError:
+                continue
+            f = to_sympy(ast.root)
+            at = dict(zip(xs, (sympy.Float(float(x), 30) for x in p)))
+            want = np.empty((dim, dim, dim))
+            for idx in itertools.combinations_with_replacement(range(dim), 3):
+                d = sympy.diff(f, *(xs[i] for i in idx)).evalf(30, subs=at)
+                for perm in itertools.permutations(idx):
+                    want[perm] = float(d)
+            scale = max(1.0, np.abs(want).max())
+            assert np.abs(jet.third - want).max() <= 1e-12 * scale, to_source(ast)
+            checked += 1
+        assert checked >= 50
+
+    def test_square_at_zero(self):
+        # the third coefficient of x^2 is 0; x^(2-3) must not be evaluated
+        jet = evaluate_jet(parse_expression("x1^2", 1), np.zeros(1), third=True)
+        assert np.all(jet.third == 0.0)
+        jet = evaluate_jet(parse_expression("x1^3", 1), np.zeros(1), third=True)
+        assert jet.third[0, 0, 0] == 6.0
+
+
+class TestNonFinite:
+    @pytest.mark.parametrize("third", [False, True])
+    def test_exp_overflow_is_domain_error(self, third):
+        ast = parse_expression("1+exp(exp(x1+10))", 2)
+        with pytest.raises(ExprDomainError) as err:
+            evaluate_jet(ast, np.zeros(2), third=third)
+        assert err.value.span == (2, 17)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_exp_derivative_overflow_is_domain_error(self):
+        # value finite, Hessian 4 e^709 overflows
+        with pytest.raises(ExprDomainError):
+            evaluate_jet(parse_expression("exp(2*x1+709)", 1), np.zeros(1))
+        # value, gradient and Hessian finite; only the third order overflows
+        ast = parse_expression("exp(1.5*x1+708.9)", 1)
+        assert np.isfinite(evaluate_jet(ast, np.zeros(1)).hessian).all()
+        with pytest.raises(ExprDomainError):
+            evaluate_jet(ast, np.zeros(1), third=True)
+
+    def test_power_overflow_is_domain_error(self):
+        with pytest.raises(ExprDomainError):
+            evaluate_jet(parse_expression("exp(x1+200)^4", 1), np.zeros(1))
+
+    @pytest.mark.parametrize("text", ["1e999", "x1+1E400", "2*.5e309"])
+    def test_non_finite_literal_is_syntax_error(self, text):
+        with pytest.raises(ExprSyntaxError) as err:
+            parse_expression(text, 2)
+        assert "out of range" in err.value.message

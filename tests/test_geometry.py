@@ -8,6 +8,8 @@ from wfk.geometry import (
     MetricError,
     MetricField,
     VectorFieldSpec,
+    _lie_connection_components,
+    _PointGeometry,
     christoffel,
     exterior_derivative_1form,
     exterior_derivative_2form,
@@ -23,6 +25,8 @@ from wfk.geometry import (
     riemann,
     scalar_curvature,
 )
+from wfk.kenmotsu import audit_identities, build_example2
+from wfk.star_soliton import SolitonData, lemma2_audit
 from wfk.weakf import fundamental_form_field
 
 from conftest import seeded_points
@@ -30,6 +34,21 @@ from conftest import seeded_points
 O = np.zeros(4)
 XIBAR = VectorFieldSpec.from_entries([0.0, 0.0, 1.0, 1.0], 4)
 FLAT4 = MetricField.euclidean(4)
+# a metric with off-diagonal entries and no symmetries, positive definite
+# on the sample box (diagonally dominant there)
+BUMPY4 = MetricField.from_entries(
+    [
+        ["2+x1^2*x2"],
+        ["0.3*x1*x3", "exp(x2+0.5*x3)"],
+        ["0.2*x2^2", "0.1*x1*x4", "1+x3^2/(2+x4)"],
+        ["0.1*exp(x1)", 0, "0.2*x2*x3", "sqrt(2+x1*x4)"],
+    ],
+    4,
+)
+# nonlinear and not Killing for either metric
+BENT4 = VectorFieldSpec.from_entries(
+    ["x1*x2", "exp(0.5*x3)", "x4^3-x1", "sqrt(2+x2)*x3"], 4
+)
 
 
 class TestMetric:
@@ -157,6 +176,17 @@ class TestCurvature:
             for _ in range(10):
                 x = rng.standard_normal(4)
                 assert abs(dr @ x - 2.0 * div @ x) < 1e-5
+
+    @pytest.mark.parametrize("metric", ["e2", "bumpy"])
+    def test_contracted_bianchi_exact(self, e2, metric):
+        # d(scal) = 2 div Ric with the exact third-order nabla Ric# and d(scal)
+        g = e2.metric if metric == "e2" else BUMPY4
+        rng = np.random.default_rng(29)
+        for p in seeded_points(4, count=5, seed=31):
+            geo = g.at(p)
+            div = np.einsum("kjk->j", geo.nabla_ric_sharp)
+            for v in list(np.eye(4)) + list(rng.standard_normal((4, 4))):
+                assert abs(geo.scalar_derivative(v) - 2.0 * div @ v) <= 1e-10
 
 
 class TestLieDerivatives:
@@ -291,6 +321,15 @@ class TestLieConnectionCurvature:
             lr = lie_derivative_curvature(e2.metric, XIBAR, p).components
             assert np.abs(lr[:, :, 3, 2]).max() < 1e-4  # slots (X, xi2, xi1)
 
+    @pytest.mark.parametrize("metric", ["e2", "bumpy"])
+    def test_curvature_matches_central_differences(self, e2, metric):
+        g = e2.metric if metric == "e2" else BUMPY4
+        for p in seeded_points(4, count=3, seed=37):
+            exact = lie_derivative_curvature(g, BENT4, p).components
+            reference = _fd_lie_curvature(g, BENT4, p)
+            scale = max(1.0, np.abs(reference).max())
+            assert np.abs(exact - reference).max() <= 1e-7 * scale
+
     def test_curvature_trivial_cases(self):
         zero = VectorFieldSpec.from_entries([0.0] * 4, 4)
         assert np.abs(
@@ -301,9 +340,52 @@ class TestLieConnectionCurvature:
             lie_derivative_curvature(FLAT4, const, np.ones(4)).components
         ).max() < 1e-10
 
-    def test_step_underflow(self, e2):
-        with pytest.raises(ValueError):
-            lie_derivative_curvature(e2.metric, XIBAR, O, step=0.0)
+
+def _fd_lie_curvature(g, V, p, h=1e-3):
+    """L_V R from Richardson-extrapolated central differences of L_V nabla."""
+    n = g.dim
+    t = _lie_connection_components(g, V, p)
+    dt = np.empty((n,) + t.shape)  # dt[m, k, i, j] = d_m T^k_ij
+    for m in range(n):
+        e = np.zeros(n)
+        e[m] = h
+        d1 = (
+            _lie_connection_components(g, V, p + e)
+            - _lie_connection_components(g, V, p - e)
+        ) / (2 * h)
+        d2 = (
+            _lie_connection_components(g, V, p + 2 * e)
+            - _lie_connection_components(g, V, p - 2 * e)
+        ) / (4 * h)
+        dt[m] = (4.0 * d1 - d2) / 3.0
+    gam = g.at(p).gamma
+    nabla_t = (
+        dt.transpose(1, 0, 2, 3)
+        + np.einsum("kia,ajm->kijm", gam, t)
+        - np.einsum("aij,kam->kijm", gam, t)
+        - np.einsum("aim,kja->kijm", gam, t)
+    )
+    return nabla_t - np.einsum("kijm->kjim", nabla_t)
+
+
+def test_one_geometry_build_per_point(monkeypatch):
+    # every third-order quantity of ids 21-23 and lemma2 comes from the
+    # geometry at the sample point itself, not from offset points
+    m = build_example2(2, 3, 1.0, 1.0)
+    xibar = VectorFieldSpec.from_entries([0.0] * 4 + [1.0] * 3, m.dim)
+    sol = SolitonData(lam=-4.0, mu=4.0, V=xibar)
+    builds = []
+    init = _PointGeometry.__init__
+
+    def counting_init(self, metric, p):
+        builds.append(tuple(p.tolist()))
+        init(self, metric, p)
+
+    monkeypatch.setattr(_PointGeometry, "__init__", counting_init)
+    p = seeded_points(m.dim, count=1, seed=41)[0]
+    audit_identities(m, p)
+    lemma2_audit(m, sol, p)
+    assert builds == [tuple(p.tolist())]
 
 
 class TestTensorValue:

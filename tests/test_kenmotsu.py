@@ -3,7 +3,6 @@ import pytest
 
 from wfk import expr as ex
 from wfk.kenmotsu import (
-    FD_IDENTITY_IDS,
     IDENTITY_IDS,
     FiberSpec,
     audit_identities,
@@ -55,8 +54,7 @@ class TestIdentityAudit:
 
     def test_tolerances_by_kind(self, e2):
         for r in audit_identities(e2, O):
-            expected = 1e-4 if r.check_id[3:] in FD_IDENTITY_IDS else 1e-8
-            assert r.tolerance == expected
+            assert r.tolerance == 1e-8
 
     def test_unknown_identity_id(self, e2):
         with pytest.raises(KeyError):
