@@ -9,7 +9,7 @@ gradient potential v = sum of the Reeb coordinates gives the same data.
 import numpy as np
 
 from wfk import expr as ex
-from wfk.geometry import VectorFieldSpec
+from wfk.geometry import FieldSpec
 from wfk.kenmotsu import build_example2
 from wfk.star_soliton import (
     SolitonData,
@@ -39,7 +39,7 @@ def main():
     print(f"star-eta-Einstein fit: abar = {fit.a:+.6f}, bbar = {fit.b:+.6f} "
           f"(predicted {fit.predicted})")
 
-    xibar = VectorFieldSpec.from_entries([0.0] * (2 * n) + [1.0] * s, m.dim)
+    xibar = FieldSpec.from_entries([0.0] * (2 * n) + [1.0] * s, m.dim)
     lam, mu, res = fit_soliton_constants(m, xibar, points)
     print(f"\nfitted soliton constants for V = xibar: "
           f"lambda = {lam:+.6f}, mu = {mu:+.6f} (residual {res:.1e})")

@@ -2,9 +2,10 @@
 
 The package evaluates the structure tensors (f, Q, xi_i, eta^i, g) of a
 weak metric f-manifold from closed-form expressions, computes exact
-first and second derivatives by jet propagation, and checks the axioms,
-the beta-Kenmotsu defining condition, curvature identities, *-Ricci
-relations, and *-eta-Ricci-soliton equations against stated tolerances.
+first, second and third derivatives by jet propagation, and checks the
+axioms, the beta-Kenmotsu defining condition, curvature identities,
+*-Ricci relations, and *-eta-Ricci-soliton equations against stated
+tolerances.
 """
 
 __version__ = "0.1.0"
@@ -21,12 +22,10 @@ from .expr import (
     to_source,
 )
 from .geometry import (
-    CovectorFieldSpec,
-    MatrixFieldSpec,
+    FieldSpec,
     MetricError,
     MetricField,
     TensorValue,
-    VectorFieldSpec,
     christoffel,
     exterior_derivative_1form,
     exterior_derivative_2form,

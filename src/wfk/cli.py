@@ -21,19 +21,27 @@ from . import __version__
 from . import expr as ex
 from .checks import CATALOGUE, CheckContext, applicable_ids, run_check_ids
 from .expr import ExprAst, ExprError
-from .geometry import (
-    CovectorFieldSpec,
-    MatrixFieldSpec,
-    MetricError,
-    MetricField,
-    VectorFieldSpec,
-)
+from .geometry import FieldSpec, MetricError, MetricField
 from .kenmotsu import FiberSpec, build_example2, build_twisted_product
 from .star_soliton import SolitonData
 from .weakf import WeakFManifold
 
 SCHEMA_VERSION = "wfk/1"
 _DEFAULT_SAMPLE = {"count": 5, "seed": 42, "box": [-0.5, 0.5]}
+
+# Size caps, checked before anything of that size is allocated.  The largest
+# arrays are the dim^5 float64 arrays of a point's geometry (d3g, d2gamma,
+# driem and the einsum temporaries that build them).  Measured on the full
+# catalogue at dim 15, one point peaks at about 5.3 of them and the geometry
+# cache keeps about 3.2 per point.  At dim 21 one is 31 MiB, so a point
+# needs about 170 MiB.
+_MAX_DIM = 21
+# Every point adds a record per check id (41 ids, up to ~600 bytes of JSON
+# each at dim 21), so a report stays within about 50 MiB.
+_MAX_POINTS = 2000
+# count * dim^5 bound: the cached geometry (about 26 dim^5 bytes per point)
+# stays within 2 GiB, e.g. at most 108 points at dim 15.
+_MAX_POINTS_DIM5 = 2**31 // 26
 
 
 class ManifestError(Exception):
@@ -42,6 +50,28 @@ class ManifestError(Exception):
 
 # ---------------------------------------------------------------------------
 # manifest parsing
+
+
+def _finite_number(raw, where: str) -> float:
+    """``raw`` as a finite float; booleans, non-numbers, nan and inf are errors."""
+    try:
+        val = float(raw)
+    except (TypeError, ValueError):
+        val = math.nan
+    if isinstance(raw, bool) or not math.isfinite(val):
+        raise ManifestError(f"{where}: expected a finite number, got {raw!r}")
+    return val
+
+
+def _chart_dim(n: int, s: int) -> int:
+    """The chart dimension 2n + s, within its bounds."""
+    if n < 1 or s < 1:
+        raise ManifestError("need n >= 1 and s >= 1")
+    if 2 * n + s > _MAX_DIM:
+        raise ManifestError(
+            f"dimension 2n+s = {2 * n + s} exceeds the limit {_MAX_DIM}"
+        )
+    return 2 * n + s
 
 
 def _parse_entry(raw, dim: int, where: str) -> ExprAst:
@@ -88,14 +118,9 @@ def _parse_tolerance(key: str, raw, where: str) -> float:
     """A tolerance override for catalogue id ``key``: finite and > 0."""
     if key not in CATALOGUE:
         raise ManifestError(f"{where}: unknown check id {key!r}")
-    try:
-        val = float(raw)
-    except (TypeError, ValueError):
-        val = math.nan
-    if isinstance(raw, bool) or not (math.isfinite(val) and val > 0):
-        raise ManifestError(
-            f"{where}[{key}]: tolerance must be a finite number > 0, got {raw!r}"
-        )
+    val = _finite_number(raw, f"{where}[{key}]")
+    if val <= 0:
+        raise ManifestError(f"{where}[{key}]: tolerance must be > 0, got {raw!r}")
     return val
 
 
@@ -105,7 +130,7 @@ def load_manifest(path: str) -> dict:
             data = json.load(fh)
     except OSError as err:
         raise ManifestError(f"cannot read manifest: {err}") from err
-    except json.JSONDecodeError as err:
+    except ValueError as err:  # JSONDecodeError, or an integer too long to convert
         raise ManifestError(f"manifest is not valid JSON: {err}") from err
     if not isinstance(data, dict):
         raise ManifestError("manifest root must be a JSON object")
@@ -121,39 +146,36 @@ def manifold_from_manifest(data: dict):
     """Build (manifold, soliton, check ids, tolerance overrides, sample policy)."""
     try:
         n, s = int(data["n"]), int(data["s"])
-    except (KeyError, TypeError, ValueError) as err:
+    except (KeyError, TypeError, ValueError, OverflowError) as err:
         raise ManifestError(f"manifest needs integer n and s: {err}") from err
-    dim = 2 * n + s
+    dim = _chart_dim(n, s)
     if data.get("dim") not in (None, dim):
         raise ManifestError(f"dim {data.get('dim')} does not equal 2n+s = {dim}")
-    if n < 1 or s < 1:
-        raise ManifestError("need n >= 1 and s >= 1")
 
     beta_raw = data.get("beta")
     if beta_raw is None:
         beta = None
     elif isinstance(beta_raw, (int, float)) and not isinstance(beta_raw, bool):
-        beta = float(beta_raw)
+        beta = _finite_number(beta_raw, "beta")
     else:
         beta = _parse_entry(beta_raw, dim, "beta")
-    c = data.get("c")
-    c = float(c) if c is not None else None
+    c = None if data.get("c") is None else _finite_number(data["c"], "c")
 
     metric_rows = _parse_matrix(data.get("metric"), dim, "metric", lower=True)
     metric = MetricField.from_entries(metric_rows, dim)
-    f = MatrixFieldSpec.from_entries(_parse_matrix(data.get("f"), dim, "f"), dim)
-    q = MatrixFieldSpec.from_entries(_parse_matrix(data.get("Q"), dim, "Q"), dim)
+    f = FieldSpec.from_entries(_parse_matrix(data.get("f"), dim, "f"), dim)
+    q = FieldSpec.from_entries(_parse_matrix(data.get("Q"), dim, "Q"), dim)
     xi_raw, eta_raw = data.get("xi"), data.get("eta")
     if not isinstance(xi_raw, list) or len(xi_raw) != s:
         raise ManifestError(f"xi: expected {s} vector fields")
     if not isinstance(eta_raw, list) or len(eta_raw) != s:
         raise ManifestError(f"eta: expected {s} one-forms")
     xi = tuple(
-        VectorFieldSpec(dim, tuple(_parse_components(v, dim, f"xi[{i + 1}]")))
+        FieldSpec(dim, tuple(_parse_components(v, dim, f"xi[{i + 1}]")))
         for i, v in enumerate(xi_raw)
     )
     eta = tuple(
-        CovectorFieldSpec(dim, tuple(_parse_components(w, dim, f"eta[{i + 1}]")))
+        FieldSpec(dim, tuple(_parse_components(w, dim, f"eta[{i + 1}]")))
         for i, w in enumerate(eta_raw)
     )
 
@@ -180,18 +202,15 @@ def manifold_from_manifest(data: dict):
     if sol_raw is not None:
         if not isinstance(sol_raw, dict):
             raise ManifestError("soliton: expected an object")
-        try:
-            lam = float(sol_raw["lambda"])
-            mu = float(sol_raw["mu"])
-        except (KeyError, TypeError, ValueError) as err:
-            raise ManifestError(f"soliton needs numeric lambda and mu: {err}") from err
+        lam = _finite_number(sol_raw.get("lambda"), "soliton.lambda")
+        mu = _finite_number(sol_raw.get("mu"), "soliton.mu")
         has_v = "V" in sol_raw
         has_pot = "v" in sol_raw
         if has_v == has_pot:
             raise ManifestError("soliton: provide exactly one of V or v")
         if has_v:
             comps = _parse_components(sol_raw["V"], dim, "soliton.V")
-            soliton = SolitonData(lam=lam, mu=mu, V=VectorFieldSpec(dim, tuple(comps)))
+            soliton = SolitonData(lam=lam, mu=mu, V=FieldSpec(dim, tuple(comps)))
         else:
             soliton = SolitonData(lam=lam, mu=mu, v=_parse_entry(sol_raw["v"], dim, "soliton.v"))
 
@@ -251,15 +270,15 @@ def manifest_from_manifold(
         ],
         "f": [[_entry_source(e) for e in row] for row in m.f.entries],
         "Q": [[_entry_source(e) for e in row] for row in m.Q.entries],
-        "xi": [[_entry_source(e) for e in v.components] for v in m.xi],
-        "eta": [[_entry_source(e) for e in w.components] for w in m.eta],
+        "xi": [[_entry_source(e) for e in v.entries] for v in m.xi],
+        "eta": [[_entry_source(e) for e in w.entries] for w in m.eta],
     }
     if m.sigma is not None:
         data["sigma"] = ex.to_source(m.sigma)
     if soliton is not None:
         block: dict = {"lambda": soliton.lam, "mu": soliton.mu}
         if soliton.V is not None:
-            block["V"] = [_entry_source(e) for e in soliton.V.components]
+            block["V"] = [_entry_source(e) for e in soliton.V.entries]
         else:
             block["v"] = ex.to_source(soliton.v)
         data["soliton"] = block
@@ -274,11 +293,18 @@ def sample_points(dim: int, sample: dict) -> list[np.ndarray]:
     try:
         count = int(sample["count"])
         seed = int(sample["seed"])
-        lo, hi = (float(x) for x in sample["box"])
-    except (KeyError, TypeError, ValueError) as err:
+        lo, hi = (_finite_number(x, "sample.box") for x in sample["box"])
+    except (KeyError, TypeError, ValueError, OverflowError) as err:
         raise ManifestError(f"sample policy: {err}") from err
-    if count < 1 or hi <= lo:
-        raise ManifestError("sample policy: need count >= 1 and box LO < HI")
+    most = min(_MAX_POINTS, _MAX_POINTS_DIM5 // dim**5)
+    if not 1 <= count <= most:
+        raise ManifestError(
+            f"sample policy: need 1 <= count <= {most} at dimension {dim}, got {count}"
+        )
+    if seed < 0:
+        raise ManifestError(f"sample policy: need seed >= 0, got {seed}")
+    if not lo < hi or not math.isfinite(hi - lo):
+        raise ManifestError("sample policy: need a box LO < HI with a finite width")
     rng = np.random.default_rng(seed)
     return [rng.uniform(lo, hi, dim) for _ in range(count)]
 
@@ -375,27 +401,24 @@ def _write_manifest(data: dict, out: str | None) -> None:
 
 
 def emit_example2(args) -> int:
+    _chart_dim(args.n, args.s)
+    beta, c = _finite_number(args.beta, "beta"), _finite_number(args.c, "c")
     try:
-        m = build_example2(args.n, args.s, args.beta, args.c)
+        m = build_example2(args.n, args.s, beta, c)
     except ValueError as err:
         raise ManifestError(str(err)) from err
-    xibar = VectorFieldSpec.from_entries(
-        [0.0] * (2 * m.n) + [1.0] * m.s, m.dim
-    )
-    lam = m.s * args.beta - m.s * (1.0 + args.c) * args.beta**2
+    xibar = FieldSpec.from_entries([0.0] * (2 * m.n) + [1.0] * m.s, m.dim)
+    lam = m.s * beta - m.s * (1.0 + c) * beta**2
     soliton = SolitonData(lam=lam, mu=-lam, V=xibar)
     _write_manifest(manifest_from_manifold(m, soliton), args.out)
     return 0
 
 
 def emit_twisted(args) -> int:
-    try:
-        scales = [float(x) for x in args.factors.split(",") if x]
-    except ValueError as err:
-        raise ManifestError(f"--factors: {err}") from err
+    scales = [_finite_number(x, "--factors") for x in args.factors.split(",") if x]
     if not scales:
         raise ManifestError("--factors: need at least one factor scale")
-    dim = 2 * len(scales) + args.s
+    dim = _chart_dim(len(scales), args.s)
     try:
         fiber = FiberSpec.flat_factors(scales, dim)
         sigma = ex.parse_expression(args.sigma, dim)

@@ -70,6 +70,12 @@ class ExprDomainError(ExprError):
 
 _FUNCTIONS = ("exp", "sqrt", "log")
 
+# Deepest nesting a parsed expression may have, in parentheses, function
+# calls and tree levels alike.  The parser spends four Python frames per
+# nesting level and the evaluator and printer one per tree level, so 160
+# stays well inside the default recursion limit of 1000.
+_MAX_DEPTH = 160
+
 # node kinds: const, var, neg, add, sub, mul, div, pow, exp, sqrt, log
 
 
@@ -180,6 +186,7 @@ class _Parser:
         self.dim = dim
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.nesting = 0
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -209,12 +216,20 @@ class _Parser:
         return node
 
     def expr(self) -> Node:
+        self.nesting += 1
+        if self.nesting > _MAX_DEPTH:
+            tok = self.peek()
+            raise ExprSyntaxError(
+                f"expression nested deeper than {_MAX_DEPTH} levels",
+                (tok.start, tok.end),
+            )
         node = self.term()
         while self.peek().kind == "op" and self.peek().text in "+-":
             op = self.advance()
             rhs = self.term()
             kind = "add" if op.text == "+" else "sub"
             node = Node(kind, (node, rhs), span=(node.span[0], rhs.span[1]))
+        self.nesting -= 1
         return node
 
     def term(self) -> Node:
@@ -227,15 +242,16 @@ class _Parser:
         return node
 
     def unary(self) -> Node:
-        tok = self.peek()
-        if tok.kind == "op" and tok.text == "-":
-            self.advance()
-            inner = self.unary()
-            return Node("neg", (inner,), span=(tok.start, inner.span[1]))
-        return self.power()
+        # a run of minus signs is a loop, not a recursion
+        signs = []
+        while self.peek().kind == "op" and self.peek().text == "-":
+            signs.append(self.advance())
+        node = self.power(self.atom())
+        for tok in reversed(signs):
+            node = Node("neg", (node,), span=(tok.start, node.span[1]))
+        return node
 
-    def power(self) -> Node:
-        base = self.atom()
+    def power(self, base: Node) -> Node:
         tok = self.peek()
         if tok.kind == "op" and tok.text == "^":
             self.advance()
@@ -294,7 +310,21 @@ def parse_expression(text: str, dim: int) -> ExprAst:
     """Parse ``text`` into an AST over coordinates ``x1..x{dim}``."""
     if not text.strip():
         raise ExprSyntaxError("empty expression", (0, len(text)))
-    return ExprAst(_Parser(text, dim).parse(), dim)
+    root = _Parser(text, dim).parse()
+    _check_depth(root)
+    return ExprAst(root, dim)
+
+
+def _check_depth(root: Node) -> None:
+    """Reject trees deeper than ``_MAX_DEPTH`` (long sums nest without parentheses)."""
+    stack = [(root, 1)]
+    while stack:
+        node, depth = stack.pop()
+        if depth > _MAX_DEPTH:
+            raise ExprSyntaxError(
+                f"expression nested deeper than {_MAX_DEPTH} levels", node.span
+            )
+        stack.extend((child, depth + 1) for child in node.children)
 
 
 # ---------------------------------------------------------------------------

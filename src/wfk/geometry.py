@@ -30,9 +30,7 @@ __all__ = [
     "MetricError",
     "MetricField",
     "TensorValue",
-    "VectorFieldSpec",
-    "CovectorFieldSpec",
-    "MatrixFieldSpec",
+    "FieldSpec",
     "metric_at",
     "metric_inverse_at",
     "christoffel",
@@ -44,6 +42,7 @@ __all__ = [
     "lie_derivative_1form",
     "exterior_derivative_1form",
     "exterior_derivative_2form",
+    "coboundary_2form",
     "gradient_and_hessian",
     "lie_derivative_connection",
     "lie_derivative_curvature",
@@ -77,105 +76,58 @@ class TensorValue:
         if any(extent != n for extent in self.components.shape):
             raise ValueError("all component extents must equal the dimension")
 
-    def with_raised(self, slot: int, ginv: np.ndarray) -> "TensorValue":
-        if self.variance[slot] != "down":
-            raise ValueError("slot is already contravariant")
-        comps = np.tensordot(ginv, self.components, axes=([1], [slot]))
-        comps = np.moveaxis(comps, 0, slot)
-        variance = tuple(
-            "up" if i == slot else v for i, v in enumerate(self.variance)
+
+@dataclass(frozen=True)
+class FieldSpec:
+    """A field given by expression entries: one per component or a square of rows.
+
+    A tuple of ``dim`` expressions is a vector field or a 1-form; a tuple
+    of ``dim`` rows of ``dim`` expressions is a (1,1)-tensor (``[k][j]`` is
+    the ``e_k`` component of the image of ``e_j``) or a 2-form.
+    """
+
+    dim: int
+    entries: tuple
+
+    @classmethod
+    def from_entries(cls, entries, dim: int) -> "FieldSpec":
+        """Coerce numbers and strings to expressions; every extent must be ``dim``."""
+        out = tuple(
+            tuple(_as_ast(e, dim) for e in item)
+            if isinstance(item, (list, tuple, np.ndarray))
+            else _as_ast(item, dim)
+            for item in entries
         )
-        return TensorValue(variance, comps, self.point)
-
-    def with_lowered(self, slot: int, g: np.ndarray) -> "TensorValue":
-        if self.variance[slot] != "up":
-            raise ValueError("slot is already covariant")
-        comps = np.tensordot(g, self.components, axes=([1], [slot]))
-        comps = np.moveaxis(comps, 0, slot)
-        variance = tuple(
-            "down" if i == slot else v for i, v in enumerate(self.variance)
-        )
-        return TensorValue(variance, comps, self.point)
-
-
-@dataclass(frozen=True)
-class VectorFieldSpec:
-    """Contravariant vector field given by one expression per component."""
-
-    dim: int
-    components: tuple[ExprAst, ...]
-
-    @classmethod
-    def from_entries(cls, entries, dim: int) -> "VectorFieldSpec":
-        comps = tuple(_as_ast(e, dim) for e in entries)
-        if len(comps) != dim:
-            raise ValueError(f"expected {dim} components, got {len(comps)}")
-        return cls(dim, comps)
-
-    def jets(self, p: np.ndarray):
-        """Return (V, dV, d2V) with dV[k, a] = d_a V^k."""
-        n = self.dim
-        v = np.empty(n)
-        dv = np.empty((n, n))
-        d2v = np.empty((n, n, n))
-        for k, comp in enumerate(self.components):
-            jet = ex.evaluate_jet(comp, p)
-            v[k] = jet.value
-            dv[k] = jet.gradient
-            d2v[k] = jet.hessian
-        return v, dv, d2v
-
-
-@dataclass(frozen=True)
-class CovectorFieldSpec:
-    """Covariant 1-form field given by one expression per component."""
-
-    dim: int
-    components: tuple[ExprAst, ...]
-
-    @classmethod
-    def from_entries(cls, entries, dim: int) -> "CovectorFieldSpec":
-        comps = tuple(_as_ast(e, dim) for e in entries)
-        if len(comps) != dim:
-            raise ValueError(f"expected {dim} components, got {len(comps)}")
-        return cls(dim, comps)
-
-    def jets(self, p: np.ndarray):
-        n = self.dim
-        w = np.empty(n)
-        dw = np.empty((n, n))
-        for k, comp in enumerate(self.components):
-            jet = ex.evaluate_jet(comp, p)
-            w[k] = jet.value
-            dw[k] = jet.gradient
-        return w, dw
-
-
-@dataclass(frozen=True)
-class MatrixFieldSpec:
-    """Square field of expressions: mixed tensors, 2-forms, metric blocks."""
-
-    dim: int
-    entries: tuple[tuple[ExprAst, ...], ...]
-
-    @classmethod
-    def from_entries(cls, rows, dim: int) -> "MatrixFieldSpec":
-        out = tuple(tuple(_as_ast(e, dim) for e in row) for row in rows)
-        if len(out) != dim or any(len(r) != dim for r in out):
-            raise ValueError("matrix field must be dim x dim")
+        extents = {len(item) if isinstance(item, tuple) else None for item in out}
+        if len(out) != dim or extents not in ({None}, {dim}):
+            raise ValueError(f"every extent of the field must equal {dim}")
         return cls(dim, out)
 
-    def jets(self, p: np.ndarray):
-        """Return (A, dA) with dA[i, j, k] = d_k A_ij."""
+    def jets(self, p: np.ndarray, third: bool = False):
+        """(value, d, d2) and with ``third`` also d3, derivative axes last.
+
+        d[..., a] = d_a entry and so on.  An entry object that occurs more
+        than once (a symmetric metric's mirrored entries) is evaluated once.
+        """
         n = self.dim
-        a = np.empty((n, n))
-        da = np.empty((n, n, n))
-        for i in range(n):
-            for j in range(n):
-                jet = ex.evaluate_jet(self.entries[i][j], p)
-                a[i, j] = jet.value
-                da[i, j] = jet.gradient
-        return a, da
+        flat = self.entries
+        lead = (n,)
+        if isinstance(flat[0], tuple):
+            flat = [e for row in flat for e in row]
+            lead = (n, n)
+        out = [np.empty((len(flat),) + (n,) * k) for k in range(4 if third else 3)]
+        first: dict[int, int] = {}
+        for slot, entry in enumerate(flat):
+            seen = first.setdefault(id(entry), slot)
+            if seen != slot:
+                for arr in out:
+                    arr[slot] = arr[seen]
+                continue
+            jet = ex.evaluate_jet(entry, p, third)
+            parts = (jet.value, jet.gradient, jet.hessian, jet.third)
+            for arr, part in zip(out, parts):
+                arr[slot] = part
+        return tuple(arr.reshape(lead + arr.shape[1:]) for arr in out)
 
 
 # ---------------------------------------------------------------------------
@@ -185,18 +137,10 @@ class _PointGeometry:
     """All jet-derived geometric data of a metric at one point."""
 
     def __init__(self, metric: "MetricField", p: np.ndarray):
-        n = metric.dim
         self.point = p
         self._metric = metric
-        g = np.empty((n, n))
-        dg = np.empty((n, n, n))     # dg[i, j, k] = d_k g_ij
-        d2g = np.empty((n, n, n, n))  # d2g[i, j, k, l] = d_k d_l g_ij
-        for i in range(n):
-            for j in range(i, n):
-                jet = ex.evaluate_jet(metric.entries[i][j], p)
-                g[i, j] = g[j, i] = jet.value
-                dg[i, j] = dg[j, i] = jet.gradient
-                d2g[i, j] = d2g[j, i] = jet.hessian
+        # dg[i, j, k] = d_k g_ij, d2g[i, j, k, l] = d_k d_l g_ij
+        g, dg, d2g = metric.jets(p)
         try:
             chol = np.linalg.cholesky(g)
         except np.linalg.LinAlgError:
@@ -266,14 +210,7 @@ class _PointGeometry:
     @cached_property
     def d3g(self) -> np.ndarray:
         """d3g[i, j, k, l, m] = d_k d_l d_m g_ij, from third-order jets."""
-        n = self.point.shape[0]
-        entries = self._metric.entries
-        d3g = np.empty((n, n, n, n, n))
-        for i in range(n):
-            for j in range(i, n):
-                third = ex.evaluate_jet(entries[i][j], self.point, third=True).third
-                d3g[i, j] = d3g[j, i] = third
-        return d3g
+        return self._metric.jets(self.point, third=True)[3]
 
     @cached_property
     def d2gamma(self) -> np.ndarray:
@@ -335,11 +272,12 @@ class _PointGeometry:
 
 
 @dataclass(frozen=True)
-class MetricField:
-    """Symmetric field of metric expressions on a chart of dimension ``dim``."""
+class MetricField(FieldSpec):
+    """Symmetric field of metric expressions on a chart of dimension ``dim``.
 
-    dim: int
-    entries: tuple[tuple[ExprAst, ...], ...]
+    Mirrored entries are one object, so ``jets`` evaluates each once.
+    """
+
     _cache: dict = field(default_factory=dict, compare=False, repr=False)
 
     @classmethod
@@ -427,7 +365,7 @@ def scalar_curvature(g: MetricField, p) -> float:
     return g.at(p).scalar
 
 
-def lie_derivative_metric(g: MetricField, V: VectorFieldSpec, p) -> TensorValue:
+def lie_derivative_metric(g: MetricField, V: FieldSpec, p) -> TensorValue:
     geo = g.at(p)
     v, dv, _ = V.jets(geo.point)
     lg = (
@@ -438,32 +376,31 @@ def lie_derivative_metric(g: MetricField, V: VectorFieldSpec, p) -> TensorValue:
     return TensorValue(("down", "down"), lg, geo.point)
 
 
-def lie_derivative_1form(omega: CovectorFieldSpec, V: VectorFieldSpec, p) -> TensorValue:
+def lie_derivative_1form(omega: FieldSpec, V: FieldSpec, p) -> TensorValue:
     pt = np.asarray(p, dtype=float)
-    w, dw = omega.jets(pt)
+    w, dw, _ = omega.jets(pt)
     v, dv, _ = V.jets(pt)
     lw = dw @ v + w @ dv
     return TensorValue(("down",), lw, pt)
 
 
-def exterior_derivative_1form(omega: CovectorFieldSpec, p) -> TensorValue:
+def exterior_derivative_1form(omega: FieldSpec, p) -> TensorValue:
     pt = np.asarray(p, dtype=float)
-    _, dw = omega.jets(pt)
+    _, dw, _ = omega.jets(pt)
     # dw[j, i] = d_i w_j; includes the 1/2 of the co-boundary formula
     d = 0.5 * (dw.T - dw)
     return TensorValue(("down", "down"), d, pt)
 
 
-def exterior_derivative_2form(phi: MatrixFieldSpec, p) -> TensorValue:
+def exterior_derivative_2form(phi: FieldSpec, p) -> TensorValue:
     pt = np.asarray(p, dtype=float)
-    _, dphi = phi.jets(pt)  # dphi[i, j, k] = d_k phi_ij
-    # cyclic sum d_i phi_jk + d_j phi_ki + d_k phi_ij with the 1/3 factor
-    d = (
-        np.einsum("jki->ijk", dphi)
-        + np.einsum("kij->ijk", dphi)
-        + dphi
-    ) / 3.0
-    return TensorValue(("down", "down", "down"), d, pt)
+    _, dphi, _ = phi.jets(pt)
+    return TensorValue(("down", "down", "down"), coboundary_2form(dphi), pt)
+
+
+def coboundary_2form(dphi: np.ndarray) -> np.ndarray:
+    """d phi from dphi[i, j, k] = d_k phi_ij: the cyclic sum with the 1/3 factor."""
+    return (np.einsum("jki->ijk", dphi) + np.einsum("kij->ijk", dphi) + dphi) / 3.0
 
 
 def gradient_and_hessian(g: MetricField, v: ExprAst, p) -> tuple[TensorValue, TensorValue]:
@@ -478,7 +415,7 @@ def gradient_and_hessian(g: MetricField, v: ExprAst, p) -> tuple[TensorValue, Te
 
 
 def _lie_connection_components(
-    g: MetricField, V: VectorFieldSpec, p, derivative: bool = False
+    g: MetricField, V: FieldSpec, p, derivative: bool = False
 ):
     """T[k, i, j] = (L_V nabla)^k_ij; with ``derivative`` also (T, dT).
 
@@ -517,14 +454,14 @@ def _lie_connection_components(
     return t, dt
 
 
-def lie_derivative_connection(g: MetricField, V: VectorFieldSpec, p) -> TensorValue:
+def lie_derivative_connection(g: MetricField, V: FieldSpec, p) -> TensorValue:
     """(L_V nabla)(X, Y) = nabla_X nabla_Y V - nabla_{nabla_X Y} V + R(V, X) Y."""
     pt = np.asarray(p, dtype=float)
     t = _lie_connection_components(g, V, pt)
     return TensorValue(("up", "down", "down"), t, pt)
 
 
-def lie_derivative_curvature(g: MetricField, V: VectorFieldSpec, p) -> TensorValue:
+def lie_derivative_curvature(g: MetricField, V: FieldSpec, p) -> TensorValue:
     """(L_V R)(X, Y) Z via antisymmetrized covariant derivative of L_V nabla.
 
     (L_V R)^k_ijm = nabla_i T^k_jm - nabla_j T^k_im for T = L_V nabla,

@@ -17,13 +17,7 @@ import numpy as np
 
 from . import expr as ex
 from .expr import ExprAst
-from .geometry import (
-    CovectorFieldSpec,
-    MatrixFieldSpec,
-    MetricField,
-    VectorFieldSpec,
-    lie_derivative_metric,
-)
+from .geometry import FieldSpec, MetricField, lie_derivative_metric
 from .weakf import (
     ResidualReport,
     StructureAtPoint,
@@ -86,6 +80,16 @@ class EinsteinFit:
     b: float
     residual: float
     predicted: tuple[float, float] | None = None  # Kenmotsu closed form, if known
+
+    @classmethod
+    def least_squares(cls, target, col_a, col_b, predicted=None) -> "EinsteinFit":
+        """Least-squares (a, b) of target = a col_a + b col_b; residual is max-abs."""
+        target, col_a, col_b = target.ravel(), col_a.ravel(), col_b.ravel()
+        design = np.stack([col_a, col_b], axis=1)
+        coef, *_ = np.linalg.lstsq(design, target, rcond=None)
+        a, b = float(coef[0]), float(coef[1])
+        residual = float(np.abs(target - (a * col_a + b * col_b)).max())
+        return cls(a, b, residual, predicted)
 
 
 # ---------------------------------------------------------------------------
@@ -340,26 +344,16 @@ def build_example2(n: int, s: int, beta: float, c: float) -> WeakFManifold:
     for p in range(s):
         q[2 * n + p][2 * n + p] = ex.const(1.0, dim)
 
-    xi = tuple(
-        VectorFieldSpec.from_entries(
-            [1.0 if k == 2 * n + p else 0.0 for k in range(dim)], dim
-        )
-        for p in range(s)
-    )
-    eta = tuple(
-        CovectorFieldSpec.from_entries(
-            [1.0 if k == 2 * n + p else 0.0 for k in range(dim)], dim
-        )
-        for p in range(s)
-    )
+    xi = tuple(FieldSpec.from_entries(np.eye(dim)[2 * n + p], dim) for p in range(s))
+    eta = tuple(FieldSpec.from_entries(np.eye(dim)[2 * n + p], dim) for p in range(s))
     return WeakFManifold(
         n=n,
         s=s,
         beta=float(beta),
         c=float(c),
         metric=metric,
-        f=MatrixFieldSpec(dim, tuple(map(tuple, f))),
-        Q=MatrixFieldSpec(dim, tuple(map(tuple, q))),
+        f=FieldSpec(dim, tuple(map(tuple, f))),
+        Q=FieldSpec(dim, tuple(map(tuple, q))),
         xi=xi,
         eta=eta,
     )
@@ -409,18 +403,8 @@ def build_twisted_product(
     for p in range(s):
         q[two_n + p][two_n + p] = ex.const(1.0, dim)
 
-    xi = tuple(
-        VectorFieldSpec.from_entries(
-            [1.0 if k == two_n + p else 0.0 for k in range(dim)], dim
-        )
-        for p in range(s)
-    )
-    eta = tuple(
-        CovectorFieldSpec.from_entries(
-            [1.0 if k == two_n + p else 0.0 for k in range(dim)], dim
-        )
-        for p in range(s)
-    )
+    xi = tuple(FieldSpec.from_entries(np.eye(dim)[two_n + p], dim) for p in range(s))
+    eta = tuple(FieldSpec.from_entries(np.eye(dim)[two_n + p], dim) for p in range(s))
 
     if beta is None:
         jet = ex.evaluate_jet(sigma, origin)
@@ -432,8 +416,8 @@ def build_twisted_product(
         beta=beta,
         c=None,
         metric=metric,
-        f=MatrixFieldSpec(dim, tuple(map(tuple, f))),
-        Q=MatrixFieldSpec(dim, tuple(map(tuple, q))),
+        f=FieldSpec(dim, tuple(map(tuple, f))),
+        Q=FieldSpec(dim, tuple(map(tuple, q))),
         xi=xi,
         eta=eta,
         sigma=sigma,
@@ -501,21 +485,13 @@ def twisted_product_audit(m: WeakFManifold, p) -> list[ResidualReport]:
 def eta_einstein_fit(m: WeakFManifold, p) -> EinsteinFit:
     """Least-squares (a, b) of Ric = a g - a sum eta (x) eta + (a+b) etabar (x) etabar."""
     st = m.at(p)
-    ric = st.geo.ric
-    g = st.geo.g
     etaeta = np.einsum("ia,ib->ab", st.eta, st.eta)
     ebar = np.einsum("a,b->ab", st.etabar, st.etabar)
-    col_a = (g - etaeta + ebar).ravel()
-    col_b = ebar.ravel()
-    design = np.stack([col_a, col_b], axis=1)
-    coef, *_ = np.linalg.lstsq(design, ric.ravel(), rcond=None)
-    a, b = float(coef[0]), float(coef[1])
-    model = a * col_a + b * col_b
-    residual = float(np.abs(ric.ravel() - model).max())
     predicted = None
     if m.beta is not None and m.beta_is_constant:
         beta = m.beta_value(p)
         a_pred = m.s * beta**2 + st.geo.scalar / (2.0 * m.n)
         b_pred = -2.0 * m.n * beta**2 - a_pred
         predicted = (float(a_pred), float(b_pred))
-    return EinsteinFit(a, b, residual, predicted)
+    col_a = st.geo.g - etaeta + ebar
+    return EinsteinFit.least_squares(st.geo.ric, col_a, ebar, predicted)

@@ -16,8 +16,8 @@ import numpy as np
 
 from .expr import ExprAst
 from .geometry import (
+    FieldSpec,
     TensorValue,
-    VectorFieldSpec,
     gradient_and_hessian,
     lie_derivative_1form,
     lie_derivative_connection,
@@ -56,7 +56,7 @@ class SolitonData:
 
     lam: float
     mu: float
-    V: VectorFieldSpec | None = None
+    V: FieldSpec | None = None
     v: ExprAst | None = None
 
     def __post_init__(self):
@@ -174,16 +174,11 @@ def star_eta_einstein_fit(m: WeakFManifold, p):
     cross = np.einsum("ia,jb->ab", st.eta, st.eta) - np.einsum(
         "ia,ib->ab", st.eta, st.eta
     )
-    col_a = (st.geo.g + cross).ravel()
     ebar = np.einsum("a,b->ab", st.etabar, st.etabar)
-    col_b = ebar.ravel()
-    design = np.stack([col_a, col_b], axis=1)
-    coef, *_ = np.linalg.lstsq(design, ric_star.ravel(), rcond=None)
-    abar, bbar = float(coef[0]), float(coef[1])
-    model = abar * col_a + bbar * col_b
-    residual = float(np.abs(ric_star.ravel() - model).max())
     pred = star_scalar(m, p) / (2.0 * m.n)
-    return EinsteinFit(abar, bbar, residual, (float(pred), float(-pred)))
+    return EinsteinFit.least_squares(
+        ric_star, st.geo.g + cross, ebar, (float(pred), float(-pred))
+    )
 
 
 def corollary2_residual(m: WeakFManifold, p) -> ResidualReport:
@@ -283,7 +278,7 @@ def gradient_soliton_residual(m: WeakFManifold, sol: SolitonData, p) -> SolitonV
     )
 
 
-def fit_soliton_constants(m: WeakFManifold, V: VectorFieldSpec, sample):
+def fit_soliton_constants(m: WeakFManifold, V: FieldSpec, sample):
     """Least-squares (lam, mu) of the soliton equation over several points."""
     points = [np.asarray(p, dtype=float) for p in sample]
     if len(points) < 2:
@@ -317,7 +312,7 @@ def prop5_check(lam: float, mu: float, tol: float = TOLERANCES["prop5"]) -> Prop
 # contact fields
 
 
-def contact_fit(m: WeakFManifold, V: VectorFieldSpec, p) -> tuple[float, float]:
+def contact_fit(m: WeakFManifold, V: FieldSpec, p) -> tuple[float, float]:
     """Least-squares sigma of L_V eta^i = sigma eta^i and the max-abs residual."""
     st = m.at(p)
     lie = np.stack(
@@ -330,7 +325,7 @@ def contact_fit(m: WeakFManifold, V: VectorFieldSpec, p) -> tuple[float, float]:
 
 
 def contact_field_check(
-    m: WeakFManifold, V: VectorFieldSpec, p, tol: float = TOLERANCES["contact.65"]
+    m: WeakFManifold, V: FieldSpec, p, tol: float = TOLERANCES["contact.65"]
 ):
     """Decide whether L_V eta^i = sigma eta^i for a single constant sigma."""
     sigma, residual = contact_fit(m, V, p)

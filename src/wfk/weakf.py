@@ -19,14 +19,7 @@ import numpy as np
 
 from . import expr as ex
 from .expr import ExprAst
-from .geometry import (
-    CovectorFieldSpec,
-    MatrixFieldSpec,
-    MetricField,
-    TensorValue,
-    VectorFieldSpec,
-    exterior_derivative_2form,
-)
+from .geometry import FieldSpec, MetricField, TensorValue, coboundary_2form
 
 __all__ = [
     "WeakFManifold",
@@ -132,10 +125,10 @@ class WeakFManifold:
     beta: float | ExprAst | None
     c: float | None
     metric: MetricField
-    f: MatrixFieldSpec
-    Q: MatrixFieldSpec
-    xi: tuple[VectorFieldSpec, ...]
-    eta: tuple[CovectorFieldSpec, ...]
+    f: FieldSpec
+    Q: FieldSpec
+    xi: tuple[FieldSpec, ...]
+    eta: tuple[FieldSpec, ...]
     sigma: ExprAst | None = None          # set by the twisted-product builder
     fiber_dim: int | None = None          # ditto
     _cache: dict = field(default_factory=dict, compare=False, repr=False)
@@ -183,17 +176,15 @@ class StructureAtPoint:
         self.geo = m.metric.at(p)
         self.point = self.geo.point
         n = m.dim
-        self.f, self.df = m.f.jets(p)      # df[i, j, k] = d_k f^i_j
-        self.Q, self.dQ = m.Q.jets(p)
+        self.f, self.df, _ = m.f.jets(p)   # df[i, j, k] = d_k f^i_j
+        self.Q, self.dQ, _ = m.Q.jets(p)
         self.xi = np.empty((m.s, n))
         self.dxi = np.empty((m.s, n, n))   # dxi[i, k, a] = d_a xi_i^k
         self.eta = np.empty((m.s, n))
         self.deta = np.empty((m.s, n, n))  # deta[i, k, a] = d_a eta^i_k
         for i in range(m.s):
-            v, dv, _ = m.xi[i].jets(p)
-            self.xi[i], self.dxi[i] = v, dv
-            w, dw = m.eta[i].jets(p)
-            self.eta[i], self.deta[i] = w, dw
+            self.xi[i], self.dxi[i], _ = m.xi[i].jets(p)
+            self.eta[i], self.deta[i], _ = m.eta[i].jets(p)
         self.xibar = self.xi.sum(axis=0)
         self.etabar = self.eta.sum(axis=0)
         self.Qtilde = self.Q - np.eye(n)
@@ -256,30 +247,26 @@ def check_axioms(m: WeakFManifold, p) -> list[ResidualReport]:
     return reports
 
 
-def _as_matrix_field(S, dim: int) -> MatrixFieldSpec:
-    if isinstance(S, MatrixFieldSpec):
-        return S
-    return MatrixFieldSpec.from_entries(S, dim)
+def _nijenhuis(st: StructureAtPoint, s: np.ndarray, ds: np.ndarray) -> np.ndarray:
+    """[S, S]^k_ab from the values s[k, j] and derivatives ds[k, j, c] of S."""
+    nabla_s = st.nabla_mixed(s, ds)  # [k, j, c] = (nabla_c S)^k_j
+    # C^k_{ab} = S^k_m (nabla_b S)^m_a - S^j_b (nabla_j S)^k_a
+    c = np.einsum("km,mab->kab", s, nabla_s) - np.einsum("jb,kaj->kab", s, nabla_s)
+    return c - c.transpose(0, 2, 1)
 
 
 def nijenhuis(m: WeakFManifold, S, p) -> TensorValue:
     """Nijenhuis torsion [S, S] of a (1,1)-tensor field, via the connection."""
-    spec = _as_matrix_field(S, m.dim)
+    spec = S if isinstance(S, FieldSpec) else FieldSpec.from_entries(S, m.dim)
     st = m.at(p)
-    s_val, s_d = spec.jets(st.point)
-    nabla_s = st.nabla_mixed(s_val, s_d)  # [k, j, c] = (nabla_c S)^k_j
-    # C^k_{ab} = S^k_m (nabla_b S)^m_a - S^j_b (nabla_j S)^k_a
-    c = np.einsum("km,mab->kab", s_val, nabla_s) - np.einsum(
-        "jb,kaj->kab", s_val, nabla_s
-    )
-    t = c - c.transpose(0, 2, 1)
-    return TensorValue(("up", "down", "down"), t, st.point)
+    s, ds, _ = spec.jets(st.point)
+    return TensorValue(("up", "down", "down"), _nijenhuis(st, s, ds), st.point)
 
 
 def normality_tensor(m: WeakFManifold, p) -> TensorValue:
     """N1 = [f, f] + 2 sum_i d(eta^i) (x) xi_i."""
     st = m.at(p)
-    nf = nijenhuis(m, m.f, p).components
+    nf = _nijenhuis(st, st.f, st.df)
     # d(eta^i)_{ab} with the 1/2 normalization
     deta = 0.5 * (st.deta.transpose(0, 2, 1) - st.deta)  # [i, a, b]
     t = nf + 2.0 * np.einsum("iab,ik->kab", deta, st.xi)
@@ -292,8 +279,12 @@ def fundamental_form(m: WeakFManifold, p) -> TensorValue:
     return TensorValue(("down", "down"), phi, st.point)
 
 
-def fundamental_form_field(m: WeakFManifold) -> MatrixFieldSpec:
-    """Phi(X, Y) = g(X, fY) as a symbolic matrix field (for d Phi)."""
+def fundamental_form_field(m: WeakFManifold) -> FieldSpec:
+    """Phi(X, Y) = g(X, fY) as a symbolic 2-form field.
+
+    ``theorem1_check`` differentiates Phi at the point from the jets of g and
+    f instead; this symbolic route is the independent reference for it.
+    """
     n = m.dim
     rows = []
     for a in range(n):
@@ -305,7 +296,7 @@ def fundamental_form_field(m: WeakFManifold) -> MatrixFieldSpec:
             ]
             row.append(ex.add_many(terms, n))
         rows.append(row)
-    return MatrixFieldSpec(n, tuple(tuple(r) for r in rows))
+    return FieldSpec(n, tuple(tuple(r) for r in rows))
 
 
 def f_basis(m: WeakFManifold, p):
@@ -402,7 +393,11 @@ def theorem1_check(m: WeakFManifold, p) -> list[ResidualReport]:
     st = m.at(p)
     n1 = normality_tensor(m, p).components
     deta = 0.5 * (st.deta.transpose(0, 2, 1) - st.deta)
-    dphi = exterior_derivative_2form(fundamental_form_field(m), st.point).components
+    # d_k Phi_ab = d_k g_am f^m_b + g_am d_k f^m_b, from the jets at the point
+    dphi = coboundary_2form(
+        np.einsum("amk,mb->abk", st.geo.dg, st.f)
+        + np.einsum("am,mbk->abk", st.geo.g, st.df)
+    )
     phi = fundamental_form(m, p).components
     rhs = 2.0 * m.beta_value(p) * wedge_1form_2form(st.etabar, phi)
     return [

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from wfk import expr as ex
-from wfk.geometry import VectorFieldSpec, exterior_derivative_2form
+from wfk.geometry import FieldSpec, exterior_derivative_2form
 from wfk.kenmotsu import (
     FiberSpec,
     audit_identities,
@@ -66,7 +66,7 @@ def _grid_instances():
 
 
 def _xibar(m):
-    return VectorFieldSpec.from_entries([0.0] * (2 * m.n) + [1.0] * m.s, m.dim)
+    return FieldSpec.from_entries([0.0] * (2 * m.n) + [1.0] * m.s, m.dim)
 
 
 def test_criterion_01_axioms_and_defining_condition():

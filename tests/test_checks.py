@@ -8,7 +8,7 @@ import pytest
 
 from wfk import expr as ex
 from wfk.checks import CATALOGUE, CheckContext, applicable_ids
-from wfk.geometry import VectorFieldSpec
+from wfk.geometry import FieldSpec
 from wfk.kenmotsu import FiberSpec, build_example2, build_twisted_product
 from wfk.star_soliton import SolitonData
 from wfk.weakf import TOLERANCES
@@ -20,7 +20,7 @@ TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
 def _example2_V():
     m = build_example2(1, 2, 1.0, 1.0)
-    xibar = VectorFieldSpec.from_entries([0.0, 0.0, 1.0, 1.0], m.dim)
+    xibar = FieldSpec.from_entries([0.0, 0.0, 1.0, 1.0], m.dim)
     return CheckContext(m, SolitonData(lam=-2.0, mu=2.0, V=xibar))
 
 

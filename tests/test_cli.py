@@ -1,7 +1,9 @@
 import json
 
+import numpy as np
 import pytest
 
+from wfk import cli
 from wfk.checks import CATALOGUE
 from wfk.cli import main
 
@@ -243,3 +245,108 @@ class TestListChecks:
         listed = {line.split()[0] for line in out.strip().splitlines()}
         assert listed == set(CATALOGUE)
         assert len(listed) == 41
+
+
+def _mutated(data, path, value):
+    """A copy of the manifest with the key path set to value (deleted if None)."""
+    data = json.loads(json.dumps(data))
+    node = data
+    for key in path[:-1]:
+        node = node[key]
+    if value is None:
+        del node[path[-1]]
+    else:
+        node[path[-1]] = value
+    return data
+
+
+class TestInputBounds:
+    """Bad numbers and oversized requests are input errors: exit 2, no traceback."""
+
+    @pytest.mark.parametrize(
+        "path, value",
+        [
+            (("c",), "abc"),
+            (("c",), float("nan")),
+            (("beta",), float("inf")),
+            (("soliton", "lambda"), float("nan")),
+            (("soliton", "mu"), None),
+            (("sample",), {"count": 2, "seed": 1, "box": [0, float("nan")]}),
+            (("sample",), {"count": 2, "seed": 1, "box": [-1e308, 1e308]}),
+            (("sample",), {"count": 2, "seed": -1, "box": [0, 1]}),
+            (("sample",), {"count": float("inf"), "seed": 1, "box": [0, 1]}),
+            (("n",), float("inf")),
+            (("metric", 0, 0), "(" * 2000 + "1" + ")" * 2000),
+            (("metric", 0, 0), "+".join(["1"] * 3000)),
+        ],
+        ids=[
+            "c-abc", "c-nan", "beta-inf", "lambda-nan", "mu-missing",
+            "box-nan", "box-width", "seed-negative", "count-inf", "n-inf",
+            "deep-parens", "long-sum",
+        ],
+    )
+    def test_bad_number_exits_2(self, manifest_path, tmp_path, capsys, path, value):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(_mutated(_load(manifest_path), path, value)))
+        assert main(["check", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and "Traceback" not in err
+
+    def test_integer_too_long_for_json(self, manifest_path, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        text = json.dumps(_load(manifest_path)).replace('"n": 1', '"n": 1' + "0" * 5000)
+        bad.write_text(text)
+        assert main(["check", str(bad)]) == 2
+        assert "error:" in capsys.readouterr().err
+
+    def test_dimension_cap_is_checked_before_parsing(
+        self, manifest_path, tmp_path, capsys, monkeypatch
+    ):
+        def never(*args, **kwargs):
+            raise AssertionError("structure parsed despite the dimension cap")
+
+        monkeypatch.setattr(cli, "_parse_matrix", never)
+        for n, s in ((10**9, 1), (1, 10**12), (cli._MAX_DIM // 2, 2)):
+            bad = tmp_path / "bad.json"
+            data = _mutated(_mutated(_load(manifest_path), ("n",), n), ("s",), s)
+            bad.write_text(json.dumps(_mutated(data, ("dim",), None)))
+            assert main(["check", str(bad)]) == 2
+            assert "exceeds the limit" in capsys.readouterr().err
+        assert main(["example2", str(10**9), "1", "1.0", "1.0"]) == 2
+        assert main(["twisted", "--factors", "1", "--s", str(10**9), "--sigma", "1"]) == 2
+
+    @pytest.mark.parametrize("where", ["manifest", "flag", "dim15"])
+    def test_point_cap_is_checked_before_sampling(
+        self, manifest_path, tmp_path, capsys, monkeypatch, where
+    ):
+        def never(*args, **kwargs):
+            raise AssertionError("points sampled despite the point cap")
+
+        path, args = manifest_path, []
+        if where == "manifest":
+            path = str(tmp_path / "many.json")
+            sample = {"count": 10**12, "seed": 1, "box": [0, 1]}
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump(_mutated(_load(manifest_path), ("sample",), sample), fh)
+        elif where == "flag":
+            args = ["--points", str(cli._MAX_POINTS + 1)]
+        else:  # within the plain cap, over the geometry budget at dim 15
+            path = str(tmp_path / "d15.json")
+            assert main(["example2", "6", "3", "1.0", "1.0", "--out", path]) == 0
+            args = ["--points", "200"]
+        monkeypatch.setattr(np.random, "default_rng", never)
+        assert main(["check", path, *args]) == 2
+        err = capsys.readouterr().err
+        assert "count" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["example2", "1", "2", "nan", "1.0"],
+            ["example2", "1", "2", "1.0", "inf"],
+            ["twisted", "--factors", "1,nan", "--s", "1", "--sigma", "1"],
+        ],
+    )
+    def test_emitters_reject_non_finite_parameters(self, argv, capsys):
+        assert main(argv) == 2
+        assert "finite" in capsys.readouterr().err

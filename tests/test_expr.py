@@ -295,3 +295,31 @@ class TestNonFinite:
         with pytest.raises(ExprSyntaxError) as err:
             parse_expression(text, 2)
         assert "out of range" in err.value.message
+
+
+class TestDepthLimit:
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "(" * 2000 + "x1" + ")" * 2000,
+            "+".join(["x1"] * 3000),
+            "-" * 3000 + "x1",
+            "sqrt(" * 200 + "x1" + ")" * 200,
+        ],
+        ids=["parens", "sum", "minus", "calls"],
+    )
+    def test_deep_input_is_syntax_error(self, text):
+        with pytest.raises(ExprSyntaxError) as err:
+            parse_expression(text, 2)
+        assert "nested deeper" in err.value.message
+        start, end = err.value.span
+        assert 0 <= start < end <= len(text)
+
+    def test_nesting_of_150_parses(self):
+        parens = parse_expression("(" * 150 + "x1+x2" + ")" * 150, 2)
+        assert to_source(parens) == "x1+x2"
+        calls = parse_expression("sqrt(" * 150 + "2+x1" + ")" * 150, 2)
+        assert parse_expression(to_source(calls), 2) == calls
+        jet = evaluate_jet(calls, np.array([0.5, 0.0]), third=True)
+        assert jet.value == pytest.approx(2.5 ** (0.5**150))
+        assert np.isfinite(jet.third).all()

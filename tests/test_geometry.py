@@ -3,11 +3,9 @@ import pytest
 
 from wfk import expr as ex
 from wfk.geometry import (
-    CovectorFieldSpec,
-    MatrixFieldSpec,
+    FieldSpec,
     MetricError,
     MetricField,
-    VectorFieldSpec,
     _lie_connection_components,
     _PointGeometry,
     christoffel,
@@ -32,7 +30,7 @@ from wfk.weakf import fundamental_form_field
 from conftest import seeded_points
 
 O = np.zeros(4)
-XIBAR = VectorFieldSpec.from_entries([0.0, 0.0, 1.0, 1.0], 4)
+XIBAR = FieldSpec.from_entries([0.0, 0.0, 1.0, 1.0], 4)
 FLAT4 = MetricField.euclidean(4)
 # a metric with off-diagonal entries and no symmetries, positive definite
 # on the sample box (diagonally dominant there)
@@ -46,7 +44,7 @@ BUMPY4 = MetricField.from_entries(
     4,
 )
 # nonlinear and not Killing for either metric
-BENT4 = VectorFieldSpec.from_entries(
+BENT4 = FieldSpec.from_entries(
     ["x1*x2", "exp(0.5*x3)", "x4^3-x1", "sqrt(2+x2)*x3"], 4
 )
 
@@ -197,7 +195,7 @@ class TestLieDerivatives:
         assert lg == pytest.approx(lg.T)
 
     def test_zero_field(self, e2):
-        zero = VectorFieldSpec.from_entries([0.0] * 4, 4)
+        zero = FieldSpec.from_entries([0.0] * 4, 4)
         assert np.all(lie_derivative_metric(e2.metric, zero, O).components == 0.0)
 
     def test_gradient_field_gives_twice_hessian(self, e2):
@@ -215,9 +213,9 @@ class TestLieDerivatives:
             assert np.abs(lg - 2.0 * hess.components).max() < 1e-8
 
     def test_1form_examples(self, e2):
-        eta1 = CovectorFieldSpec.from_entries([0.0, 0.0, 1.0, 0.0], 4)
+        eta1 = FieldSpec.from_entries([0.0, 0.0, 1.0, 0.0], 4)
         assert np.all(lie_derivative_1form(eta1, XIBAR, O).components == 0.0)
-        d1 = VectorFieldSpec.from_entries([1.0, 0.0, 0.0, 0.0], 4)
+        d1 = FieldSpec.from_entries([1.0, 0.0, 0.0, 0.0], 4)
         assert np.all(lie_derivative_1form(eta1, d1, O).components == 0.0)
 
 
@@ -235,7 +233,7 @@ def _gradient_field_entries(metric, v):
             comps.append(ex.mul(inv_warp, partial))
         else:
             comps.append(partial)
-    return VectorFieldSpec(dim, tuple(comps))
+    return FieldSpec(dim, tuple(comps))
 
 
 def _partial(node, k, dim):
@@ -257,7 +255,7 @@ class TestExteriorDerivatives:
             assert np.all(d.components == 0.0)
 
     def test_half_normalization(self):
-        omega = CovectorFieldSpec.from_entries(
+        omega = FieldSpec.from_entries(
             [ex.var(1, 4), 0.0, 0.0, 0.0], 4
         )  # x2 dx1
         d = exterior_derivative_1form(omega, np.ones(4)).components
@@ -265,7 +263,7 @@ class TestExteriorDerivatives:
         assert d[1, 0] == pytest.approx(0.5)
 
     def test_constant_form_closed(self):
-        omega = CovectorFieldSpec.from_entries([1.0, 2.0, 3.0, 4.0], 4)
+        omega = FieldSpec.from_entries([1.0, 2.0, 3.0, 4.0], 4)
         assert np.all(exterior_derivative_1form(omega, O).components == 0.0)
 
     def test_fundamental_form_derivative(self, e2):
@@ -277,7 +275,7 @@ class TestExteriorDerivatives:
         rows = [[ex.const(0.0, 4)] * 4 for _ in range(4)]
         rows[0][1] = ex.var(2, 4)
         rows[1][0] = ex.neg(ex.var(2, 4))
-        phi = MatrixFieldSpec(4, tuple(map(tuple, rows)))
+        phi = FieldSpec(4, tuple(map(tuple, rows)))
         d = exterior_derivative_2form(phi, np.zeros(4)).components
         assert d[0, 1, 2] == pytest.approx(1.0 / 3.0)
 
@@ -306,11 +304,11 @@ class TestLieConnectionCurvature:
         assert np.abs(t - t.transpose(0, 2, 1)).max() < 1e-12
 
     def test_zero_and_linear_fields(self):
-        zero = VectorFieldSpec.from_entries([0.0] * 4, 4)
+        zero = FieldSpec.from_entries([0.0] * 4, 4)
         assert np.all(
             lie_derivative_connection(FLAT4, zero, np.ones(4)).components == 0.0
         )
-        linear = VectorFieldSpec.from_entries(
+        linear = FieldSpec.from_entries(
             [ex.var(0, 4), 0.0, 0.0, 0.0], 4
         )
         t = lie_derivative_connection(FLAT4, linear, np.ones(4)).components
@@ -331,11 +329,11 @@ class TestLieConnectionCurvature:
             assert np.abs(exact - reference).max() <= 1e-7 * scale
 
     def test_curvature_trivial_cases(self):
-        zero = VectorFieldSpec.from_entries([0.0] * 4, 4)
+        zero = FieldSpec.from_entries([0.0] * 4, 4)
         assert np.abs(
             lie_derivative_curvature(FLAT4, zero, np.ones(4)).components
         ).max() < 1e-10
-        const = VectorFieldSpec.from_entries([1.0, 2.0, 0.0, 0.0], 4)
+        const = FieldSpec.from_entries([1.0, 2.0, 0.0, 0.0], 4)
         assert np.abs(
             lie_derivative_curvature(FLAT4, const, np.ones(4)).components
         ).max() < 1e-10
@@ -372,7 +370,7 @@ def test_one_geometry_build_per_point(monkeypatch):
     # every third-order quantity of ids 21-23 and lemma2 comes from the
     # geometry at the sample point itself, not from offset points
     m = build_example2(2, 3, 1.0, 1.0)
-    xibar = VectorFieldSpec.from_entries([0.0] * 4 + [1.0] * 3, m.dim)
+    xibar = FieldSpec.from_entries([0.0] * 4 + [1.0] * 3, m.dim)
     sol = SolitonData(lam=-4.0, mu=4.0, V=xibar)
     builds = []
     init = _PointGeometry.__init__
@@ -386,17 +384,6 @@ def test_one_geometry_build_per_point(monkeypatch):
     audit_identities(m, p)
     lemma2_audit(m, sol, p)
     assert builds == [tuple(p.tolist())]
-
-
-class TestTensorValue:
-    def test_raise_lower_round_trip(self, e2):
-        p = seeded_points(4, count=1, seed=8)[0]
-        ric = ricci(e2.metric, p)
-        g = metric_at(e2.metric, p).components
-        ginv = metric_inverse_at(e2.metric, p).components
-        back = ric.with_raised(0, ginv).with_lowered(0, g)
-        assert np.abs(back.components - ric.components).max() < 1e-12
-        assert back.variance == ("down", "down")
 
 
 class TestDirectionalScalarIdentity:
@@ -434,3 +421,62 @@ class TestDirectionalScalarIdentity:
         r = scalar_curvature(g, p)
         residual = abs(fd - (-2.0 * (r + 12.0)))
         assert np.isfinite(residual)
+
+
+class TestFieldSpec:
+    P = np.array([0.3, -0.2, 0.1, 0.4])
+
+    @pytest.mark.parametrize("third", [False, True])
+    def test_rank1_jets_match_entries(self, third):
+        out = BENT4.jets(self.P, third)
+        assert len(out) == (4 if third else 3)
+        for k, entry in enumerate(BENT4.entries):
+            jet = ex.evaluate_jet(entry, self.P, third)
+            parts = (jet.value, jet.gradient, jet.hessian, jet.third)
+            for arr, part in zip(out, parts):
+                assert np.array_equal(arr[k], part)  # derivative axes last
+
+    def test_rank2_jets_match_entries(self):
+        field = FieldSpec.from_entries(
+            [["x1*x2", 0, "exp(x3)", 1], ["x4^2", "x1", 2, "x2*x3*x4"]] * 2, 4
+        )
+        v, d, d2, d3 = field.jets(self.P, third=True)
+        assert v.shape == (4, 4) and d3.shape == (4,) * 5
+        for i in range(4):
+            for j in range(4):
+                jet = ex.evaluate_jet(field.entries[i][j], self.P, third=True)
+                assert v[i, j] == jet.value
+                assert np.array_equal(d[i, j], jet.gradient)
+                assert np.array_equal(d2[i, j], jet.hessian)
+                assert np.array_equal(d3[i, j], jet.third)
+
+    @pytest.mark.parametrize(
+        "entries", [[0.0] * 3, [[0.0] * 4] * 3, [[0.0] * 3] * 4, [0.0, [0.0] * 4, 0.0, 0.0]]
+    )
+    def test_extents_must_equal_dim(self, entries):
+        with pytest.raises(ValueError):
+            FieldSpec.from_entries(entries, 4)
+
+
+def test_dense_metric_jets_each_entry_once(monkeypatch):
+    # a dense symmetric dim-5 metric: 15 distinct entries, each jetted once
+    # at order two (build) and once at order three (d3g)
+    rows = [
+        [f"{2 + i}+0.1*x{i + 1}*x{j + 1}" if i == j else f"0.01*x{i + 1}*x{j + 1}"
+         for j in range(i + 1)]
+        for i in range(5)
+    ]
+    metric = MetricField.from_entries(rows, 5)
+    calls = []
+    jet = ex.evaluate_jet
+
+    def counting_jet(ast, point, third=False):
+        calls.append(third)
+        return jet(ast, point, third)
+
+    monkeypatch.setattr(ex, "evaluate_jet", counting_jet)
+    geo = _PointGeometry(metric, np.full(5, 0.1))
+    assert calls == [False] * 15
+    d3g = geo.d3g
+    assert calls == [False] * 15 + [True] * 15
+    assert np.array_equal(d3g, d3g.transpose(1, 0, 2, 3, 4))

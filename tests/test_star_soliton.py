@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from wfk import expr as ex
-from wfk.geometry import VectorFieldSpec
+from wfk.geometry import FieldSpec
 from wfk.star_soliton import (
     SolitonData,
     bianchi_trace_gap,
@@ -32,7 +32,7 @@ GOLDEN = json.loads(
 
 def _xibar_field(dim, s):
     comps = [0.0] * (dim - s) + [1.0] * s
-    return VectorFieldSpec.from_entries(comps, dim)
+    return FieldSpec.from_entries(comps, dim)
 
 
 class TestGoldenValues:
@@ -119,7 +119,7 @@ class TestVectorSolitons:
         assert soliton_residual(m, sol, np.zeros(3)).residual < 1e-6
 
     def test_zero_potential(self, e2):
-        zero = VectorFieldSpec.from_entries([0.0] * 4, 4)
+        zero = FieldSpec.from_entries([0.0] * 4, 4)
         sol = SolitonData(lam=-4.0, mu=4.0, V=zero)
         assert soliton_residual(e2, sol, O).residual < 1e-8
 
@@ -131,7 +131,7 @@ class TestVectorSolitons:
         assert res < 1e-6
 
     def test_fit_zero_potential_recovers_star_coefficients(self, e2):
-        zero = VectorFieldSpec.from_entries([0.0] * 4, 4)
+        zero = FieldSpec.from_entries([0.0] * 4, 4)
         pts = seeded_points(4, count=3, seed=52)
         lam, mu, res = fit_soliton_constants(e2, zero, pts)
         abar = star_scalar(e2, O) / 2.0
@@ -187,12 +187,12 @@ class TestConstantsAndContact:
         assert is_contact and is_strict and abs(sigma) < 1e-12
 
     def test_transverse_coordinate_field(self, e2):
-        d1 = VectorFieldSpec.from_entries([1.0, 0.0, 0.0, 0.0], 4)
+        d1 = FieldSpec.from_entries([1.0, 0.0, 0.0, 0.0], 4)
         is_contact, sigma, _ = contact_field_check(e2, d1, O)
         assert is_contact and sigma == pytest.approx(0.0)
 
     def test_non_contact_field(self, e2):
-        V = VectorFieldSpec.from_entries(["0", "0", "x1", "0"], 4)
+        V = FieldSpec.from_entries(["0", "0", "x1", "0"], 4)
         is_contact, _, _ = contact_field_check(e2, V, O)
         assert not is_contact
 

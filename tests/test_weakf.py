@@ -3,10 +3,10 @@ import pytest
 
 from wfk import expr as ex
 from wfk.geometry import (
-    CovectorFieldSpec,
-    MatrixFieldSpec,
+    FieldSpec,
     MetricField,
-    VectorFieldSpec,
+    exterior_derivative_1form,
+    exterior_derivative_2form,
 )
 from wfk.kenmotsu import FiberSpec, build_example2, build_twisted_product
 from wfk.weakf import (
@@ -14,9 +14,12 @@ from wfk.weakf import (
     check_axioms,
     f_basis,
     fundamental_form,
+    fundamental_form_field,
     nijenhuis,
     normality_tensor,
+    tensor_residual,
     theorem1_check,
+    wedge_1form_2form,
 )
 
 from conftest import example_manifold, seeded_points
@@ -31,7 +34,7 @@ def _perturbed_f_manifold():
     rows[0][1] = ex.add(rows[0][1], ex.mul(ex.const(0.1, 4), ex.var(2, 4)))
     return WeakFManifold(
         n=base.n, s=base.s, beta=base.beta, c=base.c, metric=base.metric,
-        f=MatrixFieldSpec(4, tuple(tuple(r) for r in rows)), Q=base.Q,
+        f=FieldSpec(4, tuple(tuple(r) for r in rows)), Q=base.Q,
         xi=base.xi, eta=base.eta,
     )
 
@@ -44,7 +47,7 @@ class TestAxioms:
     def test_wrong_q_breaks_square_axiom(self, e2):
         broken = WeakFManifold(
             n=1, s=2, beta=1.0, c=1.0, metric=e2.metric, f=e2.f,
-            Q=MatrixFieldSpec.from_entries(np.eye(4).tolist(), 4),
+            Q=FieldSpec.from_entries(np.eye(4).tolist(), 4),
             xi=e2.xi, eta=e2.eta,
         )
         by_id = {r.check_id: r for r in check_axioms(broken, O)}
@@ -72,7 +75,7 @@ class TestNijenhuis:
             assert np.abs(nijenhuis(e2, e2.f, p).components).max() < 1e-8
 
     def test_identity_tensor(self, e2):
-        ident = MatrixFieldSpec.from_entries(np.eye(4).tolist(), 4)
+        ident = FieldSpec.from_entries(np.eye(4).tolist(), 4)
         assert np.abs(nijenhuis(e2, ident, O).components).max() < 1e-12
 
     def test_flat_rotation(self):
@@ -181,3 +184,47 @@ class TestTheorem1:
         by_id = {r.check_id: r for r in theorem1_check(m, p)}
         assert by_id["deta"].residual < 1e-12
         assert by_id["dphi"].residual > 1e-4
+
+
+def _twisted_d8():
+    fib = FiberSpec.flat_factors([1.0, 2.0, 3.0], 8)
+    return build_twisted_product(
+        fib, 2, ex.parse_expression("exp(x7+x8)*(2+x1^2+x2*x3)", 8)
+    )
+
+
+class TestTheorem1SymbolicRoute:
+    """theorem1_check differentiates Phi = g f at the point from the jets of g
+    and f; the symbolic route jets f again and builds Phi as expressions."""
+
+    @pytest.mark.parametrize(
+        "build, dphi_fails",
+        [
+            (lambda: example_manifold(2, 3, 1.0, 1.0), False),
+            (_perturbed_f_manifold, True),  # f varies, so g df counts
+            (_twisted_d8, True),
+        ],
+        ids=["example2", "perturbed-f", "twisted"],
+    )
+    def test_residuals_match(self, build, dphi_fails):
+        m = build()
+        dphi_failed = False
+        for p in seeded_points(m.dim, count=4, seed=23):
+            by_id = {r.check_id: r for r in theorem1_check(m, p)}
+            st = m.at(p)
+            deta = np.stack(
+                [exterior_derivative_1form(w, p).components for w in m.eta]
+            )
+            n1 = nijenhuis(m, m.f, p).components + 2.0 * np.einsum(
+                "iab,ik->kab", deta, st.xi
+            )
+            dphi = exterior_derivative_2form(fundamental_form_field(m), p).components
+            rhs = 2.0 * m.beta_value(p) * wedge_1form_2form(
+                st.etabar, fundamental_form(m, p).components
+            )
+            for cid, t, slots in (("n1", n1, (1, 2)), ("dphi", dphi - rhs, (0, 1, 2))):
+                want = tensor_residual(t, slots)
+                scale = max(1.0, np.abs(t).max(), np.abs(dphi).max())
+                assert abs(by_id[cid].residual - want) <= 1e-12 * scale, cid
+            dphi_failed |= not by_id["dphi"].passed
+        assert dphi_failed == dphi_fails
