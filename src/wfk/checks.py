@@ -135,18 +135,22 @@ class CheckContext:
 
     manifold: WeakFManifold
     soliton: SolitonData | None = None
-    _cache: dict = field(default_factory=dict)
+    _cache: dict = field(default_factory=dict)  # point -> group -> reports
 
     def _satisfied(self, requires: str) -> bool:
         return _REQUIRES[requires](self.manifold, self.soliton)
 
     def group_reports(self, group: str, p) -> list[ResidualReport]:
-        key = (group, tuple(np.asarray(p, dtype=float).tolist()))
-        hit = self._cache.get(key)
+        groups = self._cache.setdefault(tuple(np.asarray(p, dtype=float).tolist()), {})
+        hit = groups.get(group)
         if hit is None:
-            hit = self._run_group(group, p)
-            self._cache[key] = hit
+            hit = groups[group] = self._run_group(group, p)
         return hit
+
+    def release(self, p) -> None:
+        """Drop every cached report, structure and geometry at p."""
+        self._cache.pop(tuple(np.asarray(p, dtype=float).tolist()), None)
+        self.manifold.release(p)
 
     def _run_group(self, group: str, p) -> list[ResidualReport]:
         return _RUNNERS[group](self.manifold, self.soliton, p)
@@ -164,7 +168,8 @@ def run_check_ids(
 ) -> list[ResidualReport]:
     """Run the named checks at each point, applying tolerance overrides.
 
-    A repeated id runs once, at its first position.
+    A repeated id runs once, at its first position.  The fields are jetted
+    for all points at once; each point's caches are released when it is done.
     """
     overrides = overrides or {}
     ids = list(dict.fromkeys(ids))
@@ -178,14 +183,15 @@ def run_check_ids(
             "(constant beta, twisted-product sigma, or a soliton block)"
         )
     keyed: list[tuple[str, int, ResidualReport]] = []
-    for idx, p in enumerate(points):
+    for idx, st in enumerate(ctx.manifold.structures(points)):
         for cid in ids:
-            for r in ctx.group_reports(CATALOGUE[cid].group, p):
+            for r in ctx.group_reports(CATALOGUE[cid].group, st.point):
                 if r.check_id != cid:
                     continue
                 if cid in overrides:
                     tol = overrides[cid]
                     r = replace(r, tolerance=tol, passed=r.residual <= tol)
                 keyed.append((cid, idx, r))
+        ctx.release(st.point)
     keyed.sort(key=lambda t: (t[0], t[1]))
     return [r for _, _, r in keyed]

@@ -32,15 +32,15 @@ _DEFAULT_SAMPLE = {"count": 5, "seed": 42, "box": [-0.5, 0.5]}
 # Size caps, checked before anything of that size is allocated.  The largest
 # arrays are the dim^5 float64 arrays of a point's geometry (d3g, d2gamma,
 # driem and the einsum temporaries that build them).  Measured on the full
-# catalogue at dim 15, one point peaks at about 5.3 of them and the geometry
-# cache keeps about 3.2 per point.  At dim 21 one is 31 MiB, so a point
-# needs about 170 MiB.
+# catalogue at dim 15, one point peaks at about 5.3 of them.  At dim 21 one
+# is 31 MiB, so a point needs about 170 MiB.
 _MAX_DIM = 21
 # Every point adds a record per check id (41 ids, up to ~600 bytes of JSON
 # each at dim 21), so a report stays within about 50 MiB.
 _MAX_POINTS = 2000
-# count * dim^5 bound: the cached geometry (about 26 dim^5 bytes per point)
-# stays within 2 GiB, e.g. at most 108 points at dim 15.
+# count * dim^5 bound, e.g. at most 108 points at dim 15: it keeps 26 dim^5
+# bytes a point within 2 GiB, enough to hold every point's geometry at once,
+# though run_check_ids holds only one point's at a time.
 _MAX_POINTS_DIM5 = 2**31 // 26
 
 
@@ -60,6 +60,17 @@ def _finite_number(raw, where: str) -> float:
         val = math.nan
     if isinstance(raw, bool) or not math.isfinite(val):
         raise ManifestError(f"{where}: expected a finite number, got {raw!r}")
+    return val
+
+
+def _integer(raw, where: str) -> int:
+    """``raw`` as an int; booleans and numbers with a fractional part are errors."""
+    try:
+        val = int(raw)
+    except (TypeError, ValueError, OverflowError):
+        val = None
+    if isinstance(raw, bool) or val is None or (isinstance(raw, float) and val != raw):
+        raise ManifestError(f"{where}: expected an integer, got {raw!r}")
     return val
 
 
@@ -144,10 +155,7 @@ def load_manifest(path: str) -> dict:
 
 def manifold_from_manifest(data: dict):
     """Build (manifold, soliton, check ids, tolerance overrides, sample policy)."""
-    try:
-        n, s = int(data["n"]), int(data["s"])
-    except (KeyError, TypeError, ValueError, OverflowError) as err:
-        raise ManifestError(f"manifest needs integer n and s: {err}") from err
+    n, s = _integer(data.get("n"), "n"), _integer(data.get("s"), "s")
     dim = _chart_dim(n, s)
     if data.get("dim") not in (None, dim):
         raise ManifestError(f"dim {data.get('dim')} does not equal 2n+s = {dim}")
@@ -291,10 +299,10 @@ def manifest_from_manifold(
 
 def sample_points(dim: int, sample: dict) -> list[np.ndarray]:
     try:
-        count = int(sample["count"])
-        seed = int(sample["seed"])
+        count = _integer(sample["count"], "sample.count")
+        seed = _integer(sample["seed"], "sample.seed")
         lo, hi = (_finite_number(x, "sample.box") for x in sample["box"])
-    except (KeyError, TypeError, ValueError, OverflowError) as err:
+    except (KeyError, TypeError, ValueError) as err:
         raise ManifestError(f"sample policy: {err}") from err
     most = min(_MAX_POINTS, _MAX_POINTS_DIM5 // dim**5)
     if not 1 <= count <= most:
@@ -311,6 +319,63 @@ def sample_points(dim: int, sample: dict) -> list[np.ndarray]:
 
 def _fmt(x: float) -> float:
     return float(f"{x:.15g}")
+
+
+def _memo(fn):
+    """``fn`` of a float, memoised; the two zeros share a dict key, so are not kept."""
+    memo: dict = {}
+
+    def call(x: float):
+        out = memo.get(x)
+        if out is None:
+            out = fn(x)
+            if x:
+                memo[x] = out
+        return out
+
+    return call
+
+
+def _json_float(x: float) -> str:
+    """``x`` as :mod:`json` writes a float."""
+    if x != x:
+        return "NaN"
+    if x in (math.inf, -math.inf):
+        return "Infinity" if x > 0 else "-Infinity"
+    return repr(x)
+
+
+def _report_json(report: dict) -> str:
+    """``json.dumps(report, indent=2)`` for a report of :func:`run_check`'s layout.
+
+    ``indent`` selects json's pure-Python encoder, which costs more than the
+    checks themselves on large runs, so each record is written from its
+    fixed layout; the other values are small and go through json.
+    """
+    ids = {cid: json.dumps(cid) for cid in {r["id"] for r in report["checks"]}}
+    num = _memo(_json_float)  # every record repeats its point's coordinates
+    records = []
+    for r in report["checks"]:
+        point = ",\n".join(f"        {num(x)}" for x in r["point"])
+        point = f"[\n{point}\n      ]" if point else "[]"
+        records.append(
+            "    {\n"
+            f'      "id": {ids[r["id"]]},\n'
+            f'      "point": {point},\n'
+            f'      "residual": {num(r["residual"])},\n'
+            f'      "tolerance": {num(r["tolerance"])},\n'
+            f'      "pass": {"true" if r["pass"] else "false"},\n'
+            f'      "audit": {"true" if r["audit"] else "false"}\n'
+            "    }"
+        )
+    fields = []
+    for key, val in report.items():
+        if key == "checks":
+            text = "[\n" + ",\n".join(records) + "\n  ]" if records else "[]"
+        else:
+            text = json.dumps(val, indent=2).replace("\n", "\n  ")
+        fields.append(f"  {json.dumps(key)}: {text}")
+    return "{\n" + ",\n".join(fields) + "\n}"
 
 
 def run_check(args) -> int:
@@ -350,14 +415,15 @@ def run_check(args) -> int:
 
     records = []
     n_pass = n_fail = n_flag = 0
+    fmt = _memo(_fmt)
     for r in reports:
         audit = CATALOGUE[r.check_id].audit
         records.append(
             {
                 "id": r.check_id,
-                "point": [_fmt(x) for x in r.point],
-                "residual": _fmt(r.residual),
-                "tolerance": _fmt(r.tolerance),
+                "point": [fmt(x) for x in r.point],
+                "residual": fmt(r.residual),
+                "tolerance": fmt(r.tolerance),
                 "pass": bool(r.passed),
                 "audit": audit,
             }
@@ -378,7 +444,7 @@ def run_check(args) -> int:
         report["generated_at"] = datetime.datetime.now(
             datetime.timezone.utc
         ).isoformat()
-    text = json.dumps(report, indent=2) + "\n"
+    text = _report_json(report) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)

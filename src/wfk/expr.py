@@ -7,6 +7,10 @@ derivative on request (Taylor-mode propagation, Griewank & Walther,
 derivatives up to third order gets them analytically instead of by
 finite differences.
 
+Evaluation runs a :class:`Tape`: the expressions of a field compiled once
+into one hash-consed instruction list with constants folded, executed
+over a batch of points at a time.
+
 Grammar (loosest to tightest binding)::
 
     expr   :=  term  (('+' | '-') term)*
@@ -22,17 +26,20 @@ this package verifies only need exponentials and polynomials.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 __all__ = [
     "ExprAst",
     "ScalarJet",
+    "Tape",
     "ExprError",
     "ExprSyntaxError",
     "ExprDomainError",
     "parse_expression",
+    "compile_tape",
     "evaluate_jet",
     "evaluate_value",
     "to_source",
@@ -72,7 +79,7 @@ _FUNCTIONS = ("exp", "sqrt", "log")
 
 # Deepest nesting a parsed expression may have, in parentheses, function
 # calls and tree levels alike.  The parser spends four Python frames per
-# nesting level and the evaluator and printer one per tree level, so 160
+# nesting level and the tape compiler and printer one per tree level, so 160
 # stays well inside the default recursion limit of 1000.
 _MAX_DEPTH = 160
 
@@ -97,6 +104,11 @@ class ExprAst:
 
     def __str__(self) -> str:
         return to_source(self)
+
+    @cached_property
+    def tape(self) -> "Tape":
+        """This expression compiled alone, once."""
+        return compile_tape((self,), self.dim)
 
 
 @dataclass(frozen=True)
@@ -328,134 +340,259 @@ def _check_depth(root: Node) -> None:
 
 
 # ---------------------------------------------------------------------------
-# jet evaluation
+# jet evaluation: a compiled tape over a trailing batch axis of points
+#
+# Inside the tape a jet is (value, gradient, Hessian, third) with shapes
+# (P,), (dim, P), (dim, dim, P) and (dim, dim, dim, P), so every rule reads
+# like its single-point form and applies the same IEEE operations in the
+# same order at every point, whatever the batch size.
+
+
+@dataclass(frozen=True)
+class Tape:
+    """Hash-consed jet program of one or more expressions over one chart.
+
+    ``code`` lists the array instructions ``(node, operands)`` in evaluation
+    order; an operand is the index of an earlier instruction, or a float for
+    a folded constant, whose derivatives are zero.  ``outputs`` holds one
+    operand per compiled expression.  Structurally equal subtrees are one
+    instruction, and constant subtrees cost no array work.
+    """
+
+    dim: int
+    code: tuple
+    outputs: tuple
+
+
+def _elementwise(fn, v: np.ndarray, node: Node, what: str) -> np.ndarray:
+    """``fn`` per element in Python floats (numpy's exp and pow round differently)."""
+    try:
+        return np.array([fn(x) for x in v.tolist()])
+    except OverflowError:
+        raise ExprDomainError(f"{what} overflows", node.span) from None
+
+
+def _ipow(v: np.ndarray, k: int, node: Node, what: str) -> np.ndarray:
+    return _elementwise(lambda x: x**k, v, node, what)
+
+
+def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """[i, j] = a_i b_j at every point."""
+    return a[:, None] * b
 
 
 def _sym3(g: np.ndarray, h: np.ndarray) -> np.ndarray:
     """(g (x) H)_sym3[a, b, c] = g_a H_bc + g_b H_ac + g_c H_ab."""
-    o = np.multiply.outer(g, h)
-    return o + o.transpose(1, 0, 2) + o.transpose(1, 2, 0)
+    o = g[:, None, None] * h
+    return o + o.transpose(1, 0, 2, 3) + o.transpose(1, 2, 0, 3)
 
 
-def _chain3(d1: float, d2: float, d3: float, g, h, t) -> np.ndarray:
+def _chain3(d1, d2, d3, g, h, t) -> np.ndarray:
     """d^3 phi(u) from phi' (d1), phi'' (d2), phi''' (d3) and the jet of u."""
-    return d1 * t + d2 * _sym3(g, h) + d3 * np.multiply.outer(np.outer(g, g), g)
+    return d1 * t + d2 * _sym3(g, h) + d3 * (_outer(g, g)[:, :, None] * g)
 
 
-def _jet(node: Node, point: np.ndarray, dim: int, third: bool):
-    """(value, gradient, Hessian, third derivative) of ``node``.
+def _neg(node, a):
+    v, g, h, t = a
+    return -v, -g, -h, None if t is None else -t
 
-    The third derivative ``T[a, b, c]`` is propagated only when ``third`` is
-    set and is ``None`` otherwise; the first three slots are computed by the
-    same arithmetic either way.
-    """
-    k = node.kind
-    if k == "const":
-        t = np.zeros((dim, dim, dim)) if third else None
-        return node.value, np.zeros(dim), np.zeros((dim, dim)), t
-    if k == "var":
-        g = np.zeros(dim)
-        g[node.index] = 1.0
-        t = np.zeros((dim, dim, dim)) if third else None
-        return float(point[node.index]), g, np.zeros((dim, dim)), t
-    if k == "neg":
-        v, g, h, t = _jet(node.children[0], point, dim, third)
-        return -v, -g, -h, -t if third else None
-    if k in ("add", "sub"):
-        v1, g1, h1, t1 = _jet(node.children[0], point, dim, third)
-        v2, g2, h2, t2 = _jet(node.children[1], point, dim, third)
-        if k == "add":
-            return v1 + v2, g1 + g2, h1 + h2, t1 + t2 if third else None
-        return v1 - v2, g1 - g2, h1 - h2, t1 - t2 if third else None
-    if k == "mul":
-        v1, g1, h1, t1 = _jet(node.children[0], point, dim, third)
-        v2, g2, h2, t2 = _jet(node.children[1], point, dim, third)
-        cross = np.outer(g1, g2)
-        t = None
-        if third:
-            t = v1 * t2 + v2 * t1 + _sym3(g1, h2) + _sym3(g2, h1)
-        return v1 * v2, v1 * g2 + v2 * g1, v1 * h2 + v2 * h1 + cross + cross.T, t
-    if k == "div":
-        v1, g1, h1, t1 = _jet(node.children[0], point, dim, third)
-        v2, g2, h2, t2 = _jet(node.children[1], point, dim, third)
-        if v2 == 0.0:
-            raise ExprDomainError("division by zero", node.span)
-        # compose with the reciprocal of the denominator
-        rv = 1.0 / v2
-        rg = -g2 * rv * rv
-        rh = -h2 * rv * rv + 2.0 * rv**3 * np.outer(g2, g2)
-        cross = np.outer(g1, rg)
-        t = None
-        if third:
-            rt = _chain3(-rv * rv, 2.0 * rv**3, -6.0 * rv**4, g2, h2, t2)
-            t = v1 * rt + rv * t1 + _sym3(g1, rh) + _sym3(rg, h1)
-        return v1 * rv, v1 * rg + rv * g1, v1 * rh + rv * h1 + cross + cross.T, t
-    if k == "pow":
-        v, g, h, t = _jet(node.children[0], point, dim, third)
-        p = node.index
-        if p == 0:
-            t = np.zeros((dim, dim, dim)) if third else None
-            return 1.0, np.zeros(dim), np.zeros((dim, dim)), t
-        if p == 1:
-            return v, g, h, t
+
+def _add(node, a, b):
+    return a[0] + b[0], a[1] + b[1], a[2] + b[2], None if a[3] is None else a[3] + b[3]
+
+
+def _sub(node, a, b):
+    return a[0] - b[0], a[1] - b[1], a[2] - b[2], None if a[3] is None else a[3] - b[3]
+
+
+def _mul(node, a, b):
+    (v1, g1, h1, t1), (v2, g2, h2, t2) = a, b
+    cross = _outer(g1, g2)
+    t = None
+    if t1 is not None:
+        t = v1 * t2 + v2 * t1 + _sym3(g1, h2) + _sym3(g2, h1)
+    hess = v1 * h2 + v2 * h1 + cross + cross.swapaxes(0, 1)
+    return v1 * v2, v1 * g2 + v2 * g1, hess, t
+
+
+def _div(node, a, b):
+    (v1, g1, h1, t1), (v2, g2, h2, t2) = a, b
+    if (v2 == 0.0).any():
+        raise ExprDomainError("division by zero", node.span)
+    # compose with the reciprocal of the denominator
+    rv = 1.0 / v2
+    rv3 = _ipow(rv, 3, node, "division")
+    rg = -g2 * rv * rv
+    rh = -h2 * rv * rv + 2.0 * rv3 * _outer(g2, g2)
+    cross = _outer(g1, rg)
+    t = None
+    if t1 is not None:
+        rv4 = _ipow(rv, 4, node, "division")
+        rt = _chain3(-rv * rv, 2.0 * rv3, -6.0 * rv4, g2, h2, t2)
+        t = v1 * rt + rv * t1 + _sym3(g1, rh) + _sym3(rg, h1)
+    hess = v1 * rh + rv * h1 + cross + cross.swapaxes(0, 1)
+    return v1 * rv, v1 * rg + rv * g1, hess, t
+
+
+def _pow(node, a):
+    # exponents 0 and 1 never reach the tape (see _fold)
+    v, g, h, t = a
+    p = node.index
+    vp, vp1, vp2 = (_ipow(v, k, node, "power") for k in (p, p - 1, p - 2))
+    if t is not None:
+        # phi''' = 0 for p = 2, where v**(p-3) would divide by zero at v = 0
+        d3 = 0.0
+        if p >= 3:
+            d3 = p * (p - 1) * (p - 2) * _ipow(v, p - 3, node, "power")
+        t = _chain3(p * vp1, p * (p - 1) * vp2, d3, g, h, t)
+    return vp, p * vp1 * g, p * vp1 * h + p * (p - 1) * vp2 * _outer(g, g), t
+
+
+def _exp(node, a):
+    v, g, h, t = a
+    e = _elementwise(math.exp, v, node, "exp")
+    eg, eh = e * g, e * (h + _outer(g, g))
+    if t is not None:
+        t = _chain3(e, e, e, g, h, t)
+    if not (
+        np.isfinite(eg).all()
+        and np.isfinite(eh).all()
+        and (t is None or np.isfinite(t).all())
+    ):
+        raise ExprDomainError("exp derivative overflows", node.span)
+    return e, eg, eh, t
+
+
+def _log(node, a):
+    v, g, h, t = a
+    if (v <= 0.0).any():
+        raise ExprDomainError("log of non-positive value", node.span)
+    if t is not None:
+        v3 = _ipow(v, 3, node, "log")
+        t = _chain3(1.0 / v, -1.0 / (v * v), 2.0 / v3, g, h, t)
+    value = _elementwise(math.log, v, node, "log")
+    return value, g / v, h / v - _outer(g, g) / (v * v), t
+
+
+def _sqrt(node, a):
+    v, g, h, t = a
+    if (v <= 0.0).any():
+        raise ExprDomainError("sqrt of non-positive value", node.span)
+    s = np.sqrt(v)
+    if t is not None:
+        t = _chain3(
+            1.0 / (2.0 * s), -1.0 / (4.0 * s * v), 3.0 / (8.0 * s * v * v), g, h, t
+        )
+    return s, g / (2.0 * s), h / (2.0 * s) - _outer(g, g) / (4.0 * s * v), t
+
+
+_RULES = {
+    "neg": _neg, "add": _add, "sub": _sub, "mul": _mul, "div": _div,
+    "pow": _pow, "exp": _exp, "log": _log, "sqrt": _sqrt,
+}
+
+
+def _constant_jet(c: float, dim: int, count: int, third: bool):
+    t = np.zeros((dim,) * 3 + (count,)) if third else None
+    return np.full(count, c), np.zeros((dim, count)), np.zeros((dim, dim, count)), t
+
+
+def _fold(node: Node, operands: tuple, dim: int):
+    """The operand of ``node`` when it needs no instruction, else ``None``."""
+    if node.kind == "const":
+        return float(node.value)
+    if node.kind == "pow" and node.index <= 1:
+        # x^0 = 1 and x^1 = x; the base's own instructions still run
+        return 1.0 if node.index == 0 else operands[0]
+    if operands and all(isinstance(op, float) for op in operands):
+        jets = [_constant_jet(op, dim, 1, False) for op in operands]
         try:
-            vp, vp1, vp2 = v**p, v ** (p - 1), v ** (p - 2)
-        except OverflowError:
-            raise ExprDomainError("power overflows", node.span) from None
-        if third:
-            # phi''' = 0 for p = 2, where v**(p-3) would divide by zero at v = 0
-            d3 = p * (p - 1) * (p - 2) * v ** (p - 3) if p >= 3 else 0.0
-            t = _chain3(p * vp1, p * (p - 1) * vp2, d3, g, h, t)
-        return vp, p * vp1 * g, p * vp1 * h + p * (p - 1) * vp2 * np.outer(g, g), t
-    if k == "exp":
-        v, g, h, t = _jet(node.children[0], point, dim, third)
-        try:
-            e = math.exp(v)
-        except OverflowError:
-            raise ExprDomainError("exp overflows", node.span) from None
-        eg, eh = e * g, e * (h + np.outer(g, g))
-        if third:
-            t = _chain3(e, e, e, g, h, t)
-        if not (
-            np.isfinite(eg).all()
-            and np.isfinite(eh).all()
-            and (t is None or np.isfinite(t).all())
-        ):
-            raise ExprDomainError("exp derivative overflows", node.span)
-        return e, eg, eh, t
-    if k == "log":
-        v, g, h, t = _jet(node.children[0], point, dim, third)
-        if v <= 0.0:
-            raise ExprDomainError("log of non-positive value", node.span)
-        if third:
-            t = _chain3(1.0 / v, -1.0 / (v * v), 2.0 / v**3, g, h, t)
-        return math.log(v), g / v, h / v - np.outer(g, g) / (v * v), t
-    if k == "sqrt":
-        v, g, h, t = _jet(node.children[0], point, dim, third)
-        if v <= 0.0:
-            raise ExprDomainError("sqrt of non-positive value", node.span)
-        s = math.sqrt(v)
-        if third:
-            t = _chain3(
-                1.0 / (2.0 * s), -1.0 / (4.0 * s * v), 3.0 / (8.0 * s * v * v), g, h, t
+            return float(_RULES[node.kind](node, *jets)[0][0])
+        except ExprDomainError:
+            return None  # kept as an instruction, so it raises in evaluation order
+    return None
+
+
+def compile_tape(asts, dim: int) -> Tape:
+    """One tape for the expressions ``asts`` over a chart of dimension ``dim``."""
+    code: list = []
+    slots: dict = {}  # (kind, index, operand keys) -> instruction index
+    done: dict = {}   # id(node) -> operand
+
+    def emit(node: Node):
+        hit = done.get(id(node))
+        if hit is not None:
+            return hit
+        operands = tuple(emit(child) for child in node.children)
+        out = _fold(node, operands, dim)
+        if out is None:
+            key = (node.kind, node.index) + tuple(
+                op if isinstance(op, int) else op.hex() for op in operands
             )
-        return s, g / (2.0 * s), h / (2.0 * s) - np.outer(g, g) / (4.0 * s * v), t
-    raise ValueError(f"unknown node kind {k!r}")
+            out = slots.get(key)
+            if out is None:
+                out = slots[key] = len(code)
+                code.append((node, operands))
+        done[id(node)] = out
+        return out
+
+    if any(ast.dim != dim for ast in asts):
+        raise ValueError(f"every expression of the tape must be over dimension {dim}")
+    outputs = tuple(emit(ast.root) for ast in asts)
+    return Tape(dim, tuple(code), outputs)
 
 
-def evaluate_jet(ast: ExprAst, point, third: bool = False) -> ScalarJet:
-    """Evaluate the expression and its exact derivatives.
+def _run(tape: Tape, points: np.ndarray, third: bool):
+    """Arrays (value, d, d2[, d3]) of shapes (P, K) + (dim,) * order."""
+    dim, count = tape.dim, len(points)
+    coords = points.T
+    jets: list = []
+    for node, operands in tape.code:
+        if node.kind == "var":
+            g = np.zeros((dim, count))
+            g[node.index] = 1.0
+            t = np.zeros((dim,) * 3 + (count,)) if third else None
+            jets.append((coords[node.index], g, np.zeros((dim, dim, count)), t))
+            continue
+        args = (
+            jets[op] if isinstance(op, int) else _constant_jet(op, dim, count, third)
+            for op in operands
+        )
+        jets.append(_RULES[node.kind](node, *args))
+    shape = (count, len(tape.outputs))
+    out = [np.zeros(shape + (dim,) * k) for k in range(4 if third else 3)]
+    for k, op in enumerate(tape.outputs):
+        if isinstance(op, int):
+            for arr, part in zip(out, jets[op]):
+                arr[:, k] = np.moveaxis(part, -1, 0)
+        else:
+            out[0][:, k] = op
+    return tuple(out)
 
-    Value, gradient and Hessian always; the third derivative only when
-    ``third`` is set (``ScalarJet.third`` is ``None`` otherwise).
+
+def evaluate_jet(ast: ExprAst | Tape, point, third: bool = False):
+    """Evaluate expressions and their exact derivatives.
+
+    For an :class:`ExprAst` and a point of shape ``(dim,)``, a
+    :class:`ScalarJet`: value, gradient and Hessian always, the third
+    derivative only when ``third`` is set (``None`` otherwise).  For a
+    :class:`Tape` of K expressions and points of shape ``(P, dim)``, the
+    arrays ``(value, d, d2)``, plus ``d3`` with ``third``, of shapes
+    ``(P, K)``, ``(P, K, dim)`` and so on, derivative axes last.
     """
     p = np.asarray(point, dtype=float)
+    if isinstance(ast, Tape):
+        if p.ndim != 2 or p.shape[1] != ast.dim:
+            raise ValueError(
+                f"points have shape {p.shape}, tape expects (P, {ast.dim})"
+            )
+        return _run(ast, p, third)
     if p.shape != (ast.dim,):
         raise ValueError(
             f"point has dimension {p.shape}, expression expects ({ast.dim},)"
         )
-    v, g, h, t = _jet(ast.root, p, ast.dim, third)
-    return ScalarJet(float(v), g, h, t)
+    out = [arr[0, 0] for arr in _run(ast.tape, p[None], third)]
+    return ScalarJet(float(out[0]), out[1], out[2], out[3] if third else None)
 
 
 def evaluate_value(ast: ExprAst, point) -> float:

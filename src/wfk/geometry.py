@@ -103,31 +103,25 @@ class FieldSpec:
             raise ValueError(f"every extent of the field must equal {dim}")
         return cls(dim, out)
 
-    def jets(self, p: np.ndarray, third: bool = False):
-        """(value, d, d2) and with ``third`` also d3, derivative axes last.
-
-        d[..., a] = d_a entry and so on.  An entry object that occurs more
-        than once (a symmetric metric's mirrored entries) is evaluated once.
-        """
-        n = self.dim
+    @cached_property
+    def tape(self) -> ex.Tape:
+        """The entries compiled into one tape, row by row, once."""
         flat = self.entries
-        lead = (n,)
         if isinstance(flat[0], tuple):
             flat = [e for row in flat for e in row]
-            lead = (n, n)
-        out = [np.empty((len(flat),) + (n,) * k) for k in range(4 if third else 3)]
-        first: dict[int, int] = {}
-        for slot, entry in enumerate(flat):
-            seen = first.setdefault(id(entry), slot)
-            if seen != slot:
-                for arr in out:
-                    arr[slot] = arr[seen]
-                continue
-            jet = ex.evaluate_jet(entry, p, third)
-            parts = (jet.value, jet.gradient, jet.hessian, jet.third)
-            for arr, part in zip(out, parts):
-                arr[slot] = part
-        return tuple(arr.reshape(lead + arr.shape[1:]) for arr in out)
+        return ex.compile_tape(flat, self.dim)
+
+    def jets(self, p, third: bool = False):
+        """(value, d, d2) and with ``third`` also d3, derivative axes last.
+
+        ``p`` is a point ``(dim,)`` or a batch of points ``(P, dim)``; a batch
+        adds a leading axis to every array.  d[..., a] = d_a entry and so on.
+        """
+        pts = np.asarray(p, dtype=float)
+        out = ex.evaluate_jet(self.tape, np.atleast_2d(pts), third)
+        n = self.dim
+        lead = pts.shape[:-1] + ((n, n) if isinstance(self.entries[0], tuple) else (n,))
+        return tuple(arr.reshape(lead + arr.shape[2:]) for arr in out)
 
 
 # ---------------------------------------------------------------------------
@@ -136,11 +130,12 @@ class FieldSpec:
 class _PointGeometry:
     """All jet-derived geometric data of a metric at one point."""
 
-    def __init__(self, metric: "MetricField", p: np.ndarray):
+    def __init__(self, metric: "MetricField", p: np.ndarray, jets=None):
         self.point = p
         self._metric = metric
-        # dg[i, j, k] = d_k g_ij, d2g[i, j, k, l] = d_k d_l g_ij
-        g, dg, d2g = metric.jets(p)
+        # dg[i, j, k] = d_k g_ij, d2g[i, j, k, l] = d_k d_l g_ij; ``jets`` is
+        # this point's slice of a batched metric.jets, when one was evaluated
+        g, dg, d2g = metric.jets(p) if jets is None else jets
         try:
             chol = np.linalg.cholesky(g)
         except np.linalg.LinAlgError:
@@ -275,7 +270,7 @@ class _PointGeometry:
 class MetricField(FieldSpec):
     """Symmetric field of metric expressions on a chart of dimension ``dim``.
 
-    Mirrored entries are one object, so ``jets`` evaluates each once.
+    Mirrored entries are one object, so the tape evaluates each once.
     """
 
     _cache: dict = field(default_factory=dict, compare=False, repr=False)
@@ -311,7 +306,8 @@ class MetricField(FieldSpec):
     def euclidean(cls, dim: int) -> "MetricField":
         return cls.diagonal([1.0] * dim, dim)
 
-    def at(self, p) -> _PointGeometry:
+    def at(self, p, jets=None) -> _PointGeometry:
+        """The geometry at p, cached; ``jets`` are the metric's jets at p if known."""
         pt = np.asarray(p, dtype=float)
         if pt.shape != (self.dim,):
             raise ValueError(
@@ -322,9 +318,13 @@ class MetricField(FieldSpec):
         if hit is None:
             if len(self._cache) > 4096:
                 self._cache.clear()
-            hit = _PointGeometry(self, pt)
+            hit = _PointGeometry(self, pt, jets)
             self._cache[key] = hit
         return hit
+
+    def release(self, p) -> None:
+        """Drop the cached geometry at p."""
+        self._cache.pop(tuple(np.asarray(p, dtype=float).tolist()), None)
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ components and probe contractions.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -86,7 +87,7 @@ class ResidualReport:
         """Report ``residual`` against ``tolerance``, by default the id's own."""
         if tolerance is None:
             tolerance = TOLERANCES[check_id]
-        pt = tuple(float(x) for x in np.asarray(point, dtype=float))
+        pt = tuple(np.asarray(point, dtype=float).tolist())
         residual = float(residual)
         return cls(check_id, pt, residual, tolerance, residual <= tolerance)
 
@@ -95,6 +96,14 @@ def probe_vectors(dim: int, seed: int = _PROBE_SEED, extra: int = _PROBE_COUNT) 
     """Coordinate basis plus seeded random vectors, rows are probes."""
     rng = np.random.default_rng(seed)
     return np.vstack([np.eye(dim), rng.standard_normal((extra, dim))])
+
+
+@lru_cache(maxsize=None)
+def _random_probes(dim: int) -> tuple[np.ndarray, float]:
+    """The random rows of ``probe_vectors(dim)``, read-only, and their max-abs."""
+    probes = probe_vectors(dim)[dim:]
+    probes.flags.writeable = False
+    return probes, float(np.abs(probes).max())
 
 
 def tensor_residual(t: np.ndarray, probe_slots: tuple[int, ...] = ()) -> float:
@@ -106,12 +115,11 @@ def tensor_residual(t: np.ndarray, probe_slots: tuple[int, ...] = ()) -> float:
     """
     res = float(np.abs(t).max()) if t.size else 0.0
     if probe_slots:
-        dim = t.shape[probe_slots[0]]
-        probes = probe_vectors(dim)[dim:]  # random rows only
+        probes, top = _random_probes(t.shape[probe_slots[0]])
         contracted = t
         for slot in sorted(probe_slots, reverse=True):
             contracted = np.tensordot(contracted, probes.T, axes=([slot], [0]))
-        scale = max(1.0, float(np.abs(probes).max()) ** len(probe_slots))
+        scale = max(1.0, top ** len(probe_slots))
         res = max(res, float(np.abs(contracted).max()) / scale)
     return res
 
@@ -156,38 +164,67 @@ class WeakFManifold:
     def beta_is_constant(self) -> bool:
         return not isinstance(self.beta, ExprAst)
 
-    def at(self, p) -> "StructureAtPoint":
+    def at(self, p, jets=None) -> "StructureAtPoint":
+        """The structure at p, cached; ``jets`` are :meth:`jets` at p if known."""
         pt = np.asarray(p, dtype=float)
         key = tuple(pt.tolist())
         hit = self._cache.get(key)
         if hit is None:
             if len(self._cache) > 2048:
                 self._cache.clear()
-            hit = StructureAtPoint(self, pt)
+            hit = StructureAtPoint(self, pt, jets)
             self._cache[key] = hit
         return hit
+
+    def release(self, p) -> None:
+        """Drop the cached structure and geometry at p."""
+        self._cache.pop(tuple(np.asarray(p, dtype=float).tolist()), None)
+        self.metric.release(p)
+
+    def jets(self, p):
+        """(f, df, Q, dQ, xi, dxi, eta, deta) at a point, or at points (P, dim).
+
+        A batch adds a leading axis; xi[..., i, k] = xi_i^k and
+        dxi[..., i, k, a] = d_a xi_i^k, and likewise for eta.
+        """
+        pts = np.asarray(p, dtype=float)
+        f, df, _ = self.f.jets(pts)
+        q, dq, _ = self.Q.jets(pts)
+        axis = pts.ndim - 1  # the field index i follows the batch axis
+        vectors = [v.jets(pts)[:2] for v in self.xi]
+        forms = [w.jets(pts)[:2] for w in self.eta]
+        xi, dxi = (np.stack(arrs, axis) for arrs in zip(*vectors))
+        eta, deta = (np.stack(arrs, axis) for arrs in zip(*forms))
+        return f, df, q, dq, xi, dxi, eta, deta
+
+    def structures(self, points):
+        """The cached structure at each point; every field is jetted in one batch."""
+        pts = np.asarray(points, dtype=float)
+        if not pts.size:
+            return
+        if pts.shape[1:] != (self.dim,):
+            raise ValueError(f"points have shape {pts.shape}, chart is ({self.dim},)")
+        metric_jets = self.metric.jets(pts)
+        jets = self.jets(pts)
+        for i, p in enumerate(pts):
+            self.metric.at(p, [arr[i] for arr in metric_jets])
+            yield self.at(p, [arr[i] for arr in jets])
 
 
 class StructureAtPoint:
     """Evaluated structure tensors and their first derivatives at a point."""
 
-    def __init__(self, m: WeakFManifold, p: np.ndarray):
+    def __init__(self, m: WeakFManifold, p: np.ndarray, jets=None):
         self.m = m
         self.geo = m.metric.at(p)
         self.point = self.geo.point
-        n = m.dim
-        self.f, self.df, _ = m.f.jets(p)   # df[i, j, k] = d_k f^i_j
-        self.Q, self.dQ, _ = m.Q.jets(p)
-        self.xi = np.empty((m.s, n))
-        self.dxi = np.empty((m.s, n, n))   # dxi[i, k, a] = d_a xi_i^k
-        self.eta = np.empty((m.s, n))
-        self.deta = np.empty((m.s, n, n))  # deta[i, k, a] = d_a eta^i_k
-        for i in range(m.s):
-            self.xi[i], self.dxi[i], _ = m.xi[i].jets(p)
-            self.eta[i], self.deta[i], _ = m.eta[i].jets(p)
+        # df[i, j, k] = d_k f^i_j, dxi[i, k, a] = d_a xi_i^k, likewise deta
+        (
+            self.f, self.df, self.Q, self.dQ, self.xi, self.dxi, self.eta, self.deta
+        ) = m.jets(p) if jets is None else jets
         self.xibar = self.xi.sum(axis=0)
         self.etabar = self.eta.sum(axis=0)
-        self.Qtilde = self.Q - np.eye(n)
+        self.Qtilde = self.Q - np.eye(m.dim)
 
     # covariant derivatives of (1,1)-tensor fields at the point
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from wfk import expr as ex
-from wfk.checks import CATALOGUE, CheckContext, applicable_ids
+from wfk.checks import CATALOGUE, CheckContext, applicable_ids, run_check_ids
 from wfk.geometry import FieldSpec
 from wfk.kenmotsu import FiberSpec, build_example2, build_twisted_product
 from wfk.star_soliton import SolitonData
@@ -68,3 +68,23 @@ def test_perfbench_tracer_targets_resolve():
             cls_name, attr = attr.split(".")
             owner = getattr(owner, cls_name)
         assert callable(owner.__dict__.get(attr)), f"{module}.{attr}"
+
+
+@pytest.mark.parametrize("make_ctx", [_example2_V, _twisted])
+def test_batched_run_matches_points_and_releases_caches(make_ctx):
+    ctx = make_ctx()
+    m = ctx.manifold
+    ids = applicable_ids(ctx)
+    points = seeded_points(m.dim, count=5, seed=17)
+    reports = run_check_ids(ctx, ids, points)
+    # every point's report, structure and geometry are gone after the run
+    assert len(ctx._cache) <= 1 and len(m._cache) <= 1 and len(m.metric._cache) <= 1
+    # the same residuals, bit for bit, as point-by-point evaluation
+    fresh = make_ctx()
+    for r in reports:
+        p = np.array(r.point)
+        (want,) = [
+            w for w in fresh.group_reports(CATALOGUE[r.check_id].group, p)
+            if w.check_id == r.check_id
+        ]
+        assert r == want

@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wfk import cli
 from wfk.checks import CATALOGUE
@@ -350,3 +352,80 @@ class TestInputBounds:
     def test_emitters_reject_non_finite_parameters(self, argv, capsys):
         assert main(argv) == 2
         assert "finite" in capsys.readouterr().err
+
+
+class TestIntegerFields:
+    @pytest.mark.parametrize(
+        "path, value, key",
+        [
+            (("n",), 1.9, "n"),
+            (("n",), True, "n"),
+            (("s",), 2.5, "s"),
+            (("s",), False, "s"),
+            (("sample",), {"count": 2.7, "seed": 1, "box": [0, 1]}, "sample.count"),
+            (("sample",), {"count": True, "seed": 1, "box": [0, 1]}, "sample.count"),
+            (("sample",), {"count": 2, "seed": 3.5, "box": [0, 1]}, "sample.seed"),
+            (("sample",), {"count": 2, "seed": True, "box": [0, 1]}, "sample.seed"),
+        ],
+        ids=[
+            "n-fraction", "n-bool", "s-fraction", "s-bool", "count-fraction",
+            "count-bool", "seed-fraction", "seed-bool",
+        ],
+    )
+    def test_non_integers_exit_2(
+        self, manifest_path, tmp_path, capsys, path, value, key
+    ):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(_mutated(_load(manifest_path), path, value)))
+        assert main(["check", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert f"error: {key}: expected an integer" in err and "Traceback" not in err
+
+    def test_integral_floats_are_integers(self, manifest_path, tmp_path):
+        data = _mutated(_load(manifest_path), ("n",), 1.0)
+        data["sample"] = {"count": 2.0, "seed": 3.0, "box": [0, 1]}
+        path = tmp_path / "ok.json"
+        path.write_text(json.dumps(data))
+        assert main(["check", str(path), "--only", "axiom.5"]) == 0
+
+
+_FLOATS = st.floats(allow_nan=True, allow_infinity=True)
+_RECORDS = st.tuples(
+    st.text(max_size=12),
+    st.lists(_FLOATS, max_size=4),
+    _FLOATS,
+    _FLOATS,
+    st.booleans(),
+    st.booleans(),
+).map(lambda r: dict(zip(("id", "point", "residual", "tolerance", "pass", "audit"), r)))
+
+
+class TestReportWriter:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.text(max_size=10),
+        st.lists(_RECORDS, max_size=4),
+        st.lists(st.integers(0, 10**6), min_size=3, max_size=3),
+        st.one_of(st.none(), st.text(max_size=30)),
+    )
+    def test_matches_json_dumps(self, tool, records, counts, generated_at):
+        report = {
+            "tool": tool,
+            "manifest_digest": "ab" * 32,
+            "checks": records,
+            "summary": dict(zip(("pass", "fail", "flagged"), counts)),
+        }
+        if generated_at is not None:
+            report["generated_at"] = generated_at
+        assert cli._report_json(report) == json.dumps(report, indent=2)
+
+    def test_special_values(self):
+        record = {
+            "id": "ïd.Ω\n\"x\"", "point": [-0.0, 0.0, float("nan"), 1e-300],
+            "residual": float("inf"), "tolerance": -float("inf"),
+            "pass": False, "audit": True,
+        }
+        for checks in ([], [record, dict(record, point=[])]):
+            report = {"tool": "wfk", "manifest_digest": "0", "checks": checks,
+                      "summary": {"pass": 0, "fail": 1, "flagged": 0}}
+            assert cli._report_json(report) == json.dumps(report, indent=2)

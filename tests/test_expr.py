@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -323,3 +324,90 @@ class TestDepthLimit:
         jet = evaluate_jet(calls, np.array([0.5, 0.0]), third=True)
         assert jet.value == pytest.approx(2.5 ** (0.5**150))
         assert np.isfinite(jet.third).all()
+
+
+def _bits(*arrays) -> list[bytes]:
+    return [np.asarray(a).tobytes() for a in arrays]
+
+
+class TestTape:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.booleans())
+    def test_batch_equals_single_points_bitwise(self, seed, count, third):
+        rng = np.random.default_rng(seed)
+        asts = [_random_ast(rng, 3, 3) for _ in range(3)]
+        asts.append(asts[0])
+        points = rng.uniform(-0.8, 0.8, (count, 3))
+        tape = ex.compile_tape(asts, 3)
+        try:
+            batch = evaluate_jet(tape, points, third)
+        except ExprDomainError:
+            return
+        for i, p in enumerate(points):
+            for k, ast in enumerate(asts):
+                jet = evaluate_jet(ast, p, third)
+                single = (jet.value, jet.gradient, jet.hessian, jet.third)
+                got = _bits(*(arr[i, k] for arr in batch))
+                assert got == _bits(*single[: len(batch)])
+
+    def test_exp_log_and_powers_round_like_python_floats(self):
+        # reports stay byte-identical only if every point gets math.exp,
+        # math.log and float ** int, which numpy's vector routines do not match
+        x = np.random.default_rng(4).uniform(0.1, 3.0, 2000)
+        for text, fn in (
+            ("exp(x1)", math.exp), ("log(x1)", math.log), ("x1^3", lambda v: v**3),
+            ("x1^7", lambda v: v**7),
+        ):
+            value = evaluate_jet(parse_expression(text, 1).tape, x[:, None])[0][:, 0]
+            assert value.tolist() == [fn(v) for v in x.tolist()], text
+
+    def test_repeated_subtrees_are_one_instruction(self):
+        warp = "(exp(x7+x8)*(2+x1^2+x2*x3))^2"
+        once = ex.compile_tape([parse_expression(warp, 8)], 8)
+        six = ex.compile_tape([parse_expression(warp, 8) for _ in range(6)], 8)
+        assert len(six.code) == len(once.code)
+        assert len(set(six.outputs)) == 1
+        # x1, x2, x1+x2, exp; x3 and the product reuse them
+        tape = parse_expression("exp(x1+x2)*x3+exp(x1+x2)", 3).tape
+        assert [node.kind for node, _ in tape.code] == [
+            "var", "var", "add", "exp", "var", "mul", "add",
+        ]
+
+    def test_constant_entries_emit_no_instruction(self):
+        entries = ["0", "--1", "2*3+exp(0)", "(1/4)^0", "sqrt(4)/log(exp(2))", "x1^0"]
+        tape = ex.compile_tape([parse_expression(e, 2) for e in entries], 2)
+        assert [node.kind for node, _ in tape.code] == ["var"]  # x1 of x1^0
+        assert tape.outputs == (0.0, 1.0, 7.0, 1.0, 1.0, 1.0)
+        v, d, d2 = evaluate_jet(tape, np.ones((3, 2)))
+        assert np.all(v == tape.outputs) and not d.any() and not d2.any()
+
+    @pytest.mark.parametrize(
+        "text, bad, span",
+        [
+            ("x2+1/x1", 0.0, (3, 7)),
+            ("x2+log(x1)", -1.0, (3, 10)),
+            ("x2+sqrt(x1)", 0.0, (3, 11)),
+            ("x2+exp(x1)", 800.0, (3, 10)),
+        ],
+    )
+    @pytest.mark.parametrize("third", [False, True])
+    def test_any_point_of_a_batch_raises(self, text, bad, span, third):
+        points = np.array([[0.5, 0.0], [bad, 0.0], [2.0, 0.0]])
+        with pytest.raises(ExprDomainError) as err:
+            evaluate_jet(parse_expression(text, 2).tape, points, third)
+        assert err.value.span == span
+
+    def test_constant_domain_errors_keep_their_order(self):
+        ast = parse_expression("log(x1)+1/0", 1)
+        with pytest.raises(ExprDomainError) as err:
+            evaluate_jet(ast, np.array([-1.0]))
+        assert err.value.span == (0, 7)
+        with pytest.raises(ExprDomainError) as err:
+            evaluate_jet(ast, np.array([1.0]))
+        assert err.value.span == (8, 11)
+
+    def test_points_must_match_the_tape(self):
+        tape = parse_expression("x1", 2).tape
+        for bad in (np.zeros(2), np.zeros((3, 3)), np.zeros((1, 2, 2))):
+            with pytest.raises(ValueError):
+                evaluate_jet(tape, bad)

@@ -375,9 +375,9 @@ def test_one_geometry_build_per_point(monkeypatch):
     builds = []
     init = _PointGeometry.__init__
 
-    def counting_init(self, metric, p):
+    def counting_init(self, metric, p, *jets):
         builds.append(tuple(p.tolist()))
-        init(self, metric, p)
+        init(self, metric, p, *jets)
 
     monkeypatch.setattr(_PointGeometry, "__init__", counting_init)
     p = seeded_points(m.dim, count=1, seed=41)[0]
@@ -450,6 +450,17 @@ class TestFieldSpec:
                 assert np.array_equal(d2[i, j], jet.hessian)
                 assert np.array_equal(d3[i, j], jet.third)
 
+    @pytest.mark.parametrize("third", [False, True])
+    def test_batched_jets_match_points(self, third):
+        rows = [["x1*x2", 0, "exp(x3)", 1], ["x4^2", "x1", 2, "x2"]] * 2
+        field = FieldSpec.from_entries(rows, 4)
+        points = np.stack([self.P, -self.P, 2 * self.P])
+        batch = field.jets(points, third)
+        for i, p in enumerate(points):
+            for arr, part in zip(batch, field.jets(p, third)):
+                assert arr.shape == (3,) + part.shape
+                assert np.array_equal(arr[i], part)
+
     @pytest.mark.parametrize(
         "entries", [[0.0] * 3, [[0.0] * 4] * 3, [[0.0] * 3] * 4, [0.0, [0.0] * 4, 0.0, 0.0]]
     )
@@ -459,14 +470,19 @@ class TestFieldSpec:
 
 
 def test_dense_metric_jets_each_entry_once(monkeypatch):
-    # a dense symmetric dim-5 metric: 15 distinct entries, each jetted once
-    # at order two (build) and once at order three (d3g)
+    # a dense symmetric dim-5 metric: 15 distinct entries, each one tape
+    # output shared by its mirror; the build (order two) and d3g (order
+    # three) are one tape run each
     rows = [
         [f"{2 + i}+0.1*x{i + 1}*x{j + 1}" if i == j else f"0.01*x{i + 1}*x{j + 1}"
          for j in range(i + 1)]
         for i in range(5)
     ]
     metric = MetricField.from_entries(rows, 5)
+    outputs = metric.tape.outputs
+    assert len(set(outputs)) == 15
+    pairs = [(5 * i + j, 5 * j + i) for i in range(5) for j in range(5)]
+    assert all(outputs[a] == outputs[b] for a, b in pairs)
     calls = []
     jet = ex.evaluate_jet
 
@@ -476,7 +492,7 @@ def test_dense_metric_jets_each_entry_once(monkeypatch):
 
     monkeypatch.setattr(ex, "evaluate_jet", counting_jet)
     geo = _PointGeometry(metric, np.full(5, 0.1))
-    assert calls == [False] * 15
+    assert calls == [False]
     d3g = geo.d3g
-    assert calls == [False] * 15 + [True] * 15
+    assert calls == [False, True]
     assert np.array_equal(d3g, d3g.transpose(1, 0, 2, 3, 4))

@@ -11,12 +11,14 @@ from wfk.geometry import (
 from wfk.kenmotsu import FiberSpec, build_example2, build_twisted_product
 from wfk.weakf import (
     WeakFManifold,
+    _random_probes,
     check_axioms,
     f_basis,
     fundamental_form,
     fundamental_form_field,
     nijenhuis,
     normality_tensor,
+    probe_vectors,
     tensor_residual,
     theorem1_check,
     wedge_1form_2form,
@@ -228,3 +230,26 @@ class TestTheorem1SymbolicRoute:
                 assert abs(by_id[cid].residual - want) <= 1e-12 * scale, cid
             dphi_failed |= not by_id["dphi"].passed
         assert dphi_failed == dphi_fails
+
+
+class TestProbeCache:
+    def test_residuals_unchanged_and_probes_read_only(self):
+        rng = np.random.default_rng(8)
+        cases = (((5, 5), (0, 1)), ((4, 4, 4), (1, 2)), ((6, 6, 6), (0, 1, 2)))
+        for shape, slots in cases:
+            t = rng.standard_normal(shape)
+            # the residual as computed from probe_vectors directly
+            probes = probe_vectors(shape[0])[shape[0]:]
+            contracted = t
+            for slot in sorted(slots, reverse=True):
+                contracted = np.tensordot(contracted, probes.T, axes=([slot], [0]))
+            scale = max(1.0, float(np.abs(probes).max()) ** len(slots))
+            want = max(float(np.abs(t).max()), float(np.abs(contracted).max()) / scale)
+            assert tensor_residual(t, slots) == want
+        cached, _ = _random_probes(5)
+        assert not cached.flags.writeable
+        with pytest.raises(ValueError):
+            cached[0, 0] = 1.0
+        fresh = probe_vectors(5)
+        assert fresh.flags.writeable
+        assert np.array_equal(fresh[5:], cached)
