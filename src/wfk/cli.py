@@ -29,18 +29,19 @@ from .weakf import WeakFManifold
 SCHEMA_VERSION = "wfk/1"
 _DEFAULT_SAMPLE = {"count": 5, "seed": 42, "box": [-0.5, 0.5]}
 
-# Size caps, checked before anything of that size is allocated.  The largest
-# arrays are the dim^5 float64 arrays of a point's geometry (d3g, d2gamma,
-# driem and the einsum temporaries that build them).  Measured on the full
-# catalogue at dim 15, one point peaks at about 5.3 of them.  At dim 21 one
-# is 31 MiB, so a point needs about 170 MiB.
+# Size caps, checked before anything of that size is allocated.  A run holds
+# one point's geometry at a time; its largest arrays are the dim^5 float64
+# third-order metric jets (d3g) and the tape output they are read from.  Over
+# the full catalogue of example2 at one point, tracemalloc measures a peak of
+# 1.8 such arrays at dim 15 (10.7 MiB) and 1.5 at dim 21 (47 MiB).
 _MAX_DIM = 21
 # Every point adds a record per check id (41 ids, up to ~600 bytes of JSON
 # each at dim 21), so a report stays within about 50 MiB.
 _MAX_POINTS = 2000
-# count * dim^5 bound, e.g. at most 108 points at dim 15: it keeps 26 dim^5
-# bytes a point within 2 GiB, enough to hold every point's geometry at once,
-# though run_check_ids holds only one point's at a time.
+# count * dim^5 bound, e.g. at most 108 points at dim 15.  The order-two jets
+# of every structure field are evaluated for all points in one batch, about
+# three dim^4 float64 arrays a point: at that bound a full-catalogue run peaks
+# at 141 MiB at dim 15 (108 points) and 68 MiB at dim 21 (13 points).
 _MAX_POINTS_DIM5 = 2**31 // 26
 
 

@@ -451,16 +451,9 @@ def _pow(node, a):
 def _exp(node, a):
     v, g, h, t = a
     e = _elementwise(math.exp, v, node, "exp")
-    eg, eh = e * g, e * (h + _outer(g, g))
     if t is not None:
         t = _chain3(e, e, e, g, h, t)
-    if not (
-        np.isfinite(eg).all()
-        and np.isfinite(eh).all()
-        and (t is None or np.isfinite(t).all())
-    ):
-        raise ExprDomainError("exp derivative overflows", node.span)
-    return e, eg, eh, t
+    return e, e * g, e * (h + _outer(g, g)), t
 
 
 def _log(node, a):
@@ -497,6 +490,7 @@ def _constant_jet(c: float, dim: int, count: int, third: bool):
     return np.full(count, c), np.zeros((dim, count)), np.zeros((dim, dim, count)), t
 
 
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")
 def _fold(node: Node, operands: tuple, dim: int):
     """The operand of ``node`` when it needs no instruction, else ``None``."""
     if node.kind == "const":
@@ -507,9 +501,11 @@ def _fold(node: Node, operands: tuple, dim: int):
     if operands and all(isinstance(op, float) for op in operands):
         jets = [_constant_jet(op, dim, 1, False) for op in operands]
         try:
-            return float(_RULES[node.kind](node, *jets)[0][0])
+            out = float(_RULES[node.kind](node, *jets)[0][0])
         except ExprDomainError:
-            return None  # kept as an instruction, so it raises in evaluation order
+            out = math.nan
+        # otherwise kept as an instruction, so it raises in evaluation order
+        return out if math.isfinite(out) else None
     return None
 
 
@@ -539,6 +535,9 @@ def compile_tape(asts, dim: int) -> Tape:
     if any(ast.dim != dim for ast in asts):
         raise ValueError(f"every expression of the tape must be over dimension {dim}")
     outputs = tuple(emit(ast.root) for ast in asts)
+    for ast, op in zip(asts, outputs):
+        if isinstance(op, float) and not math.isfinite(op):
+            raise ExprDomainError("constant is not finite", ast.root.span)
     return Tape(dim, tuple(code), outputs)
 
 
@@ -559,6 +558,11 @@ def _run(tape: Tape, points: np.ndarray, third: bool):
             for op in operands
         )
         jets.append(_RULES[node.kind](node, *args))
+    # one check per run, once per distinct output instruction (mirrored entries
+    # share one); only a failing run looks for the instruction at fault
+    outs = {op for op in tape.outputs if isinstance(op, int)}
+    if not all(np.isfinite(part).all() for op in outs for part in jets[op] if part is not None):
+        raise _first_non_finite(tape, jets)
     shape = (count, len(tape.outputs))
     out = [np.zeros(shape + (dim,) * k) for k in range(4 if third else 3)]
     for k, op in enumerate(tape.outputs):
@@ -568,6 +572,19 @@ def _run(tape: Tape, points: np.ndarray, third: bool):
         else:
             out[0][:, k] = op
     return tuple(out)
+
+
+_ORDERS = ("value", "first derivative", "second derivative", "third derivative")
+
+
+def _first_non_finite(tape: Tape, jets: list) -> ExprDomainError:
+    """The domain error of the first instruction with a non-finite jet part."""
+    return next(
+        ExprDomainError(f"{node.kind} {_ORDERS[order]} is not finite", node.span)
+        for (node, _), parts in zip(tape.code, jets)
+        for order, part in enumerate(parts)
+        if part is not None and not np.isfinite(part).all()
+    )
 
 
 def evaluate_jet(ast: ExprAst | Tape, point, third: bool = False):

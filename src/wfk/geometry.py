@@ -207,48 +207,75 @@ class _PointGeometry:
         """d3g[i, j, k, l, m] = d_k d_l d_m g_ij, from third-order jets."""
         return self._metric.jets(self.point, third=True)[3]
 
-    @cached_property
-    def d2gamma(self) -> np.ndarray:
-        """d2gamma[k, i, j, m, n] = d_m d_n Gamma^k_ij.
-
-        With Gamma_aij = g_ak Gamma^k_ij, differentiating twice gives
-        d_mn Gamma^k_ij = g^ka (d_mn Gamma_aij - d_mn g_ab Gamma^b_ij
-        - d_m g_ab d_n Gamma^b_ij - d_n g_ab d_m Gamma^b_ij).
-        """
-        d3g = self.d3g
-        d2core = (
-            np.einsum("jlimn->lijmn", d3g)
-            + np.einsum("iljmn->lijmn", d3g)
-            - np.einsum("ijlmn->lijmn", d3g)
-        )
-        # [a, i, j, m, n] = d_m g_ab d_n Gamma^b_ij
-        mixed = np.einsum("abm,bijn->aijmn", self.dg, self.dgamma, optimize=True)
-        inner = (
-            0.5 * d2core
-            - np.einsum("abmn,bij->aijmn", self.d2g, self.gamma, optimize=True)
-            - mixed
-            - mixed.transpose(0, 1, 2, 4, 3)
-        )
-        return np.tensordot(self.ginv, inner, axes=1)
+    # d_mn G^k_ij = g^ka (d_mn G_aij - d_mn g_ab G^b_ij - d_m g_ab d_n G^b_ij
+    # - d_n g_ab d_m G^b_ij), with G_aij = g_ak G^k_ij, is never built whole:
+    # d Ric needs it traced and L_V R along V only, so g^-1 or V is contracted
+    # into the metric jets first and no array below exceeds dim^4.
 
     @cached_property
-    def driem(self) -> np.ndarray:
-        """driem[l, i, j, k, n] = d_n riem[l, i, j, k]."""
+    def dric(self) -> np.ndarray:
+        """dric[j, k, n] = d_n Ric_jk, for
+        Ric_jk = d_i G^i_jk - d_j G^i_ik + G^i_im G^m_jk - G^i_jm G^m_ik."""
+        n = self.point.size
+        ginv, dg, d2g, d3g = self.ginv, self.dg, self.d2g, self.d3g
         gam, dgam = self.gamma, self.dgamma
-        # d_n of riem's term[l, i, j, k] = d_i Gamma^l_jk + Gamma^l_im Gamma^m_jk
-        dterm = (
-            np.einsum("ljkin->lijkn", self.d2gamma)
-            + np.einsum("limn,mjk->lijkn", dgam, gam, optimize=True)
-            + np.einsum("lim,mjkn->lijkn", gam, dgam, optimize=True)
+        w = ginv.ravel()
+        # g^ai d3g traced over (metric, derivative), (derivative, derivative)
+        # and (metric, metric) slots, on reshaped views of d3g
+        p_tr = (w @ d3g.reshape(n, n * n, n * n)).reshape(n, n, n)  # [k, j, n]
+        s_tr = (w @ d3g.reshape(n * n, n * n, n)).reshape(n, n, n)  # [j, k, n]
+        t_tr = (w @ d3g.reshape(n * n, n**3)).reshape(n, n, n)  # [k, j, n]
+        dgu = np.tensordot(ginv, dg, axes=1)  # [i, b, n] = g^ia d_n g_ab
+        u = np.einsum("ibi->b", dgu)
+        d2u = np.tensordot(ginv, d2g, axes=([0, 1], [0, 2]))  # [b, n]
+        gamu = np.tensordot(ginv, gam, axes=(1, 1))  # [a, b, k] = g^ai G^b_ik
+        # e[j, k, n] = g^ia d_j g_ab d_n G^b_ik
+        e = np.tensordot(dgu, dgam, axes=([0, 1], [1, 0]))
+        # d_n d_i G^i_jk - d_n d_j G^i_ik, less -(g^ia d_in g_ab) G^b_jk and
+        # -(g^ia d_i g_ab) d_n G^b_jk, which join the product terms below
+        second = 0.5 * (
+            p_tr.transpose(1, 0, 2) + p_tr - s_tr - t_tr.transpose(1, 0, 2)
+        ) + (
+            np.tensordot(d2g, gamu, axes=([0, 1], [0, 1])).transpose(0, 2, 1)
+            + e
+            + e.transpose(2, 1, 0)
+            - np.tensordot(dgam, dgu, axes=([0, 3], [1, 0]))
         )
-        return dterm - np.einsum("lijkn->ljikn", dterm)
+        c, dc = np.einsum("iim->m", gam), np.einsum("iimn->mn", dgam)
+        return (
+            second
+            + np.tensordot(gam, dc - d2u, axes=(0, 0))
+            + np.tensordot(c - u, dgam, axes=(0, 0))
+            - np.tensordot(dgam, gam, axes=([0, 2], [1, 0])).transpose(0, 2, 1)
+            - np.tensordot(gam, dgam, axes=([0, 2], [1, 0]))
+        )
+
+    def riem_along(self, v: np.ndarray) -> np.ndarray:
+        """v^n d_n riem[l, i, j, k], from the metric jets contracted with v."""
+        ginv, dg, gam, dgam = self.ginv, self.dg, self.gamma, self.dgamma
+        d3v, d2v, dgv, dgam_v = self.d3g @ v, self.d2g @ v, self.dg @ v, dgam @ v
+        # [a, j, k, i] = d_v d_i G_ajk - d_v d_i g_ab G^b_jk - d_i g_ab d_v G^b_jk
+        # - d_v g_ab d_i G^b_jk, less the (1/2) d_v d_i d_j g_ka in d_v d_i G_ajk:
+        # symmetric in (i, j), it cancels in riem
+        inner = (
+            0.5 * (np.einsum("jaki->ajki", d3v) - np.einsum("jkai->ajki", d3v))
+            - np.tensordot(d2v, gam, axes=(1, 0)).transpose(0, 2, 3, 1)
+            - np.tensordot(dg, dgam_v, axes=(1, 0)).transpose(0, 2, 3, 1)
+            - np.tensordot(dgv, dgam, axes=(1, 0))
+        )
+        # d_v of riem's term[l, i, j, k] = d_i G^l_jk + G^l_im G^m_jk
+        term = (
+            np.tensordot(ginv, inner, axes=1).transpose(0, 3, 1, 2)
+            + np.tensordot(dgam_v, gam, axes=(2, 0))
+            + np.tensordot(gam, dgam_v, axes=(2, 0))
+        )
+        return term - term.transpose(0, 2, 1, 3)
 
     @cached_property
     def dric_sharp(self) -> np.ndarray:
         """dric_sharp[k, j, n] = d_n (Ric#)^k_j = d_n g^km Ric_mj + g^km d_n Ric_mj."""
-        dric = np.einsum("iijkn->jkn", self.driem)
         return np.einsum("kmn,mj->kjn", self.dginv, self.ric) + np.einsum(
-            "km,mjn->kjn", self.ginv, dric
+            "km,mjn->kjn", self.ginv, self.dric
         )
 
     @cached_property
@@ -414,15 +441,8 @@ def gradient_and_hessian(g: MetricField, v: ExprAst, p) -> tuple[TensorValue, Te
     )
 
 
-def _lie_connection_components(
-    g: MetricField, V: FieldSpec, p, derivative: bool = False
-):
-    """T[k, i, j] = (L_V nabla)^k_ij; with ``derivative`` also (T, dT).
-
-    dT[k, i, j, n] is d_n T^k_ij by the product rule, less d_n d_i A^k_j
-    (A = nabla V): that term is symmetric in (i, n), so it drops out of
-    every antisymmetrization in (i, n), the only use of dT.
-    """
+def _lie_connection_components(g: MetricField, V: FieldSpec, p):
+    """T[k, i, j] = (L_V nabla)^k_ij."""
     geo = g.at(np.asarray(p, dtype=float))
     v, dv, d2v = V.jets(geo.point)
     gam, dgam = geo.gamma, geo.dgamma
@@ -439,19 +459,7 @@ def _lie_connection_components(
         + np.einsum("kim,mj->kij", gam, a)
         - np.einsum("mij,km->kij", gam, a)
     )
-    curv = np.einsum("kmij,m->kij", geo.riem, v)
-    t = nabla_a + curv
-    if not derivative:
-        return t
-    dt = (
-        np.einsum("kimn,mj->kijn", dgam, a, optimize=True)
-        + np.einsum("kim,mjn->kijn", gam, da, optimize=True)
-        - np.einsum("mijn,km->kijn", dgam, a, optimize=True)
-        - np.einsum("mij,kmn->kijn", gam, da, optimize=True)
-        + np.einsum("kmijn,m->kijn", geo.driem, v, optimize=True)
-        + np.einsum("kmij,mn->kijn", geo.riem, dv, optimize=True)
-    )
-    return t, dt
+    return nabla_a + np.einsum("kmij,m->kij", geo.riem, v)
 
 
 def lie_derivative_connection(g: MetricField, V: FieldSpec, p) -> TensorValue:
@@ -462,22 +470,19 @@ def lie_derivative_connection(g: MetricField, V: FieldSpec, p) -> TensorValue:
 
 
 def lie_derivative_curvature(g: MetricField, V: FieldSpec, p) -> TensorValue:
-    """(L_V R)(X, Y) Z via antisymmetrized covariant derivative of L_V nabla.
+    """L_V R as the Lie derivative of the (1,3)-tensor R, exact at the point.
 
-    (L_V R)^k_ijm = nabla_i T^k_jm - nabla_j T^k_im for T = L_V nabla,
-    exact at the point from third-order jets.
+    (L_V R)^l_ijk = V(R^l_ijk) - R^a_ijk d_a V^l + R^l_ajk d_i V^a
+    + R^l_iak d_j V^a + R^l_ija d_k V^a, with V(R) from third-order jets.
     """
     geo = g.at(np.asarray(p, dtype=float))
-    t, dt = _lie_connection_components(g, V, geo.point, derivative=True)
-    gam = geo.gamma
-    # nabla_i T^k_jm = d_i T^k_jm + G^k_ia T^a_jm - G^a_ij T^k_am - G^a_im T^k_ja,
-    # up to the part of d_i T^k_jm symmetric in (i, j) that dt leaves out
-    nabla_t = (
-        np.einsum("kjmi->kijm", dt)
-        + np.einsum("kia,ajm->kijm", gam, t)
-        - np.einsum("aij,kam->kijm", gam, t)
-        - np.einsum("aim,kja->kijm", gam, t)
+    v, dv, _ = V.jets(geo.point)
+    riem = geo.riem
+    lr = (
+        geo.riem_along(v)
+        - np.tensordot(dv, riem, axes=(1, 0))
+        + np.tensordot(riem, dv, axes=(1, 0)).transpose(0, 3, 1, 2)
+        + np.tensordot(riem, dv, axes=(2, 0)).transpose(0, 1, 3, 2)
+        + riem @ dv
     )
-    # (L_V R)^k_{ij m} = nabla_i T^k_jm - nabla_j T^k_im
-    lr = nabla_t - np.einsum("kijm->kjim", nabla_t)
     return TensorValue(("up", "down", "down", "down"), lr, geo.point)

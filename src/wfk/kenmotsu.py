@@ -226,7 +226,7 @@ def _id23(st: StructureAtPoint, beta: float) -> np.ndarray:
 
 def _id26(st: StructureAtPoint, beta: float) -> np.ndarray:
     riem, f = st.geo.riem, st.f
-    lhs = np.einsum("labm,mc->labc", riem, f) - np.einsum("km,mabc->kabc", f, riem)
+    lhs = riem @ f - np.tensordot(f, riem, axes=1)
     sg, brk = _bracket_form(st), _bracket(st)
     gf = np.einsum("ma,mb->ab", f, st.geo.g)  # g(f e_a, e_b)
     rhs = beta**2 * (
@@ -242,9 +242,9 @@ def _id27(st: StructureAtPoint, beta: float) -> np.ndarray:
     s = st.m.s
     riem, f, g, Q = st.geo.riem, st.f, st.geo.g, st.Q
     xi, eta, xibar, etabar = st.xi, st.eta, st.xibar, st.etabar
-    lhs = np.einsum("ia,jb,lijc->labc", f, f, riem) - np.einsum(
-        "jb,lajc->labc", Q, riem
-    )
+    # optimize: two pairwise dim^5 contractions in place of one dim^6 loop
+    lhs = np.einsum("ia,jb,lijc->labc", f, f, riem, optimize=True)
+    lhs = lhs - np.einsum("jb,lajc->labc", Q, riem)
     gq = np.einsum("mb,mc->bc", Q, g)  # g(e_c, Q e_b)
     etaeta = np.einsum("jb,jc->bc", eta, eta)
     sgl = _bracket_form(st)  # s g(Z,X) - s sum + etabar(Z) etabar(X) at [c, a]

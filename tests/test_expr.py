@@ -291,6 +291,42 @@ class TestNonFinite:
         with pytest.raises(ExprDomainError):
             evaluate_jet(parse_expression("exp(x1+200)^4", 1), np.zeros(1))
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "text, x, third, order",
+        [
+            ("sqrt(x1)", 1e-300, False, "second"),
+            ("sqrt(x1)", 1e-300, True, "second"),
+            ("log(x1)", 1e-160, False, "second"),
+            ("log(x1)", 1e-110, True, "third"),
+        ],
+    )
+    def test_non_finite_jet_is_domain_error(self, text, x, third, order):
+        # the value is finite; a derivative overflows at that order
+        ast = parse_expression("2+" + text, 1)
+        with pytest.raises(ExprDomainError) as err:
+            evaluate_jet(ast, [x], third=third)
+        assert err.value.span == (2, 2 + len(text))
+        assert f"{order} derivative is not finite" in err.value.message
+        if third and order == "third":
+            assert np.isfinite(evaluate_jet(ast, [x]).hessian).all()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("third", [False, True])
+    def test_one_overflowing_point_fails_the_batch(self, third):
+        tape = ex.compile_tape([parse_expression("x2*sqrt(x1)", 2)], 2)
+        healthy = np.array([[0.5, 1.0], [2.0, -1.0]])
+        assert all(np.isfinite(a).all() for a in evaluate_jet(tape, healthy, third))
+        with pytest.raises(ExprDomainError) as err:
+            evaluate_jet(tape, np.vstack([healthy, [1e-300, 1.0]]), third)
+        assert err.value.span == (3, 11)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_folded_constant_is_domain_error(self):
+        with pytest.raises(ExprDomainError) as err:
+            evaluate_jet(parse_expression("x1+1e300*1e300", 1), [1.0])
+        assert err.value.span == (3, 14)
+
     @pytest.mark.parametrize("text", ["1e999", "x1+1E400", "2*.5e309"])
     def test_non_finite_literal_is_syntax_error(self, text):
         with pytest.raises(ExprSyntaxError) as err:

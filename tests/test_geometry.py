@@ -28,6 +28,8 @@ from wfk.star_soliton import SolitonData, lemma2_audit
 from wfk.weakf import fundamental_form_field
 
 from conftest import seeded_points
+from reference_chain import dric as reference_dric
+from reference_chain import lie_curvature as reference_lie_curvature
 
 O = np.zeros(4)
 XIBAR = FieldSpec.from_entries([0.0, 0.0, 1.0, 1.0], 4)
@@ -364,6 +366,54 @@ def _fd_lie_curvature(g, V, p, h=1e-3):
         - np.einsum("aim,kja->kijm", gam, t)
     )
     return nabla_t - np.einsum("kijm->kjim", nabla_t)
+
+
+def _dense_metric(dim):
+    """Every entry non-constant and every off-diagonal entry nonzero; positive
+    definite on the sample box (diagonally dominant there)."""
+    rows = [
+        [
+            f"{2 + 0.5 * i}+0.3*x{i + 1}*x{(i + 1) % dim + 1}+0.2*exp(0.5*x{(i + 2) % dim + 1})"
+            if i == j
+            else f"0.1*x{i + 1}*exp(0.3*x{j + 1})+0.05*x{(i + j) % dim + 1}^2"
+            for j in range(i + 1)
+        ]
+        for i in range(dim)
+    ]
+    return MetricField.from_entries(rows, dim)
+
+
+def _bent_field(dim):
+    """Nonlinear and not Killing."""
+    return FieldSpec.from_entries(
+        [f"x{i + 1}*x{(i + 1) % dim + 1}+exp(0.3*x{(i + 2) % dim + 1})" for i in range(dim)],
+        dim,
+    )
+
+
+_CONTRACTED_CASES = {
+    "bumpy4": (BUMPY4, BENT4),
+    "dense3": (_dense_metric(3), _bent_field(3)),
+    "dense5": (_dense_metric(5), _bent_field(5)),
+    "dense7": (_dense_metric(7), _bent_field(7)),
+    "example2_7": (build_example2(2, 3, 1.0, 1.0).metric, _bent_field(7)),
+}
+
+
+@pytest.mark.parametrize("case", list(_CONTRACTED_CASES))
+def test_contracted_routes_match_the_full_chain(case):
+    # d Ric and L_V R contract g^-1 or V in first; the reference builds the
+    # whole d^2 Gamma and d Riem and contracts last
+    g, V = _CONTRACTED_CASES[case]
+    for p in seeded_points(g.dim, count=2, seed=43):
+        geo = g.at(p)
+        for got, want in (
+            (geo.dric, reference_dric(geo)),
+            (lie_derivative_curvature(g, V, p).components, reference_lie_curvature(g, V, p)),
+        ):
+            scale = np.abs(want).max()
+            assert scale > 1e-3
+            assert np.abs(got - want).max() <= 1e-12 * scale
 
 
 def test_one_geometry_build_per_point(monkeypatch):

@@ -8,7 +8,6 @@ from wfk import expr as ex
 from wfk.geometry import FieldSpec
 from wfk.star_soliton import (
     SolitonData,
-    bianchi_trace_gap,
     contact_field_check,
     fit_soliton_constants,
     gradient_soliton_residual,
@@ -85,10 +84,6 @@ class TestStarRicci:
         for p in seeded_points(4, count=3, seed=42):
             asym, comm = star_symmetry_gate(e2, p)
             assert asym < 1e-6 and comm < 1e-6
-
-    def test_trace_routes_agree(self, e2):
-        for p in seeded_points(4, count=3, seed=44):
-            assert bianchi_trace_gap(e2, p) < 1e-6
 
     def test_ricci_expression(self, e2):
         for p in seeded_points(4, count=3, seed=46):
