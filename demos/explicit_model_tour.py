@@ -20,22 +20,22 @@ def main():
     print(f"chart model: dim = {m.dim}, beta = {m.beta}, c = {m.c}")
     print("\nstructure axioms (worst residual per point):")
     for p in points:
-        worst = max(r.residual for r in check_axioms(m, p))
+        worst = max(r.residual for r in check_axioms(m.at(p)))
         print(f"  p = {np.round(p, 3)}: {worst:.2e}")
 
     print("\ndefining condition and exterior system:")
     for p in points:
-        k = kenmotsu_residual(m, p)
-        t1 = max(r.residual for r in theorem1_check(m, p))
+        k = kenmotsu_residual(m.at(p))
+        t1 = max(r.residual for r in theorem1_check(m.at(p)))
         print(f"  p = {np.round(p, 3)}: nabla-f {k.residual:.2e}, "
               f"normality/closedness {t1:.2e}")
 
-    frame, lambdas = f_basis(m, origin)
+    frame, lambdas = f_basis(m.at(origin))
     print(f"\nadapted frame at the origin (Q-eigenvalues {lambdas}):")
     for row in frame:
         print(f"  {np.round(row, 6)}")
 
-    fit = eta_einstein_fit(m, origin)
+    fit = eta_einstein_fit(m.at(origin))
     print(f"\neta-Einstein fit: Ric = a g - a sum eta(x)eta + (a+b) etabar(x)etabar")
     print(f"  a = {fit.a:+.6f}, b = {fit.b:+.6f} "
           f"(closed form {fit.predicted}), residual {fit.residual:.2e}")

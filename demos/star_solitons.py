@@ -30,12 +30,12 @@ def main():
     rng = np.random.default_rng(2)
     points = [rng.uniform(-0.5, 0.5, m.dim) for _ in range(3)]
 
-    rs = star_ricci(m, origin).components
+    rs = star_ricci(m.at(origin)).components
     print("star-Ricci at the origin:")
     print(np.round(rs, 9))
-    print(f"star scalar curvature: {star_scalar(m, origin):+.6f}")
+    print(f"star scalar curvature: {star_scalar(m.at(origin)):+.6f}")
 
-    fit = star_eta_einstein_fit(m, origin)
+    fit = star_eta_einstein_fit(m.at(origin))
     print(f"star-eta-Einstein fit: abar = {fit.a:+.6f}, bbar = {fit.b:+.6f} "
           f"(predicted {fit.predicted})")
 
@@ -48,12 +48,12 @@ def main():
           f"{'ok' if p5.passed else 'violated'}")
 
     sol = SolitonData(lam=lam, mu=mu, V=xibar)
-    verdict = soliton_residual(m, sol, points[0])
+    verdict = soliton_residual(m.at(points[0]), sol)
     print(f"classification: {verdict.classification} "
           f"(cross-form residual {verdict.cross_residual:.1e})")
 
     v = ex.parse_expression("x3+x4", m.dim)
-    grad = gradient_soliton_residual(m, SolitonData(lam=lam, mu=mu, v=v), points[0])
+    grad = gradient_soliton_residual(m.at(points[0]), SolitonData(lam=lam, mu=mu, v=v))
     print(f"gradient potential v = x3+x4: residual {grad.residual:.1e} "
           f"({grad.classification})")
 

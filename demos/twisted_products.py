@@ -21,7 +21,7 @@ def audit(label, m, points):
     print(f"\n{label} (dim {m.dim}, inferred beta at origin: "
           f"{m.beta_value(np.zeros(m.dim)):+.3f})")
     for p in points:
-        reports = twisted_product_audit(m, p)
+        reports = twisted_product_audit(m.at(p))
         rel = ", ".join(f"{r.check_id} {r.residual:.1e}" for r in reports)
         print(f"  p = {np.round(p, 3)}: {rel}")
 
@@ -35,7 +35,7 @@ def main():
     audit("exponential twist over a flat plane", m1,
           [rng.uniform(-0.5, 0.5, 3) for _ in range(2)])
     print(f"  nabla-f residual: "
-          f"{kenmotsu_residual(m1, rng.uniform(-0.5, 0.5, 3)).residual:.1e}")
+          f"{kenmotsu_residual(m1.at(rng.uniform(-0.5, 0.5, 3))).residual:.1e}")
 
     # two rotation factors with different scales: a genuinely weak structure
     sigma = ex.parse_expression("exp(x5+x6)", 6)

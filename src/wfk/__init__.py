@@ -17,7 +17,6 @@ from .expr import (
     ExprSyntaxError,
     ScalarJet,
     evaluate_jet,
-    evaluate_value,
     parse_expression,
     to_source,
 )

@@ -8,9 +8,7 @@ without ever failing a run.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-
-import numpy as np
+from dataclasses import dataclass, replace
 
 from .kenmotsu import (
     IDENTITY_IDS,
@@ -32,6 +30,7 @@ from .star_soliton import (
 from .weakf import (
     TOLERANCES,
     ResidualReport,
+    StructureAtPoint,
     WeakFManifold,
     check_axioms,
     theorem1_check,
@@ -45,12 +44,11 @@ class CheckSpec:
     group: str
     tolerance: float
     audit: bool = False
-    requires: str = ""  # a key of _REQUIRES
+    requires: tuple[str, ...] = ()  # keys of _REQUIRES
 
 
 # requirement -> whether a manifold and soliton provide what its checks need
 _REQUIRES = {
-    "": lambda m, sol: True,
     "beta": lambda m, sol: m.beta is not None and m.beta_is_constant,
     "sigma": lambda m, sol: m.sigma is not None and m.fiber_dim is not None,
     "soliton": lambda m, sol: sol is not None,
@@ -59,48 +57,47 @@ _REQUIRES = {
 }
 
 
-def _soliton(m, sol, p):
-    verdict = soliton_residual(m, sol, p)
-    pt = m.at(p).point
+def _soliton(st, sol):
+    verdict = soliton_residual(st, sol)
     return [
-        ResidualReport.make("soliton.32", pt, verdict.residual),
-        ResidualReport.make("soliton.33", pt, verdict.cross_residual),
+        ResidualReport.make("soliton.32", st.point, verdict.residual),
+        ResidualReport.make("soliton.33", st.point, verdict.cross_residual),
     ]
 
 
-def _grad(m, sol, p):
-    verdict = gradient_soliton_residual(m, sol, p)
+def _grad(st, sol):
+    verdict = gradient_soliton_residual(st, sol)
     res = max(verdict.residual, verdict.cross_residual)
-    return [ResidualReport.make("grad.75", m.at(p).point, res)]
+    return [ResidualReport.make("grad.75", st.point, res)]
 
 
-# group -> runner(manifold, soliton, point) returning the group's reports.
+# group -> runner(structure, soliton) returning the group's reports.
 # Runners look the library functions up when called, so a function patched
 # on this module (as the perfbench tracer does) is the one that runs.
 _RUNNERS = {
-    "axioms": lambda m, sol, p: check_axioms(m, p),
-    "theorem1": lambda m, sol, p: theorem1_check(m, p),
-    "kenmotsu": lambda m, sol, p: [kenmotsu_residual(m, p)],
-    "identities": lambda m, sol, p: audit_identities(m, p),
-    "twisted": lambda m, sol, p: twisted_product_audit(m, p),
-    "star_def": lambda m, sol, p: [
-        ResidualReport.make("star.def", m.at(p).point, max(star_symmetry_gate(m, p)))
+    "axioms": lambda st, sol: check_axioms(st),
+    "theorem1": lambda st, sol: theorem1_check(st),
+    "kenmotsu": lambda st, sol: [kenmotsu_residual(st)],
+    "identities": lambda st, sol: audit_identities(st),
+    "twisted": lambda st, sol: twisted_product_audit(st),
+    "star_def": lambda st, sol: [
+        ResidualReport.make("star.def", st.point, max(star_symmetry_gate(st)))
     ],
-    "thm4": lambda m, sol, p: theorem4_residual(m, p),
-    "cor2": lambda m, sol, p: [corollary2_residual(m, p)],
+    "thm4": lambda st, sol: theorem4_residual(st),
+    "cor2": lambda st, sol: [corollary2_residual(st)],
     "soliton": _soliton,
     "grad": _grad,
-    "prop5": lambda m, sol, p: [
-        ResidualReport.make("prop5", m.at(p).point, prop5_check(sol.lam, sol.mu).gap)
+    "prop5": lambda st, sol: [
+        ResidualReport.make("prop5", st.point, prop5_check(sol.lam, sol.mu).gap)
     ],
-    "contact": lambda m, sol, p: [
-        ResidualReport.make("contact.65", m.at(p).point, contact_fit(m, sol.V, p)[1])
+    "contact": lambda st, sol: [
+        ResidualReport.make("contact.65", st.point, contact_fit(st, sol.V)[1])
     ],
-    "lemma2": lambda m, sol, p: lemma2_audit(m, sol, p),
+    "lemma2": lambda st, sol: lemma2_audit(st, sol),
 }
 
 
-def _specs(group: str, ids, requires: str = "", audit: bool = False):
+def _specs(group: str, ids, *requires: str, audit: bool = False):
     return {cid: CheckSpec(group, TOLERANCES[cid], audit, requires) for cid in ids}
 
 
@@ -119,41 +116,34 @@ CATALOGUE: dict[str, CheckSpec] = {
     **_specs("star_def", ("star.def",)),
     **_specs("thm4", ("thm4.28", "thm4.29"), "beta"),
     **_specs("cor2", ("cor2",), "beta"),
-    **_specs("soliton", ("soliton.32", "soliton.33"), "soliton_V"),
-    **_specs("grad", ("grad.75",), "soliton_v"),
+    # the soliton formulas below hold for a constant beta only
+    **_specs("soliton", ("soliton.32", "soliton.33"), "beta", "soliton_V"),
+    **_specs("grad", ("grad.75",), "beta", "soliton_v"),
     **_specs("prop5", ("prop5",), "soliton"),
     **_specs("contact", ("contact.65",), "soliton_V"),
     **_specs(
-        "lemma2", ("lemma2.42", "lemma2.34", "lemma2.35"), "soliton_V", audit=True
+        "lemma2", ("lemma2.42", "lemma2.34", "lemma2.35"), "beta", "soliton_V",
+        audit=True,
     ),
 }
 
 
 @dataclass
 class CheckContext:
-    """A manifold plus optional soliton data, with per-point group caching."""
+    """A manifold plus optional soliton data."""
 
     manifold: WeakFManifold
     soliton: SolitonData | None = None
-    _cache: dict = field(default_factory=dict)  # point -> group -> reports
 
-    def _satisfied(self, requires: str) -> bool:
-        return _REQUIRES[requires](self.manifold, self.soliton)
+    def _satisfied(self, requires: tuple[str, ...]) -> bool:
+        return all(_REQUIRES[r](self.manifold, self.soliton) for r in requires)
 
-    def group_reports(self, group: str, p) -> list[ResidualReport]:
-        groups = self._cache.setdefault(tuple(np.asarray(p, dtype=float).tolist()), {})
-        hit = groups.get(group)
-        if hit is None:
-            hit = groups[group] = self._run_group(group, p)
-        return hit
+    def group_reports(self, group: str, st: StructureAtPoint) -> list[ResidualReport]:
+        """The reports of one group at a structure of this context's manifold."""
+        return self._run_group(group, st)
 
-    def release(self, p) -> None:
-        """Drop every cached report, structure and geometry at p."""
-        self._cache.pop(tuple(np.asarray(p, dtype=float).tolist()), None)
-        self.manifold.release(p)
-
-    def _run_group(self, group: str, p) -> list[ResidualReport]:
-        return _RUNNERS[group](self.manifold, self.soliton, p)
+    def _run_group(self, group: str, st: StructureAtPoint) -> list[ResidualReport]:
+        return _RUNNERS[group](st, self.soliton)
 
 
 def applicable_ids(ctx: CheckContext) -> list[str]:
@@ -168,8 +158,9 @@ def run_check_ids(
 ) -> list[ResidualReport]:
     """Run the named checks at each point, applying tolerance overrides.
 
-    A repeated id runs once, at its first position.  The fields are jetted
-    for all points at once; each point's caches are released when it is done.
+    A repeated id runs once.  The fields, with the soliton's potential, are
+    jetted for all points at once; each needed group then runs once on each
+    point's structure.
     """
     overrides = overrides or {}
     ids = list(dict.fromkeys(ids))
@@ -182,16 +173,20 @@ def run_check_ids(
             f"checks {blocked} need data this manifest does not provide "
             "(constant beta, twisted-product sigma, or a soliton block)"
         )
+    wanted = set(ids)
+    groups = dict.fromkeys(CATALOGUE[cid].group for cid in ids)
+    sol = ctx.soliton
+    extra = () if sol is None else (sol.v if sol.V is None else sol.V,)
     keyed: list[tuple[str, int, ResidualReport]] = []
-    for idx, st in enumerate(ctx.manifold.structures(points)):
-        for cid in ids:
-            for r in ctx.group_reports(CATALOGUE[cid].group, st.point):
-                if r.check_id != cid:
+    for idx, st in enumerate(ctx.manifold.structures(points, extra)):
+        for group in groups:
+            for r in ctx.group_reports(group, st):
+                cid = r.check_id
+                if cid not in wanted:
                     continue
                 if cid in overrides:
                     tol = overrides[cid]
                     r = replace(r, tolerance=tol, passed=r.residual <= tol)
                 keyed.append((cid, idx, r))
-        ctx.release(st.point)
     keyed.sort(key=lambda t: (t[0], t[1]))
     return [r for _, _, r in keyed]

@@ -238,8 +238,10 @@ def manifold_from_manifest(data: dict):
         key: _parse_tolerance(key, val, "tolerances") for key, val in tols.items()
     }
 
-    sample = dict(_DEFAULT_SAMPLE)
-    sample.update(data.get("sample") or {})
+    sample_raw = {} if data.get("sample") is None else data["sample"]
+    if not isinstance(sample_raw, dict):
+        raise ManifestError("sample: expected an object of policy key -> value")
+    sample = {**_DEFAULT_SAMPLE, **sample_raw}
     return m, soliton, checks, overrides, sample
 
 
@@ -500,7 +502,7 @@ def list_checks(args) -> int:
     width = max(len(cid) for cid in CATALOGUE)
     for cid, spec in CATALOGUE.items():
         tag = "audit" if spec.audit else "check"
-        need = f"  requires: {spec.requires}" if spec.requires else ""
+        need = f"  requires: {', '.join(spec.requires)}" if spec.requires else ""
         sys.stdout.write(f"{cid:<{width}}  {tag}  tol={spec.tolerance:g}{need}\n")
     return 0
 

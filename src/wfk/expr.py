@@ -41,7 +41,6 @@ __all__ = [
     "parse_expression",
     "compile_tape",
     "evaluate_jet",
-    "evaluate_value",
     "to_source",
     "const",
     "var",
@@ -109,6 +108,10 @@ class ExprAst:
     def tape(self) -> "Tape":
         """This expression compiled alone, once."""
         return compile_tape((self,), self.dim)
+
+    def jets(self, p, third: bool = False):
+        """(value, d, d2) and with ``third`` also d3, as :meth:`Tape.jets`."""
+        return self.tape.jets(p, third)
 
 
 @dataclass(frozen=True)
@@ -363,6 +366,18 @@ class Tape:
     code: tuple
     outputs: tuple
 
+    def jets(self, p, third: bool = False, shape: tuple = ()):
+        """(value, d, d2) and with ``third`` also d3, derivative axes last.
+
+        ``p`` is a point ``(dim,)`` or a batch of points ``(P, dim)``; a batch
+        adds a leading axis to every array.  The outputs axis is reshaped to
+        ``shape`` (``()`` for a single expression).
+        """
+        pts = np.asarray(p, dtype=float)
+        out = evaluate_jet(self, np.atleast_2d(pts), third)
+        lead = pts.shape[:-1] + shape
+        return tuple(arr.reshape(lead + arr.shape[2:]) for arr in out)
+
 
 def _elementwise(fn, v: np.ndarray, node: Node, what: str) -> np.ndarray:
     """``fn`` per element in Python floats (numpy's exp and pow round differently)."""
@@ -610,11 +625,6 @@ def evaluate_jet(ast: ExprAst | Tape, point, third: bool = False):
         )
     out = [arr[0, 0] for arr in _run(ast.tape, p[None], third)]
     return ScalarJet(float(out[0]), out[1], out[2], out[3] if third else None)
-
-
-def evaluate_value(ast: ExprAst, point) -> float:
-    """Value-only evaluation (same domain errors as :func:`evaluate_jet`)."""
-    return evaluate_jet(ast, point).value
 
 
 # ---------------------------------------------------------------------------

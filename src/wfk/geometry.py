@@ -4,6 +4,8 @@ All metric derivatives come from analytic jets of the metric's expression
 entries.  Quantities that need third derivatives (the Lie derivative of
 curvature, nabla Ric# and d(scal)) are built from third-order jets at the
 same point, so every quantity at a point needs one ``_PointGeometry``.
+Functions of a vector field or a potential take its jets ``(value, d, d2)``
+at the point, so a field jetted for a batch of points is not jetted again.
 
 Index conventions used throughout:
 
@@ -18,7 +20,7 @@ are written against.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -117,15 +119,13 @@ class FieldSpec:
         ``p`` is a point ``(dim,)`` or a batch of points ``(P, dim)``; a batch
         adds a leading axis to every array.  d[..., a] = d_a entry and so on.
         """
-        pts = np.asarray(p, dtype=float)
-        out = ex.evaluate_jet(self.tape, np.atleast_2d(pts), third)
         n = self.dim
-        lead = pts.shape[:-1] + ((n, n) if isinstance(self.entries[0], tuple) else (n,))
-        return tuple(arr.reshape(lead + arr.shape[2:]) for arr in out)
+        shape = (n, n) if isinstance(self.entries[0], tuple) else (n,)
+        return self.tape.jets(p, third, shape)
 
 
 # ---------------------------------------------------------------------------
-# metric field and per-point geometry cache
+# metric field and the geometry at a point
 
 class _PointGeometry:
     """All jet-derived geometric data of a metric at one point."""
@@ -159,9 +159,9 @@ class _PointGeometry:
         )
         return 0.5 * np.einsum("kl,lij->kij", self.ginv, core)
 
-    @property
+    @cached_property
     def dginv(self) -> np.ndarray:
-        """dginv[k, l, m] = d_m g^kl = -g^ka d_m g_ab g^bl (not kept per point)."""
+        """dginv[k, l, m] = d_m g^kl = -g^ka d_m g_ab g^bl."""
         return -np.einsum("ka,abm,bl->klm", self.ginv, self.dg, self.ginv)
 
     @cached_property
@@ -194,7 +194,7 @@ class _PointGeometry:
     def ric(self) -> np.ndarray:
         return np.einsum("iijk->jk", self.riem)
 
-    @property
+    @cached_property
     def ric_sharp(self) -> np.ndarray:
         return self.ginv @ self.ric
 
@@ -293,14 +293,11 @@ class _PointGeometry:
         return float(np.einsum("kkn->n", self.dric_sharp) @ v)
 
 
-@dataclass(frozen=True)
 class MetricField(FieldSpec):
     """Symmetric field of metric expressions on a chart of dimension ``dim``.
 
     Mirrored entries are one object, so the tape evaluates each once.
     """
-
-    _cache: dict = field(default_factory=dict, compare=False, repr=False)
 
     @classmethod
     def from_entries(cls, rows, dim: int) -> "MetricField":
@@ -334,24 +331,13 @@ class MetricField(FieldSpec):
         return cls.diagonal([1.0] * dim, dim)
 
     def at(self, p, jets=None) -> _PointGeometry:
-        """The geometry at p, cached; ``jets`` are the metric's jets at p if known."""
+        """The geometry at p, built afresh; ``jets`` are the metric's jets at p if known."""
         pt = np.asarray(p, dtype=float)
         if pt.shape != (self.dim,):
             raise ValueError(
                 f"point dimension {pt.shape} does not match chart ({self.dim},)"
             )
-        key = tuple(pt.tolist())
-        hit = self._cache.get(key)
-        if hit is None:
-            if len(self._cache) > 4096:
-                self._cache.clear()
-            hit = _PointGeometry(self, pt, jets)
-            self._cache[key] = hit
-        return hit
-
-    def release(self, p) -> None:
-        """Drop the cached geometry at p."""
-        self._cache.pop(tuple(np.asarray(p, dtype=float).tolist()), None)
+        return _PointGeometry(self, pt, jets)
 
 
 # ---------------------------------------------------------------------------
@@ -392,9 +378,9 @@ def scalar_curvature(g: MetricField, p) -> float:
     return g.at(p).scalar
 
 
-def lie_derivative_metric(g: MetricField, V: FieldSpec, p) -> TensorValue:
-    geo = g.at(p)
-    v, dv, _ = V.jets(geo.point)
+def lie_derivative_metric(geo: _PointGeometry, V) -> TensorValue:
+    """L_V g from the jets ``(v, dv, ...)`` of V at the point."""
+    v, dv = V[:2]
     lg = (
         np.einsum("k,ijk->ij", v, geo.dg)
         + np.einsum("kj,ki->ij", geo.g, dv)
@@ -403,12 +389,11 @@ def lie_derivative_metric(g: MetricField, V: FieldSpec, p) -> TensorValue:
     return TensorValue(("down", "down"), lg, geo.point)
 
 
-def lie_derivative_1form(omega: FieldSpec, V: FieldSpec, p) -> TensorValue:
-    pt = np.asarray(p, dtype=float)
-    w, dw, _ = omega.jets(pt)
-    v, dv, _ = V.jets(pt)
+def lie_derivative_1form(geo: _PointGeometry, omega, V) -> TensorValue:
+    """L_V omega from the jets ``(w, dw, ...)`` of omega and ``(v, dv, ...)`` of V."""
+    (w, dw), (v, dv) = omega[:2], V[:2]
     lw = dw @ v + w @ dv
-    return TensorValue(("down",), lw, pt)
+    return TensorValue(("down",), lw, geo.point)
 
 
 def exterior_derivative_1form(omega: FieldSpec, p) -> TensorValue:
@@ -430,21 +415,20 @@ def coboundary_2form(dphi: np.ndarray) -> np.ndarray:
     return (np.einsum("jki->ijk", dphi) + np.einsum("kij->ijk", dphi) + dphi) / 3.0
 
 
-def gradient_and_hessian(g: MetricField, v: ExprAst, p) -> tuple[TensorValue, TensorValue]:
-    geo = g.at(p)
-    jet = ex.evaluate_jet(v, geo.point)
-    grad = geo.ginv @ jet.gradient
-    hess = jet.hessian - np.einsum("kij,k->ij", geo.gamma, jet.gradient)
+def gradient_and_hessian(geo: _PointGeometry, v) -> tuple[TensorValue, TensorValue]:
+    """grad v and Hess v from the jets ``(value, d, d2)`` of a potential v."""
+    _, dv, d2v = v
+    grad = geo.ginv @ dv
+    hess = d2v - np.einsum("kij,k->ij", geo.gamma, dv)
     return (
         TensorValue(("up",), grad, geo.point),
         TensorValue(("down", "down"), hess, geo.point),
     )
 
 
-def _lie_connection_components(g: MetricField, V: FieldSpec, p):
-    """T[k, i, j] = (L_V nabla)^k_ij."""
-    geo = g.at(np.asarray(p, dtype=float))
-    v, dv, d2v = V.jets(geo.point)
+def _lie_connection_components(geo: _PointGeometry, V):
+    """T[k, i, j] = (L_V nabla)^k_ij from the jets ``(v, dv, d2v)`` of V."""
+    v, dv, d2v = V
     gam, dgam = geo.gamma, geo.dgamma
     # A^k_j = nabla_j V^k
     a = dv + np.einsum("kjm,m->kj", gam, v)
@@ -462,21 +446,20 @@ def _lie_connection_components(g: MetricField, V: FieldSpec, p):
     return nabla_a + np.einsum("kmij,m->kij", geo.riem, v)
 
 
-def lie_derivative_connection(g: MetricField, V: FieldSpec, p) -> TensorValue:
+def lie_derivative_connection(geo: _PointGeometry, V) -> TensorValue:
     """(L_V nabla)(X, Y) = nabla_X nabla_Y V - nabla_{nabla_X Y} V + R(V, X) Y."""
-    pt = np.asarray(p, dtype=float)
-    t = _lie_connection_components(g, V, pt)
-    return TensorValue(("up", "down", "down"), t, pt)
+    t = _lie_connection_components(geo, V)
+    return TensorValue(("up", "down", "down"), t, geo.point)
 
 
-def lie_derivative_curvature(g: MetricField, V: FieldSpec, p) -> TensorValue:
+def lie_derivative_curvature(geo: _PointGeometry, V) -> TensorValue:
     """L_V R as the Lie derivative of the (1,3)-tensor R, exact at the point.
 
     (L_V R)^l_ijk = V(R^l_ijk) - R^a_ijk d_a V^l + R^l_ajk d_i V^a
-    + R^l_iak d_j V^a + R^l_ija d_k V^a, with V(R) from third-order jets.
+    + R^l_iak d_j V^a + R^l_ija d_k V^a, with V(R) from third-order metric
+    jets and ``(v, dv, ...)`` the jets of V.
     """
-    geo = g.at(np.asarray(p, dtype=float))
-    v, dv, _ = V.jets(geo.point)
+    v, dv = V[:2]
     riem = geo.riem
     lr = (
         geo.riem_along(v)

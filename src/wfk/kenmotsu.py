@@ -107,16 +107,15 @@ def _nabla_f_residual(st: StructureAtPoint, beta: float) -> np.ndarray:
     return lhs - rhs
 
 
-def kenmotsu_residual(m: WeakFManifold, p, beta=None) -> ResidualReport:
+def kenmotsu_residual(st: StructureAtPoint, beta=None) -> ResidualReport:
     """Residual of the defining nabla-f condition at a point.
 
     ``beta`` overrides the manifold's coefficient and may be an
     expression (the genuinely twisted case); beta = 0 checks the
     C-manifold case.
     """
-    st = m.at(p)
     if beta is None:
-        bval = m.beta_value(p)
+        bval = st.m.beta_value(st.point)
     elif isinstance(beta, ExprAst):
         bval = ex.evaluate_jet(beta, st.point).value
     else:
@@ -142,11 +141,7 @@ def _bracket(st: StructureAtPoint) -> np.ndarray:
 def _bracket_form(st: StructureAtPoint) -> np.ndarray:
     """[a, b] = s g - s sum_j eta^j (x) eta^j + etabar (x) etabar."""
     s = st.m.s
-    return (
-        s * st.geo.g
-        - s * np.einsum("ja,jb->ab", st.eta, st.eta)
-        + np.einsum("a,b->ab", st.etabar, st.etabar)
-    )
+    return s * st.geo.g - s * st.etaeta + st.ebar
 
 
 def _id13(st: StructureAtPoint, beta: float) -> np.ndarray:
@@ -165,7 +160,7 @@ def _id15(st: StructureAtPoint, beta: float) -> np.ndarray:
     nab = st.deta.transpose(0, 2, 1) - np.einsum(
         "mab,im->iab", st.geo.gamma, st.eta
     )
-    rhs = beta * (st.geo.g - np.einsum("ja,jb->ab", st.eta, st.eta))
+    rhs = beta * (st.geo.g - st.etaeta)
     return nab - rhs[None, :, :]
 
 
@@ -179,12 +174,11 @@ def _id16(st: StructureAtPoint, beta: float) -> np.ndarray:
 
 
 def _id18(st: StructureAtPoint, beta: float) -> np.ndarray:
-    m = st.m
-    rhs = 2.0 * beta * (st.geo.g - np.einsum("ia,ib->ab", st.eta, st.eta))
+    rhs = 2.0 * beta * (st.geo.g - st.etaeta)
     return np.stack(
         [
-            lie_derivative_metric(m.metric, m.xi[i], st.point).components - rhs
-            for i in range(m.s)
+            lie_derivative_metric(st.geo, (xi, dxi)).components - rhs
+            for xi, dxi in zip(st.xi, st.dxi)
         ]
     )
 
@@ -246,7 +240,6 @@ def _id27(st: StructureAtPoint, beta: float) -> np.ndarray:
     lhs = np.einsum("ia,jb,lijc->labc", f, f, riem, optimize=True)
     lhs = lhs - np.einsum("jb,lajc->labc", Q, riem)
     gq = np.einsum("mb,mc->bc", Q, g)  # g(e_c, Q e_b)
-    etaeta = np.einsum("jb,jc->bc", eta, eta)
     sgl = _bracket_form(st)  # s g(Z,X) - s sum + etabar(Z) etabar(X) at [c, a]
     q_minus = Q - np.einsum("jb,jk->kb", eta, xi)  # [k, b]: QY - sum eta^j(Y) xi_j
     gfx = np.einsum("ma,mc->ca", f, g)  # g(Z, fX) at [c, a]
@@ -258,7 +251,7 @@ def _id27(st: StructureAtPoint, beta: float) -> np.ndarray:
         - np.einsum("ja,c,jl->lac", eta, etabar, xi)
     )  # [l, a, c]: etabar(Z) X - g(Z,X) xibar + sum_j eta^j(X){eta^j(Z) xibar - etabar(Z) xi_j}
     rhs = beta**2 * (
-        np.einsum("bc,ka->kabc", gq - etaeta, _bracket(st))
+        np.einsum("bc,ka->kabc", gq - st.etaeta, _bracket(st))
         - np.einsum("ca,kb->kabc", sgl, q_minus)
         + s * np.einsum("ca,kb->kabc", gfx, f)
         - s * np.einsum("cb,ka->kabc", gfy, f)
@@ -288,20 +281,20 @@ _IDENTITIES = {
 IDENTITY_IDS = tuple(_IDENTITIES)
 
 
-def audit_identities(m: WeakFManifold, p, ids=None) -> list[ResidualReport]:
+def audit_identities(st: StructureAtPoint, ids=None) -> list[ResidualReport]:
     """Residual reports for the curvature/connection identity catalogue."""
     if ids is None:
         ids = IDENTITY_IDS
     unknown = [i for i in ids if i not in IDENTITY_IDS]
     if unknown:
         raise KeyError(f"unknown identity ids: {unknown}")
+    m = st.m
     if not m.beta_is_constant:
         raise ValueError(
             "identity audits require a constant Kenmotsu coefficient; "
             "this manifold carries a coordinate-dependent one"
         )
-    beta = m.beta_value(np.zeros(m.dim))
-    st = m.at(p)
+    beta = m.beta_value(st.point)
     return [
         ResidualReport.make(
             f"id.{i}", st.point, tensor_residual(_IDENTITIES[i](st, beta))
@@ -423,7 +416,7 @@ def build_twisted_product(
         sigma=sigma,
         fiber_dim=two_n,
     )
-    axioms = check_axioms(m, origin)
+    axioms = check_axioms(m.at(origin))
     if not all(r.passed for r in axioms):
         worst = max(r.residual for r in axioms)
         raise ValueError(
@@ -432,17 +425,17 @@ def build_twisted_product(
     return m
 
 
-def twisted_product_audit(m: WeakFManifold, p) -> list[ResidualReport]:
+def twisted_product_audit(st: StructureAtPoint) -> list[ResidualReport]:
     """Connection relations of the twisted product: Reeb, base, fiber parts."""
+    m = st.m
     if m.sigma is None or m.fiber_dim is None:
         raise ValueError("manifold was not built as a twisted product")
-    st = m.at(p)
     two_n = m.fiber_dim
     s = m.s
     gam = st.geo.gamma
     g = st.geo.g
-    jet = ex.evaluate_jet(m.sigma, st.point)
-    dlog = jet.gradient / jet.value  # d(log sigma)
+    sigma, dsigma, _ = st.jets_of(m.sigma)
+    dlog = dsigma / sigma  # d(log sigma)
 
     # (i): nabla_{xi_i} xi_j = 0 and nabla_X xi_i = xi_i(log sigma) X on the fiber
     res_i = np.abs(gam[:, two_n:, two_n:]).max()
@@ -453,7 +446,7 @@ def twisted_product_audit(m: WeakFManifold, p) -> list[ResidualReport]:
         res_i = max(res_i, np.abs(block).max())
 
     # (ii): t-components of nabla_X Y equal -g(X, Y) (grad log sigma)_t
-    grad_log_t = st.geo.ginv[two_n:, :] @ jet.gradient / jet.value
+    grad_log_t = st.geo.ginv[two_n:, :] @ dsigma / sigma
     res_ii = np.abs(
         gam[two_n:, :two_n, :two_n]
         + np.einsum("ab,p->pab", g[:two_n, :two_n], grad_log_t)
@@ -482,16 +475,14 @@ def twisted_product_audit(m: WeakFManifold, p) -> list[ResidualReport]:
 # eta-Einstein fit
 
 
-def eta_einstein_fit(m: WeakFManifold, p) -> EinsteinFit:
+def eta_einstein_fit(st: StructureAtPoint) -> EinsteinFit:
     """Least-squares (a, b) of Ric = a g - a sum eta (x) eta + (a+b) etabar (x) etabar."""
-    st = m.at(p)
-    etaeta = np.einsum("ia,ib->ab", st.eta, st.eta)
-    ebar = np.einsum("a,b->ab", st.etabar, st.etabar)
+    m = st.m
     predicted = None
     if m.beta is not None and m.beta_is_constant:
-        beta = m.beta_value(p)
+        beta = m.beta_value(st.point)
         a_pred = m.s * beta**2 + st.geo.scalar / (2.0 * m.n)
         b_pred = -2.0 * m.n * beta**2 - a_pred
         predicted = (float(a_pred), float(b_pred))
-    col_a = st.geo.g - etaeta + ebar
-    return EinsteinFit.least_squares(st.geo.ric, col_a, ebar, predicted)
+    col_a = st.geo.g - st.etaeta + st.ebar
+    return EinsteinFit.least_squares(st.geo.ric, col_a, st.ebar, predicted)

@@ -25,7 +25,13 @@ from .geometry import (
     lie_derivative_metric,
 )
 from .kenmotsu import EinsteinFit
-from .weakf import TOLERANCES, ResidualReport, WeakFManifold, tensor_residual
+from .weakf import (
+    TOLERANCES,
+    ResidualReport,
+    StructureAtPoint,
+    WeakFManifold,
+    tensor_residual,
+)
 
 __all__ = [
     "SolitonData",
@@ -99,53 +105,44 @@ def _classify(lam: float) -> str:
 # *-Ricci tensor
 
 
-def star_ricci(m: WeakFManifold, p) -> TensorValue:
+def star_ricci(st: StructureAtPoint) -> TensorValue:
     """Ric*_{ab} = (1/2) f^k_l f^j_b R^l_{ajk}; generally not symmetric."""
-    st = m.at(p)
-    # contract f into R's (l, k) slots first: dim^4 work, not dim^6
-    comp = 0.5 * np.tensordot(st.geo.riem, st.f, axes=([0, 3], [1, 0])) @ st.f
-    return TensorValue(("down", "down"), comp, st.point)
+    return TensorValue(("down", "down"), st.ric_star, st.point)
 
 
-def star_scalar(m: WeakFManifold, p) -> float:
-    st = m.at(p)
-    return float(np.einsum("ab,ab->", st.geo.ginv, star_ricci(m, p).components))
+def star_scalar(st: StructureAtPoint) -> float:
+    """r*, the g-trace of Ric*."""
+    return st.r_star
 
 
-def star_symmetry_gate(m: WeakFManifold, p) -> tuple[float, float]:
+def star_symmetry_gate(st: StructureAtPoint) -> tuple[float, float]:
     """(antisymmetry of Ric*, commutator norm of Q with the Ricci operator)."""
-    st = m.at(p)
-    ric_star = star_ricci(m, p).components
+    ric_star = st.ric_star
     asym = float(np.abs(ric_star - ric_star.T).max())
     comm = float(np.abs(st.Q @ st.geo.ric_sharp - st.geo.ric_sharp @ st.Q).max())
     return asym, comm
 
 
-def theorem4_residual(m: WeakFManifold, p) -> list[ResidualReport]:
+def theorem4_residual(st: StructureAtPoint) -> list[ResidualReport]:
     """Compare the definitional Ric* and r* against their Ricci expressions."""
-    st = m.at(p)
-    beta = m.beta_value(p)
+    m = st.m
+    beta = m.beta_value(st.point)
     s, n = m.s, m.n
-    g, Q, eta = st.geo.g, st.Q, st.eta
-    etabar = st.etabar
+    g, Q = st.geo.g, st.Q
 
-    ric_star = star_ricci(m, p).components
     ric_q = np.einsum("am,mb->ab", st.geo.ric, Q)  # Ric(X, QY)
     gq = np.einsum("ma,mb->ab", Q, g)  # g(QX, Y)
     rhs = ric_q + beta**2 * (
-        s * (2 * n - 1) * gq
-        + 2 * n * np.einsum("a,b->ab", etabar, etabar)
-        - s * (2 * n - 1) * np.einsum("ja,jb->ab", eta, eta)
+        s * (2 * n - 1) * gq + 2 * n * st.ebar - s * (2 * n - 1) * st.etaeta
     )
     rep28 = ResidualReport.make(
-        "thm4.28", st.point, tensor_residual(ric_star - rhs, (0, 1))
+        "thm4.28", st.point, tensor_residual(st.ric_star - rhs, (0, 1))
     )
 
-    r_star = star_scalar(m, p)
     rhs_scalar = float(np.trace(Q @ st.geo.ric_sharp)) + beta**2 * (
         4 * s * n**2 + s * (2 * n - 1) * float(np.trace(st.Qtilde))
     )
-    rep29 = ResidualReport.make("thm4.29", st.point, abs(r_star - rhs_scalar))
+    rep29 = ResidualReport.make("thm4.29", st.point, abs(st.r_star - rhs_scalar))
     return [rep28, rep29]
 
 
@@ -153,48 +150,35 @@ def theorem4_residual(m: WeakFManifold, p) -> list[ResidualReport]:
 # *-eta-Einstein fit
 
 
-def star_eta_einstein_fit(m: WeakFManifold, p):
+def star_eta_einstein_fit(st: StructureAtPoint):
     """Fit Ric* = abar g + bbar sum_i eta^i (x) eta^i + (abar+bbar) sum_{i!=j}.
 
     Regrouped, the model is abar (g + sum_{i!=j} eta^i (x) eta^j) plus
     bbar etabar (x) etabar.  The predicted pair is (r*/2n, -r*/2n).
     """
-    st = m.at(p)
-    ric_star = star_ricci(m, p).components
-    cross = np.einsum("ia,jb->ab", st.eta, st.eta) - np.einsum(
-        "ia,ib->ab", st.eta, st.eta
-    )
-    ebar = np.einsum("a,b->ab", st.etabar, st.etabar)
-    pred = star_scalar(m, p) / (2.0 * m.n)
+    cross = np.einsum("ia,jb->ab", st.eta, st.eta) - st.etaeta
+    pred = st.r_star / (2.0 * st.m.n)
     return EinsteinFit.least_squares(
-        ric_star, st.geo.g + cross, ebar, (float(pred), float(-pred))
+        st.ric_star, st.geo.g + cross, st.ebar, (float(pred), float(-pred))
     )
 
 
-def corollary2_residual(m: WeakFManifold, p) -> ResidualReport:
+def corollary2_residual(st: StructureAtPoint) -> ResidualReport:
     """Corollary 2, abar = -bbar = r*/(2n); vacuous (0) where the fit is poor."""
-    fit = star_eta_einstein_fit(m, p)
+    fit = star_eta_einstein_fit(st)
     res = 0.0
     if fit.residual <= _FIT_GATE:
         a_pred, b_pred = fit.predicted
         res = max(fit.residual, abs(fit.a - a_pred), abs(fit.b - b_pred))
-    return ResidualReport.make("cor2", m.at(p).point, res)
+    return ResidualReport.make("cor2", st.point, res)
 
 
 # ---------------------------------------------------------------------------
 # soliton residuals
 
 
-def _soliton_blocks(m: WeakFManifold, p):
-    st = m.at(p)
-    g = st.geo.g
-    etaeta = np.einsum("ia,ib->ab", st.eta, st.eta)
-    ebar = np.einsum("a,b->ab", st.etabar, st.etabar)
-    return st, g, etaeta, ebar
-
-
-def _check_star_symmetric(m: WeakFManifold, p) -> None:
-    asym, _ = star_symmetry_gate(m, p)
+def _check_star_symmetric(st: StructureAtPoint) -> None:
+    asym, _ = star_symmetry_gate(st)
     if asym > _SYMMETRY_TOL:
         raise ValueError(
             f"the *-Ricci tensor is not symmetric at this point "
@@ -202,11 +186,11 @@ def _check_star_symmetric(m: WeakFManifold, p) -> None:
         )
 
 
-def _cross_residual_33(m: WeakFManifold, p, half_lie: np.ndarray, lam, mu) -> float:
+def _cross_residual_33(st: StructureAtPoint, half_lie: np.ndarray, lam, mu) -> float:
     """Residual of the expanded soliton equation written through Ric and Q."""
-    st, g, etaeta, ebar = _soliton_blocks(m, p)
-    beta = m.beta_value(p)
-    s, n = m.s, m.n
+    g, etaeta, ebar = st.geo.g, st.etaeta, st.ebar
+    beta = st.m.beta_value(st.point)
+    s, n = st.m.s, st.m.n
     ric_q = np.einsum("am,mb->ab", st.geo.ric, st.Q)
     gq = np.einsum("ma,mb->ab", st.Q, g)
     k = s * (2 * n - 1) * beta**2
@@ -219,37 +203,36 @@ def _cross_residual_33(m: WeakFManifold, p, half_lie: np.ndarray, lam, mu) -> fl
     return tensor_residual(half_lie + ric_q - rhs, (0, 1))
 
 
-def soliton_residual(m: WeakFManifold, sol: SolitonData, p) -> SolitonVerdict:
+def soliton_residual(st: StructureAtPoint, sol: SolitonData) -> SolitonVerdict:
     """Residual of (1/2) L_V g + Ric* = lam {g - sum eta (x) eta} + (lam+mu) etabar (x) etabar."""
     if sol.V is None:
         raise ValueError("soliton_residual needs a vector-field potential")
-    if sol.V.dim != m.dim:
+    if sol.V.dim != st.m.dim:
         raise ValueError("potential dimension does not match the manifold")
-    _check_star_symmetric(m, p)
-    st, g, etaeta, ebar = _soliton_blocks(m, p)
-    half_lie = 0.5 * lie_derivative_metric(m.metric, sol.V, p).components
-    lhs = half_lie + star_ricci(m, p).components
-    rhs = sol.lam * (g - etaeta) + (sol.lam + sol.mu) * ebar
+    _check_star_symmetric(st)
+    half_lie = 0.5 * lie_derivative_metric(st.geo, st.jets_of(sol.V)).components
+    lhs = half_lie + st.ric_star
+    rhs = sol.lam * (st.geo.g - st.etaeta) + (sol.lam + sol.mu) * st.ebar
     residual = tensor_residual(lhs - rhs, (0, 1))
-    cross = _cross_residual_33(m, p, half_lie, sol.lam, sol.mu)
+    cross = _cross_residual_33(st, half_lie, sol.lam, sol.mu)
     return SolitonVerdict(
         residual, _classify(sol.lam), abs(sol.lam + sol.mu), cross
     )
 
 
-def gradient_soliton_residual(m: WeakFManifold, sol: SolitonData, p) -> SolitonVerdict:
+def gradient_soliton_residual(st: StructureAtPoint, sol: SolitonData) -> SolitonVerdict:
     """Residual of Hess_v + Ric* = lam {g - sum eta (x) eta} + (lam+mu) etabar (x) etabar."""
     if sol.v is None:
         raise ValueError("gradient_soliton_residual needs a potential function")
-    _check_star_symmetric(m, p)
-    st, g, etaeta, ebar = _soliton_blocks(m, p)
-    _, hess = gradient_and_hessian(m.metric, sol.v, p)
-    lhs = hess.components + star_ricci(m, p).components
-    rhs = sol.lam * (g - etaeta) + (sol.lam + sol.mu) * ebar
+    _check_star_symmetric(st)
+    _, hess = gradient_and_hessian(st.geo, st.jets_of(sol.v))
+    lhs = hess.components + st.ric_star
+    rhs = sol.lam * (st.geo.g - st.etaeta) + (sol.lam + sol.mu) * st.ebar
     residual = tensor_residual(lhs - rhs, (0, 1))
 
     # operator form: nabla_X grad v + Q Ric# X = lam X - s(2n-1) b^2 QX + ...
-    beta = m.beta_value(p)
+    m = st.m
+    beta = m.beta_value(st.point)
     s, n = m.s, m.n
     dim = m.dim
     k = s * (2 * n - 1) * beta**2
@@ -273,21 +256,21 @@ def fit_soliton_constants(m: WeakFManifold, V: FieldSpec, sample):
     points = [np.asarray(p, dtype=float) for p in sample]
     if len(points) < 2:
         raise ValueError("need at least two sample points")
+    structures = list(m.structures(points, (V,)))
     rows, targets = [], []
-    for p in points:
-        st, g, etaeta, ebar = _soliton_blocks(m, p)
+    for st in structures:
         target = (
-            0.5 * lie_derivative_metric(m.metric, V, p).components
-            + star_ricci(m, p).components
+            0.5 * lie_derivative_metric(st.geo, st.jets_of(V)).components + st.ric_star
         )
-        rows.append(np.stack([(g - etaeta + ebar).ravel(), ebar.ravel()], axis=1))
+        g, ebar = st.geo.g, st.ebar
+        rows.append(np.stack([(g - st.etaeta + ebar).ravel(), ebar.ravel()], axis=1))
         targets.append(target.ravel())
     design = np.vstack(rows)
     rhs = np.concatenate(targets)
     coef, *_ = np.linalg.lstsq(design, rhs, rcond=None)
     lam, mu = float(coef[0]), float(coef[1])
     sol = SolitonData(lam=lam, mu=mu, V=V)
-    residual = max(soliton_residual(m, sol, p).residual for p in points)
+    residual = max(soliton_residual(st, sol).residual for st in structures)
     return lam, mu, residual
 
 
@@ -302,11 +285,14 @@ def prop5_check(lam: float, mu: float, tol: float = TOLERANCES["prop5"]) -> Prop
 # contact fields
 
 
-def contact_fit(m: WeakFManifold, V: FieldSpec, p) -> tuple[float, float]:
+def contact_fit(st: StructureAtPoint, V: FieldSpec) -> tuple[float, float]:
     """Least-squares sigma of L_V eta^i = sigma eta^i and the max-abs residual."""
-    st = m.at(p)
+    v = st.jets_of(V)
     lie = np.stack(
-        [lie_derivative_1form(m.eta[i], V, p).components for i in range(m.s)]
+        [
+            lie_derivative_1form(st.geo, (eta, deta), v).components
+            for eta, deta in zip(st.eta, st.deta)
+        ]
     )
     num = float(np.einsum("ia,ia->", lie, st.eta))
     den = float(np.einsum("ia,ia->", st.eta, st.eta))
@@ -315,10 +301,10 @@ def contact_fit(m: WeakFManifold, V: FieldSpec, p) -> tuple[float, float]:
 
 
 def contact_field_check(
-    m: WeakFManifold, V: FieldSpec, p, tol: float = TOLERANCES["contact.65"]
+    st: StructureAtPoint, V: FieldSpec, tol: float = TOLERANCES["contact.65"]
 ):
     """Decide whether L_V eta^i = sigma eta^i for a single constant sigma."""
-    sigma, residual = contact_fit(m, V, p)
+    sigma, residual = contact_fit(st, V)
     is_contact = residual <= tol
     is_strict = is_contact and abs(sigma) <= tol
     return is_contact, sigma, is_strict
@@ -328,7 +314,7 @@ def contact_field_check(
 # Lie-derivative identity audit (report-only)
 
 
-def lemma2_audit(m: WeakFManifold, sol: SolitonData, p) -> list[ResidualReport]:
+def lemma2_audit(st: StructureAtPoint, sol: SolitonData) -> list[ResidualReport]:
     """Audit the three Lie-derivative identities of the soliton analysis.
 
     These reports document how the printed identities compare against
@@ -337,8 +323,8 @@ def lemma2_audit(m: WeakFManifold, sol: SolitonData, p) -> list[ResidualReport]:
     """
     if sol.V is None:
         raise ValueError("lemma2_audit needs a vector-field potential")
-    st = m.at(p)
-    beta = m.beta_value(p)
+    m = st.m
+    beta = m.beta_value(st.point)
     s, n = m.s, m.n
     dim = m.dim
     rs = st.geo.ric_sharp
@@ -348,7 +334,8 @@ def lemma2_audit(m: WeakFManifold, sol: SolitonData, p) -> list[ResidualReport]:
     eye = np.eye(dim)
 
     # (42): (L_V nabla)(X, xi_i) vs 2b Ric# QX + 4snb^3 QX + 2sb^3 Qt X + ...
-    lie_nab = lie_derivative_connection(m.metric, sol.V, p).components  # [k, a, b]
+    v = st.jets_of(sol.V)
+    lie_nab = lie_derivative_connection(st.geo, v).components  # [k, a, b]
     rhs42 = (
         2.0 * beta * rs @ Q
         + 4.0 * s * n * beta**3 * Q
@@ -361,7 +348,7 @@ def lemma2_audit(m: WeakFManifold, sol: SolitonData, p) -> list[ResidualReport]:
         for i in range(s)
     )
 
-    lie_r = lie_derivative_curvature(m.metric, sol.V, p).components  # [k, a, b, c]
+    lie_r = lie_derivative_curvature(st.geo, v).components  # [k, a, b, c]
 
     # (34): (L_V R)_{X,Y} xi_i vs the nabla-Ric# expression
     nab_rs = st.geo.nabla_ric_sharp  # [k, j, a]

@@ -9,12 +9,13 @@ A weak metric f-manifold carries a skew-symmetric (1,1)-tensor f of rank
 
 Identity residuals are evaluated on probe vectors (the full coordinate
 basis plus 8 seeded random vectors); a residual is the max-abs over
-components and probe contractions.
+components and probe contractions.  Pointwise operations take the
+:class:`StructureAtPoint` they work on.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -139,7 +140,6 @@ class WeakFManifold:
     eta: tuple[FieldSpec, ...]
     sigma: ExprAst | None = None          # set by the twisted-product builder
     fiber_dim: int | None = None          # ditto
-    _cache: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):
         if self.n < 1 or self.s < 1:
@@ -164,30 +164,24 @@ class WeakFManifold:
     def beta_is_constant(self) -> bool:
         return not isinstance(self.beta, ExprAst)
 
-    def at(self, p, jets=None) -> "StructureAtPoint":
-        """The structure at p, cached; ``jets`` are :meth:`jets` at p if known."""
+    def at(self, p, jets=None, fields=()) -> "StructureAtPoint":
+        """The structure at p, built afresh; ``jets`` are :meth:`jets` at p if
+        known, ``fields`` ``(field, jets)`` pairs of other fields jetted at p."""
         pt = np.asarray(p, dtype=float)
-        key = tuple(pt.tolist())
-        hit = self._cache.get(key)
-        if hit is None:
-            if len(self._cache) > 2048:
-                self._cache.clear()
-            hit = StructureAtPoint(self, pt, jets)
-            self._cache[key] = hit
-        return hit
-
-    def release(self, p) -> None:
-        """Drop the cached structure and geometry at p."""
-        self._cache.pop(tuple(np.asarray(p, dtype=float).tolist()), None)
-        self.metric.release(p)
+        if pt.shape != (self.dim,):
+            raise ValueError(
+                f"point dimension {pt.shape} does not match chart ({self.dim},)"
+            )
+        return StructureAtPoint(self, pt, jets, fields)
 
     def jets(self, p):
-        """(f, df, Q, dQ, xi, dxi, eta, deta) at a point, or at points (P, dim).
+        """(g, dg, d2g, f, df, Q, dQ, xi, dxi, eta, deta) at a point or at points (P, dim).
 
         A batch adds a leading axis; xi[..., i, k] = xi_i^k and
         dxi[..., i, k, a] = d_a xi_i^k, and likewise for eta.
         """
         pts = np.asarray(p, dtype=float)
+        metric = self.metric.jets(pts)
         f, df, _ = self.f.jets(pts)
         q, dq, _ = self.Q.jets(pts)
         axis = pts.ndim - 1  # the field index i follows the batch axis
@@ -195,36 +189,74 @@ class WeakFManifold:
         forms = [w.jets(pts)[:2] for w in self.eta]
         xi, dxi = (np.stack(arrs, axis) for arrs in zip(*vectors))
         eta, deta = (np.stack(arrs, axis) for arrs in zip(*forms))
-        return f, df, q, dq, xi, dxi, eta, deta
+        return (*metric, f, df, q, dq, xi, dxi, eta, deta)
 
-    def structures(self, points):
-        """The cached structure at each point; every field is jetted in one batch."""
+    def structures(self, points, extra=()):
+        """The structure at each point.  Every field, sigma and each ``extra``
+        field (a vector field or scalar expression, such as a soliton
+        potential) is jetted once for all points; see ``jets_of``."""
         pts = np.asarray(points, dtype=float)
         if not pts.size:
             return
         if pts.shape[1:] != (self.dim,):
             raise ValueError(f"points have shape {pts.shape}, chart is ({self.dim},)")
-        metric_jets = self.metric.jets(pts)
         jets = self.jets(pts)
+        fields = [fld for fld in (self.sigma, *extra) if fld is not None]
+        field_jets = [fld.jets(pts) for fld in fields]
         for i, p in enumerate(pts):
-            self.metric.at(p, [arr[i] for arr in metric_jets])
-            yield self.at(p, [arr[i] for arr in jets])
+            yield self.at(
+                p,
+                [arr[i] for arr in jets],
+                [(fld, [arr[i] for arr in fj]) for fld, fj in zip(fields, field_jets)],
+            )
 
 
 class StructureAtPoint:
-    """Evaluated structure tensors and their first derivatives at a point."""
+    """Structure tensors, their first derivatives and the geometry at a point;
+    what is derived from them is cached here, and nothing across points."""
 
-    def __init__(self, m: WeakFManifold, p: np.ndarray, jets=None):
+    def __init__(self, m: WeakFManifold, p: np.ndarray, jets=None, fields=()):
         self.m = m
-        self.geo = m.metric.at(p)
-        self.point = self.geo.point
-        # df[i, j, k] = d_k f^i_j, dxi[i, k, a] = d_a xi_i^k, likewise deta
+        # dg[i, j, k] = d_k g_ij, df[i, j, k] = d_k f^i_j, dxi[i, k, a] = d_a xi_i^k
         (
+            g, dg, d2g,
             self.f, self.df, self.Q, self.dQ, self.xi, self.dxi, self.eta, self.deta
         ) = m.jets(p) if jets is None else jets
+        self.geo = m.metric.at(p, (g, dg, d2g))
+        self.point = self.geo.point
+        self._fields = fields
         self.xibar = self.xi.sum(axis=0)
         self.etabar = self.eta.sum(axis=0)
         self.Qtilde = self.Q - np.eye(m.dim)
+
+    def jets_of(self, field):
+        """(value, d, d2) of a vector field or scalar expression at the point,
+        from the batch that built this structure if it covered ``field``."""
+        for known, jets in self._fields:
+            if known is field:
+                return jets
+        return field.jets(self.point)
+
+    @cached_property
+    def etaeta(self) -> np.ndarray:
+        """sum_i eta^i (x) eta^i."""
+        return np.einsum("ia,ib->ab", self.eta, self.eta)
+
+    @cached_property
+    def ebar(self) -> np.ndarray:
+        """etabar (x) etabar."""
+        return np.einsum("a,b->ab", self.etabar, self.etabar)
+
+    @cached_property
+    def ric_star(self) -> np.ndarray:
+        """Ric*_{ab} = (1/2) f^k_l f^j_b R^l_{ajk}; generally not symmetric."""
+        # contract f into R's (l, k) slots first: dim^4 work, not dim^6
+        return 0.5 * np.tensordot(self.geo.riem, self.f, axes=([0, 3], [1, 0])) @ self.f
+
+    @cached_property
+    def r_star(self) -> float:
+        """The *-scalar curvature, the g-trace of Ric*."""
+        return float(np.einsum("ab,ab->", self.geo.ginv, self.ric_star))
 
     # covariant derivatives of (1,1)-tensor fields at the point
 
@@ -254,9 +286,8 @@ class StructureAtPoint:
 # operations
 
 
-def check_axioms(m: WeakFManifold, p) -> list[ResidualReport]:
+def check_axioms(st: StructureAtPoint) -> list[ResidualReport]:
     """Residuals of the defining axioms and their pointwise consequences."""
-    st = m.at(p)
     g, f, Q = st.geo.g, st.f, st.Q
     ff = f @ f
     reports = []
@@ -271,7 +302,7 @@ def check_axioms(m: WeakFManifold, p) -> list[ResidualReport]:
         "axiom.6",
         np.einsum("ma,mn,nb->ab", f, g, f)
         - g @ Q
-        + np.einsum("ia,ib->ab", st.eta, st.eta),
+        + st.etaeta,
         (0, 1),
     )
     rep("axiom.fxi", np.einsum("km,im->ki", f, st.xi))
@@ -292,17 +323,15 @@ def _nijenhuis(st: StructureAtPoint, s: np.ndarray, ds: np.ndarray) -> np.ndarra
     return c - c.transpose(0, 2, 1)
 
 
-def nijenhuis(m: WeakFManifold, S, p) -> TensorValue:
+def nijenhuis(st: StructureAtPoint, S) -> TensorValue:
     """Nijenhuis torsion [S, S] of a (1,1)-tensor field, via the connection."""
-    spec = S if isinstance(S, FieldSpec) else FieldSpec.from_entries(S, m.dim)
-    st = m.at(p)
-    s, ds, _ = spec.jets(st.point)
+    spec = S if isinstance(S, FieldSpec) else FieldSpec.from_entries(S, st.m.dim)
+    s, ds, _ = st.jets_of(spec)
     return TensorValue(("up", "down", "down"), _nijenhuis(st, s, ds), st.point)
 
 
-def normality_tensor(m: WeakFManifold, p) -> TensorValue:
+def normality_tensor(st: StructureAtPoint) -> TensorValue:
     """N1 = [f, f] + 2 sum_i d(eta^i) (x) xi_i."""
-    st = m.at(p)
     nf = _nijenhuis(st, st.f, st.df)
     # d(eta^i)_{ab} with the 1/2 normalization
     deta = 0.5 * (st.deta.transpose(0, 2, 1) - st.deta)  # [i, a, b]
@@ -310,8 +339,7 @@ def normality_tensor(m: WeakFManifold, p) -> TensorValue:
     return TensorValue(("up", "down", "down"), t, st.point)
 
 
-def fundamental_form(m: WeakFManifold, p) -> TensorValue:
-    st = m.at(p)
+def fundamental_form(st: StructureAtPoint) -> TensorValue:
     phi = np.einsum("am,mb->ab", st.geo.g, st.f)
     return TensorValue(("down", "down"), phi, st.point)
 
@@ -336,7 +364,7 @@ def fundamental_form_field(m: WeakFManifold) -> FieldSpec:
     return FieldSpec(n, tuple(tuple(r) for r in rows))
 
 
-def f_basis(m: WeakFManifold, p):
+def f_basis(st: StructureAtPoint):
     """Orthogonal frame {e_1, fe_1, ..., e_n, fe_n, xi_1, ..., xi_s}.
 
     Eigenvalues of Q on the contact distribution come in n pairs; the
@@ -345,7 +373,7 @@ def f_basis(m: WeakFManifold, p):
     with the largest projection onto the lowest-index coordinate axis
     and normalize so the first nonzero component is positive.
     """
-    st = m.at(p)
+    m = st.m
     n, dim = m.n, m.dim
     g = st.geo.g
     # g-orthonormal basis of D = orthogonal complement of the xi's
@@ -425,18 +453,17 @@ def wedge_1form_2form(alpha: np.ndarray, phi: np.ndarray) -> np.ndarray:
     ) / 3.0
 
 
-def theorem1_check(m: WeakFManifold, p) -> list[ResidualReport]:
+def theorem1_check(st: StructureAtPoint) -> list[ResidualReport]:
     """Normality, closedness of the eta^i, and dPhi = 2 beta etabar ^ Phi."""
-    st = m.at(p)
-    n1 = normality_tensor(m, p).components
+    n1 = normality_tensor(st).components
     deta = 0.5 * (st.deta.transpose(0, 2, 1) - st.deta)
     # d_k Phi_ab = d_k g_am f^m_b + g_am d_k f^m_b, from the jets at the point
     dphi = coboundary_2form(
         np.einsum("amk,mb->abk", st.geo.dg, st.f)
         + np.einsum("am,mbk->abk", st.geo.g, st.df)
     )
-    phi = fundamental_form(m, p).components
-    rhs = 2.0 * m.beta_value(p) * wedge_1form_2form(st.etabar, phi)
+    phi = fundamental_form(st).components
+    rhs = 2.0 * st.m.beta_value(st.point) * wedge_1form_2form(st.etabar, phi)
     return [
         ResidualReport.make("n1", st.point, tensor_residual(n1, (1, 2))),
         ResidualReport.make("deta", st.point, tensor_residual(deta, (1, 2))),

@@ -61,7 +61,7 @@ def lie_curvature(g, V, p) -> np.ndarray:
     geo = g.at(np.asarray(p, dtype=float))
     v, dv, d2v = V.jets(geo.point)
     gam, dgam = geo.gamma, geo.dgamma
-    t = _lie_connection_components(g, V, geo.point)
+    t = _lie_connection_components(geo, (v, dv, d2v))
     a = dv + np.einsum("kjm,m->kj", gam, v)
     da = (
         d2v

@@ -166,6 +166,30 @@ class TestCheck:
             assert [rec["id"] for rec in report["checks"]] == sorted(want * 2)
             assert report["summary"]["pass"] == 2 * len(want)
 
+    @pytest.mark.parametrize("beta", [None, "1+0*x1"], ids=["none", "expression"])
+    @pytest.mark.parametrize("potential", ["V", "v"])
+    def test_soliton_groups_need_a_constant_beta(
+        self, manifest_path, tmp_path, capsys, beta, potential
+    ):
+        data = _load(manifest_path)
+        data["beta"] = beta
+        if potential == "v":
+            del data["soliton"]["V"]
+            data["soliton"]["v"] = "x3+x4"
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(data))
+        report_path = str(tmp_path / "report.json")
+        assert main(["check", str(path), "--points", "2", "--out", report_path]) == 0
+        ran = {rec["id"] for rec in _load(report_path)["checks"]}
+        needs_beta = {
+            "soliton.32", "soliton.33", "grad.75", "lemma2.42", "lemma2.34", "lemma2.35"
+        }
+        assert "prop5" in ran and not ran & needs_beta
+        want = "soliton.32" if potential == "V" else "grad.75"
+        assert main(["check", str(path), "--only", want]) == 2
+        err = capsys.readouterr().err
+        assert "need data" in err and want in err
+
     def test_unknown_only_id(self, manifest_path, capsys):
         assert main(["check", manifest_path, "--only", "nope"]) == 2
         assert "nope" in capsys.readouterr().err
@@ -226,6 +250,19 @@ class TestManifestValidation:
         assert main(["check", str(bad)]) == 2
         err = capsys.readouterr().err
         assert message in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "value",
+        ["ab", 5, [["count", 3]], [], "", 0, False],
+        ids=["string", "number", "pairs", "empty-list", "empty-string", "zero", "false"],
+    )
+    def test_non_object_sample(self, tmp_path, manifest_path, capsys, value):
+        data = _load(manifest_path)
+        data["sample"] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))
+        assert main(["check", str(bad)]) == 2
+        assert "error: sample: expected an object" in capsys.readouterr().err
 
     def test_non_dual_reeb_forms(self, tmp_path, manifest_path, capsys):
         data = _load(manifest_path)

@@ -44,16 +44,16 @@ class TestGoldenValues:
         o = np.zeros(m.dim)
         oracle = inst["oracle"]
 
-        rs = star_ricci(m, o).components
+        rs = star_ricci(m.at(o)).components
         assert np.diag(rs)[: 2 * n] == pytest.approx(
             [oracle["ric_star_diag"]] * (2 * n)
         )
-        assert star_scalar(m, o) == pytest.approx(oracle["r_star"])
+        assert star_scalar(m.at(o)) == pytest.approx(oracle["r_star"])
 
         sol = SolitonData(
             lam=oracle["lambda"], mu=-oracle["lambda"], V=_xibar_field(m.dim, s)
         )
-        verdict = soliton_residual(m, sol, o)
+        verdict = soliton_residual(m.at(o), sol)
         assert verdict.residual < 1e-6
         sign = {"expanding": -1, "steady": 0, "shrinking": 1}[verdict.classification]
         assert sign == np.sign(oracle["lambda"])
@@ -76,22 +76,22 @@ class TestGoldenValues:
 class TestStarRicci:
     def test_reeb_slots_vanish(self, e2):
         for p in [O] + seeded_points(4, count=3, seed=40):
-            rs = star_ricci(e2, p).components
+            rs = star_ricci(e2.at(p)).components
             assert np.abs(rs[2:, :]).max() < 1e-8
             assert np.abs(rs[:, 2:]).max() < 1e-8
 
     def test_symmetry_gate(self, e2):
         for p in seeded_points(4, count=3, seed=42):
-            asym, comm = star_symmetry_gate(e2, p)
+            asym, comm = star_symmetry_gate(e2.at(p))
             assert asym < 1e-6 and comm < 1e-6
 
     def test_ricci_expression(self, e2):
         for p in seeded_points(4, count=3, seed=46):
-            for r in theorem4_residual(e2, p):
+            for r in theorem4_residual(e2.at(p)):
                 assert r.residual < 1e-6, r.check_id
 
     def test_eta_einstein_fit(self, e2):
-        fit = star_eta_einstein_fit(e2, O)
+        fit = star_eta_einstein_fit(e2.at(O))
         assert fit.a == pytest.approx(-4.0)
         assert fit.b == pytest.approx(4.0)
         assert fit.residual < 1e-8
@@ -102,7 +102,7 @@ class TestVectorSolitons:
     def test_reference_instance(self, e2):
         sol = SolitonData(lam=-2.0, mu=2.0, V=_xibar_field(4, 2))
         for p in seeded_points(4, count=3, seed=48):
-            verdict = soliton_residual(e2, sol, p)
+            verdict = soliton_residual(e2.at(p), sol)
             assert verdict.residual < 1e-6
             assert verdict.cross_residual < 1e-6
             assert verdict.classification == "expanding"
@@ -111,12 +111,12 @@ class TestVectorSolitons:
     def test_classical_instance(self):
         m = example_manifold(1, 1, 1.0, 1.0)
         sol = SolitonData(lam=-1.0, mu=1.0, V=_xibar_field(3, 1))
-        assert soliton_residual(m, sol, np.zeros(3)).residual < 1e-6
+        assert soliton_residual(m.at(np.zeros(3)), sol).residual < 1e-6
 
     def test_zero_potential(self, e2):
         zero = FieldSpec.from_entries([0.0] * 4, 4)
         sol = SolitonData(lam=-4.0, mu=4.0, V=zero)
-        assert soliton_residual(e2, sol, O).residual < 1e-8
+        assert soliton_residual(e2.at(O), sol).residual < 1e-8
 
     def test_fit_constants(self, e2):
         pts = seeded_points(4, count=3, seed=50)
@@ -129,7 +129,7 @@ class TestVectorSolitons:
         zero = FieldSpec.from_entries([0.0] * 4, 4)
         pts = seeded_points(4, count=3, seed=52)
         lam, mu, res = fit_soliton_constants(e2, zero, pts)
-        abar = star_scalar(e2, O) / 2.0
+        abar = star_scalar(e2.at(O)) / 2.0
         assert lam == pytest.approx(abar)
         assert mu == pytest.approx(-abar)
         assert res < 1e-6
@@ -144,7 +144,7 @@ class TestGradientSolitons:
         v = ex.add(ex.var(2, 4), ex.var(3, 4))
         sol = SolitonData(lam=-2.0, mu=2.0, v=v)
         for p in seeded_points(4, count=3, seed=54):
-            verdict = gradient_soliton_residual(e2, sol, p)
+            verdict = gradient_soliton_residual(e2.at(p), sol)
             assert verdict.residual < 1e-6
             assert verdict.cross_residual < 1e-6
 
@@ -153,18 +153,18 @@ class TestGradientSolitons:
         grad_sol = SolitonData(lam=-2.0, mu=2.0, v=v)
         vec_sol = SolitonData(lam=-2.0, mu=2.0, V=_xibar_field(4, 2))
         for p in seeded_points(4, count=3, seed=56):
-            g_res = gradient_soliton_residual(e2, grad_sol, p).residual
-            v_res = soliton_residual(e2, vec_sol, p).residual
+            g_res = gradient_soliton_residual(e2.at(p), grad_sol).residual
+            v_res = soliton_residual(e2.at(p), vec_sol).residual
             assert abs(g_res - v_res) < 1e-8
 
     def test_constant_potential(self, e2):
         sol = SolitonData(lam=-4.0, mu=4.0, v=ex.const(3.0, 4))
-        assert gradient_soliton_residual(e2, sol, O).residual < 1e-8
+        assert gradient_soliton_residual(e2.at(O), sol).residual < 1e-8
 
     def test_steady_classical_case(self):
         m = example_manifold(1, 1, 1.0, 0.0)
         sol = SolitonData(lam=0.0, mu=0.0, v=ex.var(2, 3))
-        verdict = gradient_soliton_residual(m, sol, np.zeros(3))
+        verdict = gradient_soliton_residual(m.at(np.zeros(3)), sol)
         assert verdict.residual < 1e-6
         assert verdict.classification == "steady"
 
@@ -178,17 +178,17 @@ class TestConstantsAndContact:
         assert not bad.passed and bad.gap == pytest.approx(2.0)
 
     def test_reeb_sum_is_strict_contact(self, e2):
-        is_contact, sigma, is_strict = contact_field_check(e2, _xibar_field(4, 2), O)
+        is_contact, sigma, is_strict = contact_field_check(e2.at(O), _xibar_field(4, 2))
         assert is_contact and is_strict and abs(sigma) < 1e-12
 
     def test_transverse_coordinate_field(self, e2):
         d1 = FieldSpec.from_entries([1.0, 0.0, 0.0, 0.0], 4)
-        is_contact, sigma, _ = contact_field_check(e2, d1, O)
+        is_contact, sigma, _ = contact_field_check(e2.at(O), d1)
         assert is_contact and sigma == pytest.approx(0.0)
 
     def test_non_contact_field(self, e2):
         V = FieldSpec.from_entries(["0", "0", "x1", "0"], 4)
-        is_contact, _, _ = contact_field_check(e2, V, O)
+        is_contact, _, _ = contact_field_check(e2.at(O), V)
         assert not is_contact
 
 
@@ -196,14 +196,14 @@ class TestLieDerivativeAudit:
     def test_classical_instance_matches(self):
         m = example_manifold(1, 1, 1.0, 0.0)
         sol = SolitonData(lam=0.0, mu=0.0, V=_xibar_field(3, 1))
-        reports = {r.check_id: r for r in lemma2_audit(m, sol, np.zeros(3))}
+        reports = {r.check_id: r for r in lemma2_audit(m.at(np.zeros(3)), sol)}
         assert reports["lemma2.42"].residual < 1e-4
         assert reports["lemma2.34"].residual < 1e-3
         assert reports["lemma2.35"].residual < 1e-3
 
     def test_weak_instance_flags_connection_identity(self, e2):
         sol = SolitonData(lam=-2.0, mu=2.0, V=_xibar_field(4, 2))
-        reports = {r.check_id: r for r in lemma2_audit(e2, sol, O)}
+        reports = {r.check_id: r for r in lemma2_audit(e2.at(O), sol)}
         # gap 2*s*c*beta^3 of the Reeb-slot connection identity
         assert reports["lemma2.42"].residual == pytest.approx(4.0, abs=1e-6)
         assert reports["lemma2.34"].residual < 1e-3
@@ -247,9 +247,9 @@ class TestValidation:
         sol = SolitonData(lam=-2.0, mu=2.0, V=_xibar_field(4, 2))
         p = np.array([0.3, 0.2, -0.1, 0.2])
         with pytest.raises(ValueError, match="not symmetric"):
-            soliton_residual(m, sol, p)
+            soliton_residual(m.at(p), sol)
 
     def test_dimension_mismatch(self, e2):
         sol = SolitonData(lam=0.0, mu=0.0, V=_xibar_field(3, 1))
         with pytest.raises(ValueError):
-            soliton_residual(e2, sol, O)
+            soliton_residual(e2.at(O), sol)

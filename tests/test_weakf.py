@@ -44,7 +44,7 @@ def _perturbed_f_manifold():
 class TestAxioms:
     def test_reference_instance_clean(self, e2):
         for p in [O] + seeded_points(4, count=5):
-            assert all(r.residual < 1e-10 for r in check_axioms(e2, p))
+            assert all(r.residual < 1e-10 for r in check_axioms(e2.at(p)))
 
     def test_wrong_q_breaks_square_axiom(self, e2):
         broken = WeakFManifold(
@@ -52,12 +52,12 @@ class TestAxioms:
             Q=FieldSpec.from_entries(np.eye(4).tolist(), 4),
             xi=e2.xi, eta=e2.eta,
         )
-        by_id = {r.check_id: r for r in check_axioms(broken, O)}
+        by_id = {r.check_id: r for r in check_axioms(broken.at(O))}
         assert by_id["axiom.5"].residual == pytest.approx(1.0)  # = c
 
     def test_classical_case_clean(self):
         m = example_manifold(1, 1, 1.0, 0.0)
-        assert all(r.residual < 1e-10 for r in check_axioms(m, np.zeros(3)))
+        assert all(r.residual < 1e-10 for r in check_axioms(m.at(np.zeros(3))))
 
     def test_skew_rank_and_duality_invariants(self, e2):
         for p in seeded_points(4, count=3, seed=2):
@@ -74,44 +74,44 @@ class TestAxioms:
 class TestNijenhuis:
     def test_structure_tensor_torsion_free(self, e2):
         for p in seeded_points(4, count=3, seed=4):
-            assert np.abs(nijenhuis(e2, e2.f, p).components).max() < 1e-8
+            assert np.abs(nijenhuis(e2.at(p), e2.f).components).max() < 1e-8
 
     def test_identity_tensor(self, e2):
         ident = FieldSpec.from_entries(np.eye(4).tolist(), 4)
-        assert np.abs(nijenhuis(e2, ident, O).components).max() < 1e-12
+        assert np.abs(nijenhuis(e2.at(O), ident).components).max() < 1e-12
 
     def test_flat_rotation(self):
         fib = FiberSpec.flat_factors([1.0], 3)
         m = build_twisted_product(fib, 1, ex.const(1.0, 3))
-        assert np.abs(nijenhuis(m, m.f, np.zeros(3)).components).max() < 1e-12
+        assert np.abs(nijenhuis(m.at(np.zeros(3)), m.f).components).max() < 1e-12
 
 
 class TestNormality:
     def test_reference_instance(self, e2):
         for p in seeded_points(4, count=3, seed=6):
-            assert np.abs(normality_tensor(e2, p).components).max() < 1e-8
+            assert np.abs(normality_tensor(e2.at(p)).components).max() < 1e-8
 
     def test_perturbed_f_is_flagged(self):
         m = _perturbed_f_manifold()
         p = np.array([0.1, 0.2, 0.3, 0.1])
-        assert np.abs(normality_tensor(m, p).components).max() > 1e-4
+        assert np.abs(normality_tensor(m.at(p)).components).max() > 1e-4
 
 
 class TestFundamentalForm:
     def test_hand_values(self, e2):
-        phi = fundamental_form(e2, O).components
+        phi = fundamental_form(e2.at(O)).components
         assert phi[0, 1] == pytest.approx(-np.sqrt(2.0))
         assert np.abs(phi + phi.T).max() < 1e-12
         assert np.abs(phi[2:, :]).max() < 1e-12  # Phi(xi_i, .) = 0
 
     def test_metric_scaling(self, e2):
-        phi = fundamental_form(e2, [0, 0, 1, 0]).components
+        phi = fundamental_form(e2.at([0, 0, 1, 0])).components
         assert phi[0, 1] == pytest.approx(-np.sqrt(2.0) * np.e**2)
 
 
 class TestFBasis:
     def test_reference_frame(self, e2):
-        frame, lam = f_basis(e2, O)
+        frame, lam = f_basis(e2.at(O))
         assert lam == pytest.approx([2.0])
         assert frame == pytest.approx(
             np.array(
@@ -126,7 +126,7 @@ class TestFBasis:
 
     def test_classical_eigenvalue(self):
         m = example_manifold(1, 1, 1.0, 0.0)
-        _, lam = f_basis(m, np.zeros(3))
+        _, lam = f_basis(m.at(np.zeros(3)))
         assert lam == pytest.approx([1.0])
 
     def test_two_factor_eigenvalues(self):
@@ -134,12 +134,12 @@ class TestFBasis:
         m = build_twisted_product(
             fib, 2, ex.exp(ex.add(ex.var(4, 6), ex.var(5, 6)))
         )
-        _, lam = f_basis(m, np.zeros(6))
+        _, lam = f_basis(m.at(np.zeros(6)))
         assert sorted(lam) == pytest.approx([1.0, 4.0])
 
     def test_orthogonality_invariants(self, e2):
         for p in seeded_points(4, count=3, seed=10):
-            frame, lam = f_basis(e2, p)
+            frame, lam = f_basis(e2.at(p))
             st = e2.at(p)
             g = st.geo.g
             gram = frame @ g @ frame.T
@@ -155,14 +155,14 @@ class TestFBasis:
 class TestTheorem1:
     def test_reference_instance(self, e2):
         for p in seeded_points(4, count=3, seed=12):
-            for r in theorem1_check(e2, p):
+            for r in theorem1_check(e2.at(p)):
                 assert r.residual < 1e-6, r.check_id
 
     def test_product_case_closed_form(self):
         fib = FiberSpec.flat_factors([1.0, 2.0], 6)
         m = build_twisted_product(fib, 2, ex.const(1.0, 6))
         assert m.beta == 0.0
-        for r in theorem1_check(m, np.zeros(6)):
+        for r in theorem1_check(m.at(np.zeros(6))):
             assert r.residual < 1e-8, r.check_id
 
     def test_perturbed_metric_breaks_dphi_only(self):
@@ -183,7 +183,7 @@ class TestTheorem1:
             xi=base.xi, eta=base.eta,
         )
         p = np.array([0.3, 0.1, -0.2, 0.2])
-        by_id = {r.check_id: r for r in theorem1_check(m, p)}
+        by_id = {r.check_id: r for r in theorem1_check(m.at(p))}
         assert by_id["deta"].residual < 1e-12
         assert by_id["dphi"].residual > 1e-4
 
@@ -212,17 +212,17 @@ class TestTheorem1SymbolicRoute:
         m = build()
         dphi_failed = False
         for p in seeded_points(m.dim, count=4, seed=23):
-            by_id = {r.check_id: r for r in theorem1_check(m, p)}
             st = m.at(p)
+            by_id = {r.check_id: r for r in theorem1_check(st)}
             deta = np.stack(
                 [exterior_derivative_1form(w, p).components for w in m.eta]
             )
-            n1 = nijenhuis(m, m.f, p).components + 2.0 * np.einsum(
+            n1 = nijenhuis(st, m.f).components + 2.0 * np.einsum(
                 "iab,ik->kab", deta, st.xi
             )
             dphi = exterior_derivative_2form(fundamental_form_field(m), p).components
             rhs = 2.0 * m.beta_value(p) * wedge_1form_2form(
-                st.etabar, fundamental_form(m, p).components
+                st.etabar, fundamental_form(st).components
             )
             for cid, t, slots in (("n1", n1, (1, 2)), ("dphi", dphi - rhs, (0, 1, 2))):
                 want = tensor_residual(t, slots)
