@@ -25,7 +25,7 @@ def main():
 
     print("\ndefining condition and exterior system:")
     for p in points:
-        k = kenmotsu_residual(m.at(p))
+        (k,) = kenmotsu_residual(m.at(p))
         t1 = max(r.residual for r in theorem1_check(m.at(p)))
         print(f"  p = {np.round(p, 3)}: nabla-f {k.residual:.2e}, "
               f"normality/closedness {t1:.2e}")

@@ -35,7 +35,7 @@ def main():
     audit("exponential twist over a flat plane", m1,
           [rng.uniform(-0.5, 0.5, 3) for _ in range(2)])
     print(f"  nabla-f residual: "
-          f"{kenmotsu_residual(m1.at(rng.uniform(-0.5, 0.5, 3))).residual:.1e}")
+          f"{kenmotsu_residual(m1.at(rng.uniform(-0.5, 0.5, 3)))[0].residual:.1e}")
 
     # two rotation factors with different scales: a genuinely weak structure
     sigma = ex.parse_expression("exp(x5+x6)", 6)

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 from .kenmotsu import (
     IDENTITY_IDS,
     audit_identities,
@@ -59,40 +61,35 @@ _REQUIRES = {
 
 def _soliton(st, sol):
     verdict = soliton_residual(st, sol)
-    return [
-        ResidualReport.make("soliton.32", st.point, verdict.residual),
-        ResidualReport.make("soliton.33", st.point, verdict.cross_residual),
-    ]
+    return st.reports("soliton.32", verdict.residual) + st.reports(
+        "soliton.33", verdict.cross_residual
+    )
 
 
 def _grad(st, sol):
     verdict = gradient_soliton_residual(st, sol)
-    res = max(verdict.residual, verdict.cross_residual)
-    return [ResidualReport.make("grad.75", st.point, res)]
+    return st.reports("grad.75", np.maximum(verdict.residual, verdict.cross_residual))
 
 
-# group -> runner(structure, soliton) returning the group's reports.
-# Runners look the library functions up when called, so a function patched
-# on this module (as the perfbench tracer does) is the one that runs.
+# group -> runner(structure, soliton) returning the group's reports, one per
+# id and point of the structure's chunk.  Runners look the library functions
+# up when called, so a function patched on this module (as the perfbench
+# tracer does) is the one that runs.
 _RUNNERS = {
     "axioms": lambda st, sol: check_axioms(st),
     "theorem1": lambda st, sol: theorem1_check(st),
-    "kenmotsu": lambda st, sol: [kenmotsu_residual(st)],
+    "kenmotsu": lambda st, sol: kenmotsu_residual(st),
     "identities": lambda st, sol: audit_identities(st),
     "twisted": lambda st, sol: twisted_product_audit(st),
-    "star_def": lambda st, sol: [
-        ResidualReport.make("star.def", st.point, max(star_symmetry_gate(st)))
-    ],
+    "star_def": lambda st, sol: st.reports(
+        "star.def", np.maximum(*star_symmetry_gate(st))
+    ),
     "thm4": lambda st, sol: theorem4_residual(st),
-    "cor2": lambda st, sol: [corollary2_residual(st)],
+    "cor2": lambda st, sol: corollary2_residual(st),
     "soliton": _soliton,
     "grad": _grad,
-    "prop5": lambda st, sol: [
-        ResidualReport.make("prop5", st.point, prop5_check(sol.lam, sol.mu).gap)
-    ],
-    "contact": lambda st, sol: [
-        ResidualReport.make("contact.65", st.point, contact_fit(st, sol.V)[1])
-    ],
+    "prop5": lambda st, sol: st.reports("prop5", prop5_check(sol.lam, sol.mu).gap),
+    "contact": lambda st, sol: st.reports("contact.65", contact_fit(st, sol.V)[1]),
     "lemma2": lambda st, sol: lemma2_audit(st, sol),
 }
 
@@ -139,7 +136,8 @@ class CheckContext:
         return all(_REQUIRES[r](self.manifold, self.soliton) for r in requires)
 
     def group_reports(self, group: str, st: StructureAtPoint) -> list[ResidualReport]:
-        """The reports of one group at a structure of this context's manifold."""
+        """The reports of one group at a structure of this context's manifold,
+        for each id the points of its chunk in order."""
         return self._run_group(group, st)
 
     def _run_group(self, group: str, st: StructureAtPoint) -> list[ResidualReport]:
@@ -159,8 +157,9 @@ def run_check_ids(
     """Run the named checks at each point, applying tolerance overrides.
 
     A repeated id runs once.  The fields, with the soliton's potential, are
-    jetted for all points at once; each needed group then runs once on each
-    point's structure.
+    jetted once a chunk of points (``WeakFManifold.structures``); each needed
+    group then runs once on each chunk's structure.  Reports come sorted by
+    id, then in point order.
     """
     overrides = overrides or {}
     ids = list(dict.fromkeys(ids))
@@ -177,8 +176,8 @@ def run_check_ids(
     groups = dict.fromkeys(CATALOGUE[cid].group for cid in ids)
     sol = ctx.soliton
     extra = () if sol is None else (sol.v if sol.V is None else sol.V,)
-    keyed: list[tuple[str, int, ResidualReport]] = []
-    for idx, st in enumerate(ctx.manifold.structures(points, extra)):
+    reports: list[ResidualReport] = []
+    for st in ctx.manifold.structures(points, extra):
         for group in groups:
             for r in ctx.group_reports(group, st):
                 cid = r.check_id
@@ -187,6 +186,7 @@ def run_check_ids(
                 if cid in overrides:
                     tol = overrides[cid]
                     r = replace(r, tolerance=tol, passed=r.residual <= tol)
-                keyed.append((cid, idx, r))
-    keyed.sort(key=lambda t: (t[0], t[1]))
-    return [r for _, _, r in keyed]
+                reports.append(r)
+    # stable: each id's reports stay in point order
+    reports.sort(key=lambda r: r.check_id)
+    return reports

@@ -30,18 +30,18 @@ SCHEMA_VERSION = "wfk/1"
 _DEFAULT_SAMPLE = {"count": 5, "seed": 42, "box": [-0.5, 0.5]}
 
 # Size caps, checked before anything of that size is allocated.  A run holds
-# one point's geometry at a time; its largest arrays are the dim^5 float64
-# third-order metric jets (d3g) and the tape output they are read from.  Over
-# the full catalogue of example2 at one point, tracemalloc measures a peak of
-# 1.8 such arrays at dim 15 (10.7 MiB) and 1.5 at dim 21 (47 MiB).
+# one chunk's geometry at a time (weakf.chunk_size: at most 2^20 floats of
+# dim^5 third-order metric jets, or one point from dim 16).  Over the full
+# catalogue of example2, tracemalloc measures a peak of 44 MiB at dim 21,
+# where a chunk is one point: its d3g and the tape output it is read from.
 _MAX_DIM = 21
 # Every point adds a record per check id (41 ids, up to ~600 bytes of JSON
 # each at dim 21), so a report stays within about 50 MiB.
 _MAX_POINTS = 2000
-# count * dim^5 bound, e.g. at most 108 points at dim 15.  The order-two jets
-# of every structure field are evaluated for all points in one batch, about
-# three dim^4 float64 arrays a point: at that bound a full-catalogue run peaks
-# at 141 MiB at dim 15 (108 points) and 68 MiB at dim 21 (13 points).
+# count * dim^5 bound, e.g. at most 108 points at dim 15.  Fields are jetted
+# a chunk at a time, so memory does not grow with the count (a full-catalogue
+# run peaks at 12.5 MiB at dim 15 with 108 points, 44 MiB at dim 21 with 13);
+# the bound caps the run time instead, about 2 s at dim 15.
 _MAX_POINTS_DIM5 = 2**31 // 26
 
 
@@ -231,7 +231,7 @@ def manifold_from_manifest(data: dict):
         if unknown:
             raise ManifestError(f"unknown check ids in manifest: {unknown}")
 
-    tols = data.get("tolerances") or {}
+    tols = {} if data.get("tolerances") is None else data["tolerances"]
     if not isinstance(tols, dict):
         raise ManifestError("tolerances: expected an object of id -> value")
     overrides = {
@@ -241,6 +241,9 @@ def manifold_from_manifest(data: dict):
     sample_raw = {} if data.get("sample") is None else data["sample"]
     if not isinstance(sample_raw, dict):
         raise ManifestError("sample: expected an object of policy key -> value")
+    unknown = [key for key in sample_raw if key not in _DEFAULT_SAMPLE]
+    if unknown:
+        raise ManifestError(f"sample: unknown keys {unknown}; expected {list(_DEFAULT_SAMPLE)}")
     sample = {**_DEFAULT_SAMPLE, **sample_raw}
     return m, soliton, checks, overrides, sample
 
@@ -356,11 +359,14 @@ def _report_json(report: dict) -> str:
     fixed layout; the other values are small and go through json.
     """
     ids = {cid: json.dumps(cid) for cid in {r["id"] for r in report["checks"]}}
-    num = _memo(_json_float)  # every record repeats its point's coordinates
+    num = _memo(_json_float)  # the tolerances repeat
+    blocks: dict = {}  # id of a point list that records share -> its JSON
     records = []
     for r in report["checks"]:
-        point = ",\n".join(f"        {num(x)}" for x in r["point"])
-        point = f"[\n{point}\n      ]" if point else "[]"
+        point = blocks.get(id(r["point"]))
+        if point is None:
+            text = ",\n".join(f"        {num(x)}" for x in r["point"])
+            point = blocks[id(r["point"])] = f"[\n{text}\n      ]" if text else "[]"
         records.append(
             "    {\n"
             f'      "id": {ids[r["id"]]},\n'
@@ -419,12 +425,17 @@ def run_check(args) -> int:
     records = []
     n_pass = n_fail = n_flag = 0
     fmt = _memo(_fmt)
+    # the reports of a point share its coordinate tuple; format it once
+    coords: dict = {}
     for r in reports:
         audit = CATALOGUE[r.check_id].audit
+        point = coords.get(id(r.point))
+        if point is None:
+            point = coords[id(r.point)] = [fmt(x) for x in r.point]
         records.append(
             {
                 "id": r.check_id,
-                "point": [fmt(x) for x in r.point],
+                "point": point,
                 "residual": fmt(r.residual),
                 "tolerance": fmt(r.tolerance),
                 "pass": bool(r.passed),

@@ -3,7 +3,10 @@
 All metric derivatives come from analytic jets of the metric's expression
 entries.  Quantities that need third derivatives (the Lie derivative of
 curvature, nabla Ric# and d(scal)) are built from third-order jets at the
-same point, so every quantity at a point needs one ``_PointGeometry``.
+same point, so every quantity at a point needs one :class:`Geometry`.
+A geometry holds one point or a chunk of points: every array carries the
+batch shape in front (``()`` or ``(C,)``), and every formula is written
+over it with ``...`` einsums or broadcasting ``@``.
 Functions of a vector field or a potential take its jets ``(value, d, d2)``
 at the point, so a field jetted for a batch of points is not jetted again.
 
@@ -20,8 +23,9 @@ are written against.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -65,17 +69,18 @@ def _as_ast(entry, dim: int) -> ExprAst:
 
 @dataclass(frozen=True)
 class TensorValue:
-    """Dense components of a tensor at a point with a variance signature."""
+    """Dense components of a tensor at a point, or at each point of a chunk,
+    with a variance signature; a chunk's batch axis comes first."""
 
     variance: tuple[str, ...]  # each slot "up" or "down"
     components: np.ndarray
     point: np.ndarray
 
     def __post_init__(self):
-        if self.components.ndim != len(self.variance):
+        *batch, n = self.point.shape
+        if self.components.ndim != len(batch) + len(self.variance):
             raise ValueError("component rank does not match variance signature")
-        n = self.components.shape[0] if self.components.ndim else 0
-        if any(extent != n for extent in self.components.shape):
+        if self.components.shape != tuple(batch) + (n,) * len(self.variance):
             raise ValueError("all component extents must equal the dimension")
 
 
@@ -125,82 +130,118 @@ class FieldSpec:
 
 
 # ---------------------------------------------------------------------------
-# metric field and the geometry at a point
+# metric field and the geometry at a point or a chunk of points
 
-class _PointGeometry:
-    """All jet-derived geometric data of a metric at one point."""
+
+@lru_cache(maxsize=None)
+def _matmul_plan(subscripts: str):
+    """Each operand's axis order (kept then summed; summed then kept), the
+    output order of the matmul's axes and the number of summed indices."""
+    operands, out = subscripts.replace("...", "").split("->")
+    sa, sb = operands.split(",")
+    summed = [x for x in sa if x in sb]
+    kept = [x for x in sa if x not in sb], [x for x in sb if x not in sa]
+    order_a = [sa.index(x) - len(sa) for x in kept[0] + summed]
+    order_b = [sb.index(x) - len(sb) for x in summed + kept[1]]
+    order_out = [(kept[0] + kept[1]).index(x) - len(out) for x in out]
+    return order_a, order_b, order_out, len(summed)
+
+
+def contract(subscripts: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.einsum(subscripts, a, b)`` as one matmul over the batch axes ``...``.
+
+    An index of both operands is summed and every other index is kept, so
+    BLAS does the sums, as in ``np.tensordot``.
+    """
+    order_a, order_b, order_out, n_sum = _matmul_plan(subscripts)
+    a = np.moveaxis(a, order_a, range(-len(order_a), 0))
+    b = np.moveaxis(b, order_b, range(-len(order_b), 0))
+    lead_a, lead_b = a.ndim - len(order_a), b.ndim - len(order_b)
+    size = math.prod(a.shape[a.ndim - n_sum:])
+    out = a.reshape(a.shape[:lead_a] + (-1, size)) @ b.reshape(b.shape[:lead_b] + (size, -1))
+    kept = a.shape[lead_a: a.ndim - n_sum] + b.shape[lead_b + n_sum:]
+    return np.moveaxis(out.reshape(out.shape[:-2] + kept), order_out, range(-len(order_out), 0))
+
+
+def _core(dg: np.ndarray) -> np.ndarray:
+    """[l, i, j] = d_i g_jl + d_j g_il - d_l g_ij."""
+    return (
+        np.einsum("...jli->...lij", dg)
+        + np.einsum("...ilj->...lij", dg)
+        - np.einsum("...ijl->...lij", dg)
+    )
+
+
+class Geometry:
+    """All jet-derived geometric data of a metric at a point or a chunk of points.
+
+    ``point`` is ``(dim,)`` or ``(C, dim)``; every array carries its batch
+    shape in front, ``()`` for one point and ``(C,)`` for a chunk.
+    """
 
     def __init__(self, metric: "MetricField", p: np.ndarray, jets=None):
         self.point = p
         self._metric = metric
-        # dg[i, j, k] = d_k g_ij, d2g[i, j, k, l] = d_k d_l g_ij; ``jets`` is
-        # this point's slice of a batched metric.jets, when one was evaluated
+        # dg[i, j, k] = d_k g_ij, d2g[i, j, k, l] = d_k d_l g_ij; ``jets`` are
+        # the metric's jets at p, when they were evaluated with other fields
         g, dg, d2g = metric.jets(p) if jets is None else jets
         try:
             chol = np.linalg.cholesky(g)
         except np.linalg.LinAlgError:
+            for q, gq in zip(p.reshape(-1, metric.dim), g.reshape((-1,) + g.shape[-2:])):
+                if np.linalg.eigvalsh(gq)[0] <= 0:
+                    break
             raise MetricError(
-                f"metric is not positive definite at point {p.tolist()}"
+                f"metric is not positive definite at point {q.tolist()}"
             ) from None
         inv_l = np.linalg.inv(chol)
         self.g = g
-        self.ginv = inv_l.T @ inv_l
+        self.ginv = np.swapaxes(inv_l, -1, -2) @ inv_l
         self.dg = dg
         self.d2g = d2g
 
     @cached_property
     def gamma(self) -> np.ndarray:
-        dg = self.dg
         # 0.5 g^{kl} (d_i g_jl + d_j g_il - d_l g_ij)
-        core = (
-            np.einsum("jli->lij", dg)
-            + np.einsum("ilj->lij", dg)
-            - np.einsum("ijl->lij", dg)
-        )
-        return 0.5 * np.einsum("kl,lij->kij", self.ginv, core)
+        return 0.5 * np.einsum("...kl,...lij->...kij", self.ginv, _core(self.dg))
 
     @cached_property
     def dginv(self) -> np.ndarray:
-        """dginv[k, l, m] = d_m g^kl = -g^ka d_m g_ab g^bl."""
-        return -np.einsum("ka,abm,bl->klm", self.ginv, self.dg, self.ginv)
+        """dginv[k, l, m] = d_m g^kl = -g^ka d_m g_ab g^bl, as two dim^4 contractions."""
+        gdg = contract("...ka,...abm->...kbm", self.ginv, self.dg)
+        return -contract("...kbm,...bl->...klm", gdg, self.ginv)
 
     @cached_property
     def dgamma(self) -> np.ndarray:
         """dgamma[k, i, j, m] = d_m Gamma^k_ij."""
-        dg, d2g, dginv = self.dg, self.d2g, self.dginv
-        core = (
-            np.einsum("jli->lij", dg)
-            + np.einsum("ilj->lij", dg)
-            - np.einsum("ijl->lij", dg)
-        )
-        dcore = (
-            np.einsum("jlim->lijm", d2g)
-            + np.einsum("iljm->lijm", d2g)
-            - np.einsum("ijlm->lijm", d2g)
-        )
-        return 0.5 * (
-            np.einsum("klm,lij->kijm", dginv, core)
-            + np.einsum("kl,lijm->kijm", self.ginv, dcore)
-        )
+        # in place: a chunk's dim^4 arrays are the bulk of its memory
+        d2g = self.d2g
+        dcore = np.einsum("...jlim->...lijm", d2g) + np.einsum("...iljm->...lijm", d2g)
+        dcore -= np.einsum("...ijlm->...lijm", d2g)
+        out = np.einsum("...kl,...lijm->...kijm", self.ginv, dcore)
+        out += np.einsum("...klm,...lij->...kijm", self.dginv, _core(self.dg))
+        out *= 0.5
+        return out
 
     @cached_property
     def riem(self) -> np.ndarray:
         """riem[l, i, j, k] = component of R(e_i, e_j) e_k along e_l."""
         gam, dgam = self.gamma, self.dgamma
-        term = np.einsum("ljki->lijk", dgam) + np.einsum("lim,mjk->lijk", gam, gam)
-        return term - np.einsum("lijk->ljik", term)
+        term = np.einsum("...lim,...mjk->...lijk", gam, gam)
+        term += np.einsum("...ljki->...lijk", dgam)
+        return term - np.einsum("...lijk->...ljik", term)
 
     @cached_property
     def ric(self) -> np.ndarray:
-        return np.einsum("iijk->jk", self.riem)
+        return np.einsum("...iijk->...jk", self.riem)
 
     @cached_property
     def ric_sharp(self) -> np.ndarray:
         return self.ginv @ self.ric
 
     @property
-    def scalar(self) -> float:
-        return float(np.einsum("jk,jk->", self.ginv, self.ric))
+    def scalar(self):
+        return np.einsum("...jk,...jk->...", self.ginv, self.ric)
 
     @cached_property
     def d3g(self) -> np.ndarray:
@@ -210,72 +251,74 @@ class _PointGeometry:
     # d_mn G^k_ij = g^ka (d_mn G_aij - d_mn g_ab G^b_ij - d_m g_ab d_n G^b_ij
     # - d_n g_ab d_m G^b_ij), with G_aij = g_ak G^k_ij, is never built whole:
     # d Ric needs it traced and L_V R along V only, so g^-1 or V is contracted
-    # into the metric jets first and no array below exceeds dim^4.
+    # into the metric jets first and no array below exceeds dim^4 a point.
 
     @cached_property
     def dric(self) -> np.ndarray:
         """dric[j, k, n] = d_n Ric_jk, for
         Ric_jk = d_i G^i_jk - d_j G^i_ik + G^i_im G^m_jk - G^i_jm G^m_ik."""
-        n = self.point.size
-        ginv, dg, d2g, d3g = self.ginv, self.dg, self.d2g, self.d3g
-        gam, dgam = self.gamma, self.dgamma
-        w = ginv.ravel()
-        # g^ai d3g traced over (metric, derivative), (derivative, derivative)
-        # and (metric, metric) slots, on reshaped views of d3g
-        p_tr = (w @ d3g.reshape(n, n * n, n * n)).reshape(n, n, n)  # [k, j, n]
-        s_tr = (w @ d3g.reshape(n * n, n * n, n)).reshape(n, n, n)  # [j, k, n]
-        t_tr = (w @ d3g.reshape(n * n, n**3)).reshape(n, n, n)  # [k, j, n]
-        dgu = np.tensordot(ginv, dg, axes=1)  # [i, b, n] = g^ia d_n g_ab
-        u = np.einsum("ibi->b", dgu)
-        d2u = np.tensordot(ginv, d2g, axes=([0, 1], [0, 2]))  # [b, n]
-        gamu = np.tensordot(ginv, gam, axes=(1, 1))  # [a, b, k] = g^ai G^b_ik
+        b, n = self.point.shape[:-1], self.point.shape[-1]
+        ginv, dg, d2g, gam, dgam = self.ginv, self.dg, self.d2g, self.gamma, self.dgamma
+        w = ginv.reshape(b + (1, 1, n * n))
+
+        def trace(*view):  # g^ai d3g on d3g viewed as ``view``
+            return (w @ self.d3g.reshape(b + view)).reshape(b + (n, n, n))
+
+        # traced over (metric, derivative), (derivative, derivative) and
+        # (metric, metric) slots
+        p_tr, s_tr = trace(n, n * n, n * n), trace(n * n, n * n, n)  # [k, j, n], [j, k, n]
+        t_tr = trace(1, n * n, n**3)  # [k, j, n]
+        dgu = contract("...ia,...abn->...ibn", ginv, dg)  # g^ia d_n g_ab
+        u = np.einsum("...ibi->...b", dgu)
+        d2u = np.einsum("...ai,...abin->...bn", ginv, d2g)
+        gamu = np.einsum("...ai,...bik->...abk", ginv, gam)  # g^ai G^b_ik
         # e[j, k, n] = g^ia d_j g_ab d_n G^b_ik
-        e = np.tensordot(dgu, dgam, axes=([0, 1], [1, 0]))
+        e = contract("...ibj,...bikn->...jkn", dgu, dgam)
         # d_n d_i G^i_jk - d_n d_j G^i_ik, less -(g^ia d_in g_ab) G^b_jk and
         # -(g^ia d_i g_ab) d_n G^b_jk, which join the product terms below
         second = 0.5 * (
-            p_tr.transpose(1, 0, 2) + p_tr - s_tr - t_tr.transpose(1, 0, 2)
+            np.swapaxes(p_tr, -3, -2) + p_tr - s_tr - np.swapaxes(t_tr, -3, -2)
         ) + (
-            np.tensordot(d2g, gamu, axes=([0, 1], [0, 1])).transpose(0, 2, 1)
+            contract("...abin,...abk->...ikn", d2g, gamu)
             + e
-            + e.transpose(2, 1, 0)
-            - np.tensordot(dgam, dgu, axes=([0, 3], [1, 0]))
+            + np.swapaxes(e, -3, -1)
+            - contract("...bjki,...ibn->...jkn", dgam, dgu)
         )
-        c, dc = np.einsum("iim->m", gam), np.einsum("iimn->mn", dgam)
+        c, dc = np.einsum("...iim->...m", gam), np.einsum("...iimn->...mn", dgam)
         return (
             second
-            + np.tensordot(gam, dc - d2u, axes=(0, 0))
-            + np.tensordot(c - u, dgam, axes=(0, 0))
-            - np.tensordot(dgam, gam, axes=([0, 2], [1, 0])).transpose(0, 2, 1)
-            - np.tensordot(gam, dgam, axes=([0, 2], [1, 0]))
+            + contract("...mjk,...mn->...jkn", gam, dc - d2u)
+            + contract("...b,...bjkn->...jkn", c - u, dgam)
+            - contract("...ijmn,...mik->...jkn", dgam, gam)
+            - contract("...ijm,...mikn->...jkn", gam, dgam)
         )
 
     def riem_along(self, v: np.ndarray) -> np.ndarray:
         """v^n d_n riem[l, i, j, k], from the metric jets contracted with v."""
         ginv, dg, gam, dgam = self.ginv, self.dg, self.gamma, self.dgamma
-        d3v, d2v, dgv, dgam_v = self.d3g @ v, self.d2g @ v, self.dg @ v, dgam @ v
+        d3v = contract("...ijklm,...m->...ijkl", self.d3g, v)
+        d2v = contract("...ijkl,...l->...ijk", self.d2g, v)
+        dgv = contract("...ijk,...k->...ij", dg, v)
+        dgam_v = contract("...ijkl,...l->...ijk", dgam, v)
         # [a, j, k, i] = d_v d_i G_ajk - d_v d_i g_ab G^b_jk - d_i g_ab d_v G^b_jk
         # - d_v g_ab d_i G^b_jk, less the (1/2) d_v d_i d_j g_ka in d_v d_i G_ajk:
         # symmetric in (i, j), it cancels in riem
-        inner = (
-            0.5 * (np.einsum("jaki->ajki", d3v) - np.einsum("jkai->ajki", d3v))
-            - np.tensordot(d2v, gam, axes=(1, 0)).transpose(0, 2, 3, 1)
-            - np.tensordot(dg, dgam_v, axes=(1, 0)).transpose(0, 2, 3, 1)
-            - np.tensordot(dgv, dgam, axes=(1, 0))
-        )
+        inner = np.einsum("...jaki->...ajki", d3v) - np.einsum("...jkai->...ajki", d3v)
+        inner *= 0.5
+        inner -= contract("...abi,...bjk->...ajki", d2v, gam)
+        inner -= contract("...abi,...bjk->...ajki", dg, dgam_v)
+        inner -= contract("...ab,...bjki->...ajki", dgv, dgam)
         # d_v of riem's term[l, i, j, k] = d_i G^l_jk + G^l_im G^m_jk
-        term = (
-            np.tensordot(ginv, inner, axes=1).transpose(0, 3, 1, 2)
-            + np.tensordot(dgam_v, gam, axes=(2, 0))
-            + np.tensordot(gam, dgam_v, axes=(2, 0))
-        )
-        return term - term.transpose(0, 2, 1, 3)
+        term = contract("...la,...ajki->...lijk", ginv, inner)
+        term += contract("...lim,...mjk->...lijk", dgam_v, gam)
+        term += contract("...lim,...mjk->...lijk", gam, dgam_v)
+        return term - np.swapaxes(term, -3, -2)
 
     @cached_property
     def dric_sharp(self) -> np.ndarray:
         """dric_sharp[k, j, n] = d_n (Ric#)^k_j = d_n g^km Ric_mj + g^km d_n Ric_mj."""
-        return np.einsum("kmn,mj->kjn", self.dginv, self.ric) + np.einsum(
-            "km,mjn->kjn", self.ginv, self.dric
+        return np.einsum("...kmn,...mj->...kjn", self.dginv, self.ric) + np.einsum(
+            "...km,...mjn->...kjn", self.ginv, self.dric
         )
 
     @cached_property
@@ -284,13 +327,21 @@ class _PointGeometry:
         gam, rs = self.gamma, self.ric_sharp
         return (
             self.dric_sharp
-            + np.einsum("kam,mj->kja", gam, rs)
-            - np.einsum("maj,km->kja", gam, rs)
+            + np.einsum("...kam,...mj->...kja", gam, rs)
+            - np.einsum("...maj,...km->...kja", gam, rs)
         )
 
-    def scalar_derivative(self, v: np.ndarray) -> float:
+    def scalar_derivative(self, v: np.ndarray):
         """d(scal)(v), the trace of d(Ric#) along v."""
-        return float(np.einsum("kkn->n", self.dric_sharp) @ v)
+        return np.einsum("...n,...n->...", np.einsum("...kkn->...n", self.dric_sharp), v)
+
+
+class _PointGeometry(Geometry):
+    """The geometry at one point, as :meth:`MetricField.at` builds it."""
+
+    def __init__(self, metric: "MetricField", p: np.ndarray, jets=None):
+        # a constructor of its own: the benchmark's trace reads ``p`` as one point
+        super().__init__(metric, p, jets)
 
 
 class MetricField(FieldSpec):
@@ -330,14 +381,15 @@ class MetricField(FieldSpec):
     def euclidean(cls, dim: int) -> "MetricField":
         return cls.diagonal([1.0] * dim, dim)
 
-    def at(self, p, jets=None) -> _PointGeometry:
-        """The geometry at p, built afresh; ``jets`` are the metric's jets at p if known."""
+    def at(self, p, jets=None) -> Geometry:
+        """The geometry at a point ``(dim,)`` or a chunk of points ``(C, dim)``,
+        built afresh; ``jets`` are the metric's jets there if known."""
         pt = np.asarray(p, dtype=float)
-        if pt.shape != (self.dim,):
+        if pt.ndim not in (1, 2) or pt.shape[-1] != self.dim:
             raise ValueError(
                 f"point dimension {pt.shape} does not match chart ({self.dim},)"
             )
-        return _PointGeometry(self, pt, jets)
+        return (_PointGeometry if pt.ndim == 1 else Geometry)(self, pt, jets)
 
 
 # ---------------------------------------------------------------------------
@@ -375,24 +427,24 @@ def ricci_operator(g: MetricField, p) -> TensorValue:
 
 
 def scalar_curvature(g: MetricField, p) -> float:
-    return g.at(p).scalar
+    return float(g.at(p).scalar)
 
 
-def lie_derivative_metric(geo: _PointGeometry, V) -> TensorValue:
+def lie_derivative_metric(geo: Geometry, V) -> TensorValue:
     """L_V g from the jets ``(v, dv, ...)`` of V at the point."""
     v, dv = V[:2]
     lg = (
-        np.einsum("k,ijk->ij", v, geo.dg)
-        + np.einsum("kj,ki->ij", geo.g, dv)
-        + np.einsum("ik,kj->ij", geo.g, dv)
+        np.einsum("...k,...ijk->...ij", v, geo.dg)
+        + np.einsum("...kj,...ki->...ij", geo.g, dv)
+        + np.einsum("...ik,...kj->...ij", geo.g, dv)
     )
     return TensorValue(("down", "down"), lg, geo.point)
 
 
-def lie_derivative_1form(geo: _PointGeometry, omega, V) -> TensorValue:
+def lie_derivative_1form(geo: Geometry, omega, V) -> TensorValue:
     """L_V omega from the jets ``(w, dw, ...)`` of omega and ``(v, dv, ...)`` of V."""
     (w, dw), (v, dv) = omega[:2], V[:2]
-    lw = dw @ v + w @ dv
+    lw = np.einsum("...ji,...i->...j", dw, v) + np.einsum("...k,...ki->...i", w, dv)
     return TensorValue(("down",), lw, geo.point)
 
 
@@ -400,7 +452,7 @@ def exterior_derivative_1form(omega: FieldSpec, p) -> TensorValue:
     pt = np.asarray(p, dtype=float)
     _, dw, _ = omega.jets(pt)
     # dw[j, i] = d_i w_j; includes the 1/2 of the co-boundary formula
-    d = 0.5 * (dw.T - dw)
+    d = 0.5 * (np.swapaxes(dw, -1, -2) - dw)
     return TensorValue(("down", "down"), d, pt)
 
 
@@ -412,47 +464,47 @@ def exterior_derivative_2form(phi: FieldSpec, p) -> TensorValue:
 
 def coboundary_2form(dphi: np.ndarray) -> np.ndarray:
     """d phi from dphi[i, j, k] = d_k phi_ij: the cyclic sum with the 1/3 factor."""
-    return (np.einsum("jki->ijk", dphi) + np.einsum("kij->ijk", dphi) + dphi) / 3.0
+    return (np.einsum("...jki->...ijk", dphi) + np.einsum("...kij->...ijk", dphi) + dphi) / 3.0
 
 
-def gradient_and_hessian(geo: _PointGeometry, v) -> tuple[TensorValue, TensorValue]:
+def gradient_and_hessian(geo: Geometry, v) -> tuple[TensorValue, TensorValue]:
     """grad v and Hess v from the jets ``(value, d, d2)`` of a potential v."""
     _, dv, d2v = v
-    grad = geo.ginv @ dv
-    hess = d2v - np.einsum("kij,k->ij", geo.gamma, dv)
+    grad = np.einsum("...kl,...l->...k", geo.ginv, dv)
+    hess = d2v - np.einsum("...kij,...k->...ij", geo.gamma, dv)
     return (
         TensorValue(("up",), grad, geo.point),
         TensorValue(("down", "down"), hess, geo.point),
     )
 
 
-def _lie_connection_components(geo: _PointGeometry, V):
+def _lie_connection_components(geo: Geometry, V):
     """T[k, i, j] = (L_V nabla)^k_ij from the jets ``(v, dv, d2v)`` of V."""
     v, dv, d2v = V
     gam, dgam = geo.gamma, geo.dgamma
     # A^k_j = nabla_j V^k
-    a = dv + np.einsum("kjm,m->kj", gam, v)
+    a = dv + np.einsum("...kjm,...m->...kj", gam, v)
     # da[k, j, i] = d_i A^k_j (the V-Hessian block is symmetric in (j, i))
     da = (
         d2v
-        + np.einsum("kjmi,m->kji", dgam, v)
-        + np.einsum("kjm,mi->kji", gam, dv)
+        + np.einsum("...kjmi,...m->...kji", dgam, v)
+        + np.einsum("...kjm,...mi->...kji", gam, dv)
     )
     nabla_a = (
-        np.einsum("kji->kij", da)
-        + np.einsum("kim,mj->kij", gam, a)
-        - np.einsum("mij,km->kij", gam, a)
+        np.einsum("...kji->...kij", da)
+        + np.einsum("...kim,...mj->...kij", gam, a)
+        - np.einsum("...mij,...km->...kij", gam, a)
     )
-    return nabla_a + np.einsum("kmij,m->kij", geo.riem, v)
+    return nabla_a + np.einsum("...kmij,...m->...kij", geo.riem, v)
 
 
-def lie_derivative_connection(geo: _PointGeometry, V) -> TensorValue:
+def lie_derivative_connection(geo: Geometry, V) -> TensorValue:
     """(L_V nabla)(X, Y) = nabla_X nabla_Y V - nabla_{nabla_X Y} V + R(V, X) Y."""
     t = _lie_connection_components(geo, V)
     return TensorValue(("up", "down", "down"), t, geo.point)
 
 
-def lie_derivative_curvature(geo: _PointGeometry, V) -> TensorValue:
+def lie_derivative_curvature(geo: Geometry, V) -> TensorValue:
     """L_V R as the Lie derivative of the (1,3)-tensor R, exact at the point.
 
     (L_V R)^l_ijk = V(R^l_ijk) - R^a_ijk d_a V^l + R^l_ajk d_i V^a
@@ -461,11 +513,9 @@ def lie_derivative_curvature(geo: _PointGeometry, V) -> TensorValue:
     """
     v, dv = V[:2]
     riem = geo.riem
-    lr = (
-        geo.riem_along(v)
-        - np.tensordot(dv, riem, axes=(1, 0))
-        + np.tensordot(riem, dv, axes=(1, 0)).transpose(0, 3, 1, 2)
-        + np.tensordot(riem, dv, axes=(2, 0)).transpose(0, 1, 3, 2)
-        + riem @ dv
-    )
+    lr = geo.riem_along(v)
+    lr -= contract("...la,...aijk->...lijk", dv, riem)
+    lr += contract("...lajk,...ai->...lijk", riem, dv)
+    lr += contract("...liak,...aj->...lijk", riem, dv)
+    lr += contract("...lija,...ak->...lijk", riem, dv)
     return TensorValue(("up", "down", "down", "down"), lr, geo.point)

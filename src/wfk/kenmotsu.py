@@ -17,14 +17,8 @@ import numpy as np
 
 from . import expr as ex
 from .expr import ExprAst
-from .geometry import FieldSpec, MetricField, lie_derivative_metric
-from .weakf import (
-    ResidualReport,
-    StructureAtPoint,
-    WeakFManifold,
-    check_axioms,
-    tensor_residual,
-)
+from .geometry import FieldSpec, MetricField, contract, lie_derivative_metric
+from .weakf import ResidualReport, StructureAtPoint, WeakFManifold, check_axioms
 
 __all__ = [
     "FiberSpec",
@@ -74,7 +68,8 @@ class FiberSpec:
 
 @dataclass(frozen=True)
 class EinsteinFit:
-    """Least-squares coefficients of the eta-Einstein model for Ric."""
+    """Least-squares coefficients of the eta-Einstein model for Ric, at a
+    point or (as arrays) at each point of a chunk."""
 
     a: float
     b: float
@@ -83,13 +78,17 @@ class EinsteinFit:
 
     @classmethod
     def least_squares(cls, target, col_a, col_b, predicted=None) -> "EinsteinFit":
-        """Least-squares (a, b) of target = a col_a + b col_b; residual is max-abs."""
-        target, col_a, col_b = target.ravel(), col_a.ravel(), col_b.ravel()
-        design = np.stack([col_a, col_b], axis=1)
-        coef, *_ = np.linalg.lstsq(design, target, rcond=None)
-        a, b = float(coef[0]), float(coef[1])
-        residual = float(np.abs(target - (a * col_a + b * col_b)).max())
-        return cls(a, b, residual, predicted)
+        """Least-squares (a, b) of target = a col_a + b col_b for 2-tensors
+        with any batch axes in front; residual is max-abs."""
+        batch = target.shape[:-2]
+        design = np.stack([col_a, col_b], axis=-1).reshape(batch + (-1, 2))
+        # the cutoff np.linalg.lstsq uses, on a stack of designs
+        pinv = np.linalg.pinv(design, rcond=np.finfo(float).eps * design.shape[-2])
+        coef = (pinv @ target.reshape(batch + (-1, 1)))[..., 0]
+        a, b = coef[..., 0], coef[..., 1]
+        fitted = a[..., None, None] * col_a + b[..., None, None] * col_b
+        residual = np.abs(target - fitted).max(axis=(-2, -1))
+        return cls(a[()], b[()], residual, predicted)
 
 
 # ---------------------------------------------------------------------------
@@ -99,16 +98,16 @@ class EinsteinFit:
 def _nabla_f_residual(st: StructureAtPoint, beta: float) -> np.ndarray:
     """(nabla_a f)^k_b - beta { (f^m_a g_mb) xibar^k - etabar_b f^k_a }."""
     lhs = st.nabla_f  # [k, b, a]
-    gf = np.einsum("ma,mb->ab", st.f, st.geo.g)
-    rhs = beta * (
-        np.einsum("ab,k->kba", gf, st.xibar)
-        - np.einsum("b,ka->kba", st.etabar, st.f)
+    gf = np.einsum("...ma,...mb->...ab", st.f, st.geo.g)
+    rhs = np.asarray(beta)[..., None, None, None] * (
+        np.einsum("...ab,...k->...kba", gf, st.xibar)
+        - np.einsum("...b,...ka->...kba", st.etabar, st.f)
     )
     return lhs - rhs
 
 
-def kenmotsu_residual(st: StructureAtPoint, beta=None) -> ResidualReport:
-    """Residual of the defining nabla-f condition at a point.
+def kenmotsu_residual(st: StructureAtPoint, beta=None) -> list[ResidualReport]:
+    """Residual of the defining nabla-f condition, one report a point.
 
     ``beta`` overrides the manifold's coefficient and may be an
     expression (the genuinely twisted case); beta = 0 checks the
@@ -117,11 +116,10 @@ def kenmotsu_residual(st: StructureAtPoint, beta=None) -> ResidualReport:
     if beta is None:
         bval = st.m.beta_value(st.point)
     elif isinstance(beta, ExprAst):
-        bval = ex.evaluate_jet(beta, st.point).value
+        bval = beta.jets(st.point)[0]
     else:
         bval = float(beta)
-    res = tensor_residual(_nabla_f_residual(st, bval), (1, 2))
-    return ResidualReport.make("kenmotsu.12", st.point, res)
+    return st.reports("kenmotsu.12", st.residual(_nabla_f_residual(st, bval), (1, 2)))
 
 
 # ---------------------------------------------------------------------------
@@ -133,8 +131,8 @@ def _bracket(st: StructureAtPoint) -> np.ndarray:
     s = st.m.s
     return (
         s * np.eye(st.m.dim)
-        - s * np.einsum("ja,jk->ka", st.eta, st.xi)
-        + np.einsum("a,k->ka", st.etabar, st.xibar)
+        - s * np.einsum("...ja,...jk->...ka", st.eta, st.xi)
+        + np.einsum("...a,...k->...ka", st.etabar, st.xibar)
     )
 
 
@@ -145,30 +143,31 @@ def _bracket_form(st: StructureAtPoint) -> np.ndarray:
 
 
 def _id13(st: StructureAtPoint, beta: float) -> np.ndarray:
-    nab = np.stack([st.nabla_vector(i) for i in range(st.m.s)])  # [i, k, a]
-    return np.einsum("ja,ika->ijk", st.xi, nab)
+    nab = np.stack([st.nabla_vector(i) for i in range(st.m.s)], axis=-3)  # [i, k, a]
+    return np.einsum("...ja,...ika->...ijk", st.xi, nab)
 
 
 def _id14(st: StructureAtPoint, beta: float) -> np.ndarray:
-    nab = np.stack([st.nabla_vector(i) for i in range(st.m.s)])
-    rhs = beta * (np.eye(st.m.dim)[None, :, :] - np.einsum("ja,jk->ka", st.eta, st.xi))
-    return nab - rhs[None, :, :]
+    nab = np.stack([st.nabla_vector(i) for i in range(st.m.s)], axis=-3)
+    rhs = beta * (np.eye(st.m.dim) - np.einsum("...ja,...jk->...ka", st.eta, st.xi))
+    return nab - rhs[..., None, :, :]
 
 
 def _id15(st: StructureAtPoint, beta: float) -> np.ndarray:
     # (nabla_a eta^i)_b = d_a eta^i_b - G^m_ab eta^i_m
-    nab = st.deta.transpose(0, 2, 1) - np.einsum(
-        "mab,im->iab", st.geo.gamma, st.eta
+    nab = np.swapaxes(st.deta, -1, -2) - np.einsum(
+        "...mab,...im->...iab", st.geo.gamma, st.eta
     )
     rhs = beta * (st.geo.g - st.etaeta)
-    return nab - rhs[None, :, :]
+    return nab - rhs[..., None, :, :]
 
 
 def _id16(st: StructureAtPoint, beta: float) -> np.ndarray:
     Qt = st.Qtilde
-    gqt = np.einsum("ma,mb->ab", Qt, st.geo.g)
+    gqt = np.einsum("...ma,...mb->...ab", Qt, st.geo.g)
     rhs = -beta * (
-        np.einsum("b,ka->kba", st.etabar, Qt) + np.einsum("ab,k->kba", gqt, st.xibar)
+        np.einsum("...b,...ka->...kba", st.etabar, Qt)
+        + np.einsum("...ab,...k->...kba", gqt, st.xibar)
     )
     return st.nabla_Q - rhs  # [k, b, a]
 
@@ -178,56 +177,58 @@ def _id18(st: StructureAtPoint, beta: float) -> np.ndarray:
     return np.stack(
         [
             lie_derivative_metric(st.geo, (xi, dxi)).components - rhs
-            for xi, dxi in zip(st.xi, st.dxi)
-        ]
+            for xi, dxi in zip(np.moveaxis(st.xi, -2, 0), np.moveaxis(st.dxi, -3, 0))
+        ],
+        axis=-3,
     )
 
 
 def _id19(st: StructureAtPoint, beta: float) -> np.ndarray:
     eye, xi, eta, etabar = np.eye(st.m.dim), st.xi, st.eta, st.etabar
-    lhs = np.einsum("labm,im->ilab", st.geo.riem, xi)
+    lhs = np.einsum("...labm,...im->...ilab", st.geo.riem, xi)
     rhs = beta**2 * (
-        np.einsum("a,lb->lab", etabar, eye)
-        - np.einsum("b,la->lab", etabar, eye)
-        + np.einsum("b,ja,jl->lab", etabar, eta, xi)
-        - np.einsum("a,jb,jl->lab", etabar, eta, xi)
+        np.einsum("...a,lb->...lab", etabar, eye)
+        - np.einsum("...b,la->...lab", etabar, eye)
+        + np.einsum("...b,...ja,...jl->...lab", etabar, eta, xi)
+        - np.einsum("...a,...jb,...jl->...lab", etabar, eta, xi)
     )
-    return lhs - rhs[None, :, :, :]
+    return lhs - rhs[..., None, :, :, :]
 
 
 def _id20(st: StructureAtPoint, beta: float) -> np.ndarray:
-    lhs = np.einsum("km,im->ik", st.geo.ric_sharp, st.xi)
-    return lhs - (-2.0 * st.m.n * beta**2 * st.xibar)[None, :]
+    lhs = np.einsum("...km,...im->...ik", st.geo.ric_sharp, st.xi)
+    return lhs - (-2.0 * st.m.n * beta**2 * st.xibar)[..., None, :]
 
 
 def _id21(st: StructureAtPoint, beta: float) -> np.ndarray:
     rhs = -2.0 * beta * st.geo.ric_sharp - 4.0 * st.m.n * beta**3 * _bracket(st)
     nab = st.geo.nabla_ric_sharp  # [k, j, a]
-    return np.stack([np.einsum("kja,a->kj", nab, xi) - rhs for xi in st.xi])
+    return np.einsum("...kja,...ia->...ikj", nab, st.xi) - rhs[..., None, :, :]
 
 
 def _id22(st: StructureAtPoint, beta: float) -> np.ndarray:
     s, n = st.m.s, st.m.n
     rhs = -2.0 * beta * (st.geo.scalar + 2.0 * s * n * (2 * n + 1) * beta**2)
-    return np.array([st.geo.scalar_derivative(xi) - rhs for xi in st.xi])
+    fields = np.moveaxis(st.xi, -2, 0)  # xi_i, i first
+    return np.stack([st.geo.scalar_derivative(xi) - rhs for xi in fields], -1)
 
 
 def _id23(st: StructureAtPoint, beta: float) -> np.ndarray:
     rhs = -beta * st.geo.ric_sharp - 2.0 * st.m.n * beta**3 * _bracket(st)
     nab = st.geo.nabla_ric_sharp  # [k, j, a]
-    return np.stack([np.einsum("kja,j->ka", nab, xi) - rhs for xi in st.xi])
+    return np.einsum("...kja,...ij->...ika", nab, st.xi) - rhs[..., None, :, :]
 
 
 def _id26(st: StructureAtPoint, beta: float) -> np.ndarray:
     riem, f = st.geo.riem, st.f
-    lhs = riem @ f - np.tensordot(f, riem, axes=1)
+    lhs = riem @ f[..., None, None, :, :] - contract("...lm,...mabc->...labc", f, riem)
     sg, brk = _bracket_form(st), _bracket(st)
-    gf = np.einsum("ma,mb->ab", f, st.geo.g)  # g(f e_a, e_b)
+    gf = np.einsum("...ma,...mb->...ab", f, st.geo.g)  # g(f e_a, e_b)
     rhs = beta**2 * (
-        np.einsum("bc,la->labc", sg, f)
-        - np.einsum("ac,lb->labc", sg, f)
-        + np.einsum("ca,lb->labc", gf, brk)  # g(X, fZ) = g(f e_c, e_a)
-        - np.einsum("cb,la->labc", gf, brk)
+        np.einsum("...bc,...la->...labc", sg, f)
+        - np.einsum("...ac,...lb->...labc", sg, f)
+        + np.einsum("...ca,...lb->...labc", gf, brk)  # g(X, fZ) = g(f e_c, e_a)
+        - np.einsum("...cb,...la->...labc", gf, brk)
     )
     return lhs - rhs
 
@@ -236,40 +237,40 @@ def _id27(st: StructureAtPoint, beta: float) -> np.ndarray:
     s = st.m.s
     riem, f, g, Q = st.geo.riem, st.f, st.geo.g, st.Q
     xi, eta, xibar, etabar = st.xi, st.eta, st.xibar, st.etabar
-    # optimize: two pairwise dim^5 contractions in place of one dim^6 loop
-    lhs = np.einsum("ia,jb,lijc->labc", f, f, riem, optimize=True)
-    lhs = lhs - np.einsum("jb,lajc->labc", Q, riem)
-    gq = np.einsum("mb,mc->bc", Q, g)  # g(e_c, Q e_b)
+    # f f R by two pairwise dim^5 contractions, not one dim^6 loop
+    lhs = contract("...jb,...lajc->...labc", f, contract("...ia,...lijc->...lajc", f, riem))
+    lhs -= contract("...jb,...lajc->...labc", Q, riem)
+    gq = np.einsum("...mb,...mc->...bc", Q, g)  # g(e_c, Q e_b)
     sgl = _bracket_form(st)  # s g(Z,X) - s sum + etabar(Z) etabar(X) at [c, a]
-    q_minus = Q - np.einsum("jb,jk->kb", eta, xi)  # [k, b]: QY - sum eta^j(Y) xi_j
-    gfx = np.einsum("ma,mc->ca", f, g)  # g(Z, fX) at [c, a]
-    gfy = np.einsum("mb,mc->cb", f, g)  # g(Z, fY)
+    q_minus = Q - np.einsum("...jb,...jk->...kb", eta, xi)  # [k, b]: QY - sum eta^j(Y) xi_j
+    gfx = np.einsum("...ma,...mc->...ca", f, g)  # g(Z, fX) at [c, a]
+    gfy = np.einsum("...mb,...mc->...cb", f, g)  # g(Z, fY)
     tail = (
-        np.einsum("c,la->lac", etabar, np.eye(st.m.dim))
-        - np.einsum("ca,l->lac", g, xibar)
-        + np.einsum("ja,jc,l->lac", eta, eta, xibar)
-        - np.einsum("ja,c,jl->lac", eta, etabar, xi)
+        np.einsum("...c,la->...lac", etabar, np.eye(st.m.dim))
+        - np.einsum("...ca,...l->...lac", g, xibar)
+        + np.einsum("...ja,...jc,...l->...lac", eta, eta, xibar)
+        - np.einsum("...ja,...c,...jl->...lac", eta, etabar, xi)
     )  # [l, a, c]: etabar(Z) X - g(Z,X) xibar + sum_j eta^j(X){eta^j(Z) xibar - etabar(Z) xi_j}
     rhs = beta**2 * (
-        np.einsum("bc,ka->kabc", gq - st.etaeta, _bracket(st))
-        - np.einsum("ca,kb->kabc", sgl, q_minus)
-        + s * np.einsum("ca,kb->kabc", gfx, f)
-        - s * np.einsum("cb,ka->kabc", gfy, f)
-        + np.einsum("b,lac->labc", etabar, tail)
+        np.einsum("...bc,...ka->...kabc", gq - st.etaeta, _bracket(st))
+        - np.einsum("...ca,...kb->...kabc", sgl, q_minus)
+        + s * np.einsum("...ca,...kb->...kabc", gfx, f)
+        - s * np.einsum("...cb,...ka->...kabc", gfy, f)
+        + np.einsum("...b,...lac->...labc", etabar, tail)
     )
     return lhs - rhs
 
 
 def _id44(st: StructureAtPoint, beta: float) -> np.ndarray:
     xi, eta, xibar, etabar = st.xi, st.eta, st.xibar, st.etabar
-    lhs = np.einsum("lajc,ij->ilac", st.geo.riem, xi)  # R_{X, xi_i} Z
+    lhs = np.einsum("...lajc,...ij->...ilac", st.geo.riem, xi)  # R_{X, xi_i} Z
     rhs = beta**2 * (
-        np.einsum("ac,l->lac", st.geo.g, xibar)
-        - np.einsum("c,la->lac", etabar, np.eye(st.m.dim))
-        + np.einsum("ja,c,jl->lac", eta, etabar, xi)
-        - np.einsum("ja,jc,l->lac", eta, eta, xibar)
+        np.einsum("...ac,...l->...lac", st.geo.g, xibar)
+        - np.einsum("...c,la->...lac", etabar, np.eye(st.m.dim))
+        + np.einsum("...ja,...c,...jl->...lac", eta, etabar, xi)
+        - np.einsum("...ja,...jc,...l->...lac", eta, eta, xibar)
     )
-    return lhs - rhs[None, :, :, :]
+    return lhs - rhs[..., None, :, :, :]
 
 
 # identity id -> residual tensor of that identity at a point
@@ -296,10 +297,7 @@ def audit_identities(st: StructureAtPoint, ids=None) -> list[ResidualReport]:
         )
     beta = m.beta_value(st.point)
     return [
-        ResidualReport.make(
-            f"id.{i}", st.point, tensor_residual(_IDENTITIES[i](st, beta))
-        )
-        for i in ids
+        r for i in ids for r in st.reports(f"id.{i}", st.residual(_IDENTITIES[i](st, beta)))
     ]
 
 
@@ -435,39 +433,40 @@ def twisted_product_audit(st: StructureAtPoint) -> list[ResidualReport]:
     gam = st.geo.gamma
     g = st.geo.g
     sigma, dsigma, _ = st.jets_of(m.sigma)
-    dlog = dsigma / sigma  # d(log sigma)
+    dlog = dsigma / sigma[..., None]  # d(log sigma)
 
     # (i): nabla_{xi_i} xi_j = 0 and nabla_X xi_i = xi_i(log sigma) X on the fiber
-    res_i = np.abs(gam[:, two_n:, two_n:]).max()
+    res_i = st.residual(gam[..., :, two_n:, two_n:])
     for p_idx in range(s):
         t = two_n + p_idx
-        block = gam[:, : two_n, t].copy()  # (nabla_{e_a} xi_p)^k
-        block[:two_n] -= dlog[t] * np.eye(two_n)
-        res_i = max(res_i, np.abs(block).max())
+        block = gam[..., :, : two_n, t].copy()  # (nabla_{e_a} xi_p)^k
+        block[..., :two_n, :] -= dlog[..., t, None, None] * np.eye(two_n)
+        res_i = np.maximum(res_i, st.residual(block))
 
     # (ii): t-components of nabla_X Y equal -g(X, Y) (grad log sigma)_t
-    grad_log_t = st.geo.ginv[two_n:, :] @ dsigma / sigma
-    res_ii = np.abs(
-        gam[two_n:, :two_n, :two_n]
-        + np.einsum("ab,p->pab", g[:two_n, :two_n], grad_log_t)
-    ).max()
+    grad_log_t = np.einsum("...pa,...a->...p", st.geo.ginv[..., two_n:, :], dsigma)
+    grad_log_t = grad_log_t / sigma[..., None]
+    res_ii = st.residual(
+        gam[..., two_n:, :two_n, :two_n]
+        + np.einsum("...ab,...p->...pab", g[..., :two_n, :two_n], grad_log_t)
+    )
 
     # (iii): fiber components of nabla_X Y equal the Christoffels of the
     # induced leaf metric (t frozen), i.e. drop all t-derivatives
-    dg_fiber = st.geo.dg[:two_n, :two_n, :two_n]
-    ghat_inv = np.linalg.inv(g[:two_n, :two_n])
+    dg_fiber = st.geo.dg[..., :two_n, :two_n, :two_n]
+    ghat_inv = np.linalg.inv(g[..., :two_n, :two_n])
     core = (
-        np.einsum("jli->lij", dg_fiber)
-        + np.einsum("ilj->lij", dg_fiber)
-        - np.einsum("ijl->lij", dg_fiber)
+        np.einsum("...jli->...lij", dg_fiber)
+        + np.einsum("...ilj->...lij", dg_fiber)
+        - np.einsum("...ijl->...lij", dg_fiber)
     )
-    gam_hat = 0.5 * np.einsum("kl,lij->kij", ghat_inv, core)
-    res_iii = np.abs(gam[:two_n, :two_n, :two_n] - gam_hat).max()
+    gam_hat = 0.5 * np.einsum("...kl,...lij->...kij", ghat_inv, core)
+    res_iii = st.residual(gam[..., :two_n, :two_n, :two_n] - gam_hat)
 
     return [
-        ResidualReport.make("twisted.i", st.point, res_i),
-        ResidualReport.make("twisted.ii", st.point, res_ii),
-        ResidualReport.make("twisted.iii", st.point, res_iii),
+        *st.reports("twisted.i", res_i),
+        *st.reports("twisted.ii", res_ii),
+        *st.reports("twisted.iii", res_iii),
     ]
 
 
@@ -483,6 +482,6 @@ def eta_einstein_fit(st: StructureAtPoint) -> EinsteinFit:
         beta = m.beta_value(st.point)
         a_pred = m.s * beta**2 + st.geo.scalar / (2.0 * m.n)
         b_pred = -2.0 * m.n * beta**2 - a_pred
-        predicted = (float(a_pred), float(b_pred))
+        predicted = (a_pred, b_pred)
     col_a = st.geo.g - st.etaeta + st.ebar
     return EinsteinFit.least_squares(st.geo.ric, col_a, st.ebar, predicted)

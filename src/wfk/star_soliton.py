@@ -25,13 +25,7 @@ from .geometry import (
     lie_derivative_metric,
 )
 from .kenmotsu import EinsteinFit
-from .weakf import (
-    TOLERANCES,
-    ResidualReport,
-    StructureAtPoint,
-    WeakFManifold,
-    tensor_residual,
-)
+from .weakf import TOLERANCES, ResidualReport, StructureAtPoint, WeakFManifold
 
 __all__ = [
     "SolitonData",
@@ -115,11 +109,11 @@ def star_scalar(st: StructureAtPoint) -> float:
     return st.r_star
 
 
-def star_symmetry_gate(st: StructureAtPoint) -> tuple[float, float]:
+def star_symmetry_gate(st: StructureAtPoint):
     """(antisymmetry of Ric*, commutator norm of Q with the Ricci operator)."""
     ric_star = st.ric_star
-    asym = float(np.abs(ric_star - ric_star.T).max())
-    comm = float(np.abs(st.Q @ st.geo.ric_sharp - st.geo.ric_sharp @ st.Q).max())
+    asym = st.residual(ric_star - np.swapaxes(ric_star, -1, -2))
+    comm = st.residual(st.Q @ st.geo.ric_sharp - st.geo.ric_sharp @ st.Q)
     return asym, comm
 
 
@@ -130,20 +124,17 @@ def theorem4_residual(st: StructureAtPoint) -> list[ResidualReport]:
     s, n = m.s, m.n
     g, Q = st.geo.g, st.Q
 
-    ric_q = np.einsum("am,mb->ab", st.geo.ric, Q)  # Ric(X, QY)
-    gq = np.einsum("ma,mb->ab", Q, g)  # g(QX, Y)
+    ric_q = np.einsum("...am,...mb->...ab", st.geo.ric, Q)  # Ric(X, QY)
+    gq = np.einsum("...ma,...mb->...ab", Q, g)  # g(QX, Y)
     rhs = ric_q + beta**2 * (
         s * (2 * n - 1) * gq + 2 * n * st.ebar - s * (2 * n - 1) * st.etaeta
     )
-    rep28 = ResidualReport.make(
-        "thm4.28", st.point, tensor_residual(st.ric_star - rhs, (0, 1))
-    )
+    rep28 = st.reports("thm4.28", st.residual(st.ric_star - rhs, (0, 1)))
 
-    rhs_scalar = float(np.trace(Q @ st.geo.ric_sharp)) + beta**2 * (
-        4 * s * n**2 + s * (2 * n - 1) * float(np.trace(st.Qtilde))
+    rhs_scalar = np.trace(Q @ st.geo.ric_sharp, axis1=-2, axis2=-1) + beta**2 * (
+        4 * s * n**2 + s * (2 * n - 1) * np.trace(st.Qtilde, axis1=-2, axis2=-1)
     )
-    rep29 = ResidualReport.make("thm4.29", st.point, abs(st.r_star - rhs_scalar))
-    return [rep28, rep29]
+    return rep28 + st.reports("thm4.29", np.abs(st.r_star - rhs_scalar))
 
 
 # ---------------------------------------------------------------------------
@@ -156,21 +147,18 @@ def star_eta_einstein_fit(st: StructureAtPoint):
     Regrouped, the model is abar (g + sum_{i!=j} eta^i (x) eta^j) plus
     bbar etabar (x) etabar.  The predicted pair is (r*/2n, -r*/2n).
     """
-    cross = np.einsum("ia,jb->ab", st.eta, st.eta) - st.etaeta
+    cross = np.einsum("...ia,...jb->...ab", st.eta, st.eta) - st.etaeta
     pred = st.r_star / (2.0 * st.m.n)
-    return EinsteinFit.least_squares(
-        st.ric_star, st.geo.g + cross, st.ebar, (float(pred), float(-pred))
-    )
+    return EinsteinFit.least_squares(st.ric_star, st.geo.g + cross, st.ebar, (pred, -pred))
 
 
-def corollary2_residual(st: StructureAtPoint) -> ResidualReport:
-    """Corollary 2, abar = -bbar = r*/(2n); vacuous (0) where the fit is poor."""
+def corollary2_residual(st: StructureAtPoint) -> list[ResidualReport]:
+    """Corollary 2, abar = -bbar = r*/(2n), one report a point; vacuous (0)
+    where the fit is poor."""
     fit = star_eta_einstein_fit(st)
-    res = 0.0
-    if fit.residual <= _FIT_GATE:
-        a_pred, b_pred = fit.predicted
-        res = max(fit.residual, abs(fit.a - a_pred), abs(fit.b - b_pred))
-    return ResidualReport.make("cor2", st.point, res)
+    a_pred, b_pred = fit.predicted
+    res = np.maximum(fit.residual, np.maximum(abs(fit.a - a_pred), abs(fit.b - b_pred)))
+    return st.reports("cor2", np.where(fit.residual <= _FIT_GATE, res, 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -179,10 +167,10 @@ def corollary2_residual(st: StructureAtPoint) -> ResidualReport:
 
 def _check_star_symmetric(st: StructureAtPoint) -> None:
     asym, _ = star_symmetry_gate(st)
-    if asym > _SYMMETRY_TOL:
+    if np.any(asym > _SYMMETRY_TOL):
         raise ValueError(
-            f"the *-Ricci tensor is not symmetric at this point "
-            f"(antisymmetric part {asym:.2e}); the soliton equation is undefined"
+            f"the *-Ricci tensor is not symmetric at a sample point "
+            f"(antisymmetric part {np.max(asym):.2e}); the soliton equation is undefined"
         )
 
 
@@ -191,8 +179,8 @@ def _cross_residual_33(st: StructureAtPoint, half_lie: np.ndarray, lam, mu) -> f
     g, etaeta, ebar = st.geo.g, st.etaeta, st.ebar
     beta = st.m.beta_value(st.point)
     s, n = st.m.s, st.m.n
-    ric_q = np.einsum("am,mb->ab", st.geo.ric, st.Q)
-    gq = np.einsum("ma,mb->ab", st.Q, g)
+    ric_q = np.einsum("...am,...mb->...ab", st.geo.ric, st.Q)
+    gq = np.einsum("...ma,...mb->...ab", st.Q, g)
     k = s * (2 * n - 1) * beta**2
     rhs = (
         lam * g
@@ -200,7 +188,7 @@ def _cross_residual_33(st: StructureAtPoint, half_lie: np.ndarray, lam, mu) -> f
         + (k - lam) * etaeta
         + (lam + mu - 2 * n * beta**2) * ebar
     )
-    return tensor_residual(half_lie + ric_q - rhs, (0, 1))
+    return st.residual(half_lie + ric_q - rhs, (0, 1))
 
 
 def soliton_residual(st: StructureAtPoint, sol: SolitonData) -> SolitonVerdict:
@@ -213,7 +201,7 @@ def soliton_residual(st: StructureAtPoint, sol: SolitonData) -> SolitonVerdict:
     half_lie = 0.5 * lie_derivative_metric(st.geo, st.jets_of(sol.V)).components
     lhs = half_lie + st.ric_star
     rhs = sol.lam * (st.geo.g - st.etaeta) + (sol.lam + sol.mu) * st.ebar
-    residual = tensor_residual(lhs - rhs, (0, 1))
+    residual = st.residual(lhs - rhs, (0, 1))
     cross = _cross_residual_33(st, half_lie, sol.lam, sol.mu)
     return SolitonVerdict(
         residual, _classify(sol.lam), abs(sol.lam + sol.mu), cross
@@ -228,7 +216,7 @@ def gradient_soliton_residual(st: StructureAtPoint, sol: SolitonData) -> Soliton
     _, hess = gradient_and_hessian(st.geo, st.jets_of(sol.v))
     lhs = hess.components + st.ric_star
     rhs = sol.lam * (st.geo.g - st.etaeta) + (sol.lam + sol.mu) * st.ebar
-    residual = tensor_residual(lhs - rhs, (0, 1))
+    residual = st.residual(lhs - rhs, (0, 1))
 
     # operator form: nabla_X grad v + Q Ric# X = lam X - s(2n-1) b^2 QX + ...
     m = st.m
@@ -241,11 +229,11 @@ def gradient_soliton_residual(st: StructureAtPoint, sol: SolitonData) -> Soliton
     rhs_op = (
         sol.lam * np.eye(dim)
         - k * st.Q
-        + (k - sol.lam) * np.einsum("ja,jk->ka", st.eta, st.xi)
+        + (k - sol.lam) * np.einsum("...ja,...jk->...ka", st.eta, st.xi)
         + (sol.lam + sol.mu - 2 * n * beta**2)
-        * np.einsum("a,k->ka", st.etabar, st.xibar)
+        * np.einsum("...a,...k->...ka", st.etabar, st.xibar)
     )
-    cross = tensor_residual(lhs_op - rhs_op, (1,))
+    cross = st.residual(lhs_op - rhs_op, (1,))
     return SolitonVerdict(
         residual, _classify(sol.lam), abs(sol.lam + sol.mu), cross
     )
@@ -270,7 +258,7 @@ def fit_soliton_constants(m: WeakFManifold, V: FieldSpec, sample):
     coef, *_ = np.linalg.lstsq(design, rhs, rcond=None)
     lam, mu = float(coef[0]), float(coef[1])
     sol = SolitonData(lam=lam, mu=mu, V=V)
-    residual = max(soliton_residual(st, sol).residual for st in structures)
+    residual = max(float(np.max(soliton_residual(st, sol).residual)) for st in structures)
     return lam, mu, residual
 
 
@@ -291,13 +279,14 @@ def contact_fit(st: StructureAtPoint, V: FieldSpec) -> tuple[float, float]:
     lie = np.stack(
         [
             lie_derivative_1form(st.geo, (eta, deta), v).components
-            for eta, deta in zip(st.eta, st.deta)
-        ]
+            for eta, deta in zip(np.moveaxis(st.eta, -2, 0), np.moveaxis(st.deta, -3, 0))
+        ],
+        axis=-2,
     )
-    num = float(np.einsum("ia,ia->", lie, st.eta))
-    den = float(np.einsum("ia,ia->", st.eta, st.eta))
-    sigma = num / den if den > 0 else 0.0
-    return sigma, float(np.abs(lie - sigma * st.eta).max())
+    num = np.einsum("...ia,...ia->...", lie, st.eta)
+    den = np.einsum("...ia,...ia->...", st.eta, st.eta)
+    sigma = np.divide(num, den, out=np.zeros_like(num), where=den > 0)
+    return sigma[()], st.residual(lie - sigma[..., None, None] * st.eta)
 
 
 def contact_field_check(
@@ -341,48 +330,45 @@ def lemma2_audit(st: StructureAtPoint, sol: SolitonData) -> list[ResidualReport]
         + 4.0 * s * n * beta**3 * Q
         + 2.0 * s * beta**3 * Qt
         + 4.0 * n * beta**3
-        * (np.einsum("a,k->ka", etabar, xibar) - s * np.einsum("ja,jk->ka", eta, xi))
+        * (
+            np.einsum("...a,...k->...ka", etabar, xibar)
+            - s * np.einsum("...ja,...jk->...ka", eta, xi)
+        )
     )
-    res42 = max(
-        float(np.abs(np.einsum("kab,b->ka", lie_nab, xi[i]) - rhs42).max())
-        for i in range(s)
-    )
+    res42 = st.residual(np.einsum("...kab,...ib->...ika", lie_nab, xi) - rhs42[..., None, :, :])
 
     lie_r = lie_derivative_curvature(st.geo, v).components  # [k, a, b, c]
 
     # (34): (L_V R)_{X,Y} xi_i vs the nabla-Ric# expression
     nab_rs = st.geo.nabla_ric_sharp  # [k, j, a]
     # (nabla_X Ric#)(QY) at X=a, Y=b is nrq[k, b, a]; antisymmetrize in (a, b)
-    nrq = np.einsum("kja,jb->kba", nab_rs, Q)
-    t_ab = np.einsum("kba->kab", nrq)
-    term1 = 2.0 * beta * (t_ab - t_ab.transpose(0, 2, 1))
+    nrq = np.einsum("...kja,...jb->...kba", nab_rs, Q)
+    t_ab = np.einsum("...kba->...kab", nrq)
+    term1 = 2.0 * beta * (t_ab - np.swapaxes(t_ab, -1, -2))
     rsy = rs  # Ric# e_b: [k, b]
     term2 = 2.0 * beta**2 * (
-        np.einsum("a,kb->kab", etabar, rsy) - np.einsum("b,ka->kab", etabar, rsy)
+        np.einsum("...a,...kb->...kab", etabar, rsy)
+        - np.einsum("...b,...ka->...kab", etabar, rsy)
     )
     rsqt = rs @ Qt
     term3 = 4.0 * beta**2 * (
-        np.einsum("a,kb->kab", etabar, rsqt) - np.einsum("b,ka->kab", etabar, rsqt)
+        np.einsum("...a,...kb->...kab", etabar, rsqt)
+        - np.einsum("...b,...ka->...kab", etabar, rsqt)
     )
-    brk = eye + 2.0 * Qt - np.einsum("jb,jk->kb", eta, xi)  # [k, b]
+    brk = eye + 2.0 * Qt - np.einsum("...jb,...jk->...kb", eta, xi)  # [k, b]
     term4 = 4.0 * s * n * beta**4 * (
-        np.einsum("a,kb->kab", etabar, brk) - np.einsum("b,ka->kab", etabar, brk)
+        np.einsum("...a,...kb->...kab", etabar, brk)
+        - np.einsum("...b,...ka->...kab", etabar, brk)
     )
     rhs34 = term1 + term2 + term3 + term4
-    res34 = max(
-        float(np.abs(np.einsum("kabc,c->kab", lie_r, xi[i]) - rhs34).max())
-        for i in range(s)
-    )
+    lie_r_xi = np.einsum("...kabc,...ic->...ikab", lie_r, xi)
+    res34 = st.residual(lie_r_xi - rhs34[..., None, :, :, :])
 
     # (35): (L_V R)_{X, xi_j} xi_i = 0
-    res35 = max(
-        float(np.abs(np.einsum("kabc,b,c->ka", lie_r, xi[j], xi[i])).max())
-        for i in range(s)
-        for j in range(s)
-    )
+    res35 = st.residual(np.einsum("...ikab,...jb->...ijka", lie_r_xi, xi))
 
     return [
-        ResidualReport.make("lemma2.42", st.point, res42),
-        ResidualReport.make("lemma2.34", st.point, res34),
-        ResidualReport.make("lemma2.35", st.point, res35),
+        *st.reports("lemma2.42", res42),
+        *st.reports("lemma2.34", res34),
+        *st.reports("lemma2.35", res35),
     ]

@@ -10,7 +10,9 @@ A weak metric f-manifold carries a skew-symmetric (1,1)-tensor f of rank
 Identity residuals are evaluated on probe vectors (the full coordinate
 basis plus 8 seeded random vectors); a residual is the max-abs over
 components and probe contractions.  Pointwise operations take the
-:class:`StructureAtPoint` they work on.
+:class:`StructureAtPoint` they work on, which holds one point or a chunk of
+points; every array carries the batch shape in front (``()`` or ``(C,)``),
+and a check returns one report per point.
 """
 from __future__ import annotations
 
@@ -21,7 +23,7 @@ import numpy as np
 
 from . import expr as ex
 from .expr import ExprAst
-from .geometry import FieldSpec, MetricField, TensorValue, coboundary_2form
+from .geometry import FieldSpec, MetricField, TensorValue, coboundary_2form, contract
 
 __all__ = [
     "WeakFManifold",
@@ -42,6 +44,15 @@ __all__ = [
 
 _PROBE_SEED = 7
 _PROBE_COUNT = 8
+# Floats of a chunk's third-order metric jets (C * dim^5, 8 MiB) that
+# ``WeakFManifold.structures`` keeps within, unless one point alone exceeds it.
+CHUNK_FLOATS = 2**20
+
+
+def chunk_size(dim: int) -> int:
+    """Points a chunk holds at dimension ``dim``: 32 at dim 8, one from dim 16."""
+    return max(1, CHUNK_FLOATS // dim**5)
+
 
 # Default tolerance of every check id; the only place these values are
 # stated.  The identities (id.*, including the third-order 21-23) come from
@@ -81,17 +92,6 @@ class ResidualReport:
     tolerance: float
     passed: bool
 
-    @classmethod
-    def make(
-        cls, check_id: str, point, residual: float, tolerance: float | None = None
-    ):
-        """Report ``residual`` against ``tolerance``, by default the id's own."""
-        if tolerance is None:
-            tolerance = TOLERANCES[check_id]
-        pt = tuple(np.asarray(point, dtype=float).tolist())
-        residual = float(residual)
-        return cls(check_id, pt, residual, tolerance, residual <= tolerance)
-
 
 def probe_vectors(dim: int, seed: int = _PROBE_SEED, extra: int = _PROBE_COUNT) -> np.ndarray:
     """Coordinate basis plus seeded random vectors, rows are probes."""
@@ -107,21 +107,24 @@ def _random_probes(dim: int) -> tuple[np.ndarray, float]:
     return probes, float(np.abs(probes).max())
 
 
-def tensor_residual(t: np.ndarray, probe_slots: tuple[int, ...] = ()) -> float:
+def tensor_residual(t: np.ndarray, probe_slots: tuple[int, ...] = (), lead: int = 0):
     """Max-abs over components and over random-probe contractions.
 
+    The first ``lead`` axes are batch axes: the maximum is taken over every
+    other axis, and ``probe_slots`` count from the first of those.
     Contracting the residual tensor with random vectors on the given
     slots guards against index-permutation bugs that a plain max-abs
     over the (already basis-probed) components could miss.
     """
-    res = float(np.abs(t).max()) if t.size else 0.0
+    axes = tuple(range(lead, t.ndim))
+    res = np.abs(t).max(axis=axes, initial=0.0)
     if probe_slots:
-        probes, top = _random_probes(t.shape[probe_slots[0]])
+        probes, top = _random_probes(t.shape[lead + probe_slots[0]])
         contracted = t
         for slot in sorted(probe_slots, reverse=True):
-            contracted = np.tensordot(contracted, probes.T, axes=([slot], [0]))
+            contracted = np.tensordot(contracted, probes.T, axes=([lead + slot], [0]))
         scale = max(1.0, top ** len(probe_slots))
-        res = max(res, float(np.abs(contracted).max()) / scale)
+        res = np.maximum(res, np.abs(contracted).max(axis=axes) / scale)
     return res
 
 
@@ -153,11 +156,12 @@ class WeakFManifold:
     def dim(self) -> int:
         return 2 * self.n + self.s
 
-    def beta_value(self, p) -> float:
+    def beta_value(self, p):
+        """beta at a point, or at each point of a chunk ``(C, dim)``."""
         if self.beta is None:
             raise ValueError("manifold has no Kenmotsu coefficient")
         if isinstance(self.beta, ExprAst):
-            return ex.evaluate_jet(self.beta, np.asarray(p, dtype=float)).value
+            return self.beta.jets(np.asarray(p, dtype=float))[0]
         return float(self.beta)
 
     @property
@@ -165,10 +169,11 @@ class WeakFManifold:
         return not isinstance(self.beta, ExprAst)
 
     def at(self, p, jets=None, fields=()) -> "StructureAtPoint":
-        """The structure at p, built afresh; ``jets`` are :meth:`jets` at p if
-        known, ``fields`` ``(field, jets)`` pairs of other fields jetted at p."""
+        """The structure at a point ``(dim,)`` or a chunk ``(C, dim)``, built
+        afresh; ``jets`` are :meth:`jets` there if known, ``fields``
+        ``(field, jets)`` pairs of other fields jetted there."""
         pt = np.asarray(p, dtype=float)
-        if pt.shape != (self.dim,):
+        if pt.ndim not in (1, 2) or pt.shape[-1] != self.dim:
             raise ValueError(
                 f"point dimension {pt.shape} does not match chart ({self.dim},)"
             )
@@ -192,28 +197,28 @@ class WeakFManifold:
         return (*metric, f, df, q, dq, xi, dxi, eta, deta)
 
     def structures(self, points, extra=()):
-        """The structure at each point.  Every field, sigma and each ``extra``
-        field (a vector field or scalar expression, such as a soliton
-        potential) is jetted once for all points; see ``jets_of``."""
+        """The structures of consecutive chunks of :func:`chunk_size` points.
+        Every field, sigma and each ``extra`` field (a vector field or scalar
+        expression, such as a soliton potential) is jetted once a chunk; see
+        ``jets_of``."""
         pts = np.asarray(points, dtype=float)
         if not pts.size:
             return
         if pts.shape[1:] != (self.dim,):
             raise ValueError(f"points have shape {pts.shape}, chart is ({self.dim},)")
-        jets = self.jets(pts)
         fields = [fld for fld in (self.sigma, *extra) if fld is not None]
-        field_jets = [fld.jets(pts) for fld in fields]
-        for i, p in enumerate(pts):
+        size = chunk_size(self.dim)
+        for start in range(0, len(pts), size):
+            chunk = pts[start: start + size]
             yield self.at(
-                p,
-                [arr[i] for arr in jets],
-                [(fld, [arr[i] for arr in fj]) for fld, fj in zip(fields, field_jets)],
+                chunk, self.jets(chunk), [(fld, fld.jets(chunk)) for fld in fields]
             )
 
 
 class StructureAtPoint:
-    """Structure tensors, their first derivatives and the geometry at a point;
-    what is derived from them is cached here, and nothing across points."""
+    """Structure tensors, their first derivatives and the geometry at a point
+    or a chunk of points; what is derived from them is cached here, and
+    nothing across chunks."""
 
     def __init__(self, m: WeakFManifold, p: np.ndarray, jets=None, fields=()):
         self.m = m
@@ -224,10 +229,30 @@ class StructureAtPoint:
         ) = m.jets(p) if jets is None else jets
         self.geo = m.metric.at(p, (g, dg, d2g))
         self.point = self.geo.point
+        self.lead = p.ndim - 1  # batch axes in front of every array
         self._fields = fields
-        self.xibar = self.xi.sum(axis=0)
-        self.etabar = self.eta.sum(axis=0)
+        self.xibar = self.xi.sum(axis=-2)
+        self.etabar = self.eta.sum(axis=-2)
         self.Qtilde = self.Q - np.eye(m.dim)
+
+    @cached_property
+    def point_tuples(self) -> list[tuple[float, ...]]:
+        """The coordinates of each point, built once for all its reports."""
+        return [tuple(x) for x in self.point.reshape(-1, self.m.dim).tolist()]
+
+    def reports(self, check_id: str, residual) -> list[ResidualReport]:
+        """One report a point of ``residual`` (batch-shaped, or one value for
+        every point) against the id's default tolerance."""
+        tol = TOLERANCES[check_id]
+        values = np.broadcast_to(residual, self.point.shape[:-1]).ravel().tolist()
+        return [
+            ResidualReport(check_id, pt, r, tol, r <= tol)
+            for pt, r in zip(self.point_tuples, values)
+        ]
+
+    def residual(self, t: np.ndarray, probe_slots: tuple[int, ...] = ()):
+        """:func:`tensor_residual` of a tensor of this structure, per point."""
+        return tensor_residual(t, probe_slots, self.lead)
 
     def jets_of(self, field):
         """(value, d, d2) of a vector field or scalar expression at the point,
@@ -240,23 +265,23 @@ class StructureAtPoint:
     @cached_property
     def etaeta(self) -> np.ndarray:
         """sum_i eta^i (x) eta^i."""
-        return np.einsum("ia,ib->ab", self.eta, self.eta)
+        return np.einsum("...ia,...ib->...ab", self.eta, self.eta)
 
     @cached_property
     def ebar(self) -> np.ndarray:
         """etabar (x) etabar."""
-        return np.einsum("a,b->ab", self.etabar, self.etabar)
+        return np.einsum("...a,...b->...ab", self.etabar, self.etabar)
 
     @cached_property
     def ric_star(self) -> np.ndarray:
         """Ric*_{ab} = (1/2) f^k_l f^j_b R^l_{ajk}; generally not symmetric."""
         # contract f into R's (l, k) slots first: dim^4 work, not dim^6
-        return 0.5 * np.tensordot(self.geo.riem, self.f, axes=([0, 3], [1, 0])) @ self.f
+        return 0.5 * contract("...lajk,...kl->...aj", self.geo.riem, self.f) @ self.f
 
     @cached_property
-    def r_star(self) -> float:
+    def r_star(self):
         """The *-scalar curvature, the g-trace of Ric*."""
-        return float(np.einsum("ab,ab->", self.geo.ginv, self.ric_star))
+        return np.einsum("...ab,...ab->...", self.geo.ginv, self.ric_star)
 
     # covariant derivatives of (1,1)-tensor fields at the point
 
@@ -265,8 +290,8 @@ class StructureAtPoint:
         gam = self.geo.gamma
         return (
             da
-            + np.einsum("kcm,mj->kjc", gam, a)
-            - np.einsum("mcj,km->kjc", gam, a)
+            + np.einsum("...kcm,...mj->...kjc", gam, a)
+            - np.einsum("...mcj,...km->...kjc", gam, a)
         )
 
     @property
@@ -279,7 +304,9 @@ class StructureAtPoint:
 
     def nabla_vector(self, i: int) -> np.ndarray:
         """(nabla_a xi_i)^k."""
-        return self.dxi[i] + np.einsum("kam,m->ka", self.geo.gamma, self.xi[i])
+        return self.dxi[..., i, :, :] + np.einsum(
+            "...kam,...m->...ka", self.geo.gamma, self.xi[..., i, :]
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -293,24 +320,22 @@ def check_axioms(st: StructureAtPoint) -> list[ResidualReport]:
     reports = []
 
     def rep(check_id, t, slots=()):
-        reports.append(
-            ResidualReport.make(check_id, st.point, tensor_residual(t, slots))
-        )
+        reports.extend(st.reports(check_id, st.residual(t, slots)))
 
-    rep("axiom.5", ff + Q - np.einsum("ik,ij->kj", st.xi, st.eta), (1,))
+    rep("axiom.5", ff + Q - np.einsum("...ik,...ij->...kj", st.xi, st.eta), (1,))
     rep(
         "axiom.6",
-        np.einsum("ma,mn,nb->ab", f, g, f)
+        np.einsum("...ma,...mn,...nb->...ab", f, g, f)
         - g @ Q
         + st.etaeta,
         (0, 1),
     )
-    rep("axiom.fxi", np.einsum("km,im->ki", f, st.xi))
-    rep("axiom.etaf", np.einsum("ik,kj->ij", st.eta, f), (1,))
-    rep("axiom.etaQ", np.einsum("ik,kj->ij", st.eta, Q) - st.eta, (1,))
+    rep("axiom.fxi", np.einsum("...km,...im->...ki", f, st.xi))
+    rep("axiom.etaf", np.einsum("...ik,...kj->...ij", st.eta, f), (1,))
+    rep("axiom.etaQ", np.einsum("...ik,...kj->...ij", st.eta, Q) - st.eta, (1,))
     rep("axiom.Qf", Q @ f - f @ Q, (1,))
-    rep("axiom.Qxi", np.einsum("km,im->ki", Q, st.xi) - st.xi.T)
-    rep("axiom.dual", np.einsum("km,im->ki", g, st.xi) - st.eta.T)
+    rep("axiom.Qxi", np.einsum("...km,...im->...ki", Q, st.xi) - np.swapaxes(st.xi, -1, -2))
+    rep("axiom.dual", np.einsum("...km,...im->...ki", g, st.xi) - np.swapaxes(st.eta, -1, -2))
     rep("axiom.f3", ff @ f + f + st.Qtilde @ f, (1,))
     return reports
 
@@ -319,8 +344,10 @@ def _nijenhuis(st: StructureAtPoint, s: np.ndarray, ds: np.ndarray) -> np.ndarra
     """[S, S]^k_ab from the values s[k, j] and derivatives ds[k, j, c] of S."""
     nabla_s = st.nabla_mixed(s, ds)  # [k, j, c] = (nabla_c S)^k_j
     # C^k_{ab} = S^k_m (nabla_b S)^m_a - S^j_b (nabla_j S)^k_a
-    c = np.einsum("km,mab->kab", s, nabla_s) - np.einsum("jb,kaj->kab", s, nabla_s)
-    return c - c.transpose(0, 2, 1)
+    c = np.einsum("...km,...mab->...kab", s, nabla_s) - np.einsum(
+        "...jb,...kaj->...kab", s, nabla_s
+    )
+    return c - np.swapaxes(c, -1, -2)
 
 
 def nijenhuis(st: StructureAtPoint, S) -> TensorValue:
@@ -334,13 +361,13 @@ def normality_tensor(st: StructureAtPoint) -> TensorValue:
     """N1 = [f, f] + 2 sum_i d(eta^i) (x) xi_i."""
     nf = _nijenhuis(st, st.f, st.df)
     # d(eta^i)_{ab} with the 1/2 normalization
-    deta = 0.5 * (st.deta.transpose(0, 2, 1) - st.deta)  # [i, a, b]
-    t = nf + 2.0 * np.einsum("iab,ik->kab", deta, st.xi)
+    deta = 0.5 * (np.swapaxes(st.deta, -1, -2) - st.deta)  # [i, a, b]
+    t = nf + 2.0 * np.einsum("...iab,...ik->...kab", deta, st.xi)
     return TensorValue(("up", "down", "down"), t, st.point)
 
 
 def fundamental_form(st: StructureAtPoint) -> TensorValue:
-    phi = np.einsum("am,mb->ab", st.geo.g, st.f)
+    phi = np.einsum("...am,...mb->...ab", st.geo.g, st.f)
     return TensorValue(("down", "down"), phi, st.point)
 
 
@@ -374,6 +401,8 @@ def f_basis(st: StructureAtPoint):
     and normalize so the first nonzero component is positive.
     """
     m = st.m
+    if st.lead:
+        raise ValueError("f_basis takes the structure at one point")
     n, dim = m.n, m.dim
     g = st.geo.g
     # g-orthonormal basis of D = orthogonal complement of the xi's
@@ -447,25 +476,26 @@ def f_basis(st: StructureAtPoint):
 def wedge_1form_2form(alpha: np.ndarray, phi: np.ndarray) -> np.ndarray:
     """(alpha ^ phi)_{abc} with the 1/(p+1) normalization (here 1/3)."""
     return (
-        np.einsum("a,bc->abc", alpha, phi)
-        + np.einsum("b,ca->abc", alpha, phi)
-        + np.einsum("c,ab->abc", alpha, phi)
+        np.einsum("...a,...bc->...abc", alpha, phi)
+        + np.einsum("...b,...ca->...abc", alpha, phi)
+        + np.einsum("...c,...ab->...abc", alpha, phi)
     ) / 3.0
 
 
 def theorem1_check(st: StructureAtPoint) -> list[ResidualReport]:
     """Normality, closedness of the eta^i, and dPhi = 2 beta etabar ^ Phi."""
     n1 = normality_tensor(st).components
-    deta = 0.5 * (st.deta.transpose(0, 2, 1) - st.deta)
+    deta = 0.5 * (np.swapaxes(st.deta, -1, -2) - st.deta)
     # d_k Phi_ab = d_k g_am f^m_b + g_am d_k f^m_b, from the jets at the point
     dphi = coboundary_2form(
-        np.einsum("amk,mb->abk", st.geo.dg, st.f)
-        + np.einsum("am,mbk->abk", st.geo.g, st.df)
+        np.einsum("...amk,...mb->...abk", st.geo.dg, st.f)
+        + np.einsum("...am,...mbk->...abk", st.geo.g, st.df)
     )
     phi = fundamental_form(st).components
-    rhs = 2.0 * st.m.beta_value(st.point) * wedge_1form_2form(st.etabar, phi)
+    beta = np.asarray(st.m.beta_value(st.point))[..., None, None, None]
+    rhs = 2.0 * beta * wedge_1form_2form(st.etabar, phi)
     return [
-        ResidualReport.make("n1", st.point, tensor_residual(n1, (1, 2))),
-        ResidualReport.make("deta", st.point, tensor_residual(deta, (1, 2))),
-        ResidualReport.make("dphi", st.point, tensor_residual(dphi - rhs, (0, 1, 2))),
+        *st.reports("n1", st.residual(n1, (1, 2))),
+        *st.reports("deta", st.residual(deta, (1, 2))),
+        *st.reports("dphi", st.residual(dphi - rhs, (0, 1, 2))),
     ]

@@ -77,7 +77,7 @@ def test_criterion_01_axioms_and_defining_condition():
             for r in check_axioms(st):
                 if r.check_id in ("axiom.5", "axiom.6"):
                     worst = max(worst, r.residual)
-            worst = max(worst, kenmotsu_residual(st).residual)
+            worst = max(worst, kenmotsu_residual(st)[0].residual)
     _report(1, "axioms + defining condition", worst, 1e-8)
 
 
@@ -202,7 +202,7 @@ def test_criterion_08_twisted_products():
     for m in cases:
         for p in seeded_points(m.dim, count=3):
             st = m.at(p)
-            worst12 = max(worst12, kenmotsu_residual(st).residual)
+            worst12 = max(worst12, kenmotsu_residual(st)[0].residual)
             for r in twisted_product_audit(st):
                 worst_rel = max(worst_rel, r.residual)
     # genuinely twisted: sigma depends on a fiber coordinate

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from wfk import expr as ex
+from wfk import weakf
 from wfk.checks import _RUNNERS, CATALOGUE, CheckContext, applicable_ids, run_check_ids
 from wfk.geometry import FieldSpec
 from wfk.kenmotsu import FiberSpec, build_example2, build_twisted_product
@@ -71,13 +72,33 @@ def test_perfbench_tracer_targets_resolve():
         assert callable(owner.__dict__.get(attr)), f"{module}.{attr}"
 
 
+def _two_point_chunks(monkeypatch, dim):
+    monkeypatch.setattr(weakf, "CHUNK_FLOATS", 2 * dim**5)
+    assert weakf.chunk_size(dim) == 2
+
+
+@pytest.mark.parametrize("dim", range(3, 22))
+def test_chunk_size_bounds_the_third_order_jets(dim):
+    size = weakf.chunk_size(dim)
+    assert size >= 1
+    # within the budget unless one point alone exceeds it, and no smaller
+    assert size * dim**5 <= max(weakf.CHUNK_FLOATS, dim**5)
+    assert (size + 1) * dim**5 > weakf.CHUNK_FLOATS
+
+
+def test_chunk_sizes_of_the_benchmark_dimensions():
+    assert [weakf.chunk_size(d) for d in (7, 8, 15)] == [62, 32, 1]
+
+
 @pytest.mark.parametrize("make_ctx", [_example2_V, _twisted])
-def test_batched_run_matches_points_and_releases_caches(make_ctx):
+def test_batched_run_matches_points_and_releases_caches(make_ctx, monkeypatch):
     ctx = make_ctx()
     m = ctx.manifold
     ids = applicable_ids(ctx)
-    points = seeded_points(m.dim, count=5, seed=17)
+    _two_point_chunks(monkeypatch, m.dim)
+    points = seeded_points(m.dim, count=5, seed=17)  # chunks of 2, 2 and 1
     reports = run_check_ids(ctx, ids, points)
+    assert [tuple(r.point) for r in reports[:5]] == [tuple(p) for p in points]
     # the same residuals, bit for bit, as point-by-point evaluation
     fresh = make_ctx()
     for r in reports:
@@ -90,19 +111,23 @@ def test_batched_run_matches_points_and_releases_caches(make_ctx):
 
 
 @pytest.mark.parametrize("make_ctx", [_example2_V, _example2_v, _twisted])
-def test_each_needed_group_runs_once_per_point(make_ctx, monkeypatch):
+def test_each_needed_group_runs_once_per_chunk(make_ctx, monkeypatch):
     ctx = make_ctx()
     ids = applicable_ids(ctx)
-    calls = Counter()
+    calls, covered = Counter(), Counter()
     for group, runner in list(_RUNNERS.items()):
         def counted(st, sol, group=group, runner=runner):
             calls[group] += 1
+            covered.update((group, pt) for pt in st.point_tuples)
             return runner(st, sol)
 
         monkeypatch.setitem(_RUNNERS, group, counted)
-    points = seeded_points(ctx.manifold.dim, count=3, seed=5)
+    _two_point_chunks(monkeypatch, ctx.manifold.dim)
+    points = seeded_points(ctx.manifold.dim, count=5, seed=5)
     run_check_ids(ctx, ids + ids[:4], points)
-    assert calls == {CATALOGUE[cid].group: len(points) for cid in ids}
+    groups = {CATALOGUE[cid].group for cid in ids}
+    assert calls == dict.fromkeys(groups, 3)
+    assert covered == {(g, tuple(p)): 1 for g in groups for p in points}
 
 
 @pytest.mark.parametrize("make_ctx", [_example2_V, _example2_v, _twisted])

@@ -264,6 +264,38 @@ class TestManifestValidation:
         assert main(["check", str(bad)]) == 2
         assert "error: sample: expected an object" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "value", [[], 0, "", False], ids=["empty-list", "zero", "empty-string", "false"]
+    )
+    def test_falsy_non_object_tolerances(self, tmp_path, manifest_path, capsys, value):
+        data = _load(manifest_path)
+        data["tolerances"] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))
+        assert main(["check", str(bad)]) == 2
+        assert "error: tolerances: expected an object" in capsys.readouterr().err
+
+    def test_null_tolerances_mean_no_overrides(self, tmp_path, manifest_path):
+        data = _load(manifest_path)
+        data["tolerances"] = None
+        path = tmp_path / "null.json"
+        path.write_text(json.dumps(data))
+        assert main(["check", str(path), "--points", "1"]) == 0
+
+    @pytest.mark.parametrize(
+        "sample, key",
+        [({"cnt": 3}, "cnt"), ({"count": 3, "sead": 9}, "sead")],
+        ids=["cnt", "sead"],
+    )
+    def test_unknown_sample_key(self, tmp_path, manifest_path, capsys, sample, key):
+        data = _load(manifest_path)
+        data["sample"] = sample
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))
+        assert main(["check", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert "error: sample: unknown keys" in err and repr(key) in err
+
     def test_non_dual_reeb_forms(self, tmp_path, manifest_path, capsys):
         data = _load(manifest_path)
         data["eta"] = [[0, 0, 0, 1], [0, 0, 0, 1]]

@@ -25,16 +25,16 @@ def _flat_product(dim_fiber_scales, s, total_dim):
 class TestDefiningCondition:
     def test_reference_instance(self, e2):
         for p in seeded_points(4, count=10, seed=20):
-            assert kenmotsu_residual(e2.at(p)).residual < 1e-8
+            assert kenmotsu_residual(e2.at(p))[0].residual < 1e-8
 
     def test_wrong_coefficient_is_rejected(self, e2):
-        assert kenmotsu_residual(e2.at(O), beta=2.0).residual > 0.5
+        assert kenmotsu_residual(e2.at(O), beta=2.0)[0].residual > 0.5
 
     def test_constant_structure_product(self):
         m = _flat_product([1.0], 1, 3)
         assert m.beta == 0.0
         for p in seeded_points(3, count=3, seed=22):
-            assert kenmotsu_residual(m.at(p)).residual < 1e-10
+            assert kenmotsu_residual(m.at(p))[0].residual < 1e-10
 
 
 class TestIdentityAudit:
@@ -76,12 +76,12 @@ class TestExplicitModel:
         m = example_manifold(1, 1, 1.0, 0.0)
         p = seeded_points(3, count=1, seed=28)[0]
         assert m.at(p).Q == pytest.approx(np.eye(3))
-        assert kenmotsu_residual(m.at(p)).residual < 1e-10
+        assert kenmotsu_residual(m.at(p))[0].residual < 1e-10
 
     def test_larger_instance(self):
         m = example_manifold(2, 2, 0.5, 1.0)
         for p in seeded_points(6, count=3, seed=30):
-            assert kenmotsu_residual(m.at(p)).residual < 1e-8
+            assert kenmotsu_residual(m.at(p))[0].residual < 1e-8
 
     @pytest.mark.parametrize(
         "n,s,beta,c", [(0, 1, 1.0, 0.0), (1, 0, 1.0, 0.0), (1, 1, 0.0, 0.0), (1, 1, 1.0, -0.5)]
@@ -106,7 +106,7 @@ class TestTwistedProducts:
         m = build_twisted_product(fib, 1, ex.exp(ex.var(2, 3)))
         assert m.beta == pytest.approx(1.0)
         for p in seeded_points(3, count=3, seed=34):
-            assert kenmotsu_residual(m.at(p)).residual < 1e-8
+            assert kenmotsu_residual(m.at(p))[0].residual < 1e-8
 
     def test_two_factor_spectrum(self):
         fib = FiberSpec.flat_factors([1.0, 2.0], 6)
@@ -119,7 +119,7 @@ class TestTwistedProducts:
     def test_trivial_twist_gives_zero_coefficient(self):
         m = _flat_product([1.0, 2.0], 2, 6)
         assert m.beta == 0.0
-        assert kenmotsu_residual(m.at(np.zeros(6))).residual < 1e-10
+        assert kenmotsu_residual(m.at(np.zeros(6)))[0].residual < 1e-10
 
     def test_genuinely_twisted_connection_relations(self):
         dim = 3
