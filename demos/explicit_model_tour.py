@@ -20,14 +20,14 @@ def main():
     print(f"chart model: dim = {m.dim}, beta = {m.beta}, c = {m.c}")
     print("\nstructure axioms (worst residual per point):")
     for p in points:
-        worst = max(r.residual for r in check_axioms(m.at(p)))
+        worst = max(check_axioms(m.at(p)).values())
         print(f"  p = {np.round(p, 3)}: {worst:.2e}")
 
     print("\ndefining condition and exterior system:")
     for p in points:
-        (k,) = kenmotsu_residual(m.at(p))
-        t1 = max(r.residual for r in theorem1_check(m.at(p)))
-        print(f"  p = {np.round(p, 3)}: nabla-f {k.residual:.2e}, "
+        k = kenmotsu_residual(m.at(p))["kenmotsu.12"]
+        t1 = max(theorem1_check(m.at(p)).values())
+        print(f"  p = {np.round(p, 3)}: nabla-f {k:.2e}, "
               f"normality/closedness {t1:.2e}")
 
     frame, lambdas = f_basis(m.at(origin))

@@ -41,7 +41,6 @@ from .geometry import (
     scalar_curvature,
 )
 from .weakf import (
-    ResidualReport,
     WeakFManifold,
     check_axioms,
     f_basis,

@@ -1,14 +1,15 @@
 """Registry of named identity checks shared by the CLI and the test suite.
 
 ``CATALOGUE`` is the one table of checks: each id names its group, whose
-runner calls the library function that produces the id, its default
-tolerance (from :data:`~wfk.weakf.TOLERANCES`), whether it is an audit,
-and what manifold data it requires.  Audit checks report discrepancies
-without ever failing a run.
+runner calls the library function that produces the id's residual, its
+default tolerance (from :data:`~wfk.weakf.TOLERANCES`), whether it is an
+audit, and what manifold data it requires.  Running checks yields residuals
+only; the CLI's report writer compares them with the tolerances.  Audit
+checks report discrepancies without ever failing a run.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,7 +32,6 @@ from .star_soliton import (
 )
 from .weakf import (
     TOLERANCES,
-    ResidualReport,
     StructureAtPoint,
     WeakFManifold,
     check_axioms,
@@ -61,35 +61,32 @@ _REQUIRES = {
 
 def _soliton(st, sol):
     verdict = soliton_residual(st, sol)
-    return st.reports("soliton.32", verdict.residual) + st.reports(
-        "soliton.33", verdict.cross_residual
-    )
+    return {"soliton.32": verdict.residual, "soliton.33": verdict.cross_residual}
 
 
 def _grad(st, sol):
     verdict = gradient_soliton_residual(st, sol)
-    return st.reports("grad.75", np.maximum(verdict.residual, verdict.cross_residual))
+    return {"grad.75": np.maximum(verdict.residual, verdict.cross_residual)}
 
 
-# group -> runner(structure, soliton) returning the group's reports, one per
-# id and point of the structure's chunk.  Runners look the library functions
-# up when called, so a function patched on this module (as the perfbench
-# tracer does) is the one that runs.
+# group -> runner(structure, soliton) returning the group's residuals,
+# {id: residual}, each with the structure's batch shape or one value for the
+# whole run (prop5).  Runners look the library functions up when called, so a
+# function patched on this module (as the perfbench tracer does) is the one
+# that runs.
 _RUNNERS = {
     "axioms": lambda st, sol: check_axioms(st),
     "theorem1": lambda st, sol: theorem1_check(st),
     "kenmotsu": lambda st, sol: kenmotsu_residual(st),
     "identities": lambda st, sol: audit_identities(st),
     "twisted": lambda st, sol: twisted_product_audit(st),
-    "star_def": lambda st, sol: st.reports(
-        "star.def", np.maximum(*star_symmetry_gate(st))
-    ),
+    "star_def": lambda st, sol: {"star.def": np.maximum(*star_symmetry_gate(st))},
     "thm4": lambda st, sol: theorem4_residual(st),
     "cor2": lambda st, sol: corollary2_residual(st),
     "soliton": _soliton,
     "grad": _grad,
-    "prop5": lambda st, sol: st.reports("prop5", prop5_check(sol.lam, sol.mu).gap),
-    "contact": lambda st, sol: st.reports("contact.65", contact_fit(st, sol.V)[1]),
+    "prop5": lambda st, sol: {"prop5": prop5_check(sol.lam, sol.mu).gap},
+    "contact": lambda st, sol: {"contact.65": contact_fit(st, sol.V)[1]},
     "lemma2": lambda st, sol: lemma2_audit(st, sol),
 }
 
@@ -135,12 +132,12 @@ class CheckContext:
     def _satisfied(self, requires: tuple[str, ...]) -> bool:
         return all(_REQUIRES[r](self.manifold, self.soliton) for r in requires)
 
-    def group_reports(self, group: str, st: StructureAtPoint) -> list[ResidualReport]:
-        """The reports of one group at a structure of this context's manifold,
-        for each id the points of its chunk in order."""
+    def group_reports(self, group: str, st: StructureAtPoint) -> dict:
+        """The residuals of one group at a structure of this context's
+        manifold, ``{id: residual}``."""
         return self._run_group(group, st)
 
-    def _run_group(self, group: str, st: StructureAtPoint) -> list[ResidualReport]:
+    def _run_group(self, group: str, st: StructureAtPoint) -> dict:
         return _RUNNERS[group](st, self.soliton)
 
 
@@ -151,17 +148,14 @@ def applicable_ids(ctx: CheckContext) -> list[str]:
     ]
 
 
-def run_check_ids(
-    ctx: CheckContext, ids, points, overrides: dict[str, float] | None = None
-) -> list[ResidualReport]:
-    """Run the named checks at each point, applying tolerance overrides.
+def run_check_ids(ctx: CheckContext, ids, points) -> dict[str, np.ndarray]:
+    """The residuals of the named checks at each point: ``{id: (P,) array}``
+    in point order, for the ids in the order given.
 
     A repeated id runs once.  The fields, with the soliton's potential, are
     jetted once a chunk of points (``WeakFManifold.structures``); each needed
-    group then runs once on each chunk's structure.  Reports come sorted by
-    id, then in point order.
+    group then runs once on each chunk's structure.
     """
-    overrides = overrides or {}
     ids = list(dict.fromkeys(ids))
     unknown = [i for i in ids if i not in CATALOGUE]
     if unknown:
@@ -172,21 +166,17 @@ def run_check_ids(
             f"checks {blocked} need data this manifest does not provide "
             "(constant beta, twisted-product sigma, or a soliton block)"
         )
-    wanted = set(ids)
     groups = dict.fromkeys(CATALOGUE[cid].group for cid in ids)
     sol = ctx.soliton
     extra = () if sol is None else (sol.v if sol.V is None else sol.V,)
-    reports: list[ResidualReport] = []
+    # a residual no runner wrote stays NaN, which fails any tolerance
+    table = {cid: np.full(len(points), np.nan) for cid in ids}
+    start = 0
     for st in ctx.manifold.structures(points, extra):
+        stop = start + len(st.point)
         for group in groups:
-            for r in ctx.group_reports(group, st):
-                cid = r.check_id
-                if cid not in wanted:
-                    continue
-                if cid in overrides:
-                    tol = overrides[cid]
-                    r = replace(r, tolerance=tol, passed=r.residual <= tol)
-                reports.append(r)
-    # stable: each id's reports stay in point order
-    reports.sort(key=lambda r: r.check_id)
-    return reports
+            for cid, residual in ctx.group_reports(group, st).items():
+                if cid in table:
+                    table[cid][start:stop] = residual  # a per-run value fills the chunk
+        start = stop
+    return table

@@ -43,6 +43,11 @@ _MAX_POINTS = 2000
 # run peaks at 12.5 MiB at dim 15 with 108 points, 44 MiB at dim 21 with 13);
 # the bound caps the run time instead, about 2 s at dim 15.
 _MAX_POINTS_DIM5 = 2**31 // 26
+# A constant beta enters the formulas through powers up to beta^4, and the
+# largest coefficient formed from beta alone is 4 s n beta^4 (lemma2.34).  At
+# dim 2n + s <= 21, s n <= 55, so 220 beta^4 stays below the largest float
+# (1.8e308) while |beta| <= 1e76.
+_MAX_BETA = 1e76
 
 
 class ManifestError(Exception):
@@ -57,7 +62,7 @@ def _finite_number(raw, where: str) -> float:
     """``raw`` as a finite float; booleans, non-numbers, nan and inf are errors."""
     try:
         val = float(raw)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         val = math.nan
     if isinstance(raw, bool) or not math.isfinite(val):
         raise ManifestError(f"{where}: expected a finite number, got {raw!r}")
@@ -75,6 +80,14 @@ def _integer(raw, where: str) -> int:
     return val
 
 
+def _constant_beta(raw) -> float:
+    """A constant Kenmotsu coefficient: finite and at most ``_MAX_BETA`` in size."""
+    beta = _finite_number(raw, "beta")
+    if abs(beta) > _MAX_BETA:
+        raise ManifestError(f"beta: |beta| must be at most {_MAX_BETA:g}, got {raw!r}")
+    return beta
+
+
 def _chart_dim(n: int, s: int) -> int:
     """The chart dimension 2n + s, within its bounds."""
     if n < 1 or s < 1:
@@ -88,9 +101,7 @@ def _chart_dim(n: int, s: int) -> int:
 
 def _parse_entry(raw, dim: int, where: str) -> ExprAst:
     if isinstance(raw, (int, float)) and not isinstance(raw, bool):
-        if not math.isfinite(raw):
-            raise ManifestError(f"{where}: number must be finite, got {raw!r}")
-        return ex.const(float(raw), dim)
+        return ex.const(_finite_number(raw, where), dim)
     if isinstance(raw, str):
         try:
             return ex.parse_expression(raw, dim)
@@ -165,7 +176,7 @@ def manifold_from_manifest(data: dict):
     if beta_raw is None:
         beta = None
     elif isinstance(beta_raw, (int, float)) and not isinstance(beta_raw, bool):
-        beta = _finite_number(beta_raw, "beta")
+        beta = _constant_beta(beta_raw)
     else:
         beta = _parse_entry(beta_raw, dim, "beta")
     c = None if data.get("c") is None else _finite_number(data["c"], "c")
@@ -323,27 +334,9 @@ def sample_points(dim: int, sample: dict) -> list[np.ndarray]:
     return [rng.uniform(lo, hi, dim) for _ in range(count)]
 
 
-def _fmt(x: float) -> float:
-    return float(f"{x:.15g}")
-
-
-def _memo(fn):
-    """``fn`` of a float, memoised; the two zeros share a dict key, so are not kept."""
-    memo: dict = {}
-
-    def call(x: float):
-        out = memo.get(x)
-        if out is None:
-            out = fn(x)
-            if x:
-                memo[x] = out
-        return out
-
-    return call
-
-
-def _json_float(x: float) -> str:
-    """``x`` as :mod:`json` writes a float."""
+def _number(x: float) -> str:
+    """``x`` rounded to 15 significant digits, as :mod:`json` writes that float."""
+    x = float(f"{x:.15g}")
     if x != x:
         return "NaN"
     if x in (math.inf, -math.inf):
@@ -351,40 +344,49 @@ def _json_float(x: float) -> str:
     return repr(x)
 
 
-def _report_json(report: dict) -> str:
-    """``json.dumps(report, indent=2)`` for a report of :func:`run_check`'s layout.
+def _report_json(head: dict, points, checks, tail: dict) -> tuple[str, dict]:
+    """The text of a report, and its summary.
 
-    ``indent`` selects json's pure-Python encoder, which costs more than the
-    checks themselves on large runs, so each record is written from its
-    fixed layout; the other values are small and go through json.
+    The text is ``json.dumps(report, indent=2)`` of ``head``, then "checks":
+    a record an id and point with the id, the point, the residual, the
+    tolerance (numbers rounded to 15 significant digits), whether it passed
+    (``residual <= tolerance``; NaN fails) and the id's audit flag; then
+    "summary": the passed and failed checks and the flagged (not passed)
+    audits; then ``tail``.  ``checks`` gives ``(id, residual at each point,
+    tolerance, audit)`` in record order.  ``indent`` selects json's
+    pure-Python encoder, which costs more than the checks themselves on
+    large runs, so the records are written from their fixed layout.
     """
-    ids = {cid: json.dumps(cid) for cid in {r["id"] for r in report["checks"]}}
-    num = _memo(_json_float)  # the tolerances repeat
-    blocks: dict = {}  # id of a point list that records share -> its JSON
+    blocks = [
+        "[\n" + ",\n".join(f"        {_number(x)}" for x in p) + "\n      ]" if len(p) else "[]"
+        for p in points
+    ]
+    literal = ("false", "true")
+    summary = {"pass": 0, "fail": 0, "flagged": 0}
     records = []
-    for r in report["checks"]:
-        point = blocks.get(id(r["point"]))
-        if point is None:
-            text = ",\n".join(f"        {num(x)}" for x in r["point"])
-            point = blocks[id(r["point"])] = f"[\n{text}\n      ]" if text else "[]"
-        records.append(
-            "    {\n"
-            f'      "id": {ids[r["id"]]},\n'
-            f'      "point": {point},\n'
-            f'      "residual": {num(r["residual"])},\n'
-            f'      "tolerance": {num(r["tolerance"])},\n'
-            f'      "pass": {"true" if r["pass"] else "false"},\n'
-            f'      "audit": {"true" if r["audit"] else "false"}\n'
-            "    }"
-        )
+    for cid, column, tol, audit in checks:
+        passed = column <= tol
+        n_pass = int(np.count_nonzero(passed))
+        if audit:
+            summary["flagged"] += len(column) - n_pass
+        else:
+            summary["pass"] += n_pass
+            summary["fail"] += len(column) - n_pass
+        start = f'    {{\n      "id": {json.dumps(cid)},\n      "point": '
+        middle = f',\n      "tolerance": {_number(tol)},\n      "pass": '
+        end = f',\n      "audit": {literal[audit]}\n    }}'
+        records += [
+            f'{start}{block},\n      "residual": {_number(r)}{middle}{literal[ok]}{end}'
+            for block, r, ok in zip(blocks, column.tolist(), passed.tolist())
+        ]
     fields = []
-    for key, val in report.items():
+    for key, val in {**head, "checks": records, "summary": summary, **tail}.items():
         if key == "checks":
             text = "[\n" + ",\n".join(records) + "\n  ]" if records else "[]"
         else:
             text = json.dumps(val, indent=2).replace("\n", "\n  ")
         fields.append(f"  {json.dumps(key)}: {text}")
-    return "{\n" + ",\n".join(fields) + "\n}"
+    return "{\n" + ",\n".join(fields) + "\n}", summary
 
 
 def run_check(args) -> int:
@@ -418,53 +420,26 @@ def run_check(args) -> int:
 
     points = sample_points(m.dim, sample)
     try:
-        reports = run_check_ids(ctx, ids, points, overrides)
+        table = run_check_ids(ctx, ids, points)
     except (ValueError, KeyError) as err:
         raise ManifestError(str(err)) from err
 
-    records = []
-    n_pass = n_fail = n_flag = 0
-    fmt = _memo(_fmt)
-    # the reports of a point share its coordinate tuple; format it once
-    coords: dict = {}
-    for r in reports:
-        audit = CATALOGUE[r.check_id].audit
-        point = coords.get(id(r.point))
-        if point is None:
-            point = coords[id(r.point)] = [fmt(x) for x in r.point]
-        records.append(
-            {
-                "id": r.check_id,
-                "point": point,
-                "residual": fmt(r.residual),
-                "tolerance": fmt(r.tolerance),
-                "pass": bool(r.passed),
-                "audit": audit,
-            }
-        )
-        if audit:
-            n_flag += 0 if r.passed else 1
-        elif r.passed:
-            n_pass += 1
-        else:
-            n_fail += 1
-    report = {
-        "tool": f"wfk {__version__}",
-        "manifest_digest": digest,
-        "checks": records,
-        "summary": {"pass": n_pass, "fail": n_fail, "flagged": n_flag},
-    }
+    checks = [
+        (cid, table[cid], overrides.get(cid, CATALOGUE[cid].tolerance), CATALOGUE[cid].audit)
+        for cid in sorted(table)
+    ]
+    tail = {}
     if not args.reproducible:
-        report["generated_at"] = datetime.datetime.now(
-            datetime.timezone.utc
-        ).isoformat()
-    text = _report_json(report) + "\n"
+        tail["generated_at"] = datetime.datetime.now(datetime.timezone.utc).isoformat()
+    text, summary = _report_json(
+        {"tool": f"wfk {__version__}", "manifest_digest": digest}, points, checks, tail
+    )
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.write(text + "\n")
     else:
-        sys.stdout.write(text)
-    return 0 if n_fail == 0 else 1
+        sys.stdout.write(text + "\n")
+    return 0 if summary["fail"] == 0 else 1
 
 
 # ---------------------------------------------------------------------------
@@ -482,13 +457,13 @@ def _write_manifest(data: dict, out: str | None) -> None:
 
 def emit_example2(args) -> int:
     _chart_dim(args.n, args.s)
-    beta, c = _finite_number(args.beta, "beta"), _finite_number(args.c, "c")
+    beta, c = _constant_beta(args.beta), _finite_number(args.c, "c")
     try:
         m = build_example2(args.n, args.s, beta, c)
     except ValueError as err:
         raise ManifestError(str(err)) from err
     xibar = FieldSpec.from_entries([0.0] * (2 * m.n) + [1.0] * m.s, m.dim)
-    lam = m.s * beta - m.s * (1.0 + c) * beta**2
+    lam = _finite_number(m.s * beta - m.s * (1.0 + c) * beta**2, "soliton.lambda")
     soliton = SolitonData(lam=lam, mu=-lam, V=xibar)
     _write_manifest(manifest_from_manifold(m, soliton), args.out)
     return 0

@@ -18,7 +18,7 @@ import numpy as np
 from . import expr as ex
 from .expr import ExprAst
 from .geometry import FieldSpec, MetricField, contract, lie_derivative_metric
-from .weakf import ResidualReport, StructureAtPoint, WeakFManifold, check_axioms
+from .weakf import TOLERANCES, StructureAtPoint, WeakFManifold, check_axioms
 
 __all__ = [
     "FiberSpec",
@@ -106,8 +106,8 @@ def _nabla_f_residual(st: StructureAtPoint, beta: float) -> np.ndarray:
     return lhs - rhs
 
 
-def kenmotsu_residual(st: StructureAtPoint, beta=None) -> list[ResidualReport]:
-    """Residual of the defining nabla-f condition, one report a point.
+def kenmotsu_residual(st: StructureAtPoint, beta=None) -> dict:
+    """Residual of the defining nabla-f condition, ``{"kenmotsu.12": residual}``.
 
     ``beta`` overrides the manifold's coefficient and may be an
     expression (the genuinely twisted case); beta = 0 checks the
@@ -119,7 +119,7 @@ def kenmotsu_residual(st: StructureAtPoint, beta=None) -> list[ResidualReport]:
         bval = beta.jets(st.point)[0]
     else:
         bval = float(beta)
-    return st.reports("kenmotsu.12", st.residual(_nabla_f_residual(st, bval), (1, 2)))
+    return {"kenmotsu.12": st.residual(_nabla_f_residual(st, bval), (1, 2))}
 
 
 # ---------------------------------------------------------------------------
@@ -282,8 +282,8 @@ _IDENTITIES = {
 IDENTITY_IDS = tuple(_IDENTITIES)
 
 
-def audit_identities(st: StructureAtPoint, ids=None) -> list[ResidualReport]:
-    """Residual reports for the curvature/connection identity catalogue."""
+def audit_identities(st: StructureAtPoint, ids=None) -> dict:
+    """Residuals of the curvature/connection identity catalogue, ``{"id.N": residual}``."""
     if ids is None:
         ids = IDENTITY_IDS
     unknown = [i for i in ids if i not in IDENTITY_IDS]
@@ -296,9 +296,7 @@ def audit_identities(st: StructureAtPoint, ids=None) -> list[ResidualReport]:
             "this manifold carries a coordinate-dependent one"
         )
     beta = m.beta_value(st.point)
-    return [
-        r for i in ids for r in st.reports(f"id.{i}", st.residual(_IDENTITIES[i](st, beta)))
-    ]
+    return {f"id.{i}": st.residual(_IDENTITIES[i](st, beta)) for i in ids}
 
 
 # ---------------------------------------------------------------------------
@@ -415,15 +413,15 @@ def build_twisted_product(
         fiber_dim=two_n,
     )
     axioms = check_axioms(m.at(origin))
-    if not all(r.passed for r in axioms):
-        worst = max(r.residual for r in axioms)
+    if not all(res <= TOLERANCES[cid] for cid, res in axioms.items()):
+        worst = max(axioms.values())
         raise ValueError(
             f"fiber data does not satisfy the structure axioms (residual {worst:.2e})"
         )
     return m
 
 
-def twisted_product_audit(st: StructureAtPoint) -> list[ResidualReport]:
+def twisted_product_audit(st: StructureAtPoint) -> dict:
     """Connection relations of the twisted product: Reeb, base, fiber parts."""
     m = st.m
     if m.sigma is None or m.fiber_dim is None:
@@ -463,11 +461,7 @@ def twisted_product_audit(st: StructureAtPoint) -> list[ResidualReport]:
     gam_hat = 0.5 * np.einsum("...kl,...lij->...kij", ghat_inv, core)
     res_iii = st.residual(gam[..., :two_n, :two_n, :two_n] - gam_hat)
 
-    return [
-        *st.reports("twisted.i", res_i),
-        *st.reports("twisted.ii", res_ii),
-        *st.reports("twisted.iii", res_iii),
-    ]
+    return {"twisted.i": res_i, "twisted.ii": res_ii, "twisted.iii": res_iii}
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ from .geometry import (
     lie_derivative_metric,
 )
 from .kenmotsu import EinsteinFit
-from .weakf import TOLERANCES, ResidualReport, StructureAtPoint, WeakFManifold
+from .weakf import TOLERANCES, StructureAtPoint, WeakFManifold
 
 __all__ = [
     "SolitonData",
@@ -117,7 +117,7 @@ def star_symmetry_gate(st: StructureAtPoint):
     return asym, comm
 
 
-def theorem4_residual(st: StructureAtPoint) -> list[ResidualReport]:
+def theorem4_residual(st: StructureAtPoint) -> dict:
     """Compare the definitional Ric* and r* against their Ricci expressions."""
     m = st.m
     beta = m.beta_value(st.point)
@@ -129,12 +129,13 @@ def theorem4_residual(st: StructureAtPoint) -> list[ResidualReport]:
     rhs = ric_q + beta**2 * (
         s * (2 * n - 1) * gq + 2 * n * st.ebar - s * (2 * n - 1) * st.etaeta
     )
-    rep28 = st.reports("thm4.28", st.residual(st.ric_star - rhs, (0, 1)))
-
     rhs_scalar = np.trace(Q @ st.geo.ric_sharp, axis1=-2, axis2=-1) + beta**2 * (
         4 * s * n**2 + s * (2 * n - 1) * np.trace(st.Qtilde, axis1=-2, axis2=-1)
     )
-    return rep28 + st.reports("thm4.29", np.abs(st.r_star - rhs_scalar))
+    return {
+        "thm4.28": st.residual(st.ric_star - rhs, (0, 1)),
+        "thm4.29": np.abs(st.r_star - rhs_scalar),
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -152,13 +153,13 @@ def star_eta_einstein_fit(st: StructureAtPoint):
     return EinsteinFit.least_squares(st.ric_star, st.geo.g + cross, st.ebar, (pred, -pred))
 
 
-def corollary2_residual(st: StructureAtPoint) -> list[ResidualReport]:
-    """Corollary 2, abar = -bbar = r*/(2n), one report a point; vacuous (0)
+def corollary2_residual(st: StructureAtPoint) -> dict:
+    """Corollary 2, abar = -bbar = r*/(2n), one residual a point; vacuous (0)
     where the fit is poor."""
     fit = star_eta_einstein_fit(st)
     a_pred, b_pred = fit.predicted
     res = np.maximum(fit.residual, np.maximum(abs(fit.a - a_pred), abs(fit.b - b_pred)))
-    return st.reports("cor2", np.where(fit.residual <= _FIT_GATE, res, 0.0))
+    return {"cor2": np.where(fit.residual <= _FIT_GATE, res, 0.0)}
 
 
 # ---------------------------------------------------------------------------
@@ -303,10 +304,10 @@ def contact_field_check(
 # Lie-derivative identity audit (report-only)
 
 
-def lemma2_audit(st: StructureAtPoint, sol: SolitonData) -> list[ResidualReport]:
+def lemma2_audit(st: StructureAtPoint, sol: SolitonData) -> dict:
     """Audit the three Lie-derivative identities of the soliton analysis.
 
-    These reports document how the printed identities compare against
+    These residuals document how the printed identities compare against
     direct numerical left-hand sides; they are informational and are
     never folded into pass/fail gates.
     """
@@ -367,8 +368,4 @@ def lemma2_audit(st: StructureAtPoint, sol: SolitonData) -> list[ResidualReport]
     # (35): (L_V R)_{X, xi_j} xi_i = 0
     res35 = st.residual(np.einsum("...ikab,...jb->...ijka", lie_r_xi, xi))
 
-    return [
-        *st.reports("lemma2.42", res42),
-        *st.reports("lemma2.34", res34),
-        *st.reports("lemma2.35", res35),
-    ]
+    return {"lemma2.42": res42, "lemma2.34": res34, "lemma2.35": res35}

@@ -45,12 +45,11 @@ def test_runners_produce_each_catalogue_id_once(make_ctx):
         st = ctx.manifold.at(p)
         produced = Counter()
         for group in {CATALOGUE[cid].group for cid in ids}:
-            for r in ctx.group_reports(group, st):
-                assert r.check_id in CATALOGUE, r.check_id
-                spec = CATALOGUE[r.check_id]
-                assert spec.group == group, r.check_id
-                assert r.tolerance == spec.tolerance, r.check_id
-                produced[r.check_id] += 1
+            for cid, residual in ctx.group_reports(group, st).items():
+                assert cid in CATALOGUE, cid
+                assert CATALOGUE[cid].group == group, cid
+                assert np.shape(residual) == (), cid  # one point, one residual
+                produced[cid] += 1
         assert sorted(produced) == sorted(ids)
         assert set(produced.values()) == {1}
 
@@ -97,17 +96,16 @@ def test_batched_run_matches_points_and_releases_caches(make_ctx, monkeypatch):
     ids = applicable_ids(ctx)
     _two_point_chunks(monkeypatch, m.dim)
     points = seeded_points(m.dim, count=5, seed=17)  # chunks of 2, 2 and 1
-    reports = run_check_ids(ctx, ids, points)
-    assert [tuple(r.point) for r in reports[:5]] == [tuple(p) for p in points]
-    # the same residuals, bit for bit, as point-by-point evaluation
+    table = run_check_ids(ctx, ids, points)
+    assert list(table) == ids
+    # the same residuals in point order, bit for bit, as point-by-point evaluation
     fresh = make_ctx()
-    for r in reports:
-        st = fresh.manifold.at(np.array(r.point))
-        (want,) = [
-            w for w in fresh.group_reports(CATALOGUE[r.check_id].group, st)
-            if w.check_id == r.check_id
-        ]
-        assert r == want
+    for j, p in enumerate(points):
+        st = fresh.manifold.at(p)
+        for group in dict.fromkeys(CATALOGUE[cid].group for cid in ids):
+            for cid, want in fresh.group_reports(group, st).items():
+                assert table[cid].shape == (5,), cid
+                assert table[cid][j].tobytes() == np.float64(want).tobytes(), (cid, j)
 
 
 @pytest.mark.parametrize("make_ctx", [_example2_V, _example2_v, _twisted])
@@ -118,7 +116,7 @@ def test_each_needed_group_runs_once_per_chunk(make_ctx, monkeypatch):
     for group, runner in list(_RUNNERS.items()):
         def counted(st, sol, group=group, runner=runner):
             calls[group] += 1
-            covered.update((group, pt) for pt in st.point_tuples)
+            covered.update((group, tuple(pt)) for pt in st.point.tolist())
             return runner(st, sol)
 
         monkeypatch.setitem(_RUNNERS, group, counted)

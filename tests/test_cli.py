@@ -1,8 +1,10 @@
+import contextlib
+import io
 import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wfk import cli
@@ -331,6 +333,9 @@ def _mutated(data, path, value):
     return data
 
 
+_HUGE_INT = 10**400
+
+
 class TestInputBounds:
     """Bad numbers and oversized requests are input errors: exit 2, no traceback."""
 
@@ -349,11 +354,20 @@ class TestInputBounds:
             (("n",), float("inf")),
             (("metric", 0, 0), "(" * 2000 + "1" + ")" * 2000),
             (("metric", 0, 0), "+".join(["1"] * 3000)),
+            # integers beyond the float range (more than 308 digits)
+            (("metric", 0, 0), _HUGE_INT),
+            (("beta",), _HUGE_INT),
+            (("c",), -_HUGE_INT),
+            (("soliton", "lambda"), _HUGE_INT),
+            (("tolerances",), {"axiom.5": _HUGE_INT}),
+            (("sample",), {"count": 2, "seed": 1, "box": [0, _HUGE_INT]}),
         ],
         ids=[
             "c-abc", "c-nan", "beta-inf", "lambda-nan", "mu-missing",
             "box-nan", "box-width", "seed-negative", "count-inf", "n-inf",
-            "deep-parens", "long-sum",
+            "deep-parens", "long-sum", "metric-400-digits", "beta-400-digits",
+            "c-400-digits", "lambda-400-digits", "tolerance-400-digits",
+            "box-400-digits",
         ],
     )
     def test_bad_number_exits_2(self, manifest_path, tmp_path, capsys, path, value):
@@ -362,6 +376,34 @@ class TestInputBounds:
         assert main(["check", str(bad)]) == 2
         err = capsys.readouterr().err
         assert "error:" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("beta", [1e160, 1.2e77, -1.2e77])
+    def test_constant_beta_beyond_the_bound(self, tmp_path, capsys, beta):
+        path = tmp_path / "e2.json"
+        assert main(["example2", "1", "1", "1.0", "1.0", "--out", str(path)]) == 0
+        path.write_text(json.dumps(_mutated(_load(path), ("beta",), beta)))
+        assert main(["check", str(path), "--points", "1"]) == 2
+        err = capsys.readouterr().err
+        assert "error: beta:" in err and "Traceback" not in err
+
+    def test_constant_beta_at_the_bound_runs(self, tmp_path):
+        path = tmp_path / "e2.json"
+        assert main(["example2", "1", "1", "1.0", "1.0", "--out", str(path)]) == 0
+        path.write_text(json.dumps(_mutated(_load(path), ("beta",), -cli._MAX_BETA)))
+        assert main(["check", str(path), "--points", "1", "--out", str(path) + ".r"]) in (0, 1)
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["example2", "1", "1", "1e200", "0"], "error: beta:"),
+            (["example2", "1", "1", "10", "1e307"], "error: soliton.lambda:"),
+        ],
+        ids=["beta", "lambda"],
+    )
+    def test_emitted_soliton_constants_stay_finite(self, argv, message, capsys):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
 
     def test_integer_too_long_for_json(self, manifest_path, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -459,42 +501,209 @@ class TestIntegerFields:
 
 
 _FLOATS = st.floats(allow_nan=True, allow_infinity=True)
-_RECORDS = st.tuples(
-    st.text(max_size=12),
-    st.lists(_FLOATS, max_size=4),
-    _FLOATS,
-    _FLOATS,
-    st.booleans(),
-    st.booleans(),
-).map(lambda r: dict(zip(("id", "point", "residual", "tolerance", "pass", "audit"), r)))
+
+
+@st.composite
+def _runs(draw):
+    """Points and, for each of a few ids, (id, residual a point, tolerance, audit)."""
+    points = draw(st.lists(st.lists(_FLOATS, max_size=4), max_size=4))
+    column = st.lists(_FLOATS, min_size=len(points), max_size=len(points))
+    checks = [
+        (cid, np.array(draw(column), dtype=float), draw(_FLOATS), draw(st.booleans()))
+        for cid in sorted(draw(st.sets(st.text(max_size=12), max_size=4)))
+    ]
+    return points, checks
+
+
+def _dict_layout(head, points, checks, tail):
+    """The report as the dict that ``json.dumps(report, indent=2)`` writes."""
+
+    def fmt(x):
+        return float(f"{x:.15g}")
+
+    records = []
+    summary = {"pass": 0, "fail": 0, "flagged": 0}
+    for cid, column, tol, audit in checks:
+        for p, r in zip(points, column.tolist()):
+            passed = r <= tol
+            records.append(
+                {
+                    "id": cid, "point": [fmt(x) for x in p], "residual": fmt(r),
+                    "tolerance": fmt(tol), "pass": passed, "audit": audit,
+                }
+            )
+            if audit:
+                summary["flagged"] += not passed
+            else:
+                summary["pass" if passed else "fail"] += 1
+    return {**head, "checks": records, "summary": summary, **tail}
 
 
 class TestReportWriter:
     @settings(max_examples=200, deadline=None)
     @given(
         st.text(max_size=10),
-        st.lists(_RECORDS, max_size=4),
-        st.lists(st.integers(0, 10**6), min_size=3, max_size=3),
+        _runs(),
         st.one_of(st.none(), st.text(max_size=30)),
     )
-    def test_matches_json_dumps(self, tool, records, counts, generated_at):
-        report = {
-            "tool": tool,
-            "manifest_digest": "ab" * 32,
-            "checks": records,
-            "summary": dict(zip(("pass", "fail", "flagged"), counts)),
-        }
-        if generated_at is not None:
-            report["generated_at"] = generated_at
-        assert cli._report_json(report) == json.dumps(report, indent=2)
+    def test_matches_json_dumps(self, tool, run, generated_at):
+        points, checks = run
+        head = {"tool": tool, "manifest_digest": "ab" * 32}
+        tail = {} if generated_at is None else {"generated_at": generated_at}
+        text, summary = cli._report_json(head, points, checks, tail)
+        report = _dict_layout(head, points, checks, tail)
+        assert text == json.dumps(report, indent=2)
+        assert summary == report["summary"]
 
     def test_special_values(self):
-        record = {
-            "id": "ïd.Ω\n\"x\"", "point": [-0.0, 0.0, float("nan"), 1e-300],
-            "residual": float("inf"), "tolerance": -float("inf"),
-            "pass": False, "audit": True,
+        head = {"tool": "wfk", "manifest_digest": "0"}
+        points = [[-0.0, 0.0, float("nan"), 1e-300], []]
+        column = np.array([float("inf"), -0.0])
+        runs = [
+            (points, [("ïd.Ω\n\"x\"", column, -float("inf"), True)]),
+            (points, [("a", np.array([float("nan"), 1.0]), 1.0, False)]),
+            (points, []),  # no ids
+            ([], [("a", np.empty(0), 1e-8, False)]),  # no points
+        ]
+        for points, checks in runs:
+            text, summary = cli._report_json(head, points, checks, {})
+            report = _dict_layout(head, points, checks, {})
+            assert text == json.dumps(report, indent=2)
+            assert summary == report["summary"]
+
+
+def _verdicts(report):
+    """The report's records counted by verdict."""
+    counts = {"pass": 0, "fail": 0, "flagged": 0}
+    for rec in report["checks"]:
+        if rec["audit"]:
+            counts["flagged"] += not rec["pass"]
+        else:
+            counts["pass" if rec["pass"] else "fail"] += 1
+    return counts
+
+
+class TestSummary:
+    @pytest.mark.parametrize(
+        "emit, tols, flagged",
+        [
+            (
+                ["twisted", "--factors", "1.0,2.0", "--s", "2",
+                 "--sigma", "exp(x5+x6)*(2+x1^2+x2*x3)"],
+                {"kenmotsu.12": 1e3, "axiom.5": 1e-30},  # one looser, one tighter
+                0,
+            ),
+            (["example2", "1", "2", "1.0", "1.0"], {}, 3),  # lemma2.42 at 3 points
+            (["example2", "1", "2", "1.0", "1.0"], {"lemma2.42": 10.0}, 0),
+        ],
+        ids=["tw-tol", "e2", "e2-tol"],
+    )
+    def test_summary_counts_the_records(self, tmp_path, emit, tols, flagged):
+        path, out = str(tmp_path / "m.json"), str(tmp_path / "r.json")
+        assert main([*emit, "--out", path]) == 0
+        tol_args = [arg for cid, tol in tols.items() for arg in ("--tol", f"{cid}={tol}")]
+        code = main(["check", path, "--points", "3", *tol_args, "--out", out])
+        report = _load(out)
+        assert report["summary"] == _verdicts(report)
+        assert code == (1 if report["summary"]["fail"] else 0)
+        assert report["summary"]["flagged"] == flagged
+        for rec in report["checks"]:
+            assert rec["tolerance"] == tols.get(rec["id"], CATALOGUE[rec["id"]].tolerance)
+
+
+def _key_paths(node, path=()):
+    """Every key path of a JSON value, its root included."""
+    yield path
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, child in items:
+        yield from _key_paths(child, path + (key,))
+
+
+_FUZZ_BLOCKS = {
+    "sample": {"count": 1, "seed": 0, "box": [-0.5, 0.5]},
+    "tolerances": {"axiom.5": 1e-8},
+}
+
+
+@pytest.fixture(scope="module")
+def fuzz_manifests(tmp_path_factory):
+    """The dim-3 example2 (with its soliton block) and twisted manifests, with
+    a sample policy and a tolerance override."""
+    work = tmp_path_factory.mktemp("fuzz")
+    emits = {
+        "e2": ["example2", "1", "1", "1.0", "1.0"],
+        "tw": ["twisted", "--factors", "1.0", "--s", "1", "--sigma", "exp(x3)*(2+x1^2)"],
+    }
+    manifests = {}
+    for name, argv in emits.items():
+        assert main([*argv, "--out", str(work / f"{name}.json")]) == 0
+        manifests[name] = {**_load(work / f"{name}.json"), **_FUZZ_BLOCKS}
+    return work, manifests
+
+
+# every key path of those manifests, and of the keys they may carry besides
+_FUZZ_PATHS = sorted(
+    _key_paths(
+        {
+            "version": 0, "n": 0, "s": 0, "beta": 0, "c": 0, "dim": 0, "sigma": 0,
+            "checks": 0, "metric": [[0], [0, 0], [0, 0, 0]], "f": [[0] * 3] * 3,
+            "Q": [[0] * 3] * 3, "xi": [[0] * 3], "eta": [[0] * 3],
+            "soliton": {"lambda": 0, "mu": 0, "V": [0] * 3, "v": 0},
+            **_FUZZ_BLOCKS,
         }
-        for checks in ([], [record, dict(record, point=[])]):
-            report = {"tool": "wfk", "manifest_digest": "0", "checks": checks,
-                      "summary": {"pass": 0, "fail": 1, "flagged": 0}}
-            assert cli._report_json(report) == json.dumps(report, indent=2)
+    ),
+    key=repr,
+)
+_FUZZ_VALUES = st.one_of(
+    st.sampled_from([1e308, -1e308, 1e-320, -0.0, _HUGE_INT, -_HUGE_INT]),
+    st.booleans(),
+    st.none(),
+    st.lists(st.one_of(st.integers(-2, 2), st.text(max_size=3)), max_size=3),
+    st.dictionaries(st.text(max_size=4), st.integers(-2, 2), max_size=2),
+    st.sampled_from(
+        ["1/(x1-x1)", "log(x1)", "x1^400", "exp(exp(exp(x1)))", "((x1+1)", "x1)"]
+    ),
+)
+
+
+class TestFuzz:
+    """Any manifest an edit or three away from a valid one gets exit 0, 1 or 2."""
+
+    # entries such as 1e308 overflow in numpy, which warns; the run must still
+    # end in a verdict or an input error
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        st.sampled_from(["e2", "tw"]),
+        st.lists(st.tuples(st.sampled_from(_FUZZ_PATHS), _FUZZ_VALUES), min_size=1, max_size=3),
+    )
+    @example("e2", [(("beta",), 1e160)])
+    @example("e2", [(("metric", 0, 0), _HUGE_INT)])
+    def test_check_never_raises(self, fuzz_manifests, name, edits):
+        work, manifests = fuzz_manifests
+        data = json.loads(json.dumps(manifests[name]))
+        for path, value in edits:
+            if not path:
+                data = value
+                continue
+            node = data
+            try:
+                for key in path[:-1]:
+                    node = node[key]
+                node[path[-1]] = value  # a new key of an object, or an item of a list
+            except (KeyError, IndexError, TypeError):
+                pass  # an earlier edit removed the path
+        manifest, out = work / "manifest.json", work / "report.json"
+        manifest.write_text(json.dumps(data))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(
+                ["check", str(manifest), "--points", "1", "--reproducible", "--out", str(out)]
+            )
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err.getvalue()
