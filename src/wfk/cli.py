@@ -30,17 +30,17 @@ SCHEMA_VERSION = "wfk/1"
 _DEFAULT_SAMPLE = {"count": 5, "seed": 42, "box": [-0.5, 0.5]}
 
 # Size caps, checked before anything of that size is allocated.  A run holds
-# one chunk's geometry at a time (weakf.chunk_size: at most 2^20 floats of
-# dim^5 third-order metric jets, or one point from dim 16).  Over the full
-# catalogue of example2, tracemalloc measures a peak of 44 MiB at dim 21,
-# where a chunk is one point: its d3g and the tape output it is read from.
+# one chunk's geometry at a time (weakf.chunk_size: 2^20 floats counted as
+# dim^5 third-order metric jets a point, or one point from dim 16; the jets
+# span the metric's support only, so the count over-provisions).  Over the
+# full catalogue of example2, tracemalloc measures a peak of 12.8 MiB at dim 21.
 _MAX_DIM = 21
 # Every point adds a record per check id (41 ids, up to ~600 bytes of JSON
 # each at dim 21), so a report stays within about 50 MiB.
 _MAX_POINTS = 2000
 # count * dim^5 bound, e.g. at most 108 points at dim 15.  Fields are jetted
 # a chunk at a time, so memory does not grow with the count (a full-catalogue
-# run peaks at 12.5 MiB at dim 15 with 108 points, 44 MiB at dim 21 with 13);
+# run peaks at 10.4 MiB at dim 15 with 108 points, 12.8 MiB at dim 21 with 13);
 # the bound caps the run time instead, about 2 s at dim 15.
 _MAX_POINTS_DIM5 = 2**31 // 26
 # A constant beta enters the formulas through powers up to beta^4, and the
@@ -480,6 +480,7 @@ def emit_twisted(args) -> int:
         m = build_twisted_product(fiber, args.s, sigma)
     except (ExprError, ValueError) as err:
         raise ManifestError(str(err)) from err
+    _constant_beta(m.beta)  # inferred from sigma, bounded as `wfk check` bounds it
     _write_manifest(manifest_from_manifold(m), args.out)
     return 0
 

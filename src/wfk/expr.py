@@ -346,9 +346,11 @@ def _check_depth(root: Node) -> None:
 # jet evaluation: a compiled tape over a trailing batch axis of points
 #
 # Inside the tape a jet is (value, gradient, Hessian, third) with shapes
-# (P,), (dim, P), (dim, dim, P) and (dim, dim, dim, P), so every rule reads
-# like its single-point form and applies the same IEEE operations in the
-# same order at every point, whatever the batch size.
+# (P,), (s, P), (s, s, P) and (s, s, s, P), so every rule reads like its
+# single-point form and applies the same IEEE operations in the same order
+# at every point, whatever the batch size.  The s derivative axes are the
+# tape's support, the coordinates it reads; a derivative along any other is
+# a structural zero (Griewank & Walther ch. 7) and costs no work.
 
 
 @dataclass(frozen=True)
@@ -359,19 +361,22 @@ class Tape:
     order; an operand is the index of an earlier instruction, or a float for
     a folded constant, whose derivatives are zero.  ``outputs`` holds one
     operand per compiled expression.  Structurally equal subtrees are one
-    instruction, and constant subtrees cost no array work.
+    instruction, and constant subtrees cost no array work.  ``support`` is
+    the sorted coordinates the ``var`` instructions read.
     """
 
     dim: int
     code: tuple
     outputs: tuple
+    support: tuple
 
     def jets(self, p, third: bool = False, shape: tuple = ()):
         """(value, d, d2) and with ``third`` also d3, derivative axes last.
 
         ``p`` is a point ``(dim,)`` or a batch of points ``(P, dim)``; a batch
         adds a leading axis to every array.  The outputs axis is reshaped to
-        ``shape`` (``()`` for a single expression).
+        ``shape`` (``()`` for a single expression).  d3's axes run over the
+        ``support`` S only: d3[..., a, b, c] = d_Sa d_Sb d_Sc of the entry.
         """
         pts = np.asarray(p, dtype=float)
         out = evaluate_jet(self, np.atleast_2d(pts), third)
@@ -500,9 +505,9 @@ _RULES = {
 }
 
 
-def _constant_jet(c: float, dim: int, count: int, third: bool):
-    t = np.zeros((dim,) * 3 + (count,)) if third else None
-    return np.full(count, c), np.zeros((dim, count)), np.zeros((dim, dim, count)), t
+def _constant_jet(c: float, size: int, count: int, third: bool):
+    t = np.zeros((size,) * 3 + (count,)) if third else None
+    return np.full(count, c), np.zeros((size, count)), np.zeros((size, size, count)), t
 
 
 @np.errstate(over="ignore", divide="ignore", invalid="ignore")
@@ -553,23 +558,25 @@ def compile_tape(asts, dim: int) -> Tape:
     for ast, op in zip(asts, outputs):
         if isinstance(op, float) and not math.isfinite(op):
             raise ExprDomainError("constant is not finite", ast.root.span)
-    return Tape(dim, tuple(code), outputs)
+    support = tuple(sorted({node.index for node, _ in code if node.kind == "var"}))
+    return Tape(dim, tuple(code), outputs, support)
 
 
 def _run(tape: Tape, points: np.ndarray, third: bool):
-    """Arrays (value, d, d2[, d3]) of shapes (P, K) + (dim,) * order."""
-    dim, count = tape.dim, len(points)
+    """Arrays (value, d, d2[, d3]) of shapes (P, K) + (dim,) * order, but d3
+    of shape (P, K) + (s,) * 3 over the support."""
+    dim, count, size = tape.dim, len(points), len(tape.support)
     coords = points.T
     jets: list = []
     for node, operands in tape.code:
         if node.kind == "var":
-            g = np.zeros((dim, count))
-            g[node.index] = 1.0
-            t = np.zeros((dim,) * 3 + (count,)) if third else None
-            jets.append((coords[node.index], g, np.zeros((dim, dim, count)), t))
+            g = np.zeros((size, count))
+            g[tape.support.index(node.index)] = 1.0
+            t = np.zeros((size,) * 3 + (count,)) if third else None
+            jets.append((coords[node.index], g, np.zeros((size, size, count)), t))
             continue
         args = (
-            jets[op] if isinstance(op, int) else _constant_jet(op, dim, count, third)
+            jets[op] if isinstance(op, int) else _constant_jet(op, size, count, third)
             for op in operands
         )
         jets.append(_RULES[node.kind](node, *args))
@@ -579,11 +586,16 @@ def _run(tape: Tape, points: np.ndarray, third: bool):
     if not all(np.isfinite(part).all() for op in outs for part in jets[op] if part is not None):
         raise _first_non_finite(tape, jets)
     shape = (count, len(tape.outputs))
-    out = [np.zeros(shape + (dim,) * k) for k in range(4 if third else 3)]
+    out = [np.zeros(shape + (dim,) * k) for k in range(3)]
+    if third:
+        out.append(np.zeros(shape + (size,) * 3))
+    # orders 1 and 2 are scattered to the support's places on dim axes
+    idx = np.array(tape.support, dtype=np.intp)
+    where = ((), (idx,), np.ix_(idx, idx), ())
     for k, op in enumerate(tape.outputs):
         if isinstance(op, int):
-            for arr, part in zip(out, jets[op]):
-                arr[:, k] = np.moveaxis(part, -1, 0)
+            for arr, part, at in zip(out, jets[op], where):
+                arr[(slice(None), k, *at)] = np.moveaxis(part, -1, 0)
         else:
             out[0][:, k] = op
     return tuple(out)
@@ -610,7 +622,8 @@ def evaluate_jet(ast: ExprAst | Tape, point, third: bool = False):
     derivative only when ``third`` is set (``None`` otherwise).  For a
     :class:`Tape` of K expressions and points of shape ``(P, dim)``, the
     arrays ``(value, d, d2)``, plus ``d3`` with ``third``, of shapes
-    ``(P, K)``, ``(P, K, dim)`` and so on, derivative axes last.
+    ``(P, K)``, ``(P, K, dim)`` and so on, derivative axes last, except
+    that d3 is ``(P, K, s, s, s)`` over the tape's support.
     """
     p = np.asarray(point, dtype=float)
     if isinstance(ast, Tape):
@@ -624,7 +637,11 @@ def evaluate_jet(ast: ExprAst | Tape, point, third: bool = False):
             f"point has dimension {p.shape}, expression expects ({ast.dim},)"
         )
     out = [arr[0, 0] for arr in _run(ast.tape, p[None], third)]
-    return ScalarJet(float(out[0]), out[1], out[2], out[3] if third else None)
+    d3 = None
+    if third:
+        d3 = np.zeros((ast.dim,) * 3)
+        d3[np.ix_(*[ast.tape.support] * 3)] = out[3]
+    return ScalarJet(float(out[0]), out[1], out[2], d3)
 
 
 # ---------------------------------------------------------------------------

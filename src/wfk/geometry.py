@@ -56,7 +56,27 @@ __all__ = [
 
 
 class MetricError(Exception):
-    """Metric evaluation failed (not symmetric positive definite)."""
+    """Metric evaluation failed (too large, or not positive definite)."""
+
+
+# Largest value of g and of g^-1 a geometry accepts.  Every check is linear
+# in the metric's values (g^-1 and Gamma cancel their scale, and a lowered
+# tensor carries one factor g); the largest coefficient of g is s beta^2
+# times two entries of f (id.26/27), and with |beta| <= 1e76 (the CLI's
+# bound) and s <= 21 a sum of dim <= 21 such terms stays below 4.7e304 while
+# |g_ij| <= 1e150, a factor 3.8e3 below the largest float (1.8e308).  g^-1
+# raises indices as g lowers them, so the same bound holds for it.
+_MAX_METRIC = 1e150
+
+
+def _check_bound(points: np.ndarray, name: str, values: np.ndarray) -> None:
+    """A MetricError naming the first point where ``values`` exceed the bound."""
+    size = np.abs(values).reshape(len(points), -1).max(axis=-1)
+    q = int(np.argmax(~(size <= _MAX_METRIC)))  # NaN is beyond it too
+    if not size[q] <= _MAX_METRIC:
+        raise MetricError(
+            f"{name} value {size[q]:g} exceeds {_MAX_METRIC:g} at point {points[q].tolist()}"
+        )
 
 
 def _as_ast(entry, dim: int) -> ExprAst:
@@ -157,9 +177,11 @@ def contract(subscripts: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     a = np.moveaxis(a, order_a, range(-len(order_a), 0))
     b = np.moveaxis(b, order_b, range(-len(order_b), 0))
     lead_a, lead_b = a.ndim - len(order_a), b.ndim - len(order_b)
-    size = math.prod(a.shape[a.ndim - n_sum:])
-    out = a.reshape(a.shape[:lead_a] + (-1, size)) @ b.reshape(b.shape[:lead_b] + (size, -1))
-    kept = a.shape[lead_a: a.ndim - n_sum] + b.shape[lead_b + n_sum:]
+    kept_a, kept_b = a.shape[lead_a: a.ndim - n_sum], b.shape[lead_b + n_sum:]
+    size = math.prod(a.shape[a.ndim - n_sum:])  # 0 for an empty support
+    a = a.reshape(a.shape[:lead_a] + (math.prod(kept_a), size))
+    out = a @ b.reshape(b.shape[:lead_b] + (size, math.prod(kept_b)))
+    kept = kept_a + kept_b
     return np.moveaxis(out.reshape(out.shape[:-2] + kept), order_out, range(-len(order_out), 0))
 
 
@@ -185,18 +207,22 @@ class Geometry:
         # dg[i, j, k] = d_k g_ij, d2g[i, j, k, l] = d_k d_l g_ij; ``jets`` are
         # the metric's jets at p, when they were evaluated with other fields
         g, dg, d2g = metric.jets(p) if jets is None else jets
+        points = p.reshape(-1, metric.dim)
+        _check_bound(points, "metric", g)
         try:
             chol = np.linalg.cholesky(g)
         except np.linalg.LinAlgError:
-            for q, gq in zip(p.reshape(-1, metric.dim), g.reshape((-1,) + g.shape[-2:])):
+            for q, gq in zip(points, g.reshape((-1,) + g.shape[-2:])):
                 if np.linalg.eigvalsh(gq)[0] <= 0:
                     break
             raise MetricError(
                 f"metric is not positive definite at point {q.tolist()}"
             ) from None
         inv_l = np.linalg.inv(chol)
+        with np.errstate(over="ignore"):
+            self.ginv = np.swapaxes(inv_l, -1, -2) @ inv_l
+        _check_bound(points, "inverse metric", self.ginv)
         self.g = g
-        self.ginv = np.swapaxes(inv_l, -1, -2) @ inv_l
         self.dg = dg
         self.d2g = d2g
 
@@ -244,8 +270,14 @@ class Geometry:
         return np.einsum("...jk,...jk->...", self.ginv, self.ric)
 
     @cached_property
+    def support(self) -> np.ndarray:
+        """S, the sorted coordinates the metric's entries depend on."""
+        return np.array(self._metric.tape.support, dtype=np.intp)
+
+    @cached_property
     def d3g(self) -> np.ndarray:
-        """d3g[i, j, k, l, m] = d_k d_l d_m g_ij, from third-order jets."""
+        """d3g[i, j, a, b, c] = d_Sa d_Sb d_Sc g_ij, from third-order jets; every
+        other third derivative of g is a structural zero."""
         return self._metric.jets(self.point, third=True)[3]
 
     # d_mn G^k_ij = g^ka (d_mn G_aij - d_mn g_ab G^b_ij - d_m g_ab d_n G^b_ij
@@ -259,15 +291,20 @@ class Geometry:
         Ric_jk = d_i G^i_jk - d_j G^i_ik + G^i_im G^m_jk - G^i_jm G^m_ik."""
         b, n = self.point.shape[:-1], self.point.shape[-1]
         ginv, dg, d2g, gam, dgam = self.ginv, self.dg, self.d2g, self.gamma, self.dgamma
-        w = ginv.reshape(b + (1, 1, n * n))
+        s, k, every = self.support, len(self.support), np.arange(n)
 
-        def trace(*view):  # g^ai d3g on d3g viewed as ``view``
-            return (w @ self.d3g.reshape(b + view)).reshape(b + (n, n, n))
+        def trace(w, view, *axes):
+            """w d3g on d3g viewed as ``view``, scattered to ``axes`` of dim^3."""
+            out = np.zeros(b + (n, n, n))
+            sums = w.reshape(b + (1, 1, view[-2])) @ self.d3g.reshape(b + view)
+            out[(..., *np.ix_(*axes))] = sums.reshape(b + tuple(map(len, axes)))
+            return out
 
         # traced over (metric, derivative), (derivative, derivative) and
-        # (metric, metric) slots
-        p_tr, s_tr = trace(n, n * n, n * n), trace(n * n, n * n, n)  # [k, j, n], [j, k, n]
-        t_tr = trace(1, n * n, n**3)  # [k, j, n]
+        # (metric, metric) slots; d3g's derivative slots run over S only
+        p_tr = trace(ginv[..., :, s], (n, n * k, k * k), every, s, s)  # [k, j, n]
+        s_tr = trace(ginv[..., s[:, None], s], (n * n, k * k, k), every, every, s)  # [j, k, n]
+        t_tr = trace(ginv, (1, n * n, k**3), s, s, s)  # [k, j, n]
         dgu = contract("...ia,...abn->...ibn", ginv, dg)  # g^ia d_n g_ab
         u = np.einsum("...ibi->...b", dgu)
         d2u = np.einsum("...ai,...abin->...bn", ginv, d2g)
@@ -296,7 +333,9 @@ class Geometry:
     def riem_along(self, v: np.ndarray) -> np.ndarray:
         """v^n d_n riem[l, i, j, k], from the metric jets contracted with v."""
         ginv, dg, gam, dgam = self.ginv, self.dg, self.gamma, self.dgamma
-        d3v = contract("...ijklm,...m->...ijkl", self.d3g, v)
+        s = self.support
+        d3v = np.zeros(dg.shape + (dg.shape[-1],))
+        d3v[(..., *np.ix_(s, s))] = contract("...ijklm,...m->...ijkl", self.d3g, v[..., s])
         d2v = contract("...ijkl,...l->...ijk", self.d2g, v)
         dgv = contract("...ijk,...k->...ij", dg, v)
         dgam_v = contract("...ijkl,...l->...ijk", dgam, v)

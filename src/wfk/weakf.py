@@ -45,8 +45,10 @@ __all__ = [
 
 _PROBE_SEED = 7
 _PROBE_COUNT = 8
-# Floats of a chunk's third-order metric jets (C * dim^5, 8 MiB) that
-# ``WeakFManifold.structures`` keeps within, unless one point alone exceeds it.
+# Floats of a chunk's third-order metric jets, counted as C * dim^5 (8 MiB),
+# that ``WeakFManifold.structures`` keeps within unless one point exceeds it.
+# The jets span the metric's support S only, C dim^2 |S|^3 floats, so the
+# count over-provisions wherever S is not the whole chart.
 CHUNK_FLOATS = 2**20
 
 

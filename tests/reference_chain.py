@@ -3,11 +3,20 @@
 ``wfk.geometry`` contracts g^-1 or V into the metric jets before anything
 dim^5 is formed.  These helpers build the whole dim^5 arrays instead and
 contract last, so the two routes share only the jets, g^-1, Gamma, d Gamma
-and Riem of the point.
+and Riem of the point.  The metric's third-order jets come over its support
+only; ``dense_d3g`` scatters them to the whole dim^5 array here.
 """
 import numpy as np
 
 from wfk.geometry import _lie_connection_components
+
+
+def dense_d3g(geo) -> np.ndarray:
+    """d3g[i, j, k, l, m] = d_k d_l d_m g_ij over every coordinate."""
+    n = geo.point.shape[-1]
+    out = np.zeros(geo.d3g.shape[:-3] + (n, n, n))
+    out[(..., *np.ix_(*[geo.support] * 3))] = geo.d3g
+    return out
 
 
 def d2gamma(geo) -> np.ndarray:
@@ -17,7 +26,7 @@ def d2gamma(geo) -> np.ndarray:
     d_mn Gamma^k_ij = g^ka (d_mn Gamma_aij - d_mn g_ab Gamma^b_ij
     - d_m g_ab d_n Gamma^b_ij - d_n g_ab d_m Gamma^b_ij).
     """
-    d3g = geo.d3g
+    d3g = dense_d3g(geo)
     d2core = (
         np.einsum("jlimn->lijmn", d3g)
         + np.einsum("iljmn->lijmn", d3g)

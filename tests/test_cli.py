@@ -386,6 +386,24 @@ class TestInputBounds:
         err = capsys.readouterr().err
         assert "error: beta:" in err and "Traceback" not in err
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("entry", [1e308, -1e308, 1e151, 1e-320])
+    def test_metric_value_beyond_the_bound(self, tmp_path, capsys, entry):
+        # 1e308 overflowed in g Q, f g f and 2 beta g; 1e-320 in g^-1
+        path = tmp_path / "e2.json"
+        assert main(["example2", "1", "1", "1.0", "1.0", "--out", str(path)]) == 0
+        path.write_text(json.dumps(_mutated(_load(path), ("metric", 0, 0), entry)))
+        assert main(["check", str(path), "--points", "2"]) == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and "at point [" in err and "Traceback" not in err
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_metric_value_at_the_bound_runs(self, tmp_path):
+        path = tmp_path / "e2.json"
+        assert main(["example2", "1", "1", "1.0", "1.0", "--out", str(path)]) == 0
+        path.write_text(json.dumps(_mutated(_load(path), ("metric", 0, 0), 1e150)))
+        assert main(["check", str(path), "--points", "1", "--out", str(path) + ".r"]) in (0, 1)
+
     def test_constant_beta_at_the_bound_runs(self, tmp_path):
         path = tmp_path / "e2.json"
         assert main(["example2", "1", "1", "1.0", "1.0", "--out", str(path)]) == 0
@@ -404,6 +422,16 @@ class TestInputBounds:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert message in err and "Traceback" not in err
+
+    def test_emitted_twisted_beta_within_the_bound(self, tmp_path, capsys):
+        # the beta inferred from sigma was written unchecked, and the check
+        # then rejected the manifest
+        out = tmp_path / "tw.json"
+        argv = ["twisted", "--factors", "1", "--s", "1", "--sigma", "exp(1e100*x3)"]
+        assert main([*argv, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "error: beta:" in err and "Traceback" not in err
+        assert not out.exists()
 
     def test_integer_too_long_for_json(self, manifest_path, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -674,8 +702,10 @@ _FUZZ_VALUES = st.one_of(
 class TestFuzz:
     """Any manifest an edit or three away from a valid one gets exit 0, 1 or 2."""
 
-    # entries such as 1e308 overflow in numpy, which warns; the run must still
-    # end in a verdict or an input error
+    # a huge metric value is an input error without a warning (see
+    # TestInputBounds); entries of f, Q, xi, eta, soliton.V, soliton.lambda
+    # and soliton.mu such as 1e308 still overflow in numpy, which warns, and
+    # the run must still end in a verdict or an input error
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(
@@ -684,6 +714,7 @@ class TestFuzz:
     )
     @example("e2", [(("beta",), 1e160)])
     @example("e2", [(("metric", 0, 0), _HUGE_INT)])
+    @example("e2", [(("metric", 0, 0), 1e308)])
     def test_check_never_raises(self, fuzz_manifests, name, edits):
         work, manifests = fuzz_manifests
         data = json.loads(json.dumps(manifests[name]))

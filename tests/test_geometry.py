@@ -23,7 +23,7 @@ from wfk.geometry import (
     riemann,
     scalar_curvature,
 )
-from wfk.kenmotsu import audit_identities, build_example2
+from wfk.kenmotsu import FiberSpec, audit_identities, build_example2, build_twisted_product
 from wfk.star_soliton import SolitonData, lemma2_audit
 from wfk.weakf import fundamental_form_field
 
@@ -527,16 +527,18 @@ class TestFieldSpec:
             FieldSpec.from_entries(entries, 4)
 
 
+_DENSE5_ROWS = [
+    [f"{2 + i}+0.1*x{i + 1}*x{j + 1}" if i == j else f"0.01*x{i + 1}*x{j + 1}"
+     for j in range(i + 1)]
+    for i in range(5)
+]
+
+
 def test_dense_metric_jets_each_entry_once(monkeypatch):
     # a dense symmetric dim-5 metric: 15 distinct entries, each one tape
     # output shared by its mirror; the build (order two) and d3g (order
     # three) are one tape run each
-    rows = [
-        [f"{2 + i}+0.1*x{i + 1}*x{j + 1}" if i == j else f"0.01*x{i + 1}*x{j + 1}"
-         for j in range(i + 1)]
-        for i in range(5)
-    ]
-    metric = MetricField.from_entries(rows, 5)
+    metric = MetricField.from_entries(_DENSE5_ROWS, 5)
     outputs = metric.tape.outputs
     assert len(set(outputs)) == 15
     pairs = [(5 * i + j, 5 * j + i) for i in range(5) for j in range(5)]
@@ -554,3 +556,57 @@ def test_dense_metric_jets_each_entry_once(monkeypatch):
     d3g = geo.d3g
     assert calls == [False, True]
     assert np.array_equal(d3g, d3g.transpose(1, 0, 2, 3, 4))
+
+
+# the metric's support: partial (example2 reads x5..x7, the twisted product
+# x1..x3 and x7, x8), every coordinate, and none
+_SUPPORT_CASES = {
+    "example2_7": (build_example2(2, 3, 1.0, 1.0).metric, (4, 5, 6)),
+    "twisted_8": (
+        build_twisted_product(
+            FiberSpec.flat_factors([1.0, 2.0, 3.0], 8), 2,
+            ex.parse_expression("exp(x7+x8)*(2+x1^2+x2*x3)", 8),
+        ).metric,
+        (0, 1, 2, 6, 7),
+    ),
+    "dense5": (MetricField.from_entries(_DENSE5_ROWS, 5), (0, 1, 2, 3, 4)),
+    "constant4": (
+        MetricField.from_entries([[2], [0.3, 1.5], [0, -0.2, 1.8], [0.1, 0, 0, 1]], 4), (),
+    ),
+}
+
+
+def _coordinates(node) -> set:
+    """The coordinates an expression tree reads, walked node by node."""
+    if node.kind == "var":
+        return {node.index}
+    return set().union(*(_coordinates(child) for child in node.children))
+
+
+@pytest.mark.parametrize("case", list(_SUPPORT_CASES))
+def test_tape_support_is_the_union_of_entry_coordinates(case):
+    metric, want = _SUPPORT_CASES[case]
+    entries = [e for row in metric.entries for e in row]
+    assert metric.tape.support == tuple(sorted(set().union(*(_coordinates(e.root) for e in entries))))
+    assert metric.tape.support == want
+
+
+@pytest.mark.parametrize("case", list(_SUPPORT_CASES))
+def test_compact_d3g_is_the_dense_jets_on_the_support(case):
+    # each entry's own jets are dense over every coordinate; d3g keeps the
+    # tape support's block of them and the rest is zero.  Bits are compared
+    # with -0.0 read as +0.0: an entry's own tape has a narrower support, so
+    # a zero the shared tape computes as -0.0 is a structural +0.0 there
+    metric, _ = _SUPPORT_CASES[case]
+    n, s = metric.dim, list(metric.tape.support)
+    for p in seeded_points(n, count=2, seed=47):
+        geo = metric.at(p)
+        assert np.array_equal(geo.support, s)
+        assert geo.d3g.shape == (n, n) + (len(s),) * 3
+        dense = np.array(
+            [[ex.evaluate_jet(e, p, third=True).third for e in row] for row in metric.entries]
+        )
+        block = np.ix_(s, s, s)
+        assert (geo.d3g + 0.0).tobytes() == (dense[(..., *block)] + 0.0).tobytes()
+        dense[(..., *block)] = 0.0
+        assert not dense.any()

@@ -179,6 +179,15 @@ def _random_case(seed: int, dim: int, diagonal: bool):
 )
 def test_geometry_matches_sympy(seed, dim, diagonal):
     rows, field, p = _random_case(seed, dim, diagonal)
+    for name, (got, want) in _compare(rows, field, p).items():
+        scale = np.abs(want).max()
+        assert scale > 1e-3, name  # the case exercises the quantity
+        assert np.abs(got - want).max() <= 1e-12 * scale, name
+
+
+def _compare(rows, field, p) -> dict:
+    """(wfk's value, the oracle's) of every quantity the oracle forms."""
+    dim = len(rows)
     metric = MetricField.from_entries(rows, dim)
     V = FieldSpec.from_entries(field, dim)
     geo = metric.at(p)
@@ -189,7 +198,28 @@ def test_geometry_matches_sympy(seed, dim, diagonal):
         "nabla_ric_sharp": geo.nabla_ric_sharp,
         "lie_r": lie_derivative_curvature(metric.at(p), V.jets(p)).components,
     }
-    for name, want in _oracle(rows, field, p).items():
+    return {name: (got[name], want) for name, want in _oracle(rows, field, p).items()}
+
+
+def test_metric_on_part_of_the_chart_matches_sympy():
+    # the metric reads x2 and x3 only, so its third-order jets run over those
+    # two; V reads every coordinate
+    rows = [
+        ["2+0.4*x2*x3+0.5*exp(0.7*x3)"],
+        ["0.1*x2*exp(-0.3*x3)", "1.8-0.3*x3^2+0.6*exp(-1.1*x2)"],
+        ["0.05*x3^2", "0.15*x2*x3", "2.2+0.2*x2*x3+0.4*exp(0.9*x2)"],
+    ]
+    _, field, p = _random_case(11, 3, False)
+    assert MetricField.from_entries(rows, 3).tape.support == (1, 2)
+    for name, (got, want) in _compare(rows, field, p).items():
         scale = np.abs(want).max()
-        assert scale > 1e-3, name  # the case exercises the quantity
-        assert np.abs(got[name] - want).max() <= 1e-12 * scale, name
+        assert scale > 1e-3, name
+        assert np.abs(got - want).max() <= 1e-12 * scale, name
+
+
+def test_constant_metric_matches_sympy():
+    # no coordinate in the metric: an empty support, and every quantity is 0
+    rows = [[2], [0.3, 1.5], [0.1, -0.2, 1.8]]
+    _, field, p = _random_case(13, 3, False)
+    for name, (got, want) in _compare(rows, field, p).items():
+        assert not want.any() and not got.any(), name
