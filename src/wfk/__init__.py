@@ -22,29 +22,21 @@ from .expr import (
 )
 from .geometry import (
     FieldSpec,
+    Geometry,
     MetricError,
     MetricField,
-    TensorValue,
-    christoffel,
-    exterior_derivative_1form,
-    exterior_derivative_2form,
+    coboundary_2form,
     gradient_and_hessian,
     lie_derivative_1form,
     lie_derivative_connection,
     lie_derivative_curvature,
     lie_derivative_metric,
-    metric_at,
-    metric_inverse_at,
-    ricci,
-    ricci_operator,
-    riemann,
-    scalar_curvature,
 )
 from .weakf import (
+    StructureAtPoint,
     WeakFManifold,
     check_axioms,
     f_basis,
-    fundamental_form,
     normality_tensor,
     theorem1_check,
 )
@@ -59,18 +51,14 @@ from .kenmotsu import (
     twisted_product_audit,
 )
 from .star_soliton import (
-    Prop5Result,
     SolitonData,
     SolitonVerdict,
-    contact_field_check,
+    contact_fit,
     fit_soliton_constants,
     gradient_soliton_residual,
     lemma2_audit,
-    prop5_check,
     soliton_residual,
     star_eta_einstein_fit,
-    star_ricci,
-    star_scalar,
     theorem4_residual,
 )
 from .checks import CATALOGUE, CheckContext, applicable_ids, run_check_ids

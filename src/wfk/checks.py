@@ -25,7 +25,6 @@ from .star_soliton import (
     corollary2_residual,
     gradient_soliton_residual,
     lemma2_audit,
-    prop5_check,
     soliton_residual,
     star_symmetry_gate,
     theorem4_residual,
@@ -85,7 +84,8 @@ _RUNNERS = {
     "cor2": lambda st, sol: corollary2_residual(st),
     "soliton": _soliton,
     "grad": _grad,
-    "prop5": lambda st, sol: {"prop5": prop5_check(sol.lam, sol.mu).gap},
+    # Proposition 5: the constants of a genuine soliton satisfy lam + mu = 0
+    "prop5": lambda st, sol: {"prop5": abs(sol.lam + sol.mu)},
     "contact": lambda st, sol: {"contact.65": contact_fit(st, sol.V)[1]},
     "lemma2": lambda st, sol: lemma2_audit(st, sol),
 }

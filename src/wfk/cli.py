@@ -24,7 +24,7 @@ from .expr import ExprAst, ExprError
 from .geometry import FieldSpec, MetricError, MetricField
 from .kenmotsu import FiberSpec, build_example2, build_twisted_product
 from .star_soliton import SolitonData
-from .weakf import WeakFManifold
+from .weakf import MAX_FIELD, WeakFManifold
 
 SCHEMA_VERSION = "wfk/1"
 _DEFAULT_SAMPLE = {"count": 5, "seed": 42, "box": [-0.5, 0.5]}
@@ -80,12 +80,12 @@ def _integer(raw, where: str) -> int:
     return val
 
 
-def _constant_beta(raw) -> float:
-    """A constant Kenmotsu coefficient: finite and at most ``_MAX_BETA`` in size."""
-    beta = _finite_number(raw, "beta")
-    if abs(beta) > _MAX_BETA:
-        raise ManifestError(f"beta: |beta| must be at most {_MAX_BETA:g}, got {raw!r}")
-    return beta
+def _bounded(raw, where: str, bound: float) -> float:
+    """``raw`` as a finite float at most ``bound`` in size."""
+    val = _finite_number(raw, where)
+    if abs(val) > bound:
+        raise ManifestError(f"{where}: must be at most {bound:g} in size, got {raw!r}")
+    return val
 
 
 def _chart_dim(n: int, s: int) -> int:
@@ -176,7 +176,7 @@ def manifold_from_manifest(data: dict):
     if beta_raw is None:
         beta = None
     elif isinstance(beta_raw, (int, float)) and not isinstance(beta_raw, bool):
-        beta = _constant_beta(beta_raw)
+        beta = _bounded(beta_raw, "beta", _MAX_BETA)
     else:
         beta = _parse_entry(beta_raw, dim, "beta")
     c = None if data.get("c") is None else _finite_number(data["c"], "c")
@@ -222,8 +222,9 @@ def manifold_from_manifest(data: dict):
     if sol_raw is not None:
         if not isinstance(sol_raw, dict):
             raise ManifestError("soliton: expected an object")
-        lam = _finite_number(sol_raw.get("lambda"), "soliton.lambda")
-        mu = _finite_number(sol_raw.get("mu"), "soliton.mu")
+        # lambda and mu enter the soliton checks linearly, as V does
+        lam = _bounded(sol_raw.get("lambda"), "soliton.lambda", MAX_FIELD)
+        mu = _bounded(sol_raw.get("mu"), "soliton.mu", MAX_FIELD)
         has_v = "V" in sol_raw
         has_pot = "v" in sol_raw
         if has_v == has_pot:
@@ -457,13 +458,13 @@ def _write_manifest(data: dict, out: str | None) -> None:
 
 def emit_example2(args) -> int:
     _chart_dim(args.n, args.s)
-    beta, c = _constant_beta(args.beta), _finite_number(args.c, "c")
+    beta, c = _bounded(args.beta, "beta", _MAX_BETA), _finite_number(args.c, "c")
     try:
         m = build_example2(args.n, args.s, beta, c)
     except ValueError as err:
         raise ManifestError(str(err)) from err
     xibar = FieldSpec.from_entries([0.0] * (2 * m.n) + [1.0] * m.s, m.dim)
-    lam = _finite_number(m.s * beta - m.s * (1.0 + c) * beta**2, "soliton.lambda")
+    lam = _bounded(m.s * beta - m.s * (1.0 + c) * beta**2, "soliton.lambda", MAX_FIELD)
     soliton = SolitonData(lam=lam, mu=-lam, V=xibar)
     _write_manifest(manifest_from_manifold(m, soliton), args.out)
     return 0
@@ -480,7 +481,7 @@ def emit_twisted(args) -> int:
         m = build_twisted_product(fiber, args.s, sigma)
     except (ExprError, ValueError) as err:
         raise ManifestError(str(err)) from err
-    _constant_beta(m.beta)  # inferred from sigma, bounded as `wfk check` bounds it
+    _bounded(m.beta, "beta", _MAX_BETA)  # inferred from sigma, bounded as `wfk check` bounds it
     _write_manifest(manifest_from_manifold(m), args.out)
     return 0
 

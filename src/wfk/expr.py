@@ -562,6 +562,7 @@ def compile_tape(asts, dim: int) -> Tape:
     return Tape(dim, tuple(code), outputs, support)
 
 
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")  # non-finite raises below
 def _run(tape: Tape, points: np.ndarray, third: bool):
     """Arrays (value, d, d2[, d3]) of shapes (P, K) + (dim,) * order, but d3
     of shape (P, K) + (s,) * 3 over the support."""

@@ -17,9 +17,9 @@ Index conventions used throughout:
   for ``R_{X,Y} = [nabla_X, nabla_Y] - nabla_[X,Y]``.
 * ``Ric[j, k]`` = trace of ``Z -> R(Z, e_j) e_k``.
 
-Exterior derivatives carry the 1/2 (1-forms) and 1/3 (2-forms)
-normalization factors of the co-boundary formulas the identity checks
-are written against.
+The exterior derivative of a 2-form (:func:`coboundary_2form`) carries the
+1/3 of the co-boundary formula the identity checks are written against;
+the checks write that of a 1-form, with its 1/2, inline.
 """
 from __future__ import annotations
 
@@ -35,19 +35,11 @@ from .expr import ExprAst
 __all__ = [
     "MetricError",
     "MetricField",
-    "TensorValue",
     "FieldSpec",
-    "metric_at",
-    "metric_inverse_at",
-    "christoffel",
-    "riemann",
-    "ricci",
-    "ricci_operator",
-    "scalar_curvature",
+    "Geometry",
+    "check_bound",
     "lie_derivative_metric",
     "lie_derivative_1form",
-    "exterior_derivative_1form",
-    "exterior_derivative_2form",
     "coboundary_2form",
     "gradient_and_hessian",
     "lie_derivative_connection",
@@ -56,26 +48,29 @@ __all__ = [
 
 
 class MetricError(Exception):
-    """Metric evaluation failed (too large, or not positive definite)."""
+    """A field is out of range at a point: a value beyond its bound, or a
+    metric that is not positive definite."""
 
 
 # Largest value of g and of g^-1 a geometry accepts.  Every check is linear
 # in the metric's values (g^-1 and Gamma cancel their scale, and a lowered
 # tensor carries one factor g); the largest coefficient of g is s beta^2
 # times two entries of f (id.26/27), and with |beta| <= 1e76 (the CLI's
-# bound) and s <= 21 a sum of dim <= 21 such terms stays below 4.7e304 while
-# |g_ij| <= 1e150, a factor 3.8e3 below the largest float (1.8e308).  g^-1
-# raises indices as g lowers them, so the same bound holds for it.
+# bound), s <= 21 and entries of f of order one, a sum of dim <= 21 such terms
+# stays below 4.7e304 while |g_ij| <= 1e150, a factor 3.8e3 below the largest
+# float (1.8e308).  g^-1 raises indices as g lowers them, so the same bound
+# holds for it.  (weakf.MAX_FIELD bounds f alone, with the rest of order one.)
 _MAX_METRIC = 1e150
 
 
-def _check_bound(points: np.ndarray, name: str, values: np.ndarray) -> None:
-    """A MetricError naming the first point where ``values`` exceed the bound."""
+def check_bound(points: np.ndarray, name: str, values: np.ndarray, bound: float) -> None:
+    """A MetricError naming the first of ``points`` where ``values`` (a batch
+    axis in front when there are several points) exceed ``bound`` in size."""
     size = np.abs(values).reshape(len(points), -1).max(axis=-1)
-    q = int(np.argmax(~(size <= _MAX_METRIC)))  # NaN is beyond it too
-    if not size[q] <= _MAX_METRIC:
+    q = int(np.argmax(~(size <= bound)))  # NaN is beyond it too
+    if not size[q] <= bound:
         raise MetricError(
-            f"{name} value {size[q]:g} exceeds {_MAX_METRIC:g} at point {points[q].tolist()}"
+            f"{name} value {size[q]:g} exceeds {bound:g} at point {points[q].tolist()}"
         )
 
 
@@ -85,23 +80,6 @@ def _as_ast(entry, dim: int) -> ExprAst:
     if isinstance(entry, str):
         return ex.parse_expression(entry, dim)
     return ex.const(float(entry), dim)
-
-
-@dataclass(frozen=True)
-class TensorValue:
-    """Dense components of a tensor at a point, or at each point of a chunk,
-    with a variance signature; a chunk's batch axis comes first."""
-
-    variance: tuple[str, ...]  # each slot "up" or "down"
-    components: np.ndarray
-    point: np.ndarray
-
-    def __post_init__(self):
-        *batch, n = self.point.shape
-        if self.components.ndim != len(batch) + len(self.variance):
-            raise ValueError("component rank does not match variance signature")
-        if self.components.shape != tuple(batch) + (n,) * len(self.variance):
-            raise ValueError("all component extents must equal the dimension")
 
 
 @dataclass(frozen=True)
@@ -208,7 +186,7 @@ class Geometry:
         # the metric's jets at p, when they were evaluated with other fields
         g, dg, d2g = metric.jets(p) if jets is None else jets
         points = p.reshape(-1, metric.dim)
-        _check_bound(points, "metric", g)
+        check_bound(points, "metric", g, _MAX_METRIC)
         try:
             chol = np.linalg.cholesky(g)
         except np.linalg.LinAlgError:
@@ -221,7 +199,7 @@ class Geometry:
         inv_l = np.linalg.inv(chol)
         with np.errstate(over="ignore"):
             self.ginv = np.swapaxes(inv_l, -1, -2) @ inv_l
-        _check_bound(points, "inverse metric", self.ginv)
+        check_bound(points, "inverse metric", self.ginv, _MAX_METRIC)
         self.g = g
         self.dg = dg
         self.d2g = d2g
@@ -416,10 +394,6 @@ class MetricField(FieldSpec):
         ]
         return cls.from_entries(rows, dim)
 
-    @classmethod
-    def euclidean(cls, dim: int) -> "MetricField":
-        return cls.diagonal([1.0] * dim, dim)
-
     def at(self, p, jets=None) -> Geometry:
         """The geometry at a point ``(dim,)`` or a chunk of points ``(C, dim)``,
         built afresh; ``jets`` are the metric's jets there if known."""
@@ -435,70 +409,20 @@ class MetricField(FieldSpec):
 # operations
 
 
-def metric_at(g: MetricField, p) -> TensorValue:
-    geo = g.at(p)
-    return TensorValue(("down", "down"), geo.g, geo.point)
-
-
-def metric_inverse_at(g: MetricField, p) -> TensorValue:
-    geo = g.at(p)
-    return TensorValue(("up", "up"), geo.ginv, geo.point)
-
-
-def christoffel(g: MetricField, p) -> TensorValue:
-    geo = g.at(p)
-    return TensorValue(("up", "down", "down"), geo.gamma, geo.point)
-
-
-def riemann(g: MetricField, p) -> TensorValue:
-    geo = g.at(p)
-    return TensorValue(("up", "down", "down", "down"), geo.riem, geo.point)
-
-
-def ricci(g: MetricField, p) -> TensorValue:
-    geo = g.at(p)
-    return TensorValue(("down", "down"), geo.ric, geo.point)
-
-
-def ricci_operator(g: MetricField, p) -> TensorValue:
-    geo = g.at(p)
-    return TensorValue(("up", "down"), geo.ric_sharp, geo.point)
-
-
-def scalar_curvature(g: MetricField, p) -> float:
-    return float(g.at(p).scalar)
-
-
-def lie_derivative_metric(geo: Geometry, V) -> TensorValue:
+def lie_derivative_metric(geo: Geometry, V) -> np.ndarray:
     """L_V g from the jets ``(v, dv, ...)`` of V at the point."""
     v, dv = V[:2]
-    lg = (
+    return (
         np.einsum("...k,...ijk->...ij", v, geo.dg)
         + np.einsum("...kj,...ki->...ij", geo.g, dv)
         + np.einsum("...ik,...kj->...ij", geo.g, dv)
     )
-    return TensorValue(("down", "down"), lg, geo.point)
 
 
-def lie_derivative_1form(geo: Geometry, omega, V) -> TensorValue:
+def lie_derivative_1form(geo: Geometry, omega, V) -> np.ndarray:
     """L_V omega from the jets ``(w, dw, ...)`` of omega and ``(v, dv, ...)`` of V."""
     (w, dw), (v, dv) = omega[:2], V[:2]
-    lw = np.einsum("...ji,...i->...j", dw, v) + np.einsum("...k,...ki->...i", w, dv)
-    return TensorValue(("down",), lw, geo.point)
-
-
-def exterior_derivative_1form(omega: FieldSpec, p) -> TensorValue:
-    pt = np.asarray(p, dtype=float)
-    _, dw, _ = omega.jets(pt)
-    # dw[j, i] = d_i w_j; includes the 1/2 of the co-boundary formula
-    d = 0.5 * (np.swapaxes(dw, -1, -2) - dw)
-    return TensorValue(("down", "down"), d, pt)
-
-
-def exterior_derivative_2form(phi: FieldSpec, p) -> TensorValue:
-    pt = np.asarray(p, dtype=float)
-    _, dphi, _ = phi.jets(pt)
-    return TensorValue(("down", "down", "down"), coboundary_2form(dphi), pt)
+    return np.einsum("...ji,...i->...j", dw, v) + np.einsum("...k,...ki->...i", w, dv)
 
 
 def coboundary_2form(dphi: np.ndarray) -> np.ndarray:
@@ -506,18 +430,14 @@ def coboundary_2form(dphi: np.ndarray) -> np.ndarray:
     return (np.einsum("...jki->...ijk", dphi) + np.einsum("...kij->...ijk", dphi) + dphi) / 3.0
 
 
-def gradient_and_hessian(geo: Geometry, v) -> tuple[TensorValue, TensorValue]:
+def gradient_and_hessian(geo: Geometry, v) -> tuple[np.ndarray, np.ndarray]:
     """grad v and Hess v from the jets ``(value, d, d2)`` of a potential v."""
     _, dv, d2v = v
     grad = np.einsum("...kl,...l->...k", geo.ginv, dv)
-    hess = d2v - np.einsum("...kij,...k->...ij", geo.gamma, dv)
-    return (
-        TensorValue(("up",), grad, geo.point),
-        TensorValue(("down", "down"), hess, geo.point),
-    )
+    return grad, d2v - np.einsum("...kij,...k->...ij", geo.gamma, dv)
 
 
-def _lie_connection_components(geo: Geometry, V):
+def _lie_connection_components(geo: Geometry, V) -> np.ndarray:
     """T[k, i, j] = (L_V nabla)^k_ij from the jets ``(v, dv, d2v)`` of V."""
     v, dv, d2v = V
     gam, dgam = geo.gamma, geo.dgamma
@@ -537,13 +457,13 @@ def _lie_connection_components(geo: Geometry, V):
     return nabla_a + np.einsum("...kmij,...m->...kij", geo.riem, v)
 
 
-def lie_derivative_connection(geo: Geometry, V) -> TensorValue:
-    """(L_V nabla)(X, Y) = nabla_X nabla_Y V - nabla_{nabla_X Y} V + R(V, X) Y."""
-    t = _lie_connection_components(geo, V)
-    return TensorValue(("up", "down", "down"), t, geo.point)
+def lie_derivative_connection(geo: Geometry, V) -> np.ndarray:
+    """(L_V nabla)(X, Y) = nabla_X nabla_Y V - nabla_{nabla_X Y} V + R(V, X) Y,
+    as T[k, i, j]; the benchmark's trace reads this name and the one it calls."""
+    return _lie_connection_components(geo, V)
 
 
-def lie_derivative_curvature(geo: Geometry, V) -> TensorValue:
+def lie_derivative_curvature(geo: Geometry, V) -> np.ndarray:
     """L_V R as the Lie derivative of the (1,3)-tensor R, exact at the point.
 
     (L_V R)^l_ijk = V(R^l_ijk) - R^a_ijk d_a V^l + R^l_ajk d_i V^a
@@ -557,4 +477,4 @@ def lie_derivative_curvature(geo: Geometry, V) -> TensorValue:
     lr += contract("...lajk,...ai->...lijk", riem, dv)
     lr += contract("...liak,...aj->...lijk", riem, dv)
     lr += contract("...lija,...ak->...lijk", riem, dv)
-    return TensorValue(("up", "down", "down", "down"), lr, geo.point)
+    return lr

@@ -5,7 +5,7 @@ The defining condition for the beta-Kenmotsu class is
     (nabla_X f) Y = beta { g(fX, Y) xibar - etabar(Y) fX },
 
 with the beta = 0 case (parallel f) playing the role of a C-manifold.
-``build_example_manifold`` realizes the standard explicit chart model
+``build_example2`` realizes the standard explicit chart model
 (metric diag(e^{2 beta xbar}) on the contact block); the twisted-product
 builder assembles dt^2 (+) sigma^2 gbar over a weakly Kaehler fiber.
 """
@@ -176,7 +176,7 @@ def _id18(st: StructureAtPoint, beta: float) -> np.ndarray:
     rhs = 2.0 * beta * (st.geo.g - st.etaeta)
     return np.stack(
         [
-            lie_derivative_metric(st.geo, (xi, dxi)).components - rhs
+            lie_derivative_metric(st.geo, (xi, dxi)) - rhs
             for xi, dxi in zip(np.moveaxis(st.xi, -2, 0), np.moveaxis(st.dxi, -3, 0))
         ],
         axis=-3,
@@ -431,6 +431,10 @@ def twisted_product_audit(st: StructureAtPoint) -> dict:
     gam = st.geo.gamma
     g = st.geo.g
     sigma, dsigma, _ = st.jets_of(m.sigma)
+    low = np.reshape(~(sigma > 0), -1)  # jets are finite, so only sign and underflow
+    if low.any():
+        q = st.point.reshape(-1, m.dim)[np.argmax(low)]
+        raise ValueError(f"sigma is not positive at point {q.tolist()}")
     dlog = dsigma / sigma[..., None]  # d(log sigma)
 
     # (i): nabla_{xi_i} xi_j = 0 and nabla_X xi_i = xi_i(log sigma) X on the fiber

@@ -4,9 +4,10 @@ The authoritative *-Ricci tensor is the definitional trace
 
     Ric*(X, Y) = (1/2) trace { Z -> f R_{X, fY} Z },
 
-which needs only the structure axioms; the closed-form relation to the
-ordinary Ricci tensor on the Kenmotsu class is a checked identity
-(``theorem4_residual``), never an input.
+held as ``StructureAtPoint.ric_star`` (and r* as ``r_star``), which needs
+only the structure axioms; the closed-form relation to the ordinary Ricci
+tensor on the Kenmotsu class is a checked identity (``theorem4_residual``),
+never an input.
 """
 from __future__ import annotations
 
@@ -17,7 +18,6 @@ import numpy as np
 from .expr import ExprAst
 from .geometry import (
     FieldSpec,
-    TensorValue,
     gradient_and_hessian,
     lie_derivative_1form,
     lie_derivative_connection,
@@ -25,14 +25,11 @@ from .geometry import (
     lie_derivative_metric,
 )
 from .kenmotsu import EinsteinFit
-from .weakf import TOLERANCES, StructureAtPoint, WeakFManifold
+from .weakf import StructureAtPoint, WeakFManifold
 
 __all__ = [
     "SolitonData",
     "SolitonVerdict",
-    "Prop5Result",
-    "star_ricci",
-    "star_scalar",
     "theorem4_residual",
     "star_eta_einstein_fit",
     "corollary2_residual",
@@ -40,9 +37,7 @@ __all__ = [
     "soliton_residual",
     "gradient_soliton_residual",
     "fit_soliton_constants",
-    "prop5_check",
     "contact_fit",
-    "contact_field_check",
     "lemma2_audit",
 ]
 
@@ -76,15 +71,7 @@ class SolitonVerdict:
 
     residual: float
     classification: str
-    prop5_gap: float
     cross_residual: float
-
-
-@dataclass(frozen=True)
-class Prop5Result:
-    passed: bool
-    gap: float
-    corollary3_gap: float | None = None
 
 
 def _classify(lam: float) -> str:
@@ -97,16 +84,6 @@ def _classify(lam: float) -> str:
 
 # ---------------------------------------------------------------------------
 # *-Ricci tensor
-
-
-def star_ricci(st: StructureAtPoint) -> TensorValue:
-    """Ric*_{ab} = (1/2) f^k_l f^j_b R^l_{ajk}; generally not symmetric."""
-    return TensorValue(("down", "down"), st.ric_star, st.point)
-
-
-def star_scalar(st: StructureAtPoint) -> float:
-    """r*, the g-trace of Ric*."""
-    return st.r_star
 
 
 def star_symmetry_gate(st: StructureAtPoint):
@@ -199,14 +176,12 @@ def soliton_residual(st: StructureAtPoint, sol: SolitonData) -> SolitonVerdict:
     if sol.V.dim != st.m.dim:
         raise ValueError("potential dimension does not match the manifold")
     _check_star_symmetric(st)
-    half_lie = 0.5 * lie_derivative_metric(st.geo, st.jets_of(sol.V)).components
+    half_lie = 0.5 * lie_derivative_metric(st.geo, st.jets_of(sol.V))
     lhs = half_lie + st.ric_star
     rhs = sol.lam * (st.geo.g - st.etaeta) + (sol.lam + sol.mu) * st.ebar
     residual = st.residual(lhs - rhs, (0, 1))
     cross = _cross_residual_33(st, half_lie, sol.lam, sol.mu)
-    return SolitonVerdict(
-        residual, _classify(sol.lam), abs(sol.lam + sol.mu), cross
-    )
+    return SolitonVerdict(residual, _classify(sol.lam), cross)
 
 
 def gradient_soliton_residual(st: StructureAtPoint, sol: SolitonData) -> SolitonVerdict:
@@ -215,7 +190,7 @@ def gradient_soliton_residual(st: StructureAtPoint, sol: SolitonData) -> Soliton
         raise ValueError("gradient_soliton_residual needs a potential function")
     _check_star_symmetric(st)
     _, hess = gradient_and_hessian(st.geo, st.jets_of(sol.v))
-    lhs = hess.components + st.ric_star
+    lhs = hess + st.ric_star
     rhs = sol.lam * (st.geo.g - st.etaeta) + (sol.lam + sol.mu) * st.ebar
     residual = st.residual(lhs - rhs, (0, 1))
 
@@ -225,7 +200,7 @@ def gradient_soliton_residual(st: StructureAtPoint, sol: SolitonData) -> Soliton
     s, n = m.s, m.n
     dim = m.dim
     k = s * (2 * n - 1) * beta**2
-    hess_op = st.geo.ginv @ hess.components
+    hess_op = st.geo.ginv @ hess
     lhs_op = hess_op + st.Q @ st.geo.ric_sharp
     rhs_op = (
         sol.lam * np.eye(dim)
@@ -235,9 +210,7 @@ def gradient_soliton_residual(st: StructureAtPoint, sol: SolitonData) -> Soliton
         * np.einsum("...a,...k->...ka", st.etabar, st.xibar)
     )
     cross = st.residual(lhs_op - rhs_op, (1,))
-    return SolitonVerdict(
-        residual, _classify(sol.lam), abs(sol.lam + sol.mu), cross
-    )
+    return SolitonVerdict(residual, _classify(sol.lam), cross)
 
 
 def fit_soliton_constants(m: WeakFManifold, V: FieldSpec, sample):
@@ -248,9 +221,7 @@ def fit_soliton_constants(m: WeakFManifold, V: FieldSpec, sample):
     structures = list(m.structures(points, (V,)))
     rows, targets = [], []
     for st in structures:
-        target = (
-            0.5 * lie_derivative_metric(st.geo, st.jets_of(V)).components + st.ric_star
-        )
+        target = 0.5 * lie_derivative_metric(st.geo, st.jets_of(V)) + st.ric_star
         g, ebar = st.geo.g, st.ebar
         rows.append(np.stack([(g - st.etaeta + ebar).ravel(), ebar.ravel()], axis=1))
         targets.append(target.ravel())
@@ -263,13 +234,6 @@ def fit_soliton_constants(m: WeakFManifold, V: FieldSpec, sample):
     return lam, mu, residual
 
 
-def prop5_check(lam: float, mu: float, tol: float = TOLERANCES["prop5"]) -> Prop5Result:
-    """Constants of a genuine soliton must satisfy lam + mu = 0."""
-    gap = abs(lam + mu)
-    cor3 = abs(lam) if mu == 0 else None
-    return Prop5Result(gap <= tol, gap, cor3)
-
-
 # ---------------------------------------------------------------------------
 # contact fields
 
@@ -279,7 +243,7 @@ def contact_fit(st: StructureAtPoint, V: FieldSpec) -> tuple[float, float]:
     v = st.jets_of(V)
     lie = np.stack(
         [
-            lie_derivative_1form(st.geo, (eta, deta), v).components
+            lie_derivative_1form(st.geo, (eta, deta), v)
             for eta, deta in zip(np.moveaxis(st.eta, -2, 0), np.moveaxis(st.deta, -3, 0))
         ],
         axis=-2,
@@ -288,16 +252,6 @@ def contact_fit(st: StructureAtPoint, V: FieldSpec) -> tuple[float, float]:
     den = np.einsum("...ia,...ia->...", st.eta, st.eta)
     sigma = np.divide(num, den, out=np.zeros_like(num), where=den > 0)
     return sigma[()], st.residual(lie - sigma[..., None, None] * st.eta)
-
-
-def contact_field_check(
-    st: StructureAtPoint, V: FieldSpec, tol: float = TOLERANCES["contact.65"]
-):
-    """Decide whether L_V eta^i = sigma eta^i for a single constant sigma."""
-    sigma, residual = contact_fit(st, V)
-    is_contact = residual <= tol
-    is_strict = is_contact and abs(sigma) <= tol
-    return is_contact, sigma, is_strict
 
 
 # ---------------------------------------------------------------------------
@@ -325,7 +279,7 @@ def lemma2_audit(st: StructureAtPoint, sol: SolitonData) -> dict:
 
     # (42): (L_V nabla)(X, xi_i) vs 2b Ric# QX + 4snb^3 QX + 2sb^3 Qt X + ...
     v = st.jets_of(sol.V)
-    lie_nab = lie_derivative_connection(st.geo, v).components  # [k, a, b]
+    lie_nab = lie_derivative_connection(st.geo, v)  # [k, a, b]
     rhs42 = (
         2.0 * beta * rs @ Q
         + 4.0 * s * n * beta**3 * Q
@@ -338,7 +292,7 @@ def lemma2_audit(st: StructureAtPoint, sol: SolitonData) -> dict:
     )
     res42 = st.residual(np.einsum("...kab,...ib->...ika", lie_nab, xi) - rhs42[..., None, :, :])
 
-    lie_r = lie_derivative_curvature(st.geo, v).components  # [k, a, b, c]
+    lie_r = lie_derivative_curvature(st.geo, v)  # [k, a, b, c]
 
     # (34): (L_V R)_{X,Y} xi_i vs the nabla-Ric# expression
     nab_rs = st.geo.nabla_ric_sharp  # [k, j, a]

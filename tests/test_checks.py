@@ -1,5 +1,7 @@
+import ast
 import importlib
 import importlib.util
+import inspect
 from collections import Counter
 from pathlib import Path
 
@@ -56,6 +58,45 @@ def test_runners_produce_each_catalogue_id_once(make_ctx):
 
 def test_every_tolerance_belongs_to_a_catalogue_id():
     assert set(TOLERANCES) == set(CATALOGUE)
+
+
+_LIBRARY = ("wfk.geometry", "wfk.weakf", "wfk.kenmotsu", "wfk.star_soliton")
+
+
+def test_no_library_function_reads_a_tolerance():
+    """Library functions return arrays or residuals; only the report writer
+    compares a residual with its tolerance."""
+    for name in _LIBRARY:
+        module = importlib.import_module(name)
+        for fname, obj in vars(module).items():
+            if fname.startswith("_") or getattr(obj, "__module__", None) != name:
+                continue
+            members = [(fname, obj)]
+            if inspect.isclass(obj):
+                members = [
+                    (f"{fname}.{m}", f) for m, f in vars(obj).items() if not m.startswith("_")
+                ]
+            for qual, fn in members:
+                fn = getattr(fn, "__func__", fn)  # a classmethod's function
+                if inspect.isfunction(fn):
+                    params = inspect.signature(fn).parameters
+                    assert not any(p.startswith("tol") for p in params), f"{name}.{qual}"
+    # TOLERANCES is read where the catalogue is built and where the twisted
+    # builder validates its fiber at the origin, nowhere else in src/wfk
+    readers = set()
+    for path in sorted(Path(weakf.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        reads = {
+            node for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and node.id == "TOLERANCES"
+            and isinstance(node.ctx, ast.Load)
+        }
+        for fn in ast.walk(tree):
+            if isinstance(fn, ast.FunctionDef) and reads & set(ast.walk(fn)):
+                readers.add((path.stem, fn.name))
+                reads -= set(ast.walk(fn))
+        assert not reads, f"{path.stem} reads TOLERANCES outside a function"
+    assert readers == {("checks", "_specs"), ("kenmotsu", "build_twisted_product")}
 
 
 def test_perfbench_tracer_targets_resolve():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from wfk import cli
+from wfk import cli, weakf
 from wfk.checks import CATALOGUE
 from wfk.cli import main
 
@@ -410,6 +410,54 @@ class TestInputBounds:
         path.write_text(json.dumps(_mutated(_load(path), ("beta",), -cli._MAX_BETA)))
         assert main(["check", str(path), "--points", "1", "--out", str(path) + ".r"]) in (0, 1)
 
+    # (key path, how the error names the field); xi[1][3] pairs with eta[1][3],
+    # so the other two edits stay off the dual pairing
+    _FIELDS = [
+        (("f", 0, 1), "f value"),
+        (("Q", 0, 0), "Q value"),
+        (("xi", 0, 0), "xi value"),
+        (("eta", 0, 0), "eta value"),
+        (("soliton", "V", 2), "soliton.V value"),
+        (("soliton", "lambda"), "soliton.lambda:"),
+        (("soliton", "mu"), "soliton.mu:"),
+    ]
+    _FIELD_IDS = [name.split()[0].rstrip(":") for _, name in _FIELDS]
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("path, name", _FIELDS, ids=_FIELD_IDS)
+    @pytest.mark.parametrize("entry", [1e308, -1e308, 1e101])
+    def test_structure_value_beyond_the_bound(self, tmp_path, capsys, path, name, entry):
+        # 1e308 overflowed in f^3, eta eta, lambda + mu and the like and exited 1
+        manifest = tmp_path / "e2.json"
+        assert main(["example2", "1", "1", "1.0", "1.0", "--out", str(manifest)]) == 0
+        manifest.write_text(json.dumps(_mutated(_load(manifest), path, entry)))
+        assert main(["check", str(manifest), "--points", "2"]) == 2
+        err = capsys.readouterr().err
+        assert f"error: {name}" in err and "Traceback" not in err
+        assert "at point [" in err or path[-1] in ("lambda", "mu")
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("path, name", _FIELDS, ids=_FIELD_IDS)
+    @pytest.mark.parametrize("entry", [weakf.MAX_FIELD, -weakf.MAX_FIELD])
+    def test_structure_value_at_the_bound_runs(self, tmp_path, path, name, entry):
+        manifest = tmp_path / "e2.json"
+        assert main(["example2", "1", "1", "1.0", "1.0", "--out", str(manifest)]) == 0
+        manifest.write_text(json.dumps(_mutated(_load(manifest), path, entry)))
+        out = str(manifest) + ".r"
+        assert main(["check", str(manifest), "--points", "2", "--out", out]) in (0, 1)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("sigma", ["x1^400", "x1", "0*x1"])
+    def test_sigma_not_positive_at_a_sample_point(self, tmp_path, capsys, sigma):
+        # x1^400 underflows to 0 near x1 = 0, and 0/0 in d(log sigma) warned
+        manifest = tmp_path / "tw.json"
+        argv = ["twisted", "--factors", "1.0", "--s", "1", "--sigma", "exp(x3)*(2+x1^2)"]
+        assert main([*argv, "--out", str(manifest)]) == 0
+        manifest.write_text(json.dumps(_mutated(_load(manifest), ("sigma",), sigma)))
+        assert main(["check", str(manifest), "--points", "5", "--seed", "0"]) == 2
+        err = capsys.readouterr().err
+        assert "error: sigma is not positive at point [" in err and "Traceback" not in err
+
     @pytest.mark.parametrize(
         "argv, message",
         [
@@ -702,11 +750,11 @@ _FUZZ_VALUES = st.one_of(
 class TestFuzz:
     """Any manifest an edit or three away from a valid one gets exit 0, 1 or 2."""
 
-    # a huge metric value is an input error without a warning (see
-    # TestInputBounds); entries of f, Q, xi, eta, soliton.V, soliton.lambda
-    # and soliton.mu such as 1e308 still overflow in numpy, which warns, and
-    # the run must still end in a verdict or an input error
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    # a huge value of the metric, f, Q, xi, eta, soliton.V, soliton.lambda or
+    # soliton.mu, and a sigma that is not positive at a sample point, are input
+    # errors found before numpy can warn (see TestInputBounds); a jet that
+    # overflows is an ExprDomainError without a warning
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(
         st.sampled_from(["e2", "tw"]),
@@ -715,6 +763,10 @@ class TestFuzz:
     @example("e2", [(("beta",), 1e160)])
     @example("e2", [(("metric", 0, 0), _HUGE_INT)])
     @example("e2", [(("metric", 0, 0), 1e308)])
+    @example("e2", [(("f", 0, 1), 1e308)])
+    @example("e2", [(("soliton", "V", 2), -1e308), (("soliton", "mu"), 1e308)])
+    @example("tw", [(("sigma",), "x1^400")])
+    @example("e2", [(("sample", "box", 0), -1e308)])
     def test_check_never_raises(self, fuzz_manifests, name, edits):
         work, manifests = fuzz_manifests
         data = json.loads(json.dumps(manifests[name]))

@@ -8,32 +8,24 @@ from wfk.geometry import (
     MetricField,
     _lie_connection_components,
     _PointGeometry,
-    christoffel,
-    exterior_derivative_1form,
-    exterior_derivative_2form,
+    coboundary_2form,
     gradient_and_hessian,
     lie_derivative_1form,
     lie_derivative_connection,
     lie_derivative_curvature,
     lie_derivative_metric,
-    metric_at,
-    metric_inverse_at,
-    ricci,
-    ricci_operator,
-    riemann,
-    scalar_curvature,
 )
 from wfk.kenmotsu import FiberSpec, audit_identities, build_example2, build_twisted_product
 from wfk.star_soliton import SolitonData, lemma2_audit
-from wfk.weakf import fundamental_form_field
 
 from conftest import seeded_points
 from reference_chain import dric as reference_dric
 from reference_chain import lie_curvature as reference_lie_curvature
+from reference_forms import fundamental_form_field
 
 O = np.zeros(4)
 XIBAR = FieldSpec.from_entries([0.0, 0.0, 1.0, 1.0], 4)
-FLAT4 = MetricField.euclidean(4)
+FLAT4 = MetricField.diagonal([1.0] * 4, 4)
 # a metric with off-diagonal entries and no symmetries, positive definite
 # on the sample box (diagonally dominant there)
 BUMPY4 = MetricField.from_entries(
@@ -53,40 +45,39 @@ BENT4 = FieldSpec.from_entries(
 
 class TestMetric:
     def test_identity_at_origin(self, e2):
-        assert metric_at(e2.metric, O).components == pytest.approx(np.eye(4))
+        assert e2.metric.at(O).g == pytest.approx(np.eye(4))
 
     def test_warped_value(self, e2):
-        g = metric_at(e2.metric, [0, 0, 1, 0]).components
+        g = e2.metric.at([0, 0, 1, 0]).g
         assert g == pytest.approx(np.diag([np.e**2, np.e**2, 1.0, 1.0]))
 
     def test_euclidean(self):
         p = np.array([3.0, -1.0, 0.5, 2.0])
-        assert metric_at(FLAT4, p).components == pytest.approx(np.eye(4))
+        assert FLAT4.at(p).g == pytest.approx(np.eye(4))
 
     def test_inverse(self, e2):
         p = np.array([0.1, 0.2, 0.3, -0.1])
-        g = metric_at(e2.metric, p).components
-        ginv = metric_inverse_at(e2.metric, p).components
-        assert g @ ginv == pytest.approx(np.eye(4), abs=1e-12)
+        geo = e2.metric.at(p)
+        assert geo.g @ geo.ginv == pytest.approx(np.eye(4), abs=1e-12)
 
     def test_non_positive_definite_is_error(self):
         bad = MetricField.diagonal([ex.sub(ex.var(0, 2), ex.const(1.0, 2)), 1.0], 2)
         with pytest.raises(MetricError):
-            metric_at(bad, np.zeros(2))
+            bad.at(np.zeros(2))
 
 
 class TestChristoffel:
     def test_hand_values(self, e2):
-        gam = christoffel(e2.metric, O).components
+        gam = e2.metric.at(O).gamma
         assert gam[0, 0, 2] == pytest.approx(1.0)  # beta
         assert gam[2, 0, 0] == pytest.approx(-1.0)
 
     def test_flat_zero(self):
-        assert np.all(christoffel(FLAT4, np.ones(4)).components == 0.0)
+        assert np.all(FLAT4.at(np.ones(4)).gamma == 0.0)
 
     def test_symmetric_lower_pair(self, e2):
         for p in seeded_points(4, count=3):
-            gam = christoffel(e2.metric, p).components
+            gam = e2.metric.at(p).gamma
             assert gam == pytest.approx(gam.transpose(0, 2, 1))
 
     def test_metric_compatibility(self, e2):
@@ -103,18 +94,17 @@ class TestChristoffel:
 
 class TestCurvature:
     def test_sectional_hand_value(self, e2):
-        riem = riemann(e2.metric, O).components
-        g = metric_at(e2.metric, O).components
-        val = np.einsum("l,labc,a,b,c->", g[0], riem, *np.eye(4)[[0, 1, 1]])
+        geo = e2.metric.at(O)
+        val = np.einsum("l,labc,a,b,c->", geo.g[0], geo.riem, *np.eye(4)[[0, 1, 1]])
         assert val == pytest.approx(-2.0)  # -s beta^2
 
     def test_mixed_reeb_value(self, e2):
-        riem = riemann(e2.metric, O).components
+        riem = e2.metric.at(O).riem
         # g(R(d1, xi1) xi2, d1) = -beta^2
         assert riem[0, 0, 2, 3] == pytest.approx(-1.0)
 
     def test_flat_zero(self):
-        assert np.all(riemann(FLAT4, np.ones(4)).components == 0.0)
+        assert np.all(FLAT4.at(np.ones(4)).riem == 0.0)
 
     def test_symmetries_and_bianchi(self, e2):
         for p in seeded_points(4, count=5, seed=11):
@@ -131,27 +121,26 @@ class TestCurvature:
             assert np.abs(cyclic).max() < 1e-8
 
     def test_ricci_values(self, e2):
-        ric = ricci(e2.metric, O).components
+        ric = e2.metric.at(O).ric
         assert ric[0, 0] == pytest.approx(-4.0)
         assert ric[2, 3] == pytest.approx(-2.0)
         assert ric[2, 2] == pytest.approx(-2.0)
-        assert np.all(ricci(FLAT4, O).components == 0.0)
+        assert np.all(FLAT4.at(O).ric == 0.0)
 
     def test_ricci_operator_matches(self, e2):
         p = seeded_points(4, count=1, seed=3)[0]
-        ric = ricci(e2.metric, p).components
-        ginv = metric_inverse_at(e2.metric, p).components
-        assert ricci_operator(e2.metric, p).components == pytest.approx(ginv @ ric)
+        geo = e2.metric.at(p)
+        assert geo.ric_sharp == pytest.approx(geo.ginv @ geo.ric)
 
     def test_scalar_curvature_constant(self, e2):
         for p in seeded_points(4, count=5, seed=1):
-            assert scalar_curvature(e2.metric, p) == pytest.approx(-12.0, abs=1e-9)
+            assert e2.metric.at(p).scalar == pytest.approx(-12.0, abs=1e-9)
 
     def test_hyperbolic_plane(self):
         # constant-curvature oracle: diag(1, e^{2 x1}) has r = -2
         g = MetricField.diagonal([1.0, ex.exp(ex.mul(ex.const(2.0, 2), ex.var(0, 2)))], 2)
         for p in ([0.0, 0.0], [0.4, -1.0]):
-            assert scalar_curvature(g, p) == pytest.approx(-2.0, abs=1e-10)
+            assert g.at(p).scalar == pytest.approx(-2.0, abs=1e-10)
 
     def test_contracted_bianchi(self, e2):
         # X(r) = 2 (div Ric)(X) via outer finite differences
@@ -191,7 +180,7 @@ class TestCurvature:
 
 class TestLieDerivatives:
     def test_metric_along_reeb_sum(self, e2):
-        lg = lie_derivative_metric(e2.metric.at(O), XIBAR.jets(O)).components
+        lg = lie_derivative_metric(e2.metric.at(O), XIBAR.jets(O))
         assert lg[0, 0] == pytest.approx(4.0)  # 2 s beta
         assert lg[2, 2] == pytest.approx(0.0)
         assert lg == pytest.approx(lg.T)
@@ -199,7 +188,7 @@ class TestLieDerivatives:
     def test_zero_field(self, e2):
         zero = FieldSpec.from_entries([0.0] * 4, 4)
         lg = lie_derivative_metric(e2.metric.at(O), zero.jets(O))
-        assert np.all(lg.components == 0.0)
+        assert np.all(lg == 0.0)
 
     def test_gradient_field_gives_twice_hessian(self, e2):
         v = ex.add(
@@ -212,17 +201,17 @@ class TestLieDerivatives:
             # numerically: L_{grad v} g == 2 Hess_v; evaluate via FD of the flow
             # identity using the component formula at the point
             entries = _gradient_field_entries(e2.metric, v)
-            lg = lie_derivative_metric(e2.metric.at(p), entries.jets(p)).components
-            assert np.abs(lg - 2.0 * hess.components).max() < 1e-8
+            lg = lie_derivative_metric(e2.metric.at(p), entries.jets(p))
+            assert np.abs(lg - 2.0 * hess).max() < 1e-8
 
     def test_1form_examples(self, e2):
         eta1 = FieldSpec.from_entries([0.0, 0.0, 1.0, 0.0], 4)
         geo = e2.metric.at(O)
         lw = lie_derivative_1form(geo, eta1.jets(O), XIBAR.jets(O))
-        assert np.all(lw.components == 0.0)
+        assert np.all(lw == 0.0)
         d1 = FieldSpec.from_entries([1.0, 0.0, 0.0, 0.0], 4)
         lw = lie_derivative_1form(geo, eta1.jets(O), d1.jets(O))
-        assert np.all(lw.components == 0.0)
+        assert np.all(lw == 0.0)
 
 
 def _gradient_field_entries(metric, v):
@@ -254,27 +243,33 @@ def _partial(node, k, dim):
     return ex.const(0.0, dim)
 
 
+def _d_1form(omega, p):
+    """d omega at p with the 1/2 of the co-boundary formula."""
+    _, dw, _ = omega.jets(p)  # dw[j, i] = d_i w_j
+    return 0.5 * (dw.T - dw)
+
+
 class TestExteriorDerivatives:
     def test_closed_reeb_forms(self, e2):
         for i in range(2):
-            d = exterior_derivative_1form(e2.eta[i], O)
-            assert np.all(d.components == 0.0)
+            d = _d_1form(e2.eta[i], O)
+            assert np.all(d == 0.0)
 
     def test_half_normalization(self):
         omega = FieldSpec.from_entries(
             [ex.var(1, 4), 0.0, 0.0, 0.0], 4
         )  # x2 dx1
-        d = exterior_derivative_1form(omega, np.ones(4)).components
+        d = _d_1form(omega, np.ones(4))
         assert d[0, 1] == pytest.approx(-0.5)
         assert d[1, 0] == pytest.approx(0.5)
 
     def test_constant_form_closed(self):
         omega = FieldSpec.from_entries([1.0, 2.0, 3.0, 4.0], 4)
-        assert np.all(exterior_derivative_1form(omega, O).components == 0.0)
+        assert np.all(_d_1form(omega, O) == 0.0)
 
     def test_fundamental_form_derivative(self, e2):
         phi = fundamental_form_field(e2)
-        d = exterior_derivative_2form(phi, O).components
+        d = coboundary_2form(phi.jets(O)[1])
         assert d[0, 1, 2] == pytest.approx(-(2.0 / 3.0) * np.sqrt(2.0))
 
     def test_third_normalization(self):
@@ -282,7 +277,7 @@ class TestExteriorDerivatives:
         rows[0][1] = ex.var(2, 4)
         rows[1][0] = ex.neg(ex.var(2, 4))
         phi = FieldSpec(4, tuple(map(tuple, rows)))
-        d = exterior_derivative_2form(phi, np.zeros(4)).components
+        d = coboundary_2form(phi.jets(np.zeros(4))[1])
         assert d[0, 1, 2] == pytest.approx(1.0 / 3.0)
 
 
@@ -291,44 +286,44 @@ class TestGradientHessian:
         v = ex.add(ex.var(2, 4), ex.var(3, 4))
         for p in (O, np.array([0.3, -0.2, 0.1, 0.4])):
             grad, _ = gradient_and_hessian(e2.metric.at(p), v.jets(p))
-            assert grad.components == pytest.approx([0.0, 0.0, 1.0, 1.0])
+            assert grad == pytest.approx([0.0, 0.0, 1.0, 1.0])
 
     def test_hessian_hand_value(self, e2):
         _, hess = gradient_and_hessian(e2.metric.at(O), ex.var(2, 4).jets(O))
-        assert hess.components[0, 0] == pytest.approx(1.0)
+        assert hess[0, 0] == pytest.approx(1.0)
 
     def test_constant_potential(self, e2):
         grad, hess = gradient_and_hessian(e2.metric.at(O), ex.const(3.0, 4).jets(O))
-        assert np.all(grad.components == 0.0)
-        assert np.all(hess.components == 0.0)
+        assert np.all(grad == 0.0)
+        assert np.all(hess == 0.0)
 
 
 class TestLieConnectionCurvature:
     def test_reeb_sum_connection_perturbation_vanishes(self, e2):
-        t = lie_derivative_connection(e2.metric.at(O), XIBAR.jets(O)).components
+        t = lie_derivative_connection(e2.metric.at(O), XIBAR.jets(O))
         assert np.abs(t[:, 0, 2]).max() < 1e-12  # (L_V nabla)(d1, xi1)
         assert np.abs(t - t.transpose(0, 2, 1)).max() < 1e-12
 
     def test_zero_and_linear_fields(self):
         zero = FieldSpec.from_entries([0.0] * 4, 4)
         p, geo = np.ones(4), FLAT4.at(np.ones(4))
-        assert np.all(lie_derivative_connection(geo, zero.jets(p)).components == 0.0)
+        assert np.all(lie_derivative_connection(geo, zero.jets(p)) == 0.0)
         linear = FieldSpec.from_entries(
             [ex.var(0, 4), 0.0, 0.0, 0.0], 4
         )
-        t = lie_derivative_connection(geo, linear.jets(p)).components
+        t = lie_derivative_connection(geo, linear.jets(p))
         assert np.abs(t).max() < 1e-12
 
     def test_curvature_perturbation_at_reeb_slots(self, e2):
         for p in seeded_points(4, count=2, seed=31):
-            lr = lie_derivative_curvature(e2.metric.at(p), XIBAR.jets(p)).components
+            lr = lie_derivative_curvature(e2.metric.at(p), XIBAR.jets(p))
             assert np.abs(lr[:, :, 3, 2]).max() < 1e-4  # slots (X, xi2, xi1)
 
     @pytest.mark.parametrize("metric", ["e2", "bumpy"])
     def test_curvature_matches_central_differences(self, e2, metric):
         g = e2.metric if metric == "e2" else BUMPY4
         for p in seeded_points(4, count=3, seed=37):
-            exact = lie_derivative_curvature(g.at(p), BENT4.jets(p)).components
+            exact = lie_derivative_curvature(g.at(p), BENT4.jets(p))
             reference = _fd_lie_curvature(g, BENT4, p)
             scale = max(1.0, np.abs(reference).max())
             assert np.abs(exact - reference).max() <= 1e-7 * scale
@@ -337,11 +332,11 @@ class TestLieConnectionCurvature:
         zero = FieldSpec.from_entries([0.0] * 4, 4)
         p, geo = np.ones(4), FLAT4.at(np.ones(4))
         assert np.abs(
-            lie_derivative_curvature(geo, zero.jets(p)).components
+            lie_derivative_curvature(geo, zero.jets(p))
         ).max() < 1e-10
         const = FieldSpec.from_entries([1.0, 2.0, 0.0, 0.0], 4)
         assert np.abs(
-            lie_derivative_curvature(geo, const.jets(p)).components
+            lie_derivative_curvature(geo, const.jets(p))
         ).max() < 1e-10
 
 
@@ -414,7 +409,7 @@ def test_contracted_routes_match_the_full_chain(case):
         for got, want in (
             (geo.dric, reference_dric(geo)),
             (
-                lie_derivative_curvature(geo, V.jets(p)).components,
+                lie_derivative_curvature(geo, V.jets(p)),
                 reference_lie_curvature(g, V, p),
             ),
         ):
@@ -453,10 +448,10 @@ class TestDirectionalScalarIdentity:
                 dp = np.zeros(4)
                 dp[i] = h
                 fd = (
-                    scalar_curvature(e2.metric, p + dp)
-                    - scalar_curvature(e2.metric, p - dp)
+                    e2.metric.at(p + dp).scalar
+                    - e2.metric.at(p - dp).scalar
                 ) / (2 * h)
-                r = scalar_curvature(e2.metric, p)
+                r = e2.metric.at(p).scalar
                 rhs = -2.0 * (r + 12.0)
                 assert abs(fd - rhs) < 1e-5
 
@@ -475,8 +470,8 @@ class TestDirectionalScalarIdentity:
         h = 1e-4
         dp = np.zeros(4)
         dp[2] = h
-        fd = (scalar_curvature(g, p + dp) - scalar_curvature(g, p - dp)) / (2 * h)
-        r = scalar_curvature(g, p)
+        fd = (g.at(p + dp).scalar - g.at(p - dp).scalar) / (2 * h)
+        r = g.at(p).scalar
         residual = abs(fd - (-2.0 * (r + 12.0)))
         assert np.isfinite(residual)
 

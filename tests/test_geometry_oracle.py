@@ -196,7 +196,7 @@ def _compare(rows, field, p) -> dict:
         "riem": geo.riem,
         "ric": geo.ric,
         "nabla_ric_sharp": geo.nabla_ric_sharp,
-        "lie_r": lie_derivative_curvature(metric.at(p), V.jets(p)).components,
+        "lie_r": lie_derivative_curvature(metric.at(p), V.jets(p)),
     }
     return {name: (got[name], want) for name, want in _oracle(rows, field, p).items()}
 

@@ -5,18 +5,16 @@ import numpy as np
 import pytest
 
 from wfk import expr as ex
+from wfk.checks import CATALOGUE, CheckContext, run_check_ids
 from wfk.geometry import FieldSpec
 from wfk.star_soliton import (
     SolitonData,
-    contact_field_check,
+    contact_fit,
     fit_soliton_constants,
     gradient_soliton_residual,
     lemma2_audit,
-    prop5_check,
     soliton_residual,
     star_eta_einstein_fit,
-    star_ricci,
-    star_scalar,
     star_symmetry_gate,
     theorem4_residual,
 )
@@ -44,11 +42,11 @@ class TestGoldenValues:
         o = np.zeros(m.dim)
         oracle = inst["oracle"]
 
-        rs = star_ricci(m.at(o)).components
-        assert np.diag(rs)[: 2 * n] == pytest.approx(
+        st = m.at(o)
+        assert np.diag(st.ric_star)[: 2 * n] == pytest.approx(
             [oracle["ric_star_diag"]] * (2 * n)
         )
-        assert star_scalar(m.at(o)) == pytest.approx(oracle["r_star"])
+        assert st.r_star == pytest.approx(oracle["r_star"])
 
         sol = SolitonData(
             lam=oracle["lambda"], mu=-oracle["lambda"], V=_xibar_field(m.dim, s)
@@ -76,7 +74,7 @@ class TestGoldenValues:
 class TestStarRicci:
     def test_reeb_slots_vanish(self, e2):
         for p in [O] + seeded_points(4, count=3, seed=40):
-            rs = star_ricci(e2.at(p)).components
+            rs = e2.at(p).ric_star
             assert np.abs(rs[2:, :]).max() < 1e-8
             assert np.abs(rs[:, 2:]).max() < 1e-8
 
@@ -106,7 +104,6 @@ class TestVectorSolitons:
             assert verdict.residual < 1e-6
             assert verdict.cross_residual < 1e-6
             assert verdict.classification == "expanding"
-            assert verdict.prop5_gap < 1e-12
 
     def test_classical_instance(self):
         m = example_manifold(1, 1, 1.0, 1.0)
@@ -129,7 +126,7 @@ class TestVectorSolitons:
         zero = FieldSpec.from_entries([0.0] * 4, 4)
         pts = seeded_points(4, count=3, seed=52)
         lam, mu, res = fit_soliton_constants(e2, zero, pts)
-        abar = star_scalar(e2.at(O)) / 2.0
+        abar = e2.at(O).r_star / 2.0
         assert lam == pytest.approx(abar)
         assert mu == pytest.approx(-abar)
         assert res < 1e-6
@@ -170,26 +167,28 @@ class TestGradientSolitons:
 
 
 class TestConstantsAndContact:
-    def test_constants_relation(self):
-        assert prop5_check(-2.0, 2.0).passed
-        res = prop5_check(0.0, 0.0)
-        assert res.passed and res.corollary3_gap == 0.0
-        bad = prop5_check(1.0, 1.0)
-        assert not bad.passed and bad.gap == pytest.approx(2.0)
+    def test_constants_relation(self, e2):
+        tol = CATALOGUE["prop5"].tolerance
+        for lam, mu, gap in ((-2.0, 2.0, 0.0), (0.0, 0.0, 0.0), (1.0, 1.0, 2.0)):
+            ctx = CheckContext(e2, SolitonData(lam=lam, mu=mu, V=_xibar_field(4, 2)))
+            (res,) = run_check_ids(ctx, ["prop5"], [O])["prop5"]
+            assert res == pytest.approx(gap)
+            assert (res <= tol) == (gap == 0.0)
 
     def test_reeb_sum_is_strict_contact(self, e2):
-        is_contact, sigma, is_strict = contact_field_check(e2.at(O), _xibar_field(4, 2))
-        assert is_contact and is_strict and abs(sigma) < 1e-12
+        sigma, residual = contact_fit(e2.at(O), _xibar_field(4, 2))
+        assert residual <= CATALOGUE["contact.65"].tolerance and abs(sigma) < 1e-12
 
     def test_transverse_coordinate_field(self, e2):
         d1 = FieldSpec.from_entries([1.0, 0.0, 0.0, 0.0], 4)
-        is_contact, sigma, _ = contact_field_check(e2.at(O), d1)
-        assert is_contact and sigma == pytest.approx(0.0)
+        sigma, residual = contact_fit(e2.at(O), d1)
+        assert residual <= CATALOGUE["contact.65"].tolerance
+        assert sigma == pytest.approx(0.0)
 
     def test_non_contact_field(self, e2):
         V = FieldSpec.from_entries(["0", "0", "x1", "0"], 4)
-        is_contact, _, _ = contact_field_check(e2.at(O), V)
-        assert not is_contact
+        _, residual = contact_fit(e2.at(O), V)
+        assert not residual <= CATALOGUE["contact.65"].tolerance
 
 
 class TestLieDerivativeAudit:
