@@ -19,7 +19,7 @@ from wfk.kenmotsu import (
 
 def audit(label, m, points):
     print(f"\n{label} (dim {m.dim}, inferred beta at origin: "
-          f"{m.beta_value(np.zeros(m.dim)):+.3f})")
+          f"{m.beta:+.3f})")
     for p in points:
         residuals = twisted_product_audit(m.at(p))
         rel = ", ".join(f"{cid} {r:.1e}" for cid, r in residuals.items())

@@ -15,7 +15,6 @@ from .expr import (
     ExprDomainError,
     ExprError,
     ExprSyntaxError,
-    ScalarJet,
     evaluate_jet,
     parse_expression,
     to_source,

@@ -152,9 +152,8 @@ def run_check_ids(ctx: CheckContext, ids, points) -> dict[str, np.ndarray]:
     """The residuals of the named checks at each point: ``{id: (P,) array}``
     in point order, for the ids in the order given.
 
-    A repeated id runs once.  The fields, with the soliton's potential, are
-    jetted once a chunk of points (``WeakFManifold.structures``); each needed
-    group then runs once on each chunk's structure.
+    A repeated id runs once.  Each needed group runs once on the structure
+    of each chunk of points (``WeakFManifold.structures``).
     """
     ids = list(dict.fromkeys(ids))
     unknown = [i for i in ids if i not in CATALOGUE]
@@ -167,12 +166,10 @@ def run_check_ids(ctx: CheckContext, ids, points) -> dict[str, np.ndarray]:
             "(constant beta, twisted-product sigma, or a soliton block)"
         )
     groups = dict.fromkeys(CATALOGUE[cid].group for cid in ids)
-    sol = ctx.soliton
-    extra = () if sol is None else (sol.v if sol.V is None else sol.V,)
     # a residual no runner wrote stays NaN, which fails any tolerance
     table = {cid: np.full(len(points), np.nan) for cid in ids}
     start = 0
-    for st in ctx.manifold.structures(points, extra):
+    for st in ctx.manifold.structures(points):
         stop = start + len(st.point)
         for group in groups:
             for cid, residual in ctx.group_reports(group, st).items():

@@ -237,8 +237,10 @@ def manifold_from_manifest(data: dict):
 
     checks = data.get("checks")
     if checks is not None:
-        if not isinstance(checks, list) or not all(isinstance(c_, str) for c_ in checks):
-            raise ManifestError("checks: expected a list of check ids")
+        if not isinstance(checks, list) or not checks or not all(
+            isinstance(c_, str) for c_ in checks
+        ):
+            raise ManifestError("checks: expected a non-empty list of check ids")
         unknown = [c_ for c_ in checks if c_ not in CATALOGUE]
         if unknown:
             raise ManifestError(f"unknown check ids in manifest: {unknown}")
@@ -411,6 +413,8 @@ def run_check(args) -> int:
     ctx = CheckContext(m, soliton)
     if args.only:
         ids = [i for part in args.only for i in part.split(",") if i]
+        if not ids:
+            raise ManifestError("--only: no check ids given")
         unknown = [i for i in ids if i not in CATALOGUE]
         if unknown:
             raise ManifestError(f"--only: unknown check ids {unknown}")
@@ -421,7 +425,12 @@ def run_check(args) -> int:
 
     points = sample_points(m.dim, sample)
     try:
-        table = run_check_ids(ctx, ids, points)
+        # each input is bounded alone; extremes of several together can still
+        # leave the float range, which is bad input too
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            table = run_check_ids(ctx, ids, points)
+    except FloatingPointError as err:
+        raise ManifestError(f"the inputs are too large together: {err}") from err
     except (ValueError, KeyError) as err:
         raise ManifestError(str(err)) from err
 

@@ -33,7 +33,6 @@ import numpy as np
 
 __all__ = [
     "ExprAst",
-    "ScalarJet",
     "Tape",
     "ExprError",
     "ExprSyntaxError",
@@ -112,22 +111,6 @@ class ExprAst:
     def jets(self, p, third: bool = False):
         """(value, d, d2) and with ``third`` also d3, as :meth:`Tape.jets`."""
         return self.tape.jets(p, third)
-
-
-@dataclass(frozen=True)
-class ScalarJet:
-    """Value, gradient, Hessian and (on request) third derivative at a point.
-
-    The Hessian is exactly symmetric: every propagation rule produces it
-    from symmetric ingredients (``outer(a, b) + outer(b, a)`` and scalar
-    multiples of symmetric matrices).  ``third[a, b, c]`` is
-    ``d_a d_b d_c`` of the scalar, or ``None`` when it was not requested.
-    """
-
-    value: float
-    gradient: np.ndarray
-    hessian: np.ndarray
-    third: np.ndarray | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -615,34 +598,16 @@ def _first_non_finite(tape: Tape, jets: list) -> ExprDomainError:
     )
 
 
-def evaluate_jet(ast: ExprAst | Tape, point, third: bool = False):
-    """Evaluate expressions and their exact derivatives.
-
-    For an :class:`ExprAst` and a point of shape ``(dim,)``, a
-    :class:`ScalarJet`: value, gradient and Hessian always, the third
-    derivative only when ``third`` is set (``None`` otherwise).  For a
-    :class:`Tape` of K expressions and points of shape ``(P, dim)``, the
-    arrays ``(value, d, d2)``, plus ``d3`` with ``third``, of shapes
-    ``(P, K)``, ``(P, K, dim)`` and so on, derivative axes last, except
-    that d3 is ``(P, K, s, s, s)`` over the tape's support.
+def evaluate_jet(tape: Tape, points, third: bool = False):
+    """Run ``tape``: its K expressions and their exact derivatives at points
+    ``(P, dim)``, the arrays ``(value, d, d2)``, plus ``d3`` with ``third``,
+    of shapes ``(P, K)``, ``(P, K, dim)`` and so on, derivative axes last,
+    except that d3 is ``(P, K, s, s, s)`` over the tape's support.
     """
-    p = np.asarray(point, dtype=float)
-    if isinstance(ast, Tape):
-        if p.ndim != 2 or p.shape[1] != ast.dim:
-            raise ValueError(
-                f"points have shape {p.shape}, tape expects (P, {ast.dim})"
-            )
-        return _run(ast, p, third)
-    if p.shape != (ast.dim,):
-        raise ValueError(
-            f"point has dimension {p.shape}, expression expects ({ast.dim},)"
-        )
-    out = [arr[0, 0] for arr in _run(ast.tape, p[None], third)]
-    d3 = None
-    if third:
-        d3 = np.zeros((ast.dim,) * 3)
-        d3[np.ix_(*[ast.tape.support] * 3)] = out[3]
-    return ScalarJet(float(out[0]), out[1], out[2], d3)
+    p = np.asarray(points, dtype=float)
+    if p.ndim != 2 or p.shape[1] != tape.dim:
+        raise ValueError(f"points have shape {p.shape}, tape expects (P, {tape.dim})")
+    return _run(tape, p, third)
 
 
 # ---------------------------------------------------------------------------

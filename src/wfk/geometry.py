@@ -8,7 +8,7 @@ A geometry holds one point or a chunk of points: every array carries the
 batch shape in front (``()`` or ``(C,)``), and every formula is written
 over it with ``...`` einsums or broadcasting ``@``.
 Functions of a vector field or a potential take its jets ``(value, d, d2)``
-at the point, so a field jetted for a batch of points is not jetted again.
+at the point, so a field jetted once there serves every function that reads it.
 
 Index conventions used throughout:
 
@@ -179,12 +179,11 @@ class Geometry:
     shape in front, ``()`` for one point and ``(C,)`` for a chunk.
     """
 
-    def __init__(self, metric: "MetricField", p: np.ndarray, jets=None):
+    def __init__(self, metric: "MetricField", p: np.ndarray):
         self.point = p
         self._metric = metric
-        # dg[i, j, k] = d_k g_ij, d2g[i, j, k, l] = d_k d_l g_ij; ``jets`` are
-        # the metric's jets at p, when they were evaluated with other fields
-        g, dg, d2g = metric.jets(p) if jets is None else jets
+        # dg[i, j, k] = d_k g_ij, d2g[i, j, k, l] = d_k d_l g_ij
+        g, dg, d2g = metric.jets(p)
         points = p.reshape(-1, metric.dim)
         check_bound(points, "metric", g, _MAX_METRIC)
         try:
@@ -356,9 +355,9 @@ class Geometry:
 class _PointGeometry(Geometry):
     """The geometry at one point, as :meth:`MetricField.at` builds it."""
 
-    def __init__(self, metric: "MetricField", p: np.ndarray, jets=None):
+    def __init__(self, metric: "MetricField", p: np.ndarray):
         # a constructor of its own: the benchmark's trace reads ``p`` as one point
-        super().__init__(metric, p, jets)
+        super().__init__(metric, p)
 
 
 class MetricField(FieldSpec):
@@ -394,15 +393,15 @@ class MetricField(FieldSpec):
         ]
         return cls.from_entries(rows, dim)
 
-    def at(self, p, jets=None) -> Geometry:
+    def at(self, p) -> Geometry:
         """The geometry at a point ``(dim,)`` or a chunk of points ``(C, dim)``,
-        built afresh; ``jets`` are the metric's jets there if known."""
+        built afresh."""
         pt = np.asarray(p, dtype=float)
         if pt.ndim not in (1, 2) or pt.shape[-1] != self.dim:
             raise ValueError(
                 f"point dimension {pt.shape} does not match chart ({self.dim},)"
             )
-        return (_PointGeometry if pt.ndim == 1 else Geometry)(self, pt, jets)
+        return (_PointGeometry if pt.ndim == 1 else Geometry)(self, pt)
 
 
 # ---------------------------------------------------------------------------

@@ -95,31 +95,22 @@ class EinsteinFit:
 # defining condition
 
 
-def _nabla_f_residual(st: StructureAtPoint, beta: float) -> np.ndarray:
+def _nabla_f_residual(st: StructureAtPoint) -> np.ndarray:
     """(nabla_a f)^k_b - beta { (f^m_a g_mb) xibar^k - etabar_b f^k_a }."""
     lhs = st.nabla_f  # [k, b, a]
     gf = np.einsum("...ma,...mb->...ab", st.f, st.geo.g)
-    rhs = np.asarray(beta)[..., None, None, None] * (
+    rhs = np.asarray(st.beta)[..., None, None, None] * (
         np.einsum("...ab,...k->...kba", gf, st.xibar)
         - np.einsum("...b,...ka->...kba", st.etabar, st.f)
     )
     return lhs - rhs
 
 
-def kenmotsu_residual(st: StructureAtPoint, beta=None) -> dict:
-    """Residual of the defining nabla-f condition, ``{"kenmotsu.12": residual}``.
-
-    ``beta`` overrides the manifold's coefficient and may be an
-    expression (the genuinely twisted case); beta = 0 checks the
-    C-manifold case.
-    """
-    if beta is None:
-        bval = st.m.beta_value(st.point)
-    elif isinstance(beta, ExprAst):
-        bval = beta.jets(st.point)[0]
-    else:
-        bval = float(beta)
-    return {"kenmotsu.12": st.residual(_nabla_f_residual(st, bval), (1, 2))}
+def kenmotsu_residual(st: StructureAtPoint) -> dict:
+    """Residual of the defining nabla-f condition, ``{"kenmotsu.12": residual}``,
+    with the manifold's coefficient, which may be an expression (the
+    genuinely twisted case)."""
+    return {"kenmotsu.12": st.residual(_nabla_f_residual(st), (1, 2))}
 
 
 # ---------------------------------------------------------------------------
@@ -282,21 +273,14 @@ _IDENTITIES = {
 IDENTITY_IDS = tuple(_IDENTITIES)
 
 
-def audit_identities(st: StructureAtPoint, ids=None) -> dict:
+def audit_identities(st: StructureAtPoint) -> dict:
     """Residuals of the curvature/connection identity catalogue, ``{"id.N": residual}``."""
-    if ids is None:
-        ids = IDENTITY_IDS
-    unknown = [i for i in ids if i not in IDENTITY_IDS]
-    if unknown:
-        raise KeyError(f"unknown identity ids: {unknown}")
-    m = st.m
-    if not m.beta_is_constant:
+    if not st.m.beta_is_constant:
         raise ValueError(
             "identity audits require a constant Kenmotsu coefficient; "
             "this manifold carries a coordinate-dependent one"
         )
-    beta = m.beta_value(st.point)
-    return {f"id.{i}": st.residual(_IDENTITIES[i](st, beta)) for i in ids}
+    return {f"id.{i}": st.residual(_IDENTITIES[i](st, st.beta)) for i in IDENTITY_IDS}
 
 
 # ---------------------------------------------------------------------------
@@ -348,14 +332,12 @@ def build_example2(n: int, s: int, beta: float, c: float) -> WeakFManifold:
     )
 
 
-def build_twisted_product(
-    fiber: FiberSpec, s: int, sigma: ExprAst, beta: float | ExprAst | None = None
-) -> WeakFManifold:
+def build_twisted_product(fiber: FiberSpec, s: int, sigma: ExprAst) -> WeakFManifold:
     """Assemble dt^2 (+) sigma^2 gbar with f lifted from the fiber's J.
 
     Q is derived as the lift of -J^2 so that the structure axioms hold by
-    construction; they are still verified at the origin.  When ``beta``
-    is omitted it is inferred as d(log sigma)/dt_1 at the origin.
+    construction; they are still verified at the origin.  beta is inferred
+    as d(log sigma)/dt_1 at the origin.
     """
     if s < 1:
         raise ValueError("need s >= 1")
@@ -365,7 +347,8 @@ def build_twisted_product(
     if sigma.dim != dim:
         raise ValueError("sigma must be an expression over the full chart")
     origin = np.zeros(dim)
-    if ex.evaluate_jet(sigma, origin).value <= 0:
+    value, grad, _ = sigma.jets(origin)
+    if value <= 0:
         raise ValueError("sigma must be positive")
 
     sig2 = ex.powi(sigma, 2)
@@ -395,14 +378,10 @@ def build_twisted_product(
     xi = tuple(FieldSpec.from_entries(np.eye(dim)[two_n + p], dim) for p in range(s))
     eta = tuple(FieldSpec.from_entries(np.eye(dim)[two_n + p], dim) for p in range(s))
 
-    if beta is None:
-        jet = ex.evaluate_jet(sigma, origin)
-        beta = float(jet.gradient[two_n] / jet.value)
-
     m = WeakFManifold(
         n=n,
         s=s,
-        beta=beta,
+        beta=float(grad[two_n] / value),
         c=None,
         metric=metric,
         f=FieldSpec(dim, tuple(map(tuple, f))),
@@ -477,7 +456,7 @@ def eta_einstein_fit(st: StructureAtPoint) -> EinsteinFit:
     m = st.m
     predicted = None
     if m.beta is not None and m.beta_is_constant:
-        beta = m.beta_value(st.point)
+        beta = st.beta
         a_pred = m.s * beta**2 + st.geo.scalar / (2.0 * m.n)
         b_pred = -2.0 * m.n * beta**2 - a_pred
         predicted = (a_pred, b_pred)

@@ -97,7 +97,7 @@ def star_symmetry_gate(st: StructureAtPoint):
 def theorem4_residual(st: StructureAtPoint) -> dict:
     """Compare the definitional Ric* and r* against their Ricci expressions."""
     m = st.m
-    beta = m.beta_value(st.point)
+    beta = st.beta
     s, n = m.s, m.n
     g, Q = st.geo.g, st.Q
 
@@ -155,7 +155,7 @@ def _check_star_symmetric(st: StructureAtPoint) -> None:
 def _cross_residual_33(st: StructureAtPoint, half_lie: np.ndarray, lam, mu) -> float:
     """Residual of the expanded soliton equation written through Ric and Q."""
     g, etaeta, ebar = st.geo.g, st.etaeta, st.ebar
-    beta = st.m.beta_value(st.point)
+    beta = st.beta
     s, n = st.m.s, st.m.n
     ric_q = np.einsum("...am,...mb->...ab", st.geo.ric, st.Q)
     gq = np.einsum("...ma,...mb->...ab", st.Q, g)
@@ -196,7 +196,7 @@ def gradient_soliton_residual(st: StructureAtPoint, sol: SolitonData) -> Soliton
 
     # operator form: nabla_X grad v + Q Ric# X = lam X - s(2n-1) b^2 QX + ...
     m = st.m
-    beta = m.beta_value(st.point)
+    beta = st.beta
     s, n = m.s, m.n
     dim = m.dim
     k = s * (2 * n - 1) * beta**2
@@ -218,7 +218,7 @@ def fit_soliton_constants(m: WeakFManifold, V: FieldSpec, sample):
     points = [np.asarray(p, dtype=float) for p in sample]
     if len(points) < 2:
         raise ValueError("need at least two sample points")
-    structures = list(m.structures(points, (V,)))
+    structures = list(m.structures(points))
     rows, targets = [], []
     for st in structures:
         target = 0.5 * lie_derivative_metric(st.geo, st.jets_of(V)) + st.ric_star
@@ -268,7 +268,7 @@ def lemma2_audit(st: StructureAtPoint, sol: SolitonData) -> dict:
     if sol.V is None:
         raise ValueError("lemma2_audit needs a vector-field potential")
     m = st.m
-    beta = m.beta_value(st.point)
+    beta = st.beta
     s, n = m.s, m.n
     dim = m.dim
     rs = st.geo.ric_sharp

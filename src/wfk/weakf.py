@@ -156,86 +156,55 @@ class WeakFManifold:
     def dim(self) -> int:
         return 2 * self.n + self.s
 
-    def beta_value(self, p):
-        """beta at a point, or at each point of a chunk ``(C, dim)``."""
-        if self.beta is None:
-            raise ValueError("manifold has no Kenmotsu coefficient")
-        if isinstance(self.beta, ExprAst):
-            return self.beta.jets(np.asarray(p, dtype=float))[0]
-        return float(self.beta)
-
     @property
     def beta_is_constant(self) -> bool:
         return not isinstance(self.beta, ExprAst)
 
-    def at(self, p, jets=None, fields=()) -> "StructureAtPoint":
-        """The structure at a point ``(dim,)`` or a chunk ``(C, dim)``, built
-        afresh; ``jets`` are :meth:`jets` there if known, ``fields``
-        ``(field, jets)`` pairs of other fields jetted there."""
+    def at(self, p) -> "StructureAtPoint":
+        """The structure at a point ``(dim,)`` or a chunk ``(C, dim)``, built afresh."""
         pt = np.asarray(p, dtype=float)
         if pt.ndim not in (1, 2) or pt.shape[-1] != self.dim:
             raise ValueError(
                 f"point dimension {pt.shape} does not match chart ({self.dim},)"
             )
-        return StructureAtPoint(self, pt, jets, fields)
+        return StructureAtPoint(self, pt)
 
-    def jets(self, p):
-        """(g, dg, d2g, f, df, Q, dQ, xi, dxi, eta, deta) at a point or at points (P, dim).
-
-        A batch adds a leading axis; xi[..., i, k] = xi_i^k and
-        dxi[..., i, k, a] = d_a xi_i^k, and likewise for eta.
-        """
-        pts = np.asarray(p, dtype=float)
-        metric = self.metric.jets(pts)
-        f, df, _ = self.f.jets(pts)
-        q, dq, _ = self.Q.jets(pts)
-        axis = pts.ndim - 1  # the field index i follows the batch axis
-        vectors = [v.jets(pts)[:2] for v in self.xi]
-        forms = [w.jets(pts)[:2] for w in self.eta]
-        xi, dxi = (np.stack(arrs, axis) for arrs in zip(*vectors))
-        eta, deta = (np.stack(arrs, axis) for arrs in zip(*forms))
-        return (*metric, f, df, q, dq, xi, dxi, eta, deta)
-
-    def structures(self, points, extra=()):
-        """The structures of consecutive chunks of :func:`chunk_size` points.
-        Every field, sigma and each ``extra`` field (a vector field or scalar
-        expression, such as a soliton potential) is jetted once a chunk; see
-        ``jets_of``."""
+    def structures(self, points):
+        """The structures of consecutive chunks of :func:`chunk_size` points."""
         pts = np.asarray(points, dtype=float)
         if not pts.size:
             return
         if pts.shape[1:] != (self.dim,):
             raise ValueError(f"points have shape {pts.shape}, chart is ({self.dim},)")
-        fields = [fld for fld in (self.sigma, *extra) if fld is not None]
         size = chunk_size(self.dim)
         for start in range(0, len(pts), size):
-            chunk = pts[start: start + size]
-            yield self.at(
-                chunk, self.jets(chunk), [(fld, fld.jets(chunk)) for fld in fields]
-            )
+            yield self.at(pts[start: start + size])
 
 
 class StructureAtPoint:
     """Structure tensors, their first derivatives and the geometry at a point
-    or a chunk of points; what is derived from them is cached here, and
-    nothing across chunks."""
+    or a chunk of points; what is derived from them, and the jets of any
+    other field read here (:meth:`jets_of`), is cached here, and nothing
+    across chunks."""
 
-    def __init__(self, m: WeakFManifold, p: np.ndarray, jets=None, fields=()):
+    def __init__(self, m: WeakFManifold, p: np.ndarray):
         self.m = m
-        # dg[i, j, k] = d_k g_ij, df[i, j, k] = d_k f^i_j, dxi[i, k, a] = d_a xi_i^k
-        (
-            g, dg, d2g,
-            self.f, self.df, self.Q, self.dQ, self.xi, self.dxi, self.eta, self.deta
-        ) = m.jets(p) if jets is None else jets
-        points = p.reshape(-1, m.dim)
-        named = [("f", self.f), ("Q", self.Q), ("xi", self.xi), ("eta", self.eta)]
-        named += [("soliton.V", val[0]) for fld, val in fields if isinstance(fld, FieldSpec)]
-        for name, values in named:  # bounded before the geometry is built
-            check_bound(points, name, values, MAX_FIELD)
-        self.geo = m.metric.at(p, (g, dg, d2g))
-        self.point = self.geo.point
+        self.point = p
         self.lead = p.ndim - 1  # batch axes in front of every array
-        self._fields = fields
+        self._points = p.reshape(-1, m.dim)
+        self._jets: dict = {}  # id(field) -> (field, its jets here)
+        # df[i, j, k] = d_k f^i_j; xi[i, k] = xi_i^k and dxi[i, k, a] = d_a xi_i^k,
+        # the field index i after the batch axes, and likewise for eta
+        self.f, self.df, _ = m.f.jets(p)
+        self.Q, self.dQ, _ = m.Q.jets(p)
+        vectors = [v.jets(p)[:2] for v in m.xi]
+        forms = [w.jets(p)[:2] for w in m.eta]
+        self.xi, self.dxi = (np.stack(arrs, self.lead) for arrs in zip(*vectors))
+        self.eta, self.deta = (np.stack(arrs, self.lead) for arrs in zip(*forms))
+        named = [("f", self.f), ("Q", self.Q), ("xi", self.xi), ("eta", self.eta)]
+        for name, values in named:  # bounded before the geometry is built
+            check_bound(self._points, name, values, MAX_FIELD)
+        self.geo = m.metric.at(p)
         self.xibar = self.xi.sum(axis=-2)
         self.etabar = self.eta.sum(axis=-2)
         self.Qtilde = self.Q - np.eye(m.dim)
@@ -245,12 +214,25 @@ class StructureAtPoint:
         return tensor_residual(t, probe_slots, self.lead)
 
     def jets_of(self, field):
-        """(value, d, d2) of a vector field or scalar expression at the point,
-        from the batch that built this structure if it covered ``field``."""
-        for known, jets in self._fields:
-            if known is field:
-                return jets
-        return field.jets(self.point)
+        """(value, d, d2) of a vector field or scalar expression here, jetted
+        the first time it is read.  A vector field (the soliton's V) is
+        bounded by :data:`MAX_FIELD` before any use."""
+        known = self._jets.get(id(field))
+        if known is None:
+            jets = field.jets(self.point)
+            if isinstance(field, FieldSpec):
+                check_bound(self._points, "soliton.V", jets[0], MAX_FIELD)
+            known = self._jets[id(field)] = (field, jets)
+        return known[1]
+
+    @cached_property
+    def beta(self):
+        """The Kenmotsu coefficient here: the constant, or an expression's
+        value at each point."""
+        beta = self.m.beta
+        if beta is None:
+            raise ValueError("manifold has no Kenmotsu coefficient")
+        return self.jets_of(beta)[0] if isinstance(beta, ExprAst) else float(beta)
 
     @cached_property
     def etaeta(self) -> np.ndarray:
@@ -446,7 +428,7 @@ def theorem1_check(st: StructureAtPoint) -> dict:
         + np.einsum("...am,...mbk->...abk", st.geo.g, st.df)
     )
     phi = np.einsum("...am,...mb->...ab", st.geo.g, st.f)  # Phi(X, Y) = g(X, fY)
-    beta = np.asarray(st.m.beta_value(st.point))[..., None, None, None]
+    beta = np.asarray(st.beta)[..., None, None, None]
     rhs = 2.0 * beta * wedge_1form_2form(st.etabar, phi)
     return {
         "n1": st.residual(n1, (1, 2)),

@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import importlib
 import importlib.util
 import inspect
@@ -12,9 +13,9 @@ from wfk import expr as ex
 from wfk import weakf
 from wfk.checks import _RUNNERS, CATALOGUE, CheckContext, applicable_ids, run_check_ids
 from wfk.geometry import FieldSpec
-from wfk.kenmotsu import FiberSpec, build_example2, build_twisted_product
-from wfk.star_soliton import SolitonData
-from wfk.weakf import TOLERANCES
+from wfk.kenmotsu import FiberSpec, build_example2, build_twisted_product, kenmotsu_residual
+from wfk.star_soliton import SolitonData, contact_fit, lemma2_audit, soliton_residual
+from wfk.weakf import TOLERANCES, theorem1_check
 
 from conftest import seeded_points
 
@@ -190,3 +191,35 @@ def test_at_most_one_jet_evaluation_per_point(make_ctx, monkeypatch):
         assert calls["third"] <= count
         counts.append(calls["order2"])
     assert counts[0] == counts[1]
+
+
+@pytest.fixture
+def tape_runs(monkeypatch):
+    """Runs of each tape, by id, from here on."""
+    runs = Counter()
+    evaluate_jet = ex.evaluate_jet
+
+    def counted(tape, points, third=False):
+        runs[id(tape)] += 1
+        return evaluate_jet(tape, points, third)
+
+    monkeypatch.setattr(ex, "evaluate_jet", counted)
+    return runs
+
+
+def test_a_potential_is_jetted_once_per_structure(tape_runs):
+    ctx = _example2_V()
+    st = ctx.manifold.at(seeded_points(4, count=1, seed=31)[0])
+    soliton_residual(st, ctx.soliton)
+    contact_fit(st, ctx.soliton.V)
+    lemma2_audit(st, ctx.soliton)
+    assert tape_runs[id(ctx.soliton.V.tape)] == 1
+
+
+def test_an_expression_beta_is_jetted_once_per_structure(tape_runs):
+    beta = ex.parse_expression("1+0.1*x1", 4)
+    m = dataclasses.replace(build_example2(1, 2, 1.0, 1.0), beta=beta)
+    st = m.at(seeded_points(4, count=1, seed=31)[0])
+    theorem1_check(st)
+    kenmotsu_residual(st)
+    assert tape_runs[id(beta.tape)] == 1

@@ -196,6 +196,16 @@ class TestCheck:
         assert main(["check", manifest_path, "--only", "nope"]) == 2
         assert "nope" in capsys.readouterr().err
 
+    def test_empty_only_list(self, manifest_path, capsys):
+        assert main(["check", manifest_path, "--only", ","]) == 2
+        assert "error: --only: no check ids" in capsys.readouterr().err
+
+    def test_empty_manifest_check_list(self, manifest_path, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(_mutated(_load(manifest_path), ("checks",), [])))
+        assert main(["check", str(bad)]) == 2
+        assert "error: checks: expected a non-empty list" in capsys.readouterr().err
+
     def test_audits_never_fail_the_run(self, manifest_path, tmp_path):
         report_path = str(tmp_path / "report.json")
         code = main(
@@ -445,6 +455,28 @@ class TestInputBounds:
         manifest.write_text(json.dumps(_mutated(_load(manifest), path, entry)))
         out = str(manifest) + ".r"
         assert main(["check", str(manifest), "--points", "2", "--out", out]) in (0, 1)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "edits",
+        [
+            [(("metric", 0, 0), 1e150), (("f", 0, 1), 1e100)],
+            [(("beta",), 1e76), (("eta", 0, 0), 1e10)],
+        ],
+        ids=["metric-and-f", "beta-and-eta"],
+    )
+    def test_inputs_within_their_bounds_that_overflow_together(self, tmp_path, capsys, edits):
+        # each value is within its own bound; together they overflowed in
+        # id.27 and in lemma2.34's beta^4 term, warned and exited 1
+        manifest = tmp_path / "e2.json"
+        assert main(["example2", "1", "1", "1.0", "1.0", "--out", str(manifest)]) == 0
+        data = _load(manifest)
+        for path, value in edits:
+            data = _mutated(data, path, value)
+        manifest.write_text(json.dumps(data))
+        assert main(["check", str(manifest), "--points", "2"]) == 2
+        err = capsys.readouterr().err
+        assert "error: the inputs are too large together" in err and "Traceback" not in err
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("sigma", ["x1^400", "x1", "0*x1"])

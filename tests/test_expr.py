@@ -20,7 +20,7 @@ from wfk.expr import (
 class TestParsing:
     def test_zero_literal(self):
         ast = parse_expression("0", 4)
-        assert evaluate_jet(ast, np.zeros(4)).value == 0.0
+        assert ast.jets(np.zeros(4))[0] == 0.0
 
     def test_exp_of_scaled_sum(self):
         ast = parse_expression("exp(2*(x3+x4))", 4)
@@ -49,49 +49,49 @@ class TestParsing:
 
     def test_precedence(self):
         ast = parse_expression("1+2*x1^2", 2)
-        assert evaluate_jet(ast, np.array([3.0, 0.0])).value == 19.0
+        assert ast.jets(np.array([3.0, 0.0]))[0] == 19.0
 
     def test_unary_minus(self):
         ast = parse_expression("-x1*x2", 2)
-        assert evaluate_jet(ast, np.array([2.0, 5.0])).value == -10.0
+        assert ast.jets(np.array([2.0, 5.0]))[0] == -10.0
 
 
 class TestJets:
     def test_exp_hand_values(self):
         ast = parse_expression("exp(2*(x3+x4))", 4)
-        jet = evaluate_jet(ast, np.zeros(4))
-        assert jet.value == pytest.approx(1.0)
-        assert jet.gradient == pytest.approx([0.0, 0.0, 2.0, 2.0])
-        assert jet.hessian[2:, 2:] == pytest.approx(4.0 * np.ones((2, 2)))
-        assert np.all(jet.hessian[:2, :] == 0.0)
+        value, grad, hess = ast.jets(np.zeros(4))
+        assert value == pytest.approx(1.0)
+        assert grad == pytest.approx([0.0, 0.0, 2.0, 2.0])
+        assert hess[2:, 2:] == pytest.approx(4.0 * np.ones((2, 2)))
+        assert np.all(hess[:2, :] == 0.0)
 
     def test_constant(self):
-        jet = evaluate_jet(parse_expression("5", 3), np.ones(3))
-        assert jet.value == 5.0
-        assert np.all(jet.gradient == 0.0)
-        assert np.all(jet.hessian == 0.0)
+        value, grad, hess = parse_expression("5", 3).jets(np.ones(3))
+        assert value == 5.0
+        assert np.all(grad == 0.0)
+        assert np.all(hess == 0.0)
 
     def test_product(self):
-        jet = evaluate_jet(parse_expression("x1*x2", 4), np.array([1.0, 2.0, 0, 0]))
-        assert jet.value == 2.0
-        assert jet.gradient == pytest.approx([2.0, 1.0, 0.0, 0.0])
+        value, grad, hess = parse_expression("x1*x2", 4).jets(np.array([1.0, 2.0, 0, 0]))
+        assert value == 2.0
+        assert grad == pytest.approx([2.0, 1.0, 0.0, 0.0])
         expected = np.zeros((4, 4))
         expected[0, 1] = expected[1, 0] = 1.0
-        assert jet.hessian == pytest.approx(expected)
+        assert hess == pytest.approx(expected)
 
     def test_hessian_exactly_symmetric(self):
         ast = parse_expression("exp(x1*x2)+sqrt(1+x1^2)/(2+x2^2)", 2)
-        jet = evaluate_jet(ast, np.array([0.3, -0.7]))
-        assert np.array_equal(jet.hessian, jet.hessian.T)
+        hess = ast.jets(np.array([0.3, -0.7]))[2]
+        assert np.array_equal(hess, hess.T)
 
     def test_domain_errors_carry_span(self):
         with pytest.raises(ExprDomainError) as err:
-            evaluate_jet(parse_expression("1/x1", 1), np.zeros(1)).value
+            parse_expression("1/x1", 1).jets(np.zeros(1))
         assert err.value.span == (0, 4)
         with pytest.raises(ExprDomainError):
-            evaluate_jet(parse_expression("log(x1)", 1), np.zeros(1)).value
+            parse_expression("log(x1)", 1).jets(np.zeros(1))
         with pytest.raises(ExprDomainError):
-            evaluate_jet(parse_expression("sqrt(-1+x1)", 1), np.zeros(1)).value
+            parse_expression("sqrt(-1+x1)", 1).jets(np.zeros(1))
 
 
 def _random_ast(rng, dim, depth):
@@ -141,23 +141,20 @@ class TestDerivativeProperty:
             ast = _random_ast(rng, dim, 3)
             p = rng.uniform(-0.8, 0.8, dim)
             try:
-                jet = evaluate_jet(ast, p)
+                value, grad, hess = ast.jets(p)
             except ExprDomainError:
                 continue
-            if abs(jet.value) > 1e6 or np.abs(jet.hessian).max() > 1e6:
+            if abs(value) > 1e6 or np.abs(hess).max() > 1e6:
                 continue
-            scale = max(1.0, abs(jet.value), np.abs(jet.gradient).max())
+            scale = max(1.0, abs(value), np.abs(grad).max())
             for a in range(dim):
                 dp = np.zeros(dim)
                 dp[a] = step
-                fd = (
-                    evaluate_jet(ast, p + dp).value - evaluate_jet(ast, p - dp).value
-                ) / (2 * step)
-                assert jet.gradient[a] == pytest.approx(fd, rel=1e-6, abs=1e-6 * scale)
-                gplus = evaluate_jet(ast, p + dp).gradient
-                gminus = evaluate_jet(ast, p - dp).gradient
+                (vplus, gplus, _), (vminus, gminus, _) = ast.jets(p + dp), ast.jets(p - dp)
+                fd = (vplus - vminus) / (2 * step)
+                assert grad[a] == pytest.approx(fd, rel=1e-6, abs=1e-6 * scale)
                 fd_row = (gplus - gminus) / (2 * step)
-                assert jet.hessian[a] == pytest.approx(
+                assert hess[a] == pytest.approx(
                     fd_row, rel=1e-6, abs=1e-6 * scale
                 )
             checked += 1
@@ -173,10 +170,10 @@ class TestRoundTrip:
             assert to_source(reparsed) == src
             p = rng.uniform(-0.5, 0.5, 3)
             try:
-                v1 = evaluate_jet(ast, p).value
+                v1 = ast.jets(p)[0]
             except ExprDomainError:
                 continue
-            assert evaluate_jet(reparsed, p).value == pytest.approx(v1, rel=1e-12)
+            assert reparsed.jets(p)[0] == pytest.approx(v1, rel=1e-12)
 
     @settings(max_examples=200, deadline=None)
     @given(st.text(st.characters(codec="ascii"), max_size=40))
@@ -194,14 +191,14 @@ class TestThirdOrder:
             ast = _random_ast(rng, 3, 3)
             p = rng.uniform(-0.8, 0.8, 3)
             try:
-                two = evaluate_jet(ast, p)
+                two = ast.jets(p)
             except ExprDomainError:
                 continue
-            three = evaluate_jet(ast, p, third=True)
-            assert two.third is None
-            assert three.value == two.value
-            assert np.array_equal(three.gradient, two.gradient)
-            assert np.array_equal(three.hessian, two.hessian)
+            three = ast.jets(p, third=True)
+            assert len(two) == 3
+            assert three[0] == two[0]
+            assert np.array_equal(three[1], two[1])
+            assert np.array_equal(three[2], two[2])
 
     def test_matches_sympy(self):
         sympy = pytest.importorskip("sympy")
@@ -244,7 +241,7 @@ class TestThirdOrder:
         checked = 0
         for ast, p in cases:
             try:
-                jet = evaluate_jet(ast, p, third=True)
+                third = _dense3(ast.tape, ast.jets(p, third=True)[3])
             except ExprDomainError:
                 continue
             f = to_sympy(ast.root)
@@ -255,16 +252,16 @@ class TestThirdOrder:
                 for perm in itertools.permutations(idx):
                     want[perm] = float(d)
             scale = max(1.0, np.abs(want).max())
-            assert np.abs(jet.third - want).max() <= 1e-12 * scale, to_source(ast)
+            assert np.abs(third - want).max() <= 1e-12 * scale, to_source(ast)
             checked += 1
         assert checked >= 50
 
     def test_square_at_zero(self):
         # the third coefficient of x^2 is 0; x^(2-3) must not be evaluated
-        jet = evaluate_jet(parse_expression("x1^2", 1), np.zeros(1), third=True)
-        assert np.all(jet.third == 0.0)
-        jet = evaluate_jet(parse_expression("x1^3", 1), np.zeros(1), third=True)
-        assert jet.third[0, 0, 0] == 6.0
+        d3 = parse_expression("x1^2", 1).jets(np.zeros(1), third=True)[3]
+        assert np.all(d3 == 0.0)
+        d3 = parse_expression("x1^3", 1).jets(np.zeros(1), third=True)[3]
+        assert d3[0, 0, 0] == 6.0
 
 
 class TestNonFinite:
@@ -272,23 +269,23 @@ class TestNonFinite:
     def test_exp_overflow_is_domain_error(self, third):
         ast = parse_expression("1+exp(exp(x1+10))", 2)
         with pytest.raises(ExprDomainError) as err:
-            evaluate_jet(ast, np.zeros(2), third=third)
+            ast.jets(np.zeros(2), third=third)
         assert err.value.span == (2, 17)
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_exp_derivative_overflow_is_domain_error(self):
         # value finite, Hessian 4 e^709 overflows
         with pytest.raises(ExprDomainError):
-            evaluate_jet(parse_expression("exp(2*x1+709)", 1), np.zeros(1))
+            parse_expression("exp(2*x1+709)", 1).jets(np.zeros(1))
         # value, gradient and Hessian finite; only the third order overflows
         ast = parse_expression("exp(1.5*x1+708.9)", 1)
-        assert np.isfinite(evaluate_jet(ast, np.zeros(1)).hessian).all()
+        assert np.isfinite(ast.jets(np.zeros(1))[2]).all()
         with pytest.raises(ExprDomainError):
-            evaluate_jet(ast, np.zeros(1), third=True)
+            ast.jets(np.zeros(1), third=True)
 
     def test_power_overflow_is_domain_error(self):
         with pytest.raises(ExprDomainError):
-            evaluate_jet(parse_expression("exp(x1+200)^4", 1), np.zeros(1))
+            parse_expression("exp(x1+200)^4", 1).jets(np.zeros(1))
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize(
@@ -304,11 +301,11 @@ class TestNonFinite:
         # the value is finite; a derivative overflows at that order
         ast = parse_expression("2+" + text, 1)
         with pytest.raises(ExprDomainError) as err:
-            evaluate_jet(ast, [x], third=third)
+            ast.jets([x], third=third)
         assert err.value.span == (2, 2 + len(text))
         assert f"{order} derivative is not finite" in err.value.message
         if third and order == "third":
-            assert np.isfinite(evaluate_jet(ast, [x]).hessian).all()
+            assert np.isfinite(ast.jets([x])[2]).all()
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("third", [False, True])
@@ -323,7 +320,7 @@ class TestNonFinite:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_folded_constant_is_domain_error(self):
         with pytest.raises(ExprDomainError) as err:
-            evaluate_jet(parse_expression("x1+1e300*1e300", 1), [1.0])
+            parse_expression("x1+1e300*1e300", 1).jets([1.0])
         assert err.value.span == (3, 14)
 
     @pytest.mark.parametrize("text", ["1e999", "x1+1E400", "2*.5e309"])
@@ -356,9 +353,9 @@ class TestDepthLimit:
         assert to_source(parens) == "x1+x2"
         calls = parse_expression("sqrt(" * 150 + "2+x1" + ")" * 150, 2)
         assert parse_expression(to_source(calls), 2) == calls
-        jet = evaluate_jet(calls, np.array([0.5, 0.0]), third=True)
-        assert jet.value == pytest.approx(2.5 ** (0.5**150))
-        assert np.isfinite(jet.third).all()
+        value, *_, d3 = calls.jets(np.array([0.5, 0.0]), third=True)
+        assert value == pytest.approx(2.5 ** (0.5**150))
+        assert np.isfinite(d3).all()
 
 
 def _bits(*arrays) -> list[bytes]:
@@ -392,14 +389,12 @@ class TestTape:
                 # alone, an expression's jets run over its own support: the
                 # same bits there, and a structural +0.0 where the shared
                 # tape may hold a -0.0
-                jet = evaluate_jet(ast, p, third)
-                single = (jet.value, jet.gradient, jet.hessian, jet.third)
+                single = list(ast.jets(p, third))
                 got = [arr[i, k] for arr in batch]
                 if third:
                     got[3] = _dense3(tape, got[3])
-                assert _bits(*(a + 0.0 for a in got)) == _bits(
-                    *(a + 0.0 for a in single[: len(batch)])
-                )
+                    single[3] = _dense3(ast.tape, single[3])
+                assert _bits(*(a + 0.0 for a in got)) == _bits(*(a + 0.0 for a in single))
 
     def test_exp_log_and_powers_round_like_python_floats(self):
         # reports stay byte-identical only if every point gets math.exp,
@@ -451,10 +446,10 @@ class TestTape:
     def test_constant_domain_errors_keep_their_order(self):
         ast = parse_expression("log(x1)+1/0", 1)
         with pytest.raises(ExprDomainError) as err:
-            evaluate_jet(ast, np.array([-1.0]))
+            ast.jets(np.array([-1.0]))
         assert err.value.span == (0, 7)
         with pytest.raises(ExprDomainError) as err:
-            evaluate_jet(ast, np.array([1.0]))
+            ast.jets(np.array([1.0]))
         assert err.value.span == (8, 11)
 
     def test_points_must_match_the_tape(self):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -29,7 +31,8 @@ class TestDefiningCondition:
             assert kenmotsu_residual(e2.at(p))["kenmotsu.12"] < 1e-8
 
     def test_wrong_coefficient_is_rejected(self, e2):
-        assert kenmotsu_residual(e2.at(O), beta=2.0)["kenmotsu.12"] > 0.5
+        wrong = dataclasses.replace(e2, beta=2.0)
+        assert kenmotsu_residual(wrong.at(O))["kenmotsu.12"] > 0.5
 
     def test_constant_structure_product(self):
         m = _flat_product([1.0], 1, 3)
@@ -45,7 +48,7 @@ class TestIdentityAudit:
                 assert r <= TOLERANCES[cid], (cid, r)
 
     def test_jet_exact_identity(self, e2):
-        assert audit_identities(e2.at(O), ids=("13",))["id.13"] < 1e-10
+        assert audit_identities(e2.at(O))["id.13"] < 1e-10
 
     def test_ricci_operator_on_reeb_field(self, e2):
         st = e2.at(O)
@@ -55,10 +58,6 @@ class TestIdentityAudit:
     def test_tolerances_by_kind(self, e2):
         for cid in audit_identities(e2.at(O)):
             assert TOLERANCES[cid] == 1e-8
-
-    def test_unknown_identity_id(self, e2):
-        with pytest.raises(KeyError):
-            audit_identities(e2.at(O), ids=("99",))
 
     def test_second_parameter_set(self):
         m = example_manifold(2, 2, 0.5, 1.0)
