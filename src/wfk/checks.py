@@ -172,7 +172,14 @@ def run_check_ids(ctx: CheckContext, ids, points) -> dict[str, np.ndarray]:
     for st in ctx.manifold.structures(points):
         stop = start + len(st.point)
         for group in groups:
-            for cid, residual in ctx.group_reports(group, st).items():
+            try:
+                residuals = ctx.group_reports(group, st)
+            except FloatingPointError as err:  # raised under np.errstate
+                raise FloatingPointError(
+                    f"{err} (check group {group!r}, chunk from point "
+                    f"{st.point[0].tolist()})"
+                ) from err
+            for cid, residual in residuals.items():
                 if cid in table:
                     table[cid][start:stop] = residual  # a per-run value fills the chunk
         start = stop

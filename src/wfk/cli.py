@@ -213,7 +213,7 @@ def manifold_from_manifest(data: dict):
     # dual-basis validation at the origin
     origin = np.zeros(dim)
     st = m.at(origin)
-    pairing = np.einsum("ik,jk->ij", st.eta, st.xi)
+    pairing = st.eta @ st.xi.T
     if np.abs(pairing - np.eye(s)).max() > 1e-8:
         raise ManifestError("axiom eta^i(xi_j) = delta violated at validation")
 
@@ -367,6 +367,18 @@ def _report_json(head: dict, points, checks, tail: dict) -> tuple[str, dict]:
     literal = ("false", "true")
     summary = {"pass": 0, "fail": 0, "flagged": 0}
     records = []
+    memo: dict = {}  # (residual, its sign) -> text, so -0.0 stays apart from 0.0
+
+    def number(x: float) -> str:
+        """:func:`_number`, once per distinct residual; NaN is never kept."""
+        if x != x:
+            return _number(x)
+        key = (x, math.copysign(1.0, x))
+        text = memo.get(key)
+        if text is None:
+            text = memo[key] = _number(x)
+        return text
+
     for cid, column, tol, audit in checks:
         passed = column <= tol
         n_pass = int(np.count_nonzero(passed))
@@ -379,7 +391,7 @@ def _report_json(head: dict, points, checks, tail: dict) -> tuple[str, dict]:
         middle = f',\n      "tolerance": {_number(tol)},\n      "pass": '
         end = f',\n      "audit": {literal[audit]}\n    }}'
         records += [
-            f'{start}{block},\n      "residual": {_number(r)}{middle}{literal[ok]}{end}'
+            f'{start}{block},\n      "residual": {number(r)}{middle}{literal[ok]}{end}'
             for block, r, ok in zip(blocks, column.tolist(), passed.tolist())
         ]
     fields = []

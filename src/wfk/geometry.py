@@ -6,7 +6,10 @@ curvature, nabla Ric# and d(scal)) are built from third-order jets at the
 same point, so every quantity at a point needs one :class:`Geometry`.
 A geometry holds one point or a chunk of points: every array carries the
 batch shape in front (``()`` or ``(C,)``), and every formula is written
-over it with ``...`` einsums or broadcasting ``@``.
+over it.  Throughout the package a matrix product is a broadcasting ``@``,
+every other contraction that sums an index shared by two operands is
+:func:`contract` (one BLAS matmul), and ``np.einsum`` only permutes, takes
+traces and diagonals and forms outer products.
 Functions of a vector field or a potential take its jets ``(value, d, d2)``
 at the point, so a field jetted once there serves every function that reads it.
 
@@ -70,7 +73,7 @@ def check_bound(points: np.ndarray, name: str, values: np.ndarray, bound: float)
     q = int(np.argmax(~(size <= bound)))  # NaN is beyond it too
     if not size[q] <= bound:
         raise MetricError(
-            f"{name} value {size[q]:g} exceeds {bound:g} at point {points[q].tolist()}"
+            f"{name} value {float(size[q])!r} exceeds {bound:g} at point {points[q].tolist()}"
         )
 
 
@@ -132,35 +135,41 @@ class FieldSpec:
 
 
 @lru_cache(maxsize=None)
-def _matmul_plan(subscripts: str):
-    """Each operand's axis order (kept then summed; summed then kept), the
-    output order of the matmul's axes and the number of summed indices."""
+def _contract_plan(subscripts: str, ndim_a: int, ndim_b: int):
+    """:func:`contract`'s layout for operands of these ranks: the axis orders
+    (batch, kept, summed) of ``a`` and (batch, summed, kept) of ``b``, the
+    order from (batch, kept of a, kept of b) to the output, and where each
+    operand's batch axes end and its kept or summed axes start."""
     operands, out = subscripts.replace("...", "").split("->")
     sa, sb = operands.split(",")
     summed = [x for x in sa if x in sb]
-    kept = [x for x in sa if x not in sb], [x for x in sb if x not in sa]
-    order_a = [sa.index(x) - len(sa) for x in kept[0] + summed]
-    order_b = [sb.index(x) - len(sb) for x in summed + kept[1]]
-    order_out = [(kept[0] + kept[1]).index(x) - len(out) for x in out]
-    return order_a, order_b, order_out, len(summed)
+    kept = [x for x in sa if x not in sb] + [x for x in sb if x not in sa]
+    lead_a, lead_b = ndim_a - len(sa), ndim_b - len(sb)
+    lead = max(lead_a, lead_b)
+    perm_a = (*range(lead_a), *(lead_a + sa.index(x) for x in kept + summed if x in sa))
+    perm_b = (*range(lead_b), *(lead_b + sb.index(x) for x in summed + kept if x in sb))
+    perm_out = (*range(lead), *(lead + kept.index(x) for x in out))
+    split_a = ndim_a - len(summed)
+    return perm_a, perm_b, perm_out, lead_a, split_a, lead_b, lead_b + len(summed)
 
 
 def contract(subscripts: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``np.einsum(subscripts, a, b)`` as one matmul over the batch axes ``...``.
 
     An index of both operands is summed and every other index is kept, so
-    BLAS does the sums, as in ``np.tensordot``.
+    BLAS does the sums.  The plan is made once per subscripts and ranks: a
+    call is a transpose and a reshape of each operand, one ``@`` and the
+    output's reshape and transpose.
     """
-    order_a, order_b, order_out, n_sum = _matmul_plan(subscripts)
-    a = np.moveaxis(a, order_a, range(-len(order_a), 0))
-    b = np.moveaxis(b, order_b, range(-len(order_b), 0))
-    lead_a, lead_b = a.ndim - len(order_a), b.ndim - len(order_b)
-    kept_a, kept_b = a.shape[lead_a: a.ndim - n_sum], b.shape[lead_b + n_sum:]
-    size = math.prod(a.shape[a.ndim - n_sum:])  # 0 for an empty support
+    perm_a, perm_b, perm_out, lead_a, split_a, lead_b, split_b = _contract_plan(
+        subscripts, a.ndim, b.ndim
+    )
+    a, b = a.transpose(perm_a), b.transpose(perm_b)
+    kept_a, kept_b = a.shape[lead_a:split_a], b.shape[split_b:]
+    size = math.prod(b.shape[lead_b:split_b])  # 0 for an empty support
     a = a.reshape(a.shape[:lead_a] + (math.prod(kept_a), size))
     out = a @ b.reshape(b.shape[:lead_b] + (size, math.prod(kept_b)))
-    kept = kept_a + kept_b
-    return np.moveaxis(out.reshape(out.shape[:-2] + kept), order_out, range(-len(order_out), 0))
+    return out.reshape(out.shape[:-2] + kept_a + kept_b).transpose(perm_out)
 
 
 def _core(dg: np.ndarray) -> np.ndarray:
@@ -206,7 +215,7 @@ class Geometry:
     @cached_property
     def gamma(self) -> np.ndarray:
         # 0.5 g^{kl} (d_i g_jl + d_j g_il - d_l g_ij)
-        return 0.5 * np.einsum("...kl,...lij->...kij", self.ginv, _core(self.dg))
+        return 0.5 * contract("...kl,...lij->...kij", self.ginv, _core(self.dg))
 
     @cached_property
     def dginv(self) -> np.ndarray:
@@ -221,8 +230,8 @@ class Geometry:
         d2g = self.d2g
         dcore = np.einsum("...jlim->...lijm", d2g) + np.einsum("...iljm->...lijm", d2g)
         dcore -= np.einsum("...ijlm->...lijm", d2g)
-        out = np.einsum("...kl,...lijm->...kijm", self.ginv, dcore)
-        out += np.einsum("...klm,...lij->...kijm", self.dginv, _core(self.dg))
+        out = contract("...kl,...lijm->...kijm", self.ginv, dcore)
+        out += contract("...klm,...lij->...kijm", self.dginv, _core(self.dg))
         out *= 0.5
         return out
 
@@ -230,7 +239,7 @@ class Geometry:
     def riem(self) -> np.ndarray:
         """riem[l, i, j, k] = component of R(e_i, e_j) e_k along e_l."""
         gam, dgam = self.gamma, self.dgamma
-        term = np.einsum("...lim,...mjk->...lijk", gam, gam)
+        term = contract("...lim,...mjk->...lijk", gam, gam)
         term += np.einsum("...ljki->...lijk", dgam)
         return term - np.einsum("...lijk->...ljik", term)
 
@@ -244,7 +253,7 @@ class Geometry:
 
     @property
     def scalar(self):
-        return np.einsum("...jk,...jk->...", self.ginv, self.ric)
+        return contract("...jk,...jk->...", self.ginv, self.ric)
 
     @cached_property
     def support(self) -> np.ndarray:
@@ -284,8 +293,8 @@ class Geometry:
         t_tr = trace(ginv, (1, n * n, k**3), s, s, s)  # [k, j, n]
         dgu = contract("...ia,...abn->...ibn", ginv, dg)  # g^ia d_n g_ab
         u = np.einsum("...ibi->...b", dgu)
-        d2u = np.einsum("...ai,...abin->...bn", ginv, d2g)
-        gamu = np.einsum("...ai,...bik->...abk", ginv, gam)  # g^ai G^b_ik
+        d2u = contract("...ai,...abin->...bn", ginv, d2g)
+        gamu = contract("...ai,...bik->...abk", ginv, gam)  # g^ai G^b_ik
         # e[j, k, n] = g^ia d_j g_ab d_n G^b_ik
         e = contract("...ibj,...bikn->...jkn", dgu, dgam)
         # d_n d_i G^i_jk - d_n d_j G^i_ik, less -(g^ia d_in g_ab) G^b_jk and
@@ -333,7 +342,7 @@ class Geometry:
     @cached_property
     def dric_sharp(self) -> np.ndarray:
         """dric_sharp[k, j, n] = d_n (Ric#)^k_j = d_n g^km Ric_mj + g^km d_n Ric_mj."""
-        return np.einsum("...kmn,...mj->...kjn", self.dginv, self.ric) + np.einsum(
+        return contract("...kmn,...mj->...kjn", self.dginv, self.ric) + contract(
             "...km,...mjn->...kjn", self.ginv, self.dric
         )
 
@@ -343,13 +352,13 @@ class Geometry:
         gam, rs = self.gamma, self.ric_sharp
         return (
             self.dric_sharp
-            + np.einsum("...kam,...mj->...kja", gam, rs)
-            - np.einsum("...maj,...km->...kja", gam, rs)
+            + contract("...kam,...mj->...kja", gam, rs)
+            - contract("...maj,...km->...kja", gam, rs)
         )
 
     def scalar_derivative(self, v: np.ndarray):
         """d(scal)(v), the trace of d(Ric#) along v."""
-        return np.einsum("...n,...n->...", np.einsum("...kkn->...n", self.dric_sharp), v)
+        return contract("...n,...n->...", np.einsum("...kkn->...n", self.dric_sharp), v)
 
 
 class _PointGeometry(Geometry):
@@ -412,16 +421,16 @@ def lie_derivative_metric(geo: Geometry, V) -> np.ndarray:
     """L_V g from the jets ``(v, dv, ...)`` of V at the point."""
     v, dv = V[:2]
     return (
-        np.einsum("...k,...ijk->...ij", v, geo.dg)
-        + np.einsum("...kj,...ki->...ij", geo.g, dv)
-        + np.einsum("...ik,...kj->...ij", geo.g, dv)
+        contract("...k,...ijk->...ij", v, geo.dg)
+        + contract("...kj,...ki->...ij", geo.g, dv)
+        + geo.g @ dv
     )
 
 
 def lie_derivative_1form(geo: Geometry, omega, V) -> np.ndarray:
     """L_V omega from the jets ``(w, dw, ...)`` of omega and ``(v, dv, ...)`` of V."""
     (w, dw), (v, dv) = omega[:2], V[:2]
-    return np.einsum("...ji,...i->...j", dw, v) + np.einsum("...k,...ki->...i", w, dv)
+    return contract("...ji,...i->...j", dw, v) + contract("...k,...ki->...i", w, dv)
 
 
 def coboundary_2form(dphi: np.ndarray) -> np.ndarray:
@@ -432,8 +441,8 @@ def coboundary_2form(dphi: np.ndarray) -> np.ndarray:
 def gradient_and_hessian(geo: Geometry, v) -> tuple[np.ndarray, np.ndarray]:
     """grad v and Hess v from the jets ``(value, d, d2)`` of a potential v."""
     _, dv, d2v = v
-    grad = np.einsum("...kl,...l->...k", geo.ginv, dv)
-    return grad, d2v - np.einsum("...kij,...k->...ij", geo.gamma, dv)
+    grad = contract("...kl,...l->...k", geo.ginv, dv)
+    return grad, d2v - contract("...kij,...k->...ij", geo.gamma, dv)
 
 
 def _lie_connection_components(geo: Geometry, V) -> np.ndarray:
@@ -441,19 +450,19 @@ def _lie_connection_components(geo: Geometry, V) -> np.ndarray:
     v, dv, d2v = V
     gam, dgam = geo.gamma, geo.dgamma
     # A^k_j = nabla_j V^k
-    a = dv + np.einsum("...kjm,...m->...kj", gam, v)
+    a = dv + contract("...kjm,...m->...kj", gam, v)
     # da[k, j, i] = d_i A^k_j (the V-Hessian block is symmetric in (j, i))
     da = (
         d2v
-        + np.einsum("...kjmi,...m->...kji", dgam, v)
-        + np.einsum("...kjm,...mi->...kji", gam, dv)
+        + contract("...kjmi,...m->...kji", dgam, v)
+        + contract("...kjm,...mi->...kji", gam, dv)
     )
     nabla_a = (
         np.einsum("...kji->...kij", da)
-        + np.einsum("...kim,...mj->...kij", gam, a)
-        - np.einsum("...mij,...km->...kij", gam, a)
+        + contract("...kim,...mj->...kij", gam, a)
+        - contract("...mij,...km->...kij", gam, a)
     )
-    return nabla_a + np.einsum("...kmij,...m->...kij", geo.riem, v)
+    return nabla_a + contract("...kmij,...m->...kij", geo.riem, v)
 
 
 def lie_derivative_connection(geo: Geometry, V) -> np.ndarray:

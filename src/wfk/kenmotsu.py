@@ -98,7 +98,7 @@ class EinsteinFit:
 def _nabla_f_residual(st: StructureAtPoint) -> np.ndarray:
     """(nabla_a f)^k_b - beta { (f^m_a g_mb) xibar^k - etabar_b f^k_a }."""
     lhs = st.nabla_f  # [k, b, a]
-    gf = np.einsum("...ma,...mb->...ab", st.f, st.geo.g)
+    gf = contract("...ma,...mb->...ab", st.f, st.geo.g)
     rhs = np.asarray(st.beta)[..., None, None, None] * (
         np.einsum("...ab,...k->...kba", gf, st.xibar)
         - np.einsum("...b,...ka->...kba", st.etabar, st.f)
@@ -122,7 +122,7 @@ def _bracket(st: StructureAtPoint) -> np.ndarray:
     s = st.m.s
     return (
         s * np.eye(st.m.dim)
-        - s * np.einsum("...ja,...jk->...ka", st.eta, st.xi)
+        - s * st.etaxi
         + np.einsum("...a,...k->...ka", st.etabar, st.xibar)
     )
 
@@ -135,18 +135,18 @@ def _bracket_form(st: StructureAtPoint) -> np.ndarray:
 
 def _id13(st: StructureAtPoint, beta: float) -> np.ndarray:
     nab = np.stack([st.nabla_vector(i) for i in range(st.m.s)], axis=-3)  # [i, k, a]
-    return np.einsum("...ja,...ika->...ijk", st.xi, nab)
+    return contract("...ja,...ika->...ijk", st.xi, nab)
 
 
 def _id14(st: StructureAtPoint, beta: float) -> np.ndarray:
     nab = np.stack([st.nabla_vector(i) for i in range(st.m.s)], axis=-3)
-    rhs = beta * (np.eye(st.m.dim) - np.einsum("...ja,...jk->...ka", st.eta, st.xi))
+    rhs = beta * (np.eye(st.m.dim) - st.etaxi)
     return nab - rhs[..., None, :, :]
 
 
 def _id15(st: StructureAtPoint, beta: float) -> np.ndarray:
     # (nabla_a eta^i)_b = d_a eta^i_b - G^m_ab eta^i_m
-    nab = np.swapaxes(st.deta, -1, -2) - np.einsum(
+    nab = np.swapaxes(st.deta, -1, -2) - contract(
         "...mab,...im->...iab", st.geo.gamma, st.eta
     )
     rhs = beta * (st.geo.g - st.etaeta)
@@ -155,7 +155,7 @@ def _id15(st: StructureAtPoint, beta: float) -> np.ndarray:
 
 def _id16(st: StructureAtPoint, beta: float) -> np.ndarray:
     Qt = st.Qtilde
-    gqt = np.einsum("...ma,...mb->...ab", Qt, st.geo.g)
+    gqt = contract("...ma,...mb->...ab", Qt, st.geo.g)
     rhs = -beta * (
         np.einsum("...b,...ka->...kba", st.etabar, Qt)
         + np.einsum("...ab,...k->...kba", gqt, st.xibar)
@@ -175,26 +175,26 @@ def _id18(st: StructureAtPoint, beta: float) -> np.ndarray:
 
 
 def _id19(st: StructureAtPoint, beta: float) -> np.ndarray:
-    eye, xi, eta, etabar = np.eye(st.m.dim), st.xi, st.eta, st.etabar
-    lhs = np.einsum("...labm,...im->...ilab", st.geo.riem, xi)
+    eye, etabar = np.eye(st.m.dim), st.etabar
+    lhs = contract("...labm,...im->...ilab", st.geo.riem, st.xi)
     rhs = beta**2 * (
         np.einsum("...a,lb->...lab", etabar, eye)
         - np.einsum("...b,la->...lab", etabar, eye)
-        + np.einsum("...b,...ja,...jl->...lab", etabar, eta, xi)
-        - np.einsum("...a,...jb,...jl->...lab", etabar, eta, xi)
+        + np.einsum("...b,...la->...lab", etabar, st.etaxi)
+        - np.einsum("...a,...lb->...lab", etabar, st.etaxi)
     )
     return lhs - rhs[..., None, :, :, :]
 
 
 def _id20(st: StructureAtPoint, beta: float) -> np.ndarray:
-    lhs = np.einsum("...km,...im->...ik", st.geo.ric_sharp, st.xi)
+    lhs = contract("...km,...im->...ik", st.geo.ric_sharp, st.xi)
     return lhs - (-2.0 * st.m.n * beta**2 * st.xibar)[..., None, :]
 
 
 def _id21(st: StructureAtPoint, beta: float) -> np.ndarray:
     rhs = -2.0 * beta * st.geo.ric_sharp - 4.0 * st.m.n * beta**3 * _bracket(st)
     nab = st.geo.nabla_ric_sharp  # [k, j, a]
-    return np.einsum("...kja,...ia->...ikj", nab, st.xi) - rhs[..., None, :, :]
+    return contract("...kja,...ia->...ikj", nab, st.xi) - rhs[..., None, :, :]
 
 
 def _id22(st: StructureAtPoint, beta: float) -> np.ndarray:
@@ -207,14 +207,14 @@ def _id22(st: StructureAtPoint, beta: float) -> np.ndarray:
 def _id23(st: StructureAtPoint, beta: float) -> np.ndarray:
     rhs = -beta * st.geo.ric_sharp - 2.0 * st.m.n * beta**3 * _bracket(st)
     nab = st.geo.nabla_ric_sharp  # [k, j, a]
-    return np.einsum("...kja,...ij->...ika", nab, st.xi) - rhs[..., None, :, :]
+    return contract("...kja,...ij->...ika", nab, st.xi) - rhs[..., None, :, :]
 
 
 def _id26(st: StructureAtPoint, beta: float) -> np.ndarray:
     riem, f = st.geo.riem, st.f
     lhs = riem @ f[..., None, None, :, :] - contract("...lm,...mabc->...labc", f, riem)
     sg, brk = _bracket_form(st), _bracket(st)
-    gf = np.einsum("...ma,...mb->...ab", f, st.geo.g)  # g(f e_a, e_b)
+    gf = contract("...ma,...mb->...ab", f, st.geo.g)  # g(f e_a, e_b)
     rhs = beta**2 * (
         np.einsum("...bc,...la->...labc", sg, f)
         - np.einsum("...ac,...lb->...labc", sg, f)
@@ -227,39 +227,37 @@ def _id26(st: StructureAtPoint, beta: float) -> np.ndarray:
 def _id27(st: StructureAtPoint, beta: float) -> np.ndarray:
     s = st.m.s
     riem, f, g, Q = st.geo.riem, st.f, st.geo.g, st.Q
-    xi, eta, xibar, etabar = st.xi, st.eta, st.xibar, st.etabar
+    xibar, etabar = st.xibar, st.etabar
     # f f R by two pairwise dim^5 contractions, not one dim^6 loop
     lhs = contract("...jb,...lajc->...labc", f, contract("...ia,...lijc->...lajc", f, riem))
     lhs -= contract("...jb,...lajc->...labc", Q, riem)
-    gq = np.einsum("...mb,...mc->...bc", Q, g)  # g(e_c, Q e_b)
+    gq = contract("...mb,...mc->...bc", Q, g)  # g(e_c, Q e_b)
     sgl = _bracket_form(st)  # s g(Z,X) - s sum + etabar(Z) etabar(X) at [c, a]
-    q_minus = Q - np.einsum("...jb,...jk->...kb", eta, xi)  # [k, b]: QY - sum eta^j(Y) xi_j
-    gfx = np.einsum("...ma,...mc->...ca", f, g)  # g(Z, fX) at [c, a]
-    gfy = np.einsum("...mb,...mc->...cb", f, g)  # g(Z, fY)
+    gfz = contract("...ma,...mc->...ca", f, g)  # g(Z, fX) at [c, a]
     tail = (
         np.einsum("...c,la->...lac", etabar, np.eye(st.m.dim))
         - np.einsum("...ca,...l->...lac", g, xibar)
-        + np.einsum("...ja,...jc,...l->...lac", eta, eta, xibar)
-        - np.einsum("...ja,...c,...jl->...lac", eta, etabar, xi)
+        + np.einsum("...ac,...l->...lac", st.etaeta, xibar)
+        - np.einsum("...la,...c->...lac", st.etaxi, etabar)
     )  # [l, a, c]: etabar(Z) X - g(Z,X) xibar + sum_j eta^j(X){eta^j(Z) xibar - etabar(Z) xi_j}
     rhs = beta**2 * (
         np.einsum("...bc,...ka->...kabc", gq - st.etaeta, _bracket(st))
-        - np.einsum("...ca,...kb->...kabc", sgl, q_minus)
-        + s * np.einsum("...ca,...kb->...kabc", gfx, f)
-        - s * np.einsum("...cb,...ka->...kabc", gfy, f)
+        - np.einsum("...ca,...kb->...kabc", sgl, Q - st.etaxi)  # QY - sum eta^j(Y) xi_j
+        + s * np.einsum("...ca,...kb->...kabc", gfz, f)
+        - s * np.einsum("...cb,...ka->...kabc", gfz, f)
         + np.einsum("...b,...lac->...labc", etabar, tail)
     )
     return lhs - rhs
 
 
 def _id44(st: StructureAtPoint, beta: float) -> np.ndarray:
-    xi, eta, xibar, etabar = st.xi, st.eta, st.xibar, st.etabar
-    lhs = np.einsum("...lajc,...ij->...ilac", st.geo.riem, xi)  # R_{X, xi_i} Z
+    xibar, etabar = st.xibar, st.etabar
+    lhs = contract("...lajc,...ij->...ilac", st.geo.riem, st.xi)  # R_{X, xi_i} Z
     rhs = beta**2 * (
         np.einsum("...ac,...l->...lac", st.geo.g, xibar)
         - np.einsum("...c,la->...lac", etabar, np.eye(st.m.dim))
-        + np.einsum("...ja,...c,...jl->...lac", eta, etabar, xi)
-        - np.einsum("...ja,...jc,...l->...lac", eta, eta, xibar)
+        + np.einsum("...la,...c->...lac", st.etaxi, etabar)
+        - np.einsum("...ac,...l->...lac", st.etaeta, xibar)
     )
     return lhs - rhs[..., None, :, :, :]
 
@@ -425,7 +423,7 @@ def twisted_product_audit(st: StructureAtPoint) -> dict:
         res_i = np.maximum(res_i, st.residual(block))
 
     # (ii): t-components of nabla_X Y equal -g(X, Y) (grad log sigma)_t
-    grad_log_t = np.einsum("...pa,...a->...p", st.geo.ginv[..., two_n:, :], dsigma)
+    grad_log_t = contract("...pa,...a->...p", st.geo.ginv[..., two_n:, :], dsigma)
     grad_log_t = grad_log_t / sigma[..., None]
     res_ii = st.residual(
         gam[..., two_n:, :two_n, :two_n]
@@ -441,7 +439,7 @@ def twisted_product_audit(st: StructureAtPoint) -> dict:
         + np.einsum("...ilj->...lij", dg_fiber)
         - np.einsum("...ijl->...lij", dg_fiber)
     )
-    gam_hat = 0.5 * np.einsum("...kl,...lij->...kij", ghat_inv, core)
+    gam_hat = 0.5 * contract("...kl,...lij->...kij", ghat_inv, core)
     res_iii = st.residual(gam[..., :two_n, :two_n, :two_n] - gam_hat)
 
     return {"twisted.i": res_i, "twisted.ii": res_ii, "twisted.iii": res_iii}

@@ -18,6 +18,7 @@ import numpy as np
 from .expr import ExprAst
 from .geometry import (
     FieldSpec,
+    contract,
     gradient_and_hessian,
     lie_derivative_1form,
     lie_derivative_connection,
@@ -101,8 +102,8 @@ def theorem4_residual(st: StructureAtPoint) -> dict:
     s, n = m.s, m.n
     g, Q = st.geo.g, st.Q
 
-    ric_q = np.einsum("...am,...mb->...ab", st.geo.ric, Q)  # Ric(X, QY)
-    gq = np.einsum("...ma,...mb->...ab", Q, g)  # g(QX, Y)
+    ric_q = st.geo.ric @ Q  # Ric(X, QY)
+    gq = contract("...ma,...mb->...ab", Q, g)  # g(QX, Y)
     rhs = ric_q + beta**2 * (
         s * (2 * n - 1) * gq + 2 * n * st.ebar - s * (2 * n - 1) * st.etaeta
     )
@@ -157,8 +158,8 @@ def _cross_residual_33(st: StructureAtPoint, half_lie: np.ndarray, lam, mu) -> f
     g, etaeta, ebar = st.geo.g, st.etaeta, st.ebar
     beta = st.beta
     s, n = st.m.s, st.m.n
-    ric_q = np.einsum("...am,...mb->...ab", st.geo.ric, st.Q)
-    gq = np.einsum("...ma,...mb->...ab", st.Q, g)
+    ric_q = st.geo.ric @ st.Q
+    gq = contract("...ma,...mb->...ab", st.Q, g)
     k = s * (2 * n - 1) * beta**2
     rhs = (
         lam * g
@@ -205,7 +206,7 @@ def gradient_soliton_residual(st: StructureAtPoint, sol: SolitonData) -> Soliton
     rhs_op = (
         sol.lam * np.eye(dim)
         - k * st.Q
-        + (k - sol.lam) * np.einsum("...ja,...jk->...ka", st.eta, st.xi)
+        + (k - sol.lam) * st.etaxi
         + (sol.lam + sol.mu - 2 * n * beta**2)
         * np.einsum("...a,...k->...ka", st.etabar, st.xibar)
     )
@@ -248,8 +249,8 @@ def contact_fit(st: StructureAtPoint, V: FieldSpec) -> tuple[float, float]:
         ],
         axis=-2,
     )
-    num = np.einsum("...ia,...ia->...", lie, st.eta)
-    den = np.einsum("...ia,...ia->...", st.eta, st.eta)
+    num = contract("...ia,...ia->...", lie, st.eta)
+    den = contract("...ia,...ia->...", st.eta, st.eta)
     sigma = np.divide(num, den, out=np.zeros_like(num), where=den > 0)
     return sigma[()], st.residual(lie - sigma[..., None, None] * st.eta)
 
@@ -273,7 +274,7 @@ def lemma2_audit(st: StructureAtPoint, sol: SolitonData) -> dict:
     dim = m.dim
     rs = st.geo.ric_sharp
     Q, Qt = st.Q, st.Qtilde
-    xi, eta = st.xi, st.eta
+    xi = st.xi
     xibar, etabar = st.xibar, st.etabar
     eye = np.eye(dim)
 
@@ -285,19 +286,16 @@ def lemma2_audit(st: StructureAtPoint, sol: SolitonData) -> dict:
         + 4.0 * s * n * beta**3 * Q
         + 2.0 * s * beta**3 * Qt
         + 4.0 * n * beta**3
-        * (
-            np.einsum("...a,...k->...ka", etabar, xibar)
-            - s * np.einsum("...ja,...jk->...ka", eta, xi)
-        )
+        * (np.einsum("...a,...k->...ka", etabar, xibar) - s * st.etaxi)
     )
-    res42 = st.residual(np.einsum("...kab,...ib->...ika", lie_nab, xi) - rhs42[..., None, :, :])
+    res42 = st.residual(contract("...kab,...ib->...ika", lie_nab, xi) - rhs42[..., None, :, :])
 
     lie_r = lie_derivative_curvature(st.geo, v)  # [k, a, b, c]
 
     # (34): (L_V R)_{X,Y} xi_i vs the nabla-Ric# expression
     nab_rs = st.geo.nabla_ric_sharp  # [k, j, a]
     # (nabla_X Ric#)(QY) at X=a, Y=b is nrq[k, b, a]; antisymmetrize in (a, b)
-    nrq = np.einsum("...kja,...jb->...kba", nab_rs, Q)
+    nrq = contract("...kja,...jb->...kba", nab_rs, Q)
     t_ab = np.einsum("...kba->...kab", nrq)
     term1 = 2.0 * beta * (t_ab - np.swapaxes(t_ab, -1, -2))
     rsy = rs  # Ric# e_b: [k, b]
@@ -310,16 +308,16 @@ def lemma2_audit(st: StructureAtPoint, sol: SolitonData) -> dict:
         np.einsum("...a,...kb->...kab", etabar, rsqt)
         - np.einsum("...b,...ka->...kab", etabar, rsqt)
     )
-    brk = eye + 2.0 * Qt - np.einsum("...jb,...jk->...kb", eta, xi)  # [k, b]
+    brk = eye + 2.0 * Qt - st.etaxi  # [k, b]
     term4 = 4.0 * s * n * beta**4 * (
         np.einsum("...a,...kb->...kab", etabar, brk)
         - np.einsum("...b,...ka->...kab", etabar, brk)
     )
     rhs34 = term1 + term2 + term3 + term4
-    lie_r_xi = np.einsum("...kabc,...ic->...ikab", lie_r, xi)
+    lie_r_xi = contract("...kabc,...ic->...ikab", lie_r, xi)
     res34 = st.residual(lie_r_xi - rhs34[..., None, :, :, :])
 
     # (35): (L_V R)_{X, xi_j} xi_i = 0
-    res35 = st.residual(np.einsum("...ikab,...jb->...ijka", lie_r_xi, xi))
+    res35 = st.residual(contract("...ikab,...jb->...ijka", lie_r_xi, xi))
 
     return {"lemma2.42": res42, "lemma2.34": res34, "lemma2.35": res35}

@@ -407,6 +407,15 @@ class TestInputBounds:
         err = capsys.readouterr().err
         assert "error:" in err and "at point [" in err and "Traceback" not in err
 
+    def test_a_value_past_its_bound_never_reads_as_the_bound(self, tmp_path, capsys):
+        # g^-1 is 1.0000000000000003e150 here, which :g printed as 1e+150
+        path = tmp_path / "e2.json"
+        assert main(["example2", "1", "1", "1.0", "1.0", "--out", str(path)]) == 0
+        path.write_text(json.dumps(_mutated(_load(path), ("metric", 0, 0), 1e-150)))
+        assert main(["check", str(path), "--points", "2"]) == 2
+        err = capsys.readouterr().err
+        assert "inverse metric value 1.0000000000000003e+150 exceeds 1e+150 at point" in err
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_metric_value_at_the_bound_runs(self, tmp_path):
         path = tmp_path / "e2.json"
@@ -458,16 +467,18 @@ class TestInputBounds:
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize(
-        "edits",
+        "edits, group",
         [
-            [(("metric", 0, 0), 1e150), (("f", 0, 1), 1e100)],
-            [(("beta",), 1e76), (("eta", 0, 0), 1e10)],
+            ([(("metric", 0, 0), 1e150), (("f", 0, 1), 1e100)], "axioms"),
+            ([(("beta",), 1e76), (("eta", 0, 0), 1e10)], "lemma2"),
         ],
         ids=["metric-and-f", "beta-and-eta"],
     )
-    def test_inputs_within_their_bounds_that_overflow_together(self, tmp_path, capsys, edits):
-        # each value is within its own bound; together they overflowed in
-        # id.27 and in lemma2.34's beta^4 term, warned and exited 1
+    def test_inputs_within_their_bounds_that_overflow_together(
+        self, tmp_path, capsys, edits, group
+    ):
+        # each value is within its own bound; together they overflow f g f
+        # (axiom.6) and lemma2.34's beta^4 term
         manifest = tmp_path / "e2.json"
         assert main(["example2", "1", "1", "1.0", "1.0", "--out", str(manifest)]) == 0
         data = _load(manifest)
@@ -477,6 +488,9 @@ class TestInputBounds:
         assert main(["check", str(manifest), "--points", "2"]) == 2
         err = capsys.readouterr().err
         assert "error: the inputs are too large together" in err and "Traceback" not in err
+        # the error names the check group and the first point of its chunk
+        first = cli.sample_points(3, {**cli._DEFAULT_SAMPLE, "count": 2})[0]
+        assert f"(check group '{group}', chunk from point {first.tolist()})" in err
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("sigma", ["x1^400", "x1", "0*x1"])
@@ -673,6 +687,12 @@ class TestReportWriter:
             (points, []),  # no ids
             ([], [("a", np.empty(0), 1e-8, False)]),  # no points
         ]
+        # the writer formats each distinct residual once: repeats, both zeros,
+        # two NaNs and both infinities in one column and across columns
+        column = np.array([0.0, -0.0, 0.5, float("nan"), 0.5, float("nan"), -0.0, 0.0])
+        tail = np.array([float("inf"), -float("inf"), 0.5, -0.0, 1e-300, -1e-300, 0.0, 0.5])
+        points = [[float(k)] for k in range(len(column))]
+        runs.append((points, [("a", column, 0.5, False), ("b", tail, 0.0, True)]))
         for points, checks in runs:
             text, summary = cli._report_json(head, points, checks, {})
             report = _dict_layout(head, points, checks, {})
