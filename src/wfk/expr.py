@@ -573,15 +573,16 @@ def _run(tape: Tape, points: np.ndarray, third: bool):
     out = [np.zeros(shape + (dim,) * k) for k in range(3)]
     if third:
         out.append(np.zeros(shape + (size,) * 3))
-    # orders 1 and 2 are scattered to the support's places on dim axes
-    idx = np.array(tape.support, dtype=np.intp)
-    where = ((), (idx,), np.ix_(idx, idx), ())
-    for k, op in enumerate(tape.outputs):
-        if isinstance(op, int):
-            for arr, part, at in zip(out, jets[op], where):
-                arr[(slice(None), k, *at)] = np.moveaxis(part, -1, 0)
-        else:
-            out[0][:, k] = op
+    # one assignment an order, through a view with the points axis last as in
+    # the jets (orders 1 and 2 at the support's places); one for the constants
+    ks = [k for k, op in enumerate(tape.outputs) if isinstance(op, int)]
+    if ks:
+        kk, idx = np.array(ks), np.array(tape.support, dtype=np.intp)
+        where = ((kk,), (kk[:, None], idx), (kk[:, None, None], idx[:, None], idx), (kk,))
+        for order, (arr, at) in enumerate(zip(out, where)):
+            arr.transpose(*range(1, arr.ndim), 0)[at] = [jets[tape.outputs[k]][order] for k in ks]
+    consts = [k for k, op in enumerate(tape.outputs) if not isinstance(op, int)]
+    out[0][:, consts] = [tape.outputs[k] for k in consts]
     return tuple(out)
 
 

@@ -10,6 +10,9 @@ over it.  Throughout the package a matrix product is a broadcasting ``@``,
 every other contraction that sums an index shared by two operands is
 :func:`contract` (one BLAS matmul), and ``np.einsum`` only permutes, takes
 traces and diagonals and forms outer products.
+Ric and Ric* (:meth:`Geometry.ric_star`) come straight from the second
+jets of g; d Gamma and Riem are built, lazily, only for their own
+readers (id.19, id.26, id.27, id.44, d Ric and L_V R).
 Functions of a vector field or a potential take its jets ``(value, d, d2)``
 at the point, so a field jetted once there serves every function that reads it.
 
@@ -172,15 +175,6 @@ def contract(subscripts: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out.reshape(out.shape[:-2] + kept_a + kept_b).transpose(perm_out)
 
 
-def _core(dg: np.ndarray) -> np.ndarray:
-    """[l, i, j] = d_i g_jl + d_j g_il - d_l g_ij."""
-    return (
-        np.einsum("...jli->...lij", dg)
-        + np.einsum("...ilj->...lij", dg)
-        - np.einsum("...ijl->...lij", dg)
-    )
-
-
 class Geometry:
     """All jet-derived geometric data of a metric at a point or a chunk of points.
 
@@ -213,9 +207,17 @@ class Geometry:
         self.d2g = d2g
 
     @cached_property
+    def core(self) -> np.ndarray:
+        """core[l, i, j] = d_i g_jl + d_j g_il - d_l g_ij = 2 Gamma_lij."""
+        return (
+            np.einsum("...jli->...lij", self.dg)
+            + np.einsum("...ilj->...lij", self.dg)
+            - np.einsum("...ijl->...lij", self.dg)
+        )
+
+    @cached_property
     def gamma(self) -> np.ndarray:
-        # 0.5 g^{kl} (d_i g_jl + d_j g_il - d_l g_ij)
-        return 0.5 * contract("...kl,...lij->...kij", self.ginv, _core(self.dg))
+        return 0.5 * contract("...kl,...lij->...kij", self.ginv, self.core)
 
     @cached_property
     def dginv(self) -> np.ndarray:
@@ -231,7 +233,7 @@ class Geometry:
         dcore = np.einsum("...jlim->...lijm", d2g) + np.einsum("...iljm->...lijm", d2g)
         dcore -= np.einsum("...ijlm->...lijm", d2g)
         out = contract("...kl,...lijm->...kijm", self.ginv, dcore)
-        out += contract("...klm,...lij->...kijm", self.dginv, _core(self.dg))
+        out += contract("...klm,...lij->...kijm", self.dginv, self.core)
         out *= 0.5
         return out
 
@@ -243,9 +245,42 @@ class Geometry:
         term += np.einsum("...ljki->...lijk", dgam)
         return term - np.einsum("...lijk->...ljik", term)
 
+    # Ric and Ric* come from the second jets of g, not from dgamma or
+    # riem: 2 R_aijk = t[a, i, j, k] - t[a, j, i, k] with
+    # t[a, i, j, k] = d_i d_k g_ja - d_i d_a g_jk - core[l, i, a] Gamma^l_jk,
+    # and riem[l, i, j, k] = g^la R_aijk.
+
+    def _d2g_pairs(self, h: np.ndarray) -> np.ndarray:
+        """[x, y] = h[k, c] d_c d_y g_xk: (k, c) are adjacent axes of d2g, so
+        the sum is one ``@`` on a view of it."""
+        n, b = h.shape[-1], h.shape[:-2]
+        out = h.reshape(b + (1, 1, n * n)) @ self.d2g.reshape(b + (n, n * n, n))
+        return out[..., 0, :]
+
     @cached_property
     def ric(self) -> np.ndarray:
-        return np.einsum("...iijk->...jk", self.riem)
+        """Ric_jk = g^ia R_aijk."""
+        ginv, gam = self.ginv, self.gamma
+        m = self.core @ ginv[..., None, :, :]  # [l, j, i] = core[l, j, a] g^ai
+        q = self._d2g_pairs(ginv)
+        return 0.5 * (
+            q
+            + np.swapaxes(q, -1, -2)
+            - contract("...ia,...iajk->...jk", ginv, self.d2g)
+            - contract("...jkia,...ia->...jk", self.d2g, ginv)
+            - contract("...l,...ljk->...jk", np.einsum("...lii->...l", m), gam)
+            + contract("...lji,...lik->...jk", m, gam)
+        )
+
+    def ric_star(self, f: np.ndarray) -> np.ndarray:
+        """Ric*_ab = (1/2) f^k_l f^j_b R^l_ajk for a (1,1)-tensor f at the point."""
+        h = f @ self.ginv  # [k, c] = f^k_l g^lc
+        ht = np.swapaxes(h, -1, -2)
+        # d - d^T = 2 h[k, c] R_cajk; the d2g terms see only h - h^T
+        d = self._d2g_pairs(h - ht) - contract(
+            "...lak,...ljk->...aj", self.core @ ht[..., None, :, :], self.gamma
+        )
+        return 0.25 * (d - np.swapaxes(d, -1, -2)) @ f
 
     @cached_property
     def ric_sharp(self) -> np.ndarray:

@@ -5,7 +5,10 @@ The authoritative *-Ricci tensor is the definitional trace
     Ric*(X, Y) = (1/2) trace { Z -> f R_{X, fY} Z },
 
 held as ``StructureAtPoint.ric_star`` (and r* as ``r_star``), which needs
-only the structure axioms; the closed-form relation to the ordinary Ricci
+only the structure axioms.  It is computed from the metric's second jets:
+``Geometry.ric_star`` forms it from g^-1, Gamma, dg and d2g (f g^-1 against
+a view of d2g, and Gamma terms of dim^3), so the Riemann tensor is never
+built for it.  The closed-form relation to the ordinary Ricci
 tensor on the Kenmotsu class is a checked identity (``theorem4_residual``),
 never an input.
 """
@@ -126,7 +129,7 @@ def star_eta_einstein_fit(st: StructureAtPoint):
     Regrouped, the model is abar (g + sum_{i!=j} eta^i (x) eta^j) plus
     bbar etabar (x) etabar.  The predicted pair is (r*/2n, -r*/2n).
     """
-    cross = np.einsum("...ia,...jb->...ab", st.eta, st.eta) - st.etaeta
+    cross = st.ebar - st.etaeta  # sum_{i!=j} eta^i (x) eta^j
     pred = st.r_star / (2.0 * st.m.n)
     return EinsteinFit.least_squares(st.ric_star, st.geo.g + cross, st.ebar, (pred, -pred))
 

@@ -254,8 +254,7 @@ class StructureAtPoint:
     @cached_property
     def ric_star(self) -> np.ndarray:
         """Ric*_{ab} = (1/2) f^k_l f^j_b R^l_{ajk}; generally not symmetric."""
-        # contract f into R's (l, k) slots first: dim^4 work, not dim^6
-        return 0.5 * contract("...lajk,...kl->...aj", self.geo.riem, self.f) @ self.f
+        return self.geo.ric_star(self.f)
 
     @cached_property
     def r_star(self):

@@ -1,14 +1,15 @@
-"""The full third-order chain d^2 Gamma -> d Riem, kept as a test reference.
+"""The full chain d^2 Gamma -> d Riem and the traces of Riem, kept as a test reference.
 
 ``wfk.geometry`` contracts g^-1 or V into the metric jets before anything
-dim^5 is formed.  These helpers build the whole dim^5 arrays instead and
-contract last, so the two routes share only the jets, g^-1, Gamma, d Gamma
-and Riem of the point.  The metric's third-order jets come over its support
+dim^5 is formed, and takes Ric and Ric* from the second metric jets without
+d Gamma or Riem.  These helpers build the whole arrays instead and contract
+last, so the two routes share only the jets, g^-1, Gamma, d Gamma and Riem
+of the point.  The metric's third-order jets come over its support
 only; ``dense_d3g`` scatters them to the whole dim^5 array here.
 """
 import numpy as np
 
-from wfk.geometry import _lie_connection_components
+from wfk.geometry import _lie_connection_components, contract
 
 
 def dense_d3g(geo) -> np.ndarray:
@@ -92,3 +93,13 @@ def lie_curvature(g, V, p) -> np.ndarray:
         - np.einsum("aim,kja->kijm", gam, t)
     )
     return nabla_t - np.einsum("kijm->kjim", nabla_t)
+
+
+def ric(geo) -> np.ndarray:
+    """Ric_jk, the trace of Z -> R(Z, e_j) e_k over the whole Riem."""
+    return np.einsum("...iijk->...jk", geo.riem)
+
+
+def ric_star(geo, f) -> np.ndarray:
+    """Ric*_ab = (1/2) f^k_l f^j_b R^l_ajk, with f contracted into the whole Riem."""
+    return 0.5 * contract("...lajk,...kl->...aj", geo.riem, f) @ f

@@ -113,6 +113,21 @@ def test_perfbench_tracer_targets_resolve():
         assert callable(owner.__dict__.get(attr)), f"{module}.{attr}"
 
 
+def test_the_structure_screen_never_builds_dgamma_or_riem():
+    # the dim-8 twisted product's structure screen reads curvature only
+    # through Ric and Ric*, which come from the metric's second jets
+    fiber = FiberSpec.flat_factors([1.0, 2.0, 3.0], 8)
+    sigma = ex.parse_expression("exp(x7+x8)*(2+x1^2+x2*x3)", 8)
+    ctx = CheckContext(build_twisted_product(fiber, 2, sigma))
+    screen = ("axioms", "theorem1", "kenmotsu", "twisted", "star_def", "thm4", "cor2")
+    st = ctx.manifold.at(seeded_points(8, count=weakf.chunk_size(8), seed=29))
+    for group in screen:
+        ctx.group_reports(group, st)
+    assert not {"dgamma", "dginv", "riem"} & set(st.geo.__dict__)
+    ctx.group_reports("identities", st)  # id.19 and others read Riem whole
+    assert {"dgamma", "riem"} <= set(st.geo.__dict__)
+
+
 def _two_point_chunks(monkeypatch, dim):
     monkeypatch.setattr(weakf, "CHUNK_FLOATS", 2 * dim**5)
     assert weakf.chunk_size(dim) == 2

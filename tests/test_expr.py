@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -395,6 +396,23 @@ class TestTape:
                     got[3] = _dense3(tape, got[3])
                     single[3] = _dense3(ast.tape, single[3])
                 assert _bits(*(a + 0.0 for a in got)) == _bits(*(a + 0.0 for a in single))
+
+    @pytest.mark.parametrize("third", [False, True])
+    def test_outputs_scatter_bitwise_like_one_output_at_a_time(self, third):
+        # every order is written once for all outputs; the reference runs
+        # the same instructions with one output at a time
+        texts = ["x1*exp(x3)", "2*3", "x3^2-x1/x4", "x1*exp(x3)", "sqrt(4)", "-x3"]
+        asts = [parse_expression(t, 4) for t in texts]
+        asts.append(asts[2])  # a mirrored entry: the same object twice
+        tape = ex.compile_tape(asts, 4)
+        shared = [op for op in tape.outputs if isinstance(op, int)]
+        assert len(shared) == 5 and len(set(shared)) == 3 and tape.support == (0, 2, 3)
+        assert [op for op in tape.outputs if isinstance(op, float)] == [6.0, 2.0]
+        points = np.random.default_rng(3).uniform(0.2, 0.8, (5, 4))
+        full = evaluate_jet(tape, points, third)
+        for k, op in enumerate(tape.outputs):
+            one = evaluate_jet(dataclasses.replace(tape, outputs=(op,)), points, third)
+            assert _bits(*(arr[:, k] for arr in full)) == _bits(*(arr[:, 0] for arr in one))
 
     def test_exp_log_and_powers_round_like_python_floats(self):
         # reports stay byte-identical only if every point gets math.exp,

@@ -17,10 +17,13 @@ from wfk.geometry import (
 )
 from wfk.kenmotsu import FiberSpec, audit_identities, build_example2, build_twisted_product
 from wfk.star_soliton import SolitonData, lemma2_audit
+from wfk.weakf import WeakFManifold
 
 from conftest import seeded_points
 from reference_chain import dric as reference_dric
 from reference_chain import lie_curvature as reference_lie_curvature
+from reference_chain import ric as reference_ric
+from reference_chain import ric_star as reference_ric_star
 from reference_forms import fundamental_form_field
 
 O = np.zeros(4)
@@ -399,23 +402,57 @@ _CONTRACTED_CASES = {
 }
 
 
+def _bent_tensor(dim):
+    """A (1,1)-tensor field that is neither constant nor symmetric nor skew."""
+    entry = "{:.2f}+0.4*x{}*x{}"
+    return FieldSpec.from_entries(
+        [
+            [
+                entry.format(0.3 * (k - j) + 0.1 * k * j + 0.2, k + 1, (j + 2) % dim + 1)
+                for j in range(dim)
+            ]
+            for k in range(dim)
+        ],
+        dim,
+    )
+
+
+def _with_f(g, f):
+    """A structure with metric g and (1,1)-tensor f; Ric* reads only these two."""
+    n, dim = (g.dim - 1) // 2, g.dim
+    unit = [FieldSpec.from_entries([1.0] * dim, dim)] * (dim - 2 * n)
+    Q = FieldSpec.from_entries(np.eye(dim), dim)
+    return WeakFManifold(n, dim - 2 * n, None, None, g, f, Q, tuple(unit), tuple(unit))
+
+
 @pytest.mark.parametrize("case", list(_CONTRACTED_CASES))
 def test_contracted_routes_match_the_full_chain(case):
-    # d Ric and L_V R contract g^-1 or V in first; the reference builds the
-    # whole d^2 Gamma and d Riem and contracts last
+    # d Ric and L_V R contract g^-1 or V in first, and Ric and Ric* come from
+    # the second metric jets; the reference builds the whole d^2 Gamma, d Riem
+    # and Riem and contracts last
     g, V = _CONTRACTED_CASES[case]
-    for p in seeded_points(g.dim, count=2, seed=43):
-        geo = g.at(p)
+    m = _with_f(g, _bent_tensor(g.dim))
+    points = seeded_points(g.dim, count=2, seed=43)
+    chunk = m.at(points)
+    for q, p in enumerate(points):
+        st = m.at(p)
+        geo = st.geo
+        ric_star = reference_ric_star(geo, st.f)
         for got, want in (
             (geo.dric, reference_dric(geo)),
             (
                 lie_derivative_curvature(geo, V.jets(p)),
                 reference_lie_curvature(g, V, p),
             ),
+            (geo.ric, reference_ric(geo)),
+            (chunk.geo.ric[q], reference_ric(geo)),
+            (st.ric_star, ric_star),
+            (chunk.ric_star[q], ric_star),
         ):
             scale = np.abs(want).max()
             assert scale > 1e-3
             assert np.abs(got - want).max() <= 1e-12 * scale
+    assert np.abs(ric_star - np.swapaxes(ric_star, -1, -2)).max() > 1e-3  # f is general
 
 
 def test_one_geometry_build_per_point(monkeypatch):

@@ -1,11 +1,13 @@
-"""A sympy oracle for the geometry at a point: Gamma, Riem, Ric, nabla Ric# and L_V R.
+"""A sympy oracle for the geometry at a point: Gamma, Riem, Ric, Ric*, nabla Ric# and L_V R.
 
 sympy differentiates each metric and field entry symbolically and turns it
 into its degree-3 Taylor polynomial at the point, in 40-digit arithmetic.
 Everything at the point up to third order follows from those polynomials,
 so the oracle forms Gamma, Riem, Ric# and L_V nabla as truncated
 polynomials and differentiates them as polynomials: no jets, no contracted
-formulas.  L_V R is taken as nabla_i (L_V nabla)^k_jm - nabla_j (L_V nabla)^k_im
+formulas.  Ric* reads only the values of f, so a seeded matrix that is not
+symmetric stands for f; the oracle traces its 40-digit Riem with it.
+L_V R is taken as nabla_i (L_V nabla)^k_jm - nabla_j (L_V nabla)^k_im
 with (L_V Gamma)^k_ij in its coordinate form, a different route from the
 tensor Lie derivative that ``wfk.geometry`` computes.
 """
@@ -64,8 +66,9 @@ class _Taylor:
         return float(p.as_dict().get((0,) * self.dim, 0))
 
 
-def _oracle(rows, field, point):
-    """Gamma, Riem, Ric, nabla Ric# and L_V R at the point, as float arrays."""
+def _oracle(rows, field, point, f):
+    """Gamma, Riem, Ric, Ric* for the matrix ``f``, nabla Ric# and L_V R at the
+    point, as float arrays."""
     n = len(rows)
     tp = _Taylor(n, point)
     d, total, r = tp.d, tp.total, range(n)
@@ -95,6 +98,17 @@ def _oracle(rows, field, point):
         for l, i, j, k in itertools.product(r, repeat=4)
     }
     ric = [[sum((riem[i, i, j, k] for i in r), tp.zero) for k in r] for j in r]
+    # Ric*_ab = (1/2) f^k_l f^j_b R^l_ajk
+    fv = [[_F(repr(float(x))) for x in row] for row in f]
+    rv = {idx: _F(p.as_dict().get((0,) * n, 0)) for idx, p in riem.items()}
+    ric_star = [
+        [
+            float(sum((fv[k][l] * fv[j][b] * rv[l, a, j, k]
+                       for l, j, k in itertools.product(r, repeat=3)), _F(0)) / 2)
+            for b in r
+        ]
+        for a in r
+    ]
     rs = [[total((ginv[k][a] * ric[a][j] for a in r), 1) for j in r] for k in r]
     nab = {
         (k, j, a): total(
@@ -139,6 +153,7 @@ def _oracle(rows, field, point):
         "gamma": np.array([[[tp.value(gam[k][i][j]) for j in r] for i in r] for k in r]),
         "riem": array(riem, 4),
         "ric": np.array([[tp.value(e) for e in row] for row in ric]),
+        "ric_star": np.array(ric_star),
         "nabla_ric_sharp": array(nab, 3),
         "lie_r": lie_r,
     }
@@ -188,6 +203,8 @@ def test_geometry_matches_sympy(seed, dim, diagonal):
 def _compare(rows, field, p) -> dict:
     """(wfk's value, the oracle's) of every quantity the oracle forms."""
     dim = len(rows)
+    f = np.random.default_rng(dim).uniform(-1.0, 1.0, (dim, dim))
+    assert np.abs(f - f.T).max() > 0.1
     metric = MetricField.from_entries(rows, dim)
     V = FieldSpec.from_entries(field, dim)
     geo = metric.at(p)
@@ -195,10 +212,11 @@ def _compare(rows, field, p) -> dict:
         "gamma": geo.gamma,
         "riem": geo.riem,
         "ric": geo.ric,
+        "ric_star": geo.ric_star(f),
         "nabla_ric_sharp": geo.nabla_ric_sharp,
         "lie_r": lie_derivative_curvature(metric.at(p), V.jets(p)),
     }
-    return {name: (got[name], want) for name, want in _oracle(rows, field, p).items()}
+    return {name: (got[name], want) for name, want in _oracle(rows, field, p, f).items()}
 
 
 def test_metric_on_part_of_the_chart_matches_sympy():
