@@ -51,7 +51,7 @@ class CheckSpec:
 # requirement -> whether a manifold and soliton provide what its checks need
 _REQUIRES = {
     "beta": lambda m, sol: m.beta is not None and m.beta_is_constant,
-    "sigma": lambda m, sol: m.sigma is not None and m.fiber_dim is not None,
+    "sigma": lambda m, sol: m.sigma is not None,
     "soliton": lambda m, sol: sol is not None,
     "soliton_V": lambda m, sol: sol is not None and sol.V is not None,
     "soliton_v": lambda m, sol: sol is not None and sol.v is not None,

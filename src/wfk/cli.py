@@ -121,13 +121,6 @@ def _parse_matrix(raw, dim: int, name: str, lower: bool = False):
         rows.append(
             [_parse_entry(e, dim, f"{name}[{i + 1}][{j + 1}]") for j, e in enumerate(row)]
         )
-    if lower:
-        full = [[None] * dim for _ in range(dim)]
-        for i in range(dim):
-            for j in range(i + 1):
-                full[i][j] = rows[i][j]
-                full[j][i] = rows[i][j]
-        rows = full
     return rows
 
 
@@ -179,35 +172,32 @@ def manifold_from_manifest(data: dict):
         beta = _bounded(beta_raw, "beta", _MAX_BETA)
     else:
         beta = _parse_entry(beta_raw, dim, "beta")
+        folded = beta.tape.outputs[0]
+        if isinstance(folded, float):  # a constant written as an expression
+            beta = _bounded(folded, "beta", _MAX_BETA)
     c = None if data.get("c") is None else _finite_number(data["c"], "c")
 
     metric_rows = _parse_matrix(data.get("metric"), dim, "metric", lower=True)
     metric = MetricField.from_entries(metric_rows, dim)
     f = FieldSpec.from_entries(_parse_matrix(data.get("f"), dim, "f"), dim)
     q = FieldSpec.from_entries(_parse_matrix(data.get("Q"), dim, "Q"), dim)
-    xi_raw, eta_raw = data.get("xi"), data.get("eta")
-    if not isinstance(xi_raw, list) or len(xi_raw) != s:
-        raise ManifestError(f"xi: expected {s} vector fields")
-    if not isinstance(eta_raw, list) or len(eta_raw) != s:
-        raise ManifestError(f"eta: expected {s} one-forms")
-    xi = tuple(
-        FieldSpec(dim, tuple(_parse_components(v, dim, f"xi[{i + 1}]")))
-        for i, v in enumerate(xi_raw)
-    )
-    eta = tuple(
-        FieldSpec(dim, tuple(_parse_components(w, dim, f"eta[{i + 1}]")))
-        for i, w in enumerate(eta_raw)
-    )
+    fields = []
+    for name, what in (("xi", "vector fields"), ("eta", "one-forms")):
+        raw = data.get(name)
+        if not isinstance(raw, list) or len(raw) != s:
+            raise ManifestError(f"{name}: expected {s} {what}")
+        fields.append(tuple(
+            FieldSpec(dim, tuple(_parse_components(v, dim, f"{name}[{i + 1}]")))
+            for i, v in enumerate(raw)
+        ))
+    xi, eta = fields
 
     sigma = None
-    fiber_dim = None
     if data.get("sigma") is not None:
         sigma = _parse_entry(data["sigma"], dim, "sigma")
-        fiber_dim = 2 * n
 
     m = WeakFManifold(
-        n=n, s=s, beta=beta, c=c, metric=metric, f=f, Q=q, xi=xi, eta=eta,
-        sigma=sigma, fiber_dim=fiber_dim,
+        n=n, s=s, beta=beta, c=c, metric=metric, f=f, Q=q, xi=xi, eta=eta, sigma=sigma
     )
 
     # dual-basis validation at the origin
@@ -562,10 +552,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ManifestError as err:
-        sys.stderr.write(f"error: {err}\n")
-        return 2
-    except (ExprError, MetricError) as err:
+    except (ManifestError, ExprError, MetricError) as err:
         sys.stderr.write(f"error: {err}\n")
         return 2
 

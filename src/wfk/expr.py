@@ -1,8 +1,8 @@
 """Closed-form scalar expressions of chart coordinates with exact jets.
 
 Expressions are parsed into an immutable AST over coordinates ``x1..xN``
-and evaluated as jets: value, gradient and Hessian, plus the third
-derivative on request (Taylor-mode propagation, Griewank & Walther,
+and evaluated as jets: value and derivatives up to the order a caller asks
+for, first, second or third (Taylor-mode propagation, Griewank & Walther,
 *Evaluating Derivatives*, ch. 13).  Every consumer that needs metric
 derivatives up to third order gets them analytically instead of by
 finite differences.
@@ -108,9 +108,9 @@ class ExprAst:
         """This expression compiled alone, once."""
         return compile_tape((self,), self.dim)
 
-    def jets(self, p, third: bool = False):
-        """(value, d, d2) and with ``third`` also d3, as :meth:`Tape.jets`."""
-        return self.tape.jets(p, third)
+    def jets(self, p, order: int = 2):
+        """(value, d, ...) up to ``order``, as :meth:`Tape.jets`."""
+        return self.tape.jets(p, order)
 
 
 # ---------------------------------------------------------------------------
@@ -329,11 +329,12 @@ def _check_depth(root: Node) -> None:
 # jet evaluation: a compiled tape over a trailing batch axis of points
 #
 # Inside the tape a jet is (value, gradient, Hessian, third) with shapes
-# (P,), (s, P), (s, s, P) and (s, s, s, P), so every rule reads like its
-# single-point form and applies the same IEEE operations in the same order
-# at every point, whatever the batch size.  The s derivative axes are the
-# tape's support, the coordinates it reads; a derivative along any other is
-# a structural zero (Griewank & Walther ch. 7) and costs no work.
+# (P,), (s, P), (s, s, P) and (s, s, s, P).  The Hessian is propagated at
+# every order, and the third is None below order 3.  Every rule reads like
+# its single-point form and applies the same IEEE operations in the same
+# order at every point, whatever the batch size.  The s derivative axes are
+# the tape's support, the coordinates it reads; a derivative along any other
+# is a structural zero (Griewank & Walther ch. 7) and costs no work.
 
 
 @dataclass(frozen=True)
@@ -353,8 +354,8 @@ class Tape:
     outputs: tuple
     support: tuple
 
-    def jets(self, p, third: bool = False, shape: tuple = ()):
-        """(value, d, d2) and with ``third`` also d3, derivative axes last.
+    def jets(self, p, order: int = 2, shape: tuple = ()):
+        """(value, d, ...) up to ``order`` (1, 2 or 3), derivative axes last.
 
         ``p`` is a point ``(dim,)`` or a batch of points ``(P, dim)``; a batch
         adds a leading axis to every array.  The outputs axis is reshaped to
@@ -362,7 +363,7 @@ class Tape:
         ``support`` S only: d3[..., a, b, c] = d_Sa d_Sb d_Sc of the entry.
         """
         pts = np.asarray(p, dtype=float)
-        out = evaluate_jet(self, np.atleast_2d(pts), third)
+        out = evaluate_jet(self, np.atleast_2d(pts), order)
         lead = pts.shape[:-1] + shape
         return tuple(arr.reshape(lead + arr.shape[2:]) for arr in out)
 
@@ -488,8 +489,8 @@ _RULES = {
 }
 
 
-def _constant_jet(c: float, size: int, count: int, third: bool):
-    t = np.zeros((size,) * 3 + (count,)) if third else None
+def _constant_jet(c: float, size: int, count: int, order: int):
+    t = np.zeros((size,) * 3 + (count,)) if order == 3 else None
     return np.full(count, c), np.zeros((size, count)), np.zeros((size, size, count)), t
 
 
@@ -502,7 +503,7 @@ def _fold(node: Node, operands: tuple, dim: int):
         # x^0 = 1 and x^1 = x; the base's own instructions still run
         return 1.0 if node.index == 0 else operands[0]
     if operands and all(isinstance(op, float) for op in operands):
-        jets = [_constant_jet(op, dim, 1, False) for op in operands]
+        jets = [_constant_jet(op, dim, 1, 2) for op in operands]
         try:
             out = float(_RULES[node.kind](node, *jets)[0][0])
         except ExprDomainError:
@@ -546,9 +547,10 @@ def compile_tape(asts, dim: int) -> Tape:
 
 
 @np.errstate(over="ignore", divide="ignore", invalid="ignore")  # non-finite raises below
-def _run(tape: Tape, points: np.ndarray, third: bool):
-    """Arrays (value, d, d2[, d3]) of shapes (P, K) + (dim,) * order, but d3
-    of shape (P, K) + (s,) * 3 over the support."""
+def _run(tape: Tape, points: np.ndarray, order: int):
+    """Arrays (value, d, ...) up to ``order`` of shapes (P, K) + (dim,) * k,
+    but d3 of shape (P, K) + (s,) * 3 over the support.  The jets inside run
+    to second order at least, and every part they hold is checked."""
     dim, count, size = tape.dim, len(points), len(tape.support)
     coords = points.T
     jets: list = []
@@ -556,11 +558,11 @@ def _run(tape: Tape, points: np.ndarray, third: bool):
         if node.kind == "var":
             g = np.zeros((size, count))
             g[tape.support.index(node.index)] = 1.0
-            t = np.zeros((size,) * 3 + (count,)) if third else None
+            t = np.zeros((size,) * 3 + (count,)) if order == 3 else None
             jets.append((coords[node.index], g, np.zeros((size, size, count)), t))
             continue
         args = (
-            jets[op] if isinstance(op, int) else _constant_jet(op, size, count, third)
+            jets[op] if isinstance(op, int) else _constant_jet(op, size, count, order)
             for op in operands
         )
         jets.append(_RULES[node.kind](node, *args))
@@ -570,17 +572,15 @@ def _run(tape: Tape, points: np.ndarray, third: bool):
     if not all(np.isfinite(part).all() for op in outs for part in jets[op] if part is not None):
         raise _first_non_finite(tape, jets)
     shape = (count, len(tape.outputs))
-    out = [np.zeros(shape + (dim,) * k) for k in range(3)]
-    if third:
-        out.append(np.zeros(shape + (size,) * 3))
+    out = [np.zeros(shape + ((dim,) * k if k < 3 else (size,) * 3)) for k in range(order + 1)]
     # one assignment an order, through a view with the points axis last as in
     # the jets (orders 1 and 2 at the support's places); one for the constants
     ks = [k for k, op in enumerate(tape.outputs) if isinstance(op, int)]
     if ks:
         kk, idx = np.array(ks), np.array(tape.support, dtype=np.intp)
         where = ((kk,), (kk[:, None], idx), (kk[:, None, None], idx[:, None], idx), (kk,))
-        for order, (arr, at) in enumerate(zip(out, where)):
-            arr.transpose(*range(1, arr.ndim), 0)[at] = [jets[tape.outputs[k]][order] for k in ks]
+        for part, (arr, at) in enumerate(zip(out, where)):
+            arr.transpose(*range(1, arr.ndim), 0)[at] = [jets[tape.outputs[k]][part] for k in ks]
     consts = [k for k, op in enumerate(tape.outputs) if not isinstance(op, int)]
     out[0][:, consts] = [tape.outputs[k] for k in consts]
     return tuple(out)
@@ -599,16 +599,16 @@ def _first_non_finite(tape: Tape, jets: list) -> ExprDomainError:
     )
 
 
-def evaluate_jet(tape: Tape, points, third: bool = False):
-    """Run ``tape``: its K expressions and their exact derivatives at points
-    ``(P, dim)``, the arrays ``(value, d, d2)``, plus ``d3`` with ``third``,
-    of shapes ``(P, K)``, ``(P, K, dim)`` and so on, derivative axes last,
-    except that d3 is ``(P, K, s, s, s)`` over the tape's support.
+def evaluate_jet(tape: Tape, points, order: int = 2):
+    """Run ``tape``: its K expressions and their exact derivatives up to
+    ``order`` (1, 2 or 3) at points ``(P, dim)``, the arrays ``(value, d,
+    ...)`` of shapes ``(P, K)``, ``(P, K, dim)`` and so on, derivative axes
+    last, except that d3 is ``(P, K, s, s, s)`` over the tape's support.
     """
     p = np.asarray(points, dtype=float)
     if p.ndim != 2 or p.shape[1] != tape.dim:
         raise ValueError(f"points have shape {p.shape}, tape expects (P, {tape.dim})")
-    return _run(tape, p, third)
+    return _run(tape, p, order)
 
 
 # ---------------------------------------------------------------------------

@@ -122,15 +122,15 @@ class FieldSpec:
             flat = [e for row in flat for e in row]
         return ex.compile_tape(flat, self.dim)
 
-    def jets(self, p, third: bool = False):
-        """(value, d, d2) and with ``third`` also d3, derivative axes last.
+    def jets(self, p, order: int = 2):
+        """(value, d, ...) up to ``order`` (1, 2 or 3), derivative axes last.
 
         ``p`` is a point ``(dim,)`` or a batch of points ``(P, dim)``; a batch
         adds a leading axis to every array.  d[..., a] = d_a entry and so on.
         """
         n = self.dim
         shape = (n, n) if isinstance(self.entries[0], tuple) else (n,)
-        return self.tape.jets(p, third, shape)
+        return self.tape.jets(p, order, shape)
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +299,7 @@ class Geometry:
     def d3g(self) -> np.ndarray:
         """d3g[i, j, a, b, c] = d_Sa d_Sb d_Sc g_ij, from third-order jets; every
         other third derivative of g is a structural zero."""
-        return self._metric.jets(self.point, third=True)[3]
+        return self._metric.jets(self.point, order=3)[3]
 
     # d_mn G^k_ij = g^ka (d_mn G_aij - d_mn g_ab G^b_ij - d_m g_ab d_n G^b_ij
     # - d_n g_ab d_m G^b_ij), with G_aij = g_ak G^k_ij, is never built whole:

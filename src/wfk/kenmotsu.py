@@ -345,7 +345,7 @@ def build_twisted_product(fiber: FiberSpec, s: int, sigma: ExprAst) -> WeakFMani
     if sigma.dim != dim:
         raise ValueError("sigma must be an expression over the full chart")
     origin = np.zeros(dim)
-    value, grad, _ = sigma.jets(origin)
+    value, grad = sigma.jets(origin, order=1)
     if value <= 0:
         raise ValueError("sigma must be positive")
 
@@ -387,7 +387,6 @@ def build_twisted_product(fiber: FiberSpec, s: int, sigma: ExprAst) -> WeakFMani
         xi=xi,
         eta=eta,
         sigma=sigma,
-        fiber_dim=two_n,
     )
     axioms = check_axioms(m.at(origin))
     if not all(res <= TOLERANCES[cid] for cid, res in axioms.items()):
@@ -401,9 +400,9 @@ def build_twisted_product(fiber: FiberSpec, s: int, sigma: ExprAst) -> WeakFMani
 def twisted_product_audit(st: StructureAtPoint) -> dict:
     """Connection relations of the twisted product: Reeb, base, fiber parts."""
     m = st.m
-    if m.sigma is None or m.fiber_dim is None:
+    if m.sigma is None:
         raise ValueError("manifold was not built as a twisted product")
-    two_n = m.fiber_dim
+    two_n = 2 * m.n
     s = m.s
     gam = st.geo.gamma
     g = st.geo.g

@@ -23,7 +23,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .expr import ExprAst
+from .expr import ExprAst, Tape, compile_tape
 from .geometry import FieldSpec, MetricField, check_bound, coboundary_2form, contract
 
 __all__ = [
@@ -111,12 +111,14 @@ def tensor_residual(t: np.ndarray, probe_slots: tuple[int, ...] = (), lead: int 
     """Max-abs over components and over random-probe contractions.
 
     The first ``lead`` axes are batch axes: the maximum is taken over every
-    other axis, and ``probe_slots`` count from the first of those.
-    Contracting the residual tensor with random vectors on the given
-    slots guards against index-permutation bugs that a plain max-abs
-    over the (already basis-probed) components could miss.  Each slot is
-    contracted as the last axis, from the last slot down, so the slots before
-    it stay in place; the order of the other axes does not change the maximum.
+    other axis, and ``probe_slots`` count from the first of those.  The
+    probe term is part of the norm, not a second detector: contracting k
+    slots with the random rows, divided by ``max(1, top**k)`` (``top`` their
+    largest entry), is at most dim**k times the component max-abs.  It
+    cannot make a zero tensor nonzero; it can raise a nonzero residual by up
+    to that factor.  Each slot is contracted as the last axis, from the last
+    slot down, so the slots before it stay in place; the order of the other
+    axes does not change the maximum.
     """
     axes = tuple(range(lead, t.ndim))
     res = np.abs(t).max(axis=axes, initial=0.0)
@@ -144,7 +146,6 @@ class WeakFManifold:
     xi: tuple[FieldSpec, ...]
     eta: tuple[FieldSpec, ...]
     sigma: ExprAst | None = None          # set by the twisted-product builder
-    fiber_dim: int | None = None          # ditto
 
     def __post_init__(self):
         if self.n < 1 or self.s < 1:
@@ -161,6 +162,13 @@ class WeakFManifold:
     @property
     def beta_is_constant(self) -> bool:
         return not isinstance(self.beta, ExprAst)
+
+    @cached_property
+    def tape(self) -> Tape:
+        """f, Q, the xi_i and the eta^i compiled into one tape, once: output
+        rows f | Q | xi | eta of ``dim`` entries each."""
+        rows = (*self.f.entries, *self.Q.entries, *(v.entries for v in self.xi + self.eta))
+        return compile_tape([e for row in rows for e in row], self.dim)
 
     def at(self, p) -> "StructureAtPoint":
         """The structure at a point ``(dim,)`` or a chunk ``(C, dim)``, built afresh."""
@@ -195,16 +203,15 @@ class StructureAtPoint:
         self.lead = p.ndim - 1  # batch axes in front of every array
         self._points = p.reshape(-1, m.dim)
         self._jets: dict = {}  # id(field) -> (field, its jets here)
+        # one run of the manifold's tape, to first order, split by field:
         # df[i, j, k] = d_k f^i_j; xi[i, k] = xi_i^k and dxi[i, k, a] = d_a xi_i^k,
         # the field index i after the batch axes, and likewise for eta
-        self.f, self.df, _ = m.f.jets(p)
-        self.Q, self.dQ, _ = m.Q.jets(p)
-        vectors = [v.jets(p)[:2] for v in m.xi]
-        forms = [w.jets(p)[:2] for w in m.eta]
-        self.xi, self.dxi = (np.stack(arrs, self.lead) for arrs in zip(*vectors))
-        self.eta, self.deta = (np.stack(arrs, self.lead) for arrs in zip(*forms))
-        named = [("f", self.f), ("Q", self.Q), ("xi", self.xi), ("eta", self.eta)]
-        for name, values in named:  # bounded before the geometry is built
+        dim, s = m.dim, m.s
+        value, d = m.tape.jets(p, 1, (2 * (dim + s), dim))
+        rows = (dim, 2 * dim, 2 * dim + s)
+        self.f, self.Q, self.xi, self.eta = fields = np.split(value, rows, self.lead)
+        self.df, self.dQ, self.dxi, self.deta = np.split(d, rows, self.lead)
+        for name, values in zip(("f", "Q", "xi", "eta"), fields):  # before the geometry
             check_bound(self._points, name, values, MAX_FIELD)
         self.geo = m.metric.at(p)
         self.xibar = self.xi.sum(axis=-2)

@@ -192,9 +192,9 @@ def test_at_most_one_jet_evaluation_per_point(make_ctx, monkeypatch):
     calls = Counter()
     evaluate_jet = ex.evaluate_jet
 
-    def counted(ast, point, third=False):
-        calls["third" if third else "order2"] += 1
-        return evaluate_jet(ast, point, third)
+    def counted(tape, points, order=2):
+        calls["order3" if order == 3 else "lower"] += 1
+        return evaluate_jet(tape, points, order)
 
     monkeypatch.setattr(ex, "evaluate_jet", counted)
     counts = []
@@ -203,8 +203,8 @@ def test_at_most_one_jet_evaluation_per_point(make_ctx, monkeypatch):
         points = seeded_points(ctx.manifold.dim, count=count, seed=11)
         calls.clear()
         run_check_ids(ctx, applicable_ids(ctx), points)
-        assert calls["third"] <= count
-        counts.append(calls["order2"])
+        assert calls["order3"] <= count
+        counts.append(calls["lower"])
     assert counts[0] == counts[1]
 
 
@@ -214,9 +214,9 @@ def tape_runs(monkeypatch):
     runs = Counter()
     evaluate_jet = ex.evaluate_jet
 
-    def counted(tape, points, third=False):
+    def counted(tape, points, order=2):
         runs[id(tape)] += 1
-        return evaluate_jet(tape, points, third)
+        return evaluate_jet(tape, points, order)
 
     monkeypatch.setattr(ex, "evaluate_jet", counted)
     return runs
@@ -238,3 +238,17 @@ def test_an_expression_beta_is_jetted_once_per_structure(tape_runs):
     theorem1_check(st)
     kenmotsu_residual(st)
     assert tape_runs[id(beta.tape)] == 1
+
+
+@pytest.mark.parametrize("make_ctx", [_example2_V, _example2_v, _twisted])
+def test_the_structure_tape_runs_once_per_structure(make_ctx, monkeypatch, tape_runs):
+    # f, Q, the xi_i and the eta^i are one tape, run once a chunk to first
+    # order; the tapes of the fields alone never run
+    ctx = make_ctx()
+    m = ctx.manifold
+    own = [field.tape for field in (m.f, m.Q, *m.xi, *m.eta)]  # compiled, not run
+    _two_point_chunks(monkeypatch, m.dim)
+    tape_runs.clear()  # the twisted builder checks its axioms at the origin
+    run_check_ids(ctx, applicable_ids(ctx), seeded_points(m.dim, count=5, seed=41))
+    assert tape_runs[id(m.tape)] == 3  # chunks of 2, 2 and 1
+    assert not {id(tape) for tape in own} & set(tape_runs)

@@ -321,6 +321,18 @@ class TestManifestValidation:
         assert "cannot read" in capsys.readouterr().err
 
 
+    def test_full_square_metric_is_rejected(self, tmp_path, capsys):
+        # the metric is its lower triangle: row i holds i entries
+        path = tmp_path / "e2.json"
+        assert main(["example2", "2", "3", "1.0", "1.0", "--out", str(path)]) == 0
+        data = _load(path)
+        lower = data["metric"]
+        data["metric"] = [[lower[max(i, j)][min(i, j)] for j in range(7)] for i in range(7)]
+        path.write_text(json.dumps(data))
+        assert main(["check", str(path)]) == 2
+        assert capsys.readouterr().err == "error: metric row 1: expected 1 entries\n"
+
+
 class TestListChecks:
     def test_catalogue_is_complete(self, capsys):
         assert main(["list-checks"]) == 0
@@ -428,6 +440,41 @@ class TestInputBounds:
         assert main(["example2", "1", "1", "1.0", "1.0", "--out", str(path)]) == 0
         path.write_text(json.dumps(_mutated(_load(path), ("beta",), -cli._MAX_BETA)))
         assert main(["check", str(path), "--points", "1", "--out", str(path) + ".r"]) in (0, 1)
+
+    @pytest.mark.parametrize("beta", ["1.0", "1", "2*0.5"])
+    def test_constant_beta_written_as_an_expression(self, tmp_path, beta):
+        # a beta that folds to a constant is that constant: every id runs
+        path = tmp_path / "e2.json"
+        assert main(["example2", "2", "3", "1.0", "1.0", "--out", str(path)]) == 0
+        reports = []
+        for value in (1.0, beta):
+            path.write_text(json.dumps(_mutated(_load(path), ("beta",), value)))
+            out = str(tmp_path / "report.json")
+            assert main(["check", str(path), "--points", "2", "--out", out]) == 0
+            reports.append(_load(out))
+        records = [
+            [(rec["id"], rec["point"], rec["pass"]) for rec in report["checks"]]
+            for report in reports
+        ]
+        assert records[0] == records[1]
+        assert len({rec["id"] for rec in reports[1]["checks"]}) == 37
+
+    def test_constant_beta_expression_beyond_the_bound(self, tmp_path, capsys):
+        path = tmp_path / "e2.json"
+        assert main(["example2", "1", "1", "1.0", "1.0", "--out", str(path)]) == 0
+        path.write_text(json.dumps(_mutated(_load(path), ("beta",), "2e76")))
+        assert main(["check", str(path), "--points", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: beta: must be at most 1e+76") and "Traceback" not in err
+
+    def test_structure_field_whose_hessian_overflows(self, tmp_path, capsys):
+        # a structure reads f to first order, but its tape still checks the Hessian
+        path = tmp_path / "e2.json"
+        assert main(["example2", "1", "1", "1.0", "1.0", "--out", str(path)]) == 0
+        path.write_text(json.dumps(_mutated(_load(path), ("f", 0, 1), "2+sqrt(x1+1e-300)")))
+        assert main(["check", str(path), "--points", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: sqrt second derivative is not finite (at characters 2..17)\n"
 
     # (key path, how the error names the field); xi[1][3] pairs with eta[1][3],
     # so the other two edits stay off the dual pairing

@@ -195,10 +195,10 @@ class TestThirdOrder:
                 two = ast.jets(p)
             except ExprDomainError:
                 continue
-            three = ast.jets(p, third=True)
-            assert len(two) == 3
-            assert three[0] == two[0]
-            assert np.array_equal(three[1], two[1])
+            one, three = ast.jets(p, order=1), ast.jets(p, order=3)
+            assert len(one) == 2 and len(two) == 3
+            assert one[0] == two[0] == three[0]
+            assert np.array_equal(one[1], two[1]) and np.array_equal(three[1], two[1])
             assert np.array_equal(three[2], two[2])
 
     def test_matches_sympy(self):
@@ -242,7 +242,7 @@ class TestThirdOrder:
         checked = 0
         for ast, p in cases:
             try:
-                third = _dense3(ast.tape, ast.jets(p, third=True)[3])
+                third = _dense3(ast.tape, ast.jets(p, order=3)[3])
             except ExprDomainError:
                 continue
             f = to_sympy(ast.root)
@@ -259,9 +259,9 @@ class TestThirdOrder:
 
     def test_square_at_zero(self):
         # the third coefficient of x^2 is 0; x^(2-3) must not be evaluated
-        d3 = parse_expression("x1^2", 1).jets(np.zeros(1), third=True)[3]
+        d3 = parse_expression("x1^2", 1).jets(np.zeros(1), order=3)[3]
         assert np.all(d3 == 0.0)
-        d3 = parse_expression("x1^3", 1).jets(np.zeros(1), third=True)[3]
+        d3 = parse_expression("x1^3", 1).jets(np.zeros(1), order=3)[3]
         assert d3[0, 0, 0] == 6.0
 
 
@@ -270,7 +270,7 @@ class TestNonFinite:
     def test_exp_overflow_is_domain_error(self, third):
         ast = parse_expression("1+exp(exp(x1+10))", 2)
         with pytest.raises(ExprDomainError) as err:
-            ast.jets(np.zeros(2), third=third)
+            ast.jets(np.zeros(2), order=3 if third else 2)
         assert err.value.span == (2, 17)
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
@@ -282,7 +282,7 @@ class TestNonFinite:
         ast = parse_expression("exp(1.5*x1+708.9)", 1)
         assert np.isfinite(ast.jets(np.zeros(1))[2]).all()
         with pytest.raises(ExprDomainError):
-            ast.jets(np.zeros(1), third=True)
+            ast.jets(np.zeros(1), order=3)
 
     def test_power_overflow_is_domain_error(self):
         with pytest.raises(ExprDomainError):
@@ -302,20 +302,29 @@ class TestNonFinite:
         # the value is finite; a derivative overflows at that order
         ast = parse_expression("2+" + text, 1)
         with pytest.raises(ExprDomainError) as err:
-            ast.jets([x], third=third)
+            ast.jets([x], order=3 if third else 2)
         assert err.value.span == (2, 2 + len(text))
         assert f"{order} derivative is not finite" in err.value.message
         if third and order == "third":
             assert np.isfinite(ast.jets([x])[2]).all()
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_first_order_jets_still_check_the_hessian(self):
+        # order 1 returns no Hessian, but the tape still propagates one
+        ast = parse_expression("2+sqrt(x1)", 1)
+        with pytest.raises(ExprDomainError) as err:
+            ast.jets([1e-300], order=1)
+        assert "sqrt second derivative is not finite" in err.value.message
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("third", [False, True])
     def test_one_overflowing_point_fails_the_batch(self, third):
         tape = ex.compile_tape([parse_expression("x2*sqrt(x1)", 2)], 2)
         healthy = np.array([[0.5, 1.0], [2.0, -1.0]])
-        assert all(np.isfinite(a).all() for a in evaluate_jet(tape, healthy, third))
+        order = 3 if third else 2
+        assert all(np.isfinite(a).all() for a in evaluate_jet(tape, healthy, order))
         with pytest.raises(ExprDomainError) as err:
-            evaluate_jet(tape, np.vstack([healthy, [1e-300, 1.0]]), third)
+            evaluate_jet(tape, np.vstack([healthy, [1e-300, 1.0]]), order)
         assert err.value.span == (3, 11)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -354,7 +363,7 @@ class TestDepthLimit:
         assert to_source(parens) == "x1+x2"
         calls = parse_expression("sqrt(" * 150 + "2+x1" + ")" * 150, 2)
         assert parse_expression(to_source(calls), 2) == calls
-        value, *_, d3 = calls.jets(np.array([0.5, 0.0]), third=True)
+        value, *_, d3 = calls.jets(np.array([0.5, 0.0]), order=3)
         assert value == pytest.approx(2.5 ** (0.5**150))
         assert np.isfinite(d3).all()
 
@@ -372,27 +381,27 @@ def _dense3(tape, d3):
 
 class TestTape:
     @settings(max_examples=60, deadline=None)
-    @given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.booleans())
-    def test_batch_equals_single_points_bitwise(self, seed, count, third):
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.sampled_from((1, 2, 3)))
+    def test_batch_equals_single_points_bitwise(self, seed, count, order):
         rng = np.random.default_rng(seed)
         asts = [_random_ast(rng, 3, 3) for _ in range(3)]
         asts.append(asts[0])
         points = rng.uniform(-0.8, 0.8, (count, 3))
         tape = ex.compile_tape(asts, 3)
         try:
-            batch = evaluate_jet(tape, points, third)
+            batch = evaluate_jet(tape, points, order)
         except ExprDomainError:
             return
         for i, p in enumerate(points):
-            one = evaluate_jet(tape, p[None], third)
+            one = evaluate_jet(tape, p[None], order)
             assert _bits(*(arr[i] for arr in batch)) == _bits(*(arr[0] for arr in one))
             for k, ast in enumerate(asts):
                 # alone, an expression's jets run over its own support: the
                 # same bits there, and a structural +0.0 where the shared
                 # tape may hold a -0.0
-                single = list(ast.jets(p, third))
+                single = list(ast.jets(p, order))
                 got = [arr[i, k] for arr in batch]
-                if third:
+                if order == 3:
                     got[3] = _dense3(tape, got[3])
                     single[3] = _dense3(ast.tape, single[3])
                 assert _bits(*(a + 0.0 for a in got)) == _bits(*(a + 0.0 for a in single))
@@ -409,9 +418,10 @@ class TestTape:
         assert len(shared) == 5 and len(set(shared)) == 3 and tape.support == (0, 2, 3)
         assert [op for op in tape.outputs if isinstance(op, float)] == [6.0, 2.0]
         points = np.random.default_rng(3).uniform(0.2, 0.8, (5, 4))
-        full = evaluate_jet(tape, points, third)
+        order = 3 if third else 2
+        full = evaluate_jet(tape, points, order)
         for k, op in enumerate(tape.outputs):
-            one = evaluate_jet(dataclasses.replace(tape, outputs=(op,)), points, third)
+            one = evaluate_jet(dataclasses.replace(tape, outputs=(op,)), points, order)
             assert _bits(*(arr[:, k] for arr in full)) == _bits(*(arr[:, 0] for arr in one))
 
     def test_exp_log_and_powers_round_like_python_floats(self):
@@ -458,7 +468,7 @@ class TestTape:
     def test_any_point_of_a_batch_raises(self, text, bad, span, third):
         points = np.array([[0.5, 0.0], [bad, 0.0], [2.0, 0.0]])
         with pytest.raises(ExprDomainError) as err:
-            evaluate_jet(parse_expression(text, 2).tape, points, third)
+            evaluate_jet(parse_expression(text, 2).tape, points, 3 if third else 2)
         assert err.value.span == span
 
     def test_constant_domain_errors_keep_their_order(self):

@@ -513,11 +513,11 @@ class TestDirectionalScalarIdentity:
         assert np.isfinite(residual)
 
 
-def _entry_jets(ast, p, third=False):
+def _entry_jets(ast, p, order=2):
     """One expression's own jets at p, d3 scattered from its tape's support
     to every coordinate."""
-    jets = list(ast.jets(p, third))
-    if third:
+    jets = list(ast.jets(p, order))
+    if order == 3:
         d3 = np.zeros((ast.dim,) * 3)
         d3[np.ix_(*[ast.tape.support] * 3)] = jets[3]
         jets[3] = d3
@@ -529,21 +529,22 @@ class TestFieldSpec:
 
     @pytest.mark.parametrize("third", [False, True])
     def test_rank1_jets_match_entries(self, third):
-        out = BENT4.jets(self.P, third)
-        assert len(out) == (4 if third else 3)
+        order = 3 if third else 2
+        out = BENT4.jets(self.P, order)
+        assert len(out) == order + 1
         for k, entry in enumerate(BENT4.entries):
-            for arr, part in zip(out, _entry_jets(entry, self.P, third)):
+            for arr, part in zip(out, _entry_jets(entry, self.P, order)):
                 assert np.array_equal(arr[k], part)  # derivative axes last
 
     def test_rank2_jets_match_entries(self):
         field = FieldSpec.from_entries(
             [["x1*x2", 0, "exp(x3)", 1], ["x4^2", "x1", 2, "x2*x3*x4"]] * 2, 4
         )
-        v, d, d2, d3 = field.jets(self.P, third=True)
+        v, d, d2, d3 = field.jets(self.P, order=3)
         assert v.shape == (4, 4) and d3.shape == (4,) * 5
         for i in range(4):
             for j in range(4):
-                value, grad, hess, third = _entry_jets(field.entries[i][j], self.P, True)
+                value, grad, hess, third = _entry_jets(field.entries[i][j], self.P, 3)
                 assert v[i, j] == value
                 assert np.array_equal(d[i, j], grad)
                 assert np.array_equal(d2[i, j], hess)
@@ -554,9 +555,10 @@ class TestFieldSpec:
         rows = [["x1*x2", 0, "exp(x3)", 1], ["x4^2", "x1", 2, "x2"]] * 2
         field = FieldSpec.from_entries(rows, 4)
         points = np.stack([self.P, -self.P, 2 * self.P])
-        batch = field.jets(points, third)
+        order = 3 if third else 2
+        batch = field.jets(points, order)
         for i, p in enumerate(points):
-            for arr, part in zip(batch, field.jets(p, third)):
+            for arr, part in zip(batch, field.jets(p, order)):
                 assert arr.shape == (3,) + part.shape
                 assert np.array_equal(arr[i], part)
 
@@ -587,15 +589,15 @@ def test_dense_metric_jets_each_entry_once(monkeypatch):
     calls = []
     jet = ex.evaluate_jet
 
-    def counting_jet(ast, point, third=False):
-        calls.append(third)
-        return jet(ast, point, third)
+    def counting_jet(ast, point, order=2):
+        calls.append(order)
+        return jet(ast, point, order)
 
     monkeypatch.setattr(ex, "evaluate_jet", counting_jet)
     geo = _PointGeometry(metric, np.full(5, 0.1))
-    assert calls == [False]
+    assert calls == [2]
     d3g = geo.d3g
-    assert calls == [False, True]
+    assert calls == [2, 3]
     assert np.array_equal(d3g, d3g.transpose(1, 0, 2, 3, 4))
 
 
@@ -645,7 +647,7 @@ def test_compact_d3g_is_the_dense_jets_on_the_support(case):
         assert np.array_equal(geo.support, s)
         assert geo.d3g.shape == (n, n) + (len(s),) * 3
         dense = np.array(
-            [[_entry_jets(e, p, third=True)[3] for e in row] for row in metric.entries]
+            [[_entry_jets(e, p, order=3)[3] for e in row] for row in metric.entries]
         )
         block = np.ix_(s, s, s)
         assert (geo.d3g + 0.0).tobytes() == (dense[(..., *block)] + 0.0).tobytes()

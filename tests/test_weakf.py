@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from wfk import expr as ex
+from wfk.cli import manifest_from_manifold, manifold_from_manifest
 from wfk.geometry import FieldSpec, MetricField, coboundary_2form
 from wfk.kenmotsu import FiberSpec, build_example2, build_twisted_product
 from wfk.weakf import (
@@ -245,3 +246,44 @@ class TestProbeCache:
         fresh = probe_vectors(5)
         assert fresh.flags.writeable
         assert np.array_equal(fresh[5:], cached)
+
+
+def _varying_fields_manifold():
+    """The dim-7 example2 manifest with f, xi and eta varying, as the CLI reads it."""
+    data = manifest_from_manifold(build_example2(2, 3, 1.0, 1.0))
+    data["f"][0][1] = "0.1*x3"
+    data["xi"][0][0] = "0.1*x1"
+    data["eta"][1][1] = "0.2*x2*x6"
+    return manifold_from_manifest(data)[0]
+
+
+class TestStructureTape:
+    """A structure splits one first-order run of the manifold's tape into f,
+    Q, the xi_i and the eta^i; each part is that field's own jets."""
+
+    @pytest.mark.parametrize(
+        "build",
+        [example_manifold, _twisted_d8, _perturbed_f_manifold, _varying_fields_manifold],
+        ids=["example2", "twisted", "perturbed-f", "varying-fields"],
+    )
+    @pytest.mark.parametrize("count", [1, 3], ids=["point", "chunk"])
+    def test_arrays_are_each_fields_own_jets(self, build, count):
+        m = build()
+        points = np.array(seeded_points(m.dim, count=count, seed=37))
+        p = points[0] if count == 1 else points
+        st = m.at(p)
+        parts = [(m.f, st.f, st.df), (m.Q, st.Q, st.dQ)]
+        parts += [(v, st.xi[..., i, :], st.dxi[..., i, :, :]) for i, v in enumerate(m.xi)]
+        parts += [(w, st.eta[..., i, :], st.deta[..., i, :, :]) for i, w in enumerate(m.eta)]
+        for field, value, d in parts:
+            want = field.jets(p, order=1)
+            assert np.array_equal(value, want[0]) and np.array_equal(d, want[1])
+        assert st.f.shape == p.shape[:-1] + (m.dim, m.dim)
+        assert st.deta.shape == p.shape[:-1] + (m.s, m.dim, m.dim)
+
+    def test_tape_rows(self):
+        m = _varying_fields_manifold()
+        assert len(m.tape.outputs) == (2 * m.dim + 2 * m.s) * m.dim
+        # x1 (xi_1), x2 and x6 (eta^2) and x3 (f)
+        assert m.tape.support == (0, 1, 2, 5)
+        assert example_manifold().tape.support == ()
