@@ -50,7 +50,7 @@ class CheckSpec:
 
 # requirement -> whether a manifold and soliton provide what its checks need
 _REQUIRES = {
-    "beta": lambda m, sol: m.beta is not None and m.beta_is_constant,
+    "beta": lambda m, sol: m.beta is not None,
     "sigma": lambda m, sol: m.sigma is not None,
     "soliton": lambda m, sol: sol is not None,
     "soliton_V": lambda m, sol: sol is not None and sol.V is not None,
@@ -110,7 +110,6 @@ CATALOGUE: dict[str, CheckSpec] = {
     **_specs("star_def", ("star.def",)),
     **_specs("thm4", ("thm4.28", "thm4.29"), "beta"),
     **_specs("cor2", ("cor2",), "beta"),
-    # the soliton formulas below hold for a constant beta only
     **_specs("soliton", ("soliton.32", "soliton.33"), "beta", "soliton_V"),
     **_specs("grad", ("grad.75",), "beta", "soliton_v"),
     **_specs("prop5", ("prop5",), "soliton"),
@@ -163,7 +162,7 @@ def run_check_ids(ctx: CheckContext, ids, points) -> dict[str, np.ndarray]:
     if blocked:
         raise ValueError(
             f"checks {blocked} need data this manifest does not provide "
-            "(constant beta, twisted-product sigma, or a soliton block)"
+            "(beta, twisted-product sigma, or a soliton block)"
         )
     groups = dict.fromkeys(CATALOGUE[cid].group for cid in ids)
     # a residual no runner wrote stays NaN, which fails any tolerance

@@ -165,16 +165,14 @@ def manifold_from_manifest(data: dict):
     if data.get("dim") not in (None, dim):
         raise ManifestError(f"dim {data.get('dim')} does not equal 2n+s = {dim}")
 
-    beta_raw = data.get("beta")
-    if beta_raw is None:
-        beta = None
-    elif isinstance(beta_raw, (int, float)) and not isinstance(beta_raw, bool):
-        beta = _bounded(beta_raw, "beta", _MAX_BETA)
-    else:
-        beta = _parse_entry(beta_raw, dim, "beta")
-        folded = beta.tape.outputs[0]
-        if isinstance(folded, float):  # a constant written as an expression
-            beta = _bounded(folded, "beta", _MAX_BETA)
+    beta = data.get("beta")
+    if isinstance(beta, str):  # a constant written as an expression
+        folded = _parse_entry(beta, dim, "beta").tape.outputs[0]
+        if not isinstance(folded, float):  # an instruction: it reads x, or is not finite
+            raise ManifestError(f"beta: expected a finite constant, got {beta!r}")
+        beta = folded
+    if beta is not None:
+        beta = _bounded(beta, "beta", _MAX_BETA)
     c = None if data.get("c") is None else _finite_number(data["c"], "c")
 
     metric_rows = _parse_matrix(data.get("metric"), dim, "metric", lower=True)
@@ -276,10 +274,7 @@ def manifest_from_manifold(
         "version": SCHEMA_VERSION,
         "n": m.n,
         "s": m.s,
-        "beta": (
-            None if m.beta is None
-            else (m.beta if m.beta_is_constant else ex.to_source(m.beta))
-        ),
+        "beta": m.beta,
         "c": m.c,
         "dim": dim,
         "metric": [

@@ -546,13 +546,33 @@ def compile_tape(asts, dim: int) -> Tape:
     return Tape(dim, tuple(code), outputs, support)
 
 
+_ORDERS = ("value", "first derivative", "second derivative", "third derivative")
+
+
+def _first_non_finite(tape: Tape, jets: list) -> ExprDomainError:
+    """The domain error of the first instruction with a non-finite jet part."""
+    return next(
+        ExprDomainError(f"{node.kind} {_ORDERS[order]} is not finite", node.span)
+        for (node, _), parts in zip(tape.code, jets)
+        for order, part in enumerate(parts)
+        if part is not None and not np.isfinite(part).all()
+    )
+
+
 @np.errstate(over="ignore", divide="ignore", invalid="ignore")  # non-finite raises below
-def _run(tape: Tape, points: np.ndarray, order: int):
-    """Arrays (value, d, ...) up to ``order`` of shapes (P, K) + (dim,) * k,
-    but d3 of shape (P, K) + (s,) * 3 over the support.  The jets inside run
-    to second order at least, and every part they hold is checked."""
-    dim, count, size = tape.dim, len(points), len(tape.support)
-    coords = points.T
+def evaluate_jet(tape: Tape, points, order: int = 2):
+    """Run ``tape``: its K expressions and their exact derivatives up to
+    ``order`` (1, 2 or 3) at points ``(P, dim)``, the arrays ``(value, d,
+    ...)`` of shapes ``(P, K)``, ``(P, K, dim)`` and so on, derivative axes
+    last, except that d3 is ``(P, K, s, s, s)`` over the tape's support.
+    The jets inside run to second order at least, and every part they hold
+    is checked.
+    """
+    p = np.asarray(points, dtype=float)
+    if p.ndim != 2 or p.shape[1] != tape.dim:
+        raise ValueError(f"points have shape {p.shape}, tape expects (P, {tape.dim})")
+    dim, count, size = tape.dim, len(p), len(tape.support)
+    coords = p.T
     jets: list = []
     for node, operands in tape.code:
         if node.kind == "var":
@@ -584,31 +604,6 @@ def _run(tape: Tape, points: np.ndarray, order: int):
     consts = [k for k, op in enumerate(tape.outputs) if not isinstance(op, int)]
     out[0][:, consts] = [tape.outputs[k] for k in consts]
     return tuple(out)
-
-
-_ORDERS = ("value", "first derivative", "second derivative", "third derivative")
-
-
-def _first_non_finite(tape: Tape, jets: list) -> ExprDomainError:
-    """The domain error of the first instruction with a non-finite jet part."""
-    return next(
-        ExprDomainError(f"{node.kind} {_ORDERS[order]} is not finite", node.span)
-        for (node, _), parts in zip(tape.code, jets)
-        for order, part in enumerate(parts)
-        if part is not None and not np.isfinite(part).all()
-    )
-
-
-def evaluate_jet(tape: Tape, points, order: int = 2):
-    """Run ``tape``: its K expressions and their exact derivatives up to
-    ``order`` (1, 2 or 3) at points ``(P, dim)``, the arrays ``(value, d,
-    ...)`` of shapes ``(P, K)``, ``(P, K, dim)`` and so on, derivative axes
-    last, except that d3 is ``(P, K, s, s, s)`` over the tape's support.
-    """
-    p = np.asarray(points, dtype=float)
-    if p.ndim != 2 or p.shape[1] != tape.dim:
-        raise ValueError(f"points have shape {p.shape}, tape expects (P, {tape.dim})")
-    return _run(tape, p, order)
 
 
 # ---------------------------------------------------------------------------

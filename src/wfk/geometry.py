@@ -412,29 +412,17 @@ class MetricField(FieldSpec):
 
     @classmethod
     def from_entries(cls, rows, dim: int) -> "MetricField":
-        """Build from a full square or lower-triangular nested sequence."""
-        asts: list[list[ExprAst | None]] = [[None] * dim for _ in range(dim)]
-        for i, row in enumerate(rows):
-            for j, entry in enumerate(row):
-                asts[i][j] = _as_ast(entry, dim)
-        for i in range(dim):
-            for j in range(dim):
-                if asts[i][j] is None:
-                    if asts[j][i] is None:
-                        raise ValueError(f"missing metric entry ({i}, {j})")
-                    asts[i][j] = asts[j][i]
-        # lower triangle is authoritative
-        for i in range(dim):
-            for j in range(i + 1, dim):
-                asts[i][j] = asts[j][i]
-        return cls(dim, tuple(tuple(row) for row in asts))
+        """Build from the lower triangle of ``dim`` rows: row i's first i + 1
+        entries; the entries after them (a full square's upper half) are not read."""
+        if len(rows) != dim or any(len(row) <= i for i, row in enumerate(rows)):
+            raise ValueError(f"the metric needs {dim} rows, the i-th of at least i entries")
+        low = [[_as_ast(e, dim) for e in row[: i + 1]] for i, row in enumerate(rows)]
+        square = (tuple(low[max(i, j)][min(i, j)] for j in range(dim)) for i in range(dim))
+        return cls(dim, tuple(square))
 
     @classmethod
     def diagonal(cls, entries, dim: int) -> "MetricField":
-        rows = [
-            [entries[i] if i == j else 0.0 for j in range(dim)]
-            for i in range(dim)
-        ]
+        rows = [[0.0] * i + [entries[i]] for i in range(dim)]
         return cls.from_entries(rows, dim)
 
     def at(self, p) -> Geometry:

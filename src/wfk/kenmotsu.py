@@ -99,7 +99,7 @@ def _nabla_f_residual(st: StructureAtPoint) -> np.ndarray:
     """(nabla_a f)^k_b - beta { (f^m_a g_mb) xibar^k - etabar_b f^k_a }."""
     lhs = st.nabla_f  # [k, b, a]
     gf = contract("...ma,...mb->...ab", st.f, st.geo.g)
-    rhs = np.asarray(st.beta)[..., None, None, None] * (
+    rhs = st.m.beta * (
         np.einsum("...ab,...k->...kba", gf, st.xibar)
         - np.einsum("...b,...ka->...kba", st.etabar, st.f)
     )
@@ -107,9 +107,7 @@ def _nabla_f_residual(st: StructureAtPoint) -> np.ndarray:
 
 
 def kenmotsu_residual(st: StructureAtPoint) -> dict:
-    """Residual of the defining nabla-f condition, ``{"kenmotsu.12": residual}``,
-    with the manifold's coefficient, which may be an expression (the
-    genuinely twisted case)."""
+    """Residual of the defining nabla-f condition, ``{"kenmotsu.12": residual}``."""
     return {"kenmotsu.12": st.residual(_nabla_f_residual(st), (1, 2))}
 
 
@@ -273,12 +271,7 @@ IDENTITY_IDS = tuple(_IDENTITIES)
 
 def audit_identities(st: StructureAtPoint) -> dict:
     """Residuals of the curvature/connection identity catalogue, ``{"id.N": residual}``."""
-    if not st.m.beta_is_constant:
-        raise ValueError(
-            "identity audits require a constant Kenmotsu coefficient; "
-            "this manifold carries a coordinate-dependent one"
-        )
-    return {f"id.{i}": st.residual(_IDENTITIES[i](st, st.beta)) for i in IDENTITY_IDS}
+    return {f"id.{i}": st.residual(_IDENTITIES[i](st, st.m.beta)) for i in IDENTITY_IDS}
 
 
 # ---------------------------------------------------------------------------
@@ -430,14 +423,10 @@ def twisted_product_audit(st: StructureAtPoint) -> dict:
     )
 
     # (iii): fiber components of nabla_X Y equal the Christoffels of the
-    # induced leaf metric (t frozen), i.e. drop all t-derivatives
-    dg_fiber = st.geo.dg[..., :two_n, :two_n, :two_n]
+    # induced leaf metric (t frozen), i.e. drop all t-derivatives; the fiber
+    # block of the Christoffel core reads only fiber derivatives of fiber entries
     ghat_inv = np.linalg.inv(g[..., :two_n, :two_n])
-    core = (
-        np.einsum("...jli->...lij", dg_fiber)
-        + np.einsum("...ilj->...lij", dg_fiber)
-        - np.einsum("...ijl->...lij", dg_fiber)
-    )
+    core = st.geo.core[..., :two_n, :two_n, :two_n]
     gam_hat = 0.5 * contract("...kl,...lij->...kij", ghat_inv, core)
     res_iii = st.residual(gam[..., :two_n, :two_n, :two_n] - gam_hat)
 
@@ -452,10 +441,9 @@ def eta_einstein_fit(st: StructureAtPoint) -> EinsteinFit:
     """Least-squares (a, b) of Ric = a g - a sum eta (x) eta + (a+b) etabar (x) etabar."""
     m = st.m
     predicted = None
-    if m.beta is not None and m.beta_is_constant:
-        beta = st.beta
-        a_pred = m.s * beta**2 + st.geo.scalar / (2.0 * m.n)
-        b_pred = -2.0 * m.n * beta**2 - a_pred
+    if m.beta is not None:
+        a_pred = m.s * m.beta**2 + st.geo.scalar / (2.0 * m.n)
+        b_pred = -2.0 * m.n * m.beta**2 - a_pred
         predicted = (a_pred, b_pred)
     col_a = st.geo.g - st.etaeta + st.ebar
     return EinsteinFit.least_squares(st.geo.ric, col_a, st.ebar, predicted)

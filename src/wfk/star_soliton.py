@@ -101,7 +101,7 @@ def star_symmetry_gate(st: StructureAtPoint):
 def theorem4_residual(st: StructureAtPoint) -> dict:
     """Compare the definitional Ric* and r* against their Ricci expressions."""
     m = st.m
-    beta = st.beta
+    beta = m.beta
     s, n = m.s, m.n
     g, Q = st.geo.g, st.Q
 
@@ -159,7 +159,7 @@ def _check_star_symmetric(st: StructureAtPoint) -> None:
 def _cross_residual_33(st: StructureAtPoint, half_lie: np.ndarray, lam, mu) -> float:
     """Residual of the expanded soliton equation written through Ric and Q."""
     g, etaeta, ebar = st.geo.g, st.etaeta, st.ebar
-    beta = st.beta
+    beta = st.m.beta
     s, n = st.m.s, st.m.n
     ric_q = st.geo.ric @ st.Q
     gq = contract("...ma,...mb->...ab", st.Q, g)
@@ -200,7 +200,7 @@ def gradient_soliton_residual(st: StructureAtPoint, sol: SolitonData) -> Soliton
 
     # operator form: nabla_X grad v + Q Ric# X = lam X - s(2n-1) b^2 QX + ...
     m = st.m
-    beta = st.beta
+    beta = m.beta
     s, n = m.s, m.n
     dim = m.dim
     k = s * (2 * n - 1) * beta**2
@@ -272,7 +272,7 @@ def lemma2_audit(st: StructureAtPoint, sol: SolitonData) -> dict:
     if sol.V is None:
         raise ValueError("lemma2_audit needs a vector-field potential")
     m = st.m
-    beta = st.beta
+    beta = m.beta
     s, n = m.s, m.n
     dim = m.dim
     rs = st.geo.ric_sharp

@@ -93,10 +93,10 @@ TOLERANCES: dict[str, float] = {
 MAX_FIELD = 1e100
 
 
-def probe_vectors(dim: int, seed: int = _PROBE_SEED, extra: int = _PROBE_COUNT) -> np.ndarray:
+def probe_vectors(dim: int) -> np.ndarray:
     """Coordinate basis plus seeded random vectors, rows are probes."""
-    rng = np.random.default_rng(seed)
-    return np.vstack([np.eye(dim), rng.standard_normal((extra, dim))])
+    rng = np.random.default_rng(_PROBE_SEED)
+    return np.vstack([np.eye(dim), rng.standard_normal((_PROBE_COUNT, dim))])
 
 
 @lru_cache(maxsize=None)
@@ -138,7 +138,7 @@ class WeakFManifold:
 
     n: int
     s: int
-    beta: float | ExprAst | None
+    beta: float | None
     c: float | None
     metric: MetricField
     f: FieldSpec
@@ -158,10 +158,6 @@ class WeakFManifold:
     @property
     def dim(self) -> int:
         return 2 * self.n + self.s
-
-    @property
-    def beta_is_constant(self) -> bool:
-        return not isinstance(self.beta, ExprAst)
 
     @cached_property
     def tape(self) -> Tape:
@@ -233,15 +229,6 @@ class StructureAtPoint:
                 check_bound(self._points, "soliton.V", jets[0], MAX_FIELD)
             known = self._jets[id(field)] = (field, jets)
         return known[1]
-
-    @cached_property
-    def beta(self):
-        """The Kenmotsu coefficient here: the constant, or an expression's
-        value at each point."""
-        beta = self.m.beta
-        if beta is None:
-            raise ValueError("manifold has no Kenmotsu coefficient")
-        return self.jets_of(beta)[0] if isinstance(beta, ExprAst) else float(beta)
 
     @cached_property
     def etaeta(self) -> np.ndarray:
@@ -435,8 +422,7 @@ def theorem1_check(st: StructureAtPoint) -> dict:
         + contract("...am,...mbk->...abk", st.geo.g, st.df)
     )
     phi = st.geo.g @ st.f  # Phi(X, Y) = g(X, fY)
-    beta = np.asarray(st.beta)[..., None, None, None]
-    rhs = 2.0 * beta * wedge_1form_2form(st.etabar, phi)
+    rhs = 2.0 * st.m.beta * wedge_1form_2form(st.etabar, phi)
     return {
         "n1": st.residual(n1, (1, 2)),
         "deta": st.residual(deta, (1, 2)),

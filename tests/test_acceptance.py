@@ -82,7 +82,7 @@ def test_criterion_02_normality_closedness_and_proportionality():
             # recover the proportionality constant of dPhi vs beta etabar ^ Phi
             phi, dphi, _ = phi_field.jets(p)
             dphi = coboundary_2form(dphi)
-            base = st.beta * wedge_1form_2form(st.etabar, phi)
+            base = st.m.beta * wedge_1form_2form(st.etabar, phi)
             denom = float(np.sum(base * base))
             k = float(np.sum(dphi * base)) / denom
             worst = max(worst, abs(k - 2.0))

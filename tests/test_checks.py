@@ -1,5 +1,4 @@
 import ast
-import dataclasses
 import importlib
 import importlib.util
 import inspect
@@ -13,9 +12,9 @@ from wfk import expr as ex
 from wfk import weakf
 from wfk.checks import _RUNNERS, CATALOGUE, CheckContext, applicable_ids, run_check_ids
 from wfk.geometry import FieldSpec
-from wfk.kenmotsu import FiberSpec, build_example2, build_twisted_product, kenmotsu_residual
+from wfk.kenmotsu import FiberSpec, build_example2, build_twisted_product
 from wfk.star_soliton import SolitonData, contact_fit, lemma2_audit, soliton_residual
-from wfk.weakf import TOLERANCES, theorem1_check
+from wfk.weakf import TOLERANCES
 
 from conftest import seeded_points
 
@@ -229,15 +228,6 @@ def test_a_potential_is_jetted_once_per_structure(tape_runs):
     contact_fit(st, ctx.soliton.V)
     lemma2_audit(st, ctx.soliton)
     assert tape_runs[id(ctx.soliton.V.tape)] == 1
-
-
-def test_an_expression_beta_is_jetted_once_per_structure(tape_runs):
-    beta = ex.parse_expression("1+0.1*x1", 4)
-    m = dataclasses.replace(build_example2(1, 2, 1.0, 1.0), beta=beta)
-    st = m.at(seeded_points(4, count=1, seed=31)[0])
-    theorem1_check(st)
-    kenmotsu_residual(st)
-    assert tape_runs[id(beta.tape)] == 1
 
 
 @pytest.mark.parametrize("make_ctx", [_example2_V, _example2_v, _twisted])

@@ -168,13 +168,10 @@ class TestCheck:
             assert [rec["id"] for rec in report["checks"]] == sorted(want * 2)
             assert report["summary"]["pass"] == 2 * len(want)
 
-    @pytest.mark.parametrize("beta", [None, "1+0*x1"], ids=["none", "expression"])
     @pytest.mark.parametrize("potential", ["V", "v"])
-    def test_soliton_groups_need_a_constant_beta(
-        self, manifest_path, tmp_path, capsys, beta, potential
-    ):
+    def test_soliton_groups_need_beta(self, manifest_path, tmp_path, capsys, potential):
         data = _load(manifest_path)
-        data["beta"] = beta
+        data["beta"] = None
         if potential == "v":
             del data["soliton"]["V"]
             data["soliton"]["v"] = "x3+x4"
@@ -458,6 +455,18 @@ class TestInputBounds:
         ]
         assert records[0] == records[1]
         assert len({rec["id"] for rec in reports[1]["checks"]}) == 37
+
+    @pytest.mark.parametrize("beta", ["1+0*x1", "x1-x1", "1/(x1-x1)", "exp(1000)", "1e300*1e300"])
+    def test_beta_expression_without_a_finite_constant_value(self, tmp_path, capsys, beta):
+        # a coordinate, or a constant that is not finite, is no Kenmotsu coefficient
+        path = tmp_path / "e2.json"
+        assert main(["example2", "2", "3", "1.0", "1.0", "--out", str(path)]) == 0
+        path.write_text(json.dumps(_mutated(_load(path), ("beta",), beta)))
+        out = tmp_path / "report.json"
+        assert main(["check", str(path), "--points", "2", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: beta:") and "Traceback" not in err
+        assert not out.exists()
 
     def test_constant_beta_expression_beyond_the_bound(self, tmp_path, capsys):
         path = tmp_path / "e2.json"

@@ -63,6 +63,21 @@ class TestMetric:
         geo = e2.metric.at(p)
         assert geo.g @ geo.ginv == pytest.approx(np.eye(4), abs=1e-12)
 
+    def test_a_full_square_reads_as_its_lower_triangle(self):
+        lower = [["2+x1^2"], ["0.3*x1", "exp(x2)"], [0, "0.1*x3", "1+x2*x3"]]
+        # upper entries that differ from their mirrors, and are not read
+        square = [lower[0] + ["x2^3", 5], lower[1] + ["0.7*x1"], lower[2]]
+        full, low = (MetricField.from_entries(rows, 3) for rows in (square, lower))
+        assert full.tape == low.tape
+        assert all(low.entries[i][j] is low.entries[j][i] for i in range(3) for j in range(3))
+
+    @pytest.mark.parametrize(
+        "rows", [[["1"], [0], [0, 0, 1]], [["1"], [0, 1]]], ids=["short-row", "missing-row"]
+    )
+    def test_a_short_or_missing_row_is_error(self, rows):
+        with pytest.raises(ValueError, match="metric needs 3 rows"):
+            MetricField.from_entries(rows, 3)
+
     def test_non_positive_definite_is_error(self):
         bad = MetricField.diagonal([ex.sub(ex.var(0, 2), ex.const(1.0, 2)), 1.0], 2)
         with pytest.raises(MetricError):

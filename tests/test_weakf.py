@@ -216,7 +216,7 @@ class TestTheorem1SymbolicRoute:
             n1 = _nijenhuis(st, f, df) + 2.0 * np.einsum("iab,ik->kab", deta, st.xi)
             phi, dphi, _ = fundamental_form_field(m).jets(p)
             dphi = coboundary_2form(dphi)
-            rhs = 2.0 * st.beta * wedge_1form_2form(st.etabar, phi)
+            rhs = 2.0 * st.m.beta * wedge_1form_2form(st.etabar, phi)
             for cid, t, slots in (("n1", n1, (1, 2)), ("dphi", dphi - rhs, (0, 1, 2))):
                 want = tensor_residual(t, slots)
                 scale = max(1.0, np.abs(t).max(), np.abs(dphi).max())
