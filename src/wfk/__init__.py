@@ -41,7 +41,6 @@ from .weakf import (
 )
 from .kenmotsu import (
     EinsteinFit,
-    FiberSpec,
     audit_identities,
     build_example2,
     build_twisted_product,

@@ -22,11 +22,16 @@ from . import expr as ex
 from .checks import CATALOGUE, CheckContext, applicable_ids, run_check_ids
 from .expr import ExprAst, ExprError
 from .geometry import FieldSpec, MetricError, MetricField
-from .kenmotsu import FiberSpec, build_example2, build_twisted_product
+from .kenmotsu import build_example2, build_twisted_product
 from .star_soliton import SolitonData
 from .weakf import MAX_FIELD, WeakFManifold
 
 SCHEMA_VERSION = "wfk/1"
+_KEYS = (
+    "version", "n", "s", "dim", "beta", "c", "metric", "f", "Q", "xi", "eta",
+    "sigma", "soliton", "checks", "tolerances", "sample",
+)
+_SOLITON_KEYS = ("lambda", "mu", "V", "v")
 _DEFAULT_SAMPLE = {"count": 5, "seed": 42, "box": [-0.5, 0.5]}
 
 # Size caps, checked before anything of that size is allocated.  A run holds
@@ -130,6 +135,13 @@ def _parse_components(raw, dim: int, name: str):
     return [_parse_entry(e, dim, f"{name}[{k + 1}]") for k, e in enumerate(raw)]
 
 
+def _known_keys(raw: dict, allowed, where: str) -> None:
+    """A misspelt key is an error, not an option silently left at its default."""
+    unknown = [key for key in raw if key not in allowed]
+    if unknown:
+        raise ManifestError(f"{where}: unknown keys {unknown}; expected {list(allowed)}")
+
+
 def _parse_tolerance(key: str, raw, where: str) -> float:
     """A tolerance override for catalogue id ``key``: finite and > 0."""
     if key not in CATALOGUE:
@@ -160,6 +172,7 @@ def load_manifest(path: str) -> dict:
 
 def manifold_from_manifest(data: dict):
     """Build (manifold, soliton, check ids, tolerance overrides, sample policy)."""
+    _known_keys(data, _KEYS, "manifest")
     n, s = _integer(data.get("n"), "n"), _integer(data.get("s"), "s")
     dim = _chart_dim(n, s)
     if data.get("dim") not in (None, dim):
@@ -210,6 +223,7 @@ def manifold_from_manifest(data: dict):
     if sol_raw is not None:
         if not isinstance(sol_raw, dict):
             raise ManifestError("soliton: expected an object")
+        _known_keys(sol_raw, _SOLITON_KEYS, "soliton")
         # lambda and mu enter the soliton checks linearly, as V does
         lam = _bounded(sol_raw.get("lambda"), "soliton.lambda", MAX_FIELD)
         mu = _bounded(sol_raw.get("mu"), "soliton.mu", MAX_FIELD)
@@ -243,9 +257,7 @@ def manifold_from_manifest(data: dict):
     sample_raw = {} if data.get("sample") is None else data["sample"]
     if not isinstance(sample_raw, dict):
         raise ManifestError("sample: expected an object of policy key -> value")
-    unknown = [key for key in sample_raw if key not in _DEFAULT_SAMPLE]
-    if unknown:
-        raise ManifestError(f"sample: unknown keys {unknown}; expected {list(_DEFAULT_SAMPLE)}")
+    _known_keys(sample_raw, _DEFAULT_SAMPLE, "sample")
     sample = {**_DEFAULT_SAMPLE, **sample_raw}
     return m, soliton, checks, overrides, sample
 
@@ -302,7 +314,7 @@ def manifest_from_manifold(
 # check command
 
 
-def sample_points(dim: int, sample: dict) -> list[np.ndarray]:
+def sample_points(dim: int, sample: dict) -> np.ndarray:
     try:
         count = _integer(sample["count"], "sample.count")
         seed = _integer(sample["seed"], "sample.seed")
@@ -318,8 +330,7 @@ def sample_points(dim: int, sample: dict) -> list[np.ndarray]:
         raise ManifestError(f"sample policy: need seed >= 0, got {seed}")
     if not lo < hi or not math.isfinite(hi - lo):
         raise ManifestError("sample policy: need a box LO < HI with a finite width")
-    rng = np.random.default_rng(seed)
-    return [rng.uniform(lo, hi, dim) for _ in range(count)]
+    return np.random.default_rng(seed).uniform(lo, hi, (count, dim))
 
 
 def _number(x: float) -> str:
@@ -480,11 +491,9 @@ def emit_twisted(args) -> int:
     scales = [_finite_number(x, "--factors") for x in args.factors.split(",") if x]
     if not scales:
         raise ManifestError("--factors: need at least one factor scale")
-    dim = _chart_dim(len(scales), args.s)
+    _chart_dim(len(scales), args.s)
     try:
-        fiber = FiberSpec.flat_factors(scales, dim)
-        sigma = ex.parse_expression(args.sigma, dim)
-        m = build_twisted_product(fiber, args.s, sigma)
+        m = build_twisted_product(scales, args.s, args.sigma)
     except (ExprError, ValueError) as err:
         raise ManifestError(str(err)) from err
     _bounded(m.beta, "beta", _MAX_BETA)  # inferred from sigma, bounded as `wfk check` bounds it

@@ -1,11 +1,11 @@
 """Closed-form scalar expressions of chart coordinates with exact jets.
 
-Expressions are parsed into an immutable AST over coordinates ``x1..xN``
-and evaluated as jets: value and derivatives up to the order a caller asks
-for, first, second or third (Taylor-mode propagation, Griewank & Walther,
-*Evaluating Derivatives*, ch. 13).  Every consumer that needs metric
-derivatives up to third order gets them analytically instead of by
-finite differences.
+Expressions enter as source text, parsed into an immutable AST over
+coordinates ``x1..xN``, or as a number (:func:`const`).  They are evaluated
+as jets: value and derivatives up to the order a caller asks for, first,
+second or third (Taylor-mode propagation, Griewank & Walther, *Evaluating
+Derivatives*, ch. 13).  Every consumer that needs metric derivatives up to
+third order gets them analytically instead of by finite differences.
 
 Evaluation runs a :class:`Tape`: the expressions of a field compiled once
 into one hash-consed instruction list with constants folded, executed
@@ -42,17 +42,6 @@ __all__ = [
     "evaluate_jet",
     "to_source",
     "const",
-    "var",
-    "add",
-    "sub",
-    "mul",
-    "div",
-    "neg",
-    "powi",
-    "exp",
-    "sqrt",
-    "log",
-    "add_many",
 ]
 
 
@@ -684,83 +673,8 @@ def to_source(ast: ExprAst) -> str:
 
 
 # ---------------------------------------------------------------------------
-# programmatic constructors (used by the manifold builders)
+# constants (manifest and field entries given as numbers)
 
 
 def const(v: float, dim: int) -> ExprAst:
     return ExprAst(Node("const", value=float(v)), dim)
-
-
-def var(i: int, dim: int) -> ExprAst:
-    if not 0 <= i < dim:
-        raise ValueError(f"coordinate index {i} out of range for dimension {dim}")
-    return ExprAst(Node("var", index=i), dim)
-
-
-def _is_const(node: Node, v: float) -> bool:
-    return node.kind == "const" and node.value == v
-
-
-def _binary(kind: str, a: ExprAst, b: ExprAst) -> ExprAst:
-    if a.dim != b.dim:
-        raise ValueError("operand dimensions differ")
-    return ExprAst(Node(kind, (a.root, b.root)), a.dim)
-
-
-def add(a: ExprAst, b: ExprAst) -> ExprAst:
-    if _is_const(a.root, 0.0):
-        return b
-    if _is_const(b.root, 0.0):
-        return a
-    return _binary("add", a, b)
-
-
-def sub(a: ExprAst, b: ExprAst) -> ExprAst:
-    if _is_const(b.root, 0.0):
-        return a
-    return _binary("sub", a, b)
-
-
-def mul(a: ExprAst, b: ExprAst) -> ExprAst:
-    if _is_const(a.root, 0.0) or _is_const(b.root, 0.0):
-        return const(0.0, a.dim)
-    if _is_const(a.root, 1.0):
-        return b
-    if _is_const(b.root, 1.0):
-        return a
-    return _binary("mul", a, b)
-
-
-def div(a: ExprAst, b: ExprAst) -> ExprAst:
-    if _is_const(b.root, 1.0):
-        return a
-    return _binary("div", a, b)
-
-
-def neg(a: ExprAst) -> ExprAst:
-    return ExprAst(Node("neg", (a.root,)), a.dim)
-
-
-def powi(a: ExprAst, k: int) -> ExprAst:
-    if k < 0:
-        raise ValueError("integer power exponent must be >= 0")
-    return ExprAst(Node("pow", (a.root,), index=k), a.dim)
-
-
-def exp(a: ExprAst) -> ExprAst:
-    return ExprAst(Node("exp", (a.root,)), a.dim)
-
-
-def sqrt(a: ExprAst) -> ExprAst:
-    return ExprAst(Node("sqrt", (a.root,)), a.dim)
-
-
-def log(a: ExprAst) -> ExprAst:
-    return ExprAst(Node("log", (a.root,)), a.dim)
-
-
-def add_many(terms: list[ExprAst], dim: int) -> ExprAst:
-    out = const(0.0, dim)
-    for t in terms:
-        out = add(out, t)
-    return out

@@ -7,7 +7,7 @@ The defining condition for the beta-Kenmotsu class is
 with the beta = 0 case (parallel f) playing the role of a C-manifold.
 ``build_example2`` realizes the standard explicit chart model
 (metric diag(e^{2 beta xbar}) on the contact block); the twisted-product
-builder assembles dt^2 (+) sigma^2 gbar over a weakly Kaehler fiber.
+builder assembles dt^2 (+) sigma^2 gbar over a fiber of flat R^2 factors.
 """
 from __future__ import annotations
 
@@ -15,13 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import expr as ex
-from .expr import ExprAst
+from .expr import parse_expression
 from .geometry import FieldSpec, MetricField, contract, lie_derivative_metric
 from .weakf import TOLERANCES, StructureAtPoint, WeakFManifold, check_axioms
 
 __all__ = [
-    "FiberSpec",
     "EinsteinFit",
     "IDENTITY_IDS",
     "kenmotsu_residual",
@@ -31,39 +29,6 @@ __all__ = [
     "twisted_product_audit",
     "eta_einstein_fit",
 ]
-
-
-@dataclass(frozen=True)
-class FiberSpec:
-    """Even-dimensional fiber (gbar, J) for the twisted-product builder.
-
-    Entries are expressions over the *full* chart of the product (the
-    fiber occupies coordinates x1..x_{2n}; t-coordinates follow).
-    """
-
-    dim: int
-    gbar: tuple[tuple[ExprAst, ...], ...]
-    J: tuple[tuple[ExprAst, ...], ...]
-
-    def __post_init__(self):
-        if self.dim % 2 or self.dim < 2:
-            raise ValueError("fiber dimension must be even and positive")
-
-    @classmethod
-    def flat_factors(cls, scales, total_dim: int) -> "FiberSpec":
-        """Product of flat R^2 factors with J_i = c_i x (rotation by 90 deg)."""
-        dim = 2 * len(scales)
-        zero = ex.const(0.0, total_dim)
-        gbar = [[zero] * dim for _ in range(dim)]
-        jmat = [[zero] * dim for _ in range(dim)]
-        for k, c in enumerate(scales):
-            if c == 0:
-                raise ValueError("factor scales must be nonzero")
-            a = 2 * k
-            gbar[a][a] = gbar[a + 1][a + 1] = ex.const(1.0, total_dim)
-            jmat[a][a + 1] = ex.const(-float(c), total_dim)
-            jmat[a + 1][a] = ex.const(float(c), total_dim)
-        return cls(dim, tuple(map(tuple, gbar)), tuple(map(tuple, jmat)))
 
 
 @dataclass(frozen=True)
@@ -291,97 +256,72 @@ def build_example2(n: int, s: int, beta: float, c: float) -> WeakFManifold:
     if c < 0:
         raise ValueError("the structure deformation c must be >= 0")
     dim = 2 * n + s
-    xbar = ex.add_many([ex.var(2 * n + p, dim) for p in range(s)], dim)
-    warp = ex.exp(ex.mul(ex.const(2.0 * beta, dim), xbar))
-    diag = [warp] * (2 * n) + [ex.const(1.0, dim)] * s
-    metric = MetricField.diagonal(diag, dim)
+    xbar = "+".join(f"x{2 * n + p + 1}" for p in range(s))
+    scale = "" if 2.0 * beta == 1.0 else f"{2.0 * beta!r}*"  # manifests write no factor 1
+    warp = f"exp({scale}({xbar}))"
+    metric = MetricField.diagonal([warp] * (2 * n) + [1.0] * s, dim)
 
-    root = float(np.sqrt(1.0 + c))
-    zero = ex.const(0.0, dim)
-    f = [[zero] * dim for _ in range(dim)]
-    q = [[zero] * dim for _ in range(dim)]
-    for i in range(n):
-        f[n + i][i] = ex.const(root, dim)
-        f[i][n + i] = ex.const(-root, dim)
-    for j in range(2 * n):
-        q[j][j] = ex.const(1.0 + c, dim)
-    for p in range(s):
-        q[2 * n + p][2 * n + p] = ex.const(1.0, dim)
-
-    xi = tuple(FieldSpec.from_entries(np.eye(dim)[2 * n + p], dim) for p in range(s))
-    eta = tuple(FieldSpec.from_entries(np.eye(dim)[2 * n + p], dim) for p in range(s))
+    i, root = np.arange(n), np.sqrt(1.0 + c)
+    f = np.zeros((dim, dim))
+    f[n + i, i], f[i, n + i] = root, -root
+    q = np.diag([1.0 + c] * (2 * n) + [1.0] * s)
+    reeb = np.eye(dim)[2 * n:]
     return WeakFManifold(
         n=n,
         s=s,
         beta=float(beta),
         c=float(c),
         metric=metric,
-        f=FieldSpec(dim, tuple(map(tuple, f))),
-        Q=FieldSpec(dim, tuple(map(tuple, q))),
-        xi=xi,
-        eta=eta,
+        f=FieldSpec.from_entries(f, dim),
+        Q=FieldSpec.from_entries(q, dim),
+        xi=tuple(FieldSpec.from_entries(e, dim) for e in reeb),
+        eta=tuple(FieldSpec.from_entries(e, dim) for e in reeb),
     )
 
 
-def build_twisted_product(fiber: FiberSpec, s: int, sigma: ExprAst) -> WeakFManifold:
-    """Assemble dt^2 (+) sigma^2 gbar with f lifted from the fiber's J.
+def build_twisted_product(scales, s: int, sigma: str) -> WeakFManifold:
+    """Assemble dt^2 (+) sigma^2 gbar over flat R^2 factors, with f the
+    fiber's J (J = c_k times the rotation by 90 degrees on the k-th factor).
 
-    Q is derived as the lift of -J^2 so that the structure axioms hold by
-    construction; they are still verified at the origin.  beta is inferred
-    as d(log sigma)/dt_1 at the origin.
+    ``sigma`` is expression source over the full chart (the fiber occupies
+    x1..x_{2n}; t-coordinates follow).  Q is -J^2 on the fiber and 1 on the
+    Reeb block, so that the structure axioms hold by construction; they are
+    still verified at the origin.  beta is inferred as d(log sigma)/dt_1 at
+    the origin.
     """
-    if s < 1:
-        raise ValueError("need s >= 1")
-    two_n = fiber.dim
-    n = two_n // 2
-    dim = two_n + s
-    if sigma.dim != dim:
-        raise ValueError("sigma must be an expression over the full chart")
-    origin = np.zeros(dim)
-    value, grad = sigma.jets(origin, order=1)
+    if s < 1 or len(scales) < 1:
+        raise ValueError("need s >= 1 and at least one factor scale")
+    if not all(scales):
+        raise ValueError("factor scales must be nonzero")
+    n = len(scales)
+    two_n, dim = 2 * n, 2 * n + s
+    sigma_ast = parse_expression(sigma, dim)
+    value, grad = sigma_ast.jets(np.zeros(dim), order=1)
     if value <= 0:
         raise ValueError("sigma must be positive")
+    metric = MetricField.diagonal([f"({sigma})^2"] * two_n + [1.0] * s, dim)
 
-    sig2 = ex.powi(sigma, 2)
-    zero = ex.const(0.0, dim)
-    rows = [[zero] * dim for _ in range(dim)]
-    for a in range(two_n):
-        for b in range(two_n):
-            rows[a][b] = ex.mul(sig2, fiber.gbar[a][b])
-    for p in range(s):
-        rows[two_n + p][two_n + p] = ex.const(1.0, dim)
-    metric = MetricField.from_entries(rows, dim)
-
-    f = [[zero] * dim for _ in range(dim)]
-    q = [[zero] * dim for _ in range(dim)]
-    for a in range(two_n):
-        for b in range(two_n):
-            f[a][b] = fiber.J[a][b]
-            q[a][b] = ex.neg(
-                ex.add_many(
-                    [ex.mul(fiber.J[a][k], fiber.J[k][b]) for k in range(two_n)],
-                    dim,
-                )
-            )
-    for p in range(s):
-        q[two_n + p][two_n + p] = ex.const(1.0, dim)
-
-    xi = tuple(FieldSpec.from_entries(np.eye(dim)[two_n + p], dim) for p in range(s))
-    eta = tuple(FieldSpec.from_entries(np.eye(dim)[two_n + p], dim) for p in range(s))
-
+    f = np.zeros((dim, dim))
+    for k, c in enumerate(scales):
+        f[2 * k + 1, 2 * k], f[2 * k, 2 * k + 1] = c, -c
+    # a scale past 1e154 squares to inf, a constant the field's tape rejects
+    with np.errstate(over="ignore"):
+        q = -(f @ f)
+    q[two_n:, two_n:] = np.eye(s)
+    reeb = np.eye(dim)[two_n:]
     m = WeakFManifold(
         n=n,
         s=s,
         beta=float(grad[two_n] / value),
         c=None,
         metric=metric,
-        f=FieldSpec(dim, tuple(map(tuple, f))),
-        Q=FieldSpec(dim, tuple(map(tuple, q))),
-        xi=xi,
-        eta=eta,
-        sigma=sigma,
+        f=FieldSpec.from_entries(f, dim),
+        Q=FieldSpec.from_entries(q, dim),
+        xi=tuple(FieldSpec.from_entries(e, dim) for e in reeb),
+        eta=tuple(FieldSpec.from_entries(e, dim) for e in reeb),
+        sigma=sigma_ast,
     )
-    axioms = check_axioms(m.at(origin))
+    axioms = check_axioms(m.at(np.zeros(dim)))
     if not all(res <= TOLERANCES[cid] for cid, res in axioms.items()):
         worst = max(axioms.values())
         raise ValueError(

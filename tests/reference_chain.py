@@ -9,7 +9,7 @@ only; ``dense_d3g`` scatters them to the whole dim^5 array here.
 """
 import numpy as np
 
-from wfk.geometry import _lie_connection_components, contract
+from wfk.geometry import contract, lie_derivative_connection
 
 
 def dense_d3g(geo) -> np.ndarray:
@@ -71,7 +71,7 @@ def lie_curvature(g, V, p) -> np.ndarray:
     geo = g.at(np.asarray(p, dtype=float))
     v, dv, d2v = V.jets(geo.point)
     gam, dgam = geo.gamma, geo.dgamma
-    t = _lie_connection_components(geo, (v, dv, d2v))
+    t = lie_derivative_connection(geo, (v, dv, d2v))
     a = dv + np.einsum("kjm,m->kj", gam, v)
     da = (
         d2v

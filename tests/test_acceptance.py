@@ -14,7 +14,6 @@ import pytest
 from wfk import expr as ex
 from wfk.geometry import FieldSpec, coboundary_2form
 from wfk.kenmotsu import (
-    FiberSpec,
     audit_identities,
     build_twisted_product,
     eta_einstein_fit,
@@ -169,7 +168,7 @@ def test_criterion_07_soliton_constants():
         from wfk.star_soliton import soliton_residual
 
         assert soliton_residual(m.at(pts[0]), sol).classification == verdict_class
-        v = ex.add_many([ex.var(2 * n + p_, m.dim) for p_ in range(s)], m.dim)
+        v = ex.parse_expression("+".join(f"x{2 * n + p_ + 1}" for p_ in range(s)), m.dim)
         grad_sol = SolitonData(lam=lam_oracle, mu=-lam_oracle, v=v)
         worst_grad = gradient_soliton_residual(m.at(pts[0]), grad_sol).residual
         assert worst_grad < 1e-8, worst_grad
@@ -180,21 +179,16 @@ def test_criterion_08_twisted_products():
     worst12 = worst_rel = 0.0
     cases = []
     # flat plane fiber, constant-times-exponential twist
-    sig1 = ex.mul(ex.const(2.0, 3), ex.exp(ex.var(2, 3)))
-    cases.append(build_twisted_product(FiberSpec.flat_factors([1.0], 3), 1, sig1))
+    cases.append(build_twisted_product([1.0], 1, "2*exp(x3)"))
     # two-factor fiber
-    sig2 = ex.exp(
-        ex.mul(ex.const(0.5, 6), ex.add(ex.var(4, 6), ex.var(5, 6)))
-    )
-    cases.append(build_twisted_product(FiberSpec.flat_factors([1.0, 2.0], 6), 2, sig2))
+    cases.append(build_twisted_product([1.0, 2.0], 2, "exp(0.5*(x5+x6))"))
     for m in cases:
         for p in seeded_points(m.dim, count=3):
             st = m.at(p)
             worst12 = max(worst12, kenmotsu_residual(st)["kenmotsu.12"])
             worst_rel = max(worst_rel, *twisted_product_audit(st).values())
     # genuinely twisted: sigma depends on a fiber coordinate
-    sig3 = ex.exp(ex.add(ex.var(2, 3), ex.powi(ex.var(0, 3), 2)))
-    m = build_twisted_product(FiberSpec.flat_factors([1.0], 3), 1, sig3)
+    m = build_twisted_product([1.0], 1, "exp(x3+x1^2)")
     for p in seeded_points(3, count=3):
         worst_rel = max(worst_rel, *twisted_product_audit(m.at(p)).values())
     assert worst12 <= 1e-8, f"defining condition on twisted products: {worst12:.3e}"

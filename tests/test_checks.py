@@ -12,7 +12,7 @@ from wfk import expr as ex
 from wfk import weakf
 from wfk.checks import _RUNNERS, CATALOGUE, CheckContext, applicable_ids, run_check_ids
 from wfk.geometry import FieldSpec
-from wfk.kenmotsu import FiberSpec, build_example2, build_twisted_product
+from wfk.kenmotsu import build_example2, build_twisted_product
 from wfk.star_soliton import SolitonData, contact_fit, lemma2_audit, soliton_residual
 from wfk.weakf import TOLERANCES
 
@@ -34,9 +34,7 @@ def _example2_v():
 
 
 def _twisted():
-    fiber = FiberSpec.flat_factors([1.0, 2.0], 6)
-    sigma = ex.parse_expression("exp(x5+x6)*(2+x1^2)", 6)
-    return CheckContext(build_twisted_product(fiber, 2, sigma))
+    return CheckContext(build_twisted_product([1.0, 2.0], 2, "exp(x5+x6)*(2+x1^2)"))
 
 
 @pytest.mark.parametrize("make_ctx", [_example2_V, _example2_v, _twisted])
@@ -115,9 +113,8 @@ def test_perfbench_tracer_targets_resolve():
 def test_the_structure_screen_never_builds_dgamma_or_riem():
     # the dim-8 twisted product's structure screen reads curvature only
     # through Ric and Ric*, which come from the metric's second jets
-    fiber = FiberSpec.flat_factors([1.0, 2.0, 3.0], 8)
-    sigma = ex.parse_expression("exp(x7+x8)*(2+x1^2+x2*x3)", 8)
-    ctx = CheckContext(build_twisted_product(fiber, 2, sigma))
+    sigma = "exp(x7+x8)*(2+x1^2+x2*x3)"
+    ctx = CheckContext(build_twisted_product([1.0, 2.0, 3.0], 2, sigma))
     screen = ("axioms", "theorem1", "kenmotsu", "twisted", "star_def", "thm4", "cor2")
     st = ctx.manifold.at(seeded_points(8, count=weakf.chunk_size(8), seed=29))
     for group in screen:

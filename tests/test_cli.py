@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import pathlib
 
 import numpy as np
 import pytest
@@ -10,6 +11,9 @@ from hypothesis import strategies as st
 from wfk import cli, weakf
 from wfk.checks import CATALOGUE
 from wfk.cli import main
+from wfk.expr import parse_expression
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 
 @pytest.fixture
@@ -60,6 +64,35 @@ class TestEmit:
         )
         assert code == 2
         assert "positive" in capsys.readouterr().err
+
+
+class TestEmitterGoldens:
+    """The emitters' output, pinned: the builders write numbers and source
+    text, and a changed builder must not change a manifest unnoticed."""
+
+    @pytest.mark.parametrize(
+        "args",
+        [("2", "3", "1.0", "1.0"), ("6", "3", "1.0", "1.0"), ("1", "1", "-0.7", "0.0"),
+         ("1", "2", "0.5", "1.0")],  # 2 beta = 1: the warp has no factor 1
+    )
+    def test_example2_matches_its_golden(self, tmp_path, args):
+        out = tmp_path / "e2.json"
+        assert main(["example2", *args, "--out", str(out)]) == 0
+        assert out.read_bytes() == (GOLDEN / f"example2_{'_'.join(args)}.json").read_bytes()
+
+    def test_twisted_differs_from_its_golden_in_numeric_q_only(self, tmp_path):
+        # the golden writes Q's fiber diagonal as expressions such as "-(2*-2)"
+        out = tmp_path / "tw.json"
+        argv = ["twisted", "--factors", "1.0,2.0,3.0", "--s", "2",
+                "--sigma", "exp(x7+x8)*(2+x1^2+x2*x3)", "--out", str(out)]
+        assert main(argv) == 0
+        data, golden = _load(out), _load(GOLDEN / "twisted_tw_d8_screen.json")
+        q, golden_q = data.pop("Q"), golden.pop("Q")
+        assert data == golden
+        for row, golden_row in zip(q, golden_q, strict=True):
+            for entry, old in zip(row, golden_row, strict=True):
+                assert type(entry) in (int, float)
+                assert entry == parse_expression(str(old), 8).tape.outputs[0]
 
 
 class TestCheck:
@@ -304,6 +337,25 @@ class TestManifestValidation:
         assert main(["check", str(bad)]) == 2
         err = capsys.readouterr().err
         assert "error: sample: unknown keys" in err and repr(key) in err
+
+    @pytest.mark.parametrize(
+        "where, key",
+        [((), "tolerence"), ((), "sampel"), (("soliton",), "Vextra")],
+        ids=["tolerence", "sampel", "soliton-Vextra"],
+    )
+    def test_unknown_manifest_key(self, tmp_path, manifest_path, capsys, where, key):
+        data = _load(manifest_path)
+        block = data
+        for name in where:
+            block = block[name]
+        block[key] = {} if key != "Vextra" else [0, 0, 1, 1]
+        bad, report = tmp_path / "bad.json", tmp_path / "report.json"
+        bad.write_text(json.dumps(data))
+        assert main(["check", str(bad), "--points", "2", "--out", str(report)]) == 2
+        err = capsys.readouterr().err
+        prefix = "soliton" if where else "manifest"
+        assert err.startswith(f"error: {prefix}: unknown keys") and repr(key) in err
+        assert not report.exists()
 
     def test_non_dual_reeb_forms(self, tmp_path, manifest_path, capsys):
         data = _load(manifest_path)

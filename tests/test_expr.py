@@ -95,41 +95,42 @@ class TestJets:
             parse_expression("sqrt(-1+x1)", 1).jets(np.zeros(1))
 
 
-def _random_ast(rng, dim, depth):
-    """Random expression with arguments kept inside all function domains."""
+def _random_source(rng, dim, depth):
+    """Random expression source, each operand in parentheses, reaching every
+    node kind with arguments kept inside all function domains."""
     if depth == 0 or rng.random() < 0.25:
-        if rng.random() < 0.5:
-            return ex.var(int(rng.integers(dim)), dim)
-        return ex.const(float(rng.uniform(-2, 2)), dim)
+        return _leaf(rng, dim, 0.5, 2.0)
     kind = rng.choice(["add", "sub", "mul", "div", "neg", "pow", "exp", "sqrt", "log"])
-    a = _random_ast(rng, dim, depth - 1)
-    if kind == "add":
-        return ex.add(a, _random_ast(rng, dim, depth - 1))
-    if kind == "sub":
-        return ex.sub(a, _random_ast(rng, dim, depth - 1))
-    if kind == "mul":
-        return ex.mul(a, _random_ast(rng, dim, depth - 1))
+    a = _random_source(rng, dim, depth - 1)
+    if kind in ("add", "sub", "mul"):
+        op = {"add": "+", "sub": "-", "mul": "*"}[kind]
+        return f"({a}){op}({_random_source(rng, dim, depth - 1)})"
     if kind == "div":
         # keep the denominator bounded away from zero
-        denom = ex.add(ex.const(2.0, dim), ex.powi(_bounded(rng, dim), 2))
-        return ex.div(a, denom)
+        return f"({a})/(2+({_bounded(rng, dim)})^2)"
     if kind == "neg":
-        return ex.neg(a)
+        return f"-({a})"
     if kind == "pow":
-        return ex.powi(_bounded(rng, dim), int(rng.integers(0, 4)))
-    arg = ex.add(ex.const(1.5, dim), ex.mul(ex.const(0.25, dim), _bounded(rng, dim)))
+        return f"({_bounded(rng, dim)})^{rng.integers(0, 4)}"
     if kind == "exp":
-        return ex.exp(ex.mul(ex.const(0.5, dim), _bounded(rng, dim)))
-    if kind == "sqrt":
-        return ex.sqrt(arg)
-    return ex.log(arg)
+        return f"exp(0.5*({_bounded(rng, dim)}))"
+    return f"{kind}(1.5+0.25*({_bounded(rng, dim)}))"
 
 
 def _bounded(rng, dim):
     # a coordinate or small constant; |value| <= ~1 on the sample box
-    if rng.random() < 0.7:
-        return ex.var(int(rng.integers(dim)), dim)
-    return ex.const(float(rng.uniform(-1, 1)), dim)
+    return _leaf(rng, dim, 0.7, 1.0)
+
+
+def _leaf(rng, dim, p_var, size):
+    """A coordinate with probability ``p_var``, else a constant in [-size, size]."""
+    if rng.random() < p_var:
+        return f"x{rng.integers(dim) + 1}"
+    return repr(float(rng.uniform(-size, size)))
+
+
+def _random_ast(rng, dim, depth):
+    return parse_expression(_random_source(rng, dim, depth), dim)
 
 
 class TestDerivativeProperty:
@@ -162,6 +163,20 @@ class TestDerivativeProperty:
 
 
 class TestRoundTrip:
+    def test_random_sources_reach_every_node_kind(self):
+        # the draws of the round-trip test below
+        rng = np.random.default_rng(7)
+        kinds = set()
+        for _ in range(100):
+            stack = [_random_ast(rng, 3, 3).root]
+            rng.uniform(-0.5, 0.5, 3)
+            while stack:
+                node = stack.pop()
+                kinds.add(node.kind)
+                stack.extend(node.children)
+        want = {"const", "var", "neg", "add", "sub", "mul", "div", "pow", "exp", "sqrt", "log"}
+        assert kinds == want
+
     def test_pretty_print_idempotent_on_random_asts(self):
         rng = np.random.default_rng(7)
         for _ in range(100):

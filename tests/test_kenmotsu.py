@@ -3,10 +3,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from wfk import expr as ex
 from wfk.kenmotsu import (
     IDENTITY_IDS,
-    FiberSpec,
     audit_identities,
     build_example2,
     build_twisted_product,
@@ -20,9 +18,8 @@ from conftest import example_manifold, seeded_points
 O = np.zeros(4)
 
 
-def _flat_product(dim_fiber_scales, s, total_dim):
-    fib = FiberSpec.flat_factors(dim_fiber_scales, total_dim)
-    return build_twisted_product(fib, s, ex.const(1.0, total_dim))
+def _flat_product(scales, s):
+    return build_twisted_product(scales, s, "1")
 
 
 class TestDefiningCondition:
@@ -35,7 +32,7 @@ class TestDefiningCondition:
         assert kenmotsu_residual(wrong.at(O))["kenmotsu.12"] > 0.5
 
     def test_constant_structure_product(self):
-        m = _flat_product([1.0], 1, 3)
+        m = _flat_product([1.0], 1)
         assert m.beta == 0.0
         for p in seeded_points(3, count=3, seed=22):
             assert kenmotsu_residual(m.at(p))["kenmotsu.12"] < 1e-10
@@ -101,30 +98,24 @@ class TestExplicitModel:
 
 class TestTwistedProducts:
     def test_warped_plane(self):
-        fib = FiberSpec.flat_factors([1.0], 3)
-        m = build_twisted_product(fib, 1, ex.exp(ex.var(2, 3)))
+        m = build_twisted_product([1.0], 1, "exp(x3)")
         assert m.beta == pytest.approx(1.0)
         for p in seeded_points(3, count=3, seed=34):
             assert kenmotsu_residual(m.at(p))["kenmotsu.12"] < 1e-8
 
     def test_two_factor_spectrum(self):
-        fib = FiberSpec.flat_factors([1.0, 2.0], 6)
-        m = build_twisted_product(
-            fib, 2, ex.exp(ex.add(ex.var(4, 6), ex.var(5, 6)))
-        )
+        m = build_twisted_product([1.0, 2.0], 2, "exp(x5+x6)")
         q_eigs = np.linalg.eigvalsh(m.at(np.zeros(6)).Q)
         assert sorted(q_eigs) == pytest.approx([1, 1, 1, 1, 4, 4])
 
     def test_trivial_twist_gives_zero_coefficient(self):
-        m = _flat_product([1.0, 2.0], 2, 6)
+        m = _flat_product([1.0, 2.0], 2)
         assert m.beta == 0.0
         assert kenmotsu_residual(m.at(np.zeros(6)))["kenmotsu.12"] < 1e-10
 
     def test_genuinely_twisted_connection_relations(self):
         dim = 3
-        sigma = ex.exp(ex.add(ex.var(2, dim), ex.powi(ex.var(0, dim), 2)))
-        fib = FiberSpec.flat_factors([1.0], dim)
-        m = build_twisted_product(fib, 1, sigma)
+        m = build_twisted_product([1.0], 1, "exp(x3+x1^2)")
         from wfk.kenmotsu import twisted_product_audit
 
         for p in seeded_points(dim, count=4, seed=36):
@@ -153,7 +144,7 @@ class TestEtaEinsteinFit:
         assert fit.b == pytest.approx(0.0, abs=1e-10)
 
     def test_flat_product(self):
-        m = _flat_product([1.0], 1, 3)
+        m = _flat_product([1.0], 1)
         fit = eta_einstein_fit(m.at(np.zeros(3)))
         assert abs(fit.a) < 1e-10 and abs(fit.b) < 1e-10
         assert fit.residual < 1e-10

@@ -138,7 +138,7 @@ class TestVectorSolitons:
 
 class TestGradientSolitons:
     def test_reeb_potential(self, e2):
-        v = ex.add(ex.var(2, 4), ex.var(3, 4))
+        v = ex.parse_expression("x3+x4", 4)
         sol = SolitonData(lam=-2.0, mu=2.0, v=v)
         for p in seeded_points(4, count=3, seed=54):
             verdict = gradient_soliton_residual(e2.at(p), sol)
@@ -146,7 +146,7 @@ class TestGradientSolitons:
             assert verdict.cross_residual < 1e-6
 
     def test_matches_vector_form(self, e2):
-        v = ex.add(ex.var(2, 4), ex.var(3, 4))
+        v = ex.parse_expression("x3+x4", 4)
         grad_sol = SolitonData(lam=-2.0, mu=2.0, v=v)
         vec_sol = SolitonData(lam=-2.0, mu=2.0, V=_xibar_field(4, 2))
         for p in seeded_points(4, count=3, seed=56):
@@ -160,7 +160,7 @@ class TestGradientSolitons:
 
     def test_steady_classical_case(self):
         m = example_manifold(1, 1, 1.0, 0.0)
-        sol = SolitonData(lam=0.0, mu=0.0, v=ex.var(2, 3))
+        sol = SolitonData(lam=0.0, mu=0.0, v=ex.parse_expression("x3", 3))
         verdict = gradient_soliton_residual(m.at(np.zeros(3)), sol)
         assert verdict.residual < 1e-6
         assert verdict.classification == "steady"
@@ -226,21 +226,11 @@ class TestValidation:
         from wfk.geometry import MetricField
         from wfk.weakf import WeakFManifold
 
-        dim = 4
-        warp = ex.exp(
-            ex.mul(ex.const(2.0, dim), ex.add(ex.var(2, dim), ex.var(3, dim)))
-        )
-        one = ex.const(1.0, dim)
-        zero = ex.const(0.0, dim)
-        rows = [
-            [warp],
-            [ex.mul(ex.const(0.3, dim), ex.var(0, dim)), warp],
-            [zero, zero, one],
-            [ex.mul(ex.const(0.2, dim), ex.var(1, dim)), zero, zero, one],
-        ]
+        warp = "exp(2*(x3+x4))"
+        rows = [[warp], ["0.3*x1", warp], [0, 0, 1], ["0.2*x2", 0, 0, 1]]
         m = WeakFManifold(
             n=1, s=2, beta=1.0, c=1.0,
-            metric=MetricField.from_entries(rows, dim),
+            metric=MetricField.from_entries(rows, 4),
             f=e2.f, Q=e2.Q, xi=e2.xi, eta=e2.eta,
         )
         sol = SolitonData(lam=-2.0, mu=2.0, V=_xibar_field(4, 2))

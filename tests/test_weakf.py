@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
 
-from wfk import expr as ex
 from wfk.cli import manifest_from_manifold, manifold_from_manifest
 from wfk.geometry import FieldSpec, MetricField, coboundary_2form
-from wfk.kenmotsu import FiberSpec, build_example2, build_twisted_product
+from wfk.kenmotsu import build_example2, build_twisted_product
 from wfk.weakf import (
     TOLERANCES,
     WeakFManifold,
@@ -29,10 +28,10 @@ def _perturbed_f_manifold():
     """Reference instance with f's (1,2) entry shifted by 0.1*x3."""
     base = example_manifold()
     rows = [list(r) for r in base.f.entries]
-    rows[0][1] = ex.add(rows[0][1], ex.mul(ex.const(0.1, 4), ex.var(2, 4)))
+    rows[0][1] = f"{rows[0][1]}+0.1*x3"
     return WeakFManifold(
         n=base.n, s=base.s, beta=base.beta, c=base.c, metric=base.metric,
-        f=FieldSpec(4, tuple(tuple(r) for r in rows)), Q=base.Q,
+        f=FieldSpec.from_entries(rows, 4), Q=base.Q,
         xi=base.xi, eta=base.eta,
     )
 
@@ -77,8 +76,7 @@ class TestNijenhuis:
         assert np.abs(_nijenhuis(e2.at(O), ident, d_ident)).max() < 1e-12
 
     def test_flat_rotation(self):
-        fib = FiberSpec.flat_factors([1.0], 3)
-        m = build_twisted_product(fib, 1, ex.const(1.0, 3))
+        m = build_twisted_product([1.0], 1, "1")
         st = m.at(np.zeros(3))
         assert np.abs(_nijenhuis(st, st.f, st.df)).max() < 1e-12
 
@@ -127,10 +125,7 @@ class TestFBasis:
         assert lam == pytest.approx([1.0])
 
     def test_two_factor_eigenvalues(self):
-        fib = FiberSpec.flat_factors([1.0, 2.0], 6)
-        m = build_twisted_product(
-            fib, 2, ex.exp(ex.add(ex.var(4, 6), ex.var(5, 6)))
-        )
+        m = build_twisted_product([1.0, 2.0], 2, "exp(x5+x6)")
         _, lam = f_basis(m.at(np.zeros(6)))
         assert sorted(lam) == pytest.approx([1.0, 4.0])
 
@@ -156,25 +151,15 @@ class TestTheorem1:
                 assert r < 1e-6, cid
 
     def test_product_case_closed_form(self):
-        fib = FiberSpec.flat_factors([1.0, 2.0], 6)
-        m = build_twisted_product(fib, 2, ex.const(1.0, 6))
+        m = build_twisted_product([1.0, 2.0], 2, "1")
         assert m.beta == 0.0
         for cid, r in theorem1_check(m.at(np.zeros(6))).items():
             assert r < 1e-8, cid
 
     def test_perturbed_metric_breaks_dphi_only(self):
         base = example_manifold()
-        dim = 4
-        warp = ex.exp(
-            ex.mul(ex.const(2.0, dim), ex.add(ex.var(2, dim), ex.var(3, dim)))
-        )
-        bump = ex.add(
-            ex.const(1.0, dim),
-            ex.mul(
-                ex.const(0.1, dim), ex.mul(ex.var(0, dim), ex.var(2, dim))
-            ),
-        )
-        g = MetricField.diagonal([ex.mul(warp, bump), warp, 1.0, 1.0], dim)
+        warp = "exp(2*(x3+x4))"
+        g = MetricField.diagonal([f"{warp}*(1+0.1*(x1*x3))", warp, 1.0, 1.0], 4)
         m = WeakFManifold(
             n=1, s=2, beta=1.0, c=1.0, metric=g, f=base.f, Q=base.Q,
             xi=base.xi, eta=base.eta,
@@ -186,10 +171,7 @@ class TestTheorem1:
 
 
 def _twisted_d8():
-    fib = FiberSpec.flat_factors([1.0, 2.0, 3.0], 8)
-    return build_twisted_product(
-        fib, 2, ex.parse_expression("exp(x7+x8)*(2+x1^2+x2*x3)", 8)
-    )
+    return build_twisted_product([1.0, 2.0, 3.0], 2, "exp(x7+x8)*(2+x1^2+x2*x3)")
 
 
 class TestTheorem1SymbolicRoute:
