@@ -50,7 +50,6 @@ from .kenmotsu import (
 )
 from .star_soliton import (
     SolitonData,
-    SolitonVerdict,
     contact_fit,
     fit_soliton_constants,
     gradient_soliton_residual,

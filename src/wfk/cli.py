@@ -56,7 +56,8 @@ _MAX_BETA = 1e76
 
 
 class ManifestError(Exception):
-    """Invalid manifest content; maps to process exit code 2."""
+    """Bad input: invalid manifest content, or an argument that cannot be
+    used; maps to process exit code 2."""
 
 
 # ---------------------------------------------------------------------------
@@ -158,7 +159,8 @@ def load_manifest(path: str) -> dict:
             data = json.load(fh)
     except OSError as err:
         raise ManifestError(f"cannot read manifest: {err}") from err
-    except ValueError as err:  # JSONDecodeError, or an integer too long to convert
+    # JSONDecodeError, an integer too long to convert, or nesting too deep
+    except (ValueError, RecursionError) as err:
         raise ManifestError(f"manifest is not valid JSON: {err}") from err
     if not isinstance(data, dict):
         raise ManifestError("manifest root must be a JSON object")
@@ -452,25 +454,24 @@ def run_check(args) -> int:
     text, summary = _report_json(
         {"tool": f"wfk {__version__}", "manifest_digest": digest}, points, checks, tail
     )
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    else:
-        sys.stdout.write(text + "\n")
+    _write(text + "\n", args.out)
     return 0 if summary["fail"] == 0 else 1
+
+
+def _write(text: str, out: str | None) -> None:
+    """``text`` to the file ``out``, or to stdout without one."""
+    if not out:
+        sys.stdout.write(text)
+        return
+    try:
+        with open(out, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as err:
+        raise ManifestError(f"cannot write {out}: {err.strerror or err}") from err
 
 
 # ---------------------------------------------------------------------------
 # emit commands
-
-
-def _write_manifest(data: dict, out: str | None) -> None:
-    text = json.dumps(data, indent=2) + "\n"
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
 
 
 def emit_example2(args) -> int:
@@ -483,7 +484,7 @@ def emit_example2(args) -> int:
     xibar = FieldSpec.from_entries([0.0] * (2 * m.n) + [1.0] * m.s, m.dim)
     lam = _bounded(m.s * beta - m.s * (1.0 + c) * beta**2, "soliton.lambda", MAX_FIELD)
     soliton = SolitonData(lam=lam, mu=-lam, V=xibar)
-    _write_manifest(manifest_from_manifold(m, soliton), args.out)
+    _write(json.dumps(manifest_from_manifold(m, soliton), indent=2) + "\n", args.out)
     return 0
 
 
@@ -497,7 +498,7 @@ def emit_twisted(args) -> int:
     except (ExprError, ValueError) as err:
         raise ManifestError(str(err)) from err
     _bounded(m.beta, "beta", _MAX_BETA)  # inferred from sigma, bounded as `wfk check` bounds it
-    _write_manifest(manifest_from_manifold(m), args.out)
+    _write(json.dumps(manifest_from_manifold(m), indent=2) + "\n", args.out)
     return 0
 
 

@@ -599,17 +599,21 @@ def evaluate_jet(tape: Tape, points, order: int = 2):
 # pretty printing
 
 _PREC = {
-    "add": 1,
-    "sub": 1,
-    "mul": 2,
-    "div": 2,
-    "neg": 3,
-    "pow": 4,
-    "const": 5,
-    "var": 5,
-    "exp": 5,
-    "sqrt": 5,
-    "log": 5,
+    "add": 1, "sub": 1, "mul": 2, "div": 2, "neg": 3, "pow": 4,
+    **dict.fromkeys(("const", "var", *_FUNCTIONS), 5),
+}
+
+# kind -> (form, extra level of each operand): an operand is wrapped when its
+# precedence is below the operator's plus its extra level, which is 1 for the
+# right operand of "-" and "/" (neither associates to the right) and for the
+# base of "^" (an atom)
+_FORMS = {
+    "add": ("{}+{}", (0, 0)),
+    "sub": ("{}-{}", (0, 1)),
+    "mul": ("{}*{}", (0, 0)),
+    "div": ("{}/{}", (0, 1)),
+    "neg": ("-{}", (0,)),
+    "pow": ("{}^{n}", (1,)),
 }
 
 
@@ -626,45 +630,18 @@ def _fmt_const(v: float) -> str:
 
 
 def _print(node: Node) -> str:
-    k = node.kind
-    if k == "const":
+    if node.kind == "const":
         return _fmt_const(node.value)
-    if k == "var":
+    if node.kind == "var":
         return f"x{node.index + 1}"
-    if k == "neg":
-        inner = _print(node.children[0])
-        if _prec(node.children[0]) < _PREC["neg"]:
-            inner = f"({inner})"
-        return f"-{inner}"
-    if k in ("add", "sub"):
-        op = "+" if k == "add" else "-"
-        lhs, rhs = node.children
-        left = _print(lhs)
-        right = _print(rhs)
-        if _prec(lhs) < 1:
-            left = f"({left})"
-        # subtraction does not associate to the right
-        if _prec(rhs) < 1 or (k == "sub" and _prec(rhs) == 1):
-            right = f"({right})"
-        return f"{left}{op}{right}"
-    if k in ("mul", "div"):
-        op = "*" if k == "mul" else "/"
-        lhs, rhs = node.children
-        left = _print(lhs)
-        right = _print(rhs)
-        if _prec(lhs) < 2:
-            left = f"({left})"
-        if _prec(rhs) < 2 or (k == "div" and _prec(rhs) == 2):
-            right = f"({right})"
-        return f"{left}{op}{right}"
-    if k == "pow":
-        base = _print(node.children[0])
-        if _prec(node.children[0]) < 5:
-            base = f"({base})"
-        return f"{base}^{node.index}"
-    if k in _FUNCTIONS:
-        return f"{k}({_print(node.children[0])})"
-    raise ValueError(f"unknown node kind {k!r}")
+    if node.kind in _FUNCTIONS:
+        return f"{node.kind}({_print(node.children[0])})"
+    form, extra = _FORMS[node.kind]
+    operands = []
+    for child, e in zip(node.children, extra):
+        text = _print(child)
+        operands.append(f"({text})" if _prec(child) < _PREC[node.kind] + e else text)
+    return form.format(*operands, n=node.index)
 
 
 def to_source(ast: ExprAst) -> str:

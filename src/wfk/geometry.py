@@ -381,15 +381,20 @@ class Geometry:
             "...km,...mjn->...kjn", self.ginv, self.dric
         )
 
+    def nabla(self, a: np.ndarray, da: np.ndarray) -> np.ndarray:
+        """(nabla_c A)^k_j as [k, j, c] for a (1,1)-tensor A, from its values
+        a[k, j] and derivatives da[k, j, c] at the point."""
+        gam = self.gamma
+        return (
+            da
+            + contract("...kcm,...mj->...kjc", gam, a)
+            - contract("...mcj,...km->...kjc", gam, a)
+        )
+
     @cached_property
     def nabla_ric_sharp(self) -> np.ndarray:
         """(nabla_a Ric#)^k_j as [k, j, a]."""
-        gam, rs = self.gamma, self.ric_sharp
-        return (
-            self.dric_sharp
-            + contract("...kam,...mj->...kja", gam, rs)
-            - contract("...maj,...km->...kja", gam, rs)
-        )
+        return self.nabla(self.ric_sharp, self.dric_sharp)
 
     def scalar_derivative(self, v: np.ndarray):
         """d(scal)(v), the trace of d(Ric#) along v."""
@@ -480,11 +485,7 @@ def _lie_connection_components(geo: Geometry, V) -> np.ndarray:
         + contract("...kjmi,...m->...kji", dgam, v)
         + contract("...kjm,...mi->...kji", gam, dv)
     )
-    nabla_a = (
-        np.einsum("...kji->...kij", da)
-        + contract("...kim,...mj->...kij", gam, a)
-        - contract("...mij,...km->...kij", gam, a)
-    )
+    nabla_a = np.swapaxes(geo.nabla(a, da), -1, -2)  # [k, i, j] = (nabla_i A)^k_j
     return nabla_a + contract("...kmij,...m->...kij", geo.riem, v)
 
 

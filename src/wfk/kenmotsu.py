@@ -97,14 +97,12 @@ def _bracket_form(st: StructureAtPoint) -> np.ndarray:
 
 
 def _id13(st: StructureAtPoint, beta: float) -> np.ndarray:
-    nab = np.stack([st.nabla_vector(i) for i in range(st.m.s)], axis=-3)  # [i, k, a]
-    return contract("...ja,...ika->...ijk", st.xi, nab)
+    return contract("...ja,...ika->...ijk", st.xi, st.nabla_xi)
 
 
 def _id14(st: StructureAtPoint, beta: float) -> np.ndarray:
-    nab = np.stack([st.nabla_vector(i) for i in range(st.m.s)], axis=-3)
     rhs = beta * (np.eye(st.m.dim) - st.etaxi)
-    return nab - rhs[..., None, :, :]
+    return st.nabla_xi - rhs[..., None, :, :]
 
 
 def _id15(st: StructureAtPoint, beta: float) -> np.ndarray:

@@ -11,6 +11,12 @@ a view of d2g, and Gamma terms of dim^3), so the Riemann tensor is never
 built for it.  The closed-form relation to the ordinary Ricci
 tensor on the Kenmotsu class is a checked identity (``theorem4_residual``),
 never an input.
+
+Every check here returns ``{check id: residual}``, one residual a point.
+(33) and the operator form of (75) are transcribed as printed, not derived
+from (32), so their coefficients are checked too; grad.75 is the larger of
+the two forms of (75).  A soliton's type depends on lambda alone
+(``SolitonData.classification``).
 """
 from __future__ import annotations
 
@@ -33,7 +39,6 @@ from .weakf import StructureAtPoint, WeakFManifold
 
 __all__ = [
     "SolitonData",
-    "SolitonVerdict",
     "theorem4_residual",
     "star_eta_einstein_fit",
     "corollary2_residual",
@@ -68,34 +73,28 @@ class SolitonData:
                     "coefficients (almost-soliton equations) are not supported"
                 )
 
-
-@dataclass(frozen=True)
-class SolitonVerdict:
-    """Residual of the soliton equation plus its sign classification."""
-
-    residual: float
-    classification: str
-    cross_residual: float
-
-
-def _classify(lam: float) -> str:
-    if lam < 0:
-        return "expanding"
-    if lam > 0:
-        return "shrinking"
-    return "steady"
+    @property
+    def classification(self) -> str:
+        """The soliton's type by the sign of lambda."""
+        if self.lam < 0:
+            return "expanding"
+        return "shrinking" if self.lam > 0 else "steady"
 
 
 # ---------------------------------------------------------------------------
 # *-Ricci tensor
 
 
-def star_symmetry_gate(st: StructureAtPoint):
-    """(antisymmetry of Ric*, commutator norm of Q with the Ricci operator)."""
-    ric_star = st.ric_star
-    asym = st.residual(ric_star - np.swapaxes(ric_star, -1, -2))
-    comm = st.residual(st.Q @ st.geo.ric_sharp - st.geo.ric_sharp @ st.Q)
-    return asym, comm
+def _asymmetry(st: StructureAtPoint):
+    """The antisymmetric part of Ric*, per point."""
+    return st.residual(st.ric_star - np.swapaxes(st.ric_star, -1, -2))
+
+
+def star_symmetry_gate(st: StructureAtPoint) -> dict:
+    """``{"star.def": residual}``: the larger of the antisymmetric part of
+    Ric* and the commutator of Q with the Ricci operator."""
+    rs = st.geo.ric_sharp
+    return {"star.def": np.maximum(_asymmetry(st), st.residual(st.Q @ rs - rs @ st.Q))}
 
 
 def theorem4_residual(st: StructureAtPoint) -> dict:
@@ -148,7 +147,7 @@ def corollary2_residual(st: StructureAtPoint) -> dict:
 
 
 def _check_star_symmetric(st: StructureAtPoint) -> None:
-    asym, _ = star_symmetry_gate(st)
+    asym = _asymmetry(st)
     if np.any(asym > _SYMMETRY_TOL):
         raise ValueError(
             f"the *-Ricci tensor is not symmetric at a sample point "
@@ -156,65 +155,59 @@ def _check_star_symmetric(st: StructureAtPoint) -> None:
         )
 
 
-def _cross_residual_33(st: StructureAtPoint, half_lie: np.ndarray, lam, mu) -> float:
-    """Residual of the expanded soliton equation written through Ric and Q."""
-    g, etaeta, ebar = st.geo.g, st.etaeta, st.ebar
-    beta = st.m.beta
-    s, n = st.m.s, st.m.n
-    ric_q = st.geo.ric @ st.Q
-    gq = contract("...ma,...mb->...ab", st.Q, g)
-    k = s * (2 * n - 1) * beta**2
-    rhs = (
-        lam * g
-        - k * gq
-        + (k - lam) * etaeta
-        + (lam + mu - 2 * n * beta**2) * ebar
-    )
-    return st.residual(half_lie + ric_q - rhs, (0, 1))
+def _soliton_rhs(st: StructureAtPoint, sol: SolitonData) -> np.ndarray:
+    """lam {g - sum eta (x) eta} + (lam+mu) etabar (x) etabar, of (32) and (75)."""
+    return sol.lam * (st.geo.g - st.etaeta) + (sol.lam + sol.mu) * st.ebar
 
 
-def soliton_residual(st: StructureAtPoint, sol: SolitonData) -> SolitonVerdict:
-    """Residual of (1/2) L_V g + Ric* = lam {g - sum eta (x) eta} + (lam+mu) etabar (x) etabar."""
+def soliton_residual(st: StructureAtPoint, sol: SolitonData) -> dict:
+    """(32), (1/2) L_V g + Ric* = lam {g - sum eta (x) eta} + (lam+mu) etabar (x)
+    etabar, and (33), the same equation written through Ric and Q:
+    ``{"soliton.32": residual, "soliton.33": residual}``."""
     if sol.V is None:
         raise ValueError("soliton_residual needs a vector-field potential")
     if sol.V.dim != st.m.dim:
         raise ValueError("potential dimension does not match the manifold")
     _check_star_symmetric(st)
     half_lie = 0.5 * lie_derivative_metric(st.geo, st.jets_of(sol.V))
-    lhs = half_lie + st.ric_star
-    rhs = sol.lam * (st.geo.g - st.etaeta) + (sol.lam + sol.mu) * st.ebar
-    residual = st.residual(lhs - rhs, (0, 1))
-    cross = _cross_residual_33(st, half_lie, sol.lam, sol.mu)
-    return SolitonVerdict(residual, _classify(sol.lam), cross)
+    lam, mu = sol.lam, sol.mu
+    beta, s, n = st.m.beta, st.m.s, st.m.n
+    g = st.geo.g
+    k = s * (2 * n - 1) * beta**2
+    rhs33 = (
+        lam * g
+        - k * contract("...ma,...mb->...ab", st.Q, g)
+        + (k - lam) * st.etaeta
+        + (lam + mu - 2 * n * beta**2) * st.ebar
+    )
+    return {
+        "soliton.32": st.residual(half_lie + st.ric_star - _soliton_rhs(st, sol), (0, 1)),
+        "soliton.33": st.residual(half_lie + st.geo.ric @ st.Q - rhs33, (0, 1)),
+    }
 
 
-def gradient_soliton_residual(st: StructureAtPoint, sol: SolitonData) -> SolitonVerdict:
-    """Residual of Hess_v + Ric* = lam {g - sum eta (x) eta} + (lam+mu) etabar (x) etabar."""
+def gradient_soliton_residual(st: StructureAtPoint, sol: SolitonData) -> dict:
+    """(75), Hess_v + Ric* = lam {g - sum eta (x) eta} + (lam+mu) etabar (x)
+    etabar, and its operator form: ``{"grad.75": the larger residual}``."""
     if sol.v is None:
         raise ValueError("gradient_soliton_residual needs a potential function")
     _check_star_symmetric(st)
     _, hess = gradient_and_hessian(st.geo, st.jets_of(sol.v))
-    lhs = hess + st.ric_star
-    rhs = sol.lam * (st.geo.g - st.etaeta) + (sol.lam + sol.mu) * st.ebar
-    residual = st.residual(lhs - rhs, (0, 1))
+    residual = st.residual(hess + st.ric_star - _soliton_rhs(st, sol), (0, 1))
 
     # operator form: nabla_X grad v + Q Ric# X = lam X - s(2n-1) b^2 QX + ...
-    m = st.m
-    beta = m.beta
-    s, n = m.s, m.n
-    dim = m.dim
+    lam, mu = sol.lam, sol.mu
+    beta, s, n = st.m.beta, st.m.s, st.m.n
     k = s * (2 * n - 1) * beta**2
-    hess_op = st.geo.ginv @ hess
-    lhs_op = hess_op + st.Q @ st.geo.ric_sharp
+    lhs_op = st.geo.ginv @ hess + st.Q @ st.geo.ric_sharp
     rhs_op = (
-        sol.lam * np.eye(dim)
+        lam * np.eye(st.m.dim)
         - k * st.Q
-        + (k - sol.lam) * st.etaxi
-        + (sol.lam + sol.mu - 2 * n * beta**2)
+        + (k - lam) * st.etaxi
+        + (lam + mu - 2 * n * beta**2)
         * np.einsum("...a,...k->...ka", st.etabar, st.xibar)
     )
-    cross = st.residual(lhs_op - rhs_op, (1,))
-    return SolitonVerdict(residual, _classify(sol.lam), cross)
+    return {"grad.75": np.maximum(residual, st.residual(lhs_op - rhs_op, (1,)))}
 
 
 def fit_soliton_constants(m: WeakFManifold, V: FieldSpec, sample):
@@ -234,7 +227,7 @@ def fit_soliton_constants(m: WeakFManifold, V: FieldSpec, sample):
     coef, *_ = np.linalg.lstsq(design, rhs, rcond=None)
     lam, mu = float(coef[0]), float(coef[1])
     sol = SolitonData(lam=lam, mu=mu, V=V)
-    residual = max(float(np.max(soliton_residual(st, sol).residual)) for st in structures)
+    residual = max(float(np.max(soliton_residual(st, sol)["soliton.32"])) for st in structures)
     return lam, mu, residual
 
 

@@ -14,7 +14,9 @@ components and probe contractions.  Pointwise operations take the
 points; every array carries the batch shape in front (``()`` or ``(C,)``),
 and a check returns ``{check id: residual}`` with one residual per point
 (0-d at one point, ``(C,)`` on a chunk).  Checks read no tolerance: the
-verdicts are decided by whoever reads the residuals.
+verdicts are decided by whoever reads the residuals.  Covariant derivatives
+of (1,1)-tensors take the one formula of ``Geometry.nabla``;
+``StructureAtPoint.nabla_xi`` holds those of all the xi_i at once.
 """
 from __future__ import annotations
 
@@ -34,6 +36,7 @@ __all__ = [
     "probe_vectors",
     "tensor_residual",
     "check_axioms",
+    "nijenhuis_tensor",
     "normality_tensor",
     "f_basis",
     "theorem1_check",
@@ -255,30 +258,22 @@ class StructureAtPoint:
         """The *-scalar curvature, the g-trace of Ric*."""
         return contract("...ab,...ab->...", self.geo.ginv, self.ric_star)
 
-    # covariant derivatives of (1,1)-tensor fields at the point
-
-    def nabla_mixed(self, a: np.ndarray, da: np.ndarray) -> np.ndarray:
-        """(nabla_c A)^k_j from values a[k, j] and derivatives da[k, j, c]."""
-        gam = self.geo.gamma
-        return (
-            da
-            + contract("...kcm,...mj->...kjc", gam, a)
-            - contract("...mcj,...km->...kjc", gam, a)
-        )
+    # covariant derivatives of the structure fields at the point
 
     @property
     def nabla_f(self) -> np.ndarray:
-        return self.nabla_mixed(self.f, self.df)
+        """(nabla_c f)^k_j as [k, j, c]."""
+        return self.geo.nabla(self.f, self.df)
 
     @property
     def nabla_Q(self) -> np.ndarray:
-        return self.nabla_mixed(self.Q, self.dQ)
+        """(nabla_c Q)^k_j as [k, j, c]."""
+        return self.geo.nabla(self.Q, self.dQ)
 
-    def nabla_vector(self, i: int) -> np.ndarray:
-        """(nabla_a xi_i)^k."""
-        return self.dxi[..., i, :, :] + contract(
-            "...kam,...m->...ka", self.geo.gamma, self.xi[..., i, :]
-        )
+    @cached_property
+    def nabla_xi(self) -> np.ndarray:
+        """(nabla_a xi_i)^k as [i, k, a]."""
+        return self.dxi + contract("...kam,...im->...ika", self.geo.gamma, self.xi)
 
 
 # ---------------------------------------------------------------------------
@@ -303,9 +298,10 @@ def check_axioms(st: StructureAtPoint) -> dict:
     }
 
 
-def _nijenhuis(st: StructureAtPoint, s: np.ndarray, ds: np.ndarray) -> np.ndarray:
-    """[S, S]^k_ab from the values s[k, j] and derivatives ds[k, j, c] of S."""
-    nabla_s = st.nabla_mixed(s, ds)  # [k, j, c] = (nabla_c S)^k_j
+def nijenhuis_tensor(st: StructureAtPoint, s: np.ndarray, ds: np.ndarray) -> np.ndarray:
+    """[S, S]^k_ab of a (1,1)-tensor S from its values s[k, j] and
+    derivatives ds[k, j, c] at the structure's point."""
+    nabla_s = st.geo.nabla(s, ds)  # [k, j, c] = (nabla_c S)^k_j
     # C^k_{ab} = S^k_m (nabla_b S)^m_a - S^j_b (nabla_j S)^k_a
     c = contract("...km,...mab->...kab", s, nabla_s) - contract(
         "...jb,...kaj->...kab", s, nabla_s
@@ -315,7 +311,7 @@ def _nijenhuis(st: StructureAtPoint, s: np.ndarray, ds: np.ndarray) -> np.ndarra
 
 def normality_tensor(st: StructureAtPoint) -> np.ndarray:
     """N1 = [f, f] + 2 sum_i d(eta^i) (x) xi_i."""
-    nf = _nijenhuis(st, st.f, st.df)
+    nf = nijenhuis_tensor(st, st.f, st.df)
     # d(eta^i)_{ab} with the 1/2 normalization
     deta = 0.5 * (np.swapaxes(st.deta, -1, -2) - st.deta)  # [i, a, b]
     return nf + 2.0 * contract("...iab,...ik->...kab", deta, st.xi)

@@ -10,7 +10,7 @@ import pytest
 
 from wfk import expr as ex
 from wfk import weakf
-from wfk.checks import _RUNNERS, CATALOGUE, CheckContext, applicable_ids, run_check_ids
+from wfk.checks import CATALOGUE, CheckContext, applicable_ids, run_check_ids
 from wfk.geometry import FieldSpec
 from wfk.kenmotsu import build_example2, build_twisted_product
 from wfk.star_soliton import SolitonData, contact_fit, lemma2_audit, soliton_residual
@@ -166,13 +166,14 @@ def test_each_needed_group_runs_once_per_chunk(make_ctx, monkeypatch):
     ctx = make_ctx()
     ids = applicable_ids(ctx)
     calls, covered = Counter(), Counter()
-    for group, runner in list(_RUNNERS.items()):
-        def counted(st, sol, group=group, runner=runner):
-            calls[group] += 1
-            covered.update((group, tuple(pt)) for pt in st.point.tolist())
-            return runner(st, sol)
+    group_reports = CheckContext.group_reports
 
-        monkeypatch.setitem(_RUNNERS, group, counted)
+    def counted(self, group, st):
+        calls[group] += 1
+        covered.update((group, tuple(pt)) for pt in st.point.tolist())
+        return group_reports(self, group, st)
+
+    monkeypatch.setattr(CheckContext, "group_reports", counted)
     _two_point_chunks(monkeypatch, ctx.manifold.dim)
     points = seeded_points(ctx.manifold.dim, count=5, seed=5)
     run_check_ids(ctx, ids + ids[:4], points)

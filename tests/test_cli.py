@@ -369,6 +369,15 @@ class TestManifestValidation:
         assert main(["check", "/nonexistent/manifest.json"]) == 2
         assert "cannot read" in capsys.readouterr().err
 
+    def test_deeply_nested_json(self, tmp_path, capsys):
+        # json's decoder recurses once a level, so this depth overflows it
+        bad = tmp_path / "deep.json"
+        bad.write_text("[" * 100000 + "]" * 100000)
+        assert main(["check", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: manifest is not valid JSON:")
+        assert "Traceback" not in err
+
 
     def test_full_square_metric_is_rejected(self, tmp_path, capsys):
         # the metric is its lower triangle: row i holds i entries
@@ -380,6 +389,35 @@ class TestManifestValidation:
         path.write_text(json.dumps(data))
         assert main(["check", str(path)]) == 2
         assert capsys.readouterr().err == "error: metric row 1: expected 1 entries\n"
+
+
+class TestUnwritableOutput:
+    """An --out that cannot be written is bad input (exit 2), not a failed
+    check (exit 1), and leaves no file."""
+
+    @pytest.mark.parametrize("where", ["missing-dir", "directory"])
+    def test_check(self, manifest_path, tmp_path, capsys, where):
+        out = tmp_path / "missing" / "r.json" if where == "missing-dir" else tmp_path
+        before = sorted(tmp_path.rglob("*"))
+        assert main(["check", manifest_path, "--points", "1", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot write {out}: ")
+        assert sorted(tmp_path.rglob("*")) == before
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["example2", "1", "2", "1.0", "1.0"],
+            ["twisted", "--factors", "1.0", "--s", "1", "--sigma", "exp(x3)"],
+        ],
+        ids=["example2", "twisted"],
+    )
+    def test_emitters(self, tmp_path, capsys, argv):
+        out = tmp_path / "missing" / "m.json"
+        assert main(argv + ["--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: cannot write {out}: No such file or directory\n"
+        )
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestListChecks:

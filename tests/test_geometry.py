@@ -4,9 +4,9 @@ import pytest
 from wfk import expr as ex
 from wfk.geometry import (
     FieldSpec,
+    Geometry,
     MetricError,
     MetricField,
-    _PointGeometry,
     coboundary_2form,
     gradient_and_hessian,
     lie_derivative_1form,
@@ -446,13 +446,13 @@ def test_one_geometry_build_per_point(monkeypatch):
     xibar = FieldSpec.from_entries([0.0] * 4 + [1.0] * 3, m.dim)
     sol = SolitonData(lam=-4.0, mu=4.0, V=xibar)
     builds = []
-    init = _PointGeometry.__init__
+    init = Geometry.__init__
 
-    def counting_init(self, metric, p, *jets):
+    def counting_init(self, metric, p):
         builds.append(tuple(p.tolist()))
-        init(self, metric, p, *jets)
+        init(self, metric, p)
 
-    monkeypatch.setattr(_PointGeometry, "__init__", counting_init)
+    monkeypatch.setattr(Geometry, "__init__", counting_init)
     p = seeded_points(m.dim, count=1, seed=41)[0]
     st = m.at(p)
     audit_identities(st)
@@ -572,7 +572,7 @@ def test_dense_metric_jets_each_entry_once(monkeypatch):
         return jet(ast, point, order)
 
     monkeypatch.setattr(ex, "evaluate_jet", counting_jet)
-    geo = _PointGeometry(metric, np.full(5, 0.1))
+    geo = metric.at(np.full(5, 0.1))
     assert calls == [2]
     d3g = geo.d3g
     assert calls == [2, 3]

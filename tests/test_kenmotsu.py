@@ -90,9 +90,10 @@ class TestExplicitModel:
         """nabla_{xi_i} xi_j + nabla_{xi_j} xi_i vanishes."""
         for p in seeded_points(4, count=3, seed=32):
             st = e2.at(p)
+            nab = st.nabla_xi  # [i, k, a] = (nabla_a xi_i)^k
             for i in range(2):
                 for j in range(2):
-                    v = st.nabla_vector(j) @ st.xi[i] + st.nabla_vector(i) @ st.xi[j]
+                    v = nab[j] @ st.xi[i] + nab[i] @ st.xi[j]
                     assert np.abs(v).max() < 1e-8
 
 

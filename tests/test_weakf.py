@@ -7,10 +7,9 @@ from wfk.kenmotsu import build_example2, build_twisted_product
 from wfk.weakf import (
     TOLERANCES,
     WeakFManifold,
-    _nijenhuis,
-    _random_probes,
     check_axioms,
     f_basis,
+    nijenhuis_tensor,
     normality_tensor,
     probe_vectors,
     tensor_residual,
@@ -69,16 +68,16 @@ class TestNijenhuis:
     def test_structure_tensor_torsion_free(self, e2):
         for p in seeded_points(4, count=3, seed=4):
             st = e2.at(p)
-            assert np.abs(_nijenhuis(st, st.f, st.df)).max() < 1e-8
+            assert np.abs(nijenhuis_tensor(st, st.f, st.df)).max() < 1e-8
 
     def test_identity_tensor(self, e2):
         ident, d_ident, _ = FieldSpec.from_entries(np.eye(4).tolist(), 4).jets(O)
-        assert np.abs(_nijenhuis(e2.at(O), ident, d_ident)).max() < 1e-12
+        assert np.abs(nijenhuis_tensor(e2.at(O), ident, d_ident)).max() < 1e-12
 
     def test_flat_rotation(self):
         m = build_twisted_product([1.0], 1, "1")
         st = m.at(np.zeros(3))
-        assert np.abs(_nijenhuis(st, st.f, st.df)).max() < 1e-12
+        assert np.abs(nijenhuis_tensor(st, st.f, st.df)).max() < 1e-12
 
 
 class TestNormality:
@@ -195,7 +194,7 @@ class TestTheorem1SymbolicRoute:
             by_id = theorem1_check(st)
             deta = np.stack([0.5 * (dw.T - dw) for _, dw, _ in (w.jets(p) for w in m.eta)])
             f, df, _ = m.f.jets(p)
-            n1 = _nijenhuis(st, f, df) + 2.0 * np.einsum("iab,ik->kab", deta, st.xi)
+            n1 = nijenhuis_tensor(st, f, df) + 2.0 * np.einsum("iab,ik->kab", deta, st.xi)
             phi, dphi, _ = fundamental_form_field(m).jets(p)
             dphi = coboundary_2form(dphi)
             rhs = 2.0 * st.m.beta * wedge_1form_2form(st.etabar, phi)
@@ -221,13 +220,10 @@ class TestProbeCache:
             scale = max(1.0, float(np.abs(probes).max()) ** len(slots))
             want = max(float(np.abs(t).max()), float(np.abs(contracted).max()) / scale)
             assert tensor_residual(t, slots) == want
-        cached, _ = _random_probes(5)
-        assert not cached.flags.writeable
-        with pytest.raises(ValueError):
-            cached[0, 0] = 1.0
-        fresh = probe_vectors(5)
-        assert fresh.flags.writeable
-        assert np.array_equal(fresh[5:], cached)
+            # the probes a caller gets are its own: writing to them leaves
+            # the probes of later residuals as they were
+            probe_vectors(shape[0])[:] = 1e6
+            assert tensor_residual(t, slots) == want
 
 
 def _varying_fields_manifold():
