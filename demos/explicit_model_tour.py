@@ -8,7 +8,7 @@ prints the curvature quantities that make it eta-Einstein.
 import numpy as np
 
 from wfk.kenmotsu import build_example2, eta_einstein_fit, kenmotsu_residual
-from wfk.weakf import check_axioms, f_basis, theorem1_check
+from wfk.weakf import check_axioms, theorem1_check
 
 
 def main():
@@ -29,11 +29,6 @@ def main():
         t1 = max(theorem1_check(m.at(p)).values())
         print(f"  p = {np.round(p, 3)}: nabla-f {k:.2e}, "
               f"normality/closedness {t1:.2e}")
-
-    frame, lambdas = f_basis(m.at(origin))
-    print(f"\nadapted frame at the origin (Q-eigenvalues {lambdas}):")
-    for row in frame:
-        print(f"  {np.round(row, 6)}")
 
     fit = eta_einstein_fit(m.at(origin))
     print(f"\neta-Einstein fit: Ric = a g - a sum eta(x)eta + (a+b) etabar(x)etabar")

@@ -35,7 +35,6 @@ from .weakf import (
     StructureAtPoint,
     WeakFManifold,
     check_axioms,
-    f_basis,
     normality_tensor,
     theorem1_check,
 )
@@ -51,7 +50,6 @@ from .kenmotsu import (
 from .star_soliton import (
     SolitonData,
     contact_fit,
-    fit_soliton_constants,
     gradient_soliton_residual,
     lemma2_audit,
     soliton_residual,

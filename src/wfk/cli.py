@@ -10,9 +10,11 @@ from __future__ import annotations
 
 import argparse
 import datetime
+import errno
 import hashlib
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -229,11 +231,9 @@ def manifold_from_manifest(data: dict):
         # lambda and mu enter the soliton checks linearly, as V does
         lam = _bounded(sol_raw.get("lambda"), "soliton.lambda", MAX_FIELD)
         mu = _bounded(sol_raw.get("mu"), "soliton.mu", MAX_FIELD)
-        has_v = "V" in sol_raw
-        has_pot = "v" in sol_raw
-        if has_v == has_pot:
+        if ("V" in sol_raw) == ("v" in sol_raw):
             raise ManifestError("soliton: provide exactly one of V or v")
-        if has_v:
+        if "V" in sol_raw:
             comps = _parse_components(sol_raw["V"], dim, "soliton.V")
             soliton = SolitonData(lam=lam, mu=mu, V=FieldSpec(dim, tuple(comps)))
         else:
@@ -408,12 +408,9 @@ def run_check(args) -> int:
         json.dumps(data, sort_keys=True).encode("utf-8")
     ).hexdigest()
     m, soliton, manifest_checks, overrides, sample = manifold_from_manifest(data)
-    if args.points is not None:
-        sample["count"] = args.points
-    if args.seed is not None:
-        sample["seed"] = args.seed
-    if args.box is not None:
-        sample["box"] = list(args.box)
+    for key, val in (("count", args.points), ("seed", args.seed), ("box", args.box)):
+        if val is not None:
+            sample[key] = val
     for item in args.tol or []:
         key, sep, val = item.partition("=")
         if not sep:
@@ -434,6 +431,10 @@ def run_check(args) -> int:
         ids = applicable_ids(ctx)
 
     points = sample_points(m.dim, sample)
+    out = args.out  # a directory, or a file in a missing one, fails before the checks
+    if out and (os.path.isdir(out) or not os.path.isdir(os.path.dirname(out) or ".")):
+        code = errno.EISDIR if os.path.isdir(out) else errno.ENOENT
+        raise ManifestError(f"cannot write {out}: {os.strerror(code)}")
     try:
         # each input is bounded alone; extremes of several together can still
         # leave the float range, which is bad input too

@@ -35,7 +35,7 @@ from .geometry import (
     lie_derivative_metric,
 )
 from .kenmotsu import EinsteinFit
-from .weakf import StructureAtPoint, WeakFManifold
+from .weakf import StructureAtPoint
 
 __all__ = [
     "SolitonData",
@@ -45,7 +45,6 @@ __all__ = [
     "star_symmetry_gate",
     "soliton_residual",
     "gradient_soliton_residual",
-    "fit_soliton_constants",
     "contact_fit",
     "lemma2_audit",
 ]
@@ -208,27 +207,6 @@ def gradient_soliton_residual(st: StructureAtPoint, sol: SolitonData) -> dict:
         * np.einsum("...a,...k->...ka", st.etabar, st.xibar)
     )
     return {"grad.75": np.maximum(residual, st.residual(lhs_op - rhs_op, (1,)))}
-
-
-def fit_soliton_constants(m: WeakFManifold, V: FieldSpec, sample):
-    """Least-squares (lam, mu) of the soliton equation over several points."""
-    points = [np.asarray(p, dtype=float) for p in sample]
-    if len(points) < 2:
-        raise ValueError("need at least two sample points")
-    structures = list(m.structures(points))
-    rows, targets = [], []
-    for st in structures:
-        target = 0.5 * lie_derivative_metric(st.geo, st.jets_of(V)) + st.ric_star
-        g, ebar = st.geo.g, st.ebar
-        rows.append(np.stack([(g - st.etaeta + ebar).ravel(), ebar.ravel()], axis=1))
-        targets.append(target.ravel())
-    design = np.vstack(rows)
-    rhs = np.concatenate(targets)
-    coef, *_ = np.linalg.lstsq(design, rhs, rcond=None)
-    lam, mu = float(coef[0]), float(coef[1])
-    sol = SolitonData(lam=lam, mu=mu, V=V)
-    residual = max(float(np.max(soliton_residual(st, sol)["soliton.32"])) for st in structures)
-    return lam, mu, residual
 
 
 # ---------------------------------------------------------------------------

@@ -38,7 +38,6 @@ __all__ = [
     "check_axioms",
     "nijenhuis_tensor",
     "normality_tensor",
-    "f_basis",
     "theorem1_check",
     "wedge_1form_2form",
 ]
@@ -315,88 +314,6 @@ def normality_tensor(st: StructureAtPoint) -> np.ndarray:
     # d(eta^i)_{ab} with the 1/2 normalization
     deta = 0.5 * (np.swapaxes(st.deta, -1, -2) - st.deta)  # [i, a, b]
     return nf + 2.0 * contract("...iab,...ik->...kab", deta, st.xi)
-
-
-def f_basis(st: StructureAtPoint):
-    """Orthogonal frame {e_1, fe_1, ..., e_n, fe_n, xi_1, ..., xi_s}.
-
-    Eigenvalues of Q on the contact distribution come in n pairs; the
-    returned lambdas are one per chosen e_i, ascending.  Eigenvector
-    choice is deterministic: within an eigenspace, take the direction
-    with the largest projection onto the lowest-index coordinate axis
-    and normalize so the first nonzero component is positive.
-    """
-    m = st.m
-    if st.lead:
-        raise ValueError("f_basis takes the structure at one point")
-    n, dim = m.n, m.dim
-    g = st.geo.g
-    # g-orthonormal basis of D = orthogonal complement of the xi's
-    basis = []
-    candidates = list(st.xi) + list(np.eye(dim))
-    for v in candidates:
-        w = v.astype(float).copy()
-        for u in basis:
-            w = w - (u @ g @ w) * u
-        norm2 = w @ g @ w
-        if norm2 > 1e-20:
-            basis.append(w / np.sqrt(norm2))
-    xi_frame = basis[: m.s]
-    d_frame = np.array(basis[m.s:])
-    if d_frame.shape[0] != 2 * n:
-        raise ValueError("contact distribution has deficient rank at the point")
-    # Q restricted to D in the orthonormal frame (symmetric there)
-    qd = d_frame @ g @ st.Q @ d_frame.T
-    qd = 0.5 * (qd + qd.T)
-    evals, evecs = np.linalg.eigh(qd)
-    if evals.min() <= 0:
-        raise ValueError("Q is not positive definite on the contact distribution")
-    # group eigenpairs by eigenvalue, ascending
-    groups: list[tuple[float, list[np.ndarray]]] = []
-    for lam, vec in zip(evals, evecs.T):
-        for glam, gvecs in groups:
-            if abs(lam - glam) < 1e-8 * max(1.0, abs(glam)):
-                gvecs.append(vec)
-                break
-        else:
-            groups.append((float(lam), [vec]))
-
-    frame = []
-    lambdas = []
-    chosen: list[np.ndarray] = []  # orthonormal, in D-frame coordinates
-    axes_d = (d_frame @ g).T  # row j: chart axis e_j expressed in the D-frame
-
-    for lam, gvecs in groups:
-        rows = np.array(gvecs)
-        while True:
-            # remove the span of already-chosen vectors from the eigenspace
-            for u in chosen:
-                rows = rows - np.outer(rows @ u, u)
-            q, r = np.linalg.qr(rows.T)
-            keep = np.abs(np.diag(r)) > 1e-9
-            if not keep.any():
-                break
-            rows = q.T[keep]
-            proj = rows.T @ rows
-            # direction of largest projection onto the lowest coordinate axis
-            vec = None
-            for axis in range(dim):
-                w = proj @ axes_d[axis]
-                if np.linalg.norm(w) > 1e-9:
-                    vec = w / np.linalg.norm(w)
-                    break
-            e_chart = vec @ d_frame
-            nz = np.nonzero(np.abs(e_chart) > 1e-12)[0]
-            if nz.size and e_chart[nz[0]] < 0:
-                vec, e_chart = -vec, -e_chart
-            fe_chart = st.f @ e_chart
-            fe_d = (d_frame @ g) @ fe_chart  # f e in the D-frame
-            frame.extend([e_chart, fe_chart])
-            lambdas.append(lam)
-            chosen.extend([vec, fe_d / np.linalg.norm(fe_d)])
-
-    frame.extend(xi_frame)
-    return np.array(frame), np.array(lambdas)
 
 
 def wedge_1form_2form(alpha: np.ndarray, phi: np.ndarray) -> np.ndarray:

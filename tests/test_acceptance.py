@@ -5,6 +5,7 @@ beta in {-1, 0.5, 1}, c in {0, 1} with 5 seeded sample points per
 instance, and asserts the stated tolerance.
 """
 
+import dataclasses
 import json
 import pathlib
 
@@ -22,14 +23,15 @@ from wfk.kenmotsu import (
 )
 from wfk.star_soliton import (
     SolitonData,
-    fit_soliton_constants,
     gradient_soliton_residual,
     lemma2_audit,
     star_eta_einstein_fit,
     theorem4_residual,
 )
 from wfk.weakf import check_axioms, theorem1_check, wedge_1form_2form
+from wfk.checks import CATALOGUE, CheckContext, run_check_ids
 from wfk.cli import main as cli_main
+from wfk.cli import manifold_from_manifest
 
 from conftest import GRID, example_manifold, seeded_points
 from reference_forms import fundamental_form_field
@@ -151,27 +153,39 @@ def test_criterion_06_discrepancy_audit():
     _report(6, "printed-value discrepancy audit", worst, 1e-6)
 
 
-def test_criterion_07_soliton_constants():
-    worst = 0.0
-    for (n, s, beta, c), m in _grid_instances():
-        pts = seeded_points(m.dim)[:3]
-        lam, mu, res = fit_soliton_constants(m, _xibar(m), pts)
+def test_criterion_07_soliton_constants(capsys):
+    # The emitter writes lambda = s beta - s(1+c) beta^2 and mu = -lambda for
+    # V = xibar.  soliton.32's model terms g - sum eta (x) eta and
+    # etabar (x) etabar are independent, so a residual within tolerance pins
+    # (lambda, mu), and shifting lambda by 1e-3 must fail the check.
+    tol = CATALOGUE["soliton.32"].tolerance
+    worst, least_shifted = 0.0, np.inf
+    for n, s, beta, c in GRID:
+        assert cli_main(["example2", str(n), str(s), str(beta), str(c)]) == 0
+        m, sol, *_ = manifold_from_manifest(json.loads(capsys.readouterr().out))
         lam_oracle = s * beta - s * (1.0 + c) * beta**2
-        worst = max(worst, abs(lam - lam_oracle), abs(mu + lam_oracle), res)
-        assert abs(lam + mu) < 1e-5
+        assert sol.lam == pytest.approx(lam_oracle) and sol.mu == -sol.lam
+        assert sol.V.entries == _xibar(m).entries
+        pts = seeded_points(m.dim)[:3]
+        for shift in (0.0, 1e-3):
+            ctx = CheckContext(m, dataclasses.replace(sol, lam=sol.lam + shift))
+            res = run_check_ids(ctx, ["soliton.32"], pts)["soliton.32"]
+            if shift:
+                least_shifted = min(least_shifted, res.min())
+            else:
+                worst = max(worst, res.max())
         verdict_class = (
             "expanding" if lam_oracle < -1e-9
             else "shrinking" if lam_oracle > 1e-9
             else "steady"
         )
-        assert SolitonData(lam=lam_oracle, mu=-lam_oracle, V=_xibar(m)).classification == (
-            verdict_class
-        )
+        assert sol.classification == verdict_class
         v = ex.parse_expression("+".join(f"x{2 * n + p_ + 1}" for p_ in range(s)), m.dim)
         grad_sol = SolitonData(lam=lam_oracle, mu=-lam_oracle, v=v)
         worst_grad = gradient_soliton_residual(m.at(pts[0]), grad_sol)["grad.75"]
         assert worst_grad < 1e-8, worst_grad
-    _report(7, "soliton constants over the grid", worst, 1e-6)
+    assert least_shifted > tol, f"lambda + 1e-3 passes soliton.32: {least_shifted:.3e}"
+    _report(7, "soliton constants over the grid", worst, tol)
 
 
 def test_criterion_08_twisted_products():

@@ -97,6 +97,44 @@ def test_no_library_function_reads_a_tolerance():
     assert readers == {("checks", "_specs"), ("kenmotsu", "build_twisted_product")}
 
 
+# Public names that no other src/wfk code reads, each kept for a reason.
+_UNREAD_KEPT = {
+    # the eta-Einstein characterization of the abstract, to become a check beside cor2
+    "kenmotsu.eta_einstein_fit",
+    # the soliton-type convention (the sign of lambda) that README documents
+    "star_soliton.SolitonData.classification",
+}
+
+
+def test_every_public_library_function_is_read_by_the_library():
+    """A public top-level function or public method that no other src/wfk
+    code names serves no check and no CLI path: delete it, or keep it in
+    ``_UNREAD_KEPT`` with its reason."""
+    defined, named = {}, set()
+    for path in sorted(Path(weakf.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                defined[f"{path.stem}.{node.name}"] = node.name
+            elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+                for fn in node.body:
+                    if isinstance(fn, ast.FunctionDef):
+                        defined[f"{path.stem}.{node.name}.{fn.name}"] = fn.name
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+    unread = {
+        qual for qual, name in defined.items() if not name.startswith("_") and name not in named
+    }
+    assert unread == _UNREAD_KEPT, (
+        f"unread: {sorted(unread - _UNREAD_KEPT)}; read now: {sorted(_UNREAD_KEPT - unread)}"
+    )
+
+
 def test_perfbench_tracer_targets_resolve():
     """Every name the benchmark tracer patches exists where it looks it up."""
     spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)

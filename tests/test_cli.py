@@ -396,9 +396,15 @@ class TestUnwritableOutput:
     check (exit 1), and leaves no file."""
 
     @pytest.mark.parametrize("where", ["missing-dir", "directory"])
-    def test_check(self, manifest_path, tmp_path, capsys, where):
+    def test_check(self, manifest_path, tmp_path, capsys, monkeypatch, where):
         out = tmp_path / "missing" / "r.json" if where == "missing-dir" else tmp_path
         before = sorted(tmp_path.rglob("*"))
+
+        def no_checks(*args):
+            raise AssertionError("the checks ran before --out was tested")
+
+        # refused before the first chunk, not after every record is computed
+        monkeypatch.setattr(cli, "run_check_ids", no_checks)
         assert main(["check", manifest_path, "--points", "1", "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith(f"error: cannot write {out}: ")
         assert sorted(tmp_path.rglob("*")) == before

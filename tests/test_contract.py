@@ -4,7 +4,9 @@ summed contraction of ``src/wfk`` on it (or on ``@``).
 The library writes a matrix product with ``@`` and every other contraction
 that sums an index shared by two operands with ``contract``, which BLAS
 runs; ``np.einsum`` is left the permutations, traces, diagonals and outer
-products.  Both tests below read the library's source with ``ast``.
+products.  The scans below read the library's source with ``ast``; ``contract``
+itself is tested on a frozen set of subscripts, and every call in the
+library must be one of them up to a renaming of its letters.
 """
 from __future__ import annotations
 
@@ -50,12 +52,60 @@ def test_no_einsum_sums_an_index_shared_by_two_operands():
     assert not summing, f"write these with contract or @: {summing}"
 
 
-CONTRACTIONS = sorted({sub for _, sub in _calls("contract") if sub is not None})
+# The cases contract is tested on: the subscripts of the library's calls,
+# frozen, so that re-lettering a call neither adds nor removes a test.
+CONTRACTIONS = (
+    "...ab,...ab->...", "...ab,...bjki->...ajki", "...abi,...bjk->...ajki",
+    "...abin,...abk->...ikn", "...ai,...abin->...bn", "...ai,...bik->...abk",
+    "...am,...mbk->...abk", "...amk,...mb->...abk", "...b,...bjkn->...jkn",
+    "...bjki,...ibn->...jkn", "...ia,...abn->...ibn", "...ia,...ia->...",
+    "...ia,...iajk->...jk", "...ia,...ib->...ab", "...ia,...lijc->...lajc",
+    "...iab,...ik->...kab", "...ibj,...bikn->...jkn", "...ijk,...k->...ij",
+    "...ijkl,...l->...ijk", "...ijklm,...m->...ijkl", "...ijm,...mikn->...jkn",
+    "...ijmn,...mik->...jkn", "...ik,...ia->...ka", "...ikab,...jb->...ijka",
+    "...ja,...ika->...ijk", "...jb,...kaj->...kab", "...jb,...lajc->...labc",
+    "...ji,...i->...j", "...jk,...jk->...", "...jkia,...ia->...jk",
+    "...k,...ijk->...ij", "...k,...ki->...i", "...ka,...abm->...kbm",
+    "...kab,...ib->...ika", "...kabc,...ic->...ikab", "...kam,...im->...ika",
+    "...kbm,...bl->...klm", "...kcm,...mj->...kjc", "...kij,...k->...ij",
+    "...kj,...ki->...ij", "...kja,...ia->...ikj", "...kja,...ij->...ika",
+    "...kja,...jb->...kba", "...kjm,...m->...kj", "...kjm,...mi->...kji",
+    "...kjmi,...m->...kji", "...kl,...l->...k", "...kl,...lij->...kij",
+    "...kl,...lijm->...kijm", "...klm,...lij->...kijm", "...km,...im->...ik",
+    "...km,...im->...ki", "...km,...mab->...kab", "...km,...mjn->...kjn",
+    "...kmij,...m->...kij", "...kmn,...mj->...kjn", "...l,...ljk->...jk",
+    "...la,...aijk->...lijk", "...la,...ajki->...lijk", "...labm,...im->...ilab",
+    "...lajc,...ij->...ilac", "...lajk,...ai->...lijk", "...lak,...ljk->...aj",
+    "...liak,...aj->...lijk", "...lija,...ak->...lijk", "...lim,...mjk->...lijk",
+    "...lji,...lik->...jk", "...lm,...mabc->...labc", "...ma,...mb->...ab",
+    "...ma,...mc->...ca", "...mab,...im->...iab", "...mb,...mc->...bc",
+    "...mcj,...km->...kjc", "...mjk,...mn->...jkn", "...n,...n->...",
+    "...pa,...a->...p",
+)
 
 
 def test_every_contract_call_has_literal_subscripts():
-    assert CONTRACTIONS
-    assert all(sub is not None for _, sub in _calls("contract"))
+    calls = _calls("contract")
+    assert calls, "the scan found no contract call at all"
+    assert all(sub is not None for _, sub in calls)
+
+
+def _canonical(subscripts: str) -> str:
+    """``subscripts`` with its letters renamed a, b, c, ... in order of first use."""
+    names: dict = {}
+    return "".join(
+        names.setdefault(x, chr(ord("a") + len(names))) if x.isalpha() else x
+        for x in subscripts
+    )
+
+
+def test_every_contract_call_is_a_frozen_case():
+    frozen = {_canonical(sub) for sub in CONTRACTIONS}
+    new = [
+        (where, sub) for where, sub in _calls("contract")
+        if sub is not None and _canonical(sub) not in frozen
+    ]
+    assert not new, f"add these contractions to CONTRACTIONS: {new}"
 
 
 def _operands(subscripts: str, batch: tuple, sizes: dict, rng):

@@ -10,7 +10,6 @@ from wfk.geometry import FieldSpec
 from wfk.star_soliton import (
     SolitonData,
     contact_fit,
-    fit_soliton_constants,
     gradient_soliton_residual,
     lemma2_audit,
     soliton_residual,
@@ -113,26 +112,6 @@ class TestVectorSolitons:
         zero = FieldSpec.from_entries([0.0] * 4, 4)
         sol = SolitonData(lam=-4.0, mu=4.0, V=zero)
         assert soliton_residual(e2.at(O), sol)["soliton.32"] < 1e-8
-
-    def test_fit_constants(self, e2):
-        pts = seeded_points(4, count=3, seed=50)
-        lam, mu, res = fit_soliton_constants(e2, _xibar_field(4, 2), pts)
-        assert lam == pytest.approx(-2.0)
-        assert mu == pytest.approx(2.0)
-        assert res < 1e-6
-
-    def test_fit_zero_potential_recovers_star_coefficients(self, e2):
-        zero = FieldSpec.from_entries([0.0] * 4, 4)
-        pts = seeded_points(4, count=3, seed=52)
-        lam, mu, res = fit_soliton_constants(e2, zero, pts)
-        abar = e2.at(O).r_star / 2.0
-        assert lam == pytest.approx(abar)
-        assert mu == pytest.approx(-abar)
-        assert res < 1e-6
-
-    def test_fit_needs_two_points(self, e2):
-        with pytest.raises(ValueError):
-            fit_soliton_constants(e2, _xibar_field(4, 2), [O])
 
 
 class TestGradientSolitons:

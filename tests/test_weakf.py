@@ -8,7 +8,6 @@ from wfk.weakf import (
     TOLERANCES,
     WeakFManifold,
     check_axioms,
-    f_basis,
     nijenhuis_tensor,
     normality_tensor,
     probe_vectors,
@@ -101,46 +100,6 @@ class TestFundamentalForm:
     def test_metric_scaling(self, e2):
         phi = fundamental_form_field(e2).jets(np.array([0.0, 0.0, 1.0, 0.0]))[0]
         assert phi[0, 1] == pytest.approx(-np.sqrt(2.0) * np.e**2)
-
-
-class TestFBasis:
-    def test_reference_frame(self, e2):
-        frame, lam = f_basis(e2.at(O))
-        assert lam == pytest.approx([2.0])
-        assert frame == pytest.approx(
-            np.array(
-                [
-                    [1, 0, 0, 0],
-                    [0, np.sqrt(2.0), 0, 0],
-                    [0, 0, 1, 0],
-                    [0, 0, 0, 1],
-                ]
-            )
-        )
-
-    def test_classical_eigenvalue(self):
-        m = example_manifold(1, 1, 1.0, 0.0)
-        _, lam = f_basis(m.at(np.zeros(3)))
-        assert lam == pytest.approx([1.0])
-
-    def test_two_factor_eigenvalues(self):
-        m = build_twisted_product([1.0, 2.0], 2, "exp(x5+x6)")
-        _, lam = f_basis(m.at(np.zeros(6)))
-        assert sorted(lam) == pytest.approx([1.0, 4.0])
-
-    def test_orthogonality_invariants(self, e2):
-        for p in seeded_points(4, count=3, seed=10):
-            frame, lam = f_basis(e2.at(p))
-            st = e2.at(p)
-            g = st.geo.g
-            gram = frame @ g @ frame.T
-            off = gram - np.diag(np.diag(gram))
-            assert np.abs(off).max() < 1e-9
-            for k, lk in enumerate(lam):
-                e_k = frame[2 * k]
-                fe = st.f @ e_k
-                assert abs(fe @ g @ fe - lk) < 1e-9
-                assert abs(e_k @ g @ e_k - 1.0) < 1e-9
 
 
 class TestTheorem1:
