@@ -32,8 +32,9 @@ def main():
 
     fit = eta_einstein_fit(m.at(origin))
     print(f"\neta-Einstein fit: Ric = a g - a sum eta(x)eta + (a+b) etabar(x)etabar")
+    a_pred, b_pred = fit.predicted
     print(f"  a = {fit.a:+.6f}, b = {fit.b:+.6f} "
-          f"(closed form {fit.predicted}), residual {fit.residual:.2e}")
+          f"(closed form {a_pred:+.6f}, {b_pred:+.6f}), residual {fit.residual:.2e}")
 
 
 if __name__ == "__main__":

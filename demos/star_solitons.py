@@ -34,8 +34,9 @@ def main():
     print(f"star scalar curvature: {st.r_star:+.6f}")
 
     fit = star_eta_einstein_fit(st)
+    a_pred, b_pred = fit.predicted
     print(f"star-eta-Einstein fit: abar = {fit.a:+.6f}, bbar = {fit.b:+.6f} "
-          f"(predicted {fit.predicted})")
+          f"(predicted {a_pred:+.6f}, {b_pred:+.6f})")
 
     xibar = FieldSpec.from_entries([0.0] * (2 * n) + [1.0] * s, m.dim)
     lam = s * beta - s * (1.0 + c) * beta**2

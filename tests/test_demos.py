@@ -1,4 +1,5 @@
-"""Every demo runs: exit 0 and nothing on stderr, so a numpy warning fails it."""
+"""Every demo runs: exit 0 and nothing on stderr, so a numpy warning fails it,
+and its numbers are formatted, not printed as numpy reprs."""
 
 import os
 import pathlib
@@ -23,3 +24,4 @@ def test_demo_runs_cleanly(demo):
     )
     assert run.returncode == 0, run.stderr
     assert run.stderr == ""
+    assert "np.float64(" not in run.stdout

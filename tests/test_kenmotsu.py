@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from wfk.geometry import MetricField
 from wfk.kenmotsu import (
     IDENTITY_IDS,
     audit_identities,
@@ -10,6 +11,7 @@ from wfk.kenmotsu import (
     build_twisted_product,
     eta_einstein_fit,
     kenmotsu_residual,
+    twisted_product_audit,
 )
 from wfk.weakf import TOLERANCES
 
@@ -122,6 +124,23 @@ class TestTwistedProducts:
         for p in seeded_points(dim, count=4, seed=36):
             for cid, r in twisted_product_audit(m.at(p)).items():
                 assert r < 1e-6, (cid, r)
+
+    @staticmethod
+    def _stretched_leaf(eps):
+        """(i) and (ii) at 20 points of the dim-3 twisted product, its metric's
+        second fiber entry times (1 + eps x3): no longer a twisted product."""
+        sigma = "exp(x3)*(2+x1^2)"
+        m = build_twisted_product([1.0], 1, sigma)
+        entries = [f"({sigma})^2", f"({sigma})^2*(1+{eps!r}*x3)", 1.0]
+        m = dataclasses.replace(m, metric=MetricField.diagonal(entries, 3))
+        res = twisted_product_audit(m.at(np.array(seeded_points(3, count=20, seed=38))))
+        return res["twisted.i"], res["twisted.ii"]
+
+    @pytest.mark.parametrize("which", [0, 1], ids=["twisted.i", "twisted.ii"])
+    def test_a_stretched_leaf_fails_to_first_order(self, which):
+        once, twice = self._stretched_leaf(1e-3)[which], self._stretched_leaf(2e-3)[which]
+        assert once.min() > TOLERANCES["twisted.i"] == TOLERANCES["twisted.ii"]
+        assert np.all((1.5 <= twice / once) & (twice / once <= 2.5)), twice / once
 
     def test_audit_requires_twisted_builder(self, e2):
         from wfk.kenmotsu import twisted_product_audit
