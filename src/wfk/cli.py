@@ -26,7 +26,7 @@ from .expr import ExprAst, ExprError
 from .geometry import FieldSpec, MetricError, MetricField
 from .kenmotsu import build_example2, build_twisted_product
 from .star_soliton import SolitonData
-from .weakf import MAX_FIELD, WeakFManifold
+from .weakf import MAX_FIELD, WeakFManifold, check_axioms
 
 SCHEMA_VERSION = "wfk/1"
 _KEYS = (
@@ -490,6 +490,9 @@ def emit_example2(args) -> int:
 
 
 def emit_twisted(args) -> int:
+    """Emit a twisted-product manifest.  The factor scales come from the
+    command line, so the structure axioms are checked at the origin against
+    their catalogue tolerances before the manifest is written."""
     scales = [_finite_number(x, "--factors") for x in args.factors.split(",") if x]
     if not scales:
         raise ManifestError("--factors: need at least one factor scale")
@@ -498,6 +501,12 @@ def emit_twisted(args) -> int:
         m = build_twisted_product(scales, args.s, args.sigma)
     except (ExprError, ValueError) as err:
         raise ManifestError(str(err)) from err
+    axioms = check_axioms(m.at(np.zeros(m.dim)))
+    if not all(res <= CATALOGUE[cid].tolerance for cid, res in axioms.items()):
+        worst = max(axioms.values())
+        raise ManifestError(
+            f"fiber data does not satisfy the structure axioms (residual {worst:.2e})"
+        )
     _bounded(m.beta, "beta", _MAX_BETA)  # inferred from sigma, bounded as `wfk check` bounds it
     _write(json.dumps(manifest_from_manifold(m), indent=2) + "\n", args.out)
     return 0

@@ -32,6 +32,7 @@ from functools import cached_property
 import numpy as np
 
 __all__ = [
+    "Node",
     "ExprAst",
     "Tape",
     "ExprError",

@@ -44,6 +44,7 @@ __all__ = [
     "FieldSpec",
     "Geometry",
     "check_bound",
+    "contract",
     "lie_derivative_metric",
     "lie_derivative_1form",
     "coboundary_2form",

@@ -18,7 +18,7 @@ import numpy as np
 
 from .expr import parse_expression
 from .geometry import FieldSpec, MetricField, contract, lie_derivative_metric
-from .weakf import TOLERANCES, StructureAtPoint, WeakFManifold, check_axioms
+from .weakf import StructureAtPoint, WeakFManifold
 
 __all__ = [
     "EinsteinFit",
@@ -284,9 +284,10 @@ def build_twisted_product(scales, s: int, sigma: str) -> WeakFManifold:
 
     ``sigma`` is expression source over the full chart (the fiber occupies
     x1..x_{2n}; t-coordinates follow).  Q is -J^2 on the fiber and 1 on the
-    Reeb block, so that the structure axioms hold by construction; they are
-    still verified at the origin.  beta is inferred as d(log sigma)/dt_1 at
-    the origin.
+    Reeb block, so that the structure axioms hold by construction up to
+    rounding, which grows as the cube of the largest scale; ``wfk twisted``
+    checks them at the origin.  beta is inferred as d(log sigma)/dt_1 at the
+    origin.
     """
     if s < 1 or len(scales) < 1:
         raise ValueError("need s >= 1 and at least one factor scale")
@@ -320,12 +321,6 @@ def build_twisted_product(scales, s: int, sigma: str) -> WeakFManifold:
         eta=tuple(FieldSpec.from_entries(e, dim) for e in reeb),
         sigma=sigma_ast,
     )
-    axioms = check_axioms(m.at(np.zeros(dim)))
-    if not all(res <= TOLERANCES[cid] for cid, res in axioms.items()):
-        worst = max(axioms.values())
-        raise ValueError(
-            f"fiber data does not satisfy the structure axioms (residual {worst:.2e})"
-        )
     return m
 
 

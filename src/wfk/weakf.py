@@ -30,8 +30,9 @@ from .geometry import FieldSpec, MetricField, check_bound, coboundary_2form, con
 
 __all__ = [
     "WeakFManifold",
-    "TOLERANCES",
     "MAX_FIELD",
+    "CHUNK_FLOATS",
+    "chunk_size",
     "StructureAtPoint",
     "probe_vectors",
     "tensor_residual",
@@ -54,34 +55,6 @@ CHUNK_FLOATS = 2**20
 def chunk_size(dim: int) -> int:
     """Points a chunk holds at dimension ``dim``: 32 at dim 8, one from dim 16."""
     return max(1, CHUNK_FLOATS // dim**5)
-
-
-# Default tolerance of every check id; the only place these values are
-# stated.  The identities (id.*, including the third-order 21-23) come from
-# exact jets and carry rounding error only.  The lemma2 values are audit
-# thresholds for report-only comparisons, not error bounds.
-TOLERANCES: dict[str, float] = {
-    **dict.fromkeys(
-        (
-            "axiom.5", "axiom.6", "axiom.fxi", "axiom.etaf", "axiom.etaQ",
-            "axiom.Qf", "axiom.Qxi", "axiom.dual", "axiom.f3", "kenmotsu.12",
-            "id.13", "id.14", "id.15", "id.16", "id.18", "id.19", "id.20",
-            "id.21", "id.22", "id.23", "id.26", "id.27", "id.44",
-        ),
-        1e-8,
-    ),
-    **dict.fromkeys(
-        (
-            "n1", "deta", "dphi", "twisted.i", "twisted.ii", "twisted.iii",
-            "star.def", "thm4.28", "thm4.29", "cor2", "soliton.32",
-            "soliton.33", "grad.75", "contact.65",
-        ),
-        1e-6,
-    ),
-    "prop5": 1e-5,
-    "lemma2.42": 1e-4,
-    **dict.fromkeys(("lemma2.34", "lemma2.35"), 1e-3),
-}
 
 
 # Largest value of f, Q, xi, eta and of a vector field jetted with them (the

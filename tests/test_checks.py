@@ -2,6 +2,9 @@ import ast
 import importlib
 import importlib.util
 import inspect
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -14,7 +17,6 @@ from wfk.checks import CATALOGUE, CheckContext, applicable_ids, run_check_ids
 from wfk.geometry import FieldSpec
 from wfk.kenmotsu import build_example2, build_twisted_product
 from wfk.star_soliton import SolitonData, contact_fit, lemma2_audit, soliton_residual
-from wfk.weakf import TOLERANCES
 
 from conftest import seeded_points
 
@@ -54,11 +56,28 @@ def test_runners_produce_each_catalogue_id_once(make_ctx):
         assert set(produced.values()) == {1}
 
 
-def test_every_tolerance_belongs_to_a_catalogue_id():
-    assert set(TOLERANCES) == set(CATALOGUE)
+_LIBRARY = ("wfk.expr", "wfk.geometry", "wfk.weakf", "wfk.kenmotsu", "wfk.star_soliton")
+SRC = Path(weakf.__file__).parent
 
 
-_LIBRARY = ("wfk.geometry", "wfk.weakf", "wfk.kenmotsu", "wfk.star_soliton")
+def _source(name: str) -> Path:
+    return SRC / f"{name.removeprefix('wfk.')}.py"
+
+
+def _wfk_imports(path: Path) -> set[str]:
+    """The absolute names a source file of ``src/wfk`` imports, each module
+    and each ``module.name`` it takes from one."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if node.level:
+                base = "wfk." + base if base else "wfk"
+            names.add(base)
+            names.update(f"{base}.{alias.name}" for alias in node.names)
+    return names
 
 
 def test_no_library_function_reads_a_tolerance():
@@ -79,22 +98,38 @@ def test_no_library_function_reads_a_tolerance():
                 if inspect.isfunction(fn):
                     params = inspect.signature(fn).parameters
                     assert not any(p.startswith("tol") for p in params), f"{name}.{qual}"
-    # TOLERANCES is read where the catalogue is built and where the twisted
-    # builder validates its fiber at the origin, nowhere else in src/wfk
-    readers = set()
-    for path in sorted(Path(weakf.__file__).parent.glob("*.py")):
-        tree = ast.parse(path.read_text())
-        reads = {
-            node for node in ast.walk(tree)
-            if isinstance(node, ast.Name) and node.id == "TOLERANCES"
-            and isinstance(node.ctx, ast.Load)
-        }
-        for fn in ast.walk(tree):
-            if isinstance(fn, ast.FunctionDef) and reads & set(ast.walk(fn)):
-                readers.add((path.stem, fn.name))
-                reads -= set(ast.walk(fn))
-        assert not reads, f"{path.stem} reads TOLERANCES outside a function"
-    assert readers == {("checks", "_specs"), ("kenmotsu", "build_twisted_product")}
+    # the tolerances live in the catalogue, which the library never imports
+    for name in _LIBRARY:
+        assert not _wfk_imports(_source(name)) & {"wfk.checks", "wfk.cli"}, name
+
+
+def _public_definitions(path: Path) -> set[str]:
+    defined = set()
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defined.add(node.name)
+        elif isinstance(node, ast.Assign):
+            defined.update(t.id for t in node.targets if isinstance(t, ast.Name))
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            defined.add(node.target.id)
+    return {name for name in defined if not name.startswith("_")}
+
+
+@pytest.mark.parametrize("name", _LIBRARY + ("wfk.checks",))
+def test_all_lists_every_public_definition(name):
+    """A module's ``__all__`` is its one API list: exactly the public names
+    it defines at top level, none it imports."""
+    module = importlib.import_module(name)
+    assert sorted(module.__all__) == sorted(_public_definitions(_source(name)))
+
+
+def test_the_package_root_loads_no_submodule():
+    code = "import sys, wfk; print(sorted(m for m in sys.modules if m.startswith('wfk.')))"
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout == "[]\n"
 
 
 # Public names that no other src/wfk code reads, each kept for a reason.
@@ -111,7 +146,7 @@ def test_every_public_library_function_is_read_by_the_library():
     code names serves no check and no CLI path: delete it, or keep it in
     ``_UNREAD_KEPT`` with its reason."""
     defined, named = {}, set()
-    for path in sorted(Path(weakf.__file__).parent.glob("*.py")):
+    for path in sorted(SRC.glob("*.py")):
         if path.name == "__init__.py":
             continue
         tree = ast.parse(path.read_text())

@@ -65,6 +65,17 @@ class TestEmit:
         assert code == 2
         assert "positive" in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("error")  # a numpy warning would reach stderr
+    def test_twisted_rejects_fiber_data_that_fails_the_axioms(self, tmp_path, capsys):
+        # f^3 is about 3.6e20 at the scale 7.1e6, and its rounding alone fails axiom.f3
+        out = tmp_path / "F"
+        argv = ["twisted", "--factors", "0.3,7.1e6", "--s", "1", "--sigma", "exp(x5)"]
+        assert main(argv + ["--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: fiber data does not satisfy the structure axioms (residual 6.55e+04)\n"
+        )
+        assert not out.exists()
+
 
 class TestEmitterGoldens:
     """The emitters' output, pinned: the builders write numbers and source
@@ -433,6 +444,12 @@ class TestListChecks:
         listed = {line.split()[0] for line in out.strip().splitlines()}
         assert listed == set(CATALOGUE)
         assert len(listed) == 41
+
+    def test_listing_matches_its_golden(self, capsys):
+        # every id's tolerance, audit flag and requirements, pinned: editing
+        # a tolerance means editing this golden too
+        assert main(["list-checks"]) == 0
+        assert capsys.readouterr().out == (GOLDEN / "list_checks.txt").read_text()
 
 
 def _mutated(data, path, value):

@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from wfk.checks import CATALOGUE
 from wfk.geometry import MetricField
 from wfk.kenmotsu import (
     IDENTITY_IDS,
@@ -13,7 +14,6 @@ from wfk.kenmotsu import (
     kenmotsu_residual,
     twisted_product_audit,
 )
-from wfk.weakf import TOLERANCES
 
 from conftest import example_manifold, seeded_points
 
@@ -44,7 +44,7 @@ class TestIdentityAudit:
     def test_full_catalogue_on_reference_instance(self, e2):
         for p in seeded_points(4, count=5, seed=24):
             for cid, r in audit_identities(e2.at(p)).items():
-                assert r <= TOLERANCES[cid], (cid, r)
+                assert r <= CATALOGUE[cid].tolerance, (cid, r)
 
     def test_jet_exact_identity(self, e2):
         assert audit_identities(e2.at(O))["id.13"] < 1e-10
@@ -56,13 +56,13 @@ class TestIdentityAudit:
 
     def test_tolerances_by_kind(self, e2):
         for cid in audit_identities(e2.at(O)):
-            assert TOLERANCES[cid] == 1e-8
+            assert CATALOGUE[cid].tolerance == 1e-8
 
     def test_second_parameter_set(self):
         m = example_manifold(2, 2, 0.5, 1.0)
         p = seeded_points(6, count=1, seed=26)[0]
         for cid, r in audit_identities(m.at(p)).items():
-            assert r <= TOLERANCES[cid], (cid, r)
+            assert r <= CATALOGUE[cid].tolerance, (cid, r)
 
 
 class TestExplicitModel:
@@ -139,7 +139,7 @@ class TestTwistedProducts:
     @pytest.mark.parametrize("which", [0, 1], ids=["twisted.i", "twisted.ii"])
     def test_a_stretched_leaf_fails_to_first_order(self, which):
         once, twice = self._stretched_leaf(1e-3)[which], self._stretched_leaf(2e-3)[which]
-        assert once.min() > TOLERANCES["twisted.i"] == TOLERANCES["twisted.ii"]
+        assert once.min() > CATALOGUE["twisted.i"].tolerance == CATALOGUE["twisted.ii"].tolerance
         assert np.all((1.5 <= twice / once) & (twice / once <= 2.5)), twice / once
 
     def test_audit_requires_twisted_builder(self, e2):

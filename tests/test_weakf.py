@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
+from wfk.checks import CATALOGUE
 from wfk.cli import manifest_from_manifold, manifold_from_manifest
 from wfk.geometry import FieldSpec, MetricField, coboundary_2form
 from wfk.kenmotsu import build_example2, build_twisted_product
 from wfk.weakf import (
-    TOLERANCES,
     WeakFManifold,
     check_axioms,
     nijenhuis_tensor,
@@ -161,7 +161,7 @@ class TestTheorem1SymbolicRoute:
                 want = tensor_residual(t, slots)
                 scale = max(1.0, np.abs(t).max(), np.abs(dphi).max())
                 assert abs(by_id[cid] - want) <= 1e-12 * scale, cid
-            dphi_failed |= not by_id["dphi"] <= TOLERANCES["dphi"]
+            dphi_failed |= not by_id["dphi"] <= CATALOGUE["dphi"].tolerance
         assert dphi_failed == dphi_fails
 
 
