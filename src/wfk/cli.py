@@ -28,6 +28,20 @@ from .kenmotsu import build_example2, build_twisted_product
 from .star_soliton import SolitonData
 from .weakf import MAX_FIELD, WeakFManifold, check_axioms
 
+__all__ = [
+    "SCHEMA_VERSION",
+    "ManifestError",
+    "load_manifest",
+    "manifold_from_manifest",
+    "manifest_from_manifold",
+    "sample_points",
+    "run_check",
+    "emit_example2",
+    "emit_twisted",
+    "list_checks",
+    "main",
+]
+
 SCHEMA_VERSION = "wfk/1"
 _KEYS = (
     "version", "n", "s", "dim", "beta", "c", "metric", "f", "Q", "xi", "eta",
@@ -145,16 +159,6 @@ def _known_keys(raw: dict, allowed, where: str) -> None:
         raise ManifestError(f"{where}: unknown keys {unknown}; expected {list(allowed)}")
 
 
-def _parse_tolerance(key: str, raw, where: str) -> float:
-    """A tolerance override for catalogue id ``key``: finite and > 0."""
-    if key not in CATALOGUE:
-        raise ManifestError(f"{where}: unknown check id {key!r}")
-    val = _finite_number(raw, f"{where}[{key}]")
-    if val <= 0:
-        raise ManifestError(f"{where}[{key}]: tolerance must be > 0, got {raw!r}")
-    return val
-
-
 def load_manifest(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -247,14 +251,18 @@ def manifold_from_manifest(data: dict):
             raise ManifestError("checks: expected a non-empty list of check ids")
         unknown = [c_ for c_ in checks if c_ not in CATALOGUE]
         if unknown:
-            raise ManifestError(f"unknown check ids in manifest: {unknown}")
+            raise ManifestError(f"checks: unknown check ids {unknown}")
 
     tols = {} if data.get("tolerances") is None else data["tolerances"]
     if not isinstance(tols, dict):
         raise ManifestError("tolerances: expected an object of id -> value")
-    overrides = {
-        key: _parse_tolerance(key, val, "tolerances") for key, val in tols.items()
-    }
+    overrides = {}
+    for key, raw in tols.items():  # each finite and > 0
+        if key not in CATALOGUE:
+            raise ManifestError(f"tolerances: unknown check id {key!r}")
+        overrides[key] = _finite_number(raw, f"tolerances[{key}]")
+        if overrides[key] <= 0:
+            raise ManifestError(f"tolerances[{key}]: tolerance must be > 0, got {raw!r}")
 
     sample_raw = {} if data.get("sample") is None else data["sample"]
     if not isinstance(sample_raw, dict):
@@ -404,30 +412,26 @@ def _report_json(head: dict, points, checks, tail: dict) -> tuple[str, dict]:
 
 def run_check(args) -> int:
     data = load_manifest(args.manifest)
-    digest = hashlib.sha256(
-        json.dumps(data, sort_keys=True).encode("utf-8")
-    ).hexdigest()
-    m, soliton, manifest_checks, overrides, sample = manifold_from_manifest(data)
-    for key, val in (("count", args.points), ("seed", args.seed), ("box", args.box)):
-        if val is not None:
-            sample[key] = val
+    # the flags are edits of the manifest, so its one validator checks them
+    # and the digest covers them; only a --tol argument's shape is read here
+    sample = {"count": args.points, "seed": args.seed, "box": args.box}
+    tols = {}
     for item in args.tol or []:
         key, sep, val = item.partition("=")
         if not sep:
             raise ManifestError(f"--tol {item}: expected ID=VALUE")
-        overrides[key] = _parse_tolerance(key, val, "--tol")
-
-    ctx = CheckContext(m, soliton)
+        tols[key] = val
+    for key, edits in (("sample", sample), ("tolerances", tols)):
+        edits = {k: v for k, v in edits.items() if v is not None}
+        base = {} if data.get(key) is None else data[key]
+        if edits and isinstance(base, dict):  # a non-object is left to the validator
+            data[key] = {**base, **edits}
     if args.only:
-        ids = [i for part in args.only for i in part.split(",") if i]
-        if not ids:
-            raise ManifestError("--only: no check ids given")
-        unknown = [i for i in ids if i not in CATALOGUE]
-        if unknown:
-            raise ManifestError(f"--only: unknown check ids {unknown}")
-    elif manifest_checks is not None:
-        ids = manifest_checks
-    else:
+        data["checks"] = [i for part in args.only for i in part.split(",") if i]
+    digest = hashlib.sha256(json.dumps(data, sort_keys=True).encode("utf-8")).hexdigest()
+    m, soliton, ids, overrides, sample = manifold_from_manifest(data)
+    ctx = CheckContext(m, soliton)
+    if ids is None:
         ids = applicable_ids(ctx)
 
     points = sample_points(m.dim, sample)

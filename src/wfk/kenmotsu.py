@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .expr import parse_expression
-from .geometry import FieldSpec, MetricField, contract, lie_derivative_metric
+from .geometry import FieldSpec, MetricField, contract
 from .weakf import StructureAtPoint, WeakFManifold
 
 __all__ = [
@@ -126,14 +126,10 @@ def _id16(st: StructureAtPoint, beta: float) -> np.ndarray:
 
 
 def _id18(st: StructureAtPoint, beta: float) -> np.ndarray:
-    rhs = 2.0 * beta * (st.geo.g - st.etaeta)
-    return np.stack(
-        [
-            lie_derivative_metric(st.geo, (xi, dxi)) - rhs
-            for xi, dxi in zip(np.moveaxis(st.xi, -2, 0), np.moveaxis(st.dxi, -3, 0))
-        ],
-        axis=-3,
-    )
+    # (L_xi_i g)_ab = g(nabla_a xi_i, e_b) + g(e_a, nabla_b xi_i)
+    lie = st.geo.g[..., None, :, :] @ st.nabla_xi  # [i, b, a] = g(nabla_a xi_i, e_b)
+    lie = lie + np.swapaxes(lie, -1, -2)
+    return lie - (2.0 * beta * (st.geo.g - st.etaeta))[..., None, :, :]
 
 
 def _id19(st: StructureAtPoint, beta: float) -> np.ndarray:
@@ -162,8 +158,8 @@ def _id21(st: StructureAtPoint, beta: float) -> np.ndarray:
 def _id22(st: StructureAtPoint, beta: float) -> np.ndarray:
     s, n = st.m.s, st.m.n
     rhs = -2.0 * beta * (st.geo.scalar + 2.0 * s * n * (2 * n + 1) * beta**2)
-    fields = np.moveaxis(st.xi, -2, 0)  # xi_i, i first
-    return np.stack([st.geo.scalar_derivative(xi) - rhs for xi in fields], -1)
+    # xi_i(scal) with the field index i first, so it broadcasts over the batch axes
+    return np.moveaxis(st.geo.scalar_derivative(np.moveaxis(st.xi, -2, 0)) - rhs, 0, -1)
 
 
 def _id23(st: StructureAtPoint, beta: float) -> np.ndarray:

@@ -215,14 +215,9 @@ def gradient_soliton_residual(st: StructureAtPoint, sol: SolitonData) -> dict:
 
 def contact_fit(st: StructureAtPoint, V: FieldSpec) -> tuple[float, float]:
     """Least-squares sigma of L_V eta^i = sigma eta^i and the max-abs residual."""
-    v = st.jets_of(V)
-    lie = np.stack(
-        [
-            lie_derivative_1form(st.geo, (eta, deta), v)
-            for eta, deta in zip(np.moveaxis(st.eta, -2, 0), np.moveaxis(st.deta, -3, 0))
-        ],
-        axis=-2,
-    )
+    # the eta^i with their index first, so that they broadcast over the batch axes
+    eta = (np.moveaxis(st.eta, -2, 0), np.moveaxis(st.deta, -3, 0))
+    lie = np.moveaxis(lie_derivative_1form(st.geo, eta, st.jets_of(V)), 0, -2)
     num = contract("...ia,...ia->...", lie, st.eta)
     den = contract("...ia,...ia->...", st.eta, st.eta)
     sigma = np.divide(num, den, out=np.zeros_like(num), where=den > 0)

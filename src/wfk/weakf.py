@@ -211,6 +211,11 @@ class StructureAtPoint:
         return contract("...ia,...ib->...ab", self.eta, self.eta)
 
     @cached_property
+    def d_eta(self) -> np.ndarray:
+        """The exterior derivatives d(eta^i)_{ab}, with the 1/2 normalization, as [i, a, b]."""
+        return 0.5 * (np.swapaxes(self.deta, -1, -2) - self.deta)
+
+    @cached_property
     def etaxi(self) -> np.ndarray:
         """sum_i eta^i (x) xi_i as a (1,1)-tensor: [k, a] = sum_i xi_i^k eta^i_a."""
         return contract("...ik,...ia->...ka", self.xi, self.eta)
@@ -284,9 +289,7 @@ def nijenhuis_tensor(st: StructureAtPoint, s: np.ndarray, ds: np.ndarray) -> np.
 def normality_tensor(st: StructureAtPoint) -> np.ndarray:
     """N1 = [f, f] + 2 sum_i d(eta^i) (x) xi_i."""
     nf = nijenhuis_tensor(st, st.f, st.df)
-    # d(eta^i)_{ab} with the 1/2 normalization
-    deta = 0.5 * (np.swapaxes(st.deta, -1, -2) - st.deta)  # [i, a, b]
-    return nf + 2.0 * contract("...iab,...ik->...kab", deta, st.xi)
+    return nf + 2.0 * contract("...iab,...ik->...kab", st.d_eta, st.xi)
 
 
 def wedge_1form_2form(alpha: np.ndarray, phi: np.ndarray) -> np.ndarray:
@@ -301,7 +304,6 @@ def wedge_1form_2form(alpha: np.ndarray, phi: np.ndarray) -> np.ndarray:
 def theorem1_check(st: StructureAtPoint) -> dict:
     """Normality, closedness of the eta^i, and dPhi = 2 beta etabar ^ Phi."""
     n1 = normality_tensor(st)
-    deta = 0.5 * (np.swapaxes(st.deta, -1, -2) - st.deta)
     # d_k Phi_ab = d_k g_am f^m_b + g_am d_k f^m_b, from the jets at the point
     dphi = coboundary_2form(
         contract("...amk,...mb->...abk", st.geo.dg, st.f)
@@ -311,6 +313,6 @@ def theorem1_check(st: StructureAtPoint) -> dict:
     rhs = 2.0 * st.m.beta * wedge_1form_2form(st.etabar, phi)
     return {
         "n1": st.residual(n1, (1, 2)),
-        "deta": st.residual(deta, (1, 2)),
+        "deta": st.residual(st.d_eta, (1, 2)),
         "dphi": st.residual(dphi - rhs, (0, 1, 2)),
     }

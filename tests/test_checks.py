@@ -115,7 +115,7 @@ def _public_definitions(path: Path) -> set[str]:
     return {name for name in defined if not name.startswith("_")}
 
 
-@pytest.mark.parametrize("name", _LIBRARY + ("wfk.checks",))
+@pytest.mark.parametrize("name", _LIBRARY + ("wfk.checks", "wfk.cli"))
 def test_all_lists_every_public_definition(name):
     """A module's ``__all__`` is its one API list: exactly the public names
     it defines at top level, none it imports."""

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import pathlib
@@ -176,25 +177,32 @@ class TestCheck:
         assert report["summary"]["fail"] > 0
         assert all(rec["tolerance"] == 1e-20 for rec in report["checks"])
 
-    def test_unknown_tolerance_id(self, manifest_path, capsys):
-        assert main(["check", manifest_path, "--tol", "nope=1e-6"]) == 2
-        assert "nope" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("value", ["nan", "inf", "-1", "0", "abc"])
-    def test_bad_tolerance_flag(self, manifest_path, capsys, value):
-        assert main(["check", manifest_path, "--tol", f"axiom.5={value}"]) == 2
-        assert "axiom.5" in capsys.readouterr().err
+    def test_unknown_tolerance_id(self, manifest_path, tmp_path, capsys):
+        routes = _both_routes(
+            manifest_path, tmp_path, "tolerances", {"nope": 1e-6}, ["--tol", "nope=1e-6"]
+        )
+        for err in _input_errors(routes, tmp_path, capsys):
+            assert err == "error: tolerances: unknown check id 'nope'\n"
 
     @pytest.mark.parametrize(
         "value", ["nan", float("nan"), float("inf"), -1, 0, "abc", True]
     )
     def test_bad_manifest_tolerance(self, manifest_path, tmp_path, capsys, value):
-        data = _load(manifest_path)
-        data["tolerances"] = {"axiom.5": value}
         bad = tmp_path / "bad.json"
+        data = _mutated(_load(manifest_path), ("tolerances",), {"axiom.5": value})
         bad.write_text(json.dumps(data))
-        assert main(["check", str(bad)]) == 2
-        assert "axiom.5" in capsys.readouterr().err
+        [err] = _input_errors([[str(bad)]], tmp_path, capsys)
+        assert err.startswith("error: tolerances[axiom.5]: ")
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1", "0", "abc"])
+    def test_bad_tolerance_flag(self, manifest_path, tmp_path, capsys, value):
+        # --tol ID=VALUE is the manifest's tolerances entry {ID: "VALUE"}
+        routes = _both_routes(
+            manifest_path, tmp_path, "tolerances", {"axiom.5": value},
+            ["--tol", f"axiom.5={value}"],
+        )
+        errors = _input_errors(routes, tmp_path, capsys)
+        assert errors[0] == errors[1] and errors[0].startswith("error: tolerances[axiom.5]: ")
 
     def test_repeated_ids_run_once(self, manifest_path, tmp_path):
         data = _load(manifest_path)
@@ -233,19 +241,48 @@ class TestCheck:
         err = capsys.readouterr().err
         assert "need data" in err and want in err
 
-    def test_unknown_only_id(self, manifest_path, capsys):
-        assert main(["check", manifest_path, "--only", "nope"]) == 2
-        assert "nope" in capsys.readouterr().err
+    def test_unknown_only_id(self, manifest_path, tmp_path, capsys):
+        routes = _both_routes(
+            manifest_path, tmp_path, "checks", ["axiom.5", "nope"], ["--only", "axiom.5,nope"]
+        )
+        for err in _input_errors(routes, tmp_path, capsys):
+            assert err == "error: checks: unknown check ids ['nope']\n"
 
-    def test_empty_only_list(self, manifest_path, capsys):
-        assert main(["check", manifest_path, "--only", ","]) == 2
-        assert "error: --only: no check ids" in capsys.readouterr().err
+    def test_empty_only_list(self, manifest_path, tmp_path, capsys):
+        routes = _both_routes(manifest_path, tmp_path, "checks", [], ["--only", ","])
+        errors = _input_errors(routes, tmp_path, capsys)
+        assert errors[0] == errors[1]
 
     def test_empty_manifest_check_list(self, manifest_path, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(_mutated(_load(manifest_path), ("checks",), [])))
-        assert main(["check", str(bad)]) == 2
-        assert "error: checks: expected a non-empty list" in capsys.readouterr().err
+        [err] = _input_errors([[str(bad)]], tmp_path, capsys)
+        assert err == "error: checks: expected a non-empty list of check ids\n"
+
+    @pytest.mark.parametrize(
+        "sample, flags",
+        [
+            ({"count": 0}, ["--points", "0"]),
+            ({"seed": -1}, ["--seed", "-1"]),
+            ({"box": [1.0, 0.0]}, ["--box", "1", "0"]),
+            ({"box": [0.0, float("inf")]}, ["--box", "0", "inf"]),
+        ],
+        ids=["count-zero", "seed-negative", "box-reversed", "box-inf"],
+    )
+    def test_bad_sample_setting(self, manifest_path, tmp_path, capsys, sample, flags):
+        routes = _both_routes(manifest_path, tmp_path, "sample", sample, flags)
+        errors = _input_errors(routes, tmp_path, capsys)
+        assert errors[0] == errors[1] and errors[0].startswith("error: sample")
+
+    def test_the_digest_covers_the_flags(self, manifest_path, tmp_path):
+        def digest(*flags):
+            report = tmp_path / "report.json"
+            assert main(["check", manifest_path, *flags, "--out", str(report)]) == 0
+            return _load(report)["manifest_digest"]
+
+        loaded = json.dumps(_load(manifest_path), sort_keys=True).encode("utf-8")
+        assert digest() == hashlib.sha256(loaded).hexdigest()
+        assert digest("--seed", "7") != digest("--seed", "8")
 
     def test_audits_never_fail_the_run(self, manifest_path, tmp_path):
         report_path = str(tmp_path / "report.json")
@@ -463,6 +500,27 @@ def _mutated(data, path, value):
     else:
         node[path[-1]] = value
     return data
+
+
+def _both_routes(manifest_path, tmp_path, key, value, flags):
+    """The two ways to give one setting: the manifest with ``key`` set to
+    ``value``, and the unchanged manifest with ``flags``."""
+    edited = tmp_path / "edited.json"
+    edited.write_text(json.dumps(_mutated(_load(manifest_path), (key,), value)))
+    return [[str(edited)], [manifest_path, *flags]]
+
+
+def _input_errors(routes, tmp_path, capsys) -> list[str]:
+    """The stderr of ``wfk check`` on each route, each an input error: exit
+    2, one ``error:`` line and no report."""
+    errors = []
+    for argv in routes:
+        report = tmp_path / "report.json"
+        assert main(["check", *argv, "--out", str(report)]) == 2
+        errors.append(capsys.readouterr().err)
+        assert errors[-1].startswith("error: ") and errors[-1].count("\n") == 1
+        assert not report.exists()
+    return errors
 
 
 _HUGE_INT = 10**400
