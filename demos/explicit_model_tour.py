@@ -7,12 +7,13 @@ prints the curvature quantities that make it eta-Einstein.
 
 import numpy as np
 
+from wfk.cli import manifold_from_manifest
 from wfk.kenmotsu import build_example2, eta_einstein_fit, kenmotsu_residual
 from wfk.weakf import check_axioms, theorem1_check
 
 
 def main():
-    m = build_example2(n=1, s=2, beta=1.0, c=1.0)
+    m = manifold_from_manifest(build_example2(n=1, s=2, beta=1.0, c=1.0))[0]
     origin = np.zeros(m.dim)
     rng = np.random.default_rng(0)
     points = [origin] + [rng.uniform(-0.5, 0.5, m.dim) for _ in range(3)]

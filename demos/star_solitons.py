@@ -11,6 +11,7 @@ import numpy as np
 
 from wfk import expr as ex
 from wfk.checks import CATALOGUE
+from wfk.cli import manifold_from_manifest
 from wfk.geometry import FieldSpec
 from wfk.kenmotsu import build_example2
 from wfk.star_soliton import (
@@ -23,7 +24,7 @@ from wfk.star_soliton import (
 
 def main():
     n, s, beta, c = 1, 2, 1.0, 1.0
-    m = build_example2(n, s, beta, c)
+    m = manifold_from_manifest(build_example2(n, s, beta, c))[0]
     origin = np.zeros(m.dim)
     rng = np.random.default_rng(2)
     points = [rng.uniform(-0.5, 0.5, m.dim) for _ in range(3)]

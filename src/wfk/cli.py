@@ -33,7 +33,6 @@ __all__ = [
     "ManifestError",
     "load_manifest",
     "manifold_from_manifest",
-    "manifest_from_manifold",
     "sample_points",
     "run_check",
     "emit_example2",
@@ -52,7 +51,7 @@ _DEFAULT_SAMPLE = {"count": 5, "seed": 42, "box": [-0.5, 0.5]}
 
 # Size caps, checked before anything of that size is allocated.  A run holds
 # one chunk's geometry at a time (weakf.chunk_size: 2^20 floats counted as
-# dim^5 third-order metric jets a point, or one point from dim 16; the jets
+# dim^5 third-order metric jets a point, or one point from dim 14; the jets
 # span the metric's support only, so the count over-provisions).  Over the
 # full catalogue of example2, tracemalloc measures a peak of 12.8 MiB at dim 21.
 _MAX_DIM = 21
@@ -273,54 +272,6 @@ def manifold_from_manifest(data: dict):
 
 
 # ---------------------------------------------------------------------------
-# manifest emission
-
-
-def _entry_source(node: ExprAst) -> object:
-    src = ex.to_source(node)
-    try:
-        return int(src)
-    except ValueError:
-        pass
-    try:
-        return float(src)
-    except ValueError:
-        return src
-
-
-def manifest_from_manifold(
-    m: WeakFManifold, soliton: SolitonData | None = None
-) -> dict:
-    dim = m.dim
-    data: dict = {
-        "version": SCHEMA_VERSION,
-        "n": m.n,
-        "s": m.s,
-        "beta": m.beta,
-        "c": m.c,
-        "dim": dim,
-        "metric": [
-            [_entry_source(m.metric.entries[i][j]) for j in range(i + 1)]
-            for i in range(dim)
-        ],
-        "f": [[_entry_source(e) for e in row] for row in m.f.entries],
-        "Q": [[_entry_source(e) for e in row] for row in m.Q.entries],
-        "xi": [[_entry_source(e) for e in v.entries] for v in m.xi],
-        "eta": [[_entry_source(e) for e in w.entries] for w in m.eta],
-    }
-    if m.sigma is not None:
-        data["sigma"] = ex.to_source(m.sigma)
-    if soliton is not None:
-        block: dict = {"lambda": soliton.lam, "mu": soliton.mu}
-        if soliton.V is not None:
-            block["V"] = [_entry_source(e) for e in soliton.V.entries]
-        else:
-            block["v"] = ex.to_source(soliton.v)
-        data["soliton"] = block
-    return data
-
-
-# ---------------------------------------------------------------------------
 # check command
 
 
@@ -483,13 +434,13 @@ def emit_example2(args) -> int:
     _chart_dim(args.n, args.s)
     beta, c = _bounded(args.beta, "beta", _MAX_BETA), _finite_number(args.c, "c")
     try:
-        m = build_example2(args.n, args.s, beta, c)
+        data = build_example2(args.n, args.s, beta, c)
     except ValueError as err:
         raise ManifestError(str(err)) from err
-    xibar = FieldSpec.from_entries([0.0] * (2 * m.n) + [1.0] * m.s, m.dim)
-    lam = _bounded(m.s * beta - m.s * (1.0 + c) * beta**2, "soliton.lambda", MAX_FIELD)
-    soliton = SolitonData(lam=lam, mu=-lam, V=xibar)
-    _write(json.dumps(manifest_from_manifold(m, soliton), indent=2) + "\n", args.out)
+    lam = _bounded(args.s * beta - args.s * (1.0 + c) * beta**2, "soliton.lambda", MAX_FIELD)
+    soliton = {"lambda": lam, "mu": -lam, "V": [0] * (2 * args.n) + [1] * args.s}  # V = xibar
+    manifest = {"version": SCHEMA_VERSION, **data, "soliton": soliton}
+    _write(json.dumps(manifest, indent=2) + "\n", args.out)
     return 0
 
 
@@ -502,17 +453,17 @@ def emit_twisted(args) -> int:
         raise ManifestError("--factors: need at least one factor scale")
     _chart_dim(len(scales), args.s)
     try:
-        m = build_twisted_product(scales, args.s, args.sigma)
+        data = build_twisted_product(scales, args.s, args.sigma)
     except (ExprError, ValueError) as err:
         raise ManifestError(str(err)) from err
+    m = manifold_from_manifest(data)[0]  # bounds the beta inferred from sigma, too
     axioms = check_axioms(m.at(np.zeros(m.dim)))
     if not all(res <= CATALOGUE[cid].tolerance for cid, res in axioms.items()):
         worst = max(axioms.values())
         raise ManifestError(
             f"fiber data does not satisfy the structure axioms (residual {worst:.2e})"
         )
-    _bounded(m.beta, "beta", _MAX_BETA)  # inferred from sigma, bounded as `wfk check` bounds it
-    _write(json.dumps(manifest_from_manifold(m), indent=2) + "\n", args.out)
+    _write(json.dumps({"version": SCHEMA_VERSION, **data}, indent=2) + "\n", args.out)
     return 0
 
 

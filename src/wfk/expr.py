@@ -41,7 +41,6 @@ __all__ = [
     "parse_expression",
     "compile_tape",
     "evaluate_jet",
-    "to_source",
     "const",
 ]
 
@@ -67,8 +66,8 @@ _FUNCTIONS = ("exp", "sqrt", "log")
 
 # Deepest nesting a parsed expression may have, in parentheses, function
 # calls and tree levels alike.  The parser spends four Python frames per
-# nesting level and the tape compiler and printer one per tree level, so 160
-# stays well inside the default recursion limit of 1000.
+# nesting level and the tape compiler one per tree level, so 160 stays well
+# inside the default recursion limit of 1000.
 _MAX_DEPTH = 160
 
 # node kinds: const, var, neg, add, sub, mul, div, pow, exp, sqrt, log
@@ -89,9 +88,6 @@ class ExprAst:
 
     root: Node
     dim: int
-
-    def __str__(self) -> str:
-        return to_source(self)
 
     @cached_property
     def tape(self) -> "Tape":
@@ -484,7 +480,6 @@ def _constant_jet(c: float, size: int, count: int, order: int):
     return np.full(count, c), np.zeros((size, count)), np.zeros((size, size, count)), t
 
 
-@np.errstate(over="ignore", divide="ignore", invalid="ignore")
 def _fold(node: Node, operands: tuple, dim: int):
     """The operand of ``node`` when it needs no instruction, else ``None``."""
     if node.kind == "const":
@@ -495,7 +490,9 @@ def _fold(node: Node, operands: tuple, dim: int):
     if operands and all(isinstance(op, float) for op in operands):
         jets = [_constant_jet(op, dim, 1, 2) for op in operands]
         try:
-            out = float(_RULES[node.kind](node, *jets)[0][0])
+            # entered here only: a tape compiles hundreds of nodes and folds few
+            with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+                out = float(_RULES[node.kind](node, *jets)[0][0])
         except ExprDomainError:
             out = math.nan
         # otherwise kept as an instruction, so it raises in evaluation order
@@ -594,60 +591,6 @@ def evaluate_jet(tape: Tape, points, order: int = 2):
     consts = [k for k, op in enumerate(tape.outputs) if not isinstance(op, int)]
     out[0][:, consts] = [tape.outputs[k] for k in consts]
     return tuple(out)
-
-
-# ---------------------------------------------------------------------------
-# pretty printing
-
-_PREC = {
-    "add": 1, "sub": 1, "mul": 2, "div": 2, "neg": 3, "pow": 4,
-    **dict.fromkeys(("const", "var", *_FUNCTIONS), 5),
-}
-
-# kind -> (form, extra level of each operand): an operand is wrapped when its
-# precedence is below the operator's plus its extra level, which is 1 for the
-# right operand of "-" and "/" (neither associates to the right) and for the
-# base of "^" (an atom)
-_FORMS = {
-    "add": ("{}+{}", (0, 0)),
-    "sub": ("{}-{}", (0, 1)),
-    "mul": ("{}*{}", (0, 0)),
-    "div": ("{}/{}", (0, 1)),
-    "neg": ("-{}", (0,)),
-    "pow": ("{}^{n}", (1,)),
-}
-
-
-def _prec(node: Node) -> int:
-    if node.kind == "const" and node.value < 0:
-        return _PREC["neg"]
-    return _PREC[node.kind]
-
-
-def _fmt_const(v: float) -> str:
-    if v == int(v) and abs(v) < 1e16:
-        return str(int(v))
-    return repr(v)
-
-
-def _print(node: Node) -> str:
-    if node.kind == "const":
-        return _fmt_const(node.value)
-    if node.kind == "var":
-        return f"x{node.index + 1}"
-    if node.kind in _FUNCTIONS:
-        return f"{node.kind}({_print(node.children[0])})"
-    form, extra = _FORMS[node.kind]
-    operands = []
-    for child, e in zip(node.children, extra):
-        text = _print(child)
-        operands.append(f"({text})" if _prec(child) < _PREC[node.kind] + e else text)
-    return form.format(*operands, n=node.index)
-
-
-def to_source(ast: ExprAst) -> str:
-    """Canonical source form; ``to_source o parse_expression`` is idempotent."""
-    return _print(ast.root)
 
 
 # ---------------------------------------------------------------------------

@@ -426,11 +426,6 @@ class MetricField(FieldSpec):
         square = (tuple(low[max(i, j)][min(i, j)] for j in range(dim)) for i in range(dim))
         return cls(dim, tuple(square))
 
-    @classmethod
-    def diagonal(cls, entries, dim: int) -> "MetricField":
-        rows = [[0.0] * i + [entries[i]] for i in range(dim)]
-        return cls.from_entries(rows, dim)
-
     def at(self, p) -> Geometry:
         """The geometry at a point ``(dim,)`` or a chunk of points ``(C, dim)``,
         built afresh."""

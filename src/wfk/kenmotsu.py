@@ -5,10 +5,11 @@ The defining condition for the beta-Kenmotsu class is
     (nabla_X f) Y = beta { g(fX, Y) xibar - etabar(Y) fX },
 
 with the beta = 0 case (parallel f) playing the role of a C-manifold.
-``build_example2`` realizes the standard explicit chart model
+``build_example2`` writes the manifest of the standard explicit chart model
 (metric diag(e^{2 beta xbar}) on the contact block); the twisted-product
-builder assembles dt^2 (+) sigma^2 gbar over a fiber of flat R^2 factors,
-and its audit reads identities (14) and (15) with beta_i = xi_i(log sigma).
+builder writes that of dt^2 (+) sigma^2 gbar over a fiber of flat R^2
+factors, and its audit reads identities (14) and (15) with beta_i =
+xi_i(log sigma).  ``wfk.cli.manifold_from_manifest`` makes either a model.
 """
 from __future__ import annotations
 
@@ -17,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .expr import parse_expression
-from .geometry import FieldSpec, MetricField, contract
-from .weakf import StructureAtPoint, WeakFManifold
+from .geometry import contract
+from .weakf import StructureAtPoint
 
 __all__ = [
     "EinsteinFit",
@@ -238,11 +239,28 @@ def audit_identities(st: StructureAtPoint) -> dict:
 # builders
 
 
-def build_example2(n: int, s: int, beta: float, c: float) -> WeakFManifold:
+def _entry(v: float) -> int | float:
+    """``v`` as a manifest entry: an int where it is integral below 1e16 (past
+    it a float is written with its exponent), else the float."""
+    v = float(v)
+    return int(v) if v.is_integer() and abs(v) < 1e16 else v
+
+
+def _rows(a: np.ndarray) -> list:
+    return [[_entry(x) for x in row] for row in a.tolist()]
+
+
+def _diagonal(entries) -> list:
+    """The lower triangle of the metric diag(entries), as a manifest writes it."""
+    return [[0] * i + [e] for i, e in enumerate(entries)]
+
+
+def build_example2(n: int, s: int, beta: float, c: float) -> dict:
     """Explicit chart model: metric diag(e^{2 beta xbar} 1_{2n}, 1_s).
 
     f rotates the contact block with scale sqrt(1+c), Q = (1+c) id on the
     contact block; c = 0 reduces to the classical metric f-structure.
+    Returns the model's manifest, without its version tag.
     """
     if n < 1 or s < 1:
         raise ValueError("need n >= 1 and s >= 1")
@@ -252,38 +270,32 @@ def build_example2(n: int, s: int, beta: float, c: float) -> WeakFManifold:
         raise ValueError("the structure deformation c must be >= 0")
     dim = 2 * n + s
     xbar = "+".join(f"x{2 * n + p + 1}" for p in range(s))
-    scale = "" if 2.0 * beta == 1.0 else f"{2.0 * beta!r}*"  # manifests write no factor 1
-    warp = f"exp({scale}({xbar}))"
-    metric = MetricField.diagonal([warp] * (2 * n) + [1.0] * s, dim)
+    if 2.0 * beta != 1.0:  # manifests write no factor 1
+        xbar = f"{_entry(2.0 * beta)}*" + (f"({xbar})" if s > 1 else xbar)
 
     i, root = np.arange(n), np.sqrt(1.0 + c)
     f = np.zeros((dim, dim))
     f[n + i, i], f[i, n + i] = root, -root
     q = np.diag([1.0 + c] * (2 * n) + [1.0] * s)
     reeb = np.eye(dim)[2 * n:]
-    return WeakFManifold(
-        n=n,
-        s=s,
-        beta=float(beta),
-        c=float(c),
-        metric=metric,
-        f=FieldSpec.from_entries(f, dim),
-        Q=FieldSpec.from_entries(q, dim),
-        xi=tuple(FieldSpec.from_entries(e, dim) for e in reeb),
-        eta=tuple(FieldSpec.from_entries(e, dim) for e in reeb),
-    )
+    return {
+        "n": n, "s": s, "beta": float(beta), "c": float(c), "dim": dim,
+        "metric": _diagonal([f"exp({xbar})"] * (2 * n) + [1] * s),
+        "f": _rows(f), "Q": _rows(q), "xi": _rows(reeb), "eta": _rows(reeb),
+    }
 
 
-def build_twisted_product(scales, s: int, sigma: str) -> WeakFManifold:
+def build_twisted_product(scales, s: int, sigma: str) -> dict:
     """Assemble dt^2 (+) sigma^2 gbar over flat R^2 factors, with f the
     fiber's J (J = c_k times the rotation by 90 degrees on the k-th factor).
 
     ``sigma`` is expression source over the full chart (the fiber occupies
-    x1..x_{2n}; t-coordinates follow).  Q is -J^2 on the fiber and 1 on the
-    Reeb block, so that the structure axioms hold by construction up to
-    rounding, which grows as the cube of the largest scale; ``wfk twisted``
-    checks them at the origin.  beta is inferred as d(log sigma)/dt_1 at the
-    origin.
+    x1..x_{2n}; t-coordinates follow), written into the manifest as given.
+    Q is -J^2 on the fiber and 1 on the Reeb block, so that the structure
+    axioms hold by construction up to rounding, which grows as the cube of
+    the largest scale; ``wfk twisted`` checks them at the origin.  beta is
+    inferred as d(log sigma)/dt_1 at the origin.  Returns the model's
+    manifest, without its version tag.
     """
     if s < 1 or len(scales) < 1:
         raise ValueError("need s >= 1 and at least one factor scale")
@@ -291,33 +303,24 @@ def build_twisted_product(scales, s: int, sigma: str) -> WeakFManifold:
         raise ValueError("factor scales must be nonzero")
     n = len(scales)
     two_n, dim = 2 * n, 2 * n + s
-    sigma_ast = parse_expression(sigma, dim)
-    value, grad = sigma_ast.jets(np.zeros(dim), order=1)
+    value, grad = parse_expression(sigma, dim).jets(np.zeros(dim), order=1)
     if value <= 0:
         raise ValueError("sigma must be positive")
-    metric = MetricField.diagonal([f"({sigma})^2"] * two_n + [1.0] * s, dim)
 
     f = np.zeros((dim, dim))
     for k, c in enumerate(scales):
         f[2 * k + 1, 2 * k], f[2 * k, 2 * k + 1] = c, -c
-    # a scale past 1e154 squares to inf, a constant the field's tape rejects
+    # a scale past 1e154 squares to inf, a number the manifest's validator rejects
     with np.errstate(over="ignore"):
         q = -(f @ f)
     q[two_n:, two_n:] = np.eye(s)
     reeb = np.eye(dim)[two_n:]
-    m = WeakFManifold(
-        n=n,
-        s=s,
-        beta=float(grad[two_n] / value),
-        c=None,
-        metric=metric,
-        f=FieldSpec.from_entries(f, dim),
-        Q=FieldSpec.from_entries(q, dim),
-        xi=tuple(FieldSpec.from_entries(e, dim) for e in reeb),
-        eta=tuple(FieldSpec.from_entries(e, dim) for e in reeb),
-        sigma=sigma_ast,
-    )
-    return m
+    return {
+        "n": n, "s": s, "beta": float(grad[two_n] / value), "c": None, "dim": dim,
+        "metric": _diagonal([f"({sigma})^2"] * two_n + [1] * s),
+        "f": _rows(f), "Q": _rows(q), "xi": _rows(reeb), "eta": _rows(reeb),
+        "sigma": sigma,
+    }
 
 
 def twisted_product_audit(st: StructureAtPoint) -> dict:

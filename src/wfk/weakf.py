@@ -53,7 +53,7 @@ CHUNK_FLOATS = 2**20
 
 
 def chunk_size(dim: int) -> int:
-    """Points a chunk holds at dimension ``dim``: 32 at dim 8, one from dim 16."""
+    """Points a chunk holds at dimension ``dim``: 32 at dim 8, 2 at dim 13, one from dim 14."""
     return max(1, CHUNK_FLOATS // dim**5)
 
 
@@ -120,7 +120,7 @@ class WeakFManifold:
     Q: FieldSpec
     xi: tuple[FieldSpec, ...]
     eta: tuple[FieldSpec, ...]
-    sigma: ExprAst | None = None          # set by the twisted-product builder
+    sigma: ExprAst | None = None          # a twisted product's manifest sets it
 
     def __post_init__(self):
         if self.n < 1 or self.s < 1:

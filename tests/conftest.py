@@ -3,6 +3,8 @@ import functools
 import numpy as np
 import pytest
 
+from wfk.cli import manifold_from_manifest
+from wfk.geometry import MetricField
 from wfk.kenmotsu import build_example2
 
 GRID = [
@@ -17,7 +19,18 @@ GRID = [
 @functools.lru_cache(maxsize=None)
 def example_manifold(n=1, s=2, beta=1.0, c=1.0):
     """Shared cached instance of the explicit chart model."""
-    return build_example2(n, s, beta, c)
+    return model(build_example2(n, s, beta, c))
+
+
+def model(data):
+    """The WeakFManifold of a builder's manifest, as `wfk check` reads it."""
+    return manifold_from_manifest(data)[0]
+
+
+def diagonal_metric(entries):
+    """The metric field diag(entries), over a chart of their number."""
+    rows = [[0.0] * i + [e] for i, e in enumerate(entries)]
+    return MetricField.from_entries(rows, len(rows))
 
 
 def seeded_points(dim, count=5, seed=42, box=(-0.5, 0.5)):

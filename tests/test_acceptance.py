@@ -33,7 +33,7 @@ from wfk.checks import CATALOGUE, CheckContext, run_check_ids
 from wfk.cli import main as cli_main
 from wfk.cli import manifold_from_manifest
 
-from conftest import GRID, example_manifold, seeded_points
+from conftest import GRID, example_manifold, model, seeded_points
 from reference_forms import fundamental_form_field
 
 GOLDEN = json.loads(
@@ -192,16 +192,16 @@ def test_criterion_08_twisted_products():
     worst12 = worst_rel = 0.0
     cases = []
     # flat plane fiber, constant-times-exponential twist
-    cases.append(build_twisted_product([1.0], 1, "2*exp(x3)"))
+    cases.append(model(build_twisted_product([1.0], 1, "2*exp(x3)")))
     # two-factor fiber
-    cases.append(build_twisted_product([1.0, 2.0], 2, "exp(0.5*(x5+x6))"))
+    cases.append(model(build_twisted_product([1.0, 2.0], 2, "exp(0.5*(x5+x6))")))
     for m in cases:
         for p in seeded_points(m.dim, count=3):
             st = m.at(p)
             worst12 = max(worst12, kenmotsu_residual(st)["kenmotsu.12"])
             worst_rel = max(worst_rel, *twisted_product_audit(st).values())
     # genuinely twisted: sigma depends on a fiber coordinate
-    m = build_twisted_product([1.0], 1, "exp(x3+x1^2)")
+    m = model(build_twisted_product([1.0], 1, "exp(x3+x1^2)"))
     for p in seeded_points(3, count=3):
         worst_rel = max(worst_rel, *twisted_product_audit(m.at(p)).values())
     assert worst12 <= 1e-8, f"defining condition on twisted products: {worst12:.3e}"

@@ -18,25 +18,25 @@ from wfk.geometry import FieldSpec
 from wfk.kenmotsu import build_example2, build_twisted_product
 from wfk.star_soliton import SolitonData, contact_fit, lemma2_audit, soliton_residual
 
-from conftest import seeded_points
+from conftest import model, seeded_points
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
 
 def _example2_V():
-    m = build_example2(1, 2, 1.0, 1.0)
+    m = model(build_example2(1, 2, 1.0, 1.0))
     xibar = FieldSpec.from_entries([0.0, 0.0, 1.0, 1.0], m.dim)
     return CheckContext(m, SolitonData(lam=-2.0, mu=2.0, V=xibar))
 
 
 def _example2_v():
-    m = build_example2(1, 2, 1.0, 1.0)
+    m = model(build_example2(1, 2, 1.0, 1.0))
     v = ex.parse_expression("x3+x4+x1^2", m.dim)
     return CheckContext(m, SolitonData(lam=-2.0, mu=2.0, v=v))
 
 
 def _twisted():
-    return CheckContext(build_twisted_product([1.0, 2.0], 2, "exp(x5+x6)*(2+x1^2)"))
+    return CheckContext(model(build_twisted_product([1.0, 2.0], 2, "exp(x5+x6)*(2+x1^2)")))
 
 
 @pytest.mark.parametrize("make_ctx", [_example2_V, _example2_v, _twisted])
@@ -187,7 +187,7 @@ def test_the_structure_screen_never_builds_dgamma_or_riem():
     # the dim-8 twisted product's structure screen reads curvature only
     # through Ric and Ric*, which come from the metric's second jets
     sigma = "exp(x7+x8)*(2+x1^2+x2*x3)"
-    ctx = CheckContext(build_twisted_product([1.0, 2.0, 3.0], 2, sigma))
+    ctx = CheckContext(model(build_twisted_product([1.0, 2.0, 3.0], 2, sigma)))
     screen = ("axioms", "theorem1", "kenmotsu", "twisted", "star_def", "thm4", "cor2")
     st = ctx.manifold.at(seeded_points(8, count=weakf.chunk_size(8), seed=29))
     for group in screen:
@@ -212,7 +212,7 @@ def test_chunk_size_bounds_the_third_order_jets(dim):
 
 
 def test_chunk_sizes_of_the_benchmark_dimensions():
-    assert [weakf.chunk_size(d) for d in (7, 8, 15)] == [62, 32, 1]
+    assert [weakf.chunk_size(d) for d in (7, 8, 13, 14, 15)] == [62, 32, 2, 1, 1]
 
 
 @pytest.mark.parametrize("make_ctx", [_example2_V, _twisted])

@@ -85,12 +85,46 @@ class TestEmitterGoldens:
     @pytest.mark.parametrize(
         "args",
         [("2", "3", "1.0", "1.0"), ("6", "3", "1.0", "1.0"), ("1", "1", "-0.7", "0.0"),
-         ("1", "2", "0.5", "1.0")],  # 2 beta = 1: the warp has no factor 1
+         ("1", "2", "0.5", "1.0"),  # 2 beta = 1: the warp has no factor 1
+         ("1", "2", "1e-3", "0.0"),  # a warp factor below 1
+         ("1", "1", "0.5", "0.0"),  # no factor and one Reeb coordinate: exp(x3)
+         ("1", "2", "-19.09", "1.0"),  # a negative factor
+         ("2", "1", "12.73", "0.5"),  # non-integral f and Q entries
+         ("1", "2", "1e20", "0.0")],  # a factor written with its exponent
     )
     def test_example2_matches_its_golden(self, tmp_path, args):
         out = tmp_path / "e2.json"
         assert main(["example2", *args, "--out", str(out)]) == 0
         assert out.read_bytes() == (GOLDEN / f"example2_{'_'.join(args)}.json").read_bytes()
+
+    def test_twisted_matches_its_golden(self, tmp_path):
+        # a scale below 1 puts 0.09 into Q, and a sigma with a fiber coordinate
+        out = tmp_path / "tw.json"
+        argv = ["twisted", "--factors", "0.3,2", "--s", "1", "--sigma", "exp(x5)*(1+x1^2)"]
+        assert main([*argv, "--out", str(out)]) == 0
+        assert out.read_bytes() == (GOLDEN / "twisted_0.3_2.json").read_bytes()
+
+    def test_twisted_writes_sigma_as_given(self, tmp_path):
+        # the spelling changes the manifest and its digest, and nothing else
+        reports = {}
+        for sigma in ("exp(x3) * (2 + x1^2)", "exp(x3)*(2+x1^2)"):
+            manifest, report = tmp_path / "tw.json", tmp_path / "report.json"
+            argv = ["twisted", "--factors", "1", "--s", "1", "--sigma", sigma]
+            assert main([*argv, "--out", str(manifest)]) == 0
+            data = _load(manifest)
+            assert data["sigma"] == sigma
+            assert data["metric"][0][0] == data["metric"][1][1] == f"({sigma})^2"
+            code = main(["check", str(manifest), "--reproducible", "--out", str(report)])
+            reports[sigma] = code, _load(report)
+        (code, spaced), (tight_code, tight) = reports.values()
+        assert spaced.pop("manifest_digest") != tight.pop("manifest_digest")
+        assert (code, spaced) == (tight_code, tight)
+
+    def test_an_atomic_sigma_is_squared_in_parentheses(self, tmp_path):
+        out = tmp_path / "tw.json"
+        argv = ["twisted", "--factors", "1,2", "--s", "1", "--sigma", "exp(x5)"]
+        assert main([*argv, "--out", str(out)]) == 0
+        assert _load(out)["metric"][0][0] == "(exp(x5))^2"
 
     def test_twisted_differs_from_its_golden_in_numeric_q_only(self, tmp_path):
         # the golden writes Q's fiber diagonal as expressions such as "-(2*-2)"

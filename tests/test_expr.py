@@ -14,7 +14,6 @@ from wfk.expr import (
     ExprSyntaxError,
     evaluate_jet,
     parse_expression,
-    to_source,
 )
 
 
@@ -25,7 +24,10 @@ class TestParsing:
 
     def test_exp_of_scaled_sum(self):
         ast = parse_expression("exp(2*(x3+x4))", 4)
-        assert to_source(ast) == "exp(2*(x3+x4))"
+        (mul,) = ast.root.children
+        (two, total) = mul.children
+        assert (ast.root.kind, mul.kind, two.value, total.kind) == ("exp", "mul", 2.0, "add")
+        assert [x.index for x in total.children] == [2, 3]
 
     def test_unknown_identifier(self):
         with pytest.raises(ExprSyntaxError) as err:
@@ -164,32 +166,17 @@ class TestDerivativeProperty:
 
 class TestRoundTrip:
     def test_random_sources_reach_every_node_kind(self):
-        # the draws of the round-trip test below
+        # the expressions that the random sweeps of this file draw
         rng = np.random.default_rng(7)
         kinds = set()
         for _ in range(100):
             stack = [_random_ast(rng, 3, 3).root]
-            rng.uniform(-0.5, 0.5, 3)
             while stack:
                 node = stack.pop()
                 kinds.add(node.kind)
                 stack.extend(node.children)
         want = {"const", "var", "neg", "add", "sub", "mul", "div", "pow", "exp", "sqrt", "log"}
         assert kinds == want
-
-    def test_pretty_print_idempotent_on_random_asts(self):
-        rng = np.random.default_rng(7)
-        for _ in range(100):
-            ast = _random_ast(rng, 3, 3)
-            src = to_source(ast)
-            reparsed = parse_expression(src, 3)
-            assert to_source(reparsed) == src
-            p = rng.uniform(-0.5, 0.5, 3)
-            try:
-                v1 = ast.jets(p)[0]
-            except ExprDomainError:
-                continue
-            assert reparsed.jets(p)[0] == pytest.approx(v1, rel=1e-12)
 
     @settings(max_examples=200, deadline=None)
     @given(st.text(st.characters(codec="ascii"), max_size=40))
@@ -268,7 +255,7 @@ class TestThirdOrder:
                 for perm in itertools.permutations(idx):
                     want[perm] = float(d)
             scale = max(1.0, np.abs(want).max())
-            assert np.abs(third - want).max() <= 1e-12 * scale, to_source(ast)
+            assert np.abs(third - want).max() <= 1e-12 * scale, ast.root
             checked += 1
         assert checked >= 50
 
@@ -375,9 +362,9 @@ class TestDepthLimit:
 
     def test_nesting_of_150_parses(self):
         parens = parse_expression("(" * 150 + "x1+x2" + ")" * 150, 2)
-        assert to_source(parens) == "x1+x2"
+        assert parens.root.kind == "add"
+        assert [x.index for x in parens.root.children] == [0, 1]
         calls = parse_expression("sqrt(" * 150 + "2+x1" + ")" * 150, 2)
-        assert parse_expression(to_source(calls), 2) == calls
         value, *_, d3 = calls.jets(np.array([0.5, 0.0]), order=3)
         assert value == pytest.approx(2.5 ** (0.5**150))
         assert np.isfinite(d3).all()

@@ -18,7 +18,7 @@ from wfk.kenmotsu import audit_identities, build_example2, build_twisted_product
 from wfk.star_soliton import SolitonData, lemma2_audit
 from wfk.weakf import WeakFManifold
 
-from conftest import seeded_points
+from conftest import diagonal_metric, model, seeded_points
 from reference_chain import dric as reference_dric
 from reference_chain import lie_curvature as reference_lie_curvature
 from reference_chain import ric as reference_ric
@@ -27,7 +27,7 @@ from reference_forms import fundamental_form_field
 
 O = np.zeros(4)
 XIBAR = FieldSpec.from_entries([0.0, 0.0, 1.0, 1.0], 4)
-FLAT4 = MetricField.diagonal([1.0] * 4, 4)
+FLAT4 = diagonal_metric([1.0] * 4)
 # a metric with off-diagonal entries and no symmetries, positive definite
 # on the sample box (diagonally dominant there)
 BUMPY4 = MetricField.from_entries(
@@ -78,7 +78,7 @@ class TestMetric:
             MetricField.from_entries(rows, 3)
 
     def test_non_positive_definite_is_error(self):
-        bad = MetricField.diagonal(["x1-1", 1.0], 2)
+        bad = diagonal_metric(["x1-1", 1.0])
         with pytest.raises(MetricError):
             bad.at(np.zeros(2))
 
@@ -155,7 +155,7 @@ class TestCurvature:
 
     def test_hyperbolic_plane(self):
         # constant-curvature oracle: diag(1, e^{2 x1}) has r = -2
-        g = MetricField.diagonal([1.0, "exp(2*x1)"], 2)
+        g = diagonal_metric([1.0, "exp(2*x1)"])
         for p in ([0.0, 0.0], [0.4, -1.0]):
             assert g.at(p).scalar == pytest.approx(-2.0, abs=1e-10)
 
@@ -382,7 +382,7 @@ _CONTRACTED_CASES = {
     "dense3": (_dense_metric(3), _bent_field(3)),
     "dense5": (_dense_metric(5), _bent_field(5)),
     "dense7": (_dense_metric(7), _bent_field(7)),
-    "example2_7": (build_example2(2, 3, 1.0, 1.0).metric, _bent_field(7)),
+    "example2_7": (model(build_example2(2, 3, 1.0, 1.0)).metric, _bent_field(7)),
 }
 
 
@@ -442,7 +442,7 @@ def test_contracted_routes_match_the_full_chain(case):
 def test_one_geometry_build_per_point(monkeypatch):
     # every third-order quantity of ids 21-23 and lemma2 comes from the
     # geometry at the sample point itself, not from offset points
-    m = build_example2(2, 3, 1.0, 1.0)
+    m = model(build_example2(2, 3, 1.0, 1.0))
     xibar = FieldSpec.from_entries([0.0] * 4 + [1.0] * 3, m.dim)
     sol = SolitonData(lam=-4.0, mu=4.0, V=xibar)
     builds = []
@@ -480,7 +480,7 @@ class TestDirectionalScalarIdentity:
         # on a non-Kenmotsu perturbation the relation need not hold; the
         # residual is recorded, not asserted
         warp = "exp(2*(x3+x4))"
-        g = MetricField.diagonal([f"{warp}*(1+0.1*x1^2)", warp, 1.0, 1.0], 4)
+        g = diagonal_metric([f"{warp}*(1+0.1*x1^2)", warp, 1.0, 1.0])
         p = np.array([0.2, 0.1, -0.1, 0.3])
         h = 1e-4
         dp = np.zeros(4)
@@ -582,9 +582,9 @@ def test_dense_metric_jets_each_entry_once(monkeypatch):
 # the metric's support: partial (example2 reads x5..x7, the twisted product
 # x1..x3 and x7, x8), every coordinate, and none
 _SUPPORT_CASES = {
-    "example2_7": (build_example2(2, 3, 1.0, 1.0).metric, (4, 5, 6)),
+    "example2_7": (model(build_example2(2, 3, 1.0, 1.0)).metric, (4, 5, 6)),
     "twisted_8": (
-        build_twisted_product([1.0, 2.0, 3.0], 2, "exp(x7+x8)*(2+x1^2+x2*x3)").metric,
+        model(build_twisted_product([1.0, 2.0, 3.0], 2, "exp(x7+x8)*(2+x1^2+x2*x3)")).metric,
         (0, 1, 2, 6, 7),
     ),
     "dense5": (MetricField.from_entries(_DENSE5_ROWS, 5), (0, 1, 2, 3, 4)),

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from wfk.checks import CATALOGUE
-from wfk.geometry import MetricField
 from wfk.kenmotsu import (
     IDENTITY_IDS,
     audit_identities,
@@ -15,13 +14,13 @@ from wfk.kenmotsu import (
     twisted_product_audit,
 )
 
-from conftest import example_manifold, seeded_points
+from conftest import diagonal_metric, example_manifold, model, seeded_points
 
 O = np.zeros(4)
 
 
 def _flat_product(scales, s):
-    return build_twisted_product(scales, s, "1")
+    return model(build_twisted_product(scales, s, "1"))
 
 
 class TestDefiningCondition:
@@ -101,13 +100,13 @@ class TestExplicitModel:
 
 class TestTwistedProducts:
     def test_warped_plane(self):
-        m = build_twisted_product([1.0], 1, "exp(x3)")
+        m = model(build_twisted_product([1.0], 1, "exp(x3)"))
         assert m.beta == pytest.approx(1.0)
         for p in seeded_points(3, count=3, seed=34):
             assert kenmotsu_residual(m.at(p))["kenmotsu.12"] < 1e-8
 
     def test_two_factor_spectrum(self):
-        m = build_twisted_product([1.0, 2.0], 2, "exp(x5+x6)")
+        m = model(build_twisted_product([1.0, 2.0], 2, "exp(x5+x6)"))
         q_eigs = np.linalg.eigvalsh(m.at(np.zeros(6)).Q)
         assert sorted(q_eigs) == pytest.approx([1, 1, 1, 1, 4, 4])
 
@@ -118,7 +117,7 @@ class TestTwistedProducts:
 
     def test_genuinely_twisted_connection_relations(self):
         dim = 3
-        m = build_twisted_product([1.0], 1, "exp(x3+x1^2)")
+        m = model(build_twisted_product([1.0], 1, "exp(x3+x1^2)"))
         from wfk.kenmotsu import twisted_product_audit
 
         for p in seeded_points(dim, count=4, seed=36):
@@ -130,9 +129,9 @@ class TestTwistedProducts:
         """(i) and (ii) at 20 points of the dim-3 twisted product, its metric's
         second fiber entry times (1 + eps x3): no longer a twisted product."""
         sigma = "exp(x3)*(2+x1^2)"
-        m = build_twisted_product([1.0], 1, sigma)
+        m = model(build_twisted_product([1.0], 1, sigma))
         entries = [f"({sigma})^2", f"({sigma})^2*(1+{eps!r}*x3)", 1.0]
-        m = dataclasses.replace(m, metric=MetricField.diagonal(entries, 3))
+        m = dataclasses.replace(m, metric=diagonal_metric(entries))
         res = twisted_product_audit(m.at(np.array(seeded_points(3, count=20, seed=38))))
         return res["twisted.i"], res["twisted.ii"]
 

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from wfk.checks import CATALOGUE
-from wfk.cli import manifest_from_manifold, manifold_from_manifest
-from wfk.geometry import FieldSpec, MetricField, coboundary_2form
+from wfk.geometry import FieldSpec, coboundary_2form
 from wfk.kenmotsu import build_example2, build_twisted_product
 from wfk.weakf import (
     WeakFManifold,
@@ -16,7 +15,7 @@ from wfk.weakf import (
     wedge_1form_2form,
 )
 
-from conftest import example_manifold, seeded_points
+from conftest import diagonal_metric, example_manifold, model, seeded_points
 from reference_forms import fundamental_form_field
 
 O = np.zeros(4)
@@ -24,14 +23,9 @@ O = np.zeros(4)
 
 def _perturbed_f_manifold():
     """Reference instance with f's (1,2) entry shifted by 0.1*x3."""
-    base = example_manifold()
-    rows = [list(r) for r in base.f.entries]
-    rows[0][1] = f"{rows[0][1]}+0.1*x3"
-    return WeakFManifold(
-        n=base.n, s=base.s, beta=base.beta, c=base.c, metric=base.metric,
-        f=FieldSpec.from_entries(rows, 4), Q=base.Q,
-        xi=base.xi, eta=base.eta,
-    )
+    data = build_example2(1, 2, 1.0, 1.0)
+    data["f"][0][1] = f"{data['f'][0][1]}+0.1*x3"
+    return model(data)
 
 
 class TestAxioms:
@@ -74,7 +68,7 @@ class TestNijenhuis:
         assert np.abs(nijenhuis_tensor(e2.at(O), ident, d_ident)).max() < 1e-12
 
     def test_flat_rotation(self):
-        m = build_twisted_product([1.0], 1, "1")
+        m = model(build_twisted_product([1.0], 1, "1"))
         st = m.at(np.zeros(3))
         assert np.abs(nijenhuis_tensor(st, st.f, st.df)).max() < 1e-12
 
@@ -109,7 +103,7 @@ class TestTheorem1:
                 assert r < 1e-6, cid
 
     def test_product_case_closed_form(self):
-        m = build_twisted_product([1.0, 2.0], 2, "1")
+        m = model(build_twisted_product([1.0, 2.0], 2, "1"))
         assert m.beta == 0.0
         for cid, r in theorem1_check(m.at(np.zeros(6))).items():
             assert r < 1e-8, cid
@@ -117,7 +111,7 @@ class TestTheorem1:
     def test_perturbed_metric_breaks_dphi_only(self):
         base = example_manifold()
         warp = "exp(2*(x3+x4))"
-        g = MetricField.diagonal([f"{warp}*(1+0.1*(x1*x3))", warp, 1.0, 1.0], 4)
+        g = diagonal_metric([f"{warp}*(1+0.1*(x1*x3))", warp, 1.0, 1.0])
         m = WeakFManifold(
             n=1, s=2, beta=1.0, c=1.0, metric=g, f=base.f, Q=base.Q,
             xi=base.xi, eta=base.eta,
@@ -129,7 +123,7 @@ class TestTheorem1:
 
 
 def _twisted_d8():
-    return build_twisted_product([1.0, 2.0, 3.0], 2, "exp(x7+x8)*(2+x1^2+x2*x3)")
+    return model(build_twisted_product([1.0, 2.0, 3.0], 2, "exp(x7+x8)*(2+x1^2+x2*x3)"))
 
 
 class TestTheorem1SymbolicRoute:
@@ -187,11 +181,11 @@ class TestProbeCache:
 
 def _varying_fields_manifold():
     """The dim-7 example2 manifest with f, xi and eta varying, as the CLI reads it."""
-    data = manifest_from_manifold(build_example2(2, 3, 1.0, 1.0))
+    data = build_example2(2, 3, 1.0, 1.0)
     data["f"][0][1] = "0.1*x3"
     data["xi"][0][0] = "0.1*x1"
     data["eta"][1][1] = "0.2*x2*x6"
-    return manifold_from_manifest(data)[0]
+    return model(data)
 
 
 class TestStructureTape:
