@@ -279,7 +279,10 @@ def sample_points(dim: int, sample: dict) -> np.ndarray:
     try:
         count = _integer(sample["count"], "sample.count")
         seed = _integer(sample["seed"], "sample.seed")
-        lo, hi = (_finite_number(x, "sample.box") for x in sample["box"])
+        box = sample["box"]
+        if not isinstance(box, list) or len(box) != 2:  # a string would unpack too
+            raise ManifestError(f"sample.box: expected a list of two numbers, got {box!r}")
+        lo, hi = (_finite_number(x, "sample.box") for x in box)
     except (KeyError, TypeError, ValueError) as err:
         raise ManifestError(f"sample policy: {err}") from err
     most = min(_MAX_POINTS, _MAX_POINTS_DIM5 // dim**5)

@@ -19,7 +19,7 @@ import numpy as np
 
 from .expr import parse_expression
 from .geometry import contract
-from .weakf import StructureAtPoint
+from .weakf import StructureAtPoint, tensor_residual
 
 __all__ = [
     "EinsteinFit",
@@ -46,7 +46,7 @@ class EinsteinFit:
     @classmethod
     def least_squares(cls, target, col_a, col_b, predicted=None) -> "EinsteinFit":
         """Least-squares (a, b) of target = a col_a + b col_b for 2-tensors
-        with any batch axes in front; residual is max-abs."""
+        with any batch axes in front; residual is :func:`tensor_residual`."""
         batch = target.shape[:-2]
         design = np.stack([col_a, col_b], axis=-1).reshape(batch + (-1, 2))
         # the cutoff np.linalg.lstsq uses, on a stack of designs
@@ -54,7 +54,7 @@ class EinsteinFit:
         coef = (pinv @ target.reshape(batch + (-1, 1)))[..., 0]
         a, b = coef[..., 0], coef[..., 1]
         fitted = a[..., None, None] * col_a + b[..., None, None] * col_b
-        residual = np.abs(target - fitted).max(axis=(-2, -1))
+        residual = tensor_residual(target - fitted, len(batch))
         return cls(a[()], b[()], residual, predicted)
 
 
@@ -75,7 +75,7 @@ def _nabla_f_residual(st: StructureAtPoint) -> np.ndarray:
 
 def kenmotsu_residual(st: StructureAtPoint) -> dict:
     """Residual of the defining nabla-f condition, ``{"kenmotsu.12": residual}``."""
-    return {"kenmotsu.12": st.residual(_nabla_f_residual(st), (1, 2))}
+    return {"kenmotsu.12": st.residual(_nabla_f_residual(st))}
 
 
 # ---------------------------------------------------------------------------

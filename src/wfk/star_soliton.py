@@ -112,8 +112,8 @@ def theorem4_residual(st: StructureAtPoint) -> dict:
         4 * s * n**2 + s * (2 * n - 1) * np.trace(st.Qtilde, axis1=-2, axis2=-1)
     )
     return {
-        "thm4.28": st.residual(st.ric_star - rhs, (0, 1)),
-        "thm4.29": np.abs(st.r_star - rhs_scalar),
+        "thm4.28": st.residual(st.ric_star - rhs),
+        "thm4.29": st.residual(st.r_star - rhs_scalar),
     }
 
 
@@ -180,8 +180,8 @@ def soliton_residual(st: StructureAtPoint, sol: SolitonData) -> dict:
         + (lam + mu - 2 * n * beta**2) * st.ebar
     )
     return {
-        "soliton.32": st.residual(half_lie + st.ric_star - _soliton_rhs(st, sol), (0, 1)),
-        "soliton.33": st.residual(half_lie + st.geo.ric @ st.Q - rhs33, (0, 1)),
+        "soliton.32": st.residual(half_lie + st.ric_star - _soliton_rhs(st, sol)),
+        "soliton.33": st.residual(half_lie + st.geo.ric @ st.Q - rhs33),
     }
 
 
@@ -192,7 +192,7 @@ def gradient_soliton_residual(st: StructureAtPoint, sol: SolitonData) -> dict:
         raise ValueError("gradient_soliton_residual needs a potential function")
     _check_star_symmetric(st)
     _, hess = gradient_and_hessian(st.geo, st.jets_of(sol.v))
-    residual = st.residual(hess + st.ric_star - _soliton_rhs(st, sol), (0, 1))
+    residual = st.residual(hess + st.ric_star - _soliton_rhs(st, sol))
 
     # operator form: nabla_X grad v + Q Ric# X = lam X - s(2n-1) b^2 QX + ...
     lam, mu = sol.lam, sol.mu
@@ -206,7 +206,7 @@ def gradient_soliton_residual(st: StructureAtPoint, sol: SolitonData) -> dict:
         + (lam + mu - 2 * n * beta**2)
         * np.einsum("...a,...k->...ka", st.etabar, st.xibar)
     )
-    return {"grad.75": np.maximum(residual, st.residual(lhs_op - rhs_op, (1,)))}
+    return {"grad.75": np.maximum(residual, st.residual(lhs_op - rhs_op))}
 
 
 # ---------------------------------------------------------------------------

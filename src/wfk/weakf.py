@@ -7,21 +7,22 @@ A weak metric f-manifold carries a skew-symmetric (1,1)-tensor f of rank
     f^2 = -Q + sum_i eta^i (x) xi_i,
     g(fX, fY) = g(X, QY) - sum_i eta^i(X) eta^i(Y).
 
-Identity residuals are evaluated on probe vectors (the full coordinate
-basis plus 8 seeded random vectors); a residual is the max-abs over
-components and probe contractions.  Pointwise operations take the
-:class:`StructureAtPoint` they work on, which holds one point or a chunk of
-points; every array carries the batch shape in front (``()`` or ``(C,)``),
-and a check returns ``{check id: residual}`` with one residual per point
-(0-d at one point, ``(C,)`` on a chunk).  Checks read no tolerance: the
-verdicts are decided by whoever reads the residuals.  Covariant derivatives
-of (1,1)-tensors take the one formula of ``Geometry.nabla``;
-``StructureAtPoint.nabla_xi`` holds those of all the xi_i at once.
+An identity is checked as a tensor that vanishes when it holds, and its
+residual is the max-abs over that tensor's chart components
+(:func:`tensor_residual`, the one norm of every check).  Pointwise
+operations take the :class:`StructureAtPoint` they work on, which holds one
+point or a chunk of points; every array carries the batch shape in front
+(``()`` or ``(C,)``), and a check returns ``{check id: residual}`` with one
+residual per point (0-d at one point, ``(C,)`` on a chunk).  Checks read no
+tolerance: the verdicts are decided by whoever reads the residuals.
+Covariant derivatives of (1,1)-tensors take the one formula of
+``Geometry.nabla``; ``StructureAtPoint.nabla_xi`` holds those of all the
+xi_i at once.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -34,7 +35,6 @@ __all__ = [
     "CHUNK_FLOATS",
     "chunk_size",
     "StructureAtPoint",
-    "probe_vectors",
     "tensor_residual",
     "check_axioms",
     "nijenhuis_tensor",
@@ -43,8 +43,6 @@ __all__ = [
     "wedge_1form_2form",
 ]
 
-_PROBE_SEED = 7
-_PROBE_COUNT = 8
 # Floats of a chunk's third-order metric jets, counted as C * dim^5 (8 MiB),
 # that ``WeakFManifold.structures`` keeps within unless one point exceeds it.
 # The jets span the metric's support S only, C dim^2 |S|^3 floats, so the
@@ -62,49 +60,16 @@ def chunk_size(dim: int) -> int:
 # the highest power in which one of them enters a check is the third: f^3 in
 # axiom.f3 and eta^3 in id.27 (etabar eta^j eta^j xibar); xi enters at most
 # squared (lemma2.35) and Q and V linearly.  A cube sums at most dim^2 = 441
-# products, and a probed slot multiplies a residual by at most dim, so with
-# |entries| <= 1e100 a residual stays below 21^3 1e300 = 9.3e303, a factor
-# 1.9e4 below the largest float (1.8e308).
+# products, so with |entries| <= 1e100 a residual, the max-abs of one such
+# component, stays below 441 1e300 = 4.4e302, a factor 4e5 below the largest
+# float (1.8e308).
 MAX_FIELD = 1e100
 
 
-def probe_vectors(dim: int) -> np.ndarray:
-    """Coordinate basis plus seeded random vectors, rows are probes."""
-    rng = np.random.default_rng(_PROBE_SEED)
-    return np.vstack([np.eye(dim), rng.standard_normal((_PROBE_COUNT, dim))])
-
-
-@lru_cache(maxsize=None)
-def _random_probes(dim: int) -> tuple[np.ndarray, float]:
-    """The random rows of ``probe_vectors(dim)``, read-only, and their max-abs."""
-    probes = probe_vectors(dim)[dim:]
-    probes.flags.writeable = False
-    return probes, float(np.abs(probes).max())
-
-
-def tensor_residual(t: np.ndarray, probe_slots: tuple[int, ...] = (), lead: int = 0):
-    """Max-abs over components and over random-probe contractions.
-
-    The first ``lead`` axes are batch axes: the maximum is taken over every
-    other axis, and ``probe_slots`` count from the first of those.  The
-    probe term is part of the norm, not a second detector: contracting k
-    slots with the random rows, divided by ``max(1, top**k)`` (``top`` their
-    largest entry), is at most dim**k times the component max-abs.  It
-    cannot make a zero tensor nonzero; it can raise a nonzero residual by up
-    to that factor.  Each slot is contracted as the last axis, from the last
-    slot down, so the slots before it stay in place; the order of the other
-    axes does not change the maximum.
-    """
-    axes = tuple(range(lead, t.ndim))
-    res = np.abs(t).max(axis=axes, initial=0.0)
-    if probe_slots:
-        probes, top = _random_probes(t.shape[lead + probe_slots[0]])
-        contracted = t
-        for slot in sorted(probe_slots, reverse=True):
-            contracted = np.moveaxis(contracted, lead + slot, -1) @ probes.T
-        scale = max(1.0, top ** len(probe_slots))
-        res = np.maximum(res, np.abs(contracted).max(axis=axes) / scale)
-    return res
+def tensor_residual(t: np.ndarray, lead: int = 0):
+    """Max-abs over the components of ``t`` past its first ``lead`` (batch)
+    axes, one value per batch entry; NaN propagates, so it fails any tolerance."""
+    return np.abs(t).max(axis=tuple(range(lead, t.ndim)), initial=0.0)
 
 
 @dataclass(frozen=True)
@@ -189,9 +154,9 @@ class StructureAtPoint:
         self.etabar = self.eta.sum(axis=-2)
         self.Qtilde = self.Q - np.eye(m.dim)
 
-    def residual(self, t: np.ndarray, probe_slots: tuple[int, ...] = ()):
+    def residual(self, t: np.ndarray):
         """:func:`tensor_residual` of a tensor of this structure, per point."""
-        return tensor_residual(t, probe_slots, self.lead)
+        return tensor_residual(t, self.lead)
 
     def jets_of(self, field):
         """(value, d, d2) of a vector field or scalar expression here, jetted
@@ -263,15 +228,15 @@ def check_axioms(st: StructureAtPoint) -> dict:
     ff = f @ f
     res = st.residual
     return {
-        "axiom.5": res(ff + Q - st.etaxi, (1,)),
-        "axiom.6": res(contract("...ma,...mb->...ab", f, g @ f) - g @ Q + st.etaeta, (0, 1)),
+        "axiom.5": res(ff + Q - st.etaxi),
+        "axiom.6": res(contract("...ma,...mb->...ab", f, g @ f) - g @ Q + st.etaeta),
         "axiom.fxi": res(contract("...km,...im->...ki", f, st.xi)),
-        "axiom.etaf": res(st.eta @ f, (1,)),
-        "axiom.etaQ": res(st.eta @ Q - st.eta, (1,)),
-        "axiom.Qf": res(Q @ f - f @ Q, (1,)),
+        "axiom.etaf": res(st.eta @ f),
+        "axiom.etaQ": res(st.eta @ Q - st.eta),
+        "axiom.Qf": res(Q @ f - f @ Q),
         "axiom.Qxi": res(contract("...km,...im->...ki", Q, st.xi) - np.swapaxes(st.xi, -1, -2)),
         "axiom.dual": res(contract("...km,...im->...ki", g, st.xi) - np.swapaxes(st.eta, -1, -2)),
-        "axiom.f3": res(ff @ f + f + st.Qtilde @ f, (1,)),
+        "axiom.f3": res(ff @ f + f + st.Qtilde @ f),
     }
 
 
@@ -312,7 +277,7 @@ def theorem1_check(st: StructureAtPoint) -> dict:
     phi = st.geo.g @ st.f  # Phi(X, Y) = g(X, fY)
     rhs = 2.0 * st.m.beta * wedge_1form_2form(st.etabar, phi)
     return {
-        "n1": st.residual(n1, (1, 2)),
-        "deta": st.residual(st.d_eta, (1, 2)),
-        "dphi": st.residual(dphi - rhs, (0, 1, 2)),
+        "n1": st.residual(n1),
+        "deta": st.residual(st.d_eta),
+        "dphi": st.residual(dphi - rhs),
     }

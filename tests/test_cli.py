@@ -308,6 +308,17 @@ class TestCheck:
         errors = _input_errors(routes, tmp_path, capsys)
         assert errors[0] == errors[1] and errors[0].startswith("error: sample")
 
+    @pytest.mark.parametrize(
+        "box", ["12", "05", [0, 1, 2], [0]], ids=["str-12", "str-05", "three", "one"]
+    )
+    def test_box_is_a_list_of_two(self, manifest_path, tmp_path, capsys, box):
+        # a string is iterable too: "12" would unpack to the box [1, 2]
+        bad = tmp_path / "bad.json"
+        data = _mutated(_load(manifest_path), ("sample",), {"box": box})
+        bad.write_text(json.dumps(data))
+        [err] = _input_errors([[str(bad)]], tmp_path, capsys)
+        assert err == f"error: sample.box: expected a list of two numbers, got {box!r}\n"
+
     def test_the_digest_covers_the_flags(self, manifest_path, tmp_path):
         def digest(*flags):
             report = tmp_path / "report.json"

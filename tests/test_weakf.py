@@ -9,7 +9,6 @@ from wfk.weakf import (
     check_axioms,
     nijenhuis_tensor,
     normality_tensor,
-    probe_vectors,
     tensor_residual,
     theorem1_check,
     wedge_1form_2form,
@@ -151,32 +150,12 @@ class TestTheorem1SymbolicRoute:
             phi, dphi, _ = fundamental_form_field(m).jets(p)
             dphi = coboundary_2form(dphi)
             rhs = 2.0 * st.m.beta * wedge_1form_2form(st.etabar, phi)
-            for cid, t, slots in (("n1", n1, (1, 2)), ("dphi", dphi - rhs, (0, 1, 2))):
-                want = tensor_residual(t, slots)
+            for cid, t in (("n1", n1), ("dphi", dphi - rhs)):
+                want = tensor_residual(t)
                 scale = max(1.0, np.abs(t).max(), np.abs(dphi).max())
                 assert abs(by_id[cid] - want) <= 1e-12 * scale, cid
             dphi_failed |= not by_id["dphi"] <= CATALOGUE["dphi"].tolerance
         assert dphi_failed == dphi_fails
-
-
-class TestProbeCache:
-    def test_residuals_unchanged_and_probes_read_only(self):
-        rng = np.random.default_rng(8)
-        cases = (((5, 5), (0, 1)), ((4, 4, 4), (1, 2)), ((6, 6, 6), (0, 1, 2)))
-        for shape, slots in cases:
-            t = rng.standard_normal(shape)
-            # the residual as computed from probe_vectors directly
-            probes = probe_vectors(shape[0])[shape[0]:]
-            contracted = t
-            for slot in sorted(slots, reverse=True):
-                contracted = np.tensordot(contracted, probes.T, axes=([slot], [0]))
-            scale = max(1.0, float(np.abs(probes).max()) ** len(slots))
-            want = max(float(np.abs(t).max()), float(np.abs(contracted).max()) / scale)
-            assert tensor_residual(t, slots) == want
-            # the probes a caller gets are its own: writing to them leaves
-            # the probes of later residuals as they were
-            probe_vectors(shape[0])[:] = 1e6
-            assert tensor_residual(t, slots) == want
 
 
 def _varying_fields_manifold():
