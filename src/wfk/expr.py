@@ -21,11 +21,18 @@ Grammar (loosest to tightest binding)::
 
 Coordinates are named ``x1 .. xN``; ``exp``, ``sqrt`` and ``log`` are the
 only reserved identifiers.  No trigonometric functions: the constructions
-this package verifies only need exponentials and polynomials.
+this package verifies only need exponentials and polynomials.  Digits,
+names and operators are ASCII, read by one regular expression; any other
+character that is not white space is a syntax error.
+
+Each function's jet is one call of the univariate chain rule
+(:func:`_compose`); a quotient is a product with the reciprocal and a
+difference a sum with the negation.
 """
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -107,187 +114,139 @@ class ExprAst:
 class _Token:
     kind: str  # num, name, op, lparen, rparen, end
     text: str
-    start: int
-    end: int
+    span: tuple[int, int]
+
+
+# One alternative per token kind, tried in order.  ``bad`` takes any other
+# character, so the lexer makes one pass.  Digits and letters are ASCII.
+_TOKEN = re.compile(
+    r"(?P<space>\s+)"
+    r"|(?P<num>[0-9.]+(?:[eE](?=[0-9+-])[+-]?[0-9]*)?)"
+    r"|(?P<name>[A-Za-z_][A-Za-z0-9_]*)"
+    r"|(?P<op>[-+*/^])|(?P<lparen>\()|(?P<rparen>\))|(?P<bad>\S)"
+)
+
+_BINARY = {"+": "add", "-": "sub", "*": "mul", "/": "div"}
 
 
 def _tokenize(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch.isdigit() or ch == ".":
-            j = i
-            while j < n and (text[j].isdigit() or text[j] == "."):
-                j += 1
-            # scientific suffix
-            if j < n and text[j] in "eE" and (
-                j + 1 < n and (text[j + 1].isdigit() or text[j + 1] in "+-")
-            ):
-                k = j + 2 if text[j + 1] in "+-" else j + 1
-                while k < n and text[k].isdigit():
-                    k += 1
-                j = k
+    tokens = []
+    for match in _TOKEN.finditer(text):
+        kind, word, span = match.lastgroup, match.group(), match.span()
+        if kind == "bad":
+            raise ExprSyntaxError(f"unexpected character {word!r}", span)
+        if kind == "num":
             try:
-                number = float(text[i:j])
+                number = float(word)
             except ValueError:
-                raise ExprSyntaxError(
-                    f"malformed number {text[i:j]!r}", (i, j)
-                ) from None
+                raise ExprSyntaxError(f"malformed number {word!r}", span) from None
             if not math.isfinite(number):
-                raise ExprSyntaxError(
-                    f"number out of range {text[i:j]!r}", (i, j)
-                )
-            tokens.append(_Token("num", text[i:j], i, j))
-            i = j
-        elif ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(_Token("name", text[i:j], i, j))
-            i = j
-        elif ch in "+-*/^":
-            tokens.append(_Token("op", ch, i, i + 1))
-            i += 1
-        elif ch == "(":
-            tokens.append(_Token("lparen", ch, i, i + 1))
-            i += 1
-        elif ch == ")":
-            tokens.append(_Token("rparen", ch, i, i + 1))
-            i += 1
-        else:
-            raise ExprSyntaxError(f"unexpected character {ch!r}", (i, i + 1))
-    tokens.append(_Token("end", "", n, n))
-    return tokens
+                raise ExprSyntaxError(f"number out of range {word!r}", span)
+        if kind != "space":
+            tokens.append(_Token(kind, word, span))
+    return tokens + [_Token("end", "", (len(text), len(text)))]
+
+
+def _found(tok: _Token) -> str:
+    return repr(tok.text or "end of input")
 
 
 class _Parser:
     def __init__(self, text: str, dim: int):
-        self.text = text
         self.dim = dim
         self.tokens = _tokenize(text)
         self.pos = 0
         self.nesting = 0
 
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
-
     def advance(self) -> _Token:
-        tok = self.tokens[self.pos]
         self.pos += 1
-        return tok
+        return self.tokens[self.pos - 1]
 
-    def expect(self, kind: str, text: str | None = None) -> _Token:
-        tok = self.peek()
-        if tok.kind != kind or (text is not None and tok.text != text):
-            want = text if text is not None else kind
-            raise ExprSyntaxError(
-                f"expected {want!r}, found {tok.text or 'end of input'!r}",
-                (tok.start, tok.end),
-            )
-        return self.advance()
+    def accept(self, ops: str) -> _Token | None:
+        """The next token, consumed, if it is one of the operators ``ops``."""
+        tok = self.tokens[self.pos]
+        return self.advance() if tok.kind == "op" and tok.text in ops else None
+
+    def expect(self, kind: str) -> _Token:
+        tok = self.advance()
+        if tok.kind != kind:
+            raise ExprSyntaxError(f"expected {kind!r}, found {_found(tok)}", tok.span)
+        return tok
 
     def parse(self) -> Node:
         node = self.expr()
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         if tok.kind != "end":
-            raise ExprSyntaxError(
-                f"unexpected trailing input {tok.text!r}", (tok.start, tok.end)
-            )
+            raise ExprSyntaxError(f"unexpected trailing input {tok.text!r}", tok.span)
         return node
 
     def expr(self) -> Node:
         self.nesting += 1
         if self.nesting > _MAX_DEPTH:
-            tok = self.peek()
             raise ExprSyntaxError(
-                f"expression nested deeper than {_MAX_DEPTH} levels",
-                (tok.start, tok.end),
+                f"expression nested deeper than {_MAX_DEPTH} levels", self.tokens[self.pos].span
             )
         node = self.term()
-        while self.peek().kind == "op" and self.peek().text in "+-":
-            op = self.advance()
+        while op := self.accept("+-"):
             rhs = self.term()
-            kind = "add" if op.text == "+" else "sub"
-            node = Node(kind, (node, rhs), span=(node.span[0], rhs.span[1]))
+            node = Node(_BINARY[op.text], (node, rhs), span=(node.span[0], rhs.span[1]))
         self.nesting -= 1
         return node
 
     def term(self) -> Node:
         node = self.unary()
-        while self.peek().kind == "op" and self.peek().text in "*/":
-            op = self.advance()
+        while op := self.accept("*/"):
             rhs = self.unary()
-            kind = "mul" if op.text == "*" else "div"
-            node = Node(kind, (node, rhs), span=(node.span[0], rhs.span[1]))
+            node = Node(_BINARY[op.text], (node, rhs), span=(node.span[0], rhs.span[1]))
         return node
 
     def unary(self) -> Node:
         # a run of minus signs is a loop, not a recursion
         signs = []
-        while self.peek().kind == "op" and self.peek().text == "-":
-            signs.append(self.advance())
+        while tok := self.accept("-"):
+            signs.append(tok)
         node = self.power(self.atom())
         for tok in reversed(signs):
-            node = Node("neg", (node,), span=(tok.start, node.span[1]))
+            node = Node("neg", (node,), span=(tok.span[0], node.span[1]))
         return node
 
     def power(self, base: Node) -> Node:
-        tok = self.peek()
-        if tok.kind == "op" and tok.text == "^":
-            self.advance()
-            exp_tok = self.peek()
-            if exp_tok.kind == "op" and exp_tok.text == "-":
-                raise ExprSyntaxError(
-                    "integer power exponent must be >= 0",
-                    (exp_tok.start, exp_tok.end),
-                )
-            exp_tok = self.expect("num")
-            if not exp_tok.text.isdigit():
-                raise ExprSyntaxError(
-                    "power exponent must be a nonnegative integer literal",
-                    (exp_tok.start, exp_tok.end),
-                )
-            k = int(exp_tok.text)
-            return Node("pow", (base,), index=k, span=(base.span[0], exp_tok.end))
-        return base
+        if not self.accept("^"):
+            return base
+        tok = self.advance()
+        if tok.kind != "num" or not tok.text.isdigit():
+            raise ExprSyntaxError("power exponent must be a nonnegative integer literal", tok.span)
+        # the lexer keeps the exponent below 1.8e308, so past its leading zeros
+        # it has at most 309 digits, few enough for int()
+        k = int(tok.text.lstrip("0") or 0)
+        return Node("pow", (base,), index=k, span=(base.span[0], tok.span[1]))
 
     def atom(self) -> Node:
-        tok = self.peek()
+        tok = self.advance()
         if tok.kind == "num":
-            self.advance()
-            return Node("const", value=float(tok.text), span=(tok.start, tok.end))
-        if tok.kind == "name":
-            self.advance()
-            name = tok.text
-            if name in _FUNCTIONS:
-                self.expect("lparen")
-                inner = self.expr()
-                close = self.expect("rparen")
-                return Node(name, (inner,), span=(tok.start, close.end))
-            if name[0] == "x" and name[1:].isdigit():
-                idx = int(name[1:])
-                if not 1 <= idx <= self.dim:
-                    raise ExprSyntaxError(
-                        f"coordinate index out of range: {name} (dimension {self.dim})",
-                        (tok.start, tok.end),
-                    )
-                return Node("var", index=idx - 1, span=(tok.start, tok.end))
-            raise ExprSyntaxError(
-                f"unknown identifier {name!r}", (tok.start, tok.end)
-            )
+            return Node("const", value=float(tok.text), span=tok.span)
         if tok.kind == "lparen":
-            self.advance()
             inner = self.expr()
             self.expect("rparen")
             return inner
-        raise ExprSyntaxError(
-            f"expected expression, found {tok.text or 'end of input'!r}",
-            (tok.start, tok.end),
-        )
+        if tok.kind != "name":
+            raise ExprSyntaxError(f"expected expression, found {_found(tok)}", tok.span)
+        name = tok.text
+        if name in _FUNCTIONS:
+            self.expect("lparen")
+            inner = self.expr()
+            return Node(name, (inner,), span=(tok.span[0], self.expect("rparen").span[1]))
+        if name[0] != "x" or not name[1:].isdigit():
+            raise ExprSyntaxError(f"unknown identifier {name!r}", tok.span)
+        # "x01" is x1; an index with more digits than dim is out of range
+        # without being converted, however long it is
+        digits = name[1:].lstrip("0")
+        idx = int(digits or 0) if len(digits) <= len(str(self.dim)) else 0
+        if not 1 <= idx <= self.dim:
+            raise ExprSyntaxError(
+                f"coordinate index out of range: {name} (dimension {self.dim})", tok.span
+            )
+        return Node("var", index=idx - 1, span=tok.span)
 
 
 def parse_expression(text: str, dim: int) -> ExprAst:
@@ -377,9 +336,17 @@ def _sym3(g: np.ndarray, h: np.ndarray) -> np.ndarray:
     return o + o.transpose(1, 0, 2, 3) + o.transpose(1, 2, 0, 3)
 
 
-def _chain3(d1, d2, d3, g, h, t) -> np.ndarray:
-    """d^3 phi(u) from phi' (d1), phi'' (d2), phi''' (d3) and the jet of u."""
-    return d1 * t + d2 * _sym3(g, h) + d3 * (_outer(g, g)[:, :, None] * g)
+def _compose(a, phi, d1, d2, d3):
+    """The jet of phi(u) from the jet ``a`` of u and phi, phi', phi'' at u.
+
+    The chain rule of Taylor composition (Griewank & Walther ch. 13), stated
+    once.  ``d3()`` gives phi''' and is called at third order only.
+    """
+    _, g, h, t = a
+    gg = _outer(g, g)
+    if t is not None:
+        t = d1 * t + d2 * _sym3(g, h) + d3() * (gg[:, :, None] * g)
+    return phi, d1 * g, d1 * h + d2 * gg, t
 
 
 def _neg(node, a):
@@ -392,7 +359,8 @@ def _add(node, a, b):
 
 
 def _sub(node, a, b):
-    return a[0] - b[0], a[1] - b[1], a[2] - b[2], None if a[3] is None else a[3] - b[3]
+    # a - b and a + (-b) round alike in IEEE arithmetic
+    return _add(node, a, _neg(node, b))
 
 
 def _mul(node, a, b):
@@ -406,67 +374,51 @@ def _mul(node, a, b):
 
 
 def _div(node, a, b):
-    (v1, g1, h1, t1), (v2, g2, h2, t2) = a, b
-    if (v2 == 0.0).any():
+    # a times the reciprocal of b
+    if (b[0] == 0.0).any():
         raise ExprDomainError("division by zero", node.span)
-    # compose with the reciprocal of the denominator
-    rv = 1.0 / v2
-    rv3 = _ipow(rv, 3, node, "division")
-    rg = -g2 * rv * rv
-    rh = -h2 * rv * rv + 2.0 * rv3 * _outer(g2, g2)
-    cross = _outer(g1, rg)
-    t = None
-    if t1 is not None:
-        rv4 = _ipow(rv, 4, node, "division")
-        rt = _chain3(-rv * rv, 2.0 * rv3, -6.0 * rv4, g2, h2, t2)
-        t = v1 * rt + rv * t1 + _sym3(g1, rh) + _sym3(rg, h1)
-    hess = v1 * rh + rv * h1 + cross + cross.swapaxes(0, 1)
-    return v1 * rv, v1 * rg + rv * g1, hess, t
+    r = 1.0 / b[0]
+    r3 = _ipow(r, 3, node, "division")
+    inverse = _compose(b, r, -r * r, 2.0 * r3, lambda: -6.0 * _ipow(r, 4, node, "division"))
+    return _mul(node, a, inverse)
 
 
 def _pow(node, a):
-    # exponents 0 and 1 never reach the tape (see _fold)
-    v, g, h, t = a
-    p = node.index
+    # exponents 0 and 1 never reach the tape (see _fold).  The coefficients are
+    # float products, equal to the integer ones while those stay below 2**53;
+    # one that overflows makes a jet that is not finite, not an OverflowError.
+    v, p = a[0], node.index
     vp, vp1, vp2 = (_ipow(v, k, node, "power") for k in (p, p - 1, p - 2))
-    if t is not None:
+    c = float(p)
+
+    def d3():
         # phi''' = 0 for p = 2, where v**(p-3) would divide by zero at v = 0
-        d3 = 0.0
-        if p >= 3:
-            d3 = p * (p - 1) * (p - 2) * _ipow(v, p - 3, node, "power")
-        t = _chain3(p * vp1, p * (p - 1) * vp2, d3, g, h, t)
-    return vp, p * vp1 * g, p * vp1 * h + p * (p - 1) * vp2 * _outer(g, g), t
+        return c * (c - 1) * (c - 2) * _ipow(v, p - 3, node, "power") if p >= 3 else 0.0
+
+    return _compose(a, vp, c * vp1, c * (c - 1) * vp2, d3)
 
 
 def _exp(node, a):
-    v, g, h, t = a
-    e = _elementwise(math.exp, v, node, "exp")
-    if t is not None:
-        t = _chain3(e, e, e, g, h, t)
-    return e, e * g, e * (h + _outer(g, g)), t
+    e = _elementwise(math.exp, a[0], node, "exp")
+    return _compose(a, e, e, e, lambda: e)
 
 
 def _log(node, a):
-    v, g, h, t = a
+    v = a[0]
     if (v <= 0.0).any():
         raise ExprDomainError("log of non-positive value", node.span)
-    if t is not None:
-        v3 = _ipow(v, 3, node, "log")
-        t = _chain3(1.0 / v, -1.0 / (v * v), 2.0 / v3, g, h, t)
     value = _elementwise(math.log, v, node, "log")
-    return value, g / v, h / v - _outer(g, g) / (v * v), t
+    return _compose(a, value, 1.0 / v, -1.0 / (v * v), lambda: 2.0 / _ipow(v, 3, node, "log"))
 
 
 def _sqrt(node, a):
-    v, g, h, t = a
+    v = a[0]
     if (v <= 0.0).any():
         raise ExprDomainError("sqrt of non-positive value", node.span)
     s = np.sqrt(v)
-    if t is not None:
-        t = _chain3(
-            1.0 / (2.0 * s), -1.0 / (4.0 * s * v), 3.0 / (8.0 * s * v * v), g, h, t
-        )
-    return s, g / (2.0 * s), h / (2.0 * s) - _outer(g, g) / (4.0 * s * v), t
+    return _compose(
+        a, s, 1.0 / (2.0 * s), -1.0 / (4.0 * s * v), lambda: 3.0 / (8.0 * s * v * v)
+    )
 
 
 _RULES = {

@@ -777,6 +777,30 @@ class TestInputBounds:
         assert "error: sigma is not positive at point [" in err and "Traceback" not in err
 
     @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("x²", "error: f[1][2]: unexpected character '²' (at characters 1..2)"),
+            ("x" + "1" * 5000, "error: f[1][2]: coordinate index out of range: x111"),
+            ("x1^" + "9" * 300, "error: pow second derivative is not finite"),
+        ],
+        ids=["non-ascii-digit", "long-index", "huge-power"],
+    )
+    def test_expression_text_past_the_grammar(
+        self, manifest_path, tmp_path, capsys, text, message
+    ):
+        data = _mutated(_load(manifest_path), ("f", 0, 1), text)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))
+        [err] = _input_errors([[str(bad)]], tmp_path, capsys)
+        assert err.startswith(message)
+        # the twisted emitter parses its sigma the same way, and writes nothing
+        out = tmp_path / "tw.json"
+        argv = ["twisted", "--factors", "1", "--s", "1", "--sigma", text, "--out", str(out)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and not out.exists()
+
+    @pytest.mark.parametrize(
         "argv, message",
         [
             (["example2", "1", "1", "1e200", "0"], "error: beta:"),
@@ -1090,6 +1114,9 @@ class TestFuzz:
     @example("e2", [(("f", 0, 1), 1e308)])
     @example("e2", [(("soliton", "V", 2), -1e308), (("soliton", "mu"), 1e308)])
     @example("tw", [(("sigma",), "x1^400")])
+    @example("e2", [(("f", 0, 1), "x²")])
+    @example("e2", [(("metric", 0, 0), "x" + "1" * 5000)])
+    @example("e2", [(("metric", 0, 0), "x1^" + "9" * 300)])
     @example("e2", [(("sample", "box", 0), -1e308)])
     def test_check_never_raises(self, fuzz_manifests, name, edits):
         work, manifests = fuzz_manifests

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wfk import expr as ex
@@ -45,10 +45,40 @@ class TestParsing:
         assert err.value.span[0] >= 9
 
     def test_power_requires_integer_literal(self):
-        with pytest.raises(ExprSyntaxError):
-            parse_expression("x1^x2", 4)
-        with pytest.raises(ExprSyntaxError):
-            parse_expression("x1^-2", 4)
+        # one message for whatever follows '^' that is not a run of digits
+        for text, span in [
+            ("x1^x2", (3, 5)), ("x1^-2", (3, 4)), ("x1^2.5", (3, 6)),
+            ("x1^1e3", (3, 6)), ("x1^(2)", (3, 4)), ("x1^", (3, 3)),
+        ]:
+            with pytest.raises(ExprSyntaxError) as err:
+                parse_expression(text, 4)
+            assert err.value.message == "power exponent must be a nonnegative integer literal"
+            assert err.value.span == span
+
+    @pytest.mark.parametrize(
+        "text, char, at",
+        [
+            ("x²", "²", 1), ("x١", "١", 1), ("exp(2*x٣)", "٣", 7), ("2²", "²", 1),
+            ("é", "é", 0),
+        ],
+    )
+    def test_non_ascii_is_an_unexpected_character(self, text, char, at):
+        # str.isdigit and str.isalpha take these; the grammar is ASCII
+        with pytest.raises(ExprSyntaxError) as err:
+            parse_expression(text, 4)
+        assert err.value.message == f"unexpected character {char!r}"
+        assert err.value.span == (at, at + 1)
+
+    def test_digit_runs_of_any_length(self):
+        # leading zeros are dropped before int(), which refuses over 4300 digits
+        assert parse_expression("x01", 4).root.index == 0
+        assert parse_expression("x" + "0" * 5000 + "3", 4).root.index == 2
+        assert parse_expression("x1^" + "0" * 5000 + "2", 4).root.index == 2
+        for name in ("x0", "x00", "x" + "1" * 5000, "x" + "0" * 5000 + "5"):
+            with pytest.raises(ExprSyntaxError) as err:
+                parse_expression(name, 4)
+            assert err.value.message.startswith("coordinate index out of range")
+            assert err.value.span == (0, len(name))
 
     def test_precedence(self):
         ast = parse_expression("1+2*x1^2", 2)
@@ -179,12 +209,23 @@ class TestRoundTrip:
         assert kinds == want
 
     @settings(max_examples=200, deadline=None)
-    @given(st.text(st.characters(codec="ascii"), max_size=40))
+    @given(st.text(max_size=40))
+    @example("x²")
+    @example("x١")
+    @example("2²")
     def test_parse_total_on_printable_input(self, text):
+        # any text parses or raises ExprError; a character past ASCII that is
+        # not whitespace is an unexpected character, unless a number before it
+        # is malformed
+        bad = [i for i, ch in enumerate(text) if not ch.isascii() and not ch.isspace()]
         try:
             parse_expression(text, 4)
-        except ExprError:
-            pass
+        except ExprError as err:
+            if bad:
+                assert err.span == (bad[0], bad[0] + 1) or err.span[1] <= bad[0]
+                assert err.message.startswith(("unexpected character", "malformed", "number"))
+        else:
+            assert not bad
 
 
 class TestThirdOrder:
@@ -289,6 +330,17 @@ class TestNonFinite:
     def test_power_overflow_is_domain_error(self):
         with pytest.raises(ExprDomainError):
             parse_expression("exp(x1+200)^4", 1).jets(np.zeros(1))
+
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    def test_huge_integer_power_is_domain_error(self, order):
+        # p (p - 1) overflows a float: the Hessian is not finite at every point
+        text = "x1^" + "9" * 300
+        ast = parse_expression(text, 1)
+        for x in (0.0, 0.5, -1.0):
+            with pytest.raises(ExprDomainError) as err:
+                ast.jets([x], order=order)
+            assert err.value.message == "pow second derivative is not finite"
+            assert err.value.span == (0, len(text))
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize(
