@@ -9,13 +9,10 @@ that the gradient potential v = sum of the Reeb coordinates gives the same data.
 
 import numpy as np
 
-from wfk import expr as ex
 from wfk.checks import CATALOGUE
 from wfk.cli import manifold_from_manifest
-from wfk.geometry import FieldSpec
 from wfk.kenmotsu import build_example2
 from wfk.star_soliton import (
-    SolitonData,
     gradient_soliton_residual,
     soliton_residual,
     star_eta_einstein_fit,
@@ -24,7 +21,11 @@ from wfk.star_soliton import (
 
 def main():
     n, s, beta, c = 1, 2, 1.0, 1.0
-    m = manifold_from_manifest(build_example2(n, s, beta, c))[0]
+    lam = s * beta - s * (1.0 + c) * beta**2
+    data = build_example2(n, s, beta, c)
+    xibar = [0] * (2 * n) + [1] * s
+    # the model carries its soliton, as the manifest's soliton block gives it
+    m = manifold_from_manifest({**data, "soliton": {"lambda": lam, "mu": -lam, "V": xibar}})[0]
     origin = np.zeros(m.dim)
     rng = np.random.default_rng(2)
     points = [rng.uniform(-0.5, 0.5, m.dim) for _ in range(3)]
@@ -39,10 +40,8 @@ def main():
     print(f"star-eta-Einstein fit: abar = {fit.a:+.6f}, bbar = {fit.b:+.6f} "
           f"(predicted {a_pred:+.6f}, {b_pred:+.6f})")
 
-    xibar = FieldSpec.from_entries([0.0] * (2 * n) + [1.0] * s, m.dim)
-    lam = s * beta - s * (1.0 + c) * beta**2
-    sol = SolitonData(lam=lam, mu=-lam, V=xibar)
-    res = soliton_residual(m.at(np.array(points)), sol)  # the three points as one chunk
+    sol = m.soliton
+    res = soliton_residual(m.at(np.array(points)))  # the three points as one chunk
     print(f"\nclosed-form soliton constants for V = xibar: "
           f"lambda = {sol.lam:+.6f}, mu = {sol.mu:+.6f}")
     for cid in ("soliton.32", "soliton.33"):
@@ -51,10 +50,11 @@ def main():
               f"{'ok' if worst <= CATALOGUE[cid].tolerance else 'violated'}")
     print(f"classification: {sol.classification}")
 
-    grad_sol = SolitonData(lam=sol.lam, mu=sol.mu, v=ex.parse_expression("x3+x4", m.dim))
-    grad = gradient_soliton_residual(m.at(points[0]), grad_sol)["grad.75"]
+    grad_sol = {"lambda": sol.lam, "mu": sol.mu, "v": "x3+x4"}
+    grad_m = manifold_from_manifest({**data, "soliton": grad_sol})[0]
+    grad = gradient_soliton_residual(grad_m.at(points[0]))["grad.75"]
     print(f"gradient potential v = x3+x4: residual {grad:.1e} "
-          f"({grad_sol.classification})")
+          f"({grad_m.soliton.classification})")
 
 
 if __name__ == "__main__":

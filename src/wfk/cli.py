@@ -22,7 +22,7 @@ import numpy as np
 from . import __version__
 from . import expr as ex
 from .checks import CATALOGUE, CheckContext, applicable_ids, run_check_ids
-from .expr import ExprAst, ExprError
+from .expr import ExprAst, ExprDomainError, ExprError
 from .geometry import FieldSpec, MetricError, MetricField
 from .kenmotsu import build_example2, build_twisted_product
 from .star_soliton import SolitonData
@@ -140,15 +140,38 @@ def _parse_matrix(raw, dim: int, name: str, lower: bool = False):
         if not isinstance(row, list) or len(row) != want:
             raise ManifestError(f"{name} row {i + 1}: expected {want} entries")
         rows.append(
-            [_parse_entry(e, dim, f"{name}[{i + 1}][{j + 1}]") for j, e in enumerate(row)]
+            tuple(_parse_entry(e, dim, f"{name}[{i + 1}][{j + 1}]") for j, e in enumerate(row))
         )
-    return rows
+    return tuple(rows)
 
 
 def _parse_components(raw, dim: int, name: str):
     if not isinstance(raw, list) or len(raw) != dim:
         raise ManifestError(f"{name}: expected {dim} components")
-    return [_parse_entry(e, dim, f"{name}[{k + 1}]") for k, e in enumerate(raw)]
+    return tuple(_parse_entry(e, dim, f"{name}[{k + 1}]") for k, e in enumerate(raw))
+
+
+def _entry_error(m: WeakFManifold, err: ExprDomainError) -> ManifestError:
+    """``err`` named by the first entry of ``m`` in manifest order that holds
+    the node at fault, so that its span reads in that entry's text."""
+    sol = m.soliton
+    todo = [  # in reverse manifest order
+        ("soliton.v", sol and sol.v), ("soliton.V", sol and sol.V and sol.V.entries),
+        ("sigma", m.sigma), ("eta", [v.entries for v in m.eta]), ("xi", [v.entries for v in m.xi]),
+        ("Q", m.Q.entries), ("f", m.f.entries),
+        ("metric", [row[: i + 1] for i, row in enumerate(m.metric.entries)]),
+    ]
+    while todo:  # depth first, in manifest order: fields, rows, entries, nodes
+        name, item = todo.pop()
+        if isinstance(item, tuple | list):
+            todo += reversed([(f"{name}[{k + 1}]", e) for k, e in enumerate(item)])
+        elif isinstance(item, ExprAst):
+            todo.append((name, item.root))
+        elif item == err.node:
+            return ManifestError(f"{name}: {err}")
+        elif item:
+            todo += [(name, child) for child in item.children]
+    return ManifestError(str(err))
 
 
 def _known_keys(raw: dict, allowed, where: str) -> None:
@@ -178,7 +201,7 @@ def load_manifest(path: str) -> dict:
 
 
 def manifold_from_manifest(data: dict):
-    """Build (manifold, soliton, check ids, tolerance overrides, sample policy)."""
+    """Build (model with its soliton, check ids, tolerance overrides, sample policy)."""
     _known_keys(data, _KEYS, "manifest")
     n, s = _integer(data.get("n"), "n"), _integer(data.get("s"), "s")
     dim = _chart_dim(n, s)
@@ -197,33 +220,20 @@ def manifold_from_manifest(data: dict):
 
     metric_rows = _parse_matrix(data.get("metric"), dim, "metric", lower=True)
     metric = MetricField.from_entries(metric_rows, dim)
-    f = FieldSpec.from_entries(_parse_matrix(data.get("f"), dim, "f"), dim)
-    q = FieldSpec.from_entries(_parse_matrix(data.get("Q"), dim, "Q"), dim)
+    f = FieldSpec(dim, _parse_matrix(data.get("f"), dim, "f"))
+    q = FieldSpec(dim, _parse_matrix(data.get("Q"), dim, "Q"))
     fields = []
     for name, what in (("xi", "vector fields"), ("eta", "one-forms")):
         raw = data.get(name)
         if not isinstance(raw, list) or len(raw) != s:
             raise ManifestError(f"{name}: expected {s} {what}")
         fields.append(tuple(
-            FieldSpec(dim, tuple(_parse_components(v, dim, f"{name}[{i + 1}]")))
+            FieldSpec(dim, _parse_components(v, dim, f"{name}[{i + 1}]"))
             for i, v in enumerate(raw)
         ))
     xi, eta = fields
 
-    sigma = None
-    if data.get("sigma") is not None:
-        sigma = _parse_entry(data["sigma"], dim, "sigma")
-
-    m = WeakFManifold(
-        n=n, s=s, beta=beta, c=c, metric=metric, f=f, Q=q, xi=xi, eta=eta, sigma=sigma
-    )
-
-    # dual-basis validation at the origin
-    origin = np.zeros(dim)
-    st = m.at(origin)
-    pairing = st.eta @ st.xi.T
-    if np.abs(pairing - np.eye(s)).max() > 1e-8:
-        raise ManifestError("axiom eta^i(xi_j) = delta violated at validation")
+    sigma = None if data.get("sigma") is None else _parse_entry(data["sigma"], dim, "sigma")
 
     soliton = None
     sol_raw = data.get("soliton")
@@ -238,9 +248,21 @@ def manifold_from_manifest(data: dict):
             raise ManifestError("soliton: provide exactly one of V or v")
         if "V" in sol_raw:
             comps = _parse_components(sol_raw["V"], dim, "soliton.V")
-            soliton = SolitonData(lam=lam, mu=mu, V=FieldSpec(dim, tuple(comps)))
+            soliton = SolitonData(lam=lam, mu=mu, V=FieldSpec(dim, comps))
         else:
             soliton = SolitonData(lam=lam, mu=mu, v=_parse_entry(sol_raw["v"], dim, "soliton.v"))
+
+    m = WeakFManifold(
+        n=n, s=s, beta=beta, c=c, metric=metric, f=f, Q=q, xi=xi, eta=eta, sigma=sigma,
+        soliton=soliton,
+    )
+    # dual-basis validation at the origin, on the model the run uses
+    try:
+        st = m.at(np.zeros(dim))
+    except ExprDomainError as err:
+        raise _entry_error(m, err) from err
+    if np.abs(st.eta @ st.xi.T - np.eye(s)).max() > 1e-8:
+        raise ManifestError("axiom eta^i(xi_j) = delta violated at validation")
 
     checks = data.get("checks")
     if checks is not None:
@@ -268,7 +290,7 @@ def manifold_from_manifest(data: dict):
         raise ManifestError("sample: expected an object of policy key -> value")
     _known_keys(sample_raw, _DEFAULT_SAMPLE, "sample")
     sample = {**_DEFAULT_SAMPLE, **sample_raw}
-    return m, soliton, checks, overrides, sample
+    return m, checks, overrides, sample
 
 
 # ---------------------------------------------------------------------------
@@ -383,10 +405,9 @@ def run_check(args) -> int:
     if args.only:
         data["checks"] = [i for part in args.only for i in part.split(",") if i]
     digest = hashlib.sha256(json.dumps(data, sort_keys=True).encode("utf-8")).hexdigest()
-    m, soliton, ids, overrides, sample = manifold_from_manifest(data)
-    ctx = CheckContext(m, soliton)
-    if ids is None:
-        ids = applicable_ids(ctx)
+    m, ids, overrides, sample = manifold_from_manifest(data)
+    ctx = CheckContext(m)
+    ids = applicable_ids(ctx) if ids is None else ids
 
     points = sample_points(m.dim, sample)
     out = args.out  # a directory, or a file in a missing one, fails before the checks
@@ -400,7 +421,9 @@ def run_check(args) -> int:
             table = run_check_ids(ctx, ids, points)
     except FloatingPointError as err:
         raise ManifestError(f"the inputs are too large together: {err}") from err
-    except (ValueError, KeyError) as err:
+    except ExprDomainError as err:
+        raise _entry_error(m, err) from err
+    except ValueError as err:
         raise ManifestError(str(err)) from err
 
     checks = [
@@ -457,7 +480,9 @@ def emit_twisted(args) -> int:
     _chart_dim(len(scales), args.s)
     try:
         data = build_twisted_product(scales, args.s, args.sigma)
-    except (ExprError, ValueError) as err:
+    except ExprError as err:
+        raise ManifestError(f"sigma: {err}") from err
+    except ValueError as err:
         raise ManifestError(str(err)) from err
     m = manifold_from_manifest(data)[0]  # bounds the beta inferred from sigma, too
     axioms = check_axioms(m.at(np.zeros(m.dim)))

@@ -66,7 +66,9 @@ class ExprSyntaxError(ExprError):
 
 
 class ExprDomainError(ExprError):
-    pass
+    def __init__(self, message: str, node: "Node"):  # the node at fault
+        super().__init__(message, node.span)
+        self.node = node
 
 
 _FUNCTIONS = ("exp", "sqrt", "log")
@@ -318,7 +320,7 @@ def _elementwise(fn, v: np.ndarray, node: Node, what: str) -> np.ndarray:
     try:
         return np.array([fn(x) for x in v.tolist()])
     except OverflowError:
-        raise ExprDomainError(f"{what} overflows", node.span) from None
+        raise ExprDomainError(f"{what} overflows", node) from None
 
 
 def _ipow(v: np.ndarray, k: int, node: Node, what: str) -> np.ndarray:
@@ -376,7 +378,7 @@ def _mul(node, a, b):
 def _div(node, a, b):
     # a times the reciprocal of b
     if (b[0] == 0.0).any():
-        raise ExprDomainError("division by zero", node.span)
+        raise ExprDomainError("division by zero", node)
     r = 1.0 / b[0]
     r3 = _ipow(r, 3, node, "division")
     inverse = _compose(b, r, -r * r, 2.0 * r3, lambda: -6.0 * _ipow(r, 4, node, "division"))
@@ -406,7 +408,7 @@ def _exp(node, a):
 def _log(node, a):
     v = a[0]
     if (v <= 0.0).any():
-        raise ExprDomainError("log of non-positive value", node.span)
+        raise ExprDomainError("log of non-positive value", node)
     value = _elementwise(math.log, v, node, "log")
     return _compose(a, value, 1.0 / v, -1.0 / (v * v), lambda: 2.0 / _ipow(v, 3, node, "log"))
 
@@ -414,7 +416,7 @@ def _log(node, a):
 def _sqrt(node, a):
     v = a[0]
     if (v <= 0.0).any():
-        raise ExprDomainError("sqrt of non-positive value", node.span)
+        raise ExprDomainError("sqrt of non-positive value", node)
     s = np.sqrt(v)
     return _compose(
         a, s, 1.0 / (2.0 * s), -1.0 / (4.0 * s * v), lambda: 3.0 / (8.0 * s * v * v)
@@ -480,7 +482,7 @@ def compile_tape(asts, dim: int) -> Tape:
     outputs = tuple(emit(ast.root) for ast in asts)
     for ast, op in zip(asts, outputs):
         if isinstance(op, float) and not math.isfinite(op):
-            raise ExprDomainError("constant is not finite", ast.root.span)
+            raise ExprDomainError("constant is not finite", ast.root)
     support = tuple(sorted({node.index for node, _ in code if node.kind == "var"}))
     return Tape(dim, tuple(code), outputs, support)
 
@@ -491,7 +493,7 @@ _ORDERS = ("value", "first derivative", "second derivative", "third derivative")
 def _first_non_finite(tape: Tape, jets: list) -> ExprDomainError:
     """The domain error of the first instruction with a non-finite jet part."""
     return next(
-        ExprDomainError(f"{node.kind} {_ORDERS[order]} is not finite", node.span)
+        ExprDomainError(f"{node.kind} {_ORDERS[order]} is not finite", node)
         for (node, _), parts in zip(tape.code, jets)
         for order, part in enumerate(parts)
         if part is not None and not np.isfinite(part).all()

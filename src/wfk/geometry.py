@@ -36,7 +36,6 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from . import expr as ex
-from .expr import ExprAst
 
 __all__ = [
     "MetricError",
@@ -81,14 +80,6 @@ def check_bound(points: np.ndarray, name: str, values: np.ndarray, bound: float)
         )
 
 
-def _as_ast(entry, dim: int) -> ExprAst:
-    if isinstance(entry, ExprAst):
-        return entry
-    if isinstance(entry, str):
-        return ex.parse_expression(entry, dim)
-    return ex.const(float(entry), dim)
-
-
 @dataclass(frozen=True)
 class FieldSpec:
     """A field given by expression entries: one per component or a square of rows.
@@ -100,20 +91,6 @@ class FieldSpec:
 
     dim: int
     entries: tuple
-
-    @classmethod
-    def from_entries(cls, entries, dim: int) -> "FieldSpec":
-        """Coerce numbers and strings to expressions; every extent must be ``dim``."""
-        out = tuple(
-            tuple(_as_ast(e, dim) for e in item)
-            if isinstance(item, (list, tuple, np.ndarray))
-            else _as_ast(item, dim)
-            for item in entries
-        )
-        extents = {len(item) if isinstance(item, tuple) else None for item in out}
-        if len(out) != dim or extents not in ({None}, {dim}):
-            raise ValueError(f"every extent of the field must equal {dim}")
-        return cls(dim, out)
 
     @cached_property
     def tape(self) -> ex.Tape:
@@ -418,22 +395,15 @@ class MetricField(FieldSpec):
 
     @classmethod
     def from_entries(cls, rows, dim: int) -> "MetricField":
-        """Build from the lower triangle of ``dim`` rows: row i's first i + 1
-        entries; the entries after them (a full square's upper half) are not read."""
-        if len(rows) != dim or any(len(row) <= i for i, row in enumerate(rows)):
-            raise ValueError(f"the metric needs {dim} rows, the i-th of at least i entries")
-        low = [[_as_ast(e, dim) for e in row[: i + 1]] for i, row in enumerate(rows)]
-        square = (tuple(low[max(i, j)][min(i, j)] for j in range(dim)) for i in range(dim))
+        """Build from the lower triangle of ``dim`` rows of expressions, row i's
+        first i + 1 entries; a full square's upper half is not read."""
+        square = (tuple(rows[max(i, j)][min(i, j)] for j in range(dim)) for i in range(dim))
         return cls(dim, tuple(square))
 
     def at(self, p) -> Geometry:
         """The geometry at a point ``(dim,)`` or a chunk of points ``(C, dim)``,
-        built afresh."""
+        built afresh; the tape's run rejects any other shape."""
         pt = np.asarray(p, dtype=float)
-        if pt.ndim not in (1, 2) or pt.shape[-1] != self.dim:
-            raise ValueError(
-                f"point dimension {pt.shape} does not match chart ({self.dim},)"
-            )
         return (_PointGeometry if pt.ndim == 1 else Geometry)(self, pt)
 
 

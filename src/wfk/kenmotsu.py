@@ -328,9 +328,7 @@ def twisted_product_audit(st: StructureAtPoint) -> dict:
     (14) and (15) with beta_i = xi_i(log sigma) in place of beta, in any chart;
     (iii), the leaf metric's Christoffels, reads the builder's chart (fiber x1..x2n)."""
     m = st.m
-    if m.sigma is None:
-        raise ValueError("manifold was not built as a twisted product")
-    sigma, dsigma, _ = st.jets_of(m.sigma)
+    sigma, dsigma = m.sigma.jets(st.point, 1)
     low = np.reshape(~(sigma > 0), -1)  # jets are finite, so only sign and underflow
     if low.any():
         q = st.point.reshape(-1, m.dim)[np.argmax(low)]

@@ -15,7 +15,8 @@ never an input.
 Every check here returns ``{check id: residual}``, one residual a point.
 (33) and the operator form of (75) are transcribed as printed, not derived
 from (32), so their coefficients are checked too; grad.75 is the larger of
-the two forms of (75).  A soliton's type depends on lambda alone
+the two forms of (75).  The soliton checks read the model's soliton
+(``WeakFManifold.soliton``), whose type depends on lambda alone
 (``SolitonData.classification``).
 """
 from __future__ import annotations
@@ -154,22 +155,18 @@ def _check_star_symmetric(st: StructureAtPoint) -> None:
         )
 
 
-def _soliton_rhs(st: StructureAtPoint, sol: SolitonData) -> np.ndarray:
+def _soliton_rhs(st: StructureAtPoint, lam: float, mu: float) -> np.ndarray:
     """lam {g - sum eta (x) eta} + (lam+mu) etabar (x) etabar, of (32) and (75)."""
-    return sol.lam * (st.geo.g - st.etaeta) + (sol.lam + sol.mu) * st.ebar
+    return lam * (st.geo.g - st.etaeta) + (lam + mu) * st.ebar
 
 
-def soliton_residual(st: StructureAtPoint, sol: SolitonData) -> dict:
+def soliton_residual(st: StructureAtPoint) -> dict:
     """(32), (1/2) L_V g + Ric* = lam {g - sum eta (x) eta} + (lam+mu) etabar (x)
     etabar, and (33), the same equation written through Ric and Q:
     ``{"soliton.32": residual, "soliton.33": residual}``."""
-    if sol.V is None:
-        raise ValueError("soliton_residual needs a vector-field potential")
-    if sol.V.dim != st.m.dim:
-        raise ValueError("potential dimension does not match the manifold")
     _check_star_symmetric(st)
-    half_lie = 0.5 * lie_derivative_metric(st.geo, st.jets_of(sol.V))
-    lam, mu = sol.lam, sol.mu
+    half_lie = 0.5 * lie_derivative_metric(st.geo, st.potential)
+    lam, mu = st.m.soliton.lam, st.m.soliton.mu
     beta, s, n = st.m.beta, st.m.s, st.m.n
     g = st.geo.g
     k = s * (2 * n - 1) * beta**2
@@ -180,22 +177,20 @@ def soliton_residual(st: StructureAtPoint, sol: SolitonData) -> dict:
         + (lam + mu - 2 * n * beta**2) * st.ebar
     )
     return {
-        "soliton.32": st.residual(half_lie + st.ric_star - _soliton_rhs(st, sol)),
+        "soliton.32": st.residual(half_lie + st.ric_star - _soliton_rhs(st, lam, mu)),
         "soliton.33": st.residual(half_lie + st.geo.ric @ st.Q - rhs33),
     }
 
 
-def gradient_soliton_residual(st: StructureAtPoint, sol: SolitonData) -> dict:
+def gradient_soliton_residual(st: StructureAtPoint) -> dict:
     """(75), Hess_v + Ric* = lam {g - sum eta (x) eta} + (lam+mu) etabar (x)
     etabar, and its operator form: ``{"grad.75": the larger residual}``."""
-    if sol.v is None:
-        raise ValueError("gradient_soliton_residual needs a potential function")
     _check_star_symmetric(st)
-    _, hess = gradient_and_hessian(st.geo, st.jets_of(sol.v))
-    residual = st.residual(hess + st.ric_star - _soliton_rhs(st, sol))
+    _, hess = gradient_and_hessian(st.geo, st.potential)
+    lam, mu = st.m.soliton.lam, st.m.soliton.mu
+    residual = st.residual(hess + st.ric_star - _soliton_rhs(st, lam, mu))
 
     # operator form: nabla_X grad v + Q Ric# X = lam X - s(2n-1) b^2 QX + ...
-    lam, mu = sol.lam, sol.mu
     beta, s, n = st.m.beta, st.m.s, st.m.n
     k = s * (2 * n - 1) * beta**2
     lhs_op = st.geo.ginv @ hess + st.Q @ st.geo.ric_sharp
@@ -213,11 +208,11 @@ def gradient_soliton_residual(st: StructureAtPoint, sol: SolitonData) -> dict:
 # contact fields
 
 
-def contact_fit(st: StructureAtPoint, V: FieldSpec) -> tuple[float, float]:
+def contact_fit(st: StructureAtPoint) -> tuple[float, float]:
     """Least-squares sigma of L_V eta^i = sigma eta^i and the max-abs residual."""
     # the eta^i with their index first, so that they broadcast over the batch axes
     eta = (np.moveaxis(st.eta, -2, 0), np.moveaxis(st.deta, -3, 0))
-    lie = np.moveaxis(lie_derivative_1form(st.geo, eta, st.jets_of(V)), 0, -2)
+    lie = np.moveaxis(lie_derivative_1form(st.geo, eta, st.potential), 0, -2)
     num = contract("...ia,...ia->...", lie, st.eta)
     den = contract("...ia,...ia->...", st.eta, st.eta)
     sigma = np.divide(num, den, out=np.zeros_like(num), where=den > 0)
@@ -228,27 +223,22 @@ def contact_fit(st: StructureAtPoint, V: FieldSpec) -> tuple[float, float]:
 # Lie-derivative identity audit (report-only)
 
 
-def lemma2_audit(st: StructureAtPoint, sol: SolitonData) -> dict:
+def lemma2_audit(st: StructureAtPoint) -> dict:
     """Audit the three Lie-derivative identities of the soliton analysis.
 
     These residuals document how the printed identities compare against
     direct numerical left-hand sides; they are informational and are
     never folded into pass/fail gates.
     """
-    if sol.V is None:
-        raise ValueError("lemma2_audit needs a vector-field potential")
-    m = st.m
-    beta = m.beta
-    s, n = m.s, m.n
-    dim = m.dim
+    beta, s, n = st.m.beta, st.m.s, st.m.n
     rs = st.geo.ric_sharp
     Q, Qt = st.Q, st.Qtilde
     xi = st.xi
     xibar, etabar = st.xibar, st.etabar
-    eye = np.eye(dim)
+    eye = np.eye(st.m.dim)
 
     # (42): (L_V nabla)(X, xi_i) vs 2b Ric# QX + 4snb^3 QX + 2sb^3 Qt X + ...
-    v = st.jets_of(sol.V)
+    v = st.potential
     lie_nab = lie_derivative_connection(st.geo, v)  # [k, a, b]
     rhs42 = (
         2.0 * beta * rs @ Q
@@ -267,10 +257,9 @@ def lemma2_audit(st: StructureAtPoint, sol: SolitonData) -> dict:
     nrq = contract("...kja,...jb->...kba", nab_rs, Q)
     t_ab = np.einsum("...kba->...kab", nrq)
     term1 = 2.0 * beta * (t_ab - np.swapaxes(t_ab, -1, -2))
-    rsy = rs  # Ric# e_b: [k, b]
     term2 = 2.0 * beta**2 * (
-        np.einsum("...a,...kb->...kab", etabar, rsy)
-        - np.einsum("...b,...ka->...kab", etabar, rsy)
+        np.einsum("...a,...kb->...kab", etabar, rs)  # Ric# e_b: [k, b]
+        - np.einsum("...b,...ka->...kab", etabar, rs)
     )
     rsqt = rs @ Qt
     term3 = 4.0 * beta**2 * (

@@ -23,11 +23,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .expr import ExprAst, Tape, compile_tape
 from .geometry import FieldSpec, MetricField, check_bound, coboundary_2form, contract
+
+if TYPE_CHECKING:
+    from .star_soliton import SolitonData
 
 __all__ = [
     "WeakFManifold",
@@ -86,6 +90,7 @@ class WeakFManifold:
     xi: tuple[FieldSpec, ...]
     eta: tuple[FieldSpec, ...]
     sigma: ExprAst | None = None          # a twisted product's manifest sets it
+    soliton: SolitonData | None = None    # the *-eta-Ricci soliton it carries
 
     def __post_init__(self):
         if self.n < 1 or self.s < 1:
@@ -94,6 +99,8 @@ class WeakFManifold:
             raise ValueError("metric dimension does not match 2n+s")
         if len(self.xi) != self.s or len(self.eta) != self.s:
             raise ValueError("need s Reeb fields and s dual 1-forms")
+        if self.soliton and (self.soliton.V or self.soliton.v).dim != self.dim:
+            raise ValueError("potential dimension does not match the manifold")
 
     @property
     def dim(self) -> int:
@@ -107,13 +114,9 @@ class WeakFManifold:
         return compile_tape([e for row in rows for e in row], self.dim)
 
     def at(self, p) -> "StructureAtPoint":
-        """The structure at a point ``(dim,)`` or a chunk ``(C, dim)``, built afresh."""
-        pt = np.asarray(p, dtype=float)
-        if pt.ndim not in (1, 2) or pt.shape[-1] != self.dim:
-            raise ValueError(
-                f"point dimension {pt.shape} does not match chart ({self.dim},)"
-            )
-        return StructureAtPoint(self, pt)
+        """The structure at a point ``(dim,)`` or a chunk ``(C, dim)``, built
+        afresh; the tape's run rejects any other shape."""
+        return StructureAtPoint(self, np.asarray(p, dtype=float))
 
     def structures(self, points):
         """The structures of consecutive chunks of :func:`chunk_size` points."""
@@ -129,21 +132,20 @@ class WeakFManifold:
 
 class StructureAtPoint:
     """Structure tensors, their first derivatives and the geometry at a point
-    or a chunk of points; what is derived from them, and the jets of any
-    other field read here (:meth:`jets_of`), is cached here, and nothing
+    or a chunk of points; what is derived from them, and the jets of the
+    soliton's potential (:attr:`potential`), is cached here, and nothing
     across chunks."""
 
     def __init__(self, m: WeakFManifold, p: np.ndarray):
         self.m = m
         self.point = p
         self.lead = p.ndim - 1  # batch axes in front of every array
-        self._points = p.reshape(-1, m.dim)
-        self._jets: dict = {}  # id(field) -> (field, its jets here)
         # one run of the manifold's tape, to first order, split by field:
         # df[i, j, k] = d_k f^i_j; xi[i, k] = xi_i^k and dxi[i, k, a] = d_a xi_i^k,
         # the field index i after the batch axes, and likewise for eta
         dim, s = m.dim, m.s
-        value, d = m.tape.jets(p, 1, (2 * (dim + s), dim))
+        value, d = m.tape.jets(p, 1, (2 * (dim + s), dim))  # rejects a wrong shape of p
+        self._points = p.reshape(-1, m.dim)
         rows = (dim, 2 * dim, 2 * dim + s)
         self.f, self.Q, self.xi, self.eta = fields = np.split(value, rows, self.lead)
         self.df, self.dQ, self.dxi, self.deta = np.split(d, rows, self.lead)
@@ -158,17 +160,15 @@ class StructureAtPoint:
         """:func:`tensor_residual` of a tensor of this structure, per point."""
         return tensor_residual(t, self.lead)
 
-    def jets_of(self, field):
-        """(value, d, d2) of a vector field or scalar expression here, jetted
-        the first time it is read.  A vector field (the soliton's V) is
-        bounded by :data:`MAX_FIELD` before any use."""
-        known = self._jets.get(id(field))
-        if known is None:
-            jets = field.jets(self.point)
-            if isinstance(field, FieldSpec):
-                check_bound(self._points, "soliton.V", jets[0], MAX_FIELD)
-            known = self._jets[id(field)] = (field, jets)
-        return known[1]
+    @cached_property
+    def potential(self):
+        """(value, d, d2) here of the soliton's potential, V or v, jetted once;
+        V is bounded by :data:`MAX_FIELD` before any use."""
+        sol = self.m.soliton
+        jets = (sol.V or sol.v).jets(self.point)
+        if sol.V is not None:
+            check_bound(self._points, "soliton.V", jets[0], MAX_FIELD)
+        return jets
 
     @cached_property
     def etaeta(self) -> np.ndarray:

@@ -1,11 +1,14 @@
+import dataclasses
 import functools
 
 import numpy as np
 import pytest
 
 from wfk.cli import manifold_from_manifest
+from wfk.expr import const, parse_expression
 from wfk.geometry import MetricField
 from wfk.kenmotsu import build_example2
+from wfk.star_soliton import SolitonData
 
 GRID = [
     (n, s, beta, c)
@@ -27,10 +30,23 @@ def model(data):
     return manifold_from_manifest(data)[0]
 
 
+def exprs(raw, dim):
+    """Numbers and expression text, nested in lists, as the same nesting of
+    tuples of expressions over a chart of dimension ``dim``."""
+    if isinstance(raw, (list, tuple, np.ndarray)):
+        return tuple(exprs(e, dim) for e in raw)
+    return parse_expression(raw, dim) if isinstance(raw, str) else const(raw, dim)
+
+
+def with_soliton(m, lam, mu, **potential):
+    """``m`` carrying the soliton (lam, mu) with the potential V or v."""
+    return dataclasses.replace(m, soliton=SolitonData(lam=lam, mu=mu, **potential))
+
+
 def diagonal_metric(entries):
     """The metric field diag(entries), over a chart of their number."""
     rows = [[0.0] * i + [e] for i, e in enumerate(entries)]
-    return MetricField.from_entries(rows, len(rows))
+    return MetricField.from_entries(exprs(rows, len(rows)), len(rows))
 
 
 def seeded_points(dim, count=5, seed=42, box=(-0.5, 0.5)):

@@ -19,4 +19,4 @@ def fundamental_form_field(m) -> FieldSpec:
         terms = (Node("mul", (g[a][k].root, f[k][b].root)) for k in range(n))
         return ExprAst(reduce(lambda x, y: Node("add", (x, y)), terms), n)
 
-    return FieldSpec.from_entries([[entry(a, b) for b in range(n)] for a in range(n)], n)
+    return FieldSpec(n, tuple(tuple(entry(a, b) for b in range(n)) for a in range(n)))

@@ -5,7 +5,6 @@ beta in {-1, 0.5, 1}, c in {0, 1} with 5 seeded sample points per
 instance, and asserts the stated tolerance.
 """
 
-import dataclasses
 import json
 import pathlib
 
@@ -22,7 +21,6 @@ from wfk.kenmotsu import (
     twisted_product_audit,
 )
 from wfk.star_soliton import (
-    SolitonData,
     gradient_soliton_residual,
     lemma2_audit,
     star_eta_einstein_fit,
@@ -33,7 +31,7 @@ from wfk.checks import CATALOGUE, CheckContext, run_check_ids
 from wfk.cli import main as cli_main
 from wfk.cli import manifold_from_manifest
 
-from conftest import GRID, example_manifold, model, seeded_points
+from conftest import GRID, example_manifold, exprs, model, seeded_points, with_soliton
 from reference_forms import fundamental_form_field
 
 GOLDEN = json.loads(
@@ -59,7 +57,7 @@ def _grid_instances():
 
 
 def _xibar(m):
-    return FieldSpec.from_entries([0.0] * (2 * m.n) + [1.0] * m.s, m.dim)
+    return FieldSpec(m.dim, exprs([0.0] * (2 * m.n) + [1.0] * m.s, m.dim))
 
 
 def test_criterion_01_axioms_and_defining_condition():
@@ -162,13 +160,14 @@ def test_criterion_07_soliton_constants(capsys):
     worst, least_shifted = 0.0, np.inf
     for n, s, beta, c in GRID:
         assert cli_main(["example2", str(n), str(s), str(beta), str(c)]) == 0
-        m, sol, *_ = manifold_from_manifest(json.loads(capsys.readouterr().out))
+        m = manifold_from_manifest(json.loads(capsys.readouterr().out))[0]
+        sol = m.soliton
         lam_oracle = s * beta - s * (1.0 + c) * beta**2
         assert sol.lam == pytest.approx(lam_oracle) and sol.mu == -sol.lam
         assert sol.V.entries == _xibar(m).entries
         pts = seeded_points(m.dim)[:3]
         for shift in (0.0, 1e-3):
-            ctx = CheckContext(m, dataclasses.replace(sol, lam=sol.lam + shift))
+            ctx = CheckContext(with_soliton(m, sol.lam + shift, sol.mu, V=sol.V))
             res = run_check_ids(ctx, ["soliton.32"], pts)["soliton.32"]
             if shift:
                 least_shifted = min(least_shifted, res.min())
@@ -181,8 +180,8 @@ def test_criterion_07_soliton_constants(capsys):
         )
         assert sol.classification == verdict_class
         v = ex.parse_expression("+".join(f"x{2 * n + p_ + 1}" for p_ in range(s)), m.dim)
-        grad_sol = SolitonData(lam=lam_oracle, mu=-lam_oracle, v=v)
-        worst_grad = gradient_soliton_residual(m.at(pts[0]), grad_sol)["grad.75"]
+        grad_m = with_soliton(m, lam_oracle, -lam_oracle, v=v)
+        worst_grad = gradient_soliton_residual(grad_m.at(pts[0]))["grad.75"]
         assert worst_grad < 1e-8, worst_grad
     assert least_shifted > tol, f"lambda + 1e-3 passes soliton.32: {least_shifted:.3e}"
     _report(7, "soliton constants over the grid", worst, tol)
@@ -228,9 +227,8 @@ def test_criterion_09_einstein_fits():
 def test_criterion_10_lie_derivative_audit():
     worst = 0.0
     for (n, s, beta, c), m in _grid_instances():
-        sol = SolitonData(lam=0.0, mu=0.0, V=_xibar(m))
-        st = m.at(np.zeros(m.dim))
-        rep = lemma2_audit(st, sol)
+        st = with_soliton(m, 0.0, 0.0, V=_xibar(m)).at(np.zeros(m.dim))
+        rep = lemma2_audit(st)
         if c == 0:
             worst = max(worst, rep["lemma2.42"])
             assert rep["lemma2.35"] < 1e-3

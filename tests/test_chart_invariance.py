@@ -65,8 +65,7 @@ def _manifest(name: str) -> str:
 
 def _verdicts(data: dict, points) -> dict:
     """{id: pass/fail at each point} over the applicable ids of ``data``."""
-    m, soliton = manifold_from_manifest(data)[:2]
-    ctx = CheckContext(m, soliton)
+    ctx = CheckContext(manifold_from_manifest(data)[0])
     table = run_check_ids(ctx, applicable_ids(ctx), points)
     return {cid: res <= CATALOGUE[cid].tolerance for cid, res in table.items()}
 

@@ -14,9 +14,7 @@ import pytest
 from wfk import expr as ex
 from wfk import weakf
 from wfk.checks import CATALOGUE, CheckContext, applicable_ids, run_check_ids
-from wfk.geometry import FieldSpec
 from wfk.kenmotsu import build_example2, build_twisted_product
-from wfk.star_soliton import SolitonData, contact_fit, lemma2_audit, soliton_residual
 
 from conftest import model, seeded_points
 
@@ -24,15 +22,13 @@ TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
 
 def _example2_V():
-    m = model(build_example2(1, 2, 1.0, 1.0))
-    xibar = FieldSpec.from_entries([0.0, 0.0, 1.0, 1.0], m.dim)
-    return CheckContext(m, SolitonData(lam=-2.0, mu=2.0, V=xibar))
+    soliton = {"lambda": -2.0, "mu": 2.0, "V": [0, 0, 1, 1]}  # V = xibar
+    return CheckContext(model({**build_example2(1, 2, 1.0, 1.0), "soliton": soliton}))
 
 
 def _example2_v():
-    m = model(build_example2(1, 2, 1.0, 1.0))
-    v = ex.parse_expression("x3+x4+x1^2", m.dim)
-    return CheckContext(m, SolitonData(lam=-2.0, mu=2.0, v=v))
+    soliton = {"lambda": -2.0, "mu": 2.0, "v": "x3+x4+x1^2"}
+    return CheckContext(model({**build_example2(1, 2, 1.0, 1.0), "soliton": soliton}))
 
 
 def _twisted():
@@ -170,6 +166,33 @@ def test_every_public_library_function_is_read_by_the_library():
     )
 
 
+def _constructor_calls(node, scope: str, names, found: list) -> list:
+    """(enclosing function, callee) of each call of one of ``names`` under ``node``."""
+    if isinstance(node, ast.Call) and ast.unparse(node.func) in names:
+        found.append((scope, ast.unparse(node.func)))
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        scope = f"{scope}.{node.name}"
+    for child in ast.iter_child_nodes(node):
+        _constructor_calls(child, scope, names, found)
+    return found
+
+
+def test_only_the_manifest_reader_builds_a_model():
+    """A model and its soliton are built in one place, after the manifest's
+    checks and before the origin validation, so a library function may rely
+    on them (a missing potential is a blocked id, not a guard of its own)."""
+    # dataclasses.replace would build a model too
+    names = ("WeakFManifold", "SolitonData", "replace", "dataclasses.replace")
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        _constructor_calls(ast.parse(path.read_text()), path.stem, names, found)
+    assert sorted(found) == [
+        ("cli.manifold_from_manifest", "SolitonData"),
+        ("cli.manifold_from_manifest", "SolitonData"),
+        ("cli.manifold_from_manifest", "WeakFManifold"),
+    ]
+
+
 def test_perfbench_tracer_targets_resolve():
     """Every name the benchmark tracer patches exists where it looks it up."""
     spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
@@ -295,10 +318,10 @@ def tape_runs(monkeypatch):
 def test_a_potential_is_jetted_once_per_structure(tape_runs):
     ctx = _example2_V()
     st = ctx.manifold.at(seeded_points(4, count=1, seed=31)[0])
-    soliton_residual(st, ctx.soliton)
-    contact_fit(st, ctx.soliton.V)
-    lemma2_audit(st, ctx.soliton)
-    assert tape_runs[id(ctx.soliton.V.tape)] == 1
+    for group in ("soliton", "contact", "lemma2"):  # each reads st.potential
+        ctx.group_reports(group, st)
+    assert "potential" in st.__dict__
+    assert tape_runs[id(ctx.manifold.soliton.V.tape)] == 1
 
 
 @pytest.mark.parametrize("make_ctx", [_example2_V, _example2_v, _twisted])

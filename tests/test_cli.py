@@ -699,7 +699,8 @@ class TestInputBounds:
         path.write_text(json.dumps(_mutated(_load(path), ("f", 0, 1), "2+sqrt(x1+1e-300)")))
         assert main(["check", str(path), "--points", "1"]) == 2
         err = capsys.readouterr().err
-        assert err == "error: sqrt second derivative is not finite (at characters 2..17)\n"
+        want = "error: f[1][2]: sqrt second derivative is not finite (at characters 2..17)\n"
+        assert err == want
 
     # (key path, how the error names the field); xi[1][3] pairs with eta[1][3],
     # so the other two edits stay off the dual pairing
@@ -781,7 +782,7 @@ class TestInputBounds:
         [
             ("x²", "error: f[1][2]: unexpected character '²' (at characters 1..2)"),
             ("x" + "1" * 5000, "error: f[1][2]: coordinate index out of range: x111"),
-            ("x1^" + "9" * 300, "error: pow second derivative is not finite"),
+            ("x1^" + "9" * 300, "error: f[1][2]: pow second derivative is not finite"),
         ],
         ids=["non-ascii-digit", "long-index", "huge-power"],
     )
@@ -799,6 +800,33 @@ class TestInputBounds:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1 and not out.exists()
+
+    @pytest.mark.parametrize(
+        "path, text, message",
+        [
+            (("f", 0, 1), "exp(x1+800)", "error: f[1][2]: exp overflows (at characters 0..11)\n"),
+            (("metric", 0, 0), "1+exp(x1+800)", "error: metric[1][1]: exp overflows (at "),
+            (("soliton", "V", 0), "exp(x1+800)", "error: soliton.V[1]: exp overflows (at "),
+        ],
+        ids=["f", "metric", "soliton.V"],
+    )
+    def test_a_jet_evaluation_error_names_its_entry(
+        self, manifest_path, tmp_path, capsys, path, text, message
+    ):
+        # the text parses, so the error comes from a tape run, at the origin or a sample point
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(_mutated(_load(manifest_path), path, text)))
+        [err] = _input_errors([[str(bad)]], tmp_path, capsys)
+        assert err.startswith(message)
+
+    def test_a_sigma_jet_evaluation_error_names_sigma(self, tmp_path, capsys):
+        out = tmp_path / "tw.json"
+        sigma = "x1^" + "9" * 300
+        argv = ["twisted", "--factors", "1", "--s", "1", "--sigma", sigma, "--out", str(out)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == "error: sigma: pow second derivative is not finite (at characters 0..303)\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "argv, message",

@@ -15,10 +15,11 @@ from wfk.geometry import (
     lie_derivative_metric,
 )
 from wfk.kenmotsu import audit_identities, build_example2, build_twisted_product
-from wfk.star_soliton import SolitonData, lemma2_audit
+from wfk.cli import ManifestError
+from wfk.star_soliton import lemma2_audit
 from wfk.weakf import WeakFManifold
 
-from conftest import diagonal_metric, model, seeded_points
+from conftest import diagonal_metric, exprs, model, seeded_points, with_soliton
 from reference_chain import dric as reference_dric
 from reference_chain import lie_curvature as reference_lie_curvature
 from reference_chain import ric as reference_ric
@@ -26,23 +27,24 @@ from reference_chain import ric_star as reference_ric_star
 from reference_forms import fundamental_form_field
 
 O = np.zeros(4)
-XIBAR = FieldSpec.from_entries([0.0, 0.0, 1.0, 1.0], 4)
+XIBAR = FieldSpec(4, exprs([0.0, 0.0, 1.0, 1.0], 4))
 FLAT4 = diagonal_metric([1.0] * 4)
 # a metric with off-diagonal entries and no symmetries, positive definite
 # on the sample box (diagonally dominant there)
 BUMPY4 = MetricField.from_entries(
-    [
-        ["2+x1^2*x2"],
-        ["0.3*x1*x3", "exp(x2+0.5*x3)"],
-        ["0.2*x2^2", "0.1*x1*x4", "1+x3^2/(2+x4)"],
-        ["0.1*exp(x1)", 0, "0.2*x2*x3", "sqrt(2+x1*x4)"],
-    ],
+    exprs(
+        [
+            ["2+x1^2*x2"],
+            ["0.3*x1*x3", "exp(x2+0.5*x3)"],
+            ["0.2*x2^2", "0.1*x1*x4", "1+x3^2/(2+x4)"],
+            ["0.1*exp(x1)", 0, "0.2*x2*x3", "sqrt(2+x1*x4)"],
+        ],
+        4,
+    ),
     4,
 )
 # nonlinear and not Killing for either metric
-BENT4 = FieldSpec.from_entries(
-    ["x1*x2", "exp(0.5*x3)", "x4^3-x1", "sqrt(2+x2)*x3"], 4
-)
+BENT4 = FieldSpec(4, exprs(["x1*x2", "exp(0.5*x3)", "x4^3-x1", "sqrt(2+x2)*x3"], 4))
 
 
 class TestMetric:
@@ -66,7 +68,7 @@ class TestMetric:
         lower = [["2+x1^2"], ["0.3*x1", "exp(x2)"], [0, "0.1*x3", "1+x2*x3"]]
         # upper entries that differ from their mirrors, and are not read
         square = [lower[0] + ["x2^3", 5], lower[1] + ["0.7*x1"], lower[2]]
-        full, low = (MetricField.from_entries(rows, 3) for rows in (square, lower))
+        full, low = (MetricField.from_entries(exprs(rows, 3), 3) for rows in (square, lower))
         assert full.tape == low.tape
         assert all(low.entries[i][j] is low.entries[j][i] for i in range(3) for j in range(3))
 
@@ -74,8 +76,10 @@ class TestMetric:
         "rows", [[["1"], [0], [0, 0, 1]], [["1"], [0, 1]]], ids=["short-row", "missing-row"]
     )
     def test_a_short_or_missing_row_is_error(self, rows):
-        with pytest.raises(ValueError, match="metric needs 3 rows"):
-            MetricField.from_entries(rows, 3)
+        # the manifest reader checks the rows; MetricField.from_entries reads parsed ones
+        data = {**build_example2(1, 1, 1.0, 1.0), "metric": rows}
+        with pytest.raises(ManifestError, match=r"metric(: expected 3 rows| row 2: expected 2)"):
+            model(data)
 
     def test_non_positive_definite_is_error(self):
         bad = diagonal_metric(["x1-1", 1.0])
@@ -203,7 +207,7 @@ class TestLieDerivatives:
         assert lg == pytest.approx(lg.T)
 
     def test_zero_field(self, e2):
-        zero = FieldSpec.from_entries([0.0] * 4, 4)
+        zero = FieldSpec(4, exprs([0.0] * 4, 4))
         lg = lie_derivative_metric(e2.metric.at(O), zero.jets(O))
         assert np.all(lg == 0.0)
 
@@ -220,11 +224,11 @@ class TestLieDerivatives:
             assert np.abs(lg - 2.0 * hess).max() < 1e-8
 
     def test_1form_examples(self, e2):
-        eta1 = FieldSpec.from_entries([0.0, 0.0, 1.0, 0.0], 4)
+        eta1 = FieldSpec(4, exprs([0.0, 0.0, 1.0, 0.0], 4))
         geo = e2.metric.at(O)
         lw = lie_derivative_1form(geo, eta1.jets(O), XIBAR.jets(O))
         assert np.all(lw == 0.0)
-        d1 = FieldSpec.from_entries([1.0, 0.0, 0.0, 0.0], 4)
+        d1 = FieldSpec(4, exprs([1.0, 0.0, 0.0, 0.0], 4))
         lw = lie_derivative_1form(geo, eta1.jets(O), d1.jets(O))
         assert np.all(lw == 0.0)
 
@@ -232,7 +236,7 @@ class TestLieDerivatives:
 def _gradient_field_entries(metric):
     """Symbolic gradient of v = x1*x3 + x4^2 for the reference metric
     diag(e^{2xbar}, e^{2xbar}, 1, 1)."""
-    return FieldSpec.from_entries(["exp(-2*(x3+x4))*x3", 0.0, "x1", "2*x4"], metric.dim)
+    return FieldSpec(metric.dim, exprs(["exp(-2*(x3+x4))*x3", 0.0, "x1", "2*x4"], metric.dim))
 
 
 def _d_1form(omega, p):
@@ -248,13 +252,13 @@ class TestExteriorDerivatives:
             assert np.all(d == 0.0)
 
     def test_half_normalization(self):
-        omega = FieldSpec.from_entries(["x2", 0.0, 0.0, 0.0], 4)  # x2 dx1
+        omega = FieldSpec(4, exprs(["x2", 0.0, 0.0, 0.0], 4))  # x2 dx1
         d = _d_1form(omega, np.ones(4))
         assert d[0, 1] == pytest.approx(-0.5)
         assert d[1, 0] == pytest.approx(0.5)
 
     def test_constant_form_closed(self):
-        omega = FieldSpec.from_entries([1.0, 2.0, 3.0, 4.0], 4)
+        omega = FieldSpec(4, exprs([1.0, 2.0, 3.0, 4.0], 4))
         assert np.all(_d_1form(omega, O) == 0.0)
 
     def test_fundamental_form_derivative(self, e2):
@@ -265,7 +269,7 @@ class TestExteriorDerivatives:
     def test_third_normalization(self):
         rows = [[0.0] * 4 for _ in range(4)]
         rows[0][1], rows[1][0] = "x3", "-x3"
-        phi = FieldSpec.from_entries(rows, 4)
+        phi = FieldSpec(4, exprs(rows, 4))
         d = coboundary_2form(phi.jets(np.zeros(4))[1])
         assert d[0, 1, 2] == pytest.approx(1.0 / 3.0)
 
@@ -294,10 +298,10 @@ class TestLieConnectionCurvature:
         assert np.abs(t - t.transpose(0, 2, 1)).max() < 1e-12
 
     def test_zero_and_linear_fields(self):
-        zero = FieldSpec.from_entries([0.0] * 4, 4)
+        zero = FieldSpec(4, exprs([0.0] * 4, 4))
         p, geo = np.ones(4), FLAT4.at(np.ones(4))
         assert np.all(lie_derivative_connection(geo, zero.jets(p)) == 0.0)
-        linear = FieldSpec.from_entries(["x1", 0.0, 0.0, 0.0], 4)
+        linear = FieldSpec(4, exprs(["x1", 0.0, 0.0, 0.0], 4))
         t = lie_derivative_connection(geo, linear.jets(p))
         assert np.abs(t).max() < 1e-12
 
@@ -316,12 +320,12 @@ class TestLieConnectionCurvature:
             assert np.abs(exact - reference).max() <= 1e-7 * scale
 
     def test_curvature_trivial_cases(self):
-        zero = FieldSpec.from_entries([0.0] * 4, 4)
+        zero = FieldSpec(4, exprs([0.0] * 4, 4))
         p, geo = np.ones(4), FLAT4.at(np.ones(4))
         assert np.abs(
             lie_derivative_curvature(geo, zero.jets(p))
         ).max() < 1e-10
-        const = FieldSpec.from_entries([1.0, 2.0, 0.0, 0.0], 4)
+        const = FieldSpec(4, exprs([1.0, 2.0, 0.0, 0.0], 4))
         assert np.abs(
             lie_derivative_curvature(geo, const.jets(p))
         ).max() < 1e-10
@@ -366,15 +370,13 @@ def _dense_metric(dim):
         ]
         for i in range(dim)
     ]
-    return MetricField.from_entries(rows, dim)
+    return MetricField.from_entries(exprs(rows, dim), dim)
 
 
 def _bent_field(dim):
     """Nonlinear and not Killing."""
-    return FieldSpec.from_entries(
-        [f"x{i + 1}*x{(i + 1) % dim + 1}+exp(0.3*x{(i + 2) % dim + 1})" for i in range(dim)],
-        dim,
-    )
+    entries = [f"x{i + 1}*x{(i + 1) % dim + 1}+exp(0.3*x{(i + 2) % dim + 1})" for i in range(dim)]
+    return FieldSpec(dim, exprs(entries, dim))
 
 
 _CONTRACTED_CASES = {
@@ -389,23 +391,21 @@ _CONTRACTED_CASES = {
 def _bent_tensor(dim):
     """A (1,1)-tensor field that is neither constant nor symmetric nor skew."""
     entry = "{:.2f}+0.4*x{}*x{}"
-    return FieldSpec.from_entries(
+    rows = [
         [
-            [
-                entry.format(0.3 * (k - j) + 0.1 * k * j + 0.2, k + 1, (j + 2) % dim + 1)
-                for j in range(dim)
-            ]
-            for k in range(dim)
-        ],
-        dim,
-    )
+            entry.format(0.3 * (k - j) + 0.1 * k * j + 0.2, k + 1, (j + 2) % dim + 1)
+            for j in range(dim)
+        ]
+        for k in range(dim)
+    ]
+    return FieldSpec(dim, exprs(rows, dim))
 
 
 def _with_f(g, f):
     """A structure with metric g and (1,1)-tensor f; Ric* reads only these two."""
     n, dim = (g.dim - 1) // 2, g.dim
-    unit = [FieldSpec.from_entries([1.0] * dim, dim)] * (dim - 2 * n)
-    Q = FieldSpec.from_entries(np.eye(dim), dim)
+    unit = [FieldSpec(dim, exprs([1.0] * dim, dim))] * (dim - 2 * n)
+    Q = FieldSpec(dim, exprs(np.eye(dim), dim))
     return WeakFManifold(n, dim - 2 * n, None, None, g, f, Q, tuple(unit), tuple(unit))
 
 
@@ -443,8 +443,7 @@ def test_one_geometry_build_per_point(monkeypatch):
     # every third-order quantity of ids 21-23 and lemma2 comes from the
     # geometry at the sample point itself, not from offset points
     m = model(build_example2(2, 3, 1.0, 1.0))
-    xibar = FieldSpec.from_entries([0.0] * 4 + [1.0] * 3, m.dim)
-    sol = SolitonData(lam=-4.0, mu=4.0, V=xibar)
+    m = with_soliton(m, -4.0, 4.0, V=FieldSpec(m.dim, exprs([0.0] * 4 + [1.0] * 3, m.dim)))
     builds = []
     init = Geometry.__init__
 
@@ -456,7 +455,7 @@ def test_one_geometry_build_per_point(monkeypatch):
     p = seeded_points(m.dim, count=1, seed=41)[0]
     st = m.at(p)
     audit_identities(st)
-    lemma2_audit(st, sol)
+    lemma2_audit(st)
     assert builds == [tuple(p.tolist())]
 
 
@@ -515,9 +514,8 @@ class TestFieldSpec:
                 assert np.array_equal(arr[k], part)  # derivative axes last
 
     def test_rank2_jets_match_entries(self):
-        field = FieldSpec.from_entries(
-            [["x1*x2", 0, "exp(x3)", 1], ["x4^2", "x1", 2, "x2*x3*x4"]] * 2, 4
-        )
+        rows = [["x1*x2", 0, "exp(x3)", 1], ["x4^2", "x1", 2, "x2*x3*x4"]] * 2
+        field = FieldSpec(4, exprs(rows, 4))
         v, d, d2, d3 = field.jets(self.P, order=3)
         assert v.shape == (4, 4) and d3.shape == (4,) * 5
         for i in range(4):
@@ -531,7 +529,7 @@ class TestFieldSpec:
     @pytest.mark.parametrize("third", [False, True])
     def test_batched_jets_match_points(self, third):
         rows = [["x1*x2", 0, "exp(x3)", 1], ["x4^2", "x1", 2, "x2"]] * 2
-        field = FieldSpec.from_entries(rows, 4)
+        field = FieldSpec(4, exprs(rows, 4))
         points = np.stack([self.P, -self.P, 2 * self.P])
         order = 3 if third else 2
         batch = field.jets(points, order)
@@ -544,8 +542,11 @@ class TestFieldSpec:
         "entries", [[0.0] * 3, [[0.0] * 4] * 3, [[0.0] * 3] * 4, [0.0, [0.0] * 4, 0.0, 0.0]]
     )
     def test_extents_must_equal_dim(self, entries):
-        with pytest.raises(ValueError):
-            FieldSpec.from_entries(entries, 4)
+        # the manifest reader checks every extent, as a (1,1)-tensor and as a vector
+        data = build_example2(1, 2, 1.0, 1.0)
+        for key, value in (("f", entries), ("soliton", {"lambda": 0, "mu": 0, "V": entries})):
+            with pytest.raises(ManifestError):
+                model({**data, key: value})
 
 
 _DENSE5_ROWS = [
@@ -559,7 +560,7 @@ def test_dense_metric_jets_each_entry_once(monkeypatch):
     # a dense symmetric dim-5 metric: 15 distinct entries, each one tape
     # output shared by its mirror; the build (order two) and d3g (order
     # three) are one tape run each
-    metric = MetricField.from_entries(_DENSE5_ROWS, 5)
+    metric = MetricField.from_entries(exprs(_DENSE5_ROWS, 5), 5)
     outputs = metric.tape.outputs
     assert len(set(outputs)) == 15
     pairs = [(5 * i + j, 5 * j + i) for i in range(5) for j in range(5)]
@@ -587,9 +588,10 @@ _SUPPORT_CASES = {
         model(build_twisted_product([1.0, 2.0, 3.0], 2, "exp(x7+x8)*(2+x1^2+x2*x3)")).metric,
         (0, 1, 2, 6, 7),
     ),
-    "dense5": (MetricField.from_entries(_DENSE5_ROWS, 5), (0, 1, 2, 3, 4)),
+    "dense5": (MetricField.from_entries(exprs(_DENSE5_ROWS, 5), 5), (0, 1, 2, 3, 4)),
     "constant4": (
-        MetricField.from_entries([[2], [0.3, 1.5], [0, -0.2, 1.8], [0.1, 0, 0, 1]], 4), (),
+        MetricField.from_entries(exprs([[2], [0.3, 1.5], [0, -0.2, 1.8], [0.1, 0, 0, 1]], 4), 4),
+        (),
     ),
 }
 

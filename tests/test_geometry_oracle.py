@@ -19,6 +19,8 @@ import pytest
 
 from wfk.geometry import FieldSpec, MetricField, lie_derivative_curvature
 
+from conftest import exprs
+
 sympy = pytest.importorskip("sympy")
 from sympy.polys.domains import RealField  # noqa: E402
 
@@ -205,8 +207,8 @@ def _compare(rows, field, p) -> dict:
     dim = len(rows)
     f = np.random.default_rng(dim).uniform(-1.0, 1.0, (dim, dim))
     assert np.abs(f - f.T).max() > 0.1
-    metric = MetricField.from_entries(rows, dim)
-    V = FieldSpec.from_entries(field, dim)
+    metric = MetricField.from_entries(exprs(rows, dim), dim)
+    V = FieldSpec(dim, exprs(field, dim))
     geo = metric.at(p)
     got = {
         "gamma": geo.gamma,
@@ -228,7 +230,7 @@ def test_metric_on_part_of_the_chart_matches_sympy():
         ["0.05*x3^2", "0.15*x2*x3", "2.2+0.2*x2*x3+0.4*exp(0.9*x2)"],
     ]
     _, field, p = _random_case(11, 3, False)
-    assert MetricField.from_entries(rows, 3).tape.support == (1, 2)
+    assert MetricField.from_entries(exprs(rows, 3), 3).tape.support == (1, 2)
     for name, (got, want) in _compare(rows, field, p).items():
         scale = np.abs(want).max()
         assert scale > 1e-3, name

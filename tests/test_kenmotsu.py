@@ -142,10 +142,11 @@ class TestTwistedProducts:
         assert np.all((1.5 <= twice / once) & (twice / once <= 2.5)), twice / once
 
     def test_audit_requires_twisted_builder(self, e2):
-        from wfk.kenmotsu import twisted_product_audit
+        # the audit reads sigma unguarded: on a model without one its ids are blocked
+        from wfk.checks import CheckContext, run_check_ids
 
-        with pytest.raises(ValueError):
-            twisted_product_audit(e2.at(O))
+        with pytest.raises(ValueError, match="twisted-product sigma"):
+            run_check_ids(CheckContext(e2), ["twisted.i"], [O])
 
 
 class TestEtaEinsteinFit:

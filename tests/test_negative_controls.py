@@ -74,9 +74,9 @@ def _residuals(cid, edit, gradient, eps):
     data = copy.deepcopy(_base(gradient))
     if eps:
         edit(data, eps)
-    m, soliton = manifold_from_manifest(data)[:2]
+    m = manifold_from_manifest(data)[0]
     points = seeded_points(m.dim, count=4, seed=3)
-    return run_check_ids(CheckContext(m, soliton), [cid], points)[cid]
+    return run_check_ids(CheckContext(m), [cid], points)[cid]
 
 
 @pytest.mark.parametrize("cid, edit, gradient", CONTROLS, ids=[c[0] for c in CONTROLS])

@@ -18,7 +18,7 @@ from wfk.star_soliton import (
     theorem4_residual,
 )
 
-from conftest import example_manifold, seeded_points
+from conftest import example_manifold, exprs, seeded_points, with_soliton
 
 O = np.zeros(4)
 GOLDEN = json.loads(
@@ -28,7 +28,7 @@ GOLDEN = json.loads(
 
 def _xibar_field(dim, s):
     comps = [0.0] * (dim - s) + [1.0] * s
-    return FieldSpec.from_entries(comps, dim)
+    return FieldSpec(dim, exprs(comps, dim))
 
 
 class TestGoldenValues:
@@ -47,11 +47,9 @@ class TestGoldenValues:
         )
         assert st.r_star == pytest.approx(oracle["r_star"])
 
-        sol = SolitonData(
-            lam=oracle["lambda"], mu=-oracle["lambda"], V=_xibar_field(m.dim, s)
-        )
-        assert soliton_residual(m.at(o), sol)["soliton.32"] < 1e-6
-        sign = {"expanding": -1, "steady": 0, "shrinking": 1}[sol.classification]
+        m = with_soliton(m, oracle["lambda"], -oracle["lambda"], V=_xibar_field(m.dim, s))
+        assert soliton_residual(m.at(o))["soliton.32"] < 1e-6
+        sign = {"expanding": -1, "steady": 0, "shrinking": 1}[m.soliton.classification]
         assert sign == np.sign(oracle["lambda"])
 
     @pytest.mark.parametrize(
@@ -96,89 +94,84 @@ class TestStarRicci:
 
 class TestVectorSolitons:
     def test_reference_instance(self, e2):
-        sol = SolitonData(lam=-2.0, mu=2.0, V=_xibar_field(4, 2))
+        m = with_soliton(e2, -2.0, 2.0, V=_xibar_field(4, 2))
         for p in seeded_points(4, count=3, seed=48):
-            residuals = soliton_residual(e2.at(p), sol)
+            residuals = soliton_residual(m.at(p))
             assert residuals["soliton.32"] < 1e-6
             assert residuals["soliton.33"] < 1e-6
-        assert sol.classification == "expanding"
+        assert m.soliton.classification == "expanding"
 
     def test_classical_instance(self):
-        m = example_manifold(1, 1, 1.0, 1.0)
-        sol = SolitonData(lam=-1.0, mu=1.0, V=_xibar_field(3, 1))
-        assert soliton_residual(m.at(np.zeros(3)), sol)["soliton.32"] < 1e-6
+        m = with_soliton(example_manifold(1, 1, 1.0, 1.0), -1.0, 1.0, V=_xibar_field(3, 1))
+        assert soliton_residual(m.at(np.zeros(3)))["soliton.32"] < 1e-6
 
     def test_zero_potential(self, e2):
-        zero = FieldSpec.from_entries([0.0] * 4, 4)
-        sol = SolitonData(lam=-4.0, mu=4.0, V=zero)
-        assert soliton_residual(e2.at(O), sol)["soliton.32"] < 1e-8
+        m = with_soliton(e2, -4.0, 4.0, V=FieldSpec(4, exprs([0.0] * 4, 4)))
+        assert soliton_residual(m.at(O))["soliton.32"] < 1e-8
 
 
 class TestGradientSolitons:
     def test_reeb_potential(self, e2):
-        v = ex.parse_expression("x3+x4", 4)
-        sol = SolitonData(lam=-2.0, mu=2.0, v=v)
+        m = with_soliton(e2, -2.0, 2.0, v=ex.parse_expression("x3+x4", 4))
         for p in seeded_points(4, count=3, seed=54):
             # the larger of the two forms of (75)
-            assert gradient_soliton_residual(e2.at(p), sol)["grad.75"] < 1e-6
+            assert gradient_soliton_residual(m.at(p))["grad.75"] < 1e-6
 
     def test_matches_vector_form(self, e2):
-        v = ex.parse_expression("x3+x4", 4)
-        grad_sol = SolitonData(lam=-2.0, mu=2.0, v=v)
-        vec_sol = SolitonData(lam=-2.0, mu=2.0, V=_xibar_field(4, 2))
+        grad_m = with_soliton(e2, -2.0, 2.0, v=ex.parse_expression("x3+x4", 4))
+        vec_m = with_soliton(e2, -2.0, 2.0, V=_xibar_field(4, 2))
         for p in seeded_points(4, count=3, seed=56):
-            g_res = gradient_soliton_residual(e2.at(p), grad_sol)["grad.75"]
-            v_res = soliton_residual(e2.at(p), vec_sol)["soliton.32"]
+            g_res = gradient_soliton_residual(grad_m.at(p))["grad.75"]
+            v_res = soliton_residual(vec_m.at(p))["soliton.32"]
             assert abs(g_res - v_res) < 1e-8
 
     def test_constant_potential(self, e2):
-        sol = SolitonData(lam=-4.0, mu=4.0, v=ex.const(3.0, 4))
-        assert gradient_soliton_residual(e2.at(O), sol)["grad.75"] < 1e-8
+        m = with_soliton(e2, -4.0, 4.0, v=ex.const(3.0, 4))
+        assert gradient_soliton_residual(m.at(O))["grad.75"] < 1e-8
 
     def test_steady_classical_case(self):
         m = example_manifold(1, 1, 1.0, 0.0)
-        sol = SolitonData(lam=0.0, mu=0.0, v=ex.parse_expression("x3", 3))
-        assert gradient_soliton_residual(m.at(np.zeros(3)), sol)["grad.75"] < 1e-6
-        assert sol.classification == "steady"
+        m = with_soliton(m, 0.0, 0.0, v=ex.parse_expression("x3", 3))
+        assert gradient_soliton_residual(m.at(np.zeros(3)))["grad.75"] < 1e-6
+        assert m.soliton.classification == "steady"
 
 
 class TestConstantsAndContact:
     def test_constants_relation(self, e2):
         tol = CATALOGUE["prop5"].tolerance
         for lam, mu, gap in ((-2.0, 2.0, 0.0), (0.0, 0.0, 0.0), (1.0, 1.0, 2.0)):
-            ctx = CheckContext(e2, SolitonData(lam=lam, mu=mu, V=_xibar_field(4, 2)))
+            ctx = CheckContext(with_soliton(e2, lam, mu, V=_xibar_field(4, 2)))
             (res,) = run_check_ids(ctx, ["prop5"], [O])["prop5"]
             assert res == pytest.approx(gap)
             assert (res <= tol) == (gap == 0.0)
 
     def test_reeb_sum_is_strict_contact(self, e2):
-        sigma, residual = contact_fit(e2.at(O), _xibar_field(4, 2))
+        sigma, residual = contact_fit(with_soliton(e2, -2.0, 2.0, V=_xibar_field(4, 2)).at(O))
         assert residual <= CATALOGUE["contact.65"].tolerance and abs(sigma) < 1e-12
 
     def test_transverse_coordinate_field(self, e2):
-        d1 = FieldSpec.from_entries([1.0, 0.0, 0.0, 0.0], 4)
-        sigma, residual = contact_fit(e2.at(O), d1)
+        d1 = FieldSpec(4, exprs([1.0, 0.0, 0.0, 0.0], 4))
+        sigma, residual = contact_fit(with_soliton(e2, 0.0, 0.0, V=d1).at(O))
         assert residual <= CATALOGUE["contact.65"].tolerance
         assert sigma == pytest.approx(0.0)
 
     def test_non_contact_field(self, e2):
-        V = FieldSpec.from_entries(["0", "0", "x1", "0"], 4)
-        _, residual = contact_fit(e2.at(O), V)
+        V = FieldSpec(4, exprs(["0", "0", "x1", "0"], 4))
+        _, residual = contact_fit(with_soliton(e2, 0.0, 0.0, V=V).at(O))
         assert not residual <= CATALOGUE["contact.65"].tolerance
 
 
 class TestLieDerivativeAudit:
     def test_classical_instance_matches(self):
-        m = example_manifold(1, 1, 1.0, 0.0)
-        sol = SolitonData(lam=0.0, mu=0.0, V=_xibar_field(3, 1))
-        residuals = lemma2_audit(m.at(np.zeros(3)), sol)
+        m = with_soliton(example_manifold(1, 1, 1.0, 0.0), 0.0, 0.0, V=_xibar_field(3, 1))
+        residuals = lemma2_audit(m.at(np.zeros(3)))
         assert residuals["lemma2.42"] < 1e-4
         assert residuals["lemma2.34"] < 1e-3
         assert residuals["lemma2.35"] < 1e-3
 
     def test_weak_instance_flags_connection_identity(self, e2):
-        sol = SolitonData(lam=-2.0, mu=2.0, V=_xibar_field(4, 2))
-        residuals = lemma2_audit(e2.at(O), sol)
+        m = with_soliton(e2, -2.0, 2.0, V=_xibar_field(4, 2))
+        residuals = lemma2_audit(m.at(O))
         # gap 2*s*c*beta^3 of the Reeb-slot connection identity
         assert residuals["lemma2.42"] == pytest.approx(4.0, abs=1e-6)
         assert residuals["lemma2.34"] < 1e-3
@@ -206,15 +199,31 @@ class TestValidation:
         rows = [[warp], ["0.3*x1", warp], [0, 0, 1], ["0.2*x2", 0, 0, 1]]
         m = WeakFManifold(
             n=1, s=2, beta=1.0, c=1.0,
-            metric=MetricField.from_entries(rows, 4),
+            metric=MetricField.from_entries(exprs(rows, 4), 4),
             f=e2.f, Q=e2.Q, xi=e2.xi, eta=e2.eta,
+            soliton=SolitonData(lam=-2.0, mu=2.0, V=_xibar_field(4, 2)),
         )
-        sol = SolitonData(lam=-2.0, mu=2.0, V=_xibar_field(4, 2))
         p = np.array([0.3, 0.2, -0.1, 0.2])
         with pytest.raises(ValueError, match="not symmetric"):
-            soliton_residual(m.at(p), sol)
+            soliton_residual(m.at(p))
 
     def test_dimension_mismatch(self, e2):
-        sol = SolitonData(lam=0.0, mu=0.0, V=_xibar_field(3, 1))
-        with pytest.raises(ValueError):
-            soliton_residual(e2.at(O), sol)
+        # the model checks its potential's dimension once, when it is built
+        for potential in ({"V": _xibar_field(3, 1)}, {"v": ex.parse_expression("x3", 3)}):
+            with pytest.raises(ValueError, match="potential dimension"):
+                with_soliton(e2, 0.0, 0.0, **potential)
+
+    @pytest.mark.parametrize(
+        "potential, cid",
+        [("v", "soliton.32"), ("v", "contact.65"), ("v", "lemma2.42"), ("V", "grad.75"),
+         (None, "prop5")],
+    )
+    def test_a_check_without_its_potential_is_blocked(self, e2, potential, cid):
+        # the soliton functions read the model's potential unguarded; an id
+        # whose potential is missing is blocked before any of them runs
+        given = {"v": ex.parse_expression("x3+x4", 4), "V": _xibar_field(4, 2)}
+        m = e2
+        if potential is not None:
+            m = with_soliton(e2, -2.0, 2.0, **{potential: given[potential]})
+        with pytest.raises(ValueError, match="need data this manifest does not provide"):
+            run_check_ids(CheckContext(m), [cid], [O])

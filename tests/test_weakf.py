@@ -14,7 +14,7 @@ from wfk.weakf import (
     wedge_1form_2form,
 )
 
-from conftest import diagonal_metric, example_manifold, model, seeded_points
+from conftest import diagonal_metric, example_manifold, exprs, model, seeded_points
 from reference_forms import fundamental_form_field
 
 O = np.zeros(4)
@@ -35,7 +35,7 @@ class TestAxioms:
     def test_wrong_q_breaks_square_axiom(self, e2):
         broken = WeakFManifold(
             n=1, s=2, beta=1.0, c=1.0, metric=e2.metric, f=e2.f,
-            Q=FieldSpec.from_entries(np.eye(4).tolist(), 4),
+            Q=FieldSpec(4, exprs(np.eye(4), 4)),
             xi=e2.xi, eta=e2.eta,
         )
         assert check_axioms(broken.at(O))["axiom.5"] == pytest.approx(1.0)  # = c
@@ -63,7 +63,7 @@ class TestNijenhuis:
             assert np.abs(nijenhuis_tensor(st, st.f, st.df)).max() < 1e-8
 
     def test_identity_tensor(self, e2):
-        ident, d_ident, _ = FieldSpec.from_entries(np.eye(4).tolist(), 4).jets(O)
+        ident, d_ident, _ = FieldSpec(4, exprs(np.eye(4), 4)).jets(O)
         assert np.abs(nijenhuis_tensor(e2.at(O), ident, d_ident)).max() < 1e-12
 
     def test_flat_rotation(self):
