@@ -9,6 +9,7 @@ manifest and seed; `--reproducible` suppresses the timestamp.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import datetime
 import errno
 import hashlib
@@ -16,6 +17,7 @@ import json
 import math
 import os
 import sys
+from itertools import accumulate, chain
 
 import numpy as np
 
@@ -56,7 +58,8 @@ _DEFAULT_SAMPLE = {"count": 5, "seed": 42, "box": [-0.5, 0.5]}
 # full catalogue of example2, tracemalloc measures a peak of 12.8 MiB at dim 21.
 _MAX_DIM = 21
 # Every point adds a record per check id (41 ids, up to ~600 bytes of JSON
-# each at dim 21), so a report stays within about 50 MiB.
+# each at dim 21), so a report file stays within about 50 MiB; it is written
+# an id's records at a time, so the cap bounds the file, not the memory.
 _MAX_POINTS = 2000
 # count * dim^5 bound, e.g. at most 108 points at dim 15.  Fields are jetted
 # a chunk at a time, so memory does not grow with the count (a full-catalogue
@@ -319,49 +322,33 @@ def sample_points(dim: int, sample: dict) -> np.ndarray:
     return np.random.default_rng(seed).uniform(lo, hi, (count, dim))
 
 
-def _number(x: float) -> str:
-    """``x`` rounded to 15 significant digits, as :mod:`json` writes that float."""
-    x = float(f"{x:.15g}")
-    if x != x:
-        return "NaN"
-    if x in (math.inf, -math.inf):
-        return "Infinity" if x > 0 else "-Infinity"
-    return repr(x)
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
-def _report_json(head: dict, points, checks, tail: dict) -> tuple[str, dict]:
-    """The text of a report, and its summary.
+def _numbers(xs) -> list[str]:
+    """Each float of ``xs`` rounded to 15 significant digits, as :mod:`json`
+    writes that float; each step is one ``map``, a loop in C."""
+    texts = list(map(repr, map(float, map("%.15g".__mod__, xs))))
+    return list(map(_NON_FINITE.get, texts, texts))
 
-    The text is ``json.dumps(report, indent=2)`` of ``head``, then "checks":
-    a record an id and point with the id, the point, the residual, the
-    tolerance (numbers rounded to 15 significant digits), whether it passed
-    (``residual <= tolerance``; NaN fails) and the id's audit flag; then
-    "summary": the passed and failed checks and the flagged (not passed)
+
+def _report_json(head: dict, points, checks, tail: dict):
+    """The pieces of a report's text, an id's records a piece, and its summary.
+
+    The pieces join to ``json.dumps(report, indent=2)`` of ``head``, then
+    "checks": a record an id and point with the id, the point, the residual,
+    the tolerance (numbers rounded to 15 significant digits), whether it
+    passed (``residual <= tolerance``; NaN fails) and the id's audit flag;
+    then "summary": the passed and failed checks and the flagged (not passed)
     audits; then ``tail``.  ``checks`` gives ``(id, residual at each point,
     tolerance, audit)`` in record order.  ``indent`` selects json's
     pure-Python encoder, which costs more than the checks themselves on
-    large runs, so the records are written from their fixed layout.
+    large runs, so the records are put together from their fixed layout,
+    and no Python code runs once per record.
     """
-    blocks = [
-        "[\n" + ",\n".join(f"        {_number(x)}" for x in p) + "\n      ]" if len(p) else "[]"
-        for p in points
-    ]
-    literal = ("false", "true")
     summary = {"pass": 0, "fail": 0, "flagged": 0}
-    records = []
-    memo: dict = {}  # (residual, its sign) -> text, so -0.0 stays apart from 0.0
-
-    def number(x: float) -> str:
-        """:func:`_number`, once per distinct residual; NaN is never kept."""
-        if x != x:
-            return _number(x)
-        key = (x, math.copysign(1.0, x))
-        text = memo.get(key)
-        if text is None:
-            text = memo[key] = _number(x)
-        return text
-
-    for cid, column, tol, audit in checks:
+    verdicts = []
+    for _, column, tol, audit in checks:
         passed = column <= tol
         n_pass = int(np.count_nonzero(passed))
         if audit:
@@ -369,21 +356,47 @@ def _report_json(head: dict, points, checks, tail: dict) -> tuple[str, dict]:
         else:
             summary["pass"] += n_pass
             summary["fail"] += len(column) - n_pass
-        start = f'    {{\n      "id": {json.dumps(cid)},\n      "point": '
-        middle = f',\n      "tolerance": {_number(tol)},\n      "pass": '
-        end = f',\n      "audit": {literal[audit]}\n    }}'
-        records += [
-            f'{start}{block},\n      "residual": {number(r)}{middle}{literal[ok]}{end}'
-            for block, r, ok in zip(blocks, column.tolist(), passed.tolist())
+        verdicts.append(passed.tolist())
+
+    def field(key, val) -> str:
+        return f"  {json.dumps(key)}: " + json.dumps(val, indent=2).replace("\n", "\n  ")
+
+    def pieces():
+        any_record = any(verdicts)
+        yield "{\n" + "".join(field(k, v) + ",\n" for k, v in head.items()) + (
+            '  "checks": [' if any_record else '  "checks": []'
+        )
+        rows = points.tolist() if isinstance(points, np.ndarray) else points
+        coords = _numbers(chain.from_iterable(rows))
+        ends = list(accumulate(map(len, rows)))
+        sep, then = ",\n        ", ',\n      "residual": '
+        blocks = [
+            f"[\n        {sep.join(coords[a:b])}\n      ]{then}" if a < b else "[]" + then
+            for a, b in zip([0, *ends], ends)
         ]
-    fields = []
-    for key, val in {**head, "checks": records, "summary": summary, **tail}.items():
-        if key == "checks":
-            text = "[\n" + ",\n".join(records) + "\n  ]" if records else "[]"
-        else:
-            text = json.dumps(val, indent=2).replace("\n", "\n  ")
-        fields.append(f"  {json.dumps(key)}: {text}")
-    return "{\n" + ",\n".join(fields) + "\n}", summary
+        # each distinct residual is formatted once; its bits keep -0.0 apart from 0.0
+        every = np.concatenate([np.empty(0), *(c[1] for c in checks)])
+        bits, at = np.unique(every.view(np.int64), return_inverse=True)
+        residuals = list(map(_numbers(bits.view(np.float64).tolist()).__getitem__, at.tolist()))
+        literal, lead, start = ("false", "true"), "\n", 0  # lead: before the first record
+        for (cid, _, tol, audit), passed in zip(checks, verdicts):
+            if not passed:
+                continue
+            opening = f'    {{\n      "id": {json.dumps(cid)},\n      "point": '
+            middle = f',\n      "tolerance": {_numbers([tol])[0]},\n      "pass": '
+            closings = [f'{middle}{ok},\n      "audit": {literal[audit]}\n    }}' for ok in literal]
+            parts = [",\n" + opening] * (4 * len(passed))
+            parts[0] = lead + opening
+            parts[1::4] = blocks
+            parts[2::4] = residuals[start : start + len(passed)]
+            parts[3::4] = map(closings.__getitem__, passed)
+            lead, start = ",\n", start + len(passed)
+            yield "".join(parts)
+        yield ("\n  ]" if any_record else "") + "".join(
+            ",\n" + field(k, v) for k, v in {"summary": summary, **tail}.items()
+        ) + "\n}"
+
+    return pieces(), summary
 
 
 def run_check(args) -> int:
@@ -433,23 +446,39 @@ def run_check(args) -> int:
     tail = {}
     if not args.reproducible:
         tail["generated_at"] = datetime.datetime.now(datetime.timezone.utc).isoformat()
-    text, summary = _report_json(
+    pieces, summary = _report_json(
         {"tool": f"wfk {__version__}", "manifest_digest": digest}, points, checks, tail
     )
-    _write(text + "\n", args.out)
+    _write(chain(pieces, ["\n"]), args.out)
     return 0 if summary["fail"] == 0 else 1
 
 
-def _write(text: str, out: str | None) -> None:
-    """``text`` to the file ``out``, or to stdout without one."""
-    if not out:
-        sys.stdout.write(text)
-        return
+def _write(pieces, out: str | None) -> None:
+    """The text ``pieces``, in order, to the file ``out``, or to stdout without
+    one.  A failed write is bad output, and leaves no partial file."""
     try:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        if not out:
+            try:
+                sys.stdout.writelines(pieces)
+                sys.stdout.flush()
+            except OSError:
+                # what stdout still buffers would fail again at exit: send it nowhere
+                with contextlib.suppress(OSError):  # a stdout without a descriptor
+                    fd = sys.stdout.fileno()
+                    os.dup2(os.open(os.devnull, os.O_WRONLY), fd)
+                raise
+        else:
+            fh = open(out, "w", encoding="utf-8")
+            try:
+                with fh:
+                    fh.writelines(pieces)
+            except OSError:
+                if os.path.isfile(out):  # the partial report; never a device
+                    with contextlib.suppress(OSError):
+                        os.remove(out)
+                raise
     except OSError as err:
-        raise ManifestError(f"cannot write {out}: {err.strerror or err}") from err
+        raise ManifestError(f"cannot write {out or '<stdout>'}: {err.strerror or err}") from err
 
 
 # ---------------------------------------------------------------------------
@@ -466,7 +495,7 @@ def emit_example2(args) -> int:
     lam = _bounded(args.s * beta - args.s * (1.0 + c) * beta**2, "soliton.lambda", MAX_FIELD)
     soliton = {"lambda": lam, "mu": -lam, "V": [0] * (2 * args.n) + [1] * args.s}  # V = xibar
     manifest = {"version": SCHEMA_VERSION, **data, "soliton": soliton}
-    _write(json.dumps(manifest, indent=2) + "\n", args.out)
+    _write([json.dumps(manifest, indent=2) + "\n"], args.out)
     return 0
 
 
@@ -491,7 +520,7 @@ def emit_twisted(args) -> int:
         raise ManifestError(
             f"fiber data does not satisfy the structure axioms (residual {worst:.2e})"
         )
-    _write(json.dumps({"version": SCHEMA_VERSION, **data}, indent=2) + "\n", args.out)
+    _write([json.dumps({"version": SCHEMA_VERSION, **data}, indent=2) + "\n"], args.out)
     return 0
 
 

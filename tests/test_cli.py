@@ -1,8 +1,12 @@
 import contextlib
+import errno
 import hashlib
 import io
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -518,6 +522,92 @@ class TestUnwritableOutput:
         )
         assert list(tmp_path.iterdir()) == []
 
+    @staticmethod
+    def _run(argv, unbuffered="", **kwargs):
+        """``wfk argv`` in a subprocess under a 64 KiB file-size limit; stdout
+        is buffered, as in a shell, unless ``unbuffered``."""
+        code = (
+            "import resource, runpy, sys\n"
+            "resource.setrlimit(resource.RLIMIT_FSIZE, (65536, resource.RLIM_INFINITY))\n"
+            "sys.argv = ['wfk', *sys.argv[1:]]\n"
+            "runpy.run_module('wfk.cli', run_name='__main__')\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(pathlib.Path(cli.__file__).parents[1])}
+        env["PYTHONUNBUFFERED"] = unbuffered
+        return subprocess.run(
+            [sys.executable, "-c", code, *argv], env=env, stderr=subprocess.PIPE,
+            text=True, timeout=300, **kwargs,
+        )
+
+    def test_a_failed_write_leaves_no_partial_file(self, manifest_path, tmp_path):
+        """A file-size limit stops the report part way: one error line, exit
+        2, and the partial report is removed."""
+        out = tmp_path / "r.json"
+        argv = ["check", manifest_path, "--points", "20", "--reproducible", "--out", str(out)]
+        run = self._run(argv, stdout=subprocess.DEVNULL)
+        assert run.returncode == 2
+        assert run.stderr == f"error: cannot write {out}: File too large\n"
+        assert list(tmp_path.iterdir()) == [pathlib.Path(manifest_path)]
+
+    @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("target", ["file", "full", "pipe"])
+    def test_stdout_that_cannot_take_the_report(
+        self, manifest_path, tmp_path, target, unbuffered
+    ):
+        """Stdout that takes part of the report and then fails (a file at its
+        size limit), or none of it (``/dev/full``, a pipe whose reader has
+        closed): exit 2 and one error line, and what stdout still buffers
+        does not fail again at exit."""
+        if target == "file":
+            fd, reason = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT), "File too large"
+        elif target == "full":
+            if not os.path.exists("/dev/full"):
+                pytest.skip("no /dev/full")
+            fd, reason = os.open("/dev/full", os.O_WRONLY), "No space left on device"
+        else:
+            reader, fd = os.pipe()
+            os.close(reader)
+            reason = "Broken pipe"
+        try:
+            run = self._run(
+                ["check", manifest_path, "--points", "20", "--reproducible"], unbuffered, stdout=fd
+            )
+        finally:
+            os.close(fd)
+        assert run.returncode == 2
+        assert run.stderr == f"error: cannot write <stdout>: {reason}\n"
+
+    def test_a_device_is_never_removed(self, manifest_path, capsys, monkeypatch):
+        if not os.path.exists("/dev/full"):
+            pytest.skip("no /dev/full")
+        removed = []
+        monkeypatch.setattr(os, "remove", removed.append)
+        assert main(["check", manifest_path, "--points", "1", "--out", "/dev/full"]) == 2
+        assert capsys.readouterr().err == (
+            "error: cannot write /dev/full: No space left on device\n"
+        )
+        assert removed == []
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["check", None, "--points", "1"], ["example2", "1", "2", "1.0", "1.0"]],
+        ids=["check", "example2"],
+    )
+    def test_stdout_write_errors(self, manifest_path, capsys, monkeypatch, argv):
+        """A full disk under stdout is exit 2 with one error line, not a
+        traceback."""
+
+        class Full(io.StringIO):
+            def write(self, text):
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(sys, "stdout", Full())
+        argv = [manifest_path if arg is None else arg for arg in argv]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            "error: cannot write <stdout>: No space left on device\n"
+        )
+
 
 class TestListChecks:
     def test_catalogue_is_complete(self, capsys):
@@ -985,6 +1075,12 @@ def _dict_layout(head, points, checks, tail):
     return {**head, "checks": records, "summary": summary, **tail}
 
 
+def _report(head, points, checks, tail):
+    """The writer's pieces, as a list, and its summary."""
+    pieces, summary = cli._report_json(head, points, checks, tail)
+    return list(pieces), summary
+
+
 class TestReportWriter:
     @settings(max_examples=200, deadline=None)
     @given(
@@ -996,9 +1092,9 @@ class TestReportWriter:
         points, checks = run
         head = {"tool": tool, "manifest_digest": "ab" * 32}
         tail = {} if generated_at is None else {"generated_at": generated_at}
-        text, summary = cli._report_json(head, points, checks, tail)
+        pieces, summary = _report(head, points, checks, tail)
         report = _dict_layout(head, points, checks, tail)
-        assert text == json.dumps(report, indent=2)
+        assert "".join(pieces) == json.dumps(report, indent=2)
         assert summary == report["summary"]
 
     def test_special_values(self):
@@ -1018,10 +1114,39 @@ class TestReportWriter:
         points = [[float(k)] for k in range(len(column))]
         runs.append((points, [("a", column, 0.5, False), ("b", tail, 0.0, True)]))
         for points, checks in runs:
-            text, summary = cli._report_json(head, points, checks, {})
+            pieces, summary = _report(head, points, checks, {})
             report = _dict_layout(head, points, checks, {})
-            assert text == json.dumps(report, indent=2)
+            assert "".join(pieces) == json.dumps(report, indent=2)
             assert summary == report["summary"]
+
+    @pytest.mark.parametrize(
+        "points, checks",
+        [
+            (np.empty((0, 3)), [("a", np.empty(0), 1e-8, False), ("b", np.empty(0), 1.0, True)]),
+            (np.zeros((2, 3)), []),
+        ],
+        ids=["no-points", "no-ids"],
+    )
+    def test_a_run_without_records_writes_an_empty_list(self, points, checks):
+        pieces, summary = _report({"tool": "wfk"}, points, checks, {})
+        text = "".join(pieces)
+        assert '\n  "checks": [],\n' in text
+        assert json.loads(text) == {"tool": "wfk", "checks": [], "summary": summary}
+        assert summary == {"pass": 0, "fail": 0, "flagged": 0}
+
+    def test_a_piece_holds_at_most_one_ids_records(self):
+        """The report is written as it is formatted: a head piece, one piece
+        of records an id, and a tail piece; no piece holds the whole text."""
+        points = np.random.default_rng(0).uniform(-1, 1, (30, 8))
+        column = np.linspace(0.0, 1e-6, 30)
+        checks = [(cid, column, 5e-7, cid == "c") for cid in ("a", "b", "c")]
+        pieces, _ = _report({"tool": "wfk"}, points, checks, {})
+        report = _dict_layout({"tool": "wfk"}, points, checks, {})
+        assert len(pieces) == len(checks) + 2
+        for piece, (cid, *_) in zip(pieces[1:-1], checks):
+            records = json.loads("[" + piece.lstrip(",") + "]")
+            assert records == [rec for rec in report["checks"] if rec["id"] == cid]
+        assert max(len(pieces[0]), len(pieces[-1])) < min(map(len, pieces[1:-1]))
 
 
 def _verdicts(report):
