@@ -9,14 +9,10 @@ that the gradient potential v = sum of the Reeb coordinates gives the same data.
 
 import numpy as np
 
-from wfk.checks import CATALOGUE
+from wfk.checks import CATALOGUE, CheckContext
 from wfk.cli import manifold_from_manifest
 from wfk.kenmotsu import build_example2
-from wfk.star_soliton import (
-    gradient_soliton_residual,
-    soliton_residual,
-    star_eta_einstein_fit,
-)
+from wfk.star_soliton import star_eta_einstein_fit
 
 
 def main():
@@ -41,7 +37,7 @@ def main():
           f"(predicted {a_pred:+.6f}, {b_pred:+.6f})")
 
     sol = m.soliton
-    res = soliton_residual(m.at(np.array(points)))  # the three points as one chunk
+    res = CheckContext(m).group_reports("soliton", m.at(np.array(points)))  # one chunk
     print(f"\nclosed-form soliton constants for V = xibar: "
           f"lambda = {sol.lam:+.6f}, mu = {sol.mu:+.6f}")
     for cid in ("soliton.32", "soliton.33"):
@@ -52,7 +48,7 @@ def main():
 
     grad_sol = {"lambda": sol.lam, "mu": sol.mu, "v": "x3+x4"}
     grad_m = manifold_from_manifest({**data, "soliton": grad_sol})[0]
-    grad = gradient_soliton_residual(grad_m.at(points[0]))["grad.75"]
+    grad = CheckContext(grad_m).group_reports("grad", grad_m.at(points[0]))["grad.75"]
     print(f"gradient potential v = x3+x4: residual {grad:.1e} "
           f"({grad_m.soliton.classification})")
 

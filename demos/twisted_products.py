@@ -10,15 +10,16 @@ characterize the twisted form.
 
 import numpy as np
 
+from wfk.checks import CheckContext
 from wfk.cli import manifold_from_manifest
-from wfk.kenmotsu import build_twisted_product, kenmotsu_residual, twisted_product_audit
+from wfk.kenmotsu import build_twisted_product
 
 
 def audit(label, m, points):
     print(f"\n{label} (dim {m.dim}, inferred beta at origin: "
           f"{m.beta:+.3f})")
     for p in points:
-        residuals = twisted_product_audit(m.at(p))
+        residuals = CheckContext(m).group_reports("twisted", m.at(p))
         rel = ", ".join(f"{cid} {r:.1e}" for cid, r in residuals.items())
         print(f"  p = {np.round(p, 3)}: {rel}")
 
@@ -30,8 +31,8 @@ def main():
     m1 = manifold_from_manifest(build_twisted_product([1.0], 1, "exp(x3)"))[0]
     audit("exponential twist over a flat plane", m1,
           [rng.uniform(-0.5, 0.5, 3) for _ in range(2)])
-    print(f"  nabla-f residual: "
-          f"{kenmotsu_residual(m1.at(rng.uniform(-0.5, 0.5, 3)))['kenmotsu.12']:.1e}")
+    k = CheckContext(m1).group_reports("kenmotsu", m1.at(rng.uniform(-0.5, 0.5, 3)))
+    print(f"  nabla-f residual: {k['kenmotsu.12']:.1e}")
 
     # two rotation factors with different scales: a genuinely weak structure
     m2 = manifold_from_manifest(build_twisted_product([1.0, 2.0], 2, "exp(x5+x6)"))[0]

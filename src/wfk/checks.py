@@ -1,11 +1,13 @@
 """Registry of named identity checks shared by the CLI and the test suite.
 
 ``CATALOGUE`` is the one table of checks: each id names its group, whose
-runner calls the library function that produces the id's residual, its
-default tolerance, whether it is an audit, and what manifold data it
-requires.  The tolerances are stated here and nowhere else.  Running checks
-yields residuals only; the CLI's report writer compares them with the
-tolerances.  Audit checks report discrepancies without ever failing a run.
+runner calls the library function that produces the tensor that must vanish
+for the id, its default tolerance, whether it is an audit, and what
+manifold data it requires.  The tolerances are stated here and nowhere
+else.  ``CheckContext._run_group`` measures every tensor with
+``tensor_residual``, so running checks yields residuals only; the CLI's
+report writer compares them with the tolerances.  Audit checks report
+discrepancies without ever failing a run.
 """
 from __future__ import annotations
 
@@ -28,7 +30,7 @@ from .star_soliton import (
     star_symmetry_gate,
     theorem4_residual,
 )
-from .weakf import StructureAtPoint, WeakFManifold, check_axioms, theorem1_check
+from .weakf import StructureAtPoint, WeakFManifold, check_axioms, tensor_residual, theorem1_check
 
 __all__ = ["CheckSpec", "CheckContext", "CATALOGUE", "applicable_ids", "run_check_ids"]
 
@@ -51,11 +53,11 @@ _REQUIRES = {
 }
 
 
-# group -> runner(structure) returning the group's residuals,
-# {id: residual}, each with the structure's batch shape or one value for the
-# whole run (prop5).  Runners look the library functions up when called, so a
-# function patched on this module (as the perfbench tracer does) is the one
-# that runs.
+# group -> runner(structure) returning the group's tensors that must vanish,
+# {id: tensor}, each with the structure's batch axes in front, or one value
+# for the whole run (prop5).  Runners look the library functions up when
+# called, so a function patched on this module (as the perfbench tracer does)
+# is the one that runs.
 _RUNNERS = {
     "axioms": lambda st: check_axioms(st),
     "theorem1": lambda st: theorem1_check(st),
@@ -68,8 +70,8 @@ _RUNNERS = {
     "soliton": lambda st: soliton_residual(st),
     "grad": lambda st: gradient_soliton_residual(st),
     # Proposition 5: the constants of a genuine soliton satisfy lam + mu = 0
-    "prop5": lambda st: {"prop5": abs(st.m.soliton.lam + st.m.soliton.mu)},
-    "contact": lambda st: {"contact.65": contact_fit(st)[1]},
+    "prop5": lambda st: {"prop5": st.m.soliton.lam + st.m.soliton.mu},
+    "contact": lambda st: contact_fit(st),
     "lemma2": lambda st: lemma2_audit(st),
 }
 
@@ -120,11 +122,11 @@ class CheckContext:
 
     def group_reports(self, group: str, st: StructureAtPoint) -> dict:
         """The residuals of one group at a structure of this context's
-        manifold, ``{id: residual}``."""
+        manifold, ``{id: residual}``, one residual a point."""
         return self._run_group(group, st)
 
     def _run_group(self, group: str, st: StructureAtPoint) -> dict:
-        return _RUNNERS[group](st)
+        return {cid: tensor_residual(t, st.lead) for cid, t in _RUNNERS[group](st).items()}
 
 
 def applicable_ids(ctx: CheckContext) -> list[str]:

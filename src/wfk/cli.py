@@ -28,7 +28,7 @@ from .expr import ExprAst, ExprDomainError, ExprError
 from .geometry import FieldSpec, MetricError, MetricField
 from .kenmotsu import build_example2, build_twisted_product
 from .star_soliton import SolitonData
-from .weakf import MAX_FIELD, WeakFManifold, check_axioms
+from .weakf import MAX_FIELD, WeakFManifold
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -219,7 +219,8 @@ def manifold_from_manifest(data: dict):
         beta = folded
     if beta is not None:
         beta = _bounded(beta, "beta", _MAX_BETA)
-    c = None if data.get("c") is None else _finite_number(data["c"], "c")
+    if data.get("c") is not None:  # the emitters write it; no check reads it
+        _finite_number(data["c"], "c")
 
     metric_rows = _parse_matrix(data.get("metric"), dim, "metric", lower=True)
     metric = MetricField.from_entries(metric_rows, dim)
@@ -256,7 +257,7 @@ def manifold_from_manifest(data: dict):
             soliton = SolitonData(lam=lam, mu=mu, v=_parse_entry(sol_raw["v"], dim, "soliton.v"))
 
     m = WeakFManifold(
-        n=n, s=s, beta=beta, c=c, metric=metric, f=f, Q=q, xi=xi, eta=eta, sigma=sigma,
+        n=n, s=s, beta=beta, metric=metric, f=f, Q=q, xi=xi, eta=eta, sigma=sigma,
         soliton=soliton,
     )
     # dual-basis validation at the origin, on the model the run uses
@@ -514,7 +515,7 @@ def emit_twisted(args) -> int:
     except ValueError as err:
         raise ManifestError(str(err)) from err
     m = manifold_from_manifest(data)[0]  # bounds the beta inferred from sigma, too
-    axioms = check_axioms(m.at(np.zeros(m.dim)))
+    axioms = CheckContext(m).group_reports("axioms", m.at(np.zeros(m.dim)))
     if not all(res <= CATALOGUE[cid].tolerance for cid, res in axioms.items()):
         worst = max(axioms.values())
         raise ManifestError(

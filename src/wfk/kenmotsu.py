@@ -62,20 +62,15 @@ class EinsteinFit:
 # defining condition
 
 
-def _nabla_f_residual(st: StructureAtPoint) -> np.ndarray:
-    """(nabla_a f)^k_b - beta { (f^m_a g_mb) xibar^k - etabar_b f^k_a }."""
-    lhs = st.nabla_f  # [k, b, a]
+def kenmotsu_residual(st: StructureAtPoint) -> dict:
+    """The defining nabla-f condition, ``{"kenmotsu.12": tensor}``:
+    (nabla_a f)^k_b - beta { (f^m_a g_mb) xibar^k - etabar_b f^k_a }."""
     gf = contract("...ma,...mb->...ab", st.f, st.geo.g)
     rhs = st.m.beta * (
         np.einsum("...ab,...k->...kba", gf, st.xibar)
         - np.einsum("...b,...ka->...kba", st.etabar, st.f)
     )
-    return lhs - rhs
-
-
-def kenmotsu_residual(st: StructureAtPoint) -> dict:
-    """Residual of the defining nabla-f condition, ``{"kenmotsu.12": residual}``."""
-    return {"kenmotsu.12": st.residual(_nabla_f_residual(st))}
+    return {"kenmotsu.12": st.nabla_f - rhs}  # [k, b, a]
 
 
 # ---------------------------------------------------------------------------
@@ -231,8 +226,8 @@ IDENTITY_IDS = tuple(_IDENTITIES)
 
 
 def audit_identities(st: StructureAtPoint) -> dict:
-    """Residuals of the curvature/connection identity catalogue, ``{"id.N": residual}``."""
-    return {f"id.{i}": st.residual(_IDENTITIES[i](st, st.m.beta)) for i in IDENTITY_IDS}
+    """The curvature/connection identity catalogue, ``{"id.N": tensor}``."""
+    return {f"id.{i}": _IDENTITIES[i](st, st.m.beta) for i in IDENTITY_IDS}
 
 
 # ---------------------------------------------------------------------------
@@ -342,12 +337,10 @@ def twisted_product_audit(st: StructureAtPoint) -> dict:
     ghat_inv = np.linalg.inv(st.geo.g[..., :two_n, :two_n])
     core = st.geo.core[..., :two_n, :two_n, :two_n]
     gam_hat = 0.5 * contract("...kl,...lij->...kij", ghat_inv, core)
-    res_iii = st.residual(st.geo.gamma[..., :two_n, :two_n, :two_n] - gam_hat)
-
     return {
-        "twisted.i": st.residual(_id14(st, rate)),
-        "twisted.ii": st.residual(_id15(st, rate)),
-        "twisted.iii": res_iii,
+        "twisted.i": _id14(st, rate),
+        "twisted.ii": _id15(st, rate),
+        "twisted.iii": st.geo.gamma[..., :two_n, :two_n, :two_n] - gam_hat,
     }
 
 

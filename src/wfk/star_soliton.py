@@ -12,10 +12,11 @@ built for it.  The closed-form relation to the ordinary Ricci
 tensor on the Kenmotsu class is a checked identity (``theorem4_residual``),
 never an input.
 
-Every check here returns ``{check id: residual}``, one residual a point.
-(33) and the operator form of (75) are transcribed as printed, not derived
-from (32), so their coefficients are checked too; grad.75 is the larger of
-the two forms of (75).  The soliton checks read the model's soliton
+Every check here returns ``{check id: tensor}``, the tensor that must
+vanish, which ``wfk.checks`` measures.  (33) and the operator form of (75)
+are transcribed as printed, not derived from (32), so their coefficients
+are checked too; grad.75 stacks the two forms of (75), so its residual is
+the larger of theirs.  The soliton checks read the model's soliton
 (``WeakFManifold.soliton``), whose type depends on lambda alone
 (``SolitonData.classification``).
 """
@@ -36,7 +37,7 @@ from .geometry import (
     lie_derivative_metric,
 )
 from .kenmotsu import EinsteinFit
-from .weakf import StructureAtPoint
+from .weakf import StructureAtPoint, tensor_residual
 
 __all__ = [
     "SolitonData",
@@ -85,16 +86,16 @@ class SolitonData:
 # *-Ricci tensor
 
 
-def _asymmetry(st: StructureAtPoint):
-    """The antisymmetric part of Ric*, per point."""
-    return st.residual(st.ric_star - np.swapaxes(st.ric_star, -1, -2))
+def _asymmetry(st: StructureAtPoint) -> np.ndarray:
+    """Ric* minus its transpose."""
+    return st.ric_star - np.swapaxes(st.ric_star, -1, -2)
 
 
 def star_symmetry_gate(st: StructureAtPoint) -> dict:
-    """``{"star.def": residual}``: the larger of the antisymmetric part of
-    Ric* and the commutator of Q with the Ricci operator."""
+    """``{"star.def": tensor}``: the antisymmetric part of Ric* and the
+    commutator of Q with the Ricci operator, stacked."""
     rs = st.geo.ric_sharp
-    return {"star.def": np.maximum(_asymmetry(st), st.residual(st.Q @ rs - rs @ st.Q))}
+    return {"star.def": np.stack((_asymmetry(st), st.Q @ rs - rs @ st.Q), axis=-3)}
 
 
 def theorem4_residual(st: StructureAtPoint) -> dict:
@@ -112,10 +113,7 @@ def theorem4_residual(st: StructureAtPoint) -> dict:
     rhs_scalar = np.trace(Q @ st.geo.ric_sharp, axis1=-2, axis2=-1) + beta**2 * (
         4 * s * n**2 + s * (2 * n - 1) * np.trace(st.Qtilde, axis1=-2, axis2=-1)
     )
-    return {
-        "thm4.28": st.residual(st.ric_star - rhs),
-        "thm4.29": st.residual(st.r_star - rhs_scalar),
-    }
+    return {"thm4.28": st.ric_star - rhs, "thm4.29": st.r_star - rhs_scalar}
 
 
 # ---------------------------------------------------------------------------
@@ -147,7 +145,7 @@ def corollary2_residual(st: StructureAtPoint) -> dict:
 
 
 def _check_star_symmetric(st: StructureAtPoint) -> None:
-    asym = _asymmetry(st)
+    asym = tensor_residual(_asymmetry(st), st.lead)
     if np.any(asym > _SYMMETRY_TOL):
         raise ValueError(
             f"the *-Ricci tensor is not symmetric at a sample point "
@@ -163,7 +161,7 @@ def _soliton_rhs(st: StructureAtPoint, lam: float, mu: float) -> np.ndarray:
 def soliton_residual(st: StructureAtPoint) -> dict:
     """(32), (1/2) L_V g + Ric* = lam {g - sum eta (x) eta} + (lam+mu) etabar (x)
     etabar, and (33), the same equation written through Ric and Q:
-    ``{"soliton.32": residual, "soliton.33": residual}``."""
+    ``{"soliton.32": tensor, "soliton.33": tensor}``."""
     _check_star_symmetric(st)
     half_lie = 0.5 * lie_derivative_metric(st.geo, st.potential)
     lam, mu = st.m.soliton.lam, st.m.soliton.mu
@@ -177,18 +175,18 @@ def soliton_residual(st: StructureAtPoint) -> dict:
         + (lam + mu - 2 * n * beta**2) * st.ebar
     )
     return {
-        "soliton.32": st.residual(half_lie + st.ric_star - _soliton_rhs(st, lam, mu)),
-        "soliton.33": st.residual(half_lie + st.geo.ric @ st.Q - rhs33),
+        "soliton.32": half_lie + st.ric_star - _soliton_rhs(st, lam, mu),
+        "soliton.33": half_lie + st.geo.ric @ st.Q - rhs33,
     }
 
 
 def gradient_soliton_residual(st: StructureAtPoint) -> dict:
     """(75), Hess_v + Ric* = lam {g - sum eta (x) eta} + (lam+mu) etabar (x)
-    etabar, and its operator form: ``{"grad.75": the larger residual}``."""
+    etabar, and its operator form, stacked: ``{"grad.75": tensor}``."""
     _check_star_symmetric(st)
     _, hess = gradient_and_hessian(st.geo, st.potential)
     lam, mu = st.m.soliton.lam, st.m.soliton.mu
-    residual = st.residual(hess + st.ric_star - _soliton_rhs(st, lam, mu))
+    tensor_form = hess + st.ric_star - _soliton_rhs(st, lam, mu)
 
     # operator form: nabla_X grad v + Q Ric# X = lam X - s(2n-1) b^2 QX + ...
     beta, s, n = st.m.beta, st.m.s, st.m.n
@@ -201,22 +199,22 @@ def gradient_soliton_residual(st: StructureAtPoint) -> dict:
         + (lam + mu - 2 * n * beta**2)
         * np.einsum("...a,...k->...ka", st.etabar, st.xibar)
     )
-    return {"grad.75": np.maximum(residual, st.residual(lhs_op - rhs_op))}
+    return {"grad.75": np.stack((tensor_form, lhs_op - rhs_op), axis=-3)}
 
 
 # ---------------------------------------------------------------------------
 # contact fields
 
 
-def contact_fit(st: StructureAtPoint) -> tuple[float, float]:
-    """Least-squares sigma of L_V eta^i = sigma eta^i and the max-abs residual."""
+def contact_fit(st: StructureAtPoint) -> dict:
+    """``{"contact.65": L_V eta^i - sigma eta^i}`` with sigma fitted by least squares."""
     # the eta^i with their index first, so that they broadcast over the batch axes
     eta = (np.moveaxis(st.eta, -2, 0), np.moveaxis(st.deta, -3, 0))
     lie = np.moveaxis(lie_derivative_1form(st.geo, eta, st.potential), 0, -2)
     num = contract("...ia,...ia->...", lie, st.eta)
     den = contract("...ia,...ia->...", st.eta, st.eta)
     sigma = np.divide(num, den, out=np.zeros_like(num), where=den > 0)
-    return sigma[()], st.residual(lie - sigma[..., None, None] * st.eta)
+    return {"contact.65": lie - sigma[..., None, None] * st.eta}
 
 
 # ---------------------------------------------------------------------------
@@ -226,7 +224,7 @@ def contact_fit(st: StructureAtPoint) -> tuple[float, float]:
 def lemma2_audit(st: StructureAtPoint) -> dict:
     """Audit the three Lie-derivative identities of the soliton analysis.
 
-    These residuals document how the printed identities compare against
+    These tensors document how the printed identities compare against
     direct numerical left-hand sides; they are informational and are
     never folded into pass/fail gates.
     """
@@ -247,7 +245,7 @@ def lemma2_audit(st: StructureAtPoint) -> dict:
         + 4.0 * n * beta**3
         * (np.einsum("...a,...k->...ka", etabar, xibar) - s * st.etaxi)
     )
-    res42 = st.residual(contract("...kab,...ib->...ika", lie_nab, xi) - rhs42[..., None, :, :])
+    res42 = contract("...kab,...ib->...ika", lie_nab, xi) - rhs42[..., None, :, :]
 
     lie_r = lie_derivative_curvature(st.geo, v)  # [k, a, b, c]
 
@@ -273,9 +271,9 @@ def lemma2_audit(st: StructureAtPoint) -> dict:
     )
     rhs34 = term1 + term2 + term3 + term4
     lie_r_xi = contract("...kabc,...ic->...ikab", lie_r, xi)
-    res34 = st.residual(lie_r_xi - rhs34[..., None, :, :, :])
+    res34 = lie_r_xi - rhs34[..., None, :, :, :]
 
     # (35): (L_V R)_{X, xi_j} xi_i = 0
-    res35 = st.residual(contract("...ikab,...jb->...ijka", lie_r_xi, xi))
+    res35 = contract("...ikab,...jb->...ijka", lie_r_xi, xi)
 
     return {"lemma2.42": res42, "lemma2.34": res34, "lemma2.35": res35}

@@ -7,13 +7,13 @@ A weak metric f-manifold carries a skew-symmetric (1,1)-tensor f of rank
     f^2 = -Q + sum_i eta^i (x) xi_i,
     g(fX, fY) = g(X, QY) - sum_i eta^i(X) eta^i(Y).
 
-An identity is checked as a tensor that vanishes when it holds, and its
-residual is the max-abs over that tensor's chart components
-(:func:`tensor_residual`, the one norm of every check).  Pointwise
+An identity is checked as a tensor that vanishes when it holds.  Pointwise
 operations take the :class:`StructureAtPoint` they work on, which holds one
 point or a chunk of points; every array carries the batch shape in front
-(``()`` or ``(C,)``), and a check returns ``{check id: residual}`` with one
-residual per point (0-d at one point, ``(C,)`` on a chunk).  Checks read no
+(``()`` or ``(C,)``), and a check returns ``{check id: tensor}``, the tensor
+that must vanish with the batch axes in front.  ``wfk.checks`` measures each
+one by :func:`tensor_residual`, the one norm of every check: the max-abs
+over its chart components, one residual per point.  Checks read no
 tolerance: the verdicts are decided by whoever reads the residuals.
 Covariant derivatives of (1,1)-tensors take the one formula of
 ``Geometry.nabla``; ``StructureAtPoint.nabla_xi`` holds those of all the
@@ -73,7 +73,7 @@ MAX_FIELD = 1e100
 def tensor_residual(t: np.ndarray, lead: int = 0):
     """Max-abs over the components of ``t`` past its first ``lead`` (batch)
     axes, one value per batch entry; NaN propagates, so it fails any tolerance."""
-    return np.abs(t).max(axis=tuple(range(lead, t.ndim)), initial=0.0)
+    return np.abs(t).max(axis=tuple(range(lead, np.ndim(t))), initial=0.0)
 
 
 @dataclass(frozen=True)
@@ -83,7 +83,6 @@ class WeakFManifold:
     n: int
     s: int
     beta: float | None
-    c: float | None
     metric: MetricField
     f: FieldSpec
     Q: FieldSpec
@@ -156,10 +155,6 @@ class StructureAtPoint:
         self.etabar = self.eta.sum(axis=-2)
         self.Qtilde = self.Q - np.eye(m.dim)
 
-    def residual(self, t: np.ndarray):
-        """:func:`tensor_residual` of a tensor of this structure, per point."""
-        return tensor_residual(t, self.lead)
-
     @cached_property
     def potential(self):
         """(value, d, d2) here of the soliton's potential, V or v, jetted once;
@@ -223,20 +218,19 @@ class StructureAtPoint:
 
 
 def check_axioms(st: StructureAtPoint) -> dict:
-    """Residuals of the defining axioms and their pointwise consequences."""
+    """The defining axioms and their pointwise consequences, as tensors that vanish."""
     g, f, Q = st.geo.g, st.f, st.Q
     ff = f @ f
-    res = st.residual
     return {
-        "axiom.5": res(ff + Q - st.etaxi),
-        "axiom.6": res(contract("...ma,...mb->...ab", f, g @ f) - g @ Q + st.etaeta),
-        "axiom.fxi": res(contract("...km,...im->...ki", f, st.xi)),
-        "axiom.etaf": res(st.eta @ f),
-        "axiom.etaQ": res(st.eta @ Q - st.eta),
-        "axiom.Qf": res(Q @ f - f @ Q),
-        "axiom.Qxi": res(contract("...km,...im->...ki", Q, st.xi) - np.swapaxes(st.xi, -1, -2)),
-        "axiom.dual": res(contract("...km,...im->...ki", g, st.xi) - np.swapaxes(st.eta, -1, -2)),
-        "axiom.f3": res(ff @ f + f + st.Qtilde @ f),
+        "axiom.5": ff + Q - st.etaxi,
+        "axiom.6": contract("...ma,...mb->...ab", f, g @ f) - g @ Q + st.etaeta,
+        "axiom.fxi": contract("...km,...im->...ki", f, st.xi),
+        "axiom.etaf": st.eta @ f,
+        "axiom.etaQ": st.eta @ Q - st.eta,
+        "axiom.Qf": Q @ f - f @ Q,
+        "axiom.Qxi": contract("...km,...im->...ki", Q, st.xi) - np.swapaxes(st.xi, -1, -2),
+        "axiom.dual": contract("...km,...im->...ki", g, st.xi) - np.swapaxes(st.eta, -1, -2),
+        "axiom.f3": ff @ f + f + st.Qtilde @ f,
     }
 
 
@@ -276,8 +270,4 @@ def theorem1_check(st: StructureAtPoint) -> dict:
     )
     phi = st.geo.g @ st.f  # Phi(X, Y) = g(X, fY)
     rhs = 2.0 * st.m.beta * wedge_1form_2form(st.etabar, phi)
-    return {
-        "n1": st.residual(n1),
-        "deta": st.residual(st.d_eta),
-        "dphi": st.residual(dphi - rhs),
-    }
+    return {"n1": n1, "deta": st.d_eta, "dphi": dphi - rhs}

@@ -4,6 +4,7 @@ import functools
 import numpy as np
 import pytest
 
+from wfk.checks import CheckContext
 from wfk.cli import manifold_from_manifest
 from wfk.expr import const, parse_expression
 from wfk.geometry import MetricField
@@ -28,6 +29,12 @@ def example_manifold(n=1, s=2, beta=1.0, c=1.0):
 def model(data):
     """The WeakFManifold of a builder's manifest, as `wfk check` reads it."""
     return manifold_from_manifest(data)[0]
+
+
+def group_residuals(group, st):
+    """The residuals of a check group at a structure, ``{id: residual}``,
+    measured as `wfk check` measures them."""
+    return CheckContext(st.m).group_reports(group, st)
 
 
 def exprs(raw, dim):

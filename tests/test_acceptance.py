@@ -13,25 +13,22 @@ import pytest
 
 from wfk import expr as ex
 from wfk.geometry import FieldSpec, coboundary_2form
-from wfk.kenmotsu import (
-    audit_identities,
-    build_twisted_product,
-    eta_einstein_fit,
-    kenmotsu_residual,
-    twisted_product_audit,
-)
-from wfk.star_soliton import (
-    gradient_soliton_residual,
-    lemma2_audit,
-    star_eta_einstein_fit,
-    theorem4_residual,
-)
-from wfk.weakf import check_axioms, theorem1_check, wedge_1form_2form
+from wfk.kenmotsu import build_twisted_product, eta_einstein_fit
+from wfk.star_soliton import star_eta_einstein_fit
+from wfk.weakf import wedge_1form_2form
 from wfk.checks import CATALOGUE, CheckContext, run_check_ids
 from wfk.cli import main as cli_main
 from wfk.cli import manifold_from_manifest
 
-from conftest import GRID, example_manifold, exprs, model, seeded_points, with_soliton
+from conftest import (
+    GRID,
+    example_manifold,
+    exprs,
+    group_residuals,
+    model,
+    seeded_points,
+    with_soliton,
+)
 from reference_forms import fundamental_form_field
 
 GOLDEN = json.loads(
@@ -65,9 +62,9 @@ def test_criterion_01_axioms_and_defining_condition():
     for _, m in _grid_instances():
         for p in seeded_points(m.dim):
             st = m.at(p)
-            axioms = check_axioms(st)
+            axioms = group_residuals("axioms", st)
             worst = max(worst, axioms["axiom.5"], axioms["axiom.6"])
-            worst = max(worst, kenmotsu_residual(st)["kenmotsu.12"])
+            worst = max(worst, group_residuals("kenmotsu", st)["kenmotsu.12"])
     _report(1, "axioms + defining condition", worst, 1e-8)
 
 
@@ -77,7 +74,7 @@ def test_criterion_02_normality_closedness_and_proportionality():
         phi_field = fundamental_form_field(m)
         for p in seeded_points(m.dim, count=2):
             st = m.at(p)
-            worst = max(worst, *theorem1_check(st).values())
+            worst = max(worst, *group_residuals("theorem1", st).values())
             # recover the proportionality constant of dPhi vs beta etabar ^ Phi
             phi, dphi, _ = phi_field.jets(p)
             dphi = coboundary_2form(dphi)
@@ -109,7 +106,7 @@ def test_criterion_04_identity_audit():
     worst = 0.0
     for _, m in _grid_instances():
         for p in seeded_points(m.dim):
-            worst = max(worst, *audit_identities(m.at(p)).values())
+            worst = max(worst, *group_residuals("identities", m.at(p)).values())
     _report(4, "identity audit", worst, 1e-8)
 
 
@@ -117,7 +114,7 @@ def test_criterion_05_star_ricci_expressions():
     worst = 0.0
     for _, m in _grid_instances():
         for p in seeded_points(m.dim):
-            worst = max(worst, *theorem4_residual(m.at(p)).values())
+            worst = max(worst, *group_residuals("thm4", m.at(p)).values())
     _report(5, "star-Ricci tensor and scalar expressions", worst, 1e-6)
 
 
@@ -181,7 +178,7 @@ def test_criterion_07_soliton_constants(capsys):
         assert sol.classification == verdict_class
         v = ex.parse_expression("+".join(f"x{2 * n + p_ + 1}" for p_ in range(s)), m.dim)
         grad_m = with_soliton(m, lam_oracle, -lam_oracle, v=v)
-        worst_grad = gradient_soliton_residual(grad_m.at(pts[0]))["grad.75"]
+        worst_grad = group_residuals("grad", grad_m.at(pts[0]))["grad.75"]
         assert worst_grad < 1e-8, worst_grad
     assert least_shifted > tol, f"lambda + 1e-3 passes soliton.32: {least_shifted:.3e}"
     _report(7, "soliton constants over the grid", worst, tol)
@@ -197,12 +194,12 @@ def test_criterion_08_twisted_products():
     for m in cases:
         for p in seeded_points(m.dim, count=3):
             st = m.at(p)
-            worst12 = max(worst12, kenmotsu_residual(st)["kenmotsu.12"])
-            worst_rel = max(worst_rel, *twisted_product_audit(st).values())
+            worst12 = max(worst12, group_residuals("kenmotsu", st)["kenmotsu.12"])
+            worst_rel = max(worst_rel, *group_residuals("twisted", st).values())
     # genuinely twisted: sigma depends on a fiber coordinate
     m = model(build_twisted_product([1.0], 1, "exp(x3+x1^2)"))
     for p in seeded_points(3, count=3):
-        worst_rel = max(worst_rel, *twisted_product_audit(m.at(p)).values())
+        worst_rel = max(worst_rel, *group_residuals("twisted", m.at(p)).values())
     assert worst12 <= 1e-8, f"defining condition on twisted products: {worst12:.3e}"
     _report(8, "twisted-product connection relations", worst_rel, 1e-6)
 
@@ -228,7 +225,7 @@ def test_criterion_10_lie_derivative_audit():
     worst = 0.0
     for (n, s, beta, c), m in _grid_instances():
         st = with_soliton(m, 0.0, 0.0, V=_xibar(m)).at(np.zeros(m.dim))
-        rep = lemma2_audit(st)
+        rep = group_residuals("lemma2", st)
         if c == 0:
             worst = max(worst, rep["lemma2.42"])
             assert rep["lemma2.35"] < 1e-3

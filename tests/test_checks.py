@@ -2,6 +2,7 @@ import ast
 import importlib
 import importlib.util
 import inspect
+import json
 import os
 import subprocess
 import sys
@@ -11,9 +12,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from wfk import checks, weakf
 from wfk import expr as ex
-from wfk import weakf
 from wfk.checks import CATALOGUE, CheckContext, applicable_ids, run_check_ids
+from wfk.cli import main as cli_main
 from wfk.kenmotsu import build_example2, build_twisted_product
 
 from conftest import model, seeded_points
@@ -21,9 +23,13 @@ from conftest import model, seeded_points
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
 
-def _example2_V():
+def _example2_V_manifest():
     soliton = {"lambda": -2.0, "mu": 2.0, "V": [0, 0, 1, 1]}  # V = xibar
-    return CheckContext(model({**build_example2(1, 2, 1.0, 1.0), "soliton": soliton}))
+    return {"version": "wfk/1", **build_example2(1, 2, 1.0, 1.0), "soliton": soliton}
+
+
+def _example2_V():
+    return CheckContext(model(_example2_V_manifest()))
 
 
 def _example2_v():
@@ -166,14 +172,14 @@ def test_every_public_library_function_is_read_by_the_library():
     )
 
 
-def _constructor_calls(node, scope: str, names, found: list) -> list:
+def _calls(node, scope: str, names, found: list) -> list:
     """(enclosing function, callee) of each call of one of ``names`` under ``node``."""
     if isinstance(node, ast.Call) and ast.unparse(node.func) in names:
         found.append((scope, ast.unparse(node.func)))
     if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
         scope = f"{scope}.{node.name}"
     for child in ast.iter_child_nodes(node):
-        _constructor_calls(child, scope, names, found)
+        _calls(child, scope, names, found)
     return found
 
 
@@ -185,12 +191,63 @@ def test_only_the_manifest_reader_builds_a_model():
     names = ("WeakFManifold", "SolitonData", "replace", "dataclasses.replace")
     found = []
     for path in sorted(SRC.glob("*.py")):
-        _constructor_calls(ast.parse(path.read_text()), path.stem, names, found)
+        _calls(ast.parse(path.read_text()), path.stem, names, found)
     assert sorted(found) == [
         ("cli.manifold_from_manifest", "SolitonData"),
         ("cli.manifold_from_manifest", "SolitonData"),
         ("cli.manifold_from_manifest", "WeakFManifold"),
     ]
+
+
+def test_only_the_check_context_measures_a_check():
+    """A check group returns the tensors that must vanish and
+    ``CheckContext._run_group`` measures each one, so how a residual is
+    measured is decided in one place.  The norm's two other callers measure a
+    fit's own quality (cor2's gate) and the Ric* symmetry gate."""
+    assert not hasattr(weakf.StructureAtPoint, "residual")
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        _calls(ast.parse(path.read_text()), path.stem, ("tensor_residual",), found)
+    assert sorted(found) == [
+        ("checks.CheckContext._run_group", "tensor_residual"),
+        ("kenmotsu.EinsteinFit.least_squares", "tensor_residual"),
+        ("star_soliton._check_star_symmetric", "tensor_residual"),
+    ]
+
+
+@pytest.mark.parametrize(
+    "group, cid, component",
+    [
+        ("kenmotsu", "kenmotsu.12", (0, 1, 2)),
+        ("star_def", "star.def", (1, 0, 1)),  # the second of the two stacked forms
+    ],
+    ids=["kenmotsu.12", "star.def-second-form"],
+)
+def test_a_nan_component_fails_its_point_only(monkeypatch, tmp_path, group, cid, component):
+    """The norm propagates NaN: one NaN component of a group's tensor at one
+    point of a chunk gives that point a NaN residual, which fails its record."""
+    runner = checks._RUNNERS[group]
+
+    def poisoned(st):
+        tensors = runner(st)
+        t = tensors[cid].copy()
+        t[(1,) + component] = np.nan  # the chunk's second point
+        return {**tensors, cid: t}
+
+    monkeypatch.setitem(checks._RUNNERS, group, poisoned)
+    ctx = _example2_V()
+    points = np.array(seeded_points(ctx.manifold.dim, count=3, seed=7))
+    (residuals,) = run_check_ids(ctx, [cid], points).values()
+    assert np.isnan(residuals[1])
+    assert (residuals[[0, 2]] <= CATALOGUE[cid].tolerance).all()
+
+    manifest, report = tmp_path / "m.json", tmp_path / "r.json"
+    sample = {"count": 3, "seed": 7}
+    manifest.write_text(json.dumps({**_example2_V_manifest(), "checks": [cid], "sample": sample}))
+    assert cli_main(["check", str(manifest), "--reproducible", "--out", str(report)]) == 1
+    records = json.loads(report.read_text())["checks"]
+    assert [r["pass"] for r in records] == [True, False, True]
+    assert np.isnan(records[1]["residual"])
 
 
 def test_perfbench_tracer_targets_resolve():

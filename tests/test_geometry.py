@@ -406,7 +406,7 @@ def _with_f(g, f):
     n, dim = (g.dim - 1) // 2, g.dim
     unit = [FieldSpec(dim, exprs([1.0] * dim, dim))] * (dim - 2 * n)
     Q = FieldSpec(dim, exprs(np.eye(dim), dim))
-    return WeakFManifold(n, dim - 2 * n, None, None, g, f, Q, tuple(unit), tuple(unit))
+    return WeakFManifold(n, dim - 2 * n, None, g, f, Q, tuple(unit), tuple(unit))
 
 
 @pytest.mark.parametrize("case", list(_CONTRACTED_CASES))

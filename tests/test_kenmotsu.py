@@ -4,17 +4,9 @@ import numpy as np
 import pytest
 
 from wfk.checks import CATALOGUE
-from wfk.kenmotsu import (
-    IDENTITY_IDS,
-    audit_identities,
-    build_example2,
-    build_twisted_product,
-    eta_einstein_fit,
-    kenmotsu_residual,
-    twisted_product_audit,
-)
+from wfk.kenmotsu import IDENTITY_IDS, build_example2, build_twisted_product, eta_einstein_fit
 
-from conftest import diagonal_metric, example_manifold, model, seeded_points
+from conftest import diagonal_metric, example_manifold, group_residuals, model, seeded_points
 
 O = np.zeros(4)
 
@@ -26,27 +18,27 @@ def _flat_product(scales, s):
 class TestDefiningCondition:
     def test_reference_instance(self, e2):
         for p in seeded_points(4, count=10, seed=20):
-            assert kenmotsu_residual(e2.at(p))["kenmotsu.12"] < 1e-8
+            assert group_residuals("kenmotsu", e2.at(p))["kenmotsu.12"] < 1e-8
 
     def test_wrong_coefficient_is_rejected(self, e2):
         wrong = dataclasses.replace(e2, beta=2.0)
-        assert kenmotsu_residual(wrong.at(O))["kenmotsu.12"] > 0.5
+        assert group_residuals("kenmotsu", wrong.at(O))["kenmotsu.12"] > 0.5
 
     def test_constant_structure_product(self):
         m = _flat_product([1.0], 1)
         assert m.beta == 0.0
         for p in seeded_points(3, count=3, seed=22):
-            assert kenmotsu_residual(m.at(p))["kenmotsu.12"] < 1e-10
+            assert group_residuals("kenmotsu", m.at(p))["kenmotsu.12"] < 1e-10
 
 
 class TestIdentityAudit:
     def test_full_catalogue_on_reference_instance(self, e2):
         for p in seeded_points(4, count=5, seed=24):
-            for cid, r in audit_identities(e2.at(p)).items():
+            for cid, r in group_residuals("identities", e2.at(p)).items():
                 assert r <= CATALOGUE[cid].tolerance, (cid, r)
 
     def test_jet_exact_identity(self, e2):
-        assert audit_identities(e2.at(O))["id.13"] < 1e-10
+        assert group_residuals("identities", e2.at(O))["id.13"] < 1e-10
 
     def test_ricci_operator_on_reeb_field(self, e2):
         st = e2.at(O)
@@ -54,13 +46,13 @@ class TestIdentityAudit:
         assert rs @ st.xi[0] == pytest.approx([0.0, 0.0, -2.0, -2.0])
 
     def test_tolerances_by_kind(self, e2):
-        for cid in audit_identities(e2.at(O)):
+        for cid in group_residuals("identities", e2.at(O)):
             assert CATALOGUE[cid].tolerance == 1e-8
 
     def test_second_parameter_set(self):
         m = example_manifold(2, 2, 0.5, 1.0)
         p = seeded_points(6, count=1, seed=26)[0]
-        for cid, r in audit_identities(m.at(p)).items():
+        for cid, r in group_residuals("identities", m.at(p)).items():
             assert r <= CATALOGUE[cid].tolerance, (cid, r)
 
 
@@ -73,12 +65,12 @@ class TestExplicitModel:
         m = example_manifold(1, 1, 1.0, 0.0)
         p = seeded_points(3, count=1, seed=28)[0]
         assert m.at(p).Q == pytest.approx(np.eye(3))
-        assert kenmotsu_residual(m.at(p))["kenmotsu.12"] < 1e-10
+        assert group_residuals("kenmotsu", m.at(p))["kenmotsu.12"] < 1e-10
 
     def test_larger_instance(self):
         m = example_manifold(2, 2, 0.5, 1.0)
         for p in seeded_points(6, count=3, seed=30):
-            assert kenmotsu_residual(m.at(p))["kenmotsu.12"] < 1e-8
+            assert group_residuals("kenmotsu", m.at(p))["kenmotsu.12"] < 1e-8
 
     @pytest.mark.parametrize(
         "n,s,beta,c", [(0, 1, 1.0, 0.0), (1, 0, 1.0, 0.0), (1, 1, 0.0, 0.0), (1, 1, 1.0, -0.5)]
@@ -103,7 +95,7 @@ class TestTwistedProducts:
         m = model(build_twisted_product([1.0], 1, "exp(x3)"))
         assert m.beta == pytest.approx(1.0)
         for p in seeded_points(3, count=3, seed=34):
-            assert kenmotsu_residual(m.at(p))["kenmotsu.12"] < 1e-8
+            assert group_residuals("kenmotsu", m.at(p))["kenmotsu.12"] < 1e-8
 
     def test_two_factor_spectrum(self):
         m = model(build_twisted_product([1.0, 2.0], 2, "exp(x5+x6)"))
@@ -113,15 +105,13 @@ class TestTwistedProducts:
     def test_trivial_twist_gives_zero_coefficient(self):
         m = _flat_product([1.0, 2.0], 2)
         assert m.beta == 0.0
-        assert kenmotsu_residual(m.at(np.zeros(6)))["kenmotsu.12"] < 1e-10
+        assert group_residuals("kenmotsu", m.at(np.zeros(6)))["kenmotsu.12"] < 1e-10
 
     def test_genuinely_twisted_connection_relations(self):
         dim = 3
         m = model(build_twisted_product([1.0], 1, "exp(x3+x1^2)"))
-        from wfk.kenmotsu import twisted_product_audit
-
         for p in seeded_points(dim, count=4, seed=36):
-            for cid, r in twisted_product_audit(m.at(p)).items():
+            for cid, r in group_residuals("twisted", m.at(p)).items():
                 assert r < 1e-6, (cid, r)
 
     @staticmethod
@@ -132,7 +122,7 @@ class TestTwistedProducts:
         m = model(build_twisted_product([1.0], 1, sigma))
         entries = [f"({sigma})^2", f"({sigma})^2*(1+{eps!r}*x3)", 1.0]
         m = dataclasses.replace(m, metric=diagonal_metric(entries))
-        res = twisted_product_audit(m.at(np.array(seeded_points(3, count=20, seed=38))))
+        res = group_residuals("twisted", m.at(np.array(seeded_points(3, count=20, seed=38))))
         return res["twisted.i"], res["twisted.ii"]
 
     @pytest.mark.parametrize("which", [0, 1], ids=["twisted.i", "twisted.ii"])
