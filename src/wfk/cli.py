@@ -16,6 +16,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import sys
 from itertools import accumulate, chain
 
@@ -81,11 +82,30 @@ class ManifestError(Exception):
 # ---------------------------------------------------------------------------
 # manifest parsing
 
+# The characters a number written as text may hold: ASCII digits, letters,
+# "." and signs; int() and float() read its shape.  They would also take
+# non-ASCII digits, "_" separators and surrounding spaces, which are errors
+# here, as in an expression.
+_NUMBER_TEXT = re.compile(r"[0-9A-Za-z.+-]+")
+
+
+def _ascii(raw):
+    """``raw``, or None for a string that is not an ASCII number's text."""
+    return None if isinstance(raw, str) and not _NUMBER_TEXT.fullmatch(raw) else raw
+
+
+def _flag_type(convert):
+    """An argparse type: ``convert`` of a flag's text, an ASCII number's text."""
+    def parse(text: str):
+        return convert(_ascii(text))  # None raises TypeError, which argparse reports
+    parse.__name__ = convert.__name__  # the name argparse's message gives the type
+    return parse
+
 
 def _finite_number(raw, where: str) -> float:
     """``raw`` as a finite float; booleans, non-numbers, nan and inf are errors."""
     try:
-        val = float(raw)
+        val = float(_ascii(raw))
     except (TypeError, ValueError, OverflowError):
         val = math.nan
     if isinstance(raw, bool) or not math.isfinite(val):
@@ -96,7 +116,7 @@ def _finite_number(raw, where: str) -> float:
 def _integer(raw, where: str) -> int:
     """``raw`` as an int; booleans and numbers with a fractional part are errors."""
     try:
-        val = int(raw)
+        val = int(_ascii(raw))
     except (TypeError, ValueError, OverflowError):
         val = None
     if isinstance(raw, bool) or val is None or (isinstance(raw, float) and val != raw):
@@ -546,9 +566,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_check = sub.add_parser("check", help="run checks from a manifest")
     p_check.add_argument("manifest")
-    p_check.add_argument("--points", type=int)
-    p_check.add_argument("--seed", type=int)
-    p_check.add_argument("--box", nargs=2, type=float, metavar=("LO", "HI"))
+    p_check.add_argument("--points", type=_flag_type(int))
+    p_check.add_argument("--seed", type=_flag_type(int))
+    p_check.add_argument("--box", nargs=2, type=_flag_type(float), metavar=("LO", "HI"))
     p_check.add_argument("--only", action="append")
     p_check.add_argument("--tol", action="append", metavar="ID=VALUE")
     p_check.add_argument("--out")
@@ -556,16 +576,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p_check.set_defaults(func=run_check)
 
     p_e2 = sub.add_parser("example2", help="emit the explicit chart model manifest")
-    p_e2.add_argument("n", type=int)
-    p_e2.add_argument("s", type=int)
-    p_e2.add_argument("beta", type=float)
-    p_e2.add_argument("c", type=float)
+    p_e2.add_argument("n", type=_flag_type(int))
+    p_e2.add_argument("s", type=_flag_type(int))
+    p_e2.add_argument("beta", type=_flag_type(float))
+    p_e2.add_argument("c", type=_flag_type(float))
     p_e2.add_argument("--out")
     p_e2.set_defaults(func=emit_example2)
 
     p_tw = sub.add_parser("twisted", help="emit a twisted-product manifest")
     p_tw.add_argument("--factors", required=True, metavar="C1,C2,…")
-    p_tw.add_argument("--s", type=int, required=True)
+    p_tw.add_argument("--s", type=_flag_type(int), required=True)
     p_tw.add_argument("--sigma", required=True)
     p_tw.add_argument("--out")
     p_tw.set_defaults(func=emit_twisted)

@@ -78,19 +78,26 @@ def kenmotsu_residual(st: StructureAtPoint) -> dict:
 
 
 def _bracket(st: StructureAtPoint) -> np.ndarray:
-    """[k, a] = (s id - s sum_j eta^j (x) xi_j + etabar (x) xibar) e_a."""
-    s = st.m.s
-    return (
-        s * np.eye(st.m.dim)
-        - s * st.etaxi
-        + np.einsum("...a,...k->...ka", st.etabar, st.xibar)
-    )
+    """[k, a] = (s P + xibar (x) etabar) e_a."""
+    return st.m.s * st.P + st.xebar
 
 
 def _bracket_form(st: StructureAtPoint) -> np.ndarray:
-    """[a, b] = s g - s sum_j eta^j (x) eta^j + etabar (x) etabar."""
-    s = st.m.s
-    return s * st.geo.g - s * st.etaeta + st.ebar
+    """[a, b] = s H + etabar (x) etabar."""
+    return st.m.s * st.H + st.ebar
+
+
+def _minus_swap(t: np.ndarray, i: int, j: int) -> np.ndarray:
+    """``t`` minus itself with axes ``i`` and ``j`` swapped."""
+    return t - np.swapaxes(t, i, j)
+
+
+def _reeb_term(st: StructureAtPoint) -> np.ndarray:
+    """[l, a, c] = etabar(Z) PX - H(X, Z) xibar at X = e_a, Z = e_c."""
+    return (
+        np.einsum("...c,...la->...lac", st.etabar, st.P)
+        - np.einsum("...ac,...l->...lac", st.H, st.xibar)
+    )
 
 
 def _id13(st: StructureAtPoint, beta: float) -> np.ndarray:
@@ -99,8 +106,7 @@ def _id13(st: StructureAtPoint, beta: float) -> np.ndarray:
 
 def _id14(st: StructureAtPoint, beta) -> np.ndarray:
     # beta is a number, or one rate per Reeb field (..., s) as the twisted audit passes
-    rate = np.asarray(beta)[..., None, None]
-    return st.nabla_xi - rate * (np.eye(st.m.dim) - st.etaxi)[..., None, :, :]
+    return st.nabla_xi - np.asarray(beta)[..., None, None] * st.P[..., None, :, :]
 
 
 def _id15(st: StructureAtPoint, beta) -> np.ndarray:
@@ -108,7 +114,7 @@ def _id15(st: StructureAtPoint, beta) -> np.ndarray:
     nab = np.swapaxes(st.deta, -1, -2) - contract(
         "...mab,...im->...iab", st.geo.gamma, st.eta
     )
-    return nab - np.asarray(beta)[..., None, None] * (st.geo.g - st.etaeta)[..., None, :, :]
+    return nab - np.asarray(beta)[..., None, None] * st.H[..., None, :, :]
 
 
 def _id16(st: StructureAtPoint, beta: float) -> np.ndarray:
@@ -125,18 +131,13 @@ def _id18(st: StructureAtPoint, beta: float) -> np.ndarray:
     # (L_xi_i g)_ab = g(nabla_a xi_i, e_b) + g(e_a, nabla_b xi_i)
     lie = st.geo.g[..., None, :, :] @ st.nabla_xi  # [i, b, a] = g(nabla_a xi_i, e_b)
     lie = lie + np.swapaxes(lie, -1, -2)
-    return lie - (2.0 * beta * (st.geo.g - st.etaeta))[..., None, :, :]
+    return lie - (2.0 * beta * st.H)[..., None, :, :]
 
 
 def _id19(st: StructureAtPoint, beta: float) -> np.ndarray:
-    eye, etabar = np.eye(st.m.dim), st.etabar
     lhs = contract("...labm,...im->...ilab", st.geo.riem, st.xi)
-    rhs = beta**2 * (
-        np.einsum("...a,lb->...lab", etabar, eye)
-        - np.einsum("...b,la->...lab", etabar, eye)
-        + np.einsum("...b,...la->...lab", etabar, st.etaxi)
-        - np.einsum("...a,...lb->...lab", etabar, st.etaxi)
-    )
+    # etabar(X) PY - etabar(Y) PX
+    rhs = beta**2 * _minus_swap(np.einsum("...a,...lb->...lab", st.etabar, st.P), -1, -2)
     return lhs - rhs[..., None, :, :, :]
 
 
@@ -167,53 +168,36 @@ def _id23(st: StructureAtPoint, beta: float) -> np.ndarray:
 def _id26(st: StructureAtPoint, beta: float) -> np.ndarray:
     riem, f = st.geo.riem, st.f
     lhs = riem @ f[..., None, None, :, :] - contract("...lm,...mabc->...labc", f, riem)
-    sg, brk = _bracket_form(st), _bracket(st)
     gf = contract("...ma,...mb->...ab", f, st.geo.g)  # g(f e_a, e_b)
-    rhs = beta**2 * (
-        np.einsum("...bc,...la->...labc", sg, f)
-        - np.einsum("...ac,...lb->...labc", sg, f)
-        + np.einsum("...ca,...lb->...labc", gf, brk)  # g(X, fZ) = g(f e_c, e_a)
-        - np.einsum("...cb,...la->...labc", gf, brk)
+    # bracket_form(Y, Z) fX + g(X, fZ) bracket(Y), with g(X, fZ) = g(f e_c, e_a),
+    # minus the same with X and Y swapped
+    return lhs - beta**2 * _minus_swap(
+        np.einsum("...bc,...la->...labc", _bracket_form(st), f)
+        + np.einsum("...ca,...lb->...labc", gf, _bracket(st)),
+        -3, -2,
     )
-    return lhs - rhs
 
 
 def _id27(st: StructureAtPoint, beta: float) -> np.ndarray:
-    s = st.m.s
     riem, f, g, Q = st.geo.riem, st.f, st.geo.g, st.Q
-    xibar, etabar = st.xibar, st.etabar
     # f f R by two pairwise dim^5 contractions, not one dim^6 loop
     lhs = contract("...jb,...lajc->...labc", f, contract("...ia,...lijc->...lajc", f, riem))
     lhs -= contract("...jb,...lajc->...labc", Q, riem)
     gq = contract("...mb,...mc->...bc", Q, g)  # g(e_c, Q e_b)
-    sgl = _bracket_form(st)  # s g(Z,X) - s sum + etabar(Z) etabar(X) at [c, a]
     gfz = contract("...ma,...mc->...ca", f, g)  # g(Z, fX) at [c, a]
-    tail = (
-        np.einsum("...c,la->...lac", etabar, np.eye(st.m.dim))
-        - np.einsum("...ca,...l->...lac", g, xibar)
-        + np.einsum("...ac,...l->...lac", st.etaeta, xibar)
-        - np.einsum("...la,...c->...lac", st.etaxi, etabar)
-    )  # [l, a, c]: etabar(Z) X - g(Z,X) xibar + sum_j eta^j(X){eta^j(Z) xibar - etabar(Z) xi_j}
+    # the pair in fX and fY first, while few dim^4 arrays are alive
     rhs = beta**2 * (
-        np.einsum("...bc,...ka->...kabc", gq - st.etaeta, _bracket(st))
-        - np.einsum("...ca,...kb->...kabc", sgl, Q - st.etaxi)  # QY - sum eta^j(Y) xi_j
-        + s * np.einsum("...ca,...kb->...kabc", gfz, f)
-        - s * np.einsum("...cb,...ka->...kabc", gfz, f)
-        + np.einsum("...b,...lac->...labc", etabar, tail)
+        st.m.s * _minus_swap(np.einsum("...ca,...kb->...kabc", gfz, f), -3, -2)
+        + np.einsum("...bc,...ka->...kabc", gq - st.etaeta, _bracket(st))
+        - np.einsum("...ca,...kb->...kabc", _bracket_form(st), Q - st.etaxi)
+        + np.einsum("...b,...lac->...labc", st.etabar, _reeb_term(st))
     )
     return lhs - rhs
 
 
 def _id44(st: StructureAtPoint, beta: float) -> np.ndarray:
-    xibar, etabar = st.xibar, st.etabar
     lhs = contract("...lajc,...ij->...ilac", st.geo.riem, st.xi)  # R_{X, xi_i} Z
-    rhs = beta**2 * (
-        np.einsum("...ac,...l->...lac", st.geo.g, xibar)
-        - np.einsum("...c,la->...lac", etabar, np.eye(st.m.dim))
-        + np.einsum("...la,...c->...lac", st.etaxi, etabar)
-        - np.einsum("...ac,...l->...lac", st.etaeta, xibar)
-    )
-    return lhs - rhs[..., None, :, :, :]
+    return lhs + (beta**2 * _reeb_term(st))[..., None, :, :, :]
 
 
 # identity id -> residual tensor of that identity at a point
@@ -257,8 +241,6 @@ def build_example2(n: int, s: int, beta: float, c: float) -> dict:
     contact block; c = 0 reduces to the classical metric f-structure.
     Returns the model's manifest, without its version tag.
     """
-    if n < 1 or s < 1:
-        raise ValueError("need n >= 1 and s >= 1")
     if beta == 0:
         raise ValueError("the Kenmotsu coefficient must be nonzero")
     if c < 0:
@@ -292,8 +274,6 @@ def build_twisted_product(scales, s: int, sigma: str) -> dict:
     inferred as d(log sigma)/dt_1 at the origin.  Returns the model's
     manifest, without its version tag.
     """
-    if s < 1 or len(scales) < 1:
-        raise ValueError("need s >= 1 and at least one factor scale")
     if not all(scales):
         raise ValueError("factor scales must be nonzero")
     n = len(scales)
@@ -356,5 +336,4 @@ def eta_einstein_fit(st: StructureAtPoint) -> EinsteinFit:
         a_pred = m.s * m.beta**2 + st.geo.scalar / (2.0 * m.n)
         b_pred = -2.0 * m.n * m.beta**2 - a_pred
         predicted = (a_pred, b_pred)
-    col_a = st.geo.g - st.etaeta + st.ebar
-    return EinsteinFit.least_squares(st.geo.ric, col_a, st.ebar, predicted)
+    return EinsteinFit.least_squares(st.geo.ric, st.H + st.ebar, st.ebar, predicted)

@@ -64,16 +64,6 @@ class SolitonData:
     V: FieldSpec | None = None
     v: ExprAst | None = None
 
-    def __post_init__(self):
-        if (self.V is None) == (self.v is None):
-            raise ValueError("provide exactly one of V (vector field) or v (potential)")
-        for name, val in (("lam", self.lam), ("mu", self.mu)):
-            if not isinstance(val, (int, float)):
-                raise TypeError(
-                    f"{name} must be a real constant; variable soliton "
-                    "coefficients (almost-soliton equations) are not supported"
-                )
-
     @property
     def classification(self) -> str:
         """The soliton's type by the sign of lambda."""
@@ -123,12 +113,12 @@ def theorem4_residual(st: StructureAtPoint) -> dict:
 def star_eta_einstein_fit(st: StructureAtPoint):
     """Fit Ric* = abar g + bbar sum_i eta^i (x) eta^i + (abar+bbar) sum_{i!=j}.
 
-    Regrouped, the model is abar (g + sum_{i!=j} eta^i (x) eta^j) plus
-    bbar etabar (x) etabar.  The predicted pair is (r*/2n, -r*/2n).
+    Regrouped, the model is abar (H + etabar (x) etabar), that is abar (g +
+    sum_{i!=j} eta^i (x) eta^j), plus bbar etabar (x) etabar.  The predicted
+    pair is (r*/2n, -r*/2n).
     """
-    cross = st.ebar - st.etaeta  # sum_{i!=j} eta^i (x) eta^j
     pred = st.r_star / (2.0 * st.m.n)
-    return EinsteinFit.least_squares(st.ric_star, st.geo.g + cross, st.ebar, (pred, -pred))
+    return EinsteinFit.least_squares(st.ric_star, st.H + st.ebar, st.ebar, (pred, -pred))
 
 
 def corollary2_residual(st: StructureAtPoint) -> dict:
@@ -154,8 +144,8 @@ def _check_star_symmetric(st: StructureAtPoint) -> None:
 
 
 def _soliton_rhs(st: StructureAtPoint, lam: float, mu: float) -> np.ndarray:
-    """lam {g - sum eta (x) eta} + (lam+mu) etabar (x) etabar, of (32) and (75)."""
-    return lam * (st.geo.g - st.etaeta) + (lam + mu) * st.ebar
+    """lam H + (lam+mu) etabar (x) etabar, of (32) and (75)."""
+    return lam * st.H + (lam + mu) * st.ebar
 
 
 def soliton_residual(st: StructureAtPoint) -> dict:
@@ -166,12 +156,10 @@ def soliton_residual(st: StructureAtPoint) -> dict:
     half_lie = 0.5 * lie_derivative_metric(st.geo, st.potential)
     lam, mu = st.m.soliton.lam, st.m.soliton.mu
     beta, s, n = st.m.beta, st.m.s, st.m.n
-    g = st.geo.g
     k = s * (2 * n - 1) * beta**2
     rhs33 = (
-        lam * g
-        - k * contract("...ma,...mb->...ab", st.Q, g)
-        + (k - lam) * st.etaeta
+        lam * st.H
+        - k * (contract("...ma,...mb->...ab", st.Q, st.geo.g) - st.etaeta)
         + (lam + mu - 2 * n * beta**2) * st.ebar
     )
     return {
@@ -192,13 +180,7 @@ def gradient_soliton_residual(st: StructureAtPoint) -> dict:
     beta, s, n = st.m.beta, st.m.s, st.m.n
     k = s * (2 * n - 1) * beta**2
     lhs_op = st.geo.ginv @ hess + st.Q @ st.geo.ric_sharp
-    rhs_op = (
-        lam * np.eye(st.m.dim)
-        - k * st.Q
-        + (k - lam) * st.etaxi
-        + (lam + mu - 2 * n * beta**2)
-        * np.einsum("...a,...k->...ka", st.etabar, st.xibar)
-    )
+    rhs_op = lam * st.P - k * (st.Q - st.etaxi) + (lam + mu - 2 * n * beta**2) * st.xebar
     return {"grad.75": np.stack((tensor_form, lhs_op - rhs_op), axis=-3)}
 
 
@@ -232,8 +214,6 @@ def lemma2_audit(st: StructureAtPoint) -> dict:
     rs = st.geo.ric_sharp
     Q, Qt = st.Q, st.Qtilde
     xi = st.xi
-    xibar, etabar = st.xibar, st.etabar
-    eye = np.eye(st.m.dim)
 
     # (42): (L_V nabla)(X, xi_i) vs 2b Ric# QX + 4snb^3 QX + 2sb^3 Qt X + ...
     v = st.potential
@@ -242,34 +222,19 @@ def lemma2_audit(st: StructureAtPoint) -> dict:
         2.0 * beta * rs @ Q
         + 4.0 * s * n * beta**3 * Q
         + 2.0 * s * beta**3 * Qt
-        + 4.0 * n * beta**3
-        * (np.einsum("...a,...k->...ka", etabar, xibar) - s * st.etaxi)
+        + 4.0 * n * beta**3 * (st.xebar - s * st.etaxi)
     )
     res42 = contract("...kab,...ib->...ika", lie_nab, xi) - rhs42[..., None, :, :]
 
     lie_r = lie_derivative_curvature(st.geo, v)  # [k, a, b, c]
 
-    # (34): (L_V R)_{X,Y} xi_i vs the nabla-Ric# expression
-    nab_rs = st.geo.nabla_ric_sharp  # [k, j, a]
-    # (nabla_X Ric#)(QY) at X=a, Y=b is nrq[k, b, a]; antisymmetrize in (a, b)
-    nrq = contract("...kja,...jb->...kba", nab_rs, Q)
-    t_ab = np.einsum("...kba->...kab", nrq)
-    term1 = 2.0 * beta * (t_ab - np.swapaxes(t_ab, -1, -2))
-    term2 = 2.0 * beta**2 * (
-        np.einsum("...a,...kb->...kab", etabar, rs)  # Ric# e_b: [k, b]
-        - np.einsum("...b,...ka->...kab", etabar, rs)
-    )
-    rsqt = rs @ Qt
-    term3 = 4.0 * beta**2 * (
-        np.einsum("...a,...kb->...kab", etabar, rsqt)
-        - np.einsum("...b,...ka->...kab", etabar, rsqt)
-    )
-    brk = eye + 2.0 * Qt - st.etaxi  # [k, b]
-    term4 = 4.0 * s * n * beta**4 * (
-        np.einsum("...a,...kb->...kab", etabar, brk)
-        - np.einsum("...b,...ka->...kab", etabar, brk)
-    )
-    rhs34 = term1 + term2 + term3 + term4
+    # (34): (L_V R)_{X,Y} xi_i vs the nabla-Ric# expression, u(X, Y) - u(Y, X)
+    # with u(X, Y) = 2b (nabla_X Ric#)(QY) + etabar(X) {2b^2 Ric# + 4b^2 Ric# Qt
+    # + 4snb^4 (P + 2Qt)} Y
+    nrq = contract("...kja,...jb->...kba", st.geo.nabla_ric_sharp, Q)  # [k, b, a]
+    op = 2.0 * beta**2 * rs + 4.0 * beta**2 * (rs @ Qt) + 4.0 * s * n * beta**4 * (st.P + 2.0 * Qt)
+    u = 2.0 * beta * np.swapaxes(nrq, -1, -2) + np.einsum("...a,...kb->...kab", st.etabar, op)
+    rhs34 = u - np.swapaxes(u, -1, -2)
     lie_r_xi = contract("...kabc,...ic->...ikab", lie_r, xi)
     res34 = lie_r_xi - rhs34[..., None, :, :, :]
 

@@ -91,16 +91,6 @@ class WeakFManifold:
     sigma: ExprAst | None = None          # a twisted product's manifest sets it
     soliton: SolitonData | None = None    # the *-eta-Ricci soliton it carries
 
-    def __post_init__(self):
-        if self.n < 1 or self.s < 1:
-            raise ValueError("need n >= 1 and s >= 1")
-        if self.metric.dim != self.dim:
-            raise ValueError("metric dimension does not match 2n+s")
-        if len(self.xi) != self.s or len(self.eta) != self.s:
-            raise ValueError("need s Reeb fields and s dual 1-forms")
-        if self.soliton and (self.soliton.V or self.soliton.v).dim != self.dim:
-            raise ValueError("potential dimension does not match the manifold")
-
     @property
     def dim(self) -> int:
         return 2 * self.n + self.s
@@ -184,6 +174,22 @@ class StructureAtPoint:
     def ebar(self) -> np.ndarray:
         """etabar (x) etabar."""
         return np.einsum("...a,...b->...ab", self.etabar, self.etabar)
+
+    @cached_property
+    def P(self) -> np.ndarray:
+        """The projection id - sum_i eta^i (x) xi_i onto the distribution the
+        eta^i cut out, along the xi_i: [k, a]."""
+        return np.eye(self.m.dim) - self.etaxi
+
+    @cached_property
+    def H(self) -> np.ndarray:
+        """The transverse metric g - sum_i eta^i (x) eta^i, g on that distribution."""
+        return self.geo.g - self.etaeta
+
+    @cached_property
+    def xebar(self) -> np.ndarray:
+        """xibar (x) etabar as a (1,1)-tensor: [k, a] = xibar^k etabar_a."""
+        return np.einsum("...a,...k->...ka", self.etabar, self.xibar)
 
     @cached_property
     def ric_star(self) -> np.ndarray:

@@ -1028,12 +1028,82 @@ class TestIntegerFields:
         err = capsys.readouterr().err
         assert f"error: {key}: expected an integer" in err and "Traceback" not in err
 
+    def test_ascii_number_strings_read_as_numbers(self, manifest_path, tmp_path):
+        data = _mutated(_load(manifest_path), ("n",), "1")
+        data["sample"] = {"count": "2", "seed": "3", "box": ["-0.5", "5e-1"]}
+        path = tmp_path / "ok.json"
+        path.write_text(json.dumps(data))
+        assert main(["check", str(path), "--only", "axiom.5"]) == 0
+
     def test_integral_floats_are_integers(self, manifest_path, tmp_path):
         data = _mutated(_load(manifest_path), ("n",), 1.0)
         data["sample"] = {"count": 2.0, "seed": 3.0, "box": [0, 1]}
         path = tmp_path / "ok.json"
         path.write_text(json.dumps(data))
         assert main(["check", str(path), "--only", "axiom.5"]) == 0
+
+
+class TestAsciiNumbers:
+    """A number written as text has ASCII digits only, and no "_" or spaces,
+    as in an expression; int() and float() would take all three."""
+
+    @pytest.mark.parametrize(
+        "path, value, key",
+        [
+            (("n",), "\uff12", "n"),  # fullwidth 2
+            (("n",), " 1", "n"),
+            (("c",), "\u0661", "c"),  # Arabic-Indic 1
+            (("sample",), {"count": "\u0663"}, "sample.count"),
+            (("soliton", "lambda"), "-1_0", "soliton.lambda"),
+        ],
+        ids=[
+            "n-fullwidth", "n-space", "c-arabic-indic", "count-arabic-indic",
+            "lambda-underscore",
+        ],
+    )
+    def test_manifest_number_text(self, manifest_path, tmp_path, capsys, path, value, key):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(_mutated(_load(manifest_path), path, value)))
+        [err] = _input_errors([[str(bad)]], tmp_path, capsys)
+        assert err.startswith(f"error: {key}: expected ")
+
+    def test_tolerance_flag(self, manifest_path, tmp_path, capsys):
+        routes = _both_routes(
+            manifest_path, tmp_path, "tolerances", {"id.13": "1_0"}, ["--tol", "id.13=1_0"]
+        )
+        errors = _input_errors(routes, tmp_path, capsys)
+        want = "error: tolerances[id.13]: expected a finite number, got '1_0'\n"
+        assert errors[0] == errors[1] == want
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["check", "MANIFEST", "--points", "\u0663"],
+            ["check", "MANIFEST", "--seed", "1_0"],
+            ["check", "MANIFEST", "--box", "0", " 1"],
+            ["example2", "\u0662", "\u0663", "1.0", "1.0"],
+            ["example2", "1", "2", "1_0", "1.0"],
+            ["twisted", "--factors", "1", "--s", "\u0661", "--sigma", "exp(x3)"],
+        ],
+        ids=["points", "seed", "box", "example2-n-s", "example2-beta", "twisted-s"],
+    )
+    def test_flag_number_text(self, manifest_path, tmp_path, capsys, argv):
+        # a flag's text is argparse's to reject, in its own words
+        out = tmp_path / "out.json"
+        argv = [manifest_path if a == "MANIFEST" else a for a in argv]
+        with pytest.raises(SystemExit) as exit_:
+            main([*argv, "--out", str(out)])
+        assert exit_.value.code == 2
+        assert "invalid" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_factor_text(self, tmp_path, capsys):
+        out = tmp_path / "tw.json"
+        argv = ["twisted", "--factors", "1_0,2", "--s", "1", "--sigma", "exp(x5)"]
+        assert main([*argv, "--out", str(out)]) == 2
+        want = "error: --factors: expected a finite number, got '1_0'\n"
+        assert capsys.readouterr().err == want
+        assert not out.exists()
 
 
 _FLOATS = st.floats(allow_nan=True, allow_infinity=True)

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from wfk.checks import CATALOGUE
-from wfk.kenmotsu import IDENTITY_IDS, build_example2, build_twisted_product, eta_einstein_fit
+from wfk.cli import main
+from wfk.kenmotsu import IDENTITY_IDS, build_twisted_product, eta_einstein_fit
 
 from conftest import diagonal_metric, example_manifold, group_residuals, model, seeded_points
 
@@ -75,9 +76,12 @@ class TestExplicitModel:
     @pytest.mark.parametrize(
         "n,s,beta,c", [(0, 1, 1.0, 0.0), (1, 0, 1.0, 0.0), (1, 1, 0.0, 0.0), (1, 1, 1.0, -0.5)]
     )
-    def test_invalid_parameters(self, n, s, beta, c):
-        with pytest.raises(ValueError):
-            build_example2(n, s, beta, c)
+    def test_invalid_parameters(self, tmp_path, capsys, n, s, beta, c):
+        # the emitter checks n and s, then the builder beta and c
+        out = tmp_path / "bad.json"
+        assert main(["example2", *map(str, (n, s, beta, c)), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
 
     def test_reeb_second_fundamental_symmetry(self, e2):
         """nabla_{xi_i} xi_j + nabla_{xi_j} xi_i vanishes."""

@@ -47,6 +47,11 @@ def _shifted(path, term):
     return edit
 
 
+def _beta(data, eps):
+    """Write beta as beta (1 + eps)."""
+    data["beta"] = f"{data['beta']!r}*(1+{eps!r})"
+
+
 def _potential(data, eps):
     data["soliton"]["v"] = f"{data['soliton']['v']}+{eps!r}*x1^2"
 
@@ -67,6 +72,10 @@ CONTROLS = [
     ("axiom.etaf", _shifted(("eta", 1, 2), "x2"), False),
     ("deta", _shifted(("eta", 1, 2), "x1"), False),
     ("grad.75", _potential, True),
+    *((cid, _beta, False) for cid in (
+        "id.14", "id.15", "id.16", "id.18", "id.19", "id.20", "id.21", "id.22", "id.23",
+        "id.26", "id.27", "id.44", "thm4.29", "lemma2.34",
+    )),
 ]
 
 

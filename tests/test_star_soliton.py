@@ -6,10 +6,12 @@ import pytest
 
 from wfk import expr as ex
 from wfk.checks import CATALOGUE, CheckContext, run_check_ids
+from wfk.cli import ManifestError
 from wfk.geometry import FieldSpec, lie_derivative_1form
+from wfk.kenmotsu import build_example2
 from wfk.star_soliton import SolitonData, soliton_residual, star_eta_einstein_fit
 
-from conftest import example_manifold, exprs, group_residuals, seeded_points, with_soliton
+from conftest import example_manifold, exprs, group_residuals, model, seeded_points, with_soliton
 
 O = np.zeros(4)
 GOLDEN = json.loads(
@@ -181,17 +183,17 @@ class TestLieDerivativeAudit:
 
 
 class TestValidation:
+    # the manifest reader is the one place a soliton is built, so it checks its data
     def test_potential_exclusivity(self):
-        with pytest.raises(ValueError):
-            SolitonData(lam=1.0, mu=0.0)
-        with pytest.raises(ValueError):
-            SolitonData(
-                lam=1.0, mu=0.0, V=_xibar_field(4, 2), v=ex.const(0.0, 4)
-            )
+        for potential in ({}, {"V": [0, 0, 1, 1], "v": "x3"}):
+            soliton = {"lambda": 1, "mu": 0, **potential}
+            with pytest.raises(ManifestError, match="^soliton: provide exactly one of V or v$"):
+                model({**build_example2(1, 2, 1.0, 1.0), "soliton": soliton})
 
     def test_constant_coefficients_only(self):
-        with pytest.raises(TypeError):
-            SolitonData(lam="1", mu=0.0, V=_xibar_field(4, 2))
+        soliton = {"lambda": "x1", "mu": 0, "V": [0, 0, 1, 1]}
+        with pytest.raises(ManifestError, match="^soliton.lambda: expected a finite number"):
+            model({**build_example2(1, 2, 1.0, 1.0), "soliton": soliton})
 
     def test_asymmetric_star_ricci_is_rejected(self, e2):
         from wfk.geometry import MetricField
@@ -209,11 +211,14 @@ class TestValidation:
         with pytest.raises(ValueError, match="not symmetric"):
             soliton_residual(m.at(p))
 
-    def test_dimension_mismatch(self, e2):
-        # the model checks its potential's dimension once, when it is built
-        for potential in ({"V": _xibar_field(3, 1)}, {"v": ex.parse_expression("x3", 3)}):
-            with pytest.raises(ValueError, match="potential dimension"):
-                with_soliton(e2, 0.0, 0.0, **potential)
+    def test_dimension_mismatch(self):
+        # a potential over another chart is rejected when the manifest is read
+        cases = (("V", [0, 0, 1], "^soliton.V: expected 4 components$"),
+                 ("v", "x5", "^soliton.v: coordinate index out of range: x5 \\(dimension 4\\)"))
+        for key, potential, message in cases:
+            soliton = {"lambda": 0, "mu": 0, key: potential}
+            with pytest.raises(ManifestError, match=message):
+                model({**build_example2(1, 2, 1.0, 1.0), "soliton": soliton})
 
     @pytest.mark.parametrize(
         "potential, cid",
