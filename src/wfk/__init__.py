@@ -9,3 +9,7 @@ tolerances.
 """
 
 __version__ = "0.1.0"
+
+
+class InputError(ValueError):
+    """Bad input; the command line maps it, and nothing else, to exit code 2."""

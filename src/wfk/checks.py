@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import InputError
 from .kenmotsu import (
     IDENTITY_IDS,
     audit_identities,
@@ -146,7 +147,7 @@ def run_check_ids(ctx: CheckContext, ids, points) -> dict[str, np.ndarray]:
     ids = list(dict.fromkeys(ids))
     blocked = [i for i in ids if not ctx._satisfied(CATALOGUE[i].requires)]
     if blocked:
-        raise ValueError(
+        raise InputError(
             f"checks {blocked} need data this manifest does not provide "
             "(beta, twisted-product sigma, or a soliton block)"
         )

@@ -22,11 +22,11 @@ from itertools import accumulate, chain
 
 import numpy as np
 
-from . import __version__
+from . import InputError, __version__
 from . import expr as ex
 from .checks import CATALOGUE, CheckContext, applicable_ids, run_check_ids
 from .expr import ExprAst, ExprDomainError, ExprError
-from .geometry import FieldSpec, MetricError, MetricField
+from .geometry import FieldSpec, MetricField
 from .kenmotsu import build_example2, build_twisted_product
 from .star_soliton import SolitonData
 from .weakf import MAX_FIELD, WeakFManifold
@@ -74,9 +74,9 @@ _MAX_POINTS_DIM5 = 2**31 // 26
 _MAX_BETA = 1e76
 
 
-class ManifestError(Exception):
-    """Bad input: invalid manifest content, or an argument that cannot be
-    used; maps to process exit code 2."""
+class ManifestError(InputError):
+    """Bad input the command line finds (a manifest entry, an argument or an
+    output path), or a library error it restates with where the error arose."""
 
 
 # ---------------------------------------------------------------------------
@@ -322,15 +322,12 @@ def manifold_from_manifest(data: dict):
 
 
 def sample_points(dim: int, sample: dict) -> np.ndarray:
-    try:
-        count = _integer(sample["count"], "sample.count")
-        seed = _integer(sample["seed"], "sample.seed")
-        box = sample["box"]
-        if not isinstance(box, list) or len(box) != 2:  # a string would unpack too
-            raise ManifestError(f"sample.box: expected a list of two numbers, got {box!r}")
-        lo, hi = (_finite_number(x, "sample.box") for x in box)
-    except (KeyError, TypeError, ValueError) as err:
-        raise ManifestError(f"sample policy: {err}") from err
+    count = _integer(sample["count"], "sample.count")
+    seed = _integer(sample["seed"], "sample.seed")
+    box = sample["box"]
+    if not isinstance(box, list) or len(box) != 2:  # a string would unpack too
+        raise ManifestError(f"sample.box: expected a list of two numbers, got {box!r}")
+    lo, hi = (_finite_number(x, "sample.box") for x in box)
     most = min(_MAX_POINTS, _MAX_POINTS_DIM5 // dim**5)
     if not 1 <= count <= most:
         raise ManifestError(
@@ -457,8 +454,6 @@ def run_check(args) -> int:
         raise ManifestError(f"the inputs are too large together: {err}") from err
     except ExprDomainError as err:
         raise _entry_error(m, err) from err
-    except ValueError as err:
-        raise ManifestError(str(err)) from err
 
     checks = [
         (cid, table[cid], overrides.get(cid, CATALOGUE[cid].tolerance), CATALOGUE[cid].audit)
@@ -509,10 +504,7 @@ def _write(pieces, out: str | None) -> None:
 def emit_example2(args) -> int:
     _chart_dim(args.n, args.s)
     beta, c = _bounded(args.beta, "beta", _MAX_BETA), _finite_number(args.c, "c")
-    try:
-        data = build_example2(args.n, args.s, beta, c)
-    except ValueError as err:
-        raise ManifestError(str(err)) from err
+    data = build_example2(args.n, args.s, beta, c)
     lam = _bounded(args.s * beta - args.s * (1.0 + c) * beta**2, "soliton.lambda", MAX_FIELD)
     soliton = {"lambda": lam, "mu": -lam, "V": [0] * (2 * args.n) + [1] * args.s}  # V = xibar
     manifest = {"version": SCHEMA_VERSION, **data, "soliton": soliton}
@@ -532,8 +524,6 @@ def emit_twisted(args) -> int:
         data = build_twisted_product(scales, args.s, args.sigma)
     except ExprError as err:
         raise ManifestError(f"sigma: {err}") from err
-    except ValueError as err:
-        raise ManifestError(str(err)) from err
     m = manifold_from_manifest(data)[0]  # bounds the beta inferred from sigma, too
     axioms = CheckContext(m).group_reports("axioms", m.at(np.zeros(m.dim)))
     if not all(res <= CATALOGUE[cid].tolerance for cid, res in axioms.items()):
@@ -600,7 +590,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ManifestError, ExprError, MetricError) as err:
+    except InputError as err:
         sys.stderr.write(f"error: {err}\n")
         return 2
 

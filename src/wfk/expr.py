@@ -38,6 +38,8 @@ from functools import cached_property
 
 import numpy as np
 
+from . import InputError
+
 __all__ = [
     "Node",
     "ExprAst",
@@ -52,7 +54,7 @@ __all__ = [
 ]
 
 
-class ExprError(Exception):
+class ExprError(InputError):
     """Base class for expression errors; carries a character span."""
 
     def __init__(self, message: str, span: tuple[int, int]):

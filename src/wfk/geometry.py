@@ -24,8 +24,7 @@ Index conventions used throughout:
 * ``Ric[j, k]`` = trace of ``Z -> R(Z, e_j) e_k``.
 
 The exterior derivative of a 2-form (:func:`coboundary_2form`) carries the
-1/3 of the co-boundary formula the identity checks are written against;
-the checks write that of a 1-form, with its 1/2, inline.
+1/3 of the co-boundary formula the identity checks are written against.
 """
 from __future__ import annotations
 
@@ -35,6 +34,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
+from . import InputError
 from . import expr as ex
 
 __all__ = [
@@ -53,7 +53,7 @@ __all__ = [
 ]
 
 
-class MetricError(Exception):
+class MetricError(InputError):
     """A field is out of range at a point: a value beyond its bound, or a
     metric that is not positive definite."""
 

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import InputError
 from .expr import parse_expression
 from .geometry import contract
 from .weakf import StructureAtPoint, tensor_residual
@@ -242,9 +243,9 @@ def build_example2(n: int, s: int, beta: float, c: float) -> dict:
     Returns the model's manifest, without its version tag.
     """
     if beta == 0:
-        raise ValueError("the Kenmotsu coefficient must be nonzero")
+        raise InputError("the Kenmotsu coefficient must be nonzero")
     if c < 0:
-        raise ValueError("the structure deformation c must be >= 0")
+        raise InputError("the structure deformation c must be >= 0")
     dim = 2 * n + s
     xbar = "+".join(f"x{2 * n + p + 1}" for p in range(s))
     if 2.0 * beta != 1.0:  # manifests write no factor 1
@@ -275,12 +276,12 @@ def build_twisted_product(scales, s: int, sigma: str) -> dict:
     manifest, without its version tag.
     """
     if not all(scales):
-        raise ValueError("factor scales must be nonzero")
+        raise InputError("factor scales must be nonzero")
     n = len(scales)
     two_n, dim = 2 * n, 2 * n + s
     value, grad = parse_expression(sigma, dim).jets(np.zeros(dim), order=1)
     if value <= 0:
-        raise ValueError("sigma must be positive")
+        raise InputError("sigma must be positive")
 
     f = np.zeros((dim, dim))
     for k, c in enumerate(scales):
@@ -307,7 +308,7 @@ def twisted_product_audit(st: StructureAtPoint) -> dict:
     low = np.reshape(~(sigma > 0), -1)  # jets are finite, so only sign and underflow
     if low.any():
         q = st.point.reshape(-1, m.dim)[np.argmax(low)]
-        raise ValueError(f"sigma is not positive at point {q.tolist()}")
+        raise InputError(f"sigma is not positive at point {q.tolist()}")
     rate = contract("...ia,...a->...i", st.xi, dsigma / sigma[..., None])
 
     # (iii): fiber components of nabla_X Y equal the Christoffels of the

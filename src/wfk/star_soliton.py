@@ -26,6 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import InputError
 from .expr import ExprAst
 from .geometry import (
     FieldSpec,
@@ -137,7 +138,7 @@ def corollary2_residual(st: StructureAtPoint) -> dict:
 def _check_star_symmetric(st: StructureAtPoint) -> None:
     asym = tensor_residual(_asymmetry(st), st.lead)
     if np.any(asym > _SYMMETRY_TOL):
-        raise ValueError(
+        raise InputError(
             f"the *-Ricci tensor is not symmetric at a sample point "
             f"(antisymmetric part {np.max(asym):.2e}); the soliton equation is undefined"
         )

@@ -172,15 +172,28 @@ def test_every_public_library_function_is_read_by_the_library():
     )
 
 
-def _calls(node, scope: str, names, found: list) -> list:
-    """(enclosing function, callee) of each call of one of ``names`` under ``node``."""
-    if isinstance(node, ast.Call) and ast.unparse(node.func) in names:
-        found.append((scope, ast.unparse(node.func)))
+def _scoped(node, scope: str):
+    """(enclosing function, node) of ``node`` and of every node under it."""
+    yield scope, node
     if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
         scope = f"{scope}.{node.name}"
     for child in ast.iter_child_nodes(node):
-        _calls(child, scope, names, found)
-    return found
+        yield from _scoped(child, scope)
+
+
+def _source_nodes():
+    """(enclosing function, node) of every node of every source file of ``src/wfk``."""
+    for path in sorted(SRC.glob("*.py")):
+        yield from _scoped(ast.parse(path.read_text()), path.stem)
+
+
+def _calls(names) -> list:
+    """(enclosing function, callee) of each call of one of ``names``, sorted."""
+    return sorted(
+        (scope, ast.unparse(node.func))
+        for scope, node in _source_nodes()
+        if isinstance(node, ast.Call) and ast.unparse(node.func) in names
+    )
 
 
 def test_only_the_manifest_reader_builds_a_model():
@@ -189,10 +202,7 @@ def test_only_the_manifest_reader_builds_a_model():
     on them (a missing potential is a blocked id, not a guard of its own)."""
     # dataclasses.replace would build a model too
     names = ("WeakFManifold", "SolitonData", "replace", "dataclasses.replace")
-    found = []
-    for path in sorted(SRC.glob("*.py")):
-        _calls(ast.parse(path.read_text()), path.stem, names, found)
-    assert sorted(found) == [
+    assert _calls(names) == [
         ("cli.manifold_from_manifest", "SolitonData"),
         ("cli.manifold_from_manifest", "SolitonData"),
         ("cli.manifold_from_manifest", "WeakFManifold"),
@@ -205,14 +215,30 @@ def test_only_the_check_context_measures_a_check():
     measured is decided in one place.  The norm's two other callers measure a
     fit's own quality (cor2's gate) and the Ric* symmetry gate."""
     assert not hasattr(weakf.StructureAtPoint, "residual")
-    found = []
-    for path in sorted(SRC.glob("*.py")):
-        _calls(ast.parse(path.read_text()), path.stem, ("tensor_residual",), found)
-    assert sorted(found) == [
+    assert _calls(("tensor_residual",)) == [
         ("checks.CheckContext._run_group", "tensor_residual"),
         ("kenmotsu.EinsteinFit.least_squares", "tensor_residual"),
         ("star_soliton._check_star_symmetric", "tensor_residual"),
     ]
+
+
+def test_only_the_number_and_json_readers_catch_a_value_error():
+    """Bad input is an ``InputError``, and ``main`` maps it, and nothing else,
+    to exit 2.  A ``ValueError`` is caught only where a reader turns Python's
+    own reading of a number or of JSON into bad input, so a fault of the
+    program never reads as bad input."""
+    # (enclosing function, names of the caught types) of each except clause;
+    # a bare except catches BaseException
+    handlers = [
+        (scope, {n.id for n in ast.walk(node.type or ast.Name("BaseException"))
+                 if isinstance(n, ast.Name)})
+        for scope, node in _source_nodes() if isinstance(node, ast.ExceptHandler)
+    ]
+    broad = {"ValueError", "Exception", "BaseException"}
+    assert sorted(scope for scope, names in handlers if names & broad) == [
+        "cli._finite_number", "cli._integer", "cli.load_manifest", "expr._tokenize",
+    ]
+    assert [names for scope, names in handlers if scope == "cli.main"] == [{"InputError"}]
 
 
 @pytest.mark.parametrize(

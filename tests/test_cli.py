@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from wfk import cli, weakf
+from wfk import InputError, checks, cli, weakf
 from wfk.checks import CATALOGUE
 from wfk.cli import main
 from wfk.expr import parse_expression
@@ -867,6 +867,19 @@ class TestInputBounds:
         err = capsys.readouterr().err
         assert "error: sigma is not positive at point [" in err and "Traceback" not in err
 
+    def test_asymmetric_star_ricci(self, tmp_path, capsys):
+        # a metric entry coupling x1 and x3 makes Ric* asymmetric, so the
+        # soliton equation (32) is undefined: the gate rejects the model
+        manifest = tmp_path / "asym.json"
+        assert main(["example2", "1", "1", "1.0", "1.0", "--out", str(manifest)]) == 0
+        manifest.write_text(json.dumps(_mutated(_load(manifest), ("metric", 2, 0), 0.5)))
+        assert main(["check", str(manifest), "--reproducible"]) == 2
+        assert capsys.readouterr() == (
+            "",
+            "error: the *-Ricci tensor is not symmetric at a sample point (antisymmetric "
+            "part 2.23e+00); the soliton equation is undefined\n",
+        )
+
     @pytest.mark.parametrize(
         "text, message",
         [
@@ -1364,3 +1377,23 @@ class TestFuzz:
             )
         assert code in (0, 1, 2)
         assert "Traceback" not in err.getvalue()
+
+
+class TestProgramFaults:
+    """Exit 2 means bad input, an ``InputError``, and nothing else: any other
+    exception is a fault of the program and leaves ``main`` unchanged, so the
+    command line shows its traceback."""
+
+    @pytest.mark.parametrize(
+        "fault",
+        [lambda: np.ones(2) + np.ones(3), lambda: np.linalg.inv(np.zeros((4, 4)))],
+        ids=["broadcast", "singular-matrix"],
+    )
+    def test_a_fault_in_a_check_group_is_not_bad_input(
+        self, manifest_path, monkeypatch, capsys, fault
+    ):
+        monkeypatch.setitem(checks._RUNNERS, "kenmotsu", lambda st: fault())
+        with pytest.raises(ValueError) as err:
+            main(["check", manifest_path, "--only", "kenmotsu.12", "--reproducible"])
+        assert not isinstance(err.value, InputError)
+        assert capsys.readouterr() == ("", "")

@@ -1,8 +1,10 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from wfk import kenmotsu
 from wfk.checks import CATALOGUE
 from wfk.cli import main
 from wfk.kenmotsu import IDENTITY_IDS, build_twisted_product, eta_einstein_fit
@@ -49,6 +51,21 @@ class TestIdentityAudit:
     def test_tolerances_by_kind(self, e2):
         for cid in group_residuals("identities", e2.at(O)):
             assert CATALOGUE[cid].tolerance == 1e-8
+
+    def test_id27_keeps_few_dim4_arrays_alive(self):
+        # which temporaries numpy can elide decides the peak: with the
+        # s g(Z, fX) fY pair summed third instead of first, one more
+        # chunk-sized dim^4 array stays alive and the peak reads 1.54 MiB
+        m = example_manifold(2, 3, 1.0, 1.0)
+        st = m.at(np.array(seeded_points(m.dim, count=20, seed=1)))  # one dim-7 chunk
+        kenmotsu._id27(st, m.beta)  # builds every cached tensor it reads
+        tracemalloc.start()
+        try:
+            kenmotsu._id27(st, m.beta)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.4 * 2**20, peak / 2**20
 
     def test_second_parameter_set(self):
         m = example_manifold(2, 2, 0.5, 1.0)

@@ -56,6 +56,11 @@ def _potential(data, eps):
     data["soliton"]["v"] = f"{data['soliton']['v']}+{eps!r}*x1^2"
 
 
+def _field(data, eps):
+    """Give V (= xibar, no x1 component) the component eps 10 x1 x3 along x1."""
+    data["soliton"]["V"][0] = f"{eps!r}*10*x1*x3"
+
+
 # (check id, edit, gradient variant)
 CONTROLS = [
     ("axiom.6", _scaled(("metric", 1, 1)), False),
@@ -71,6 +76,9 @@ CONTROLS = [
     ("dphi", _shifted(("f", 1, 2), "x3"), False),
     ("axiom.etaf", _shifted(("eta", 1, 2), "x2"), False),
     ("deta", _shifted(("eta", 1, 2), "x1"), False),
+    # xi_1 gains eps x3 d/dx1; every eta^i vanishes on d/dx1, so the basis stays dual
+    ("id.13", _shifted(("xi", 1, 1), "x3"), False),
+    ("lemma2.35", _field, False),
     ("grad.75", _potential, True),
     *((cid, _beta, False) for cid in (
         "id.14", "id.15", "id.16", "id.18", "id.19", "id.20", "id.21", "id.22", "id.23",
