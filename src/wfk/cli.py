@@ -25,7 +25,6 @@ import numpy as np
 from . import InputError, __version__
 from . import expr as ex
 from .checks import CATALOGUE, CheckContext, applicable_ids, run_check_ids
-from .expr import ExprAst, ExprDomainError, ExprError
 from .geometry import FieldSpec, MetricField
 from .kenmotsu import build_example2, build_twisted_product
 from .star_soliton import SolitonData
@@ -42,6 +41,7 @@ __all__ = [
     "emit_twisted",
     "list_checks",
     "main",
+    "entry",
 ]
 
 SCHEMA_VERSION = "wfk/1"
@@ -75,8 +75,8 @@ _MAX_BETA = 1e76
 
 
 class ManifestError(InputError):
-    """Bad input the command line finds (a manifest entry, an argument or an
-    output path), or a library error it restates with where the error arose."""
+    """Bad input the command line finds itself: a manifest entry, an argument
+    or an output path.  A library's ``InputError`` reaches ``main`` as raised."""
 
 
 # ---------------------------------------------------------------------------
@@ -143,14 +143,11 @@ def _chart_dim(n: int, s: int) -> int:
     return 2 * n + s
 
 
-def _parse_entry(raw, dim: int, where: str) -> ExprAst:
+def _parse_entry(raw, dim: int, where: str) -> ex.ExprAst:
     if isinstance(raw, (int, float)) and not isinstance(raw, bool):
         return ex.const(_finite_number(raw, where), dim)
     if isinstance(raw, str):
-        try:
-            return ex.parse_expression(raw, dim)
-        except ExprError as err:
-            raise ManifestError(f"{where}: {err}") from err
+        return ex.parse_expression(raw, dim, where)
     raise ManifestError(f"{where}: expected a number or expression string")
 
 
@@ -172,29 +169,6 @@ def _parse_components(raw, dim: int, name: str):
     if not isinstance(raw, list) or len(raw) != dim:
         raise ManifestError(f"{name}: expected {dim} components")
     return tuple(_parse_entry(e, dim, f"{name}[{k + 1}]") for k, e in enumerate(raw))
-
-
-def _entry_error(m: WeakFManifold, err: ExprDomainError) -> ManifestError:
-    """``err`` named by the first entry of ``m`` in manifest order that holds
-    the node at fault, so that its span reads in that entry's text."""
-    sol = m.soliton
-    todo = [  # in reverse manifest order
-        ("soliton.v", sol and sol.v), ("soliton.V", sol and sol.V and sol.V.entries),
-        ("sigma", m.sigma), ("eta", [v.entries for v in m.eta]), ("xi", [v.entries for v in m.xi]),
-        ("Q", m.Q.entries), ("f", m.f.entries),
-        ("metric", [row[: i + 1] for i, row in enumerate(m.metric.entries)]),
-    ]
-    while todo:  # depth first, in manifest order: fields, rows, entries, nodes
-        name, item = todo.pop()
-        if isinstance(item, tuple | list):
-            todo += reversed([(f"{name}[{k + 1}]", e) for k, e in enumerate(item)])
-        elif isinstance(item, ExprAst):
-            todo.append((name, item.root))
-        elif item == err.node:
-            return ManifestError(f"{name}: {err}")
-        elif item:
-            todo += [(name, child) for child in item.children]
-    return ManifestError(str(err))
 
 
 def _known_keys(raw: dict, allowed, where: str) -> None:
@@ -281,10 +255,7 @@ def manifold_from_manifest(data: dict):
         soliton=soliton,
     )
     # dual-basis validation at the origin, on the model the run uses
-    try:
-        st = m.at(np.zeros(dim))
-    except ExprDomainError as err:
-        raise _entry_error(m, err) from err
+    st = m.at(np.zeros(dim))
     if np.abs(st.eta @ st.xi.T - np.eye(s)).max() > 1e-8:
         raise ManifestError("axiom eta^i(xi_j) = delta violated at validation")
 
@@ -452,8 +423,6 @@ def run_check(args) -> int:
             table = run_check_ids(ctx, ids, points)
     except FloatingPointError as err:
         raise ManifestError(f"the inputs are too large together: {err}") from err
-    except ExprDomainError as err:
-        raise _entry_error(m, err) from err
 
     checks = [
         (cid, table[cid], overrides.get(cid, CATALOGUE[cid].tolerance), CATALOGUE[cid].audit)
@@ -520,10 +489,7 @@ def emit_twisted(args) -> int:
     if not scales:
         raise ManifestError("--factors: need at least one factor scale")
     _chart_dim(len(scales), args.s)
-    try:
-        data = build_twisted_product(scales, args.s, args.sigma)
-    except ExprError as err:
-        raise ManifestError(f"sigma: {err}") from err
+    data = build_twisted_product(scales, args.s, args.sigma)
     m = manifold_from_manifest(data)[0]  # bounds the beta inferred from sigma, too
     axioms = CheckContext(m).group_reports("axioms", m.at(np.zeros(m.dim)))
     if not all(res <= CATALOGUE[cid].tolerance for cid, res in axioms.items()):
@@ -595,5 +561,16 @@ def main(argv=None) -> int:
         return 2
 
 
+def entry() -> int:
+    """The ``wfk`` command: ``main``'s exit code, or, for a fault of the
+    program, its traceback and 70 (``EX_SOFTWARE`` of BSD's sysexits.h), so
+    that a crash never reads as a failed check (1)."""
+    try:
+        return main()
+    except Exception:
+        sys.excepthook(*sys.exc_info())  # the traceback, as Python prints it
+        return 70
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(entry())

@@ -34,7 +34,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -55,10 +55,12 @@ __all__ = [
 
 
 class ExprError(InputError):
-    """Base class for expression errors; carries a character span."""
+    """Base class for expression errors: a message, led by the name of the
+    entry whose text was parsed, and a character span of that text."""
 
-    def __init__(self, message: str, span: tuple[int, int]):
-        super().__init__(f"{message} (at characters {span[0]}..{span[1]})")
+    def __init__(self, message: str, span: tuple[int, int], entry: str = ""):
+        where = f"{entry}: " if entry else ""
+        super().__init__(f"{where}{message} (at characters {span[0]}..{span[1]})")
         self.message = message
         self.span = span
 
@@ -69,8 +71,7 @@ class ExprSyntaxError(ExprError):
 
 class ExprDomainError(ExprError):
     def __init__(self, message: str, node: "Node"):  # the node at fault
-        super().__init__(message, node.span)
-        self.node = node
+        super().__init__(message, node.span, node.entry)
 
 
 _FUNCTIONS = ("exp", "sqrt", "log")
@@ -91,6 +92,7 @@ class Node:
     value: float = 0.0  # constants
     index: int = 0      # coordinate index (0-based) or integer exponent
     span: tuple[int, int] = (0, 0)
+    entry: str = ""     # the name of the text that ``span`` indexes
 
 
 @dataclass(frozen=True)
@@ -133,19 +135,19 @@ _TOKEN = re.compile(
 _BINARY = {"+": "add", "-": "sub", "*": "mul", "/": "div"}
 
 
-def _tokenize(text: str) -> list[_Token]:
+def _tokenize(text: str, entry: str) -> list[_Token]:
     tokens = []
     for match in _TOKEN.finditer(text):
         kind, word, span = match.lastgroup, match.group(), match.span()
         if kind == "bad":
-            raise ExprSyntaxError(f"unexpected character {word!r}", span)
+            raise ExprSyntaxError(f"unexpected character {word!r}", span, entry)
         if kind == "num":
             try:
                 number = float(word)
             except ValueError:
-                raise ExprSyntaxError(f"malformed number {word!r}", span) from None
+                raise ExprSyntaxError(f"malformed number {word!r}", span, entry) from None
             if not math.isfinite(number):
-                raise ExprSyntaxError(f"number out of range {word!r}", span)
+                raise ExprSyntaxError(f"number out of range {word!r}", span, entry)
         if kind != "space":
             tokens.append(_Token(kind, word, span))
     return tokens + [_Token("end", "", (len(text), len(text)))]
@@ -156,9 +158,12 @@ def _found(tok: _Token) -> str:
 
 
 class _Parser:
-    def __init__(self, text: str, dim: int):
+    def __init__(self, text: str, dim: int, entry: str):
         self.dim = dim
-        self.tokens = _tokenize(text)
+        self.tokens = _tokenize(text, entry)
+        # every node and error carries the entry whose text its span indexes
+        self.node = partial(Node, entry=entry)
+        self.error = partial(ExprSyntaxError, entry=entry)
         self.pos = 0
         self.nesting = 0
 
@@ -174,26 +179,26 @@ class _Parser:
     def expect(self, kind: str) -> _Token:
         tok = self.advance()
         if tok.kind != kind:
-            raise ExprSyntaxError(f"expected {kind!r}, found {_found(tok)}", tok.span)
+            raise self.error(f"expected {kind!r}, found {_found(tok)}", tok.span)
         return tok
 
     def parse(self) -> Node:
         node = self.expr()
         tok = self.tokens[self.pos]
         if tok.kind != "end":
-            raise ExprSyntaxError(f"unexpected trailing input {tok.text!r}", tok.span)
+            raise self.error(f"unexpected trailing input {tok.text!r}", tok.span)
         return node
 
     def expr(self) -> Node:
         self.nesting += 1
         if self.nesting > _MAX_DEPTH:
-            raise ExprSyntaxError(
+            raise self.error(
                 f"expression nested deeper than {_MAX_DEPTH} levels", self.tokens[self.pos].span
             )
         node = self.term()
         while op := self.accept("+-"):
             rhs = self.term()
-            node = Node(_BINARY[op.text], (node, rhs), span=(node.span[0], rhs.span[1]))
+            node = self.node(_BINARY[op.text], (node, rhs), span=(node.span[0], rhs.span[1]))
         self.nesting -= 1
         return node
 
@@ -201,7 +206,7 @@ class _Parser:
         node = self.unary()
         while op := self.accept("*/"):
             rhs = self.unary()
-            node = Node(_BINARY[op.text], (node, rhs), span=(node.span[0], rhs.span[1]))
+            node = self.node(_BINARY[op.text], (node, rhs), span=(node.span[0], rhs.span[1]))
         return node
 
     def unary(self) -> Node:
@@ -211,7 +216,7 @@ class _Parser:
             signs.append(tok)
         node = self.power(self.atom())
         for tok in reversed(signs):
-            node = Node("neg", (node,), span=(tok.span[0], node.span[1]))
+            node = self.node("neg", (node,), span=(tok.span[0], node.span[1]))
         return node
 
     def power(self, base: Node) -> Node:
@@ -219,45 +224,47 @@ class _Parser:
             return base
         tok = self.advance()
         if tok.kind != "num" or not tok.text.isdigit():
-            raise ExprSyntaxError("power exponent must be a nonnegative integer literal", tok.span)
+            raise self.error("power exponent must be a nonnegative integer literal", tok.span)
         # the lexer keeps the exponent below 1.8e308, so past its leading zeros
         # it has at most 309 digits, few enough for int()
         k = int(tok.text.lstrip("0") or 0)
-        return Node("pow", (base,), index=k, span=(base.span[0], tok.span[1]))
+        return self.node("pow", (base,), index=k, span=(base.span[0], tok.span[1]))
 
     def atom(self) -> Node:
         tok = self.advance()
         if tok.kind == "num":
-            return Node("const", value=float(tok.text), span=tok.span)
+            return self.node("const", value=float(tok.text), span=tok.span)
         if tok.kind == "lparen":
             inner = self.expr()
             self.expect("rparen")
             return inner
         if tok.kind != "name":
-            raise ExprSyntaxError(f"expected expression, found {_found(tok)}", tok.span)
+            raise self.error(f"expected expression, found {_found(tok)}", tok.span)
         name = tok.text
         if name in _FUNCTIONS:
             self.expect("lparen")
             inner = self.expr()
-            return Node(name, (inner,), span=(tok.span[0], self.expect("rparen").span[1]))
+            return self.node(name, (inner,), span=(tok.span[0], self.expect("rparen").span[1]))
         if name[0] != "x" or not name[1:].isdigit():
-            raise ExprSyntaxError(f"unknown identifier {name!r}", tok.span)
+            raise self.error(f"unknown identifier {name!r}", tok.span)
         # "x01" is x1; an index with more digits than dim is out of range
         # without being converted, however long it is
         digits = name[1:].lstrip("0")
         idx = int(digits or 0) if len(digits) <= len(str(self.dim)) else 0
         if not 1 <= idx <= self.dim:
-            raise ExprSyntaxError(
+            raise self.error(
                 f"coordinate index out of range: {name} (dimension {self.dim})", tok.span
             )
-        return Node("var", index=idx - 1, span=tok.span)
+        return self.node("var", index=idx - 1, span=tok.span)
 
 
-def parse_expression(text: str, dim: int) -> ExprAst:
-    """Parse ``text`` into an AST over coordinates ``x1..x{dim}``."""
+def parse_expression(text: str, dim: int, entry: str = "") -> ExprAst:
+    """Parse ``text``, the text of the manifest entry named ``entry``, into an
+    AST over coordinates ``x1..x{dim}``.  Every error of the expression, in
+    parsing or in evaluation, names ``entry``."""
     if not text.strip():
-        raise ExprSyntaxError("empty expression", (0, len(text)))
-    root = _Parser(text, dim).parse()
+        raise ExprSyntaxError("empty expression", (0, len(text)), entry)
+    root = _Parser(text, dim, entry).parse()
     _check_depth(root)
     return ExprAst(root, dim)
 
@@ -269,7 +276,7 @@ def _check_depth(root: Node) -> None:
         node, depth = stack.pop()
         if depth > _MAX_DEPTH:
             raise ExprSyntaxError(
-                f"expression nested deeper than {_MAX_DEPTH} levels", node.span
+                f"expression nested deeper than {_MAX_DEPTH} levels", node.span, node.entry
             )
         stack.extend((child, depth + 1) for child in node.children)
 

@@ -45,9 +45,11 @@ class EinsteinFit:
     predicted: tuple[float, float] | None = None  # Kenmotsu closed form, if known
 
     @classmethod
-    def least_squares(cls, target, col_a, col_b, predicted=None) -> "EinsteinFit":
-        """Least-squares (a, b) of target = a col_a + b col_b for 2-tensors
-        with any batch axes in front; residual is :func:`tensor_residual`."""
+    def least_squares(cls, ginv, target, col_a, col_b, predicted=None) -> "EinsteinFit":
+        """Least-squares (a, b) of target = a col_a + b col_b, (0,2)-tensors with
+        any batch axes in front, each raised by ``ginv`` so that no column sinks
+        below rounding where g is large; residual is :func:`tensor_residual`."""
+        target, col_a, col_b = ginv @ target, ginv @ col_a, ginv @ col_b
         batch = target.shape[:-2]
         design = np.stack([col_a, col_b], axis=-1).reshape(batch + (-1, 2))
         # the cutoff np.linalg.lstsq uses, on a stack of designs
@@ -279,7 +281,7 @@ def build_twisted_product(scales, s: int, sigma: str) -> dict:
         raise InputError("factor scales must be nonzero")
     n = len(scales)
     two_n, dim = 2 * n, 2 * n + s
-    value, grad = parse_expression(sigma, dim).jets(np.zeros(dim), order=1)
+    value, grad = parse_expression(sigma, dim, "sigma").jets(np.zeros(dim), order=1)
     if value <= 0:
         raise InputError("sigma must be positive")
 
@@ -337,4 +339,4 @@ def eta_einstein_fit(st: StructureAtPoint) -> EinsteinFit:
         a_pred = m.s * m.beta**2 + st.geo.scalar / (2.0 * m.n)
         b_pred = -2.0 * m.n * m.beta**2 - a_pred
         predicted = (a_pred, b_pred)
-    return EinsteinFit.least_squares(st.geo.ric, st.H + st.ebar, st.ebar, predicted)
+    return EinsteinFit.least_squares(st.geo.ginv, st.geo.ric, st.H + st.ebar, st.ebar, predicted)

@@ -119,12 +119,14 @@ def star_eta_einstein_fit(st: StructureAtPoint):
     pair is (r*/2n, -r*/2n).
     """
     pred = st.r_star / (2.0 * st.m.n)
-    return EinsteinFit.least_squares(st.ric_star, st.H + st.ebar, st.ebar, (pred, -pred))
+    return EinsteinFit.least_squares(
+        st.geo.ginv, st.ric_star, st.H + st.ebar, st.ebar, (pred, -pred)
+    )
 
 
 def corollary2_residual(st: StructureAtPoint) -> dict:
-    """Corollary 2, abar = -bbar = r*/(2n), one residual a point; vacuous (0)
-    where the fit is poor."""
+    """Corollary 2, abar = -bbar = r*/(2n), one residual a point, from the fit of
+    the mixed tensor g^-1 Ric* (any metric scale); vacuous (0) where it is poor."""
     fit = star_eta_einstein_fit(st)
     a_pred, b_pred = fit.predicted
     res = np.maximum(fit.residual, np.maximum(abs(fit.a - a_pred), abs(fit.b - b_pred)))

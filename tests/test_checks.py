@@ -222,23 +222,42 @@ def test_only_the_check_context_measures_a_check():
     ]
 
 
-def test_only_the_number_and_json_readers_catch_a_value_error():
-    """Bad input is an ``InputError``, and ``main`` maps it, and nothing else,
-    to exit 2.  A ``ValueError`` is caught only where a reader turns Python's
-    own reading of a number or of JSON into bad input, so a fault of the
-    program never reads as bad input."""
-    # (enclosing function, names of the caught types) of each except clause;
-    # a bare except catches BaseException
-    handlers = [
+def _handlers() -> list:
+    """(enclosing function, names of the caught types) of each except clause
+    of ``src/wfk``; a bare except catches BaseException."""
+    return [
         (scope, {n.id for n in ast.walk(node.type or ast.Name("BaseException"))
                  if isinstance(n, ast.Name)})
         for scope, node in _source_nodes() if isinstance(node, ast.ExceptHandler)
     ]
+
+
+def test_only_the_number_and_json_readers_catch_a_value_error():
+    """Bad input is an ``InputError``, and ``main`` maps it, and nothing else,
+    to exit 2.  A ``ValueError`` is caught only where a reader turns Python's
+    own reading of a number or of JSON into bad input, so a fault of the
+    program never reads as bad input.  ``cli.entry``, the command around
+    ``main``, catches every other ``Exception`` only to print its traceback
+    and exit 70, so that a fault of the program reads as neither bad input
+    (2) nor a failed check (1)."""
+    handlers = _handlers()
     broad = {"ValueError", "Exception", "BaseException"}
     assert sorted(scope for scope, names in handlers if names & broad) == [
-        "cli._finite_number", "cli._integer", "cli.load_manifest", "expr._tokenize",
+        "cli._finite_number", "cli._integer", "cli.entry", "cli.load_manifest",
+        "expr._tokenize",
     ]
     assert [names for scope, names in handlers if scope == "cli.main"] == [{"InputError"}]
+    assert [names for scope, names in handlers if scope == "cli.entry"] == [{"Exception"}]
+
+
+def test_an_expression_error_is_not_restated():
+    """An expression error names its manifest entry where it is raised (the
+    parser stamps every node with the entry it parses), so no code catches
+    one to name it again.  The tape compiler's constant folding catches a
+    domain error only to keep the instruction unfolded, so that it raises
+    when the tape runs, in evaluation order."""
+    caught = {"ExprError", "ExprSyntaxError", "ExprDomainError"}
+    assert [scope for scope, names in _handlers() if names & caught] == ["expr._fold"]
 
 
 @pytest.mark.parametrize(

@@ -922,6 +922,16 @@ class TestInputBounds:
         [err] = _input_errors([[str(bad)]], tmp_path, capsys)
         assert err.startswith(message)
 
+    def test_a_subtree_shared_by_two_entries_names_the_one_that_ran(self, tmp_path, capsys):
+        # the metric's and f's text hold the same subtree; a structure runs f's
+        # tape before the metric's, so f's instruction is the one that fails
+        path = tmp_path / "e2.json"
+        assert main(["example2", "2", "3", "1.0", "1.0", "--out", str(path)]) == 0
+        data = _mutated(_load(path), ("metric", 0, 0), "1+exp(x1+800)")
+        path.write_text(json.dumps(_mutated(data, ("f", 0, 1), "1+exp(x1+800)")))
+        [err] = _input_errors([[str(path)]], tmp_path, capsys)
+        assert err == "error: f[1][2]: exp overflows (at characters 2..13)\n"
+
     def test_a_sigma_jet_evaluation_error_names_sigma(self, tmp_path, capsys):
         out = tmp_path / "tw.json"
         sigma = "x1^" + "9" * 300
@@ -1381,8 +1391,8 @@ class TestFuzz:
 
 class TestProgramFaults:
     """Exit 2 means bad input, an ``InputError``, and nothing else: any other
-    exception is a fault of the program and leaves ``main`` unchanged, so the
-    command line shows its traceback."""
+    exception is a fault of the program and leaves ``main`` unchanged, and the
+    ``wfk`` command (``cli.entry``) prints its traceback and exits 70."""
 
     @pytest.mark.parametrize(
         "fault",
@@ -1397,3 +1407,31 @@ class TestProgramFaults:
             main(["check", manifest_path, "--only", "kenmotsu.12", "--reproducible"])
         assert not isinstance(err.value, InputError)
         assert capsys.readouterr() == ("", "")
+
+    def test_the_command_exits_70_on_a_fault(self, manifest_path, tmp_path):
+        # exit 1, Python's status for an uncaught exception, would read as a failed check
+        code = (
+            "import runpy, sys\n"
+            "import numpy as np\n"
+            "from wfk import checks\n"
+            "checks._RUNNERS['kenmotsu'] = lambda st: np.ones(2) + np.ones(3)\n"
+            "sys.argv = ['wfk', *sys.argv[1:]]\n"
+            "runpy.run_module('wfk.cli', run_name='__main__')\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(pathlib.Path(cli.__file__).parents[1])}
+        out = tmp_path / "r.json"
+        argv = ["check", manifest_path, "--only", "kenmotsu.12", "--out", str(out)]
+        run = subprocess.run(
+            [sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True,
+            timeout=300,
+        )
+        assert run.returncode == 70
+        assert run.stderr.startswith("Traceback (most recent call last):\n")
+        assert run.stderr.endswith("ValueError: operands could not be broadcast together "
+                                   "with shapes (2,) (3,) \n")
+        assert run.stdout == "" and not out.exists()
+
+    def test_the_console_script_is_the_entry(self):
+        tomllib = pytest.importorskip("tomllib")  # Python 3.11 on
+        with open(pathlib.Path(__file__).parents[1] / "pyproject.toml", "rb") as fh:
+            assert tomllib.load(fh)["project"]["scripts"] == {"wfk": "wfk.cli:entry"}

@@ -4,12 +4,19 @@ import pathlib
 import numpy as np
 import pytest
 
+from wfk import InputError
 from wfk import expr as ex
 from wfk.checks import CATALOGUE, CheckContext, run_check_ids
 from wfk.cli import ManifestError
 from wfk.geometry import FieldSpec, lie_derivative_1form
 from wfk.kenmotsu import build_example2
-from wfk.star_soliton import SolitonData, soliton_residual, star_eta_einstein_fit
+from wfk.star_soliton import (
+    _FIT_GATE,
+    SolitonData,
+    corollary2_residual,
+    soliton_residual,
+    star_eta_einstein_fit,
+)
 
 from conftest import example_manifold, exprs, group_residuals, model, seeded_points, with_soliton
 
@@ -83,6 +90,29 @@ class TestStarRicci:
         assert fit.b == pytest.approx(4.0)
         assert fit.residual < 1e-8
         assert fit.predicted == pytest.approx((fit.a, fit.b))
+
+
+class TestCorollary2LargeBeta:
+    """Where e^{2 beta xbar} spans many orders of magnitude, the *-eta-Einstein
+    fit of the mixed tensor still sees its g column: the gate is open and
+    cor2 reads rounding, at the points the default sample policy drew for
+    these models (count 5, seed 42, box [-0.5, 0.5]), written out here."""
+
+    POINTS = np.array([
+        [0.27395604855596334, -0.06112156024794768, 0.35859791991138246, 0.1973680290593639],
+        [-0.40582265211235047, 0.4756223516367559, 0.26113970199035297, 0.2860643052769538],
+        [-0.3718863673244541, -0.049614062104432866, -0.12920197576741876, 0.4267649888486018],
+        [0.14386512008066454, 0.32276161327083, -0.05658580117266887, -0.2727612782152231],
+        [0.0545847870158348, -0.4361827438958247, 0.32763117199258207, 0.13166439912206485],
+    ])
+
+    @pytest.mark.parametrize("beta", [-26.09, -19.09, 19.09])
+    def test_the_fit_sees_its_g_column(self, beta):
+        m = example_manifold(1, 2, beta, 0.0)
+        for p in self.POINTS:
+            st = m.at(p)
+            assert star_eta_einstein_fit(st).residual <= _FIT_GATE
+            assert corollary2_residual(st)["cor2"] <= 1e-12
 
 
 class TestVectorSolitons:
@@ -212,12 +242,13 @@ class TestValidation:
             soliton_residual(m.at(p))
 
     def test_dimension_mismatch(self):
-        # a potential over another chart is rejected when the manifest is read
+        # a potential over another chart is rejected when the manifest is read:
+        # a V of the wrong length by the reader, a v's coordinate by the parser
         cases = (("V", [0, 0, 1], "^soliton.V: expected 4 components$"),
                  ("v", "x5", "^soliton.v: coordinate index out of range: x5 \\(dimension 4\\)"))
         for key, potential, message in cases:
             soliton = {"lambda": 0, "mu": 0, key: potential}
-            with pytest.raises(ManifestError, match=message):
+            with pytest.raises(InputError, match=message):
                 model({**build_example2(1, 2, 1.0, 1.0), "soliton": soliton})
 
     @pytest.mark.parametrize(
