@@ -9,7 +9,8 @@ import numpy as np
 
 from wfk.checks import CheckContext
 from wfk.cli import manifold_from_manifest
-from wfk.kenmotsu import build_example2, eta_einstein_fit
+from wfk.kenmotsu import build_example2
+from wfk.star_soliton import eta_einstein_fit
 
 
 def main():
@@ -33,11 +34,14 @@ def main():
         print(f"  p = {np.round(p, 3)}: nabla-f {k:.2e}, "
               f"normality/closedness {t1:.2e}")
 
-    fit = eta_einstein_fit(m.at(origin))
+    st = m.at(origin)
+    a, b, residual = eta_einstein_fit(st)
+    # the Kenmotsu closed form: a = s beta^2 + r/2n, b = -2n beta^2 - a
+    a_pred = m.s * m.beta**2 + st.geo.scalar / (2.0 * m.n)
+    b_pred = -2.0 * m.n * m.beta**2 - a_pred
     print(f"\neta-Einstein fit: Ric = a g - a sum eta(x)eta + (a+b) etabar(x)etabar")
-    a_pred, b_pred = fit.predicted
-    print(f"  a = {fit.a:+.6f}, b = {fit.b:+.6f} "
-          f"(closed form {a_pred:+.6f}, {b_pred:+.6f}), residual {fit.residual:.2e}")
+    print(f"  a = {a:+.6f}, b = {b:+.6f} "
+          f"(closed form {a_pred:+.6f}, {b_pred:+.6f}), residual {residual:.2e}")
 
 
 if __name__ == "__main__":

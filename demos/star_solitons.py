@@ -31,10 +31,10 @@ def main():
     print(np.round(st.ric_star, 9))
     print(f"star scalar curvature: {st.r_star:+.6f}")
 
-    fit = star_eta_einstein_fit(st)
-    a_pred, b_pred = fit.predicted
-    print(f"star-eta-Einstein fit: abar = {fit.a:+.6f}, bbar = {fit.b:+.6f} "
-          f"(predicted {a_pred:+.6f}, {b_pred:+.6f})")
+    abar, bbar, _ = star_eta_einstein_fit(st)
+    pred = st.r_star / (2 * n)  # Corollary 2: abar = -bbar = r*/2n
+    print(f"star-eta-Einstein fit: abar = {abar:+.6f}, bbar = {bbar:+.6f} "
+          f"(predicted {pred:+.6f}, {-pred:+.6f})")
 
     sol = m.soliton
     res = CheckContext(m).group_reports("soliton", m.at(np.array(points)))  # one chunk

@@ -202,7 +202,7 @@ def manifold_from_manifest(data: dict):
     _known_keys(data, _KEYS, "manifest")
     n, s = _integer(data.get("n"), "n"), _integer(data.get("s"), "s")
     dim = _chart_dim(n, s)
-    if data.get("dim") not in (None, dim):
+    if data.get("dim") is not None and _integer(data["dim"], "dim") != dim:
         raise ManifestError(f"dim {data.get('dim')} does not equal 2n+s = {dim}")
 
     beta = data.get("beta")

@@ -13,52 +13,21 @@ xi_i(log sigma).  ``wfk.cli.manifold_from_manifest`` makes either a model.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import InputError
 from .expr import parse_expression
 from .geometry import contract
-from .weakf import StructureAtPoint, tensor_residual
+from .weakf import StructureAtPoint
 
 __all__ = [
-    "EinsteinFit",
     "IDENTITY_IDS",
     "kenmotsu_residual",
     "audit_identities",
     "build_example2",
     "build_twisted_product",
     "twisted_product_audit",
-    "eta_einstein_fit",
 ]
-
-
-@dataclass(frozen=True)
-class EinsteinFit:
-    """Least-squares coefficients of the eta-Einstein model for Ric, at a
-    point or (as arrays) at each point of a chunk."""
-
-    a: float
-    b: float
-    residual: float
-    predicted: tuple[float, float] | None = None  # Kenmotsu closed form, if known
-
-    @classmethod
-    def least_squares(cls, ginv, target, col_a, col_b, predicted=None) -> "EinsteinFit":
-        """Least-squares (a, b) of target = a col_a + b col_b, (0,2)-tensors with
-        any batch axes in front, each raised by ``ginv`` so that no column sinks
-        below rounding where g is large; residual is :func:`tensor_residual`."""
-        target, col_a, col_b = ginv @ target, ginv @ col_a, ginv @ col_b
-        batch = target.shape[:-2]
-        design = np.stack([col_a, col_b], axis=-1).reshape(batch + (-1, 2))
-        # the cutoff np.linalg.lstsq uses, on a stack of designs
-        pinv = np.linalg.pinv(design, rcond=np.finfo(float).eps * design.shape[-2])
-        coef = (pinv @ target.reshape(batch + (-1, 1)))[..., 0]
-        a, b = coef[..., 0], coef[..., 1]
-        fitted = a[..., None, None] * col_a + b[..., None, None] * col_b
-        residual = tensor_residual(target - fitted, len(batch))
-        return cls(a[()], b[()], residual, predicted)
 
 
 # ---------------------------------------------------------------------------
@@ -326,17 +295,3 @@ def twisted_product_audit(st: StructureAtPoint) -> dict:
         "twisted.iii": st.geo.gamma[..., :two_n, :two_n, :two_n] - gam_hat,
     }
 
-
-# ---------------------------------------------------------------------------
-# eta-Einstein fit
-
-
-def eta_einstein_fit(st: StructureAtPoint) -> EinsteinFit:
-    """Least-squares (a, b) of Ric = a g - a sum eta (x) eta + (a+b) etabar (x) etabar."""
-    m = st.m
-    predicted = None
-    if m.beta is not None:
-        a_pred = m.s * m.beta**2 + st.geo.scalar / (2.0 * m.n)
-        b_pred = -2.0 * m.n * m.beta**2 - a_pred
-        predicted = (a_pred, b_pred)
-    return EinsteinFit.least_squares(st.geo.ginv, st.geo.ric, st.H + st.ebar, st.ebar, predicted)

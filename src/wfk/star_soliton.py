@@ -1,4 +1,4 @@
-"""*-Ricci tensor, *-eta-Einstein fits, and *-eta-Ricci-soliton checks.
+"""*-Ricci tensor, eta-Einstein fits of Ric and Ric*, and *-eta-Ricci-soliton checks.
 
 The authoritative *-Ricci tensor is the definitional trace
 
@@ -13,10 +13,12 @@ tensor on the Kenmotsu class is a checked identity (``theorem4_residual``),
 never an input.
 
 Every check here returns ``{check id: tensor}``, the tensor that must
-vanish, which ``wfk.checks`` measures.  (33) and the operator form of (75)
-are transcribed as printed, not derived from (32), so their coefficients
-are checked too; grad.75 stacks the two forms of (75), so its residual is
-the larger of theirs.  The soliton checks read the model's soliton
+vanish, which ``wfk.checks`` measures.  The eta-Einstein fits return the
+arrays ``(a, b, residual)``; they and ``contact_fit`` fit by
+``wfk.weakf.least_squares``.  (33) and the operator form of (75) are
+transcribed as printed, not derived from (32), so their coefficients are
+checked too; grad.75 stacks the two forms of (75), so its residual is the
+larger of theirs.  The soliton checks read the model's soliton
 (``WeakFManifold.soliton``), whose type depends on lambda alone
 (``SolitonData.classification``).
 """
@@ -37,12 +39,12 @@ from .geometry import (
     lie_derivative_curvature,
     lie_derivative_metric,
 )
-from .kenmotsu import EinsteinFit
-from .weakf import StructureAtPoint, tensor_residual
+from .weakf import StructureAtPoint, least_squares, tensor_residual
 
 __all__ = [
     "SolitonData",
     "theorem4_residual",
+    "eta_einstein_fit",
     "star_eta_einstein_fit",
     "corollary2_residual",
     "star_symmetry_gate",
@@ -108,29 +110,41 @@ def theorem4_residual(st: StructureAtPoint) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# *-eta-Einstein fit
+# eta-Einstein fits of Ric and Ric*
+
+
+def _eta_einstein(st: StructureAtPoint, ric: np.ndarray):
+    """(a, b, residual) of the least-squares fit ric = a (H + etabar (x) etabar)
+    + b etabar (x) etabar, of the mixed tensors: every term raised by g^-1, so
+    that where g is large its column does not sink below rounding; residual
+    is the fit's :func:`tensor_residual`."""
+    ginv = st.geo.ginv
+    a, b, rest = least_squares(ginv @ ric, ginv @ (st.H + st.ebar), ginv @ st.ebar, lead=st.lead)
+    return a, b, tensor_residual(rest, st.lead)
+
+
+def eta_einstein_fit(st: StructureAtPoint):
+    """(a, b, residual) of Ric = a g - a sum eta (x) eta + (a+b) etabar (x) etabar."""
+    return _eta_einstein(st, st.geo.ric)
 
 
 def star_eta_einstein_fit(st: StructureAtPoint):
-    """Fit Ric* = abar g + bbar sum_i eta^i (x) eta^i + (abar+bbar) sum_{i!=j}.
+    """(abar, bbar, residual) of Ric* = abar g + bbar sum_i eta^i (x) eta^i +
+    (abar+bbar) sum_{i!=j} eta^i (x) eta^j.
 
     Regrouped, the model is abar (H + etabar (x) etabar), that is abar (g +
-    sum_{i!=j} eta^i (x) eta^j), plus bbar etabar (x) etabar.  The predicted
-    pair is (r*/2n, -r*/2n).
+    sum_{i!=j} eta^i (x) eta^j), plus bbar etabar (x) etabar.
     """
-    pred = st.r_star / (2.0 * st.m.n)
-    return EinsteinFit.least_squares(
-        st.geo.ginv, st.ric_star, st.H + st.ebar, st.ebar, (pred, -pred)
-    )
+    return _eta_einstein(st, st.ric_star)
 
 
 def corollary2_residual(st: StructureAtPoint) -> dict:
     """Corollary 2, abar = -bbar = r*/(2n), one residual a point, from the fit of
     the mixed tensor g^-1 Ric* (any metric scale); vacuous (0) where it is poor."""
-    fit = star_eta_einstein_fit(st)
-    a_pred, b_pred = fit.predicted
-    res = np.maximum(fit.residual, np.maximum(abs(fit.a - a_pred), abs(fit.b - b_pred)))
-    return {"cor2": np.where(fit.residual <= _FIT_GATE, res, 0.0)}
+    a, b, residual = star_eta_einstein_fit(st)
+    pred = st.r_star / (2.0 * st.m.n)
+    res = np.maximum(residual, np.maximum(abs(a - pred), abs(b + pred)))
+    return {"cor2": np.where(residual <= _FIT_GATE, res, 0.0)}
 
 
 # ---------------------------------------------------------------------------
@@ -196,10 +210,7 @@ def contact_fit(st: StructureAtPoint) -> dict:
     # the eta^i with their index first, so that they broadcast over the batch axes
     eta = (np.moveaxis(st.eta, -2, 0), np.moveaxis(st.deta, -3, 0))
     lie = np.moveaxis(lie_derivative_1form(st.geo, eta, st.potential), 0, -2)
-    num = contract("...ia,...ia->...", lie, st.eta)
-    den = contract("...ia,...ia->...", st.eta, st.eta)
-    sigma = np.divide(num, den, out=np.zeros_like(num), where=den > 0)
-    return {"contact.65": lie - sigma[..., None, None] * st.eta}
+    return {"contact.65": least_squares(lie, st.eta, lead=st.lead)[-1]}
 
 
 # ---------------------------------------------------------------------------

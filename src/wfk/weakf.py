@@ -40,6 +40,7 @@ __all__ = [
     "chunk_size",
     "StructureAtPoint",
     "tensor_residual",
+    "least_squares",
     "check_axioms",
     "nijenhuis_tensor",
     "normality_tensor",
@@ -74,6 +75,20 @@ def tensor_residual(t: np.ndarray, lead: int = 0):
     """Max-abs over the components of ``t`` past its first ``lead`` (batch)
     axes, one value per batch entry; NaN propagates, so it fails any tolerance."""
     return np.abs(t).max(axis=tuple(range(lead, np.ndim(t))), initial=0.0)
+
+
+def least_squares(target: np.ndarray, *columns: np.ndarray, lead: int = 0):
+    """Least-squares coefficients of ``target = sum_k c_k columns[k]``, tensors
+    of one shape with ``lead`` batch axes in front: ``(c_1, ..., c_K,
+    remainder)``, one coefficient a batch entry and the remainder ``target``
+    minus the fit.  The minimum-norm solution, by the pseudo-inverse with the
+    cutoff ``np.linalg.lstsq`` uses, so a zero column gets coefficient 0."""
+    batch = target.shape[:lead]
+    design = np.stack(columns, axis=-1).reshape(batch + (-1, len(columns)))
+    pinv = np.linalg.pinv(design, rcond=np.finfo(float).eps * design.shape[-2])
+    coef = np.moveaxis((pinv @ target.reshape(batch + (-1, 1)))[..., 0], -1, 0)
+    spread = (...,) + (None,) * (target.ndim - lead)  # a coefficient over its tensor
+    return (*coef, target - sum(c[spread] * col for c, col in zip(coef, columns)))
 
 
 @dataclass(frozen=True)

@@ -1036,10 +1036,12 @@ class TestIntegerFields:
             (("sample",), {"count": True, "seed": 1, "box": [0, 1]}, "sample.count"),
             (("sample",), {"count": 2, "seed": 3.5, "box": [0, 1]}, "sample.seed"),
             (("sample",), {"count": 2, "seed": True, "box": [0, 1]}, "sample.seed"),
+            (("dim",), 4.5, "dim"),
+            (("dim",), True, "dim"),
         ],
         ids=[
             "n-fraction", "n-bool", "s-fraction", "s-bool", "count-fraction",
-            "count-bool", "seed-fraction", "seed-bool",
+            "count-bool", "seed-fraction", "seed-bool", "dim-fraction", "dim-bool",
         ],
     )
     def test_non_integers_exit_2(
@@ -1053,10 +1055,17 @@ class TestIntegerFields:
 
     def test_ascii_number_strings_read_as_numbers(self, manifest_path, tmp_path):
         data = _mutated(_load(manifest_path), ("n",), "1")
+        data["dim"] = "4"
         data["sample"] = {"count": "2", "seed": "3", "box": ["-0.5", "5e-1"]}
         path = tmp_path / "ok.json"
         path.write_text(json.dumps(data))
         assert main(["check", str(path), "--only", "axiom.5"]) == 0
+
+    def test_a_dim_other_than_2n_plus_s_exits_2(self, manifest_path, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(_mutated(_load(manifest_path), ("dim",), 5)))
+        assert main(["check", str(bad)]) == 2
+        assert capsys.readouterr().err == "error: dim 5 does not equal 2n+s = 4\n"
 
     def test_integral_floats_are_integers(self, manifest_path, tmp_path):
         data = _mutated(_load(manifest_path), ("n",), 1.0)

@@ -7,7 +7,8 @@ import pytest
 from wfk import kenmotsu
 from wfk.checks import CATALOGUE
 from wfk.cli import main
-from wfk.kenmotsu import IDENTITY_IDS, build_twisted_product, eta_einstein_fit
+from wfk.kenmotsu import IDENTITY_IDS, build_twisted_product
+from wfk.star_soliton import eta_einstein_fit
 
 from conftest import diagonal_metric, example_manifold, group_residuals, model, seeded_points
 
@@ -161,21 +162,30 @@ class TestTwistedProducts:
 
 
 class TestEtaEinsteinFit:
+    @staticmethod
+    def _closed_form(st):
+        """The Kenmotsu closed form: a = s beta^2 + r/2n, b = -2n beta^2 - a."""
+        m = st.m
+        a = m.s * m.beta**2 + st.geo.scalar / (2.0 * m.n)
+        return a, -2.0 * m.n * m.beta**2 - a
+
     def test_reference_instance(self, e2):
-        fit = eta_einstein_fit(e2.at(O))
-        assert fit.a == pytest.approx(-4.0)
-        assert fit.b == pytest.approx(2.0)
-        assert fit.residual < 1e-8
-        assert fit.predicted == pytest.approx((fit.a, fit.b))
+        st = e2.at(O)
+        a, b, residual = eta_einstein_fit(st)
+        assert a == pytest.approx(-4.0)
+        assert b == pytest.approx(2.0)
+        assert residual < 1e-8
+        assert self._closed_form(st) == pytest.approx((a, b))
 
     def test_classical_instance_is_einstein(self):
-        m = example_manifold(1, 1, 1.0, 0.0)
-        fit = eta_einstein_fit(m.at(np.zeros(3)))
-        assert fit.a == pytest.approx(-2.0)
-        assert fit.b == pytest.approx(0.0, abs=1e-10)
+        st = example_manifold(1, 1, 1.0, 0.0).at(np.zeros(3))
+        a, b, _ = eta_einstein_fit(st)
+        assert a == pytest.approx(-2.0)
+        assert b == pytest.approx(0.0, abs=1e-10)
+        assert self._closed_form(st) == pytest.approx((a, b), abs=1e-10)
 
     def test_flat_product(self):
         m = _flat_product([1.0], 1)
-        fit = eta_einstein_fit(m.at(np.zeros(3)))
-        assert abs(fit.a) < 1e-10 and abs(fit.b) < 1e-10
-        assert fit.residual < 1e-10
+        a, b, residual = eta_einstein_fit(m.at(np.zeros(3)))
+        assert abs(a) < 1e-10 and abs(b) < 1e-10
+        assert residual < 1e-10

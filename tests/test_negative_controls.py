@@ -76,8 +76,11 @@ CONTROLS = [
     ("dphi", _shifted(("f", 1, 2), "x3"), False),
     ("axiom.etaf", _shifted(("eta", 1, 2), "x2"), False),
     ("deta", _shifted(("eta", 1, 2), "x1"), False),
-    # xi_1 gains eps x3 d/dx1; every eta^i vanishes on d/dx1, so the basis stays dual
-    ("id.13", _shifted(("xi", 1, 1), "x3"), False),
+    # xi_1 gains eps x3 d/dx1; every eta^i vanishes on d/dx1, so eta^i(xi_j) stays
+    # delta_ij, but g(xi_1, .) no longer equals eta^1; the edit vanishes at the origin
+    *((cid, _shifted(("xi", 1, 1), "x3"), False) for cid in (
+        "id.13", "axiom.fxi", "axiom.Qxi", "axiom.dual",
+    )),
     ("lemma2.35", _field, False),
     ("grad.75", _potential, True),
     *((cid, _beta, False) for cid in (

@@ -85,11 +85,13 @@ class TestStarRicci:
                 assert r < 1e-6, cid
 
     def test_eta_einstein_fit(self, e2):
-        fit = star_eta_einstein_fit(e2.at(O))
-        assert fit.a == pytest.approx(-4.0)
-        assert fit.b == pytest.approx(4.0)
-        assert fit.residual < 1e-8
-        assert fit.predicted == pytest.approx((fit.a, fit.b))
+        st = e2.at(O)
+        a, b, residual = star_eta_einstein_fit(st)
+        assert a == pytest.approx(-4.0)
+        assert b == pytest.approx(4.0)
+        assert residual < 1e-8
+        # Corollary 2: abar = -bbar = r*/2n
+        assert (st.r_star / 2, -st.r_star / 2) == pytest.approx((a, b))
 
 
 class TestCorollary2LargeBeta:
@@ -111,7 +113,7 @@ class TestCorollary2LargeBeta:
         m = example_manifold(1, 2, beta, 0.0)
         for p in self.POINTS:
             st = m.at(p)
-            assert star_eta_einstein_fit(st).residual <= _FIT_GATE
+            assert star_eta_einstein_fit(st)[2] <= _FIT_GATE
             assert corollary2_residual(st)["cor2"] <= 1e-12
 
 

@@ -6,6 +6,7 @@ from wfk.geometry import FieldSpec, coboundary_2form
 from wfk.kenmotsu import build_example2, build_twisted_product
 from wfk.weakf import (
     WeakFManifold,
+    least_squares,
     nijenhuis_tensor,
     normality_tensor,
     tensor_residual,
@@ -204,3 +205,65 @@ class TestStructureTape:
         # x1 (xi_1), x2 and x6 (eta^2) and x3 (f)
         assert m.tape.support == (0, 1, 2, 5)
         assert example_manifold().tape.support == ()
+
+
+class TestLeastSquares:
+    """``least_squares`` against ``np.linalg.lstsq``, one design at a time."""
+
+    @staticmethod
+    def _lstsq(target, columns, i):
+        design = np.stack([c[i].ravel() for c in columns], axis=-1)
+        coef = np.linalg.lstsq(design, target[i].ravel(), rcond=None)[0]
+        return coef, target[i] - (design @ coef).reshape(target[i].shape)
+
+    @pytest.mark.parametrize("batch", [(), (3,)], ids=["point", "chunk"])
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_matches_lstsq(self, k, batch):
+        rng = np.random.default_rng(10 * k + len(batch))
+        shape = batch + (2, 4)
+        target = rng.standard_normal(shape)
+        columns = [rng.standard_normal(shape) for _ in range(k)]
+        *coef, rest = least_squares(target, *columns, lead=len(batch))
+        assert [np.shape(c) for c in coef] == [batch] * k and rest.shape == shape
+        for i in np.ndindex(batch):
+            want, want_rest = self._lstsq(target, columns, i)
+            np.testing.assert_allclose([c[i] for c in coef], want, rtol=1e-12)
+            np.testing.assert_allclose(rest[i], want_rest, atol=1e-12)
+
+    @pytest.mark.parametrize("batch", [(), (3,)], ids=["point", "chunk"])
+    def test_a_zero_column_gets_coefficient_zero(self, batch):
+        rng = np.random.default_rng(5)
+        target = rng.standard_normal(batch + (2, 4))
+        col, zero = rng.standard_normal(target.shape), np.zeros(target.shape)
+        alone, rest = least_squares(target, zero, lead=len(batch))
+        assert np.all(alone == 0) and np.array_equal(rest, target)
+        a, b, rest = least_squares(target, col, zero, lead=len(batch))
+        assert np.all(b == 0)
+        for i in np.ndindex(batch):
+            want, want_rest = self._lstsq(target, [col, zero], i)
+            assert want[1] == 0
+            np.testing.assert_allclose(a[i], want[0], rtol=1e-12)
+            np.testing.assert_allclose(rest[i], want_rest, atol=1e-12)
+
+    def test_a_column_zero_at_one_point_of_a_chunk(self):
+        rng = np.random.default_rng(6)
+        target, col = rng.standard_normal((2, 3, 2, 4))
+        col[1] = 0
+        c, rest = least_squares(target, col, lead=1)
+        assert c[1] == 0 and np.array_equal(rest[1], target[1])
+        for i in (0, 2):
+            want, want_rest = self._lstsq(target, [col], i)
+            np.testing.assert_allclose(c[i], want[0], rtol=1e-12)
+            np.testing.assert_allclose(rest[i], want_rest, atol=1e-12)
+
+    @pytest.mark.parametrize("batch", [(), (3,)], ids=["point", "chunk"])
+    def test_parallel_columns_take_the_minimum_norm_solution(self, batch):
+        # the design's second singular value is rounding, below lstsq's cutoff
+        rng = np.random.default_rng(7)
+        target, col = rng.standard_normal((2,) + batch + (2, 4))
+        a, b, rest = least_squares(target, col, 3 * col, lead=len(batch))
+        for i in np.ndindex(batch):
+            want, want_rest = self._lstsq(target, [col, 3 * col], i)
+            np.testing.assert_allclose([a[i], b[i]], want, rtol=1e-12)
+            np.testing.assert_allclose(3 * a[i], b[i], rtol=1e-12)
+            np.testing.assert_allclose(rest[i], want_rest, atol=1e-12)
