@@ -142,7 +142,10 @@ def run_check_ids(ctx: CheckContext, ids, points) -> dict[str, np.ndarray]:
     in point order, for the ids in the order given.
 
     A repeated id runs once.  Each needed group runs once on the structure
-    of each chunk of points (``WeakFManifold.structures``).
+    of each chunk of points (``WeakFManifold.structures``).  Each input is
+    bounded alone, but extremes of several together can still leave the
+    float range, which is bad input too: an ``InputError`` naming the check
+    group, or the building of the structure, and the chunk's first point.
     """
     ids = list(dict.fromkeys(ids))
     blocked = [i for i in ids if not ctx._satisfied(CATALOGUE[i].requires)]
@@ -154,19 +157,20 @@ def run_check_ids(ctx: CheckContext, ids, points) -> dict[str, np.ndarray]:
     groups = dict.fromkeys(CATALOGUE[cid].group for cid in ids)
     # a residual no runner wrote stays NaN, which fails any tolerance
     table = {cid: np.full(len(points), np.nan) for cid in ids}
-    start = 0
-    for st in ctx.manifold.structures(points):
-        stop = start + len(st.point)
-        for group in groups:
-            try:
-                residuals = ctx.group_reports(group, st)
-            except FloatingPointError as err:  # raised under np.errstate
-                raise FloatingPointError(
-                    f"{err} (check group {group!r}, chunk from point "
-                    f"{st.point[0].tolist()})"
-                ) from err
-            for cid, residual in residuals.items():
-                if cid in table:
-                    table[cid][start:stop] = residual  # a per-run value fills the chunk
-        start = stop
+    start, group = 0, None  # where the run is, for the overflow error
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            for st in ctx.manifold.structures(points):
+                stop = start + len(st.point)
+                for group in groups:
+                    for cid, residual in ctx.group_reports(group, st).items():
+                        if cid in table:
+                            table[cid][start:stop] = residual  # a per-run value fills the chunk
+                start, group = stop, None
+    except FloatingPointError as err:
+        stage = "building the structure" if group is None else f"check group {group!r}"
+        first = np.asarray(points, dtype=float)[start].tolist()
+        raise InputError(
+            f"the inputs are too large together: {err} ({stage}, chunk from point {first})"
+        ) from err
     return table

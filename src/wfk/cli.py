@@ -32,7 +32,6 @@ from .weakf import MAX_FIELD, WeakFManifold
 
 __all__ = [
     "SCHEMA_VERSION",
-    "ManifestError",
     "load_manifest",
     "manifold_from_manifest",
     "sample_points",
@@ -74,11 +73,6 @@ _MAX_POINTS_DIM5 = 2**31 // 26
 _MAX_BETA = 1e76
 
 
-class ManifestError(InputError):
-    """Bad input the command line finds itself: a manifest entry, an argument
-    or an output path.  A library's ``InputError`` reaches ``main`` as raised."""
-
-
 # ---------------------------------------------------------------------------
 # manifest parsing
 
@@ -94,14 +88,6 @@ def _ascii(raw):
     return None if isinstance(raw, str) and not _NUMBER_TEXT.fullmatch(raw) else raw
 
 
-def _flag_type(convert):
-    """An argparse type: ``convert`` of a flag's text, an ASCII number's text."""
-    def parse(text: str):
-        return convert(_ascii(text))  # None raises TypeError, which argparse reports
-    parse.__name__ = convert.__name__  # the name argparse's message gives the type
-    return parse
-
-
 def _finite_number(raw, where: str) -> float:
     """``raw`` as a finite float; booleans, non-numbers, nan and inf are errors."""
     try:
@@ -109,7 +95,7 @@ def _finite_number(raw, where: str) -> float:
     except (TypeError, ValueError, OverflowError):
         val = math.nan
     if isinstance(raw, bool) or not math.isfinite(val):
-        raise ManifestError(f"{where}: expected a finite number, got {raw!r}")
+        raise InputError(f"{where}: expected a finite number, got {raw!r}")
     return val
 
 
@@ -120,7 +106,7 @@ def _integer(raw, where: str) -> int:
     except (TypeError, ValueError, OverflowError):
         val = None
     if isinstance(raw, bool) or val is None or (isinstance(raw, float) and val != raw):
-        raise ManifestError(f"{where}: expected an integer, got {raw!r}")
+        raise InputError(f"{where}: expected an integer, got {raw!r}")
     return val
 
 
@@ -128,16 +114,16 @@ def _bounded(raw, where: str, bound: float) -> float:
     """``raw`` as a finite float at most ``bound`` in size."""
     val = _finite_number(raw, where)
     if abs(val) > bound:
-        raise ManifestError(f"{where}: must be at most {bound:g} in size, got {raw!r}")
+        raise InputError(f"{where}: must be at most {bound:g} in size, got {raw!r}")
     return val
 
 
 def _chart_dim(n: int, s: int) -> int:
     """The chart dimension 2n + s, within its bounds."""
     if n < 1 or s < 1:
-        raise ManifestError("need n >= 1 and s >= 1")
+        raise InputError("need n >= 1 and s >= 1")
     if 2 * n + s > _MAX_DIM:
-        raise ManifestError(
+        raise InputError(
             f"dimension 2n+s = {2 * n + s} exceeds the limit {_MAX_DIM}"
         )
     return 2 * n + s
@@ -148,17 +134,17 @@ def _parse_entry(raw, dim: int, where: str) -> ex.ExprAst:
         return ex.const(_finite_number(raw, where), dim)
     if isinstance(raw, str):
         return ex.parse_expression(raw, dim, where)
-    raise ManifestError(f"{where}: expected a number or expression string")
+    raise InputError(f"{where}: expected a number or expression string")
 
 
 def _parse_matrix(raw, dim: int, name: str, lower: bool = False):
     if not isinstance(raw, list) or len(raw) != dim:
-        raise ManifestError(f"{name}: expected {dim} rows")
+        raise InputError(f"{name}: expected {dim} rows")
     rows = []
     for i, row in enumerate(raw):
         want = i + 1 if lower else dim
         if not isinstance(row, list) or len(row) != want:
-            raise ManifestError(f"{name} row {i + 1}: expected {want} entries")
+            raise InputError(f"{name} row {i + 1}: expected {want} entries")
         rows.append(
             tuple(_parse_entry(e, dim, f"{name}[{i + 1}][{j + 1}]") for j, e in enumerate(row))
         )
@@ -167,7 +153,7 @@ def _parse_matrix(raw, dim: int, name: str, lower: bool = False):
 
 def _parse_components(raw, dim: int, name: str):
     if not isinstance(raw, list) or len(raw) != dim:
-        raise ManifestError(f"{name}: expected {dim} components")
+        raise InputError(f"{name}: expected {dim} components")
     return tuple(_parse_entry(e, dim, f"{name}[{k + 1}]") for k, e in enumerate(raw))
 
 
@@ -175,7 +161,7 @@ def _known_keys(raw: dict, allowed, where: str) -> None:
     """A misspelt key is an error, not an option silently left at its default."""
     unknown = [key for key in raw if key not in allowed]
     if unknown:
-        raise ManifestError(f"{where}: unknown keys {unknown}; expected {list(allowed)}")
+        raise InputError(f"{where}: unknown keys {unknown}; expected {list(allowed)}")
 
 
 def load_manifest(path: str) -> dict:
@@ -183,14 +169,14 @@ def load_manifest(path: str) -> dict:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
     except OSError as err:
-        raise ManifestError(f"cannot read manifest: {err}") from err
+        raise InputError(f"cannot read manifest: {err}") from err
     # JSONDecodeError, an integer too long to convert, or nesting too deep
     except (ValueError, RecursionError) as err:
-        raise ManifestError(f"manifest is not valid JSON: {err}") from err
+        raise InputError(f"manifest is not valid JSON: {err}") from err
     if not isinstance(data, dict):
-        raise ManifestError("manifest root must be a JSON object")
+        raise InputError("manifest root must be a JSON object")
     if data.get("version") != SCHEMA_VERSION:
-        raise ManifestError(
+        raise InputError(
             f"unsupported manifest version {data.get('version')!r}; "
             f"expected {SCHEMA_VERSION!r}"
         )
@@ -198,18 +184,18 @@ def load_manifest(path: str) -> dict:
 
 
 def manifold_from_manifest(data: dict):
-    """Build (model with its soliton, check ids, tolerance overrides, sample policy)."""
+    """Build (model with its soliton, check ids, tolerance overrides, checked sample policy)."""
     _known_keys(data, _KEYS, "manifest")
     n, s = _integer(data.get("n"), "n"), _integer(data.get("s"), "s")
     dim = _chart_dim(n, s)
     if data.get("dim") is not None and _integer(data["dim"], "dim") != dim:
-        raise ManifestError(f"dim {data.get('dim')} does not equal 2n+s = {dim}")
+        raise InputError(f"dim {data.get('dim')} does not equal 2n+s = {dim}")
 
     beta = data.get("beta")
     if isinstance(beta, str):  # a constant written as an expression
         folded = _parse_entry(beta, dim, "beta").tape.outputs[0]
         if not isinstance(folded, float):  # an instruction: it reads x, or is not finite
-            raise ManifestError(f"beta: expected a finite constant, got {beta!r}")
+            raise InputError(f"beta: expected a finite constant, got {beta!r}")
         beta = folded
     if beta is not None:
         beta = _bounded(beta, "beta", _MAX_BETA)
@@ -224,7 +210,7 @@ def manifold_from_manifest(data: dict):
     for name, what in (("xi", "vector fields"), ("eta", "one-forms")):
         raw = data.get(name)
         if not isinstance(raw, list) or len(raw) != s:
-            raise ManifestError(f"{name}: expected {s} {what}")
+            raise InputError(f"{name}: expected {s} {what}")
         fields.append(tuple(
             FieldSpec(dim, _parse_components(v, dim, f"{name}[{i + 1}]"))
             for i, v in enumerate(raw)
@@ -237,13 +223,13 @@ def manifold_from_manifest(data: dict):
     sol_raw = data.get("soliton")
     if sol_raw is not None:
         if not isinstance(sol_raw, dict):
-            raise ManifestError("soliton: expected an object")
+            raise InputError("soliton: expected an object")
         _known_keys(sol_raw, _SOLITON_KEYS, "soliton")
         # lambda and mu enter the soliton checks linearly, as V does
         lam = _bounded(sol_raw.get("lambda"), "soliton.lambda", MAX_FIELD)
         mu = _bounded(sol_raw.get("mu"), "soliton.mu", MAX_FIELD)
         if ("V" in sol_raw) == ("v" in sol_raw):
-            raise ManifestError("soliton: provide exactly one of V or v")
+            raise InputError("soliton: provide exactly one of V or v")
         if "V" in sol_raw:
             comps = _parse_components(sol_raw["V"], dim, "soliton.V")
             soliton = SolitonData(lam=lam, mu=mu, V=FieldSpec(dim, comps))
@@ -257,35 +243,50 @@ def manifold_from_manifest(data: dict):
     # dual-basis validation at the origin, on the model the run uses
     st = m.at(np.zeros(dim))
     if np.abs(st.eta @ st.xi.T - np.eye(s)).max() > 1e-8:
-        raise ManifestError("axiom eta^i(xi_j) = delta violated at validation")
+        raise InputError("axiom eta^i(xi_j) = delta violated at validation")
 
     checks = data.get("checks")
     if checks is not None:
         if not isinstance(checks, list) or not checks or not all(
             isinstance(c_, str) for c_ in checks
         ):
-            raise ManifestError("checks: expected a non-empty list of check ids")
+            raise InputError("checks: expected a non-empty list of check ids")
         unknown = [c_ for c_ in checks if c_ not in CATALOGUE]
         if unknown:
-            raise ManifestError(f"checks: unknown check ids {unknown}")
+            raise InputError(f"checks: unknown check ids {unknown}")
 
     tols = {} if data.get("tolerances") is None else data["tolerances"]
     if not isinstance(tols, dict):
-        raise ManifestError("tolerances: expected an object of id -> value")
+        raise InputError("tolerances: expected an object of id -> value")
     overrides = {}
     for key, raw in tols.items():  # each finite and > 0
         if key not in CATALOGUE:
-            raise ManifestError(f"tolerances: unknown check id {key!r}")
+            raise InputError(f"tolerances: unknown check id {key!r}")
         overrides[key] = _finite_number(raw, f"tolerances[{key}]")
         if overrides[key] <= 0:
-            raise ManifestError(f"tolerances[{key}]: tolerance must be > 0, got {raw!r}")
+            raise InputError(f"tolerances[{key}]: tolerance must be > 0, got {raw!r}")
 
     sample_raw = {} if data.get("sample") is None else data["sample"]
     if not isinstance(sample_raw, dict):
-        raise ManifestError("sample: expected an object of policy key -> value")
+        raise InputError("sample: expected an object of policy key -> value")
     _known_keys(sample_raw, _DEFAULT_SAMPLE, "sample")
     sample = {**_DEFAULT_SAMPLE, **sample_raw}
-    return m, checks, overrides, sample
+    count = _integer(sample["count"], "sample.count")
+    seed = _integer(sample["seed"], "sample.seed")
+    box = sample["box"]
+    if not isinstance(box, list) or len(box) != 2:  # a string would unpack too
+        raise InputError(f"sample.box: expected a list of two numbers, got {box!r}")
+    lo, hi = (_finite_number(x, "sample.box") for x in box)
+    most = min(_MAX_POINTS, _MAX_POINTS_DIM5 // dim**5)
+    if not 1 <= count <= most:
+        raise InputError(
+            f"sample policy: need 1 <= count <= {most} at dimension {dim}, got {count}"
+        )
+    if seed < 0:
+        raise InputError(f"sample policy: need seed >= 0, got {seed}")
+    if not lo < hi or not math.isfinite(hi - lo):
+        raise InputError("sample policy: need a box LO < HI with a finite width")
+    return m, checks, overrides, {"count": count, "seed": seed, "box": [lo, hi]}
 
 
 # ---------------------------------------------------------------------------
@@ -293,22 +294,8 @@ def manifold_from_manifest(data: dict):
 
 
 def sample_points(dim: int, sample: dict) -> np.ndarray:
-    count = _integer(sample["count"], "sample.count")
-    seed = _integer(sample["seed"], "sample.seed")
-    box = sample["box"]
-    if not isinstance(box, list) or len(box) != 2:  # a string would unpack too
-        raise ManifestError(f"sample.box: expected a list of two numbers, got {box!r}")
-    lo, hi = (_finite_number(x, "sample.box") for x in box)
-    most = min(_MAX_POINTS, _MAX_POINTS_DIM5 // dim**5)
-    if not 1 <= count <= most:
-        raise ManifestError(
-            f"sample policy: need 1 <= count <= {most} at dimension {dim}, got {count}"
-        )
-    if seed < 0:
-        raise ManifestError(f"sample policy: need seed >= 0, got {seed}")
-    if not lo < hi or not math.isfinite(hi - lo):
-        raise ManifestError("sample policy: need a box LO < HI with a finite width")
-    return np.random.default_rng(seed).uniform(lo, hi, (count, dim))
+    """The points of a sample policy ``manifold_from_manifest`` has checked."""
+    return np.random.default_rng(sample["seed"]).uniform(*sample["box"], (sample["count"], dim))
 
 
 _NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
@@ -391,16 +378,19 @@ def _report_json(head: dict, points, checks, tail: dict):
 def run_check(args) -> int:
     data = load_manifest(args.manifest)
     # the flags are edits of the manifest, so its one validator checks them
-    # and the digest covers them; only a --tol argument's shape is read here
-    sample = {"count": args.points, "seed": args.seed, "box": args.box}
+    # and the digest covers them; a sample number is read here by its key's
+    # reader, so the digest holds the number, and a --tol value stays text
+    flags = {"count": args.points, "seed": args.seed}
+    sample = {k: _integer(v, f"sample.{k}") for k, v in flags.items() if v is not None}
+    if args.box is not None:
+        sample["box"] = [_finite_number(x, "sample.box") for x in args.box]
     tols = {}
     for item in args.tol or []:
         key, sep, val = item.partition("=")
         if not sep:
-            raise ManifestError(f"--tol {item}: expected ID=VALUE")
+            raise InputError(f"--tol {item}: expected ID=VALUE")
         tols[key] = val
     for key, edits in (("sample", sample), ("tolerances", tols)):
-        edits = {k: v for k, v in edits.items() if v is not None}
         base = {} if data.get(key) is None else data[key]
         if edits and isinstance(base, dict):  # a non-object is left to the validator
             data[key] = {**base, **edits}
@@ -415,15 +405,8 @@ def run_check(args) -> int:
     out = args.out  # a directory, or a file in a missing one, fails before the checks
     if out and (os.path.isdir(out) or not os.path.isdir(os.path.dirname(out) or ".")):
         code = errno.EISDIR if os.path.isdir(out) else errno.ENOENT
-        raise ManifestError(f"cannot write {out}: {os.strerror(code)}")
-    try:
-        # each input is bounded alone; extremes of several together can still
-        # leave the float range, which is bad input too
-        with np.errstate(over="raise", invalid="raise", divide="raise"):
-            table = run_check_ids(ctx, ids, points)
-    except FloatingPointError as err:
-        raise ManifestError(f"the inputs are too large together: {err}") from err
-
+        raise InputError(f"cannot write {out}: {os.strerror(code)}")
+    table = run_check_ids(ctx, ids, points)
     checks = [
         (cid, table[cid], overrides.get(cid, CATALOGUE[cid].tolerance), CATALOGUE[cid].audit)
         for cid in sorted(table)
@@ -463,7 +446,7 @@ def _write(pieces, out: str | None) -> None:
                         os.remove(out)
                 raise
     except OSError as err:
-        raise ManifestError(f"cannot write {out or '<stdout>'}: {err.strerror or err}") from err
+        raise InputError(f"cannot write {out or '<stdout>'}: {err.strerror or err}") from err
 
 
 # ---------------------------------------------------------------------------
@@ -471,11 +454,12 @@ def _write(pieces, out: str | None) -> None:
 
 
 def emit_example2(args) -> int:
-    _chart_dim(args.n, args.s)
+    n, s = _integer(args.n, "n"), _integer(args.s, "s")
+    _chart_dim(n, s)
     beta, c = _bounded(args.beta, "beta", _MAX_BETA), _finite_number(args.c, "c")
-    data = build_example2(args.n, args.s, beta, c)
-    lam = _bounded(args.s * beta - args.s * (1.0 + c) * beta**2, "soliton.lambda", MAX_FIELD)
-    soliton = {"lambda": lam, "mu": -lam, "V": [0] * (2 * args.n) + [1] * args.s}  # V = xibar
+    data = build_example2(n, s, beta, c)
+    lam = _bounded(s * beta - s * (1.0 + c) * beta**2, "soliton.lambda", MAX_FIELD)
+    soliton = {"lambda": lam, "mu": -lam, "V": [0] * (2 * n) + [1] * s}  # V = xibar
     manifest = {"version": SCHEMA_VERSION, **data, "soliton": soliton}
     _write([json.dumps(manifest, indent=2) + "\n"], args.out)
     return 0
@@ -485,16 +469,15 @@ def emit_twisted(args) -> int:
     """Emit a twisted-product manifest.  The factor scales come from the
     command line, so the structure axioms are checked at the origin against
     their catalogue tolerances before the manifest is written."""
-    scales = [_finite_number(x, "--factors") for x in args.factors.split(",") if x]
-    if not scales:
-        raise ManifestError("--factors: need at least one factor scale")
-    _chart_dim(len(scales), args.s)
-    data = build_twisted_product(scales, args.s, args.sigma)
+    scales = [_finite_number(x, "--factors") for x in args.factors.split(",")]
+    s = _integer(args.s, "--s")
+    _chart_dim(len(scales), s)
+    data = build_twisted_product(scales, s, args.sigma)
     m = manifold_from_manifest(data)[0]  # bounds the beta inferred from sigma, too
     axioms = CheckContext(m).group_reports("axioms", m.at(np.zeros(m.dim)))
     if not all(res <= CATALOGUE[cid].tolerance for cid, res in axioms.items()):
         worst = max(axioms.values())
-        raise ManifestError(
+        raise InputError(
             f"fiber data does not satisfy the structure axioms (residual {worst:.2e})"
         )
     _write([json.dumps({"version": SCHEMA_VERSION, **data}, indent=2) + "\n"], args.out)
@@ -522,9 +505,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_check = sub.add_parser("check", help="run checks from a manifest")
     p_check.add_argument("manifest")
-    p_check.add_argument("--points", type=_flag_type(int))
-    p_check.add_argument("--seed", type=_flag_type(int))
-    p_check.add_argument("--box", nargs=2, type=_flag_type(float), metavar=("LO", "HI"))
+    p_check.add_argument("--points")
+    p_check.add_argument("--seed")
+    p_check.add_argument("--box", nargs=2, metavar=("LO", "HI"))
     p_check.add_argument("--only", action="append")
     p_check.add_argument("--tol", action="append", metavar="ID=VALUE")
     p_check.add_argument("--out")
@@ -532,16 +515,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p_check.set_defaults(func=run_check)
 
     p_e2 = sub.add_parser("example2", help="emit the explicit chart model manifest")
-    p_e2.add_argument("n", type=_flag_type(int))
-    p_e2.add_argument("s", type=_flag_type(int))
-    p_e2.add_argument("beta", type=_flag_type(float))
-    p_e2.add_argument("c", type=_flag_type(float))
+    for name in ("n", "s", "beta", "c"):
+        p_e2.add_argument(name)
     p_e2.add_argument("--out")
     p_e2.set_defaults(func=emit_example2)
 
     p_tw = sub.add_parser("twisted", help="emit a twisted-product manifest")
     p_tw.add_argument("--factors", required=True, metavar="C1,C2,…")
-    p_tw.add_argument("--s", type=_flag_type(int), required=True)
+    p_tw.add_argument("--s", required=True)
     p_tw.add_argument("--sigma", required=True)
     p_tw.add_argument("--out")
     p_tw.set_defaults(func=emit_twisted)

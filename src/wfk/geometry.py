@@ -38,7 +38,6 @@ from . import InputError
 from . import expr as ex
 
 __all__ = [
-    "MetricError",
     "MetricField",
     "FieldSpec",
     "Geometry",
@@ -53,11 +52,6 @@ __all__ = [
 ]
 
 
-class MetricError(InputError):
-    """A field is out of range at a point: a value beyond its bound, or a
-    metric that is not positive definite."""
-
-
 # Largest value of g and of g^-1 a geometry accepts.  Every check is linear
 # in the metric's values (g^-1 and Gamma cancel their scale, and a lowered
 # tensor carries one factor g); the largest coefficient of g is s beta^2
@@ -70,12 +64,12 @@ _MAX_METRIC = 1e150
 
 
 def check_bound(points: np.ndarray, name: str, values: np.ndarray, bound: float) -> None:
-    """A MetricError naming the first of ``points`` where ``values`` (a batch
+    """An InputError naming the first of ``points`` where ``values`` (a batch
     axis in front when there are several points) exceed ``bound`` in size."""
     size = np.abs(values).reshape(len(points), -1).max(axis=-1)
     q = int(np.argmax(~(size <= bound)))  # NaN is beyond it too
     if not size[q] <= bound:
-        raise MetricError(
+        raise InputError(
             f"{name} value {float(size[q])!r} exceeds {bound:g} at point {points[q].tolist()}"
         )
 
@@ -173,7 +167,7 @@ class Geometry:
             for q, gq in zip(points, g.reshape((-1,) + g.shape[-2:])):
                 if np.linalg.eigvalsh(gq)[0] <= 0:
                     break
-            raise MetricError(
+            raise InputError(
                 f"metric is not positive definite at point {q.tolist()}"
             ) from None
         inv_l = np.linalg.inv(chol)

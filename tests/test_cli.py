@@ -5,6 +5,7 @@ import io
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -17,6 +18,9 @@ from wfk import InputError, checks, cli, weakf
 from wfk.checks import CATALOGUE
 from wfk.cli import main
 from wfk.expr import parse_expression
+from wfk.kenmotsu import build_example2
+
+from conftest import seeded_points
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -79,6 +83,14 @@ class TestEmit:
         assert capsys.readouterr().err == (
             "error: fiber data does not satisfy the structure axioms (residual 6.55e+04)\n"
         )
+        assert not out.exists()
+
+    @pytest.mark.parametrize("factors", ["1,,2", "1,2,"])
+    def test_twisted_rejects_an_empty_factor(self, tmp_path, capsys, factors):
+        out = tmp_path / "tw.json"
+        argv = ["twisted", "--factors", factors, "--s", "1", "--sigma", "exp(x5)"]
+        assert main([*argv, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: --factors: expected a finite number, got ''\n"
         assert not out.exists()
 
 
@@ -303,7 +315,7 @@ class TestCheck:
             ({"count": 0}, ["--points", "0"]),
             ({"seed": -1}, ["--seed", "-1"]),
             ({"box": [1.0, 0.0]}, ["--box", "1", "0"]),
-            ({"box": [0.0, float("inf")]}, ["--box", "0", "inf"]),
+            ({"box": [0.0, "inf"]}, ["--box", "0", "inf"]),
         ],
         ids=["count-zero", "seed-negative", "box-reversed", "box-inf"],
     )
@@ -855,6 +867,24 @@ class TestInputBounds:
         first = cli.sample_points(3, {**cli._DEFAULT_SAMPLE, "count": 2})[0]
         assert f"(check group '{group}', chunk from point {first.tolist()})" in err
 
+    def test_run_check_ids_reports_an_overflow_as_bad_input(self):
+        # with no floating-point state set by its caller
+        data = build_example2(1, 1, 1.0, 1.0)
+        data["metric"][0][0], data["f"][0][1] = 1e150, 1e100
+        ctx = checks.CheckContext(cli.manifold_from_manifest(data)[0])
+        points = seeded_points(3, count=2, seed=5)
+        where = re.escape(f"(check group 'axioms', chunk from point {points[0].tolist()})")
+        with pytest.raises(InputError, match=f"^the inputs are too large together: .* {where}$"):
+            checks.run_check_ids(ctx, ["axiom.6"], points)
+
+    def test_an_overflow_building_a_structure_names_its_chunk(self, monkeypatch):
+        m = cli.manifold_from_manifest(build_example2(1, 1, 1.0, 1.0))[0]
+        monkeypatch.setattr(weakf.WeakFManifold, "at", lambda self, p: np.float64(1e308) * 10)
+        points = seeded_points(3, count=2, seed=5)
+        where = f"(building the structure, chunk from point {points[0].tolist()})"
+        with pytest.raises(InputError, match=re.escape(where)):
+            checks.run_check_ids(checks.CheckContext(m), ["axiom.6"], points)
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("sigma", ["x1^400", "x1", "0*x1"])
     def test_sigma_not_positive_at_a_sample_point(self, tmp_path, capsys, sigma):
@@ -1108,25 +1138,39 @@ class TestAsciiNumbers:
         assert errors[0] == errors[1] == want
 
     @pytest.mark.parametrize(
-        "argv",
+        "argv, want",
         [
-            ["check", "MANIFEST", "--points", "\u0663"],
-            ["check", "MANIFEST", "--seed", "1_0"],
-            ["check", "MANIFEST", "--box", "0", " 1"],
-            ["example2", "\u0662", "\u0663", "1.0", "1.0"],
-            ["example2", "1", "2", "1_0", "1.0"],
-            ["twisted", "--factors", "1", "--s", "\u0661", "--sigma", "exp(x3)"],
+            (["--points", "\u0663"], {"count": "\u0663"}),
+            (["--seed", "1_0"], {"seed": "1_0"}),
+            (["--box", "0", " 1"], {"box": ["0", " 1"]}),
+            (
+                ["example2", "\u0662", "\u0663", "1.0", "1.0"],
+                "error: n: expected an integer, got '\u0662'\n",
+            ),
+            (
+                ["example2", "1", "2", "1_0", "1.0"],
+                "error: beta: expected a finite number, got '1_0'\n",
+            ),
+            (
+                ["twisted", "--factors", "1", "--s", "\u0661", "--sigma", "exp(x3)"],
+                "error: --s: expected an integer, got '\u0661'\n",
+            ),
         ],
         ids=["points", "seed", "box", "example2-n-s", "example2-beta", "twisted-s"],
     )
-    def test_flag_number_text(self, manifest_path, tmp_path, capsys, argv):
-        # a flag's text is argparse's to reject, in its own words
+    def test_flag_number_text(self, manifest_path, tmp_path, capsys, argv, want):
+        # a flag's number is read by its manifest key's reader, so a sample
+        # flag's error is that of the same text in the manifest's sample
+        # policy, and an emitter's names its argument: one line, no usage banner
+        if isinstance(want, dict):
+            routes = _both_routes(manifest_path, tmp_path, "sample", want, argv)
+            errors = _input_errors(routes, tmp_path, capsys)
+            [key] = want
+            assert errors[0] == errors[1] and errors[0].startswith(f"error: sample.{key}: ")
+            return
         out = tmp_path / "out.json"
-        argv = [manifest_path if a == "MANIFEST" else a for a in argv]
-        with pytest.raises(SystemExit) as exit_:
-            main([*argv, "--out", str(out)])
-        assert exit_.value.code == 2
-        assert "invalid" in capsys.readouterr().err
+        assert main([*argv, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == want
         assert not out.exists()
 
     def test_factor_text(self, tmp_path, capsys):

@@ -144,7 +144,7 @@ def test_contract_over_an_empty_summed_axis_is_zero(subscripts):
 
 
 def test_contract_raises_on_overflow_under_errstate():
-    # the CLI turns a FloatingPointError into exit 2; np.einsum's own sum
+    # run_check_ids turns a FloatingPointError into an InputError; np.einsum's own sum
     # loops overflow to inf without raising
     big = np.full((2, 3, 3), 1e200)
     with np.errstate(over="raise"):

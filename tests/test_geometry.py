@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
+from wfk import InputError
 from wfk import expr as ex
 from wfk.geometry import (
     FieldSpec,
     Geometry,
-    MetricError,
     MetricField,
     coboundary_2form,
     gradient_and_hessian,
@@ -15,7 +15,6 @@ from wfk.geometry import (
     lie_derivative_metric,
 )
 from wfk.kenmotsu import audit_identities, build_example2, build_twisted_product
-from wfk.cli import ManifestError
 from wfk.star_soliton import lemma2_audit
 from wfk.weakf import WeakFManifold
 
@@ -78,12 +77,12 @@ class TestMetric:
     def test_a_short_or_missing_row_is_error(self, rows):
         # the manifest reader checks the rows; MetricField.from_entries reads parsed ones
         data = {**build_example2(1, 1, 1.0, 1.0), "metric": rows}
-        with pytest.raises(ManifestError, match=r"metric(: expected 3 rows| row 2: expected 2)"):
+        with pytest.raises(InputError, match=r"metric(: expected 3 rows| row 2: expected 2)"):
             model(data)
 
     def test_non_positive_definite_is_error(self):
         bad = diagonal_metric(["x1-1", 1.0])
-        with pytest.raises(MetricError):
+        with pytest.raises(InputError):
             bad.at(np.zeros(2))
 
 
@@ -545,7 +544,7 @@ class TestFieldSpec:
         # the manifest reader checks every extent, as a (1,1)-tensor and as a vector
         data = build_example2(1, 2, 1.0, 1.0)
         for key, value in (("f", entries), ("soliton", {"lambda": 0, "mu": 0, "V": entries})):
-            with pytest.raises(ManifestError):
+            with pytest.raises(InputError):
                 model({**data, key: value})
 
 

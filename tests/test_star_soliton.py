@@ -7,7 +7,6 @@ import pytest
 from wfk import InputError
 from wfk import expr as ex
 from wfk.checks import CATALOGUE, CheckContext, run_check_ids
-from wfk.cli import ManifestError
 from wfk.geometry import FieldSpec, lie_derivative_1form
 from wfk.kenmotsu import build_example2
 from wfk.star_soliton import (
@@ -219,12 +218,12 @@ class TestValidation:
     def test_potential_exclusivity(self):
         for potential in ({}, {"V": [0, 0, 1, 1], "v": "x3"}):
             soliton = {"lambda": 1, "mu": 0, **potential}
-            with pytest.raises(ManifestError, match="^soliton: provide exactly one of V or v$"):
+            with pytest.raises(InputError, match="^soliton: provide exactly one of V or v$"):
                 model({**build_example2(1, 2, 1.0, 1.0), "soliton": soliton})
 
     def test_constant_coefficients_only(self):
         soliton = {"lambda": "x1", "mu": 0, "V": [0, 0, 1, 1]}
-        with pytest.raises(ManifestError, match="^soliton.lambda: expected a finite number"):
+        with pytest.raises(InputError, match="^soliton.lambda: expected a finite number"):
             model({**build_example2(1, 2, 1.0, 1.0), "soliton": soliton})
 
     def test_asymmetric_star_ricci_is_rejected(self, e2):
