@@ -25,7 +25,7 @@ import numpy as np
 from . import InputError, __version__
 from . import expr as ex
 from .checks import CATALOGUE, CheckContext, applicable_ids, run_check_ids
-from .geometry import FieldSpec, MetricField
+from .geometry import MetricField
 from .kenmotsu import build_example2, build_twisted_product
 from .star_soliton import SolitonData
 from .weakf import MAX_FIELD, WeakFManifold
@@ -137,6 +137,10 @@ def _parse_entry(raw, dim: int, where: str) -> ex.ExprAst:
     raise InputError(f"{where}: expected a number or expression string")
 
 
+def _scalar(raw, dim: int, where: str) -> ex.Tape:
+    return ex.compile_tape((_parse_entry(raw, dim, where),), dim)
+
+
 def _parse_matrix(raw, dim: int, name: str, lower: bool = False):
     if not isinstance(raw, list) or len(raw) != dim:
         raise InputError(f"{name}: expected {dim} rows")
@@ -193,7 +197,7 @@ def manifold_from_manifest(data: dict):
 
     beta = data.get("beta")
     if isinstance(beta, str):  # a constant written as an expression
-        folded = _parse_entry(beta, dim, "beta").tape.outputs[0]
+        folded = _scalar(beta, dim, "beta").outputs[0]
         if not isinstance(folded, float):  # an instruction: it reads x, or is not finite
             raise InputError(f"beta: expected a finite constant, got {beta!r}")
         beta = folded
@@ -204,20 +208,15 @@ def manifold_from_manifest(data: dict):
 
     metric_rows = _parse_matrix(data.get("metric"), dim, "metric", lower=True)
     metric = MetricField.from_entries(metric_rows, dim)
-    f = FieldSpec(dim, _parse_matrix(data.get("f"), dim, "f"))
-    q = FieldSpec(dim, _parse_matrix(data.get("Q"), dim, "Q"))
-    fields = []
+    rows = [*_parse_matrix(data.get("f"), dim, "f"), *_parse_matrix(data.get("Q"), dim, "Q")]
     for name, what in (("xi", "vector fields"), ("eta", "one-forms")):
         raw = data.get(name)
         if not isinstance(raw, list) or len(raw) != s:
             raise InputError(f"{name}: expected {s} {what}")
-        fields.append(tuple(
-            FieldSpec(dim, _parse_components(v, dim, f"{name}[{i + 1}]"))
-            for i, v in enumerate(raw)
-        ))
-    xi, eta = fields
+        rows += (_parse_components(v, dim, f"{name}[{i + 1}]") for i, v in enumerate(raw))
+    structure = ex.compile_tape([e for row in rows for e in row], dim, (len(rows), dim))
 
-    sigma = None if data.get("sigma") is None else _parse_entry(data["sigma"], dim, "sigma")
+    sigma = None if data.get("sigma") is None else _scalar(data["sigma"], dim, "sigma")
 
     soliton = None
     sol_raw = data.get("soliton")
@@ -232,14 +231,11 @@ def manifold_from_manifest(data: dict):
             raise InputError("soliton: provide exactly one of V or v")
         if "V" in sol_raw:
             comps = _parse_components(sol_raw["V"], dim, "soliton.V")
-            soliton = SolitonData(lam=lam, mu=mu, V=FieldSpec(dim, comps))
+            soliton = SolitonData(lam=lam, mu=mu, V=ex.compile_tape(comps, dim, (dim,)))
         else:
-            soliton = SolitonData(lam=lam, mu=mu, v=_parse_entry(sol_raw["v"], dim, "soliton.v"))
+            soliton = SolitonData(lam=lam, mu=mu, v=_scalar(sol_raw["v"], dim, "soliton.v"))
 
-    m = WeakFManifold(
-        n=n, s=s, beta=beta, metric=metric, f=f, Q=q, xi=xi, eta=eta, sigma=sigma,
-        soliton=soliton,
-    )
+    m = WeakFManifold(n, s, beta, metric, structure, sigma, soliton)
     # dual-basis validation at the origin, on the model the run uses
     st = m.at(np.zeros(dim))
     if np.abs(st.eta @ st.xi.T - np.eye(s)).max() > 1e-8:

@@ -34,7 +34,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import partial
 
 import numpy as np
 
@@ -101,15 +101,6 @@ class ExprAst:
 
     root: Node
     dim: int
-
-    @cached_property
-    def tape(self) -> "Tape":
-        """This expression compiled alone, once."""
-        return compile_tape((self,), self.dim)
-
-    def jets(self, p, order: int = 2):
-        """(value, d, ...) up to ``order``, as :meth:`Tape.jets`."""
-        return self.tape.jets(p, order)
 
 
 # ---------------------------------------------------------------------------
@@ -302,25 +293,27 @@ class Tape:
     a folded constant, whose derivatives are zero.  ``outputs`` holds one
     operand per compiled expression.  Structurally equal subtrees are one
     instruction, and constant subtrees cost no array work.  ``support`` is
-    the sorted coordinates the ``var`` instructions read.
+    the sorted coordinates the ``var`` instructions read, and ``shape`` the
+    shape of the field the outputs make (:func:`compile_tape`).
     """
 
     dim: int
     code: tuple
     outputs: tuple
     support: tuple
+    shape: tuple
 
-    def jets(self, p, order: int = 2, shape: tuple = ()):
+    def jets(self, p, order: int = 2):
         """(value, d, ...) up to ``order`` (1, 2 or 3), derivative axes last.
 
         ``p`` is a point ``(dim,)`` or a batch of points ``(P, dim)``; a batch
         adds a leading axis to every array.  The outputs axis is reshaped to
-        ``shape`` (``()`` for a single expression).  d3's axes run over the
-        ``support`` S only: d3[..., a, b, c] = d_Sa d_Sb d_Sc of the entry.
+        the tape's ``shape``: d[..., a] = d_a entry and so on.  d3's axes run
+        over the ``support`` S only: d3[..., a, b, c] = d_Sa d_Sb d_Sc of the entry.
         """
         pts = np.asarray(p, dtype=float)
         out = evaluate_jet(self, np.atleast_2d(pts), order)
-        lead = pts.shape[:-1] + shape
+        lead = pts.shape[:-1] + self.shape
         return tuple(arr.reshape(lead + arr.shape[2:]) for arr in out)
 
 
@@ -463,8 +456,15 @@ def _fold(node: Node, operands: tuple, dim: int):
     return None
 
 
-def compile_tape(asts, dim: int) -> Tape:
-    """One tape for the expressions ``asts`` over a chart of dimension ``dim``."""
+def compile_tape(asts, dim: int, shape: tuple = ()) -> Tape:
+    """One tape for the expressions ``asts`` over a chart of dimension ``dim``,
+    a field of ``shape``, row by row.
+
+    ``()`` is one expression; ``(dim,)`` a vector field or a 1-form;
+    ``(dim, dim)`` a (1,1)-tensor (``[k][j]`` is the ``e_k`` component of the
+    image of ``e_j``) or a 2-form; ``(K, dim)`` K such rows, as the structure's
+    f | Q | xi | eta.
+    """
     code: list = []
     slots: dict = {}  # (kind, index, operand keys) -> instruction index
     done: dict = {}   # id(node) -> operand
@@ -493,7 +493,7 @@ def compile_tape(asts, dim: int) -> Tape:
         if isinstance(op, float) and not math.isfinite(op):
             raise ExprDomainError("constant is not finite", ast.root)
     support = tuple(sorted({node.index for node, _ in code if node.kind == "var"}))
-    return Tape(dim, tuple(code), outputs, support)
+    return Tape(dim, tuple(code), outputs, support, tuple(shape))
 
 
 _ORDERS = ("value", "first derivative", "second derivative", "third derivative")

@@ -29,7 +29,6 @@ The exterior derivative of a 2-form (:func:`coboundary_2form`) carries the
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -39,7 +38,6 @@ from . import expr as ex
 
 __all__ = [
     "MetricField",
-    "FieldSpec",
     "Geometry",
     "check_bound",
     "contract",
@@ -72,37 +70,6 @@ def check_bound(points: np.ndarray, name: str, values: np.ndarray, bound: float)
         raise InputError(
             f"{name} value {float(size[q])!r} exceeds {bound:g} at point {points[q].tolist()}"
         )
-
-
-@dataclass(frozen=True)
-class FieldSpec:
-    """A field given by expression entries: one per component or a square of rows.
-
-    A tuple of ``dim`` expressions is a vector field or a 1-form; a tuple
-    of ``dim`` rows of ``dim`` expressions is a (1,1)-tensor (``[k][j]`` is
-    the ``e_k`` component of the image of ``e_j``) or a 2-form.
-    """
-
-    dim: int
-    entries: tuple
-
-    @cached_property
-    def tape(self) -> ex.Tape:
-        """The entries compiled into one tape, row by row, once."""
-        flat = self.entries
-        if isinstance(flat[0], tuple):
-            flat = [e for row in flat for e in row]
-        return ex.compile_tape(flat, self.dim)
-
-    def jets(self, p, order: int = 2):
-        """(value, d, ...) up to ``order`` (1, 2 or 3), derivative axes last.
-
-        ``p`` is a point ``(dim,)`` or a batch of points ``(P, dim)``; a batch
-        adds a leading axis to every array.  d[..., a] = d_a entry and so on.
-        """
-        n = self.dim
-        shape = (n, n) if isinstance(self.entries[0], tuple) else (n,)
-        return self.tape.jets(p, order, shape)
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +232,7 @@ class Geometry:
     @cached_property
     def support(self) -> np.ndarray:
         """S, the sorted coordinates the metric's entries depend on."""
-        return np.array(self._metric.tape.support, dtype=np.intp)
+        return np.array(self._metric.support, dtype=np.intp)
 
     @cached_property
     def d3g(self) -> np.ndarray:
@@ -381,18 +348,18 @@ class _PointGeometry(Geometry):
         super().__init__(metric, p)
 
 
-class MetricField(FieldSpec):
-    """Symmetric field of metric expressions on a chart of dimension ``dim``.
+class MetricField(ex.Tape):
+    """The tape of a symmetric square of metric expressions, shape ``(dim, dim)``.
 
     Mirrored entries are one object, so the tape evaluates each once.
     """
 
     @classmethod
     def from_entries(cls, rows, dim: int) -> "MetricField":
-        """Build from the lower triangle of ``dim`` rows of expressions, row i's
+        """Compile the lower triangle of ``dim`` rows of expressions, row i's
         first i + 1 entries; a full square's upper half is not read."""
-        square = (tuple(rows[max(i, j)][min(i, j)] for j in range(dim)) for i in range(dim))
-        return cls(dim, tuple(square))
+        square = [rows[max(i, j)][min(i, j)] for i in range(dim) for j in range(dim)]
+        return cls(**vars(ex.compile_tape(square, dim, (dim, dim))))
 
     def at(self, p) -> Geometry:
         """The geometry at a point ``(dim,)`` or a chunk of points ``(C, dim)``,

@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import InputError
-from .expr import parse_expression
+from .expr import compile_tape, parse_expression
 from .geometry import contract
 from .weakf import StructureAtPoint
 
@@ -250,7 +250,8 @@ def build_twisted_product(scales, s: int, sigma: str) -> dict:
         raise InputError("factor scales must be nonzero")
     n = len(scales)
     two_n, dim = 2 * n, 2 * n + s
-    value, grad = parse_expression(sigma, dim, "sigma").jets(np.zeros(dim), order=1)
+    tape = compile_tape((parse_expression(sigma, dim, "sigma"),), dim)
+    value, grad = tape.jets(np.zeros(dim), order=1)
     if value <= 0:
         raise InputError("sigma must be positive")
 

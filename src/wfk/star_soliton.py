@@ -29,9 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import InputError
-from .expr import ExprAst
+from .expr import Tape
 from .geometry import (
-    FieldSpec,
     contract,
     gradient_and_hessian,
     lie_derivative_1form,
@@ -64,8 +63,8 @@ class SolitonData:
 
     lam: float
     mu: float
-    V: FieldSpec | None = None
-    v: ExprAst | None = None
+    V: Tape | None = None
+    v: Tape | None = None
 
     @property
     def classification(self) -> str:

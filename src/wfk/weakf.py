@@ -27,8 +27,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .expr import ExprAst, Tape, compile_tape
-from .geometry import FieldSpec, MetricField, check_bound, coboundary_2form, contract
+from .expr import Tape
+from .geometry import MetricField, check_bound, coboundary_2form, contract
 
 if TYPE_CHECKING:
     from .star_soliton import SolitonData
@@ -99,23 +99,13 @@ class WeakFManifold:
     s: int
     beta: float | None
     metric: MetricField
-    f: FieldSpec
-    Q: FieldSpec
-    xi: tuple[FieldSpec, ...]
-    eta: tuple[FieldSpec, ...]
-    sigma: ExprAst | None = None          # a twisted product's manifest sets it
+    tape: Tape  # f, Q, the xi_i and the eta^i: rows f | Q | xi | eta of dim entries
+    sigma: Tape | None = None             # a twisted product's manifest sets it
     soliton: SolitonData | None = None    # the *-eta-Ricci soliton it carries
 
     @property
     def dim(self) -> int:
         return 2 * self.n + self.s
-
-    @cached_property
-    def tape(self) -> Tape:
-        """f, Q, the xi_i and the eta^i compiled into one tape, once: output
-        rows f | Q | xi | eta of ``dim`` entries each."""
-        rows = (*self.f.entries, *self.Q.entries, *(v.entries for v in self.xi + self.eta))
-        return compile_tape([e for row in rows for e in row], self.dim)
 
     def at(self, p) -> "StructureAtPoint":
         """The structure at a point ``(dim,)`` or a chunk ``(C, dim)``, built
@@ -148,7 +138,7 @@ class StructureAtPoint:
         # df[i, j, k] = d_k f^i_j; xi[i, k] = xi_i^k and dxi[i, k, a] = d_a xi_i^k,
         # the field index i after the batch axes, and likewise for eta
         dim, s = m.dim, m.s
-        value, d = m.tape.jets(p, 1, (2 * (dim + s), dim))  # rejects a wrong shape of p
+        value, d = m.tape.jets(p, 1)  # rejects a wrong shape of p
         self._points = p.reshape(-1, m.dim)
         rows = (dim, 2 * dim, 2 * dim + s)
         self.f, self.Q, self.xi, self.eta = fields = np.split(value, rows, self.lead)

@@ -6,7 +6,7 @@ import pytest
 
 from wfk.checks import CheckContext
 from wfk.cli import manifold_from_manifest
-from wfk.expr import const, parse_expression
+from wfk.expr import compile_tape, const, parse_expression
 from wfk.geometry import MetricField
 from wfk.kenmotsu import build_example2
 from wfk.star_soliton import SolitonData
@@ -43,6 +43,19 @@ def exprs(raw, dim):
     if isinstance(raw, (list, tuple, np.ndarray)):
         return tuple(exprs(e, dim) for e in raw)
     return parse_expression(raw, dim) if isinstance(raw, str) else const(raw, dim)
+
+
+def scalar(ast):
+    """The tape of one parsed expression, compiled alone."""
+    return compile_tape((ast,), ast.dim)
+
+
+def field(raw, dim):
+    """The tape of numbers and expression text nested in lists, a field of
+    their shape: ``dim`` entries are a vector field or a 1-form, ``dim`` rows
+    of them a (1,1)-tensor or a 2-form, as the manifest reader compiles them."""
+    entries = np.asarray(raw, dtype=object)
+    return compile_tape(exprs(entries.ravel(), dim), dim, entries.shape)
 
 
 def with_soliton(m, lam, mu, **potential):

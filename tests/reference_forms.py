@@ -1,22 +1,25 @@
 """The fundamental form as a symbolic 2-form field, kept as a test reference.
 
 ``wfk.weakf.theorem1_check`` differentiates Phi = g f at the point from the
-jets of g and f.  This field builds Phi from the expression entries of g and
-f instead, so its jets are an independent route to d Phi.
+jets of g and f.  This field builds Phi from the manifest's expression
+entries of g and f instead, so its jets are an independent route to d Phi.
 """
 from functools import reduce
 
-from wfk.expr import ExprAst, Node
-from wfk.geometry import FieldSpec
+from wfk.expr import ExprAst, Node, Tape, compile_tape
+
+from conftest import exprs
 
 
-def fundamental_form_field(m) -> FieldSpec:
-    """Phi(X, Y) = g(X, fY) of a ``WeakFManifold`` as a symbolic 2-form field:
+def fundamental_form_field(data) -> Tape:
+    """Phi(X, Y) = g(X, fY) of a manifest's model as a symbolic 2-form field:
     entry [a][b] is the expression g_a1 f_1b + ... + g_an f_nb, as it parses."""
-    n, g, f = m.dim, m.metric.entries, m.f.entries
+    n = 2 * data["n"] + data["s"]
+    lower, f = exprs(data["metric"], n), exprs(data["f"], n)
 
     def entry(a: int, b: int) -> ExprAst:
-        terms = (Node("mul", (g[a][k].root, f[k][b].root)) for k in range(n))
+        g = (lower[max(a, k)][min(a, k)] for k in range(n))
+        terms = (Node("mul", (g_ak.root, f[k][b].root)) for k, g_ak in enumerate(g))
         return ExprAst(reduce(lambda x, y: Node("add", (x, y)), terms), n)
 
-    return FieldSpec(n, tuple(tuple(entry(a, b) for b in range(n)) for a in range(n)))
+    return compile_tape([entry(a, b) for a in range(n) for b in range(n)], n, (n, n))

@@ -12,8 +12,8 @@ import numpy as np
 import pytest
 
 from wfk import expr as ex
-from wfk.geometry import FieldSpec, coboundary_2form
-from wfk.kenmotsu import build_twisted_product
+from wfk.geometry import coboundary_2form
+from wfk.kenmotsu import build_example2, build_twisted_product
 from wfk.star_soliton import eta_einstein_fit, star_eta_einstein_fit
 from wfk.weakf import wedge_1form_2form
 from wfk.checks import CATALOGUE, CheckContext, run_check_ids
@@ -23,9 +23,10 @@ from wfk.cli import manifold_from_manifest
 from conftest import (
     GRID,
     example_manifold,
-    exprs,
+    field,
     group_residuals,
     model,
+    scalar,
     seeded_points,
     with_soliton,
 )
@@ -54,7 +55,7 @@ def _grid_instances():
 
 
 def _xibar(m):
-    return FieldSpec(m.dim, exprs([0.0] * (2 * m.n) + [1.0] * m.s, m.dim))
+    return field([0.0] * (2 * m.n) + [1.0] * m.s, m.dim)
 
 
 def test_criterion_01_axioms_and_defining_condition():
@@ -70,8 +71,8 @@ def test_criterion_01_axioms_and_defining_condition():
 
 def test_criterion_02_normality_closedness_and_proportionality():
     worst = 0.0
-    for _, m in _grid_instances():
-        phi_field = fundamental_form_field(m)
+    for key, m in _grid_instances():
+        phi_field = fundamental_form_field(build_example2(*key))
         for p in seeded_points(m.dim, count=2):
             st = m.at(p)
             worst = max(worst, *group_residuals("theorem1", st).values())
@@ -161,7 +162,7 @@ def test_criterion_07_soliton_constants(capsys):
         sol = m.soliton
         lam_oracle = s * beta - s * (1.0 + c) * beta**2
         assert sol.lam == pytest.approx(lam_oracle) and sol.mu == -sol.lam
-        assert sol.V.entries == _xibar(m).entries
+        assert sol.V == _xibar(m)
         pts = seeded_points(m.dim)[:3]
         for shift in (0.0, 1e-3):
             ctx = CheckContext(with_soliton(m, sol.lam + shift, sol.mu, V=sol.V))
@@ -176,7 +177,7 @@ def test_criterion_07_soliton_constants(capsys):
             else "steady"
         )
         assert sol.classification == verdict_class
-        v = ex.parse_expression("+".join(f"x{2 * n + p_ + 1}" for p_ in range(s)), m.dim)
+        v = scalar(ex.parse_expression("+".join(f"x{2 * n + p_ + 1}" for p_ in range(s)), m.dim))
         grad_m = with_soliton(m, lam_oracle, -lam_oracle, v=v)
         worst_grad = group_residuals("grad", grad_m.at(pts[0]))["grad.75"]
         assert worst_grad < 1e-8, worst_grad
@@ -278,10 +279,10 @@ def test_criterion_11_numerics_hygiene():
     rng = np.random.default_rng(99)
     checked = 0
     while checked < 200:
-        ast = _random_ast(rng, 3, 3)
+        tape = scalar(_random_ast(rng, 3, 3))
         p = rng.uniform(-0.8, 0.8, 3)
         try:
-            value, grad, hess = ast.jets(p)
+            value, grad, hess = tape.jets(p)
         except ex.ExprDomainError:
             continue
         if abs(value) > 1e6 or np.abs(hess).max() > 1e6:
@@ -290,7 +291,7 @@ def test_criterion_11_numerics_hygiene():
         for a in range(3):
             dp = np.zeros(3)
             dp[a] = h
-            fd = (ast.jets(p + dp)[0] - ast.jets(p - dp)[0]) / (2 * h)
+            fd = (tape.jets(p + dp)[0] - tape.jets(p - dp)[0]) / (2 * h)
             assert abs(grad[a] - fd) < 1e-5 * scale
         checked += 1
     _report(11, "analytic jets vs finite differences", worst, 1e-4)

@@ -430,18 +430,19 @@ def test_a_potential_is_jetted_once_per_structure(tape_runs):
     for group in ("soliton", "contact", "lemma2"):  # each reads st.potential
         ctx.group_reports(group, st)
     assert "potential" in st.__dict__
-    assert tape_runs[id(ctx.manifold.soliton.V.tape)] == 1
+    assert tape_runs[id(ctx.manifold.soliton.V)] == 1
 
 
 @pytest.mark.parametrize("make_ctx", [_example2_V, _example2_v, _twisted])
 def test_the_structure_tape_runs_once_per_structure(make_ctx, monkeypatch, tape_runs):
     # f, Q, the xi_i and the eta^i are one tape, run once a chunk to first
-    # order; the tapes of the fields alone never run
+    # order; every tape that runs is one of the model's compiled fields
     ctx = make_ctx()
     m = ctx.manifold
-    own = [field.tape for field in (m.f, m.Q, *m.xi, *m.eta)]  # compiled, not run
+    sol = m.soliton
+    fields = (m.metric, m.tape, m.sigma, *((sol.V, sol.v) if sol else ()))
     _two_point_chunks(monkeypatch, m.dim)
     tape_runs.clear()  # the twisted builder checks its axioms at the origin
     run_check_ids(ctx, applicable_ids(ctx), seeded_points(m.dim, count=5, seed=41))
     assert tape_runs[id(m.tape)] == 3  # chunks of 2, 2 and 1
-    assert not {id(tape) for tape in own} & set(tape_runs)
+    assert set(tape_runs) <= {id(tape) for tape in fields if tape is not None}

@@ -20,7 +20,7 @@ from wfk.cli import main
 from wfk.expr import parse_expression
 from wfk.kenmotsu import build_example2
 
-from conftest import seeded_points
+from conftest import scalar, seeded_points
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -154,7 +154,7 @@ class TestEmitterGoldens:
         for row, golden_row in zip(q, golden_q, strict=True):
             for entry, old in zip(row, golden_row, strict=True):
                 assert type(entry) in (int, float)
-                assert entry == parse_expression(str(old), 8).tape.outputs[0]
+                assert entry == scalar(parse_expression(str(old), 8)).outputs[0]
 
 
 class TestCheck:

@@ -16,11 +16,13 @@ from wfk.expr import (
     parse_expression,
 )
 
+from conftest import scalar
+
 
 class TestParsing:
     def test_zero_literal(self):
-        ast = parse_expression("0", 4)
-        assert ast.jets(np.zeros(4))[0] == 0.0
+        tape = scalar(parse_expression("0", 4))
+        assert tape.jets(np.zeros(4))[0] == 0.0
 
     def test_exp_of_scaled_sum(self):
         ast = parse_expression("exp(2*(x3+x4))", 4)
@@ -81,31 +83,32 @@ class TestParsing:
             assert err.value.span == (0, len(name))
 
     def test_precedence(self):
-        ast = parse_expression("1+2*x1^2", 2)
-        assert ast.jets(np.array([3.0, 0.0]))[0] == 19.0
+        tape = scalar(parse_expression("1+2*x1^2", 2))
+        assert tape.jets(np.array([3.0, 0.0]))[0] == 19.0
 
     def test_unary_minus(self):
-        ast = parse_expression("-x1*x2", 2)
-        assert ast.jets(np.array([2.0, 5.0]))[0] == -10.0
+        tape = scalar(parse_expression("-x1*x2", 2))
+        assert tape.jets(np.array([2.0, 5.0]))[0] == -10.0
 
 
 class TestJets:
     def test_exp_hand_values(self):
-        ast = parse_expression("exp(2*(x3+x4))", 4)
-        value, grad, hess = ast.jets(np.zeros(4))
+        tape = scalar(parse_expression("exp(2*(x3+x4))", 4))
+        value, grad, hess = tape.jets(np.zeros(4))
         assert value == pytest.approx(1.0)
         assert grad == pytest.approx([0.0, 0.0, 2.0, 2.0])
         assert hess[2:, 2:] == pytest.approx(4.0 * np.ones((2, 2)))
         assert np.all(hess[:2, :] == 0.0)
 
     def test_constant(self):
-        value, grad, hess = parse_expression("5", 3).jets(np.ones(3))
+        value, grad, hess = scalar(parse_expression("5", 3)).jets(np.ones(3))
         assert value == 5.0
         assert np.all(grad == 0.0)
         assert np.all(hess == 0.0)
 
     def test_product(self):
-        value, grad, hess = parse_expression("x1*x2", 4).jets(np.array([1.0, 2.0, 0, 0]))
+        tape = scalar(parse_expression("x1*x2", 4))
+        value, grad, hess = tape.jets(np.array([1.0, 2.0, 0, 0]))
         assert value == 2.0
         assert grad == pytest.approx([2.0, 1.0, 0.0, 0.0])
         expected = np.zeros((4, 4))
@@ -113,18 +116,18 @@ class TestJets:
         assert hess == pytest.approx(expected)
 
     def test_hessian_exactly_symmetric(self):
-        ast = parse_expression("exp(x1*x2)+sqrt(1+x1^2)/(2+x2^2)", 2)
-        hess = ast.jets(np.array([0.3, -0.7]))[2]
+        tape = scalar(parse_expression("exp(x1*x2)+sqrt(1+x1^2)/(2+x2^2)", 2))
+        hess = tape.jets(np.array([0.3, -0.7]))[2]
         assert np.array_equal(hess, hess.T)
 
     def test_domain_errors_carry_span(self):
         with pytest.raises(ExprDomainError) as err:
-            parse_expression("1/x1", 1).jets(np.zeros(1))
+            scalar(parse_expression("1/x1", 1)).jets(np.zeros(1))
         assert err.value.span == (0, 4)
         with pytest.raises(ExprDomainError):
-            parse_expression("log(x1)", 1).jets(np.zeros(1))
+            scalar(parse_expression("log(x1)", 1)).jets(np.zeros(1))
         with pytest.raises(ExprDomainError):
-            parse_expression("sqrt(-1+x1)", 1).jets(np.zeros(1))
+            scalar(parse_expression("sqrt(-1+x1)", 1)).jets(np.zeros(1))
 
 
 def _random_source(rng, dim, depth):
@@ -172,10 +175,10 @@ class TestDerivativeProperty:
         step = 1e-4
         checked = 0
         while checked < 200:
-            ast = _random_ast(rng, dim, 3)
+            tape = scalar(_random_ast(rng, dim, 3))
             p = rng.uniform(-0.8, 0.8, dim)
             try:
-                value, grad, hess = ast.jets(p)
+                value, grad, hess = tape.jets(p)
             except ExprDomainError:
                 continue
             if abs(value) > 1e6 or np.abs(hess).max() > 1e6:
@@ -184,7 +187,7 @@ class TestDerivativeProperty:
             for a in range(dim):
                 dp = np.zeros(dim)
                 dp[a] = step
-                (vplus, gplus, _), (vminus, gminus, _) = ast.jets(p + dp), ast.jets(p - dp)
+                (vplus, gplus, _), (vminus, gminus, _) = tape.jets(p + dp), tape.jets(p - dp)
                 fd = (vplus - vminus) / (2 * step)
                 assert grad[a] == pytest.approx(fd, rel=1e-6, abs=1e-6 * scale)
                 fd_row = (gplus - gminus) / (2 * step)
@@ -232,13 +235,13 @@ class TestThirdOrder:
     def test_lower_orders_unchanged(self):
         rng = np.random.default_rng(11)
         for _ in range(100):
-            ast = _random_ast(rng, 3, 3)
+            tape = scalar(_random_ast(rng, 3, 3))
             p = rng.uniform(-0.8, 0.8, 3)
             try:
-                two = ast.jets(p)
+                two = tape.jets(p)
             except ExprDomainError:
                 continue
-            one, three = ast.jets(p, order=1), ast.jets(p, order=3)
+            one, three = tape.jets(p, order=1), tape.jets(p, order=3)
             assert len(one) == 2 and len(two) == 3
             assert one[0] == two[0] == three[0]
             assert np.array_equal(one[1], two[1]) and np.array_equal(three[1], two[1])
@@ -285,7 +288,8 @@ class TestThirdOrder:
         checked = 0
         for ast, p in cases:
             try:
-                third = _dense3(ast.tape, ast.jets(p, order=3)[3])
+                tape = scalar(ast)
+                third = _dense3(tape, tape.jets(p, order=3)[3])
             except ExprDomainError:
                 continue
             f = to_sympy(ast.root)
@@ -302,43 +306,43 @@ class TestThirdOrder:
 
     def test_square_at_zero(self):
         # the third coefficient of x^2 is 0; x^(2-3) must not be evaluated
-        d3 = parse_expression("x1^2", 1).jets(np.zeros(1), order=3)[3]
+        d3 = scalar(parse_expression("x1^2", 1)).jets(np.zeros(1), order=3)[3]
         assert np.all(d3 == 0.0)
-        d3 = parse_expression("x1^3", 1).jets(np.zeros(1), order=3)[3]
+        d3 = scalar(parse_expression("x1^3", 1)).jets(np.zeros(1), order=3)[3]
         assert d3[0, 0, 0] == 6.0
 
 
 class TestNonFinite:
     @pytest.mark.parametrize("third", [False, True])
     def test_exp_overflow_is_domain_error(self, third):
-        ast = parse_expression("1+exp(exp(x1+10))", 2)
+        tape = scalar(parse_expression("1+exp(exp(x1+10))", 2))
         with pytest.raises(ExprDomainError) as err:
-            ast.jets(np.zeros(2), order=3 if third else 2)
+            tape.jets(np.zeros(2), order=3 if third else 2)
         assert err.value.span == (2, 17)
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_exp_derivative_overflow_is_domain_error(self):
         # value finite, Hessian 4 e^709 overflows
         with pytest.raises(ExprDomainError):
-            parse_expression("exp(2*x1+709)", 1).jets(np.zeros(1))
+            scalar(parse_expression("exp(2*x1+709)", 1)).jets(np.zeros(1))
         # value, gradient and Hessian finite; only the third order overflows
-        ast = parse_expression("exp(1.5*x1+708.9)", 1)
-        assert np.isfinite(ast.jets(np.zeros(1))[2]).all()
+        tape = scalar(parse_expression("exp(1.5*x1+708.9)", 1))
+        assert np.isfinite(tape.jets(np.zeros(1))[2]).all()
         with pytest.raises(ExprDomainError):
-            ast.jets(np.zeros(1), order=3)
+            tape.jets(np.zeros(1), order=3)
 
     def test_power_overflow_is_domain_error(self):
         with pytest.raises(ExprDomainError):
-            parse_expression("exp(x1+200)^4", 1).jets(np.zeros(1))
+            scalar(parse_expression("exp(x1+200)^4", 1)).jets(np.zeros(1))
 
     @pytest.mark.parametrize("order", [1, 2, 3])
     def test_huge_integer_power_is_domain_error(self, order):
         # p (p - 1) overflows a float: the Hessian is not finite at every point
         text = "x1^" + "9" * 300
-        ast = parse_expression(text, 1)
+        tape = scalar(parse_expression(text, 1))
         for x in (0.0, 0.5, -1.0):
             with pytest.raises(ExprDomainError) as err:
-                ast.jets([x], order=order)
+                tape.jets([x], order=order)
             assert err.value.message == "pow second derivative is not finite"
             assert err.value.span == (0, len(text))
 
@@ -354,20 +358,20 @@ class TestNonFinite:
     )
     def test_non_finite_jet_is_domain_error(self, text, x, third, order):
         # the value is finite; a derivative overflows at that order
-        ast = parse_expression("2+" + text, 1)
+        tape = scalar(parse_expression("2+" + text, 1))
         with pytest.raises(ExprDomainError) as err:
-            ast.jets([x], order=3 if third else 2)
+            tape.jets([x], order=3 if third else 2)
         assert err.value.span == (2, 2 + len(text))
         assert f"{order} derivative is not finite" in err.value.message
         if third and order == "third":
-            assert np.isfinite(ast.jets([x])[2]).all()
+            assert np.isfinite(tape.jets([x])[2]).all()
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_first_order_jets_still_check_the_hessian(self):
         # order 1 returns no Hessian, but the tape still propagates one
-        ast = parse_expression("2+sqrt(x1)", 1)
+        tape = scalar(parse_expression("2+sqrt(x1)", 1))
         with pytest.raises(ExprDomainError) as err:
-            ast.jets([1e-300], order=1)
+            tape.jets([1e-300], order=1)
         assert "sqrt second derivative is not finite" in err.value.message
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -384,7 +388,7 @@ class TestNonFinite:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_folded_constant_is_domain_error(self):
         with pytest.raises(ExprDomainError) as err:
-            parse_expression("x1+1e300*1e300", 1).jets([1.0])
+            scalar(parse_expression("x1+1e300*1e300", 1)).jets([1.0])
         assert err.value.span == (3, 14)
 
     @pytest.mark.parametrize("text", ["1e999", "x1+1E400", "2*.5e309"])
@@ -417,7 +421,7 @@ class TestDepthLimit:
         assert parens.root.kind == "add"
         assert [x.index for x in parens.root.children] == [0, 1]
         calls = parse_expression("sqrt(" * 150 + "2+x1" + ")" * 150, 2)
-        value, *_, d3 = calls.jets(np.array([0.5, 0.0]), order=3)
+        value, *_, d3 = scalar(calls).jets(np.array([0.5, 0.0]), order=3)
         assert value == pytest.approx(2.5 ** (0.5**150))
         assert np.isfinite(d3).all()
 
@@ -446,18 +450,19 @@ class TestTape:
             batch = evaluate_jet(tape, points, order)
         except ExprDomainError:
             return
+        alone = [scalar(ast) for ast in asts]
         for i, p in enumerate(points):
             one = evaluate_jet(tape, p[None], order)
             assert _bits(*(arr[i] for arr in batch)) == _bits(*(arr[0] for arr in one))
-            for k, ast in enumerate(asts):
+            for k, own in enumerate(alone):
                 # alone, an expression's jets run over its own support: the
                 # same bits there, and a structural +0.0 where the shared
                 # tape may hold a -0.0
-                single = list(ast.jets(p, order))
+                single = list(own.jets(p, order))
                 got = [arr[i, k] for arr in batch]
                 if order == 3:
                     got[3] = _dense3(tape, got[3])
-                    single[3] = _dense3(ast.tape, single[3])
+                    single[3] = _dense3(own, single[3])
                 assert _bits(*(a + 0.0 for a in got)) == _bits(*(a + 0.0 for a in single))
 
     @pytest.mark.parametrize("third", [False, True])
@@ -486,7 +491,7 @@ class TestTape:
             ("exp(x1)", math.exp), ("log(x1)", math.log), ("x1^3", lambda v: v**3),
             ("x1^7", lambda v: v**7),
         ):
-            value = evaluate_jet(parse_expression(text, 1).tape, x[:, None])[0][:, 0]
+            value = evaluate_jet(scalar(parse_expression(text, 1)), x[:, None])[0][:, 0]
             assert value.tolist() == [fn(v) for v in x.tolist()], text
 
     def test_repeated_subtrees_are_one_instruction(self):
@@ -496,7 +501,7 @@ class TestTape:
         assert len(six.code) == len(once.code)
         assert len(set(six.outputs)) == 1
         # x1, x2, x1+x2, exp; x3 and the product reuse them
-        tape = parse_expression("exp(x1+x2)*x3+exp(x1+x2)", 3).tape
+        tape = scalar(parse_expression("exp(x1+x2)*x3+exp(x1+x2)", 3))
         assert [node.kind for node, _ in tape.code] == [
             "var", "var", "add", "exp", "var", "mul", "add",
         ]
@@ -522,20 +527,20 @@ class TestTape:
     def test_any_point_of_a_batch_raises(self, text, bad, span, third):
         points = np.array([[0.5, 0.0], [bad, 0.0], [2.0, 0.0]])
         with pytest.raises(ExprDomainError) as err:
-            evaluate_jet(parse_expression(text, 2).tape, points, 3 if third else 2)
+            evaluate_jet(scalar(parse_expression(text, 2)), points, 3 if third else 2)
         assert err.value.span == span
 
     def test_constant_domain_errors_keep_their_order(self):
-        ast = parse_expression("log(x1)+1/0", 1)
+        tape = scalar(parse_expression("log(x1)+1/0", 1))
         with pytest.raises(ExprDomainError) as err:
-            ast.jets(np.array([-1.0]))
+            tape.jets(np.array([-1.0]))
         assert err.value.span == (0, 7)
         with pytest.raises(ExprDomainError) as err:
-            ast.jets(np.array([1.0]))
+            tape.jets(np.array([1.0]))
         assert err.value.span == (8, 11)
 
     def test_points_must_match_the_tape(self):
-        tape = parse_expression("x1", 2).tape
+        tape = scalar(parse_expression("x1", 2))
         for bad in (np.zeros(2), np.zeros((3, 3)), np.zeros((1, 2, 2))):
             with pytest.raises(ValueError):
                 evaluate_jet(tape, bad)

@@ -4,7 +4,6 @@ import pytest
 from wfk import InputError
 from wfk import expr as ex
 from wfk.geometry import (
-    FieldSpec,
     Geometry,
     MetricField,
     coboundary_2form,
@@ -18,7 +17,7 @@ from wfk.kenmotsu import audit_identities, build_example2, build_twisted_product
 from wfk.star_soliton import lemma2_audit
 from wfk.weakf import WeakFManifold
 
-from conftest import diagonal_metric, exprs, model, seeded_points, with_soliton
+from conftest import diagonal_metric, exprs, field, model, scalar, seeded_points, with_soliton
 from reference_chain import dric as reference_dric
 from reference_chain import lie_curvature as reference_lie_curvature
 from reference_chain import ric as reference_ric
@@ -26,7 +25,7 @@ from reference_chain import ric_star as reference_ric_star
 from reference_forms import fundamental_form_field
 
 O = np.zeros(4)
-XIBAR = FieldSpec(4, exprs([0.0, 0.0, 1.0, 1.0], 4))
+XIBAR = field([0.0, 0.0, 1.0, 1.0], 4)
 FLAT4 = diagonal_metric([1.0] * 4)
 # a metric with off-diagonal entries and no symmetries, positive definite
 # on the sample box (diagonally dominant there)
@@ -43,7 +42,8 @@ BUMPY4 = MetricField.from_entries(
     4,
 )
 # nonlinear and not Killing for either metric
-BENT4 = FieldSpec(4, exprs(["x1*x2", "exp(0.5*x3)", "x4^3-x1", "sqrt(2+x2)*x3"], 4))
+_BENT4_ENTRIES = ["x1*x2", "exp(0.5*x3)", "x4^3-x1", "sqrt(2+x2)*x3"]
+BENT4 = field(_BENT4_ENTRIES, 4)
 
 
 class TestMetric:
@@ -68,8 +68,10 @@ class TestMetric:
         # upper entries that differ from their mirrors, and are not read
         square = [lower[0] + ["x2^3", 5], lower[1] + ["0.7*x1"], lower[2]]
         full, low = (MetricField.from_entries(exprs(rows, 3), 3) for rows in (square, lower))
-        assert full.tape == low.tape
-        assert all(low.entries[i][j] is low.entries[j][i] for i in range(3) for j in range(3))
+        assert full == low
+        # a mirrored pair is one output of the tape
+        pairs = [(3 * i + j, 3 * j + i) for i in range(3) for j in range(3)]
+        assert all(low.outputs[a] == low.outputs[b] for a, b in pairs)
 
     @pytest.mark.parametrize(
         "rows", [[["1"], [0], [0, 0, 1]], [["1"], [0, 1]]], ids=["short-row", "missing-row"]
@@ -206,12 +208,12 @@ class TestLieDerivatives:
         assert lg == pytest.approx(lg.T)
 
     def test_zero_field(self, e2):
-        zero = FieldSpec(4, exprs([0.0] * 4, 4))
+        zero = field([0.0] * 4, 4)
         lg = lie_derivative_metric(e2.metric.at(O), zero.jets(O))
         assert np.all(lg == 0.0)
 
     def test_gradient_field_gives_twice_hessian(self, e2):
-        v = ex.parse_expression("x1*x3+x4^2", 4)
+        v = scalar(ex.parse_expression("x1*x3+x4^2", 4))
         for p in seeded_points(4, count=3, seed=9):
             grad, hess = gradient_and_hessian(e2.metric.at(p), v.jets(p))
             # build the gradient as a field to take its Lie derivative
@@ -223,11 +225,11 @@ class TestLieDerivatives:
             assert np.abs(lg - 2.0 * hess).max() < 1e-8
 
     def test_1form_examples(self, e2):
-        eta1 = FieldSpec(4, exprs([0.0, 0.0, 1.0, 0.0], 4))
+        eta1 = field([0.0, 0.0, 1.0, 0.0], 4)
         geo = e2.metric.at(O)
         lw = lie_derivative_1form(geo, eta1.jets(O), XIBAR.jets(O))
         assert np.all(lw == 0.0)
-        d1 = FieldSpec(4, exprs([1.0, 0.0, 0.0, 0.0], 4))
+        d1 = field([1.0, 0.0, 0.0, 0.0], 4)
         lw = lie_derivative_1form(geo, eta1.jets(O), d1.jets(O))
         assert np.all(lw == 0.0)
 
@@ -235,57 +237,60 @@ class TestLieDerivatives:
 def _gradient_field_entries(metric):
     """Symbolic gradient of v = x1*x3 + x4^2 for the reference metric
     diag(e^{2xbar}, e^{2xbar}, 1, 1)."""
-    return FieldSpec(metric.dim, exprs(["exp(-2*(x3+x4))*x3", 0.0, "x1", "2*x4"], metric.dim))
+    return field(["exp(-2*(x3+x4))*x3", 0.0, "x1", "2*x4"], metric.dim)
 
 
 def _d_1form(omega, p):
-    """d omega at p with the 1/2 of the co-boundary formula."""
+    """d omega at p with the 1/2 of the co-boundary formula, from the tape
+    ``omega`` of a 1-form."""
     _, dw, _ = omega.jets(p)  # dw[j, i] = d_i w_j
     return 0.5 * (dw.T - dw)
 
 
 class TestExteriorDerivatives:
-    def test_closed_reeb_forms(self, e2):
-        for i in range(2):
-            d = _d_1form(e2.eta[i], O)
+    def test_closed_reeb_forms(self):
+        # the manifest's eta^i, each compiled as a tape of its own
+        for raw in build_example2(1, 2, 1.0, 1.0)["eta"]:
+            d = _d_1form(field(raw, 4), O)
             assert np.all(d == 0.0)
 
     def test_half_normalization(self):
-        omega = FieldSpec(4, exprs(["x2", 0.0, 0.0, 0.0], 4))  # x2 dx1
+        omega = field(["x2", 0.0, 0.0, 0.0], 4)  # x2 dx1
         d = _d_1form(omega, np.ones(4))
         assert d[0, 1] == pytest.approx(-0.5)
         assert d[1, 0] == pytest.approx(0.5)
 
     def test_constant_form_closed(self):
-        omega = FieldSpec(4, exprs([1.0, 2.0, 3.0, 4.0], 4))
+        omega = field([1.0, 2.0, 3.0, 4.0], 4)
         assert np.all(_d_1form(omega, O) == 0.0)
 
-    def test_fundamental_form_derivative(self, e2):
-        phi = fundamental_form_field(e2)
+    def test_fundamental_form_derivative(self):
+        phi = fundamental_form_field(build_example2(1, 2, 1.0, 1.0))
         d = coboundary_2form(phi.jets(O)[1])
         assert d[0, 1, 2] == pytest.approx(-(2.0 / 3.0) * np.sqrt(2.0))
 
     def test_third_normalization(self):
         rows = [[0.0] * 4 for _ in range(4)]
         rows[0][1], rows[1][0] = "x3", "-x3"
-        phi = FieldSpec(4, exprs(rows, 4))
+        phi = field(rows, 4)
         d = coboundary_2form(phi.jets(np.zeros(4))[1])
         assert d[0, 1, 2] == pytest.approx(1.0 / 3.0)
 
 
 class TestGradientHessian:
     def test_reeb_sum_gradient(self, e2):
-        v = ex.parse_expression("x3+x4", 4)
+        v = scalar(ex.parse_expression("x3+x4", 4))
         for p in (O, np.array([0.3, -0.2, 0.1, 0.4])):
             grad, _ = gradient_and_hessian(e2.metric.at(p), v.jets(p))
             assert grad == pytest.approx([0.0, 0.0, 1.0, 1.0])
 
     def test_hessian_hand_value(self, e2):
-        _, hess = gradient_and_hessian(e2.metric.at(O), ex.parse_expression("x3", 4).jets(O))
+        x3 = scalar(ex.parse_expression("x3", 4))
+        _, hess = gradient_and_hessian(e2.metric.at(O), x3.jets(O))
         assert hess[0, 0] == pytest.approx(1.0)
 
     def test_constant_potential(self, e2):
-        grad, hess = gradient_and_hessian(e2.metric.at(O), ex.const(3.0, 4).jets(O))
+        grad, hess = gradient_and_hessian(e2.metric.at(O), scalar(ex.const(3.0, 4)).jets(O))
         assert np.all(grad == 0.0)
         assert np.all(hess == 0.0)
 
@@ -297,10 +302,10 @@ class TestLieConnectionCurvature:
         assert np.abs(t - t.transpose(0, 2, 1)).max() < 1e-12
 
     def test_zero_and_linear_fields(self):
-        zero = FieldSpec(4, exprs([0.0] * 4, 4))
+        zero = field([0.0] * 4, 4)
         p, geo = np.ones(4), FLAT4.at(np.ones(4))
         assert np.all(lie_derivative_connection(geo, zero.jets(p)) == 0.0)
-        linear = FieldSpec(4, exprs(["x1", 0.0, 0.0, 0.0], 4))
+        linear = field(["x1", 0.0, 0.0, 0.0], 4)
         t = lie_derivative_connection(geo, linear.jets(p))
         assert np.abs(t).max() < 1e-12
 
@@ -319,12 +324,12 @@ class TestLieConnectionCurvature:
             assert np.abs(exact - reference).max() <= 1e-7 * scale
 
     def test_curvature_trivial_cases(self):
-        zero = FieldSpec(4, exprs([0.0] * 4, 4))
+        zero = field([0.0] * 4, 4)
         p, geo = np.ones(4), FLAT4.at(np.ones(4))
         assert np.abs(
             lie_derivative_curvature(geo, zero.jets(p))
         ).max() < 1e-10
-        const = FieldSpec(4, exprs([1.0, 2.0, 0.0, 0.0], 4))
+        const = field([1.0, 2.0, 0.0, 0.0], 4)
         assert np.abs(
             lie_derivative_curvature(geo, const.jets(p))
         ).max() < 1e-10
@@ -375,7 +380,7 @@ def _dense_metric(dim):
 def _bent_field(dim):
     """Nonlinear and not Killing."""
     entries = [f"x{i + 1}*x{(i + 1) % dim + 1}+exp(0.3*x{(i + 2) % dim + 1})" for i in range(dim)]
-    return FieldSpec(dim, exprs(entries, dim))
+    return field(entries, dim)
 
 
 _CONTRACTED_CASES = {
@@ -388,24 +393,26 @@ _CONTRACTED_CASES = {
 
 
 def _bent_tensor(dim):
-    """A (1,1)-tensor field that is neither constant nor symmetric nor skew."""
+    """The rows of a (1,1)-tensor field that is neither constant nor symmetric nor skew."""
     entry = "{:.2f}+0.4*x{}*x{}"
-    rows = [
+    return [
         [
             entry.format(0.3 * (k - j) + 0.1 * k * j + 0.2, k + 1, (j + 2) % dim + 1)
             for j in range(dim)
         ]
         for k in range(dim)
     ]
-    return FieldSpec(dim, exprs(rows, dim))
 
 
 def _with_f(g, f):
-    """A structure with metric g and (1,1)-tensor f; Ric* reads only these two."""
+    """A structure with metric g and (1,1)-tensor rows f; Ric* reads only
+    these two.  Q = 1, and every xi_i and eta^i is the vector of ones, so the
+    manifest reader's dual-basis check would refuse it: the structure tape is
+    compiled here."""
     n, dim = (g.dim - 1) // 2, g.dim
-    unit = [FieldSpec(dim, exprs([1.0] * dim, dim))] * (dim - 2 * n)
-    Q = FieldSpec(dim, exprs(np.eye(dim), dim))
-    return WeakFManifold(n, dim - 2 * n, None, g, f, Q, tuple(unit), tuple(unit))
+    unit = [[1.0] * dim] * (dim - 2 * n)
+    structure = field([*f, *np.eye(dim).tolist(), *unit, *unit], dim)
+    return WeakFManifold(n, dim - 2 * n, None, g, structure)
 
 
 @pytest.mark.parametrize("case", list(_CONTRACTED_CASES))
@@ -442,7 +449,7 @@ def test_one_geometry_build_per_point(monkeypatch):
     # every third-order quantity of ids 21-23 and lemma2 comes from the
     # geometry at the sample point itself, not from offset points
     m = model(build_example2(2, 3, 1.0, 1.0))
-    m = with_soliton(m, -4.0, 4.0, V=FieldSpec(m.dim, exprs([0.0] * 4 + [1.0] * 3, m.dim)))
+    m = with_soliton(m, -4.0, 4.0, V=field([0.0] * 4 + [1.0] * 3, m.dim))
     builds = []
     init = Geometry.__init__
 
@@ -492,15 +499,19 @@ class TestDirectionalScalarIdentity:
 def _entry_jets(ast, p, order=2):
     """One expression's own jets at p, d3 scattered from its tape's support
     to every coordinate."""
-    jets = list(ast.jets(p, order))
+    tape = scalar(ast)
+    jets = list(tape.jets(p, order))
     if order == 3:
         d3 = np.zeros((ast.dim,) * 3)
-        d3[np.ix_(*[ast.tape.support] * 3)] = jets[3]
+        d3[np.ix_(*[tape.support] * 3)] = jets[3]
         jets[3] = d3
     return jets
 
 
 class TestFieldSpec:
+    """A field's tape, compiled with the field's shape, against the jets of
+    each entry compiled alone."""
+
     P = np.array([0.3, -0.2, 0.1, 0.4])
 
     @pytest.mark.parametrize("third", [False, True])
@@ -508,18 +519,18 @@ class TestFieldSpec:
         order = 3 if third else 2
         out = BENT4.jets(self.P, order)
         assert len(out) == order + 1
-        for k, entry in enumerate(BENT4.entries):
+        for k, entry in enumerate(exprs(_BENT4_ENTRIES, 4)):
             for arr, part in zip(out, _entry_jets(entry, self.P, order)):
                 assert np.array_equal(arr[k], part)  # derivative axes last
 
     def test_rank2_jets_match_entries(self):
         rows = [["x1*x2", 0, "exp(x3)", 1], ["x4^2", "x1", 2, "x2*x3*x4"]] * 2
-        field = FieldSpec(4, exprs(rows, 4))
-        v, d, d2, d3 = field.jets(self.P, order=3)
+        entries = exprs(rows, 4)
+        v, d, d2, d3 = field(rows, 4).jets(self.P, order=3)
         assert v.shape == (4, 4) and d3.shape == (4,) * 5
         for i in range(4):
             for j in range(4):
-                value, grad, hess, third = _entry_jets(field.entries[i][j], self.P, 3)
+                value, grad, hess, third = _entry_jets(entries[i][j], self.P, 3)
                 assert v[i, j] == value
                 assert np.array_equal(d[i, j], grad)
                 assert np.array_equal(d2[i, j], hess)
@@ -528,12 +539,12 @@ class TestFieldSpec:
     @pytest.mark.parametrize("third", [False, True])
     def test_batched_jets_match_points(self, third):
         rows = [["x1*x2", 0, "exp(x3)", 1], ["x4^2", "x1", 2, "x2"]] * 2
-        field = FieldSpec(4, exprs(rows, 4))
+        tape = field(rows, 4)
         points = np.stack([self.P, -self.P, 2 * self.P])
         order = 3 if third else 2
-        batch = field.jets(points, order)
+        batch = tape.jets(points, order)
         for i, p in enumerate(points):
-            for arr, part in zip(batch, field.jets(p, order)):
+            for arr, part in zip(batch, tape.jets(p, order)):
                 assert arr.shape == (3,) + part.shape
                 assert np.array_equal(arr[i], part)
 
@@ -560,7 +571,7 @@ def test_dense_metric_jets_each_entry_once(monkeypatch):
     # output shared by its mirror; the build (order two) and d3g (order
     # three) are one tape run each
     metric = MetricField.from_entries(exprs(_DENSE5_ROWS, 5), 5)
-    outputs = metric.tape.outputs
+    outputs = metric.outputs
     assert len(set(outputs)) == 15
     pairs = [(5 * i + j, 5 * j + i) for i in range(5) for j in range(5)]
     assert all(outputs[a] == outputs[b] for a, b in pairs)
@@ -579,20 +590,30 @@ def test_dense_metric_jets_each_entry_once(monkeypatch):
     assert np.array_equal(d3g, d3g.transpose(1, 0, 2, 3, 4))
 
 
+def _support_case(rows, metric=None):
+    """The lower-triangle rows of a metric and its field, by default compiled from them."""
+    dim = len(rows)
+    return rows, metric or MetricField.from_entries(exprs(rows, dim), dim)
+
+
+_E2_7 = build_example2(2, 3, 1.0, 1.0)
+_TW_8 = build_twisted_product([1.0, 2.0, 3.0], 2, "exp(x7+x8)*(2+x1^2+x2*x3)")
+
 # the metric's support: partial (example2 reads x5..x7, the twisted product
-# x1..x3 and x7, x8), every coordinate, and none
+# x1..x3 and x7, x8), every coordinate, and none; the manifests' metrics are
+# the ones the manifest reader compiles
 _SUPPORT_CASES = {
-    "example2_7": (model(build_example2(2, 3, 1.0, 1.0)).metric, (4, 5, 6)),
-    "twisted_8": (
-        model(build_twisted_product([1.0, 2.0, 3.0], 2, "exp(x7+x8)*(2+x1^2+x2*x3)")).metric,
-        (0, 1, 2, 6, 7),
-    ),
-    "dense5": (MetricField.from_entries(exprs(_DENSE5_ROWS, 5), 5), (0, 1, 2, 3, 4)),
-    "constant4": (
-        MetricField.from_entries(exprs([[2], [0.3, 1.5], [0, -0.2, 1.8], [0.1, 0, 0, 1]], 4), 4),
-        (),
-    ),
+    "example2_7": (*_support_case(_E2_7["metric"], model(_E2_7).metric), (4, 5, 6)),
+    "twisted_8": (*_support_case(_TW_8["metric"], model(_TW_8).metric), (0, 1, 2, 6, 7)),
+    "dense5": (*_support_case(_DENSE5_ROWS), (0, 1, 2, 3, 4)),
+    "constant4": (*_support_case([[2], [0.3, 1.5], [0, -0.2, 1.8], [0.1, 0, 0, 1]]), ()),
 }
+
+
+def _square(rows):
+    """The parsed entries of a metric's lower-triangle rows, mirrored to the square."""
+    n, lower = len(rows), exprs(rows, len(rows))
+    return [[lower[max(i, j)][min(i, j)] for j in range(n)] for i in range(n)]
 
 
 def _coordinates(node) -> set:
@@ -604,10 +625,10 @@ def _coordinates(node) -> set:
 
 @pytest.mark.parametrize("case", list(_SUPPORT_CASES))
 def test_tape_support_is_the_union_of_entry_coordinates(case):
-    metric, want = _SUPPORT_CASES[case]
-    entries = [e for row in metric.entries for e in row]
-    assert metric.tape.support == tuple(sorted(set().union(*(_coordinates(e.root) for e in entries))))
-    assert metric.tape.support == want
+    rows, metric, want = _SUPPORT_CASES[case]
+    entries = [e for row in _square(rows) for e in row]
+    assert metric.support == tuple(sorted(set().union(*(_coordinates(e.root) for e in entries))))
+    assert metric.support == want
 
 
 @pytest.mark.parametrize("case", list(_SUPPORT_CASES))
@@ -616,14 +637,14 @@ def test_compact_d3g_is_the_dense_jets_on_the_support(case):
     # tape support's block of them and the rest is zero.  Bits are compared
     # with -0.0 read as +0.0: an entry's own tape has a narrower support, so
     # a zero the shared tape computes as -0.0 is a structural +0.0 there
-    metric, _ = _SUPPORT_CASES[case]
-    n, s = metric.dim, list(metric.tape.support)
+    rows, metric, _ = _SUPPORT_CASES[case]
+    n, s = metric.dim, list(metric.support)
     for p in seeded_points(n, count=2, seed=47):
         geo = metric.at(p)
         assert np.array_equal(geo.support, s)
         assert geo.d3g.shape == (n, n) + (len(s),) * 3
         dense = np.array(
-            [[_entry_jets(e, p, order=3)[3] for e in row] for row in metric.entries]
+            [[_entry_jets(e, p, order=3)[3] for e in row] for row in _square(rows)]
         )
         block = np.ix_(s, s, s)
         assert (geo.d3g + 0.0).tobytes() == (dense[(..., *block)] + 0.0).tobytes()

@@ -1,16 +1,18 @@
 import dataclasses
+import json
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from wfk import kenmotsu
-from wfk.checks import CATALOGUE
+from wfk.checks import CATALOGUE, CheckContext, applicable_ids
 from wfk.cli import main
 from wfk.kenmotsu import IDENTITY_IDS, build_twisted_product
 from wfk.star_soliton import eta_einstein_fit
 
 from conftest import diagonal_metric, example_manifold, group_residuals, model, seeded_points
+from curved import curved_product
 
 O = np.zeros(4)
 
@@ -189,3 +191,40 @@ class TestEtaEinsteinFit:
         a, b, residual = eta_einstein_fit(m.at(np.zeros(3)))
         assert abs(a) < 1e-10 and abs(b) < 1e-10
         assert residual < 1e-10
+
+
+def _check(manifest, tmp_path):
+    """`wfk check` of ``manifest`` at the default 5 points: exit code and report."""
+    path, report = tmp_path / "model.json", tmp_path / "report.json"
+    path.write_text(json.dumps(manifest))
+    code = main(["check", str(path), "--reproducible", "--out", str(report)])
+    return code, json.loads(report.read_text())
+
+
+class TestCurvedLeaves:
+    """Warped products over round spheres (``tests/curved.py``): a curved
+    Kaehler fiber, so every applicable id holds, at n = 1 and n = 2."""
+
+    @pytest.mark.parametrize(
+        "radii, s, beta, c",
+        [((1.0,), 1, 1.0, 0.0), ((1.0,), 2, 1.0, 1.0), ((1.0, 2.0), 1, 1.0, 0.0),
+         ((1.0, 0.5), 2, 0.5, 3.0)],
+        ids=["n1s1", "n1s2-weak", "n2s1", "n2s2-weak"],
+    )
+    def test_every_applicable_id_passes(self, radii, s, beta, c, tmp_path):
+        manifest = curved_product(radii, s, beta, c)
+        code, report = _check(manifest, tmp_path)
+        ids = applicable_ids(CheckContext(model(manifest)))
+        assert "kenmotsu.12" in ids and {rec["id"] for rec in report["checks"]} == set(ids)
+        assert code == 0
+        assert report["summary"] == {"pass": 5 * len(ids), "fail": 0, "flagged": 0}
+
+    def test_a_conformal_four_sphere_is_not_kaehler(self, tmp_path, capsys):
+        # the same conformal factor over R^4 makes a leaf that is not Kaehler
+        argv = ["twisted", "--factors", "1,1", "--s", "1",
+                "--sigma", "exp(x5)*2/(1+x1^2+x2^2+x3^2+x4^2)"]
+        assert main(argv) == 0
+        code, report = _check(json.loads(capsys.readouterr().out), tmp_path)
+        failed = {rec["id"] for rec in report["checks"] if not rec["pass"]}
+        assert code == 1
+        assert failed == {"dphi", "id.26", "id.27", "kenmotsu.12", "thm4.28", "thm4.29"}

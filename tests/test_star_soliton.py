@@ -7,17 +7,24 @@ import pytest
 from wfk import InputError
 from wfk import expr as ex
 from wfk.checks import CATALOGUE, CheckContext, run_check_ids
-from wfk.geometry import FieldSpec, lie_derivative_1form
+from wfk.geometry import lie_derivative_1form
 from wfk.kenmotsu import build_example2
 from wfk.star_soliton import (
     _FIT_GATE,
-    SolitonData,
     corollary2_residual,
     soliton_residual,
     star_eta_einstein_fit,
 )
 
-from conftest import example_manifold, exprs, group_residuals, model, seeded_points, with_soliton
+from conftest import (
+    example_manifold,
+    field,
+    group_residuals,
+    model,
+    scalar,
+    seeded_points,
+    with_soliton,
+)
 
 O = np.zeros(4)
 GOLDEN = json.loads(
@@ -26,8 +33,7 @@ GOLDEN = json.loads(
 
 
 def _xibar_field(dim, s):
-    comps = [0.0] * (dim - s) + [1.0] * s
-    return FieldSpec(dim, exprs(comps, dim))
+    return field([0.0] * (dim - s) + [1.0] * s, dim)
 
 
 class TestGoldenValues:
@@ -130,19 +136,19 @@ class TestVectorSolitons:
         assert group_residuals("soliton", m.at(np.zeros(3)))["soliton.32"] < 1e-6
 
     def test_zero_potential(self, e2):
-        m = with_soliton(e2, -4.0, 4.0, V=FieldSpec(4, exprs([0.0] * 4, 4)))
+        m = with_soliton(e2, -4.0, 4.0, V=field([0.0] * 4, 4))
         assert group_residuals("soliton", m.at(O))["soliton.32"] < 1e-8
 
 
 class TestGradientSolitons:
     def test_reeb_potential(self, e2):
-        m = with_soliton(e2, -2.0, 2.0, v=ex.parse_expression("x3+x4", 4))
+        m = with_soliton(e2, -2.0, 2.0, v=scalar(ex.parse_expression("x3+x4", 4)))
         for p in seeded_points(4, count=3, seed=54):
             # the larger of the two forms of (75)
             assert group_residuals("grad", m.at(p))["grad.75"] < 1e-6
 
     def test_matches_vector_form(self, e2):
-        grad_m = with_soliton(e2, -2.0, 2.0, v=ex.parse_expression("x3+x4", 4))
+        grad_m = with_soliton(e2, -2.0, 2.0, v=scalar(ex.parse_expression("x3+x4", 4)))
         vec_m = with_soliton(e2, -2.0, 2.0, V=_xibar_field(4, 2))
         for p in seeded_points(4, count=3, seed=56):
             g_res = group_residuals("grad", grad_m.at(p))["grad.75"]
@@ -150,12 +156,12 @@ class TestGradientSolitons:
             assert abs(g_res - v_res) < 1e-8
 
     def test_constant_potential(self, e2):
-        m = with_soliton(e2, -4.0, 4.0, v=ex.const(3.0, 4))
+        m = with_soliton(e2, -4.0, 4.0, v=scalar(ex.const(3.0, 4)))
         assert group_residuals("grad", m.at(O))["grad.75"] < 1e-8
 
     def test_steady_classical_case(self):
         m = example_manifold(1, 1, 1.0, 0.0)
-        m = with_soliton(m, 0.0, 0.0, v=ex.parse_expression("x3", 3))
+        m = with_soliton(m, 0.0, 0.0, v=scalar(ex.parse_expression("x3", 3)))
         assert group_residuals("grad", m.at(np.zeros(3)))["grad.75"] < 1e-6
         assert m.soliton.classification == "steady"
 
@@ -183,14 +189,14 @@ class TestConstantsAndContact:
         assert residual <= CATALOGUE["contact.65"].tolerance and abs(sigma) < 1e-12
 
     def test_transverse_coordinate_field(self, e2):
-        d1 = FieldSpec(4, exprs([1.0, 0.0, 0.0, 0.0], 4))
+        d1 = field([1.0, 0.0, 0.0, 0.0], 4)
         st = with_soliton(e2, 0.0, 0.0, V=d1).at(O)
         sigma, residual = _contact_sigma(st), group_residuals("contact", st)["contact.65"]
         assert residual <= CATALOGUE["contact.65"].tolerance
         assert sigma == pytest.approx(0.0)
 
     def test_non_contact_field(self, e2):
-        V = FieldSpec(4, exprs(["0", "0", "x1", "0"], 4))
+        V = field(["0", "0", "x1", "0"], 4)
         st = with_soliton(e2, 0.0, 0.0, V=V).at(O)
         residual = group_residuals("contact", st)["contact.65"]
         assert not residual <= CATALOGUE["contact.65"].tolerance
@@ -226,18 +232,12 @@ class TestValidation:
         with pytest.raises(InputError, match="^soliton.lambda: expected a finite number"):
             model({**build_example2(1, 2, 1.0, 1.0), "soliton": soliton})
 
-    def test_asymmetric_star_ricci_is_rejected(self, e2):
-        from wfk.geometry import MetricField
-        from wfk.weakf import WeakFManifold
-
+    def test_asymmetric_star_ricci_is_rejected(self):
+        data = build_example2(1, 2, 1.0, 1.0)
         warp = "exp(2*(x3+x4))"
-        rows = [[warp], ["0.3*x1", warp], [0, 0, 1], ["0.2*x2", 0, 0, 1]]
-        m = WeakFManifold(
-            n=1, s=2, beta=1.0,
-            metric=MetricField.from_entries(exprs(rows, 4), 4),
-            f=e2.f, Q=e2.Q, xi=e2.xi, eta=e2.eta,
-            soliton=SolitonData(lam=-2.0, mu=2.0, V=_xibar_field(4, 2)),
-        )
+        data["metric"] = [[warp], ["0.3*x1", warp], [0, 0, 1], ["0.2*x2", 0, 0, 1]]
+        data["soliton"] = {"lambda": -2.0, "mu": 2.0, "V": [0, 0, 1, 1]}
+        m = model(data)
         p = np.array([0.3, 0.2, -0.1, 0.2])
         with pytest.raises(ValueError, match="not symmetric"):
             soliton_residual(m.at(p))
