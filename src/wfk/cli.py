@@ -129,36 +129,29 @@ def _chart_dim(n: int, s: int) -> int:
     return 2 * n + s
 
 
-def _parse_entry(raw, dim: int, where: str) -> ex.ExprAst:
+def _list(raw, k: int, name: str) -> list:
+    """``raw``, the entry ``name``, which must be a list of ``k`` entries."""
+    if not isinstance(raw, list) or len(raw) != k:
+        raise InputError(f"{name}: expected {k} entries")
+    return raw
+
+
+def _entries(raw, shape: tuple, dim: int, name: str) -> list:
+    """The expressions of the entry ``name``, a field of ``shape`` written as
+    nested lists of numbers and expression text, flat, row by row.  Each
+    expression is named by its path, as ``f[1][2]``."""
+    if shape:
+        rows = enumerate(_list(raw, shape[0], name), 1)
+        return [e for i, r in rows for e in _entries(r, shape[1:], dim, f"{name}[{i}]")]
     if isinstance(raw, (int, float)) and not isinstance(raw, bool):
-        return ex.const(_finite_number(raw, where), dim)
+        return [ex.Node("const", value=_finite_number(raw, name), entry=name)]
     if isinstance(raw, str):
-        return ex.parse_expression(raw, dim, where)
-    raise InputError(f"{where}: expected a number or expression string")
+        return [ex.parse_expression(raw, dim, name)]
+    raise InputError(f"{name}: expected a number or expression string")
 
 
-def _scalar(raw, dim: int, where: str) -> ex.Tape:
-    return ex.compile_tape((_parse_entry(raw, dim, where),), dim)
-
-
-def _parse_matrix(raw, dim: int, name: str, lower: bool = False):
-    if not isinstance(raw, list) or len(raw) != dim:
-        raise InputError(f"{name}: expected {dim} rows")
-    rows = []
-    for i, row in enumerate(raw):
-        want = i + 1 if lower else dim
-        if not isinstance(row, list) or len(row) != want:
-            raise InputError(f"{name} row {i + 1}: expected {want} entries")
-        rows.append(
-            tuple(_parse_entry(e, dim, f"{name}[{i + 1}][{j + 1}]") for j, e in enumerate(row))
-        )
-    return tuple(rows)
-
-
-def _parse_components(raw, dim: int, name: str):
-    if not isinstance(raw, list) or len(raw) != dim:
-        raise InputError(f"{name}: expected {dim} components")
-    return tuple(_parse_entry(e, dim, f"{name}[{k + 1}]") for k, e in enumerate(raw))
+def _field(raw, shape: tuple, dim: int, name: str) -> ex.Tape:
+    return ex.compile_tape(_entries(raw, shape, dim, name), dim, shape)
 
 
 def _known_keys(raw: dict, allowed, where: str) -> None:
@@ -197,7 +190,7 @@ def manifold_from_manifest(data: dict):
 
     beta = data.get("beta")
     if isinstance(beta, str):  # a constant written as an expression
-        folded = _scalar(beta, dim, "beta").outputs[0]
+        folded = _field(beta, (), dim, "beta").outputs[0]
         if not isinstance(folded, float):  # an instruction: it reads x, or is not finite
             raise InputError(f"beta: expected a finite constant, got {beta!r}")
         beta = folded
@@ -206,17 +199,16 @@ def manifold_from_manifest(data: dict):
     if data.get("c") is not None:  # the emitters write it; no check reads it
         _finite_number(data["c"], "c")
 
-    metric_rows = _parse_matrix(data.get("metric"), dim, "metric", lower=True)
-    metric = MetricField.from_entries(metric_rows, dim)
-    rows = [*_parse_matrix(data.get("f"), dim, "f"), *_parse_matrix(data.get("Q"), dim, "Q")]
-    for name, what in (("xi", "vector fields"), ("eta", "one-forms")):
-        raw = data.get(name)
-        if not isinstance(raw, list) or len(raw) != s:
-            raise InputError(f"{name}: expected {s} {what}")
-        rows += (_parse_components(v, dim, f"{name}[{i + 1}]") for i, v in enumerate(raw))
-    structure = ex.compile_tape([e for row in rows for e in row], dim, (len(rows), dim))
+    lower = [
+        _entries(row, (i,), dim, f"metric[{i}]")
+        for i, row in enumerate(_list(data.get("metric"), dim, "metric"), 1)
+    ]
+    metric = MetricField.from_entries(lower, dim)
+    parts = (("f", dim), ("Q", dim), ("xi", s), ("eta", s))
+    rows = [e for key, k in parts for e in _entries(data.get(key), (k, dim), dim, key)]
+    structure = ex.compile_tape(rows, dim, (2 * (dim + s), dim))
 
-    sigma = None if data.get("sigma") is None else _scalar(data["sigma"], dim, "sigma")
+    sigma = None if data.get("sigma") is None else _field(data["sigma"], (), dim, "sigma")
 
     soliton = None
     sol_raw = data.get("soliton")
@@ -227,13 +219,13 @@ def manifold_from_manifest(data: dict):
         # lambda and mu enter the soliton checks linearly, as V does
         lam = _bounded(sol_raw.get("lambda"), "soliton.lambda", MAX_FIELD)
         mu = _bounded(sol_raw.get("mu"), "soliton.mu", MAX_FIELD)
-        if ("V" in sol_raw) == ("v" in sol_raw):
+        # a null potential is an absent one, as for every optional key
+        V, v = sol_raw.get("V"), sol_raw.get("v")
+        if (V is None) == (v is None):
             raise InputError("soliton: provide exactly one of V or v")
-        if "V" in sol_raw:
-            comps = _parse_components(sol_raw["V"], dim, "soliton.V")
-            soliton = SolitonData(lam=lam, mu=mu, V=ex.compile_tape(comps, dim, (dim,)))
-        else:
-            soliton = SolitonData(lam=lam, mu=mu, v=_scalar(sol_raw["v"], dim, "soliton.v"))
+        V = None if V is None else _field(V, (dim,), dim, "soliton.V")
+        v = None if v is None else _field(v, (), dim, "soliton.v")
+        soliton = SolitonData(lam=lam, mu=mu, V=V, v=v)
 
     m = WeakFManifold(n, s, beta, metric, structure, sigma, soliton)
     # dual-basis validation at the origin, on the model the run uses

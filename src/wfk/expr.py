@@ -1,11 +1,12 @@
 """Closed-form scalar expressions of chart coordinates with exact jets.
 
-Expressions enter as source text, parsed into an immutable AST over
-coordinates ``x1..xN``, or as a number (:func:`const`).  They are evaluated
-as jets: value and derivatives up to the order a caller asks for, first,
-second or third (Taylor-mode propagation, Griewank & Walther, *Evaluating
-Derivatives*, ch. 13).  Every consumer that needs metric derivatives up to
-third order gets them analytically instead of by finite differences.
+Expressions enter as source text, parsed into an immutable tree of
+:class:`Node` over coordinates ``x1..xN``; a number is one ``const`` node.
+They are evaluated as jets: value and derivatives up to the order a caller
+asks for, first, second or third (Taylor-mode propagation, Griewank &
+Walther, *Evaluating Derivatives*, ch. 13).  Every consumer that needs
+metric derivatives up to third order gets them analytically instead of by
+finite differences.
 
 Evaluation runs a :class:`Tape`: the expressions of a field compiled once
 into one hash-consed instruction list with constants folded, executed
@@ -42,7 +43,6 @@ from . import InputError
 
 __all__ = [
     "Node",
-    "ExprAst",
     "Tape",
     "ExprError",
     "ExprSyntaxError",
@@ -50,7 +50,6 @@ __all__ = [
     "parse_expression",
     "compile_tape",
     "evaluate_jet",
-    "const",
 ]
 
 
@@ -93,14 +92,6 @@ class Node:
     index: int = 0      # coordinate index (0-based) or integer exponent
     span: tuple[int, int] = (0, 0)
     entry: str = ""     # the name of the text that ``span`` indexes
-
-
-@dataclass(frozen=True)
-class ExprAst:
-    """Parsed scalar expression over a chart of dimension ``dim``."""
-
-    root: Node
-    dim: int
 
 
 # ---------------------------------------------------------------------------
@@ -249,15 +240,15 @@ class _Parser:
         return self.node("var", index=idx - 1, span=tok.span)
 
 
-def parse_expression(text: str, dim: int, entry: str = "") -> ExprAst:
-    """Parse ``text``, the text of the manifest entry named ``entry``, into an
-    AST over coordinates ``x1..x{dim}``.  Every error of the expression, in
-    parsing or in evaluation, names ``entry``."""
+def parse_expression(text: str, dim: int, entry: str = "") -> Node:
+    """Parse ``text``, the text of the manifest entry named ``entry``, into the
+    root of a tree over coordinates ``x1..x{dim}``.  Every error of the
+    expression, in parsing or in evaluation, names ``entry``."""
     if not text.strip():
         raise ExprSyntaxError("empty expression", (0, len(text)), entry)
     root = _Parser(text, dim, entry).parse()
     _check_depth(root)
-    return ExprAst(root, dim)
+    return root
 
 
 def _check_depth(root: Node) -> None:
@@ -456,8 +447,8 @@ def _fold(node: Node, operands: tuple, dim: int):
     return None
 
 
-def compile_tape(asts, dim: int, shape: tuple = ()) -> Tape:
-    """One tape for the expressions ``asts`` over a chart of dimension ``dim``,
+def compile_tape(roots, dim: int, shape: tuple = ()) -> Tape:
+    """One tape for the expressions ``roots`` over a chart of dimension ``dim``,
     a field of ``shape``, row by row.
 
     ``()`` is one expression; ``(dim,)`` a vector field or a 1-form;
@@ -486,12 +477,10 @@ def compile_tape(asts, dim: int, shape: tuple = ()) -> Tape:
         done[id(node)] = out
         return out
 
-    if any(ast.dim != dim for ast in asts):
-        raise ValueError(f"every expression of the tape must be over dimension {dim}")
-    outputs = tuple(emit(ast.root) for ast in asts)
-    for ast, op in zip(asts, outputs):
+    outputs = tuple(emit(root) for root in roots)
+    for root, op in zip(roots, outputs):
         if isinstance(op, float) and not math.isfinite(op):
-            raise ExprDomainError("constant is not finite", ast.root)
+            raise ExprDomainError("constant is not finite", root)
     support = tuple(sorted({node.index for node, _ in code if node.kind == "var"}))
     return Tape(dim, tuple(code), outputs, support, tuple(shape))
 
@@ -554,11 +543,3 @@ def evaluate_jet(tape: Tape, points, order: int = 2):
     consts = [k for k, op in enumerate(tape.outputs) if not isinstance(op, int)]
     out[0][:, consts] = [tape.outputs[k] for k in consts]
     return tuple(out)
-
-
-# ---------------------------------------------------------------------------
-# constants (manifest and field entries given as numbers)
-
-
-def const(v: float, dim: int) -> ExprAst:
-    return ExprAst(Node("const", value=float(v)), dim)

@@ -6,7 +6,7 @@ import pytest
 
 from wfk.checks import CheckContext
 from wfk.cli import manifold_from_manifest
-from wfk.expr import compile_tape, const, parse_expression
+from wfk.expr import Node, compile_tape, parse_expression
 from wfk.geometry import MetricField
 from wfk.kenmotsu import build_example2
 from wfk.star_soliton import SolitonData
@@ -39,15 +39,15 @@ def group_residuals(group, st):
 
 def exprs(raw, dim):
     """Numbers and expression text, nested in lists, as the same nesting of
-    tuples of expressions over a chart of dimension ``dim``."""
+    tuples of expression trees over a chart of dimension ``dim``."""
     if isinstance(raw, (list, tuple, np.ndarray)):
         return tuple(exprs(e, dim) for e in raw)
-    return parse_expression(raw, dim) if isinstance(raw, str) else const(raw, dim)
+    return parse_expression(raw, dim) if isinstance(raw, str) else Node("const", value=float(raw))
 
 
-def scalar(ast):
-    """The tape of one parsed expression, compiled alone."""
-    return compile_tape((ast,), ast.dim)
+def scalar(raw, dim):
+    """The tape of one number or expression text, compiled alone."""
+    return compile_tape((exprs(raw, dim),), dim)
 
 
 def field(raw, dim):

@@ -6,7 +6,7 @@ entries of g and f instead, so its jets are an independent route to d Phi.
 """
 from functools import reduce
 
-from wfk.expr import ExprAst, Node, Tape, compile_tape
+from wfk.expr import Node, Tape, compile_tape
 
 from conftest import exprs
 
@@ -17,9 +17,9 @@ def fundamental_form_field(data) -> Tape:
     n = 2 * data["n"] + data["s"]
     lower, f = exprs(data["metric"], n), exprs(data["f"], n)
 
-    def entry(a: int, b: int) -> ExprAst:
+    def entry(a: int, b: int) -> Node:
         g = (lower[max(a, k)][min(a, k)] for k in range(n))
-        terms = (Node("mul", (g_ak.root, f[k][b].root)) for k, g_ak in enumerate(g))
-        return ExprAst(reduce(lambda x, y: Node("add", (x, y)), terms), n)
+        terms = (Node("mul", (g_ak, f[k][b])) for k, g_ak in enumerate(g))
+        return reduce(lambda x, y: Node("add", (x, y)), terms)
 
     return compile_tape([entry(a, b) for a in range(n) for b in range(n)], n, (n, n))

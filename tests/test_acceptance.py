@@ -177,7 +177,7 @@ def test_criterion_07_soliton_constants(capsys):
             else "steady"
         )
         assert sol.classification == verdict_class
-        v = scalar(ex.parse_expression("+".join(f"x{2 * n + p_ + 1}" for p_ in range(s)), m.dim))
+        v = scalar("+".join(f"x{2 * n + p_ + 1}" for p_ in range(s)), m.dim)
         grad_m = with_soliton(m, lam_oracle, -lam_oracle, v=v)
         worst_grad = group_residuals("grad", grad_m.at(pts[0]))["grad.75"]
         assert worst_grad < 1e-8, worst_grad
@@ -274,12 +274,12 @@ def test_criterion_11_numerics_hygiene():
         worst = max(worst, float(np.abs(riem_fd - geo.riem).max()))
 
     # expression-jet derivative property (seeded random sweep)
-    from test_expr import _random_ast
+    from test_expr import _random_source
 
     rng = np.random.default_rng(99)
     checked = 0
     while checked < 200:
-        tape = scalar(_random_ast(rng, 3, 3))
+        tape = scalar(_random_source(rng, 3, 3), 3)
         p = rng.uniform(-0.8, 0.8, 3)
         try:
             value, grad, hess = tape.jets(p)

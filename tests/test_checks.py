@@ -211,7 +211,6 @@ def test_only_the_manifest_reader_builds_a_model():
     names = ("WeakFManifold", "SolitonData", "replace", "dataclasses.replace")
     assert _calls(names) == [
         ("cli.manifold_from_manifest", "SolitonData"),
-        ("cli.manifold_from_manifest", "SolitonData"),
         ("cli.manifold_from_manifest", "WeakFManifold"),
     ]
 

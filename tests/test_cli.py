@@ -1,8 +1,10 @@
 import contextlib
 import errno
+import functools
 import hashlib
 import io
 import json
+import operator
 import os
 import pathlib
 import re
@@ -17,7 +19,6 @@ from hypothesis import strategies as st
 from wfk import InputError, checks, cli, weakf
 from wfk.checks import CATALOGUE
 from wfk.cli import main
-from wfk.expr import parse_expression
 from wfk.kenmotsu import build_example2
 
 from conftest import scalar, seeded_points
@@ -154,7 +155,7 @@ class TestEmitterGoldens:
         for row, golden_row in zip(q, golden_q, strict=True):
             for entry, old in zip(row, golden_row, strict=True):
                 assert type(entry) in (int, float)
-                assert entry == scalar(parse_expression(str(old), 8)).outputs[0]
+                assert entry == scalar(str(old), 8).outputs[0]
 
 
 class TestCheck:
@@ -497,7 +498,66 @@ class TestManifestValidation:
         data["metric"] = [[lower[max(i, j)][min(i, j)] for j in range(7)] for i in range(7)]
         path.write_text(json.dumps(data))
         assert main(["check", str(path)]) == 2
-        assert capsys.readouterr().err == "error: metric row 1: expected 1 entries\n"
+        assert capsys.readouterr().err == "error: metric[1]: expected 1 entries\n"
+
+
+# level: (its key path in the n = 1, s = 2 manifest, its name in errors, its extent)
+_EXTENTS = {
+    "metric": (("metric",), "metric", 4),
+    "metric[i]": (("metric", 2), "metric[3]", 3),
+    "f": (("f",), "f", 4),
+    "f[i]": (("f", 1), "f[2]", 4),
+    "Q": (("Q",), "Q", 4),
+    "Q[i]": (("Q", 3), "Q[4]", 4),
+    "xi": (("xi",), "xi", 2),
+    "xi[i]": (("xi", 1), "xi[2]", 4),
+    "eta": (("eta",), "eta", 2),
+    "eta[i]": (("eta", 0), "eta[1]", 4),
+    "soliton.V": (("soliton", "V"), "soliton.V", 4),
+}
+
+
+class TestFieldReader:
+    """Every field is read by its shape: a list of the wrong extent, or no
+    list, at any level is one message named by the list's path."""
+
+    @pytest.mark.parametrize("form", ["short", "non-list"])
+    @pytest.mark.parametrize("level", list(_EXTENTS))
+    def test_a_list_of_the_wrong_extent(self, manifest_path, tmp_path, capsys, level, form):
+        path, name, k = _EXTENTS[level]
+        data = _load(manifest_path)
+        rows = functools.reduce(operator.getitem, path, data)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(_mutated(data, path, rows[:-1] if form == "short" else "x1")))
+        assert _input_errors([[str(bad)]], tmp_path, capsys) == [
+            f"error: {name}: expected {k} entries\n"
+        ]
+
+    @pytest.mark.parametrize("potential", ["V", "v"])
+    def test_a_null_potential_is_an_absent_one(self, manifest_path, tmp_path, potential):
+        # the report equals that of the manifest without the null key, but
+        # for the digest, which covers the key
+        sol = _load(manifest_path)["soliton"]
+        if potential == "v":
+            del sol["V"]
+            sol["v"] = "x3+x4"
+        reports = []
+        for block in (sol, {**sol, ("v" if potential == "V" else "V"): None}):
+            path, out = tmp_path / "model.json", tmp_path / "report.json"
+            path.write_text(json.dumps({**_load(manifest_path), "soliton": block}))
+            argv = ["check", str(path), "--points", "3", "--reproducible", "--out", str(out)]
+            assert main(argv) == 0
+            reports.append({**_load(out), "manifest_digest": None})
+        assert reports[0] == reports[1]
+
+    def test_a_null_potential_alone_is_no_potential(self, manifest_path, tmp_path, capsys):
+        data = _load(manifest_path)
+        data["soliton"]["V"] = None
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))
+        assert _input_errors([[str(bad)]], tmp_path, capsys) == [
+            "error: soliton: provide exactly one of V or v\n"
+        ]
 
 
 class TestUnwritableOutput:
@@ -1007,7 +1067,7 @@ class TestInputBounds:
         def never(*args, **kwargs):
             raise AssertionError("structure parsed despite the dimension cap")
 
-        monkeypatch.setattr(cli, "_parse_matrix", never)
+        monkeypatch.setattr(cli, "_entries", never)
         for n, s in ((10**9, 1), (1, 10**12), (cli._MAX_DIM // 2, 2)):
             bad = tmp_path / "bad.json"
             data = _mutated(_mutated(_load(manifest_path), ("n",), n), ("s",), s)

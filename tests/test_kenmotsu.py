@@ -5,10 +5,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from wfk import kenmotsu
+from wfk import kenmotsu, star_soliton
 from wfk.checks import CATALOGUE, CheckContext, applicable_ids
 from wfk.cli import main
-from wfk.kenmotsu import IDENTITY_IDS, build_twisted_product
+from wfk.kenmotsu import IDENTITY_IDS, build_example2, build_twisted_product
 from wfk.star_soliton import eta_einstein_fit
 
 from conftest import diagonal_metric, example_manifold, group_residuals, model, seeded_points
@@ -69,6 +69,27 @@ class TestIdentityAudit:
         finally:
             tracemalloc.stop()
         assert peak <= 1.4 * 2**20, peak / 2**20
+
+    @pytest.mark.parametrize(
+        "audit, reading",
+        [(kenmotsu.audit_identities, 1.98), (star_soliton.lemma2_audit, 1.78)],
+        ids=["identities", "lemma2"],
+    )
+    def test_a_chunk_keeps_no_extra_dim4_array_alive(self, audit, reading):
+        # on one dim-7 chunk of 20 points, a second call, once the cached
+        # tensors are built, peaks at ``reading`` MiB; one more chunk-sized
+        # dim^4 array alive at the peak (0.37 MiB) fails the pin
+        soliton = {"lambda": -3.0, "mu": 3.0, "V": [0] * 4 + [1] * 3}  # V = xibar
+        m = model({**build_example2(2, 3, 1.0, 1.0), "soliton": soliton})
+        st = m.at(np.array(seeded_points(m.dim, count=20, seed=1)))
+        audit(st)
+        tracemalloc.start()
+        try:
+            audit(st)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < reading * 2**20 + 20 * m.dim**4 * 8, peak / 2**20
 
     def test_second_parameter_set(self):
         m = example_manifold(2, 2, 0.5, 1.0)

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from wfk import InputError
-from wfk import expr as ex
 from wfk.checks import CATALOGUE, CheckContext, run_check_ids
 from wfk.geometry import lie_derivative_1form
 from wfk.kenmotsu import build_example2
@@ -142,13 +141,13 @@ class TestVectorSolitons:
 
 class TestGradientSolitons:
     def test_reeb_potential(self, e2):
-        m = with_soliton(e2, -2.0, 2.0, v=scalar(ex.parse_expression("x3+x4", 4)))
+        m = with_soliton(e2, -2.0, 2.0, v=scalar("x3+x4", 4))
         for p in seeded_points(4, count=3, seed=54):
             # the larger of the two forms of (75)
             assert group_residuals("grad", m.at(p))["grad.75"] < 1e-6
 
     def test_matches_vector_form(self, e2):
-        grad_m = with_soliton(e2, -2.0, 2.0, v=scalar(ex.parse_expression("x3+x4", 4)))
+        grad_m = with_soliton(e2, -2.0, 2.0, v=scalar("x3+x4", 4))
         vec_m = with_soliton(e2, -2.0, 2.0, V=_xibar_field(4, 2))
         for p in seeded_points(4, count=3, seed=56):
             g_res = group_residuals("grad", grad_m.at(p))["grad.75"]
@@ -156,12 +155,12 @@ class TestGradientSolitons:
             assert abs(g_res - v_res) < 1e-8
 
     def test_constant_potential(self, e2):
-        m = with_soliton(e2, -4.0, 4.0, v=scalar(ex.const(3.0, 4)))
+        m = with_soliton(e2, -4.0, 4.0, v=scalar(3.0, 4))
         assert group_residuals("grad", m.at(O))["grad.75"] < 1e-8
 
     def test_steady_classical_case(self):
         m = example_manifold(1, 1, 1.0, 0.0)
-        m = with_soliton(m, 0.0, 0.0, v=scalar(ex.parse_expression("x3", 3)))
+        m = with_soliton(m, 0.0, 0.0, v=scalar("x3", 3))
         assert group_residuals("grad", m.at(np.zeros(3)))["grad.75"] < 1e-6
         assert m.soliton.classification == "steady"
 
@@ -245,7 +244,7 @@ class TestValidation:
     def test_dimension_mismatch(self):
         # a potential over another chart is rejected when the manifest is read:
         # a V of the wrong length by the reader, a v's coordinate by the parser
-        cases = (("V", [0, 0, 1], "^soliton.V: expected 4 components$"),
+        cases = (("V", [0, 0, 1], "^soliton.V: expected 4 entries$"),
                  ("v", "x5", "^soliton.v: coordinate index out of range: x5 \\(dimension 4\\)"))
         for key, potential, message in cases:
             soliton = {"lambda": 0, "mu": 0, key: potential}
@@ -260,7 +259,7 @@ class TestValidation:
     def test_a_check_without_its_potential_is_blocked(self, e2, potential, cid):
         # the soliton functions read the model's potential unguarded; an id
         # whose potential is missing is blocked before any of them runs
-        given = {"v": ex.parse_expression("x3+x4", 4), "V": _xibar_field(4, 2)}
+        given = {"v": scalar("x3+x4", 4), "V": _xibar_field(4, 2)}
         m = e2
         if potential is not None:
             m = with_soliton(e2, -2.0, 2.0, **{potential: given[potential]})
